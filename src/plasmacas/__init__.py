@@ -11,7 +11,8 @@ from .scattering import (PERFECT_CONDUCTOR, PlaneSheet, Polarization, SphereShee
 from .roundtrip import AngularKernel, RoundTripBlock, assemble_block, m_element
 from .energy_exact import EnergyResult, NumericsSpec, casimir_energy, logdet_one_minus
 from .pfa import PfaParams, lifshitz_plane_plane, pfa_energy
-from .asymptotics import NtlCoefficients, e0, e1, ntl_coefficients, ntl_integrand, theta
+from .asymptotics import (NtlCoefficients, e0, e1, ntl_coefficients, ntl_integrand,
+                          small_gap_expansion, theta)
 
 __all__ = [
     "AngularKernel",
@@ -37,6 +38,7 @@ __all__ = [
     "ntl_integrand",
     "pfa_energy",
     "plane_r",
+    "small_gap_expansion",
     "sphere_t",
     "theta",
 ]

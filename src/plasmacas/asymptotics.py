@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import polygamma
 
 from .errors import NumericsError
-from .scattering import PERFECT_CONDUCTOR
+from .scattering import PERFECT_CONDUCTOR, check_omega, varpi
 from ._quadrature import gauss_laguerre, tau_rule
 
 _N_T = 48
@@ -107,78 +107,90 @@ class NtlCoefficients:
     y2_tm: float
 
 
-def ntl_coefficients(s: int, t: float, tau: float, varpi_s, varpi_p) -> NtlCoefficients:
-    """Scalar evaluation of the coefficient set at (s, t, tau, w_s, w_p)."""
-    if s < 0 or not (t > 0.0) or not (0.0 < tau < 1.0):
-        raise ValueError("need s >= 0, t > 0 and tau in (0, 1)")
+# Coefficients with a 1/t pole; the kernel returns them times t, which
+# cancels the pole before the integration.
+_TIMES_T = ("script_a", "script_b", "c_v", "d_vv", "d_v", "y2_te", "y2_tm")
+
+
+def _ntl_kernel(s, t, tau, ws, wp):
+    """Every coefficient of the E1 braces at (s, t, tau), vectorised.
+
+    Returns (coef, cd_terms).  coef maps the NtlCoefficients field names to
+    values, the fields in _TIMES_T multiplied by t.  cd_terms(pol) yields
+    the terms of t (C_pol + D_pol) one at a time, in summation order; the
+    first two make up t C_pol.
+    """
     sig = s + 1.0
     t2 = tau ** 2
-    a_coef = ((t * t2 / 3.0) * (sig ** 3 + 2 * sig)
-              + ((t2 - 2.0) * sig ** 2 - 3.0 * tau * sig + 2.0 * t2 - 1.0) / 3.0
-              + (t2 ** 2 + t2 - 12.0) / (12.0 * t * t2) * sig
-              + (1.0 + tau) * (1.0 - t2) / (2.0 * t * t2)
-              - (1.0 - t2) / (3.0 * t) / sig)
-    c_v = (-(tau / 3.0) * (sig ** 3 + 2 * sig) + (1.0 - t2) / (6.0 * t * tau) * sig ** 2
-           + sig / (2.0 * t) + (1.0 - 4.0 * t2) / (12.0 * t * tau))
-    c_j = -(t * tau / 3.0) * (sig ** 3 - sig) + (sig ** 2 - 1.0) / (6.0 * tau)
-    d_vv = (sig ** 3 - 2 * sig ** 2 + 2 * sig - 1.0) / (12.0 * t)
-    d_jj = (t / 12.0) * (sig ** 3 - 2 * sig ** 2 - sig + 2.0)
-    d_vj = (sig ** 3 - sig) / 6.0
-    d_v = (2 * sig ** 2 + 1.0) / (6.0 * t)
-    d_j = (t / 3.0) * (sig ** 2 - 1.0)
+    zero = np.zeros(np.broadcast(t, tau).shape)
+    c = {"t0_te": _t0(t, tau, ws, False), "t0_tm": _t0(t, tau, ws, True),
+         "t0t_te": _t0(t, tau, wp, False), "t0t_tm": _t0(t, tau, wp, True)}
+    c["script_a"] = ((t * t * t2 / 3.0) * (sig ** 3 + 2 * sig)
+                     + t * ((t2 - 2.0) * sig ** 2 - 3.0 * tau * sig + 2.0 * t2 - 1.0) / 3.0
+                     + (t2 ** 2 + t2 - 12.0) / (12.0 * t2) * sig
+                     + (1.0 + tau) * (1.0 - t2) / (2.0 * t2)
+                     - (1.0 - t2) / 3.0 / sig)
+    c["c_v"] = (-(tau / 3.0) * (sig ** 3 + 2 * sig) * t + (1.0 - t2) / (6.0 * tau) * sig ** 2
+                + 0.5 * sig + (1.0 - 4.0 * t2) / (12.0 * tau))
+    c["c_j"] = -(t * tau / 3.0) * (sig ** 3 - sig) + (sig ** 2 - 1.0) / (6.0 * tau)
+    c["d_vv"] = (sig ** 3 - 2 * sig ** 2 + 2 * sig - 1.0) / 12.0
+    c["d_jj"] = (t / 12.0) * (sig ** 3 - 2 * sig ** 2 - sig + 2.0)
+    c["d_vj"] = (sig ** 3 - sig) / 6.0
+    c["d_v"] = (2 * sig ** 2 + 1.0) / 6.0
+    c["d_j"] = (t / 3.0) * (sig ** 2 - 1.0)
 
-    if varpi_p == PERFECT_CONDUCTOR:
-        k1_te = k2_te = k1_tm = k2_tm = 0.0
+    if wp == PERFECT_CONDUCTOR:
+        c.update(k1_te=zero, k2_te=zero, k1_tm=zero, k2_tm=zero)
     else:
-        wp = varpi_p
-        k1_te = -t * tau / (wp + t)
-        k2_te = -t * (wp + t * (1.0 - 2.0 * t2)) / (2.0 * (wp + t) ** 2)
-        k1_tm = t * (1.0 - t2) / (wp + t * (1.0 - t2))
-        k2_tm = (t * (1.0 - t2) * (wp * (1.0 - 2.0 * t2) + t * (1.0 - t2))
-                 / (2.0 * (wp + t * (1.0 - t2)) ** 2))
-    if varpi_s == PERFECT_CONDUCTOR:
-        w1_te = w2_te = w1_tm = w2_tm = 0.0
-        y2_te = (0.25 - 5.0 * t2 / 12.0) / t
-        y2_tm = (0.25 + 7.0 * t2 / 12.0) / t
+        c["k1_te"] = -t * tau / (wp + t)
+        c["k2_te"] = -t * (wp + t * (1.0 - 2.0 * t2)) / (2.0 * (wp + t) ** 2)
+        c["k1_tm"] = t * (1.0 - t2) / (wp + t * (1.0 - t2))
+        c["k2_tm"] = (t * (1.0 - t2) * (wp * (1.0 - 2.0 * t2) + t * (1.0 - t2))
+                      / (2.0 * (wp + t * (1.0 - t2)) ** 2))
+    if ws == PERFECT_CONDUCTOR:
+        c.update(w1_te=zero, w2_te=zero, w1_tm=zero, w2_tm=zero)
+        c["y2_te"] = (0.25 - 5.0 * t2 / 12.0) + zero
+        c["y2_tm"] = (0.25 + 7.0 * t2 / 12.0) + zero
     else:
-        ws = varpi_s
-        w1_te = -tau / (ws + t)
-        w2_te = -(t * (1.0 - 3.0 * t2) + ws * (1.0 - t2)) / (2.0 * t * (ws + t) ** 2)
-        w1_tm = tau * (1.0 - t2) / (ws + t * (1.0 - t2))
-        w2_tm = ((1.0 - t2) * (t * (1.0 - t2) ** 2 + ws * (1.0 - 3.0 * t2))
-                 / (2.0 * t * (ws + t * (1.0 - t2)) ** 2))
-        y2_te = -tau / (2.0 * (ws + t)) + (0.25 - 5.0 * t2 / 12.0) / t
-        y2_tm = (tau * (1.0 - t2) / (2.0 * (ws + t * (1.0 - t2)))
-                 + (0.25 + 7.0 * t2 / 12.0) / t)
+        c["w1_te"] = -tau / (ws + t)
+        c["w2_te"] = -(t * (1.0 - 3.0 * t2) + ws * (1.0 - t2)) / (2.0 * t * (ws + t) ** 2)
+        c["w1_tm"] = tau * (1.0 - t2) / (ws + t * (1.0 - t2))
+        c["w2_tm"] = ((1.0 - t2) * (t * (1.0 - t2) ** 2 + ws * (1.0 - 3.0 * t2))
+                      / (2.0 * t * (ws + t * (1.0 - t2)) ** 2))
+        c["y2_te"] = -t * tau / (2.0 * (ws + t)) + (0.25 - 5.0 * t2 / 12.0)
+        c["y2_tm"] = (t * tau * (1.0 - t2) / (2.0 * (ws + t * (1.0 - t2)))
+                      + (0.25 + 7.0 * t2 / 12.0))
 
-    c_te = c_v * k1_te + c_j * w1_te
-    c_tm = c_v * k1_tm + c_j * w1_tm
-    d_te = (d_vv * k1_te ** 2 + d_vj * k1_te * w1_te + d_jj * w1_te ** 2
-            + d_v * k2_te + d_j * w2_te + sig * y2_te)
-    d_tm = (d_vv * k1_tm ** 2 + d_vj * k1_tm * w1_tm + d_jj * w1_tm ** 2
-            + d_v * k2_tm + d_j * w2_tm + sig * y2_tm)
+    def cd_terms(pol):
+        k1, k2, w1, w2 = (c[f"{k}_{pol}"] for k in ("k1", "k2", "w1", "w2"))
+        yield c["c_v"] * k1
+        yield t * c["c_j"] * w1
+        yield c["d_vv"] * k1 ** 2
+        yield t * c["d_vj"] * k1 * w1
+        yield t * c["d_jj"] * w1 ** 2
+        yield c["d_v"] * k2
+        yield t * c["d_j"] * w2
+        yield sig * c[f"y2_{pol}"]
 
-    t0_te = float(_t0(t, tau, varpi_s, False))
-    t0_tm = float(_t0(t, tau, varpi_s, True))
-    t0t_te = float(_t0(t, tau, varpi_p, False))
-    t0t_tm = float(_t0(t, tau, varpi_p, True))
-    pte, ptm = t0_te * t0t_te, t0_tm * t0t_tm
-    mix = t0_te * t0t_tm + t0_tm * t0t_te
-    ps1 = float(_hom_power_sum(pte, ptm, s))
-    ps2 = float(_hom_power_sum(pte, ptm, s - 1))
-    script_b = (1.0 - t2) / (2.0 * t * t2) * (mix * ps1 + 2.0 * pte * ptm * ps2)
+    pte, ptm = c["t0_te"] * c["t0t_te"], c["t0_tm"] * c["t0t_tm"]
+    ps1 = _hom_power_sum(pte, ptm, s)
+    ps2 = _hom_power_sum(pte, ptm, s - 1)
+    mix = c["t0_te"] * c["t0t_tm"] + c["t0_tm"] * c["t0t_te"]
+    c["script_b"] = (1.0 - t2) / (2.0 * t2) * (mix * ps1 + 2.0 * pte * ptm * ps2)
+    return c, cd_terms
 
-    return NtlCoefficients(
-        t0_te=t0_te, t0_tm=t0_tm, t0t_te=t0t_te, t0t_tm=t0t_tm,
-        script_a=float(a_coef), script_b=script_b,
-        script_c_te=float(c_te), script_c_tm=float(c_tm),
-        script_d_te=float(d_te), script_d_tm=float(d_tm),
-        c_v=float(c_v), c_j=float(c_j), d_vv=float(d_vv), d_jj=float(d_jj),
-        d_vj=float(d_vj), d_v=float(d_v), d_j=float(d_j),
-        k1_te=float(k1_te), k1_tm=float(k1_tm), k2_te=float(k2_te), k2_tm=float(k2_tm),
-        w1_te=float(w1_te), w1_tm=float(w1_tm), w2_te=float(w2_te), w2_tm=float(w2_tm),
-        y2_te=float(y2_te), y2_tm=float(y2_tm),
-    )
+
+def ntl_coefficients(s: int, t: float, tau: float, varpi_s, varpi_p) -> NtlCoefficients:
+    """Scalar view of the coefficient set at (s, t, tau, w_s, w_p)."""
+    if s < 0 or not (t > 0.0) or not (0.0 < tau < 1.0):
+        raise ValueError("need s >= 0, t > 0 and tau in (0, 1)")
+    coef, cd_terms = _ntl_kernel(s, t, tau, varpi_s, varpi_p)
+    view = {k: float(v / t if k in _TIMES_T else v) for k, v in coef.items()}
+    for pol in ("te", "tm"):
+        terms = list(cd_terms(pol))
+        view[f"script_c_{pol}"] = float(sum(terms[:2]) / t)
+        view[f"script_d_{pol}"] = float(sum(terms[2:]) / t)
+    return NtlCoefficients(**view)
 
 
 def ntl_integrand(s: int, t, tau, varpi_s, varpi_p):
@@ -194,63 +206,10 @@ def ntl_integrand(s: int, t, tau, varpi_s, varpi_p):
 
 def _braces_times_t(s, t, tau, ws, wp):
     """t * braces of the E1 integrand, vectorized, 1/t poles cancelled."""
-    sig = s + 1.0
-    t2 = tau ** 2
-    tte = _t0(t, tau, ws, False)
-    ttm = _t0(t, tau, ws, True)
-    tpte = _t0(t, tau, wp, False)
-    tptm = _t0(t, tau, wp, True)
-    pte, ptm = tte * tpte, ttm * tptm
-
-    t_a = ((t * t * t2 / 3.0) * (sig ** 3 + 2 * sig)
-           + t * ((t2 - 2.0) * sig ** 2 - 3.0 * tau * sig + 2.0 * t2 - 1.0) / 3.0
-           + (t2 ** 2 + t2 - 12.0) / (12.0 * t2) * sig
-           + (1.0 + tau) * (1.0 - t2) / (2.0 * t2)
-           - (1.0 - t2) / 3.0 / sig)
-    t_cv = (-(tau / 3.0) * (sig ** 3 + 2 * sig) * t + (1.0 - t2) / (6.0 * tau) * sig ** 2
-            + 0.5 * sig + (1.0 - 4.0 * t2) / (12.0 * tau))
-    c_j = -(t * tau / 3.0) * (sig ** 3 - sig) + (sig ** 2 - 1.0) / (6.0 * tau)
-    t_dvv = (sig ** 3 - 2 * sig ** 2 + 2 * sig - 1.0) / 12.0
-    d_jj = (t / 12.0) * (sig ** 3 - 2 * sig ** 2 - sig + 2.0)
-    d_vj = (sig ** 3 - sig) / 6.0
-    t_dv = (2 * sig ** 2 + 1.0) / 6.0
-    d_j = (t / 3.0) * (sig ** 2 - 1.0)
-
-    zero = np.zeros(np.broadcast(t, tau).shape)
-    if wp == PERFECT_CONDUCTOR:
-        k1_te = k2_te = k1_tm = k2_tm = zero
-    else:
-        k1_te = -t * tau / (wp + t)
-        k2_te = -t * (wp + t * (1.0 - 2.0 * t2)) / (2.0 * (wp + t) ** 2)
-        k1_tm = t * (1.0 - t2) / (wp + t * (1.0 - t2))
-        k2_tm = (t * (1.0 - t2) * (wp * (1.0 - 2.0 * t2) + t * (1.0 - t2))
-                 / (2.0 * (wp + t * (1.0 - t2)) ** 2))
-    if ws == PERFECT_CONDUCTOR:
-        w1_te = w2_te = w1_tm = w2_tm = zero
-        ty2_te = (0.25 - 5.0 * t2 / 12.0) + zero
-        ty2_tm = (0.25 + 7.0 * t2 / 12.0) + zero
-    else:
-        w1_te = -tau / (ws + t)
-        w2_te = -(t * (1.0 - 3.0 * t2) + ws * (1.0 - t2)) / (2.0 * t * (ws + t) ** 2)
-        w1_tm = tau * (1.0 - t2) / (ws + t * (1.0 - t2))
-        w2_tm = ((1.0 - t2) * (t * (1.0 - t2) ** 2 + ws * (1.0 - 3.0 * t2))
-                 / (2.0 * t * (ws + t * (1.0 - t2)) ** 2))
-        ty2_te = -t * tau / (2.0 * (ws + t)) + (0.25 - 5.0 * t2 / 12.0)
-        ty2_tm = (t * tau * (1.0 - t2) / (2.0 * (ws + t * (1.0 - t2)))
-                  + (0.25 + 7.0 * t2 / 12.0))
-
-    t_cd_te = (t_cv * k1_te + t * c_j * w1_te + t_dvv * k1_te ** 2
-               + t * d_vj * k1_te * w1_te + t * d_jj * w1_te ** 2
-               + t_dv * k2_te + t * d_j * w2_te + sig * ty2_te)
-    t_cd_tm = (t_cv * k1_tm + t * c_j * w1_tm + t_dvv * k1_tm ** 2
-               + t * d_vj * k1_tm * w1_tm + t * d_jj * w1_tm ** 2
-               + t_dv * k2_tm + t * d_j * w2_tm + sig * ty2_tm)
-
-    ps1 = _hom_power_sum(pte, ptm, s)
-    ps2 = _hom_power_sum(pte, ptm, s - 1)
-    mix = tte * tptm + ttm * tpte
-    t_b = (1.0 - t2) / (2.0 * t2) * (mix * ps1 + 2.0 * pte * ptm * ps2)
-    return pte ** (s + 1) * (t_a + t_cd_te) + ptm ** (s + 1) * (t_a + t_cd_tm) + t_b
+    c, cd_terms = _ntl_kernel(s, t, tau, ws, wp)
+    pte, ptm = c["t0_te"] * c["t0t_te"], c["t0_tm"] * c["t0t_tm"]
+    return (pte ** (s + 1) * (c["script_a"] + sum(cd_terms("te")))
+            + ptm ** (s + 1) * (c["script_a"] + sum(cd_terms("tm"))) + c["script_b"])
 
 
 _POLYGAMMA_TAIL = {
@@ -293,13 +252,6 @@ def _tail_corrected_sum(term, powers, rel_tol, what):
         raise NumericsError(f"{what}: s-sum not converged, tail {tail} vs sum {total}",
                             error_estimate=abs(tail))
     return total + tail, abs(tail)
-
-
-def _check_varpi(v, name):
-    if v == PERFECT_CONDUCTOR:
-        return
-    if not (v >= 0.0) or not math.isfinite(v):
-        raise ValueError(f"{name} must be >= 0 or the PC marker, got {v}")
 
 
 def _pick_nodes(term_at):
@@ -387,32 +339,56 @@ def _e1_series(varpi_s, varpi_p, rel_tol):
     return _tail_corrected_sum(term, (2, 3, 4), rel_tol, "E1")
 
 
+def _transparent(radius_R, gap_d, varpi_s, varpi_p) -> bool:
+    """Check the arguments of the small-gap terms; True if a sheet is
+    transparent, where E0 and E1 vanish."""
+    if not (radius_R > 0.0 and gap_d > 0.0):
+        raise ValueError("radius_R and gap_d must be positive")
+    check_omega(varpi_s, "varpi_s")
+    check_omega(varpi_p, "varpi_p")
+    return varpi_s == 0.0 or varpi_p == 0.0
+
+
+def _e0_prefactor(radius_R, gap_d):
+    return -radius_R / (4.0 * math.pi * gap_d ** 2)
+
+
+def _e1_prefactor(gap_d):
+    return -1.0 / (4.0 * math.pi * gap_d)
+
+
 def e0(radius_R: float, gap_d: float, varpi_s, varpi_p, rel_tol: float = 1e-10) -> float:
     """Leading small-separation term, units hbar c = 1 (dimension 1/length).
 
     Coincides with the PFA energy at equal dimensionless parameters; the two
     are computed along fully independent quadrature routes.
     """
-    if not (radius_R > 0.0 and gap_d > 0.0):
-        raise ValueError("radius_R and gap_d must be positive")
-    _check_varpi(varpi_s, "varpi_s")
-    _check_varpi(varpi_p, "varpi_p")
-    if varpi_s == 0.0 or varpi_p == 0.0:
+    if _transparent(radius_R, gap_d, varpi_s, varpi_p):
         return 0.0
     q0, _ = _e0_series(varpi_s, varpi_p, rel_tol)
-    return -radius_R / (4.0 * math.pi * gap_d ** 2) * q0
+    return _e0_prefactor(radius_R, gap_d) * q0
 
 
 def e1(radius_R: float, gap_d: float, varpi_s, varpi_p, rel_tol: float = 1e-10) -> float:
     """Next-to-leading term, units hbar c = 1 (dimension 1/length)."""
-    if not (radius_R > 0.0 and gap_d > 0.0):
-        raise ValueError("radius_R and gap_d must be positive")
-    _check_varpi(varpi_s, "varpi_s")
-    _check_varpi(varpi_p, "varpi_p")
-    if varpi_s == 0.0 or varpi_p == 0.0:
+    if _transparent(radius_R, gap_d, varpi_s, varpi_p):
         return 0.0
     q1, _ = _e1_series(varpi_s, varpi_p, rel_tol)
-    return -1.0 / (4.0 * math.pi * gap_d) * q1
+    return _e1_prefactor(gap_d) * q1
+
+
+def small_gap_expansion(radius_R: float, gap_d: float, varpi_s, varpi_p,
+                        rel_tol: float = 1e-10) -> tuple:
+    """(E0, E1, theta) from one evaluation of each series.
+
+    Same values as e0, e1 and theta called one by one, at the cost of e0
+    and e1 alone.  theta is None when a sheet is transparent.
+    """
+    if _transparent(radius_R, gap_d, varpi_s, varpi_p):
+        return 0.0, 0.0, None
+    q0, _ = _e0_series(varpi_s, varpi_p, rel_tol)
+    q1, _ = _e1_series(varpi_s, varpi_p, rel_tol)
+    return _e0_prefactor(radius_R, gap_d) * q0, _e1_prefactor(gap_d) * q1, q1 / q0
 
 
 def theta(gap_d: float, radius_R: float, omega_s, omega_p, rel_tol: float = 1e-10) -> float:
@@ -422,14 +398,8 @@ def theta(gap_d: float, radius_R: float, omega_s, omega_p, rel_tol: float = 1e-1
     dimensionless w = Omega d are formed internally, so R and d enter only
     through them.  PC-PC gives 1/3 - 20/pi^2.
     """
-    if not (radius_R > 0.0 and gap_d > 0.0):
-        raise ValueError("radius_R and gap_d must be positive")
-    ws = omega_s if omega_s == PERFECT_CONDUCTOR else omega_s * gap_d
-    wp = omega_p if omega_p == PERFECT_CONDUCTOR else omega_p * gap_d
-    _check_varpi(ws, "omega_s")
-    _check_varpi(wp, "omega_p")
-    if ws == 0.0 or wp == 0.0:
+    _, _, th = small_gap_expansion(radius_R, gap_d, varpi(omega_s, gap_d),
+                                   varpi(omega_p, gap_d), rel_tol)
+    if th is None:
         raise ValueError("theta undefined for a transparent sheet (E0 = 0)")
-    q0, _ = _e0_series(ws, wp, rel_tol)
-    q1, _ = _e1_series(ws, wp, rel_tol)
-    return q1 / q0
+    return th

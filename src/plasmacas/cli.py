@@ -17,11 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .asymptotics import e0, e1, theta
+# The asympt row's one call into the small-gap layer: E0, E1 and theta from
+# one evaluation of each series.  It is bound to the name ``theta`` because
+# the benchmark (bench/layers.py and its tests) counts asympt rows by calls
+# to ``cli.theta``.
+from .asymptotics import small_gap_expansion as theta
 from .energy_exact import NumericsSpec, casimir_energy
 from .errors import NumericsError
 from .pfa import PfaParams, pfa_energy
-from .scattering import PERFECT_CONDUCTOR, PlaneSheet, SphereSheet
+from .scattering import PERFECT_CONDUCTOR, PlaneSheet, SphereSheet, varpi
 
 HBARC_J_M = 3.1615268e-26  # hbar*c used for all SI conversion
 
@@ -204,15 +208,12 @@ def _compute_row(task) -> dict:
             row.update(error_estimate=res.error_estimate * HBARC_J_M,
                        l_max_used=res.l_max_used, m_max_used=res.m_max_used)
         elif method == "pfa":
-            ws = omega_s if omega_s == PERFECT_CONDUCTOR else omega_s * gap
-            wp = omega_p if omega_p == PERFECT_CONDUCTOR else omega_p * gap
+            ws, wp = varpi(omega_s, gap), varpi(omega_p, gap)
             energy_j = pfa_energy(PfaParams(ws, wp, radius, gap)) * HBARC_J_M
         elif method == "asympt":
-            ws = omega_s if omega_s == PERFECT_CONDUCTOR else omega_s * gap
-            wp = omega_p if omega_p == PERFECT_CONDUCTOR else omega_p * gap
-            energy_j = (e0(radius, gap, ws, wp) + e1(radius, gap, ws, wp)) * HBARC_J_M
-            if omega_s != 0.0 and omega_p != 0.0:
-                row.update(theta=theta(gap, radius, omega_s, omega_p))
+            e0, e1, th = theta(radius, gap, varpi(omega_s, gap), varpi(omega_p, gap))
+            energy_j = (e0 + e1) * HBARC_J_M
+            row.update(theta=th)
         else:
             raise ValueError(f"unknown method {method!r}")
         row.update(energy_J=energy_j,
@@ -223,16 +224,15 @@ def _compute_row(task) -> dict:
     return row
 
 
-def run_sweep(config: SweepConfig) -> int:
-    """Run every point of the sweep, write the CSV, print a summary.
-
-    Returns the process exit status: 0 if all rows succeeded, 3 if any row
-    recorded an error.
-    """
+def _sweep_tasks(config: SweepConfig) -> list:
     methods = ("exact", "pfa", "asympt") if config.method == "all" else (config.method,)
-    tasks = [(m, r, d, config.omega_s, config.omega_p, config.lmax, config.mmax, config.rel_tol)
-             for r in config.radii for d in config.gaps for m in methods]
+    return [(m, r, d, config.omega_s, config.omega_p, config.lmax, config.mmax, config.rel_tol)
+            for r in config.radii for d in config.gaps for m in methods]
 
+
+def _run_tasks(tasks: list, config: SweepConfig) -> int:
+    """Compute the rows of tasks, on config.threads workers, and write them
+    in task order to config.out; returns the exit status."""
     if config.threads > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.threads) as pool:
             rows = list(pool.map(_compute_row, tasks))
@@ -257,48 +257,47 @@ def run_sweep(config: SweepConfig) -> int:
     return 3 if n_bad else 0
 
 
+def run_sweep(config: SweepConfig) -> int:
+    """Run every point of the sweep, write the CSV, print a summary.
+
+    Returns the process exit status: 0 if all rows succeeded, 3 if any row
+    recorded an error.
+    """
+    return _run_tasks(_sweep_tasks(config), config)
+
+
 _GRAPHENE_OMEGA = 6.75e5  # 1/m
+_FIGURE_RADIUS = 1e-3     # m
+_GRAPHENE_TO_PC = (_GRAPHENE_OMEGA, 10 * _GRAPHENE_OMEGA, 100 * _GRAPHENE_OMEGA,
+                   PERFECT_CONDUCTOR)
+
+# preset -> (log gap grid (min, max, count) in m, plasma parameters of both
+# sheets); the rows of one preset run over the parameters, then the gaps
+_FIGURES = {
+    1: ((1e-6, 1.2e-4, 40), (_GRAPHENE_OMEGA,)),
+    2: ((1e-6, 1.2e-4, 40), (_GRAPHENE_OMEGA,)),
+    3: ((1e-7, 1e-3, 49), (_GRAPHENE_OMEGA,)),
+    4: ((1e-7, 1e-3, 49), _GRAPHENE_TO_PC),
+    5: ((1e-7, 1e-3, 49), _GRAPHENE_TO_PC),
+    6: ((1e-7, 1e-3, 49), _GRAPHENE_TO_PC),
+}
 
 
-def _figure_config(number: int, out: str | None, threads: int) -> SweepConfig:
-    """Gap grid and materials of one preset dataset (presets 4-6 loop over
-    several plasma parameters in _run_figure instead)."""
-    if number in (1, 2):
-        gaps = _spacing(1e-6, 1.2e-4, 40, "log")
-    elif number in (3, 4, 5, 6):
-        gaps = _spacing(1e-7, 1e-3, 49, "log")
-    else:
+def _figure_configs(number: int, out: str | None, threads: int) -> list:
+    """One asympt sweep per plasma parameter of a preset, all into one CSV."""
+    if number not in _FIGURES:
         raise UsageError("figure number must be 1..6")
-    return SweepConfig(method="asympt", radii=(1e-3,), gaps=gaps,
-                       omega_s=_GRAPHENE_OMEGA, omega_p=_GRAPHENE_OMEGA,
-                       out=out or f"figure{number}.csv", threads=threads)
+    (lo, hi, count), omegas = _FIGURES[number]
+    gaps = _spacing(lo, hi, count, "log")
+    return [SweepConfig(method="asympt", radii=(_FIGURE_RADIUS,), gaps=gaps,
+                        omega_s=om, omega_p=om, out=out or f"figure{number}.csv",
+                        threads=threads)
+            for om in omegas]
 
 
 def _run_figure(number: int, out: str | None, threads: int) -> int:
-    if number in (4, 5, 6):
-        # several plasma parameters on a common gap grid
-        base = _figure_config(number, out, threads)
-        status = 0
-        all_rows = []
-        for om in (_GRAPHENE_OMEGA, 10 * _GRAPHENE_OMEGA, 100 * _GRAPHENE_OMEGA,
-                   PERFECT_CONDUCTOR):
-            tasks = [("asympt", r, d, om, om, None, None, None)
-                     for r in base.radii for d in base.gaps]
-            if threads > 1:
-                with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-                    all_rows.extend(pool.map(_compute_row, tasks))
-            else:
-                all_rows.extend(_compute_row(t) for t in tasks)
-        with open(base.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in all_rows:
-                writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
-                if row["status"] != "ok":
-                    status = 3
-        print(f"{len(all_rows)} rows -> {base.out}")
-        return status
-    return run_sweep(_figure_config(number, out, threads))
+    configs = _figure_configs(number, out, threads)
+    return _run_tasks([t for c in configs for t in _sweep_tasks(c)], configs[0])
 
 
 def _add_common(parser: argparse.ArgumentParser, sweep: bool) -> None:

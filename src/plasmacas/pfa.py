@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scattering import PERFECT_CONDUCTOR
+from .scattering import PERFECT_CONDUCTOR, check_omega, varpi
 from .specfun import dilog
 from ._quadrature import gauss_laguerre, gauss_legendre_01, tau_rule
 
@@ -38,10 +38,8 @@ class PfaParams:
     gap_d: float
 
     def __post_init__(self):
-        for name in ("varpi_1", "varpi_2"):
-            v = getattr(self, name)
-            if v != PERFECT_CONDUCTOR and (not (v >= 0.0) or not math.isfinite(v)):
-                raise ValueError(f"{name} must be >= 0 or the PC marker, got {v}")
+        check_omega(self.varpi_1, "varpi_1")
+        check_omega(self.varpi_2, "varpi_2")
         if not (self.radius_R > 0.0 and self.gap_d > 0.0):
             raise ValueError("radius_R and gap_d must be positive")
 
@@ -54,20 +52,46 @@ def _r_product(t, tau, w1, w2, tm: bool):
     return f1 * f2
 
 
-def _split_t_quadrature(f_head, g_tail, n_head=_N_HEAD, n_tail=_N_TAIL):
-    """int_0^inf f(t) dt for f with an integrable log kink at 0 and e^{-2t} decay.
+def _polylog(p: int, z):
+    """Li_1(z) = -ln(1 - z) or Li_2(z)."""
+    if p == 1:
+        return -np.log1p(-z)
+    if np.any(z > 1.0) or np.any(z < -1.0):
+        raise AssertionError("dilog argument left [-1, 1]; |r r| <= 1 violated")
+    return dilog(z)
 
-    f_head(t) evaluates f directly on (0, T]; g_tail(t, x) must equal
-    e^{x} f(t) evaluated stably at t = T + x/2 (the caller expands the
-    exponentially small argument instead of forming e^{x}).
+
+def _polylog_integral(w1, w2, p: int) -> float:
+    """int_0^inf dt t^(3-p) int_0^1 dtau tau/sqrt(1-tau^2) sum_pol Li_p(r r e^{-2t}).
+
+    p = 1 gives the plane-plane energy, p = 2 the PFA energy.  On the tail
+    t = T + x/2 the argument b e^{-x}, b = r r e^{-2T}, is tiny, so the
+    integrand times e^{x} is summed from the first terms of
+    Li_p(z) = sum_k z^k / k^p instead of forming e^{x}.
     """
-    y, wy = gauss_legendre_01(n_head)
+    tau, wtau = tau_rule(_N_TAU)
+
+    def pol_sum(t, li_of):
+        tt = t[:, None]
+        acc = np.zeros_like(tt * tau[None, :])
+        for tm in (False, True):
+            acc += li_of(_r_product(tt, tau[None, :], w1, w2, tm), tt)
+        return tt[:, 0] ** (3 - p) * (acc @ wtau)
+
+    y, wy = gauss_legendre_01(_N_HEAD)
     y = y * math.sqrt(_T_SPLIT)
     wy = wy * math.sqrt(_T_SPLIT)
-    head = np.sum(wy * 2.0 * y * f_head(y * y))
-    x, wx = gauss_laguerre(n_tail)
-    t = _T_SPLIT + 0.5 * x
-    tail = 0.5 * np.sum(wx * g_tail(t, x))
+    head = np.sum(wy * 2.0 * y * pol_sum(y * y, lambda r, tt: _polylog(p, r * np.exp(-2.0 * tt))))
+
+    x, wx = gauss_laguerre(_N_TAIL)
+    e_x = np.exp(-x)[:, None]
+
+    def tail_series(r, tt):
+        b = r * math.exp(-2.0 * _T_SPLIT)
+        w = b * e_x
+        return b * (1.0 + w / 2 ** p + w ** 2 / 3 ** p + w ** 3 / 4 ** p)
+
+    tail = 0.5 * np.sum(wx * pol_sum(_T_SPLIT + 0.5 * x, tail_series))
     return head + tail
 
 
@@ -79,34 +103,12 @@ def lifshitz_plane_plane(d: float, omega_1: float, omega_2: float) -> float:
     """
     if not (d > 0.0):
         raise ValueError(f"separation must be positive, got {d}")
-    for name, om in (("omega_1", omega_1), ("omega_2", omega_2)):
-        if om != PERFECT_CONDUCTOR and (not (om >= 0.0) or not math.isfinite(om)):
-            raise ValueError(f"{name} must be >= 0 or the PC marker, got {om}")
+    check_omega(omega_1, "omega_1")
+    check_omega(omega_2, "omega_2")
     if omega_1 == 0.0 or omega_2 == 0.0:
         return 0.0
-    w1 = omega_1 if omega_1 == PERFECT_CONDUCTOR else omega_1 * d
-    w2 = omega_2 if omega_2 == PERFECT_CONDUCTOR else omega_2 * d
-    tau, wtau = tau_rule(_N_TAU)
-
-    def f_head(t):
-        tt = t[:, None]
-        acc = np.zeros_like(tt * tau[None, :])
-        for tm in (False, True):
-            p = _r_product(tt, tau[None, :], w1, w2, tm)
-            acc += np.log1p(-p * np.exp(-2.0 * tt))
-        return tt[:, 0] ** 2 * (acc @ wtau)
-
-    def g_tail(t, x):
-        tt = t[:, None]
-        acc = np.zeros_like(tt * tau[None, :])
-        for tm in (False, True):
-            p = _r_product(tt, tau[None, :], w1, w2, tm)
-            b = p * math.exp(-2.0 * _T_SPLIT)  # argument = b e^{-x}
-            warg = b * np.exp(-x)[:, None]
-            acc += -b * (1.0 + warg / 2.0 + warg ** 2 / 3.0 + warg ** 3 / 4.0)
-        return tt[:, 0] ** 2 * (acc @ wtau)
-
-    return _split_t_quadrature(f_head, g_tail) / (4.0 * math.pi ** 2 * d ** 3)
+    q = _polylog_integral(varpi(omega_1, d), varpi(omega_2, d), 1)
+    return -q / (4.0 * math.pi ** 2 * d ** 3)
 
 
 def pfa_energy(params: PfaParams) -> float:
@@ -120,28 +122,5 @@ def pfa_energy(params: PfaParams) -> float:
     w1, w2 = params.varpi_1, params.varpi_2
     if w1 == 0.0 or w2 == 0.0:
         return 0.0
-    tau, wtau = tau_rule(_N_TAU)
-
-    def f_head(t):
-        tt = t[:, None]
-        acc = np.zeros_like(tt * tau[None, :])
-        for tm in (False, True):
-            p = _r_product(tt, tau[None, :], w1, w2, tm)
-            z = p * np.exp(-2.0 * tt)
-            if np.any(z > 1.0) or np.any(z < -1.0):
-                raise AssertionError("dilog argument left [-1, 1]; |r r| <= 1 violated")
-            acc += dilog(z)
-        return tt[:, 0] * (acc @ wtau)
-
-    def g_tail(t, x):
-        tt = t[:, None]
-        acc = np.zeros_like(tt * tau[None, :])
-        for tm in (False, True):
-            p = _r_product(tt, tau[None, :], w1, w2, tm)
-            b = p * math.exp(-2.0 * _T_SPLIT)
-            warg = b * np.exp(-x)[:, None]
-            acc += b * (1.0 + warg / 4.0 + warg ** 2 / 9.0 + warg ** 3 / 16.0)
-        return tt[:, 0] * (acc @ wtau)
-
-    q = _split_t_quadrature(f_head, g_tail)
+    q = _polylog_integral(w1, w2, 2)
     return -params.radius_R / (4.0 * math.pi * params.gap_d ** 2) * q

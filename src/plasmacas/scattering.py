@@ -26,11 +26,18 @@ class Polarization(Enum):
     TM = "TM"
 
 
-def _check_omega(omega, name):
+def check_omega(omega, name):
+    """A plasma parameter (or its dimensionless form) is >= 0 and finite, or
+    the perfect-conductor marker."""
     if omega == PERFECT_CONDUCTOR:
         return
     if not (omega >= 0.0) or not math.isfinite(omega):
         raise ValueError(f"{name} must be >= 0 or the perfect-conductor marker, got {omega}")
+
+
+def varpi(omega, length):
+    """Dimensionless plasma parameter Omega * length; the PC marker stays."""
+    return omega if omega == PERFECT_CONDUCTOR else omega * length
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,7 @@ class SphereSheet:
     def __post_init__(self):
         if not (self.radius_R > 0.0) or not math.isfinite(self.radius_R):
             raise ValueError(f"radius_R must be positive, got {self.radius_R}")
-        _check_omega(self.omega_s, "omega_s")
+        check_omega(self.omega_s, "omega_s")
 
     @property
     def is_pc(self) -> bool:
@@ -60,7 +67,7 @@ class PlaneSheet:
     def __post_init__(self):
         if not (self.distance_L > 0.0) or not math.isfinite(self.distance_L):
             raise ValueError(f"distance_L must be positive, got {self.distance_L}")
-        _check_omega(self.omega_p, "omega_p")
+        check_omega(self.omega_p, "omega_p")
 
     @property
     def is_pc(self) -> bool:

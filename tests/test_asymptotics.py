@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from scipy.special import roots_genlaguerre
 
 import plasmacas.asymptotics as asy
-from plasmacas.asymptotics import (e0, e1, ntl_coefficients, ntl_integrand,
-                                   script_b_divided_difference, theta)
+from plasmacas.asymptotics import (NtlCoefficients, e0, e1, ntl_coefficients, ntl_integrand,
+                                   script_b_divided_difference, small_gap_expansion, theta)
 from plasmacas.pfa import PfaParams, pfa_energy
 from plasmacas.scattering import PERFECT_CONDUCTOR as PC
 from plasmacas._quadrature import tau_rule
@@ -30,52 +31,77 @@ def test_per_s_pc_reduction():
         assert per_s_integral(s, PC, PC) == pytest.approx(want, abs=1e-12)
 
 
-def test_sympy_transcription_oracle():
-    # independent re-derivation of the braces in exact rational arithmetic
+def _ntl_oracle(s, t, tau, ws, wp):
+    """Every NtlCoefficients field and the braces at one point, re-derived in
+    exact rational arithmetic; a PC side is w = 10^40, which is within 1e-40
+    (relative) of the w -> oo limit."""
     sp = pytest.importorskip("sympy")
     R = sp.Rational
-    s = 0
+    ws = R(10) ** 40 if ws == PC else R(ws)
+    wp = R(10) ** 40 if wp == PC else R(wp)
     sig = R(s + 1)
-    t, tau, ws, wp = R(1), R(1, 2), R(1), R(1)
+    t, tau = R(t), R(tau)
     t2 = tau ** 2
     T = {("s", "TE"): ws / (ws + t), ("s", "TM"): ws / (ws + t * (1 - t2)),
          ("p", "TE"): wp / (wp + t), ("p", "TM"): wp / (wp + t * (1 - t2))}
-    A = (t * t2 / 3 * (sig ** 3 + 2 * sig)
-         + R(1, 3) * ((t2 - 2) * sig ** 2 - 3 * tau * sig + 2 * t2 - 1)
-         + (t2 ** 2 + t2 - 12) / (12 * t * t2) * sig
-         + (1 + tau) * (1 - t2) / (2 * t * t2)
-         - (1 - t2) / (3 * t) / sig)
-    CV = (-tau / 3 * (sig ** 3 + 2 * sig) + (1 - t2) / (6 * t * tau) * sig ** 2
-          + sig / (2 * t) + (1 - 4 * t2) / (12 * t * tau))
-    CJ = -t * tau / 3 * (sig ** 3 - sig) + (sig ** 2 - 1) / (6 * tau)
-    DVV = (sig ** 3 - 2 * sig ** 2 + 2 * sig - 1) / (12 * t)
-    DJJ = t / 12 * (sig ** 3 - 2 * sig ** 2 - sig + 2)
-    DVJ = (sig ** 3 - sig) / 6
-    DV = (2 * sig ** 2 + 1) / (6 * t)
-    DJ = t / 3 * (sig ** 2 - 1)
-    K1 = {"TE": -t * tau / (wp + t), "TM": t * (1 - t2) / (wp + t * (1 - t2))}
-    K2 = {"TE": -t * (wp + t * (1 - 2 * t2)) / (2 * (wp + t) ** 2),
-          "TM": t * (1 - t2) * (wp * (1 - 2 * t2) + t * (1 - t2)) / (2 * (wp + t * (1 - t2)) ** 2)}
-    W1 = {"TE": -tau / (ws + t), "TM": tau * (1 - t2) / (ws + t * (1 - t2))}
-    W2 = {"TE": -(t * (1 - 3 * t2) + ws * (1 - t2)) / (2 * t * (ws + t) ** 2),
-          "TM": (1 - t2) * (t * (1 - t2) ** 2 + ws * (1 - 3 * t2)) / (2 * t * (ws + t * (1 - t2)) ** 2)}
-    Y2 = {"TE": -tau / (2 * (ws + t)) + (R(1, 4) - 5 * t2 / 12) / t,
-          "TM": tau * (1 - t2) / (2 * (ws + t * (1 - t2))) + (R(1, 4) + 7 * t2 / 12) / t}
+    f = {"t0_te": T[("s", "TE")], "t0_tm": T[("s", "TM")],
+         "t0t_te": T[("p", "TE")], "t0t_tm": T[("p", "TM")]}
+    f["script_a"] = (t * t2 / 3 * (sig ** 3 + 2 * sig)
+                     + R(1, 3) * ((t2 - 2) * sig ** 2 - 3 * tau * sig + 2 * t2 - 1)
+                     + (t2 ** 2 + t2 - 12) / (12 * t * t2) * sig
+                     + (1 + tau) * (1 - t2) / (2 * t * t2)
+                     - (1 - t2) / (3 * t) / sig)
+    f["c_v"] = (-tau / 3 * (sig ** 3 + 2 * sig) + (1 - t2) / (6 * t * tau) * sig ** 2
+                + sig / (2 * t) + (1 - 4 * t2) / (12 * t * tau))
+    f["c_j"] = -t * tau / 3 * (sig ** 3 - sig) + (sig ** 2 - 1) / (6 * tau)
+    f["d_vv"] = (sig ** 3 - 2 * sig ** 2 + 2 * sig - 1) / (12 * t)
+    f["d_jj"] = t / 12 * (sig ** 3 - 2 * sig ** 2 - sig + 2)
+    f["d_vj"] = (sig ** 3 - sig) / 6
+    f["d_v"] = (2 * sig ** 2 + 1) / (6 * t)
+    f["d_j"] = t / 3 * (sig ** 2 - 1)
+    f["k1_te"] = -t * tau / (wp + t)
+    f["k1_tm"] = t * (1 - t2) / (wp + t * (1 - t2))
+    f["k2_te"] = -t * (wp + t * (1 - 2 * t2)) / (2 * (wp + t) ** 2)
+    f["k2_tm"] = (t * (1 - t2) * (wp * (1 - 2 * t2) + t * (1 - t2))
+                  / (2 * (wp + t * (1 - t2)) ** 2))
+    f["w1_te"] = -tau / (ws + t)
+    f["w1_tm"] = tau * (1 - t2) / (ws + t * (1 - t2))
+    f["w2_te"] = -(t * (1 - 3 * t2) + ws * (1 - t2)) / (2 * t * (ws + t) ** 2)
+    f["w2_tm"] = ((1 - t2) * (t * (1 - t2) ** 2 + ws * (1 - 3 * t2))
+                  / (2 * t * (ws + t * (1 - t2)) ** 2))
+    f["y2_te"] = -tau / (2 * (ws + t)) + (R(1, 4) - 5 * t2 / 12) / t
+    f["y2_tm"] = tau * (1 - t2) / (2 * (ws + t * (1 - t2))) + (R(1, 4) + 7 * t2 / 12) / t
     pte = T[("s", "TE")] * T[("p", "TE")]
     ptm = T[("s", "TM")] * T[("p", "TM")]
     mix = T[("s", "TE")] * T[("p", "TM")] + T[("s", "TM")] * T[("p", "TE")]
     dd1 = sum(pte ** k * ptm ** (s - k) for k in range(s + 1))
     dd2 = sum(pte ** k * ptm ** (s - 1 - k) for k in range(s))
-    B = (1 - t2) / (2 * t * t2) * (mix * dd1 + 2 * pte * ptm * dd2)
-    braces = sum(
-        (pte if pol == "TE" else ptm) ** (s + 1)
-        * (A + CV * K1[pol] + CJ * W1[pol]
-           + DVV * K1[pol] ** 2 + DVJ * K1[pol] * W1[pol] + DJJ * W1[pol] ** 2
-           + DV * K2[pol] + DJ * W2[pol] + sig * Y2[pol])
-        for pol in ("TE", "TM")) + B
-    want = float(braces) * math.exp(-2.0)
-    got = ntl_integrand(0, 1.0, 0.5, 1.0, 1.0)
-    assert got == pytest.approx(want, rel=1e-13)
+    f["script_b"] = (1 - t2) / (2 * t * t2) * (mix * dd1 + 2 * pte * ptm * dd2)
+    for pol in ("te", "tm"):
+        k1, k2, w1, w2 = (f[f"{k}_{pol}"] for k in ("k1", "k2", "w1", "w2"))
+        f[f"script_c_{pol}"] = f["c_v"] * k1 + f["c_j"] * w1
+        f[f"script_d_{pol}"] = (f["d_vv"] * k1 ** 2 + f["d_vj"] * k1 * w1 + f["d_jj"] * w1 ** 2
+                                + f["d_v"] * k2 + f["d_j"] * w2 + sig * f[f"y2_{pol}"])
+    f["braces"] = sum(
+        p ** (s + 1) * (f["script_a"] + f[f"script_c_{pol}"] + f[f"script_d_{pol}"])
+        for p, pol in ((pte, "te"), (ptm, "tm"))) + f["script_b"]
+    return {k: float(v) for k, v in f.items()}
+
+
+def test_sympy_transcription_oracle():
+    # independent re-derivation of every coefficient and of the braces; the
+    # points cover s = 0 and s = 2, unequal finite sheets and PC sides
+    points = [(0, 1, 0.5, 1, 1), (2, 0.75, 0.4, 3, 0.5), (0, 2.5, 0.25, 0.125, 4),
+              (2, 1.25, 0.625, PC, 1.5), (2, 0.5, 0.75, 0.25, PC), (3, 0.8, 0.4, PC, PC)]
+    fields = [f.name for f in dataclasses.fields(NtlCoefficients)]
+    for s, t, tau, ws, wp in points:
+        want = _ntl_oracle(s, t, tau, ws, wp)
+        got = ntl_coefficients(s, t, tau, ws, wp)
+        for name in fields:
+            assert getattr(got, name) == pytest.approx(want[name], rel=1e-13, abs=1e-30), \
+                (name, s, t, tau, ws, wp)
+        integrand = want["braces"] * math.exp(-2.0 * t * (s + 1))
+        assert ntl_integrand(s, t, tau, ws, wp) == pytest.approx(integrand, rel=1e-13)
 
 
 def test_ntl_coefficients_pc_limit():
@@ -88,10 +114,6 @@ def test_ntl_coefficients_pc_limit():
     assert c.y2_tm == pytest.approx((0.25 + 7 * tau ** 2 / 12) / t, rel=1e-14)
     want_b = (1 - tau ** 2) * (4 * s + 2) / (2 * t * tau ** 2)
     assert c.script_b == pytest.approx(want_b, rel=1e-13)
-    # PC braces reduce to 2A + B + (s+1)(Y2TE + Y2TM)
-    braces = 2 * c.script_a + c.script_b + (s + 1) * (c.y2_te + c.y2_tm)
-    got = ntl_integrand(s, t, tau, PC, PC)
-    assert got == pytest.approx(math.exp(-2 * t * (s + 1)) * braces, rel=1e-13)
 
 
 def test_script_b_power_sum_vs_divided_difference():
@@ -168,6 +190,16 @@ def test_theta_negative_for_pc_and_graphene():
     om = 6.75e5
     for d in np.geomspace(1e-8, 1e-3, 7):
         assert theta(float(d), 1e-3, om, om) < 0.0
+
+
+def test_small_gap_expansion_matches_separate_calls():
+    # d = 1/4 keeps Omega = w/d and Omega d exact, so theta sees the same w
+    R, d = 1.3, 0.25
+    for ws, wp in ((PC, PC), (4.0, 2.0)):
+        om_s, om_p = (w if w == PC else w / d for w in (ws, wp))
+        assert small_gap_expansion(R, d, ws, wp) == (
+            e0(R, d, ws, wp), e1(R, d, ws, wp), theta(d, R, om_s, om_p))
+    assert small_gap_expansion(R, d, PC, 0.0) == (0.0, 0.0, None)
 
 
 def test_theta_transparent_raises():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import plasmacas.asymptotics as asy
 from plasmacas import cli
 from plasmacas.cli import (HBARC_J_M, SweepConfig, UsageError, build_parser,
                            main, parse_config, run_sweep)
@@ -134,12 +135,12 @@ def test_row_error_recorded_with_exit_3(tmp_path, capsys):
 
 
 def test_figure_configs():
-    cfg = cli._figure_config(1, None, 1)
+    (cfg,) = cli._figure_configs(1, None, 1)
     assert cfg.method == "asympt"
     assert cfg.omega_s == 6.75e5 and cfg.radii == (1e-3,)
     assert min(cfg.gaps) >= 1e-6 and max(cfg.gaps) <= 1.2e-4
     with pytest.raises(UsageError):
-        cli._figure_config(7, None, 1)
+        cli._figure_configs(7, None, 1)
 
 
 def test_figure_run_small(tmp_path, monkeypatch):
@@ -153,6 +154,36 @@ def test_figure_run_small(tmp_path, monkeypatch):
     assert len(rows) == 2
     assert all(r["status"] == "ok" for r in rows)
     assert all(r["method"] == "asympt" for r in rows)
+
+
+def test_figure_multi_material_run_small(tmp_path, monkeypatch):
+    # preset 4: one block of rows per plasma parameter, graphene up to PC
+    orig = cli._spacing
+    monkeypatch.setattr(cli, "_spacing",
+                        lambda lo, hi, count, kind: orig(lo, hi, min(count, 2), kind))
+    out = tmp_path / "fig4.csv"
+    assert main(["figure", "4", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 8
+    assert all(r["status"] == "ok" and r["method"] == "asympt" for r in rows)
+    omegas = [6.75e5, 6.75e6, 6.75e7, math.inf]
+    assert [float(r["omega_s_per_m"]) for r in rows] == [om for om in omegas for _ in range(2)]
+    assert [float(r["omega_p_per_m"]) for r in rows] == [om for om in omegas for _ in range(2)]
+    assert [float(r["d_m"]) for r in rows] == pytest.approx([1e-7, 1e-3] * 4, rel=1e-15)
+    for r in rows[6:]:
+        assert float(r["theta"]) == pytest.approx(1.0 / 3.0 - 20.0 / math.pi ** 2, abs=1e-4)
+
+
+def test_asympt_row_runs_each_series_once(monkeypatch):
+    calls = {"_e0_series": 0, "_e1_series": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(asy, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(asy, name, counted)
+    row = cli._compute_row(("asympt", 1e-3, 1e-5, 6.75e5, 6.75e5, None, None, None))
+    assert row["status"] == "ok" and row["theta"] < 0.0
+    assert calls == {"_e0_series": 1, "_e1_series": 1}
 
 
 def test_graphene_sweep_monotone_energy_and_theta_minimum(tmp_path):
