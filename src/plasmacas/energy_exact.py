@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericsError, SpectralAnomalyError
-from .roundtrip import RoundTripBlock, assemble_block
-from .scattering import PlaneSheet, SphereSheet
+from .roundtrip import KappaTable, RoundTripBlock, assemble_block
+from .scattering import PlaneSheet, SphereSheet, varpi
 from ._quadrature import gauss_laguerre
 
 _L_MAX_CEILING = 2000
@@ -64,64 +64,78 @@ class EnergyResult:
     kappa_nodes_used: int
 
 
-def logdet_one_minus(block: RoundTripBlock) -> float:
+def logdet_one_minus(block: RoundTripBlock, nl_keep: int | None = None):
     """ln det(I - M_m) <= 0 from a round-trip block.
 
-    Dense LU factorisation with pivoting (LAPACK via slogdet); the block's
-    symbolic log-scale is re-applied exactly before factorising.  The m = 0
-    block decouples into TE and TM halves, which are factorised separately.
+    One Cholesky factorisation I - s M = L L^T (LAPACK potrf through numpy,
+    which reads the lower triangle of the exactly symmetric block), with the
+    block's symbolic scale s = exp(log_scale) re-applied first.  The
+    m = 0 block decouples into TE and TM halves, which are factorised
+    separately.  On the imaginary axis I - M is symmetric positive definite,
+    so a failed factorisation (an eigenvalue of M at or past 1) raises
+    :class:`SpectralAnomalyError`, as does a positive result (an eigenvalue
+    below 0).
+
+    With ``nl_keep`` the call returns the pair (full value, value of the
+    leading principal sub-block that keeps the first ``nl_keep`` degrees l),
+    both read off the one factorisation as 2 sum ln L_ii; the sub-block
+    value is the l-truncation probe.
     """
     scale = math.exp(block.log_scale) if block.log_scale < 700.0 else math.inf
     if not math.isfinite(scale):
         raise NumericsError(f"block scale overflow, log_scale={block.log_scale}")
+    if nl_keep is not None and not 1 <= nl_keep <= block.dim // 2:
+        raise ValueError(f"nl_keep={nl_keep} outside 1 .. {block.dim // 2}")
     mat = block.matrix
+    halves = (mat[0::2, 0::2], mat[1::2, 1::2]) if block.m == 0 else (mat,)
+    # each factorised matrix has one row per degree l at m = 0, two otherwise
+    rows_kept = (1 if block.m == 0 else 2) * (block.dim // 2 if nl_keep is None else nl_keep)
 
-    def _one(a):
-        sign, ld = np.linalg.slogdet(np.eye(a.shape[0]) - scale * a)
-        if not np.isfinite(ld) or sign <= 0.0:
-            raise NumericsError(
-                f"non-finite or sign-flipped factorisation in block m={block.m}, "
-                f"kappa={block.kappa}")
-        return float(ld)
-
-    if block.m == 0:
-        val = _one(mat[0::2, 0::2]) + _one(mat[1::2, 1::2])
-    else:
-        val = _one(mat)
-    if val > _LOGDET_POSITIVE_TOL:
+    vals = np.zeros(2)
+    for a in halves:
+        a = np.multiply(a, -scale)
+        a.ravel()[::a.shape[0] + 1] += 1.0
+        try:
+            chol = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            raise SpectralAnomalyError(
+                f"I - M is not positive definite in block m={block.m}, "
+                f"kappa={block.kappa}; l_max too small or scattering bug") from None
+        lds = 2.0 * np.cumsum(np.log(np.diagonal(chol)))
+        vals += lds[-1], lds[rows_kept - 1]
+    if not np.all(np.isfinite(vals)):
+        raise NumericsError(
+            f"non-finite factorisation in block m={block.m}, kappa={block.kappa}")
+    if vals.max() > _LOGDET_POSITIVE_TOL:
         raise SpectralAnomalyError(
-            f"ln det(I - M) = {val} > 0 for block m={block.m}, kappa={block.kappa}; "
-            "l_max too small or scattering bug", error_estimate=val)
-    return val
-
-
-def _sub_block(block: RoundTripBlock, nl_keep: int) -> RoundTripBlock:
-    k = 2 * nl_keep
-    return RoundTripBlock(m=block.m, kappa=block.kappa, l_max=block.l_max,
-                          matrix=block.matrix[:k, :k], log_scale=block.log_scale,
-                          log_t_half=block.log_t_half[:k])
+            f"ln det(I - M) = {vals.max()} > 0 for block m={block.m}, kappa={block.kappa}; "
+            "l_max too small or scattering bug", error_estimate=float(vals.max()))
+    full, kept = float(vals[0]), float(vals[1])
+    return full if nl_keep is None else (full, kept)
 
 
 def _mode_sum(kappa, sphere, plane, numerics, m_max, l_drop):
     """F(kappa) = sum_m ln det(I - M_m) with the m <-> -m doubling.
 
     Also returns the same sum on the principal submatrix with l_drop fewer
-    degrees (the l-truncation probe) and a geometric m-tail estimate.
+    degrees (the l-truncation probe) and a geometric m-tail estimate.  The
+    kappa-only part of the blocks is computed once, in one shared
+    :class:`KappaTable`.
     """
+    table = KappaTable.build(kappa, sphere, plane, numerics)
     total = 0.0
     total_sub = 0.0
     tail = 0.0
     contribs = []
     m_used = 0
     for m in range(0, min(m_max, numerics.l_max) + 1):
-        block = assemble_block(m, kappa, sphere, plane, numerics)
+        block = assemble_block(m, kappa, sphere, plane, numerics, table=table)
         weight = 1.0 if m == 0 else 2.0
-        c = weight * logdet_one_minus(block)
         nl = block.dim // 2
-        nl_keep = max(1, nl - l_drop)
-        c_sub = weight * logdet_one_minus(_sub_block(block, nl_keep))
+        full, sub = logdet_one_minus(block, max(1, nl - l_drop))
+        c = weight * full
         total += c
-        total_sub += c_sub
+        total_sub += weight * sub
         contribs.append(abs(c))
         m_used = m
         if m >= 4 and abs(c) < 0.25 * numerics.rel_tol * abs(total):
@@ -173,10 +187,8 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
         return EnergyResult(0.0, 0.0, 0.0, 0, 0, 0)
 
     # dimensionless core: R = 1
-    om_s = sphere.omega_s if sphere.is_pc else sphere.omega_s * R
-    om_p = plane.omega_p if plane.is_pc else plane.omega_p * R
-    s1 = SphereSheet(radius_R=1.0, omega_s=om_s)
-    p1 = PlaneSheet(omega_p=om_p, distance_L=L / R)
+    s1 = SphereSheet(radius_R=1.0, omega_s=varpi(sphere.omega_s, R))
+    p1 = PlaneSheet(omega_p=varpi(plane.omega_p, R), distance_L=L / R)
     d = L / R - 1.0
 
     auto_l = numerics.l_max == "auto"

@@ -16,6 +16,17 @@ Numerical organisation, fixed once here and relied on everywhere:
   sqrt|T_l| split across rows and columns, entries O(1) by Cauchy-Schwarz;
 * the common factor e^{-2 kappa (L-R)}/(2 kappa L) stays symbolic in
   ``log_scale`` until the determinant stage;
+* everything that depends on kappa but not on m (nodes, Laguerre weights,
+  plane reflections, sphere T logs, the l prefactor, ``log_scale``) lives in
+  one :class:`KappaTable` per kappa, which also hands the m+1 Legendre
+  ladder of block m on to block m+1;
+* the balanced weight of an element separates into a row factor and a
+  column factor, so a block is one product M = H H^T with H of size
+  2 n_l x 2 n_theta (a TE row [tau sqrt r_TE, pi sqrt q_TM], a TM row
+  [pi sqrt r_TE, tau sqrt q_TM], q_TM = -r_TM >= 0, TM rows negated for
+  m < 0); M is exactly symmetric and positive semi-definite, and I - M is
+  positive definite on the imaginary axis, so one Cholesky factorisation
+  gives ln det(I - M) and every leading-l truncation of it;
 * the alternating azimuthal phase in the element prefactor cancels against
   the phase produced by continuing the angular functions to hyperbolic angles,
   so with the positive (Hobson) Legendre convention used by specfun the net
@@ -43,15 +54,20 @@ if TYPE_CHECKING:
 _FOLD_LOG = -600.0
 
 
-def _angular_logs(l_max: int, m_abs: int, c_nodes: np.ndarray):
+def _angular_logs(l_max: int, m_abs: int, c_nodes: np.ndarray, ladder=None):
     """Log arrays of the normalised angular functions on cosh(theta) nodes.
 
     tau_l = sinh(theta) dPbar_l^m/dx and pi_l = (m/sinh(theta)) Pbar_l^m,
     both positive for x > 1.  Rows run over l = max(1, m) .. l_max.
+    ``ladder(k)`` gives ln Pbar_l^k for l = k .. l_max on ``c_nodes``; it
+    defaults to computing the ladder here.
     """
+    if ladder is None:
+        def ladder(k):
+            return legendre_pbar_log(l_max, k, c_nodes)
     l0 = max(1, m_abs)
     lvec = np.arange(l0, l_max + 1)
-    pbar_m = legendre_pbar_log(l_max, m_abs, c_nodes)[l0 - m_abs:, :]
+    pbar_m = ladder(m_abs)[l0 - m_abs:, :]
     sh = np.sqrt((c_nodes - 1.0) * (c_nodes + 1.0))
     n = c_nodes.size
     # sinh * dPbar/dx = (m x / sinh) Pbar_l^m + sqrt((l-m)(l+m+1)) Pbar_l^{m+1}
@@ -63,7 +79,7 @@ def _angular_logs(l_max: int, m_abs: int, c_nodes: np.ndarray):
         lpi = np.full((lvec.size, n), -np.inf)
     t2 = np.full((lvec.size, n), -np.inf)
     if l_max >= m_abs + 1:
-        pbar_m1 = legendre_pbar_log(l_max, m_abs + 1, c_nodes)
+        pbar_m1 = ladder(m_abs + 1)
         rows = lvec >= m_abs + 1
         coef = (lvec[rows] - m_abs) * (lvec[rows] + m_abs + 1.0)
         t2[rows] = 0.5 * np.log(coef)[:, None] + pbar_m1[lvec[rows] - (m_abs + 1), :]
@@ -213,13 +229,84 @@ class RoundTripBlock:
             return np.exp(self.log_scale + r) * self.matrix
 
 
+@dataclass(frozen=True)
+class KappaTable:
+    """The part of every block at one kappa that does not depend on m.
+
+    ``c`` holds the cosh(theta) nodes.  ``col_te``/``col_tm`` are the
+    half-logs of the column weights v r_TE and v (-r_TM): Laguerre weight
+    times plane reflection, so their exponentials are the sqrt weights of the
+    rapidity sum.  ``half_pref`` is the half-log of the element prefactor
+    (pi/2) (2l+1)/(l(l+1)) e^fold and ``half_log_t`` the TE and TM half-logs
+    of |T_l|, for l = 1 .. l_max.  The table also keeps the two Legendre
+    ladders asked for last: the m+1 ladder of block m is the m ladder of
+    block m+1, so assembling m = 0, 1, 2, ... in order computes each ladder
+    once.  That cache makes a table a one-thread object.
+    """
+
+    key: tuple = field(repr=False)
+    c: np.ndarray = field(repr=False)
+    col_te: np.ndarray = field(repr=False)
+    col_tm: np.ndarray = field(repr=False)
+    half_pref: np.ndarray = field(repr=False)
+    half_log_t: tuple = field(repr=False)
+    log_scale: float
+    _ladders: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @staticmethod
+    def make_key(kappa, sphere, plane, numerics) -> tuple:
+        return (kappa, sphere, plane, numerics.l_max, numerics.theta_nodes)
+
+    @classmethod
+    def build(cls, kappa: float, sphere: SphereSheet, plane: PlaneSheet,
+              numerics: "NumericsSpec") -> "KappaTable":
+        l_max = numerics.l_max
+        kl = kappa * plane.distance_L
+        u, v = gauss_laguerre(numerics.theta_nodes)
+        c = 1.0 + u / (2.0 * kl)
+        sh = np.sqrt((c - 1.0) * (c + 1.0))
+        rte = plane_r(Polarization.TE, kappa, kappa * sh, plane)
+        qtm = -plane_r(Polarization.TM, kappa, kappa * sh, plane)
+        with np.errstate(divide="ignore"):
+            col_te = 0.5 * (np.log(v) + np.log(rte))
+            col_tm = 0.5 * (np.log(v) + np.log(qtm))
+        log_te, log_tm = sphere_t_logs(l_max, kappa, sphere)
+
+        log_scale = 2.0 * kappa * sphere.radius_R - 2.0 * kl - math.log(2.0 * kl)
+        fold = 0.0
+        if log_scale < _FOLD_LOG:
+            fold, log_scale = log_scale, 0.0
+        lvec = np.arange(1, l_max + 1)
+        half_pref = 0.5 * (math.log(math.pi / 2.0) + fold
+                           + np.log(2 * lvec + 1.0) - np.log(lvec * (lvec + 1.0)))
+        return cls(key=cls.make_key(kappa, sphere, plane, numerics), c=c,
+                   col_te=col_te, col_tm=col_tm, half_pref=half_pref,
+                   half_log_t=(0.5 * log_te, 0.5 * log_tm), log_scale=log_scale)
+
+    def ladder(self, m_abs: int) -> np.ndarray:
+        """ln Pbar_l^m_abs for l = m_abs .. l_max on the nodes."""
+        lad = self._ladders.get(m_abs)
+        if lad is None:
+            l_max = self.half_pref.size
+            lad = legendre_pbar_log(l_max, m_abs, self.c)
+            self._ladders[m_abs] = lad
+            if len(self._ladders) > 2:
+                del self._ladders[next(iter(self._ladders))]
+        return lad
+
+
 def assemble_block(m: int, kappa: float, sphere: SphereSheet, plane: PlaneSheet,
-                   numerics: "NumericsSpec") -> RoundTripBlock:
+                   numerics: "NumericsSpec", *, table: KappaTable | None = None
+                   ) -> RoundTripBlock:
     """Assemble the dense round-trip block for one azimuthal index.
 
     Requires a :class:`NumericsSpec` with concrete integer l_max (the energy
-    driver resolves "auto" before calling).  Pure; distinct (m, kappa) blocks
-    may be assembled concurrently.
+    driver resolves "auto" before calling).  ``table`` is the
+    :class:`KappaTable` of the same (kappa, sphere, plane, l_max,
+    theta_nodes); it is built here when not given, and passing one shares
+    the kappa-only work between the blocks of one kappa.  Without ``table``
+    the call is pure, so distinct (m, kappa) blocks may be assembled
+    concurrently.
     """
     l_max = numerics.l_max
     if not isinstance(l_max, int):
@@ -230,69 +317,34 @@ def assemble_block(m: int, kappa: float, sphere: SphereSheet, plane: PlaneSheet,
         raise ValueError(f"l_max={l_max} below max(1, |m|)={l0}")
     if not (kappa > 0.0):
         raise ValueError(f"kappa must be positive, got {kappa}")
-    L = plane.distance_L
-    R = sphere.radius_R
+    if table is None:
+        table = KappaTable.build(kappa, sphere, plane, numerics)
+    elif table.key != KappaTable.make_key(kappa, sphere, plane, numerics):
+        raise ValueError("table was built for other (kappa, sphere, plane, l_max, theta_nodes)")
 
-    kl = kappa * L
-    u, v = gauss_laguerre(numerics.theta_nodes)
-    c = 1.0 + u / (2.0 * kl)
-    lvec, ltau, lpi = _angular_logs(l_max, mm, c)
-    nl = lvec.size
+    _, ltau, lpi = _angular_logs(l_max, mm, table.c, table.ladder)
+    nl, n = ltau.shape
+    half_te = table.half_log_t[0][l0 - 1:]
+    half_tm = table.half_log_t[1][l0 - 1:]
+    row_te = (table.half_pref[l0 - 1:] + half_te)[:, None]
+    row_tm = (table.half_pref[l0 - 1:] + half_tm)[:, None]
+    # M = H H^T with a TE row [tau sqrt(r_TE), pi sqrt(q_TM)] and a TM row
+    # [pi sqrt(r_TE), tau sqrt(q_TM)], each times its row weight
+    h = np.empty((2 * nl, 2 * n))
+    np.exp(ltau + row_te + table.col_te, out=h[0::2, :n])
+    np.exp(lpi + row_te + table.col_tm, out=h[0::2, n:])
+    np.exp(lpi + row_tm + table.col_te, out=h[1::2, :n])
+    np.exp(ltau + row_tm + table.col_tm, out=h[1::2, n:])
+    if m < 0:
+        h[1::2] *= -1.0
+    matrix = h @ h.T
 
-    hw = 0.5 * np.log(v)[None, :]
-    ltau = ltau + hw
-    lpi = lpi + hw
-    sig = ltau.max(axis=1)
-    if mm > 0:
-        sig = np.maximum(sig, lpi.max(axis=1))
-    atau = np.exp(ltau - sig[:, None])
-    api = np.exp(lpi - sig[:, None]) if mm > 0 else np.zeros_like(atau)
-
-    sh = np.sqrt((c - 1.0) * (c + 1.0))
-    rte = np.broadcast_to(np.asarray(plane_r(Polarization.TE, kappa, kappa * sh, plane)),
-                          c.shape)
-    qtm = -np.broadcast_to(np.asarray(plane_r(Polarization.TM, kappa, kappa * sh, plane)),
-                           c.shape)
-
-    k_tt1 = (atau * rte) @ atau.T
-    k_tt2 = (atau * qtm) @ atau.T
-    k_pp1 = (api * rte) @ api.T
-    k_pp2 = (api * qtm) @ api.T
-    k_tp1 = (atau * rte) @ api.T
-    k_tp2 = (atau * qtm) @ api.T
-    k_pt1 = (api * rte) @ atau.T
-    k_pt2 = (api * qtm) @ atau.T
-    kern = {
-        (0, 0): k_tt1 + k_pp2,
-        (0, 1): k_tp1 + k_pt2,
-        (1, 0): k_pt1 + k_tp2,
-        (1, 1): k_pp1 + k_tt2,
-    }
-
-    log_te, log_tm = sphere_t_logs(l_max, kappa, sphere)
-    logt = {0: log_te[l0 - 1:], 1: log_tm[l0 - 1:]}
-    lpref = math.log(math.pi / 2.0) + 0.5 * (
-        np.log(2 * lvec + 1.0)[:, None] + np.log(2 * lvec + 1.0)[None, :]
-        - np.log(lvec * (lvec + 1.0))[:, None] - np.log(lvec * (lvec + 1.0))[None, :])
-
-    log_scale = 2.0 * kappa * R - 2.0 * kl - math.log(2.0 * kl)
-    fold = 0.0
-    if log_scale < _FOLD_LOG:
-        fold, log_scale = log_scale, 0.0
-
-    matrix = np.zeros((2 * nl, 2 * nl))
     log_t_half = np.empty(2 * nl)
-    with np.errstate(invalid="ignore"):
-        for i in range(2):
-            log_t_half[i::2] = 0.5 * logt[i]
-            for j in range(2):
-                sgn = -1.0 if (m < 0 and i != j) else 1.0
-                expo = (sig[:, None] + sig[None, :] + 0.5 * (logt[i][:, None] + logt[j][None, :])
-                        + lpref + fold)
-                matrix[i::2, j::2] = sgn * np.exp(expo) * kern[(i, j)]
+    log_t_half[0::2] = half_te
+    log_t_half[1::2] = half_tm
     if not np.all(np.isfinite(matrix)):
         raise NumericsError(
             f"non-finite entries in block m={m}, kappa={kappa} "
             f"(l_max={l_max}, theta_nodes={numerics.theta_nodes})")
     return RoundTripBlock(m=m, kappa=kappa, l_max=l_max, matrix=matrix,
-                          log_scale=log_scale, log_t_half=log_t_half)
+                          log_scale=table.log_scale, log_t_half=log_t_half)

@@ -238,21 +238,24 @@ def legendre_pbar_log(l_max: int, m: int, x):
         with np.errstate(divide="ignore"):
             seed = 0.5 * (math.lgamma(2 * m + 1) - 2 * m * math.log(2.0)
                           - 2 * math.lgamma(m + 1)) + 0.5 * m * np.log(sh2)
-    off = seed.copy()
-    v_prev = np.zeros(n)
-    v_cur = np.ones(n)
-    out[0] = off
-    for l in range(m, l_max):
-        c2 = math.sqrt(float(l * l - m * m))
-        c3 = math.sqrt(float((l + 1) * (l + 1) - m * m))
-        v_prev, v_cur = v_cur, ((2 * l + 1) * x * v_cur - c2 * v_prev) / c3
-        big = v_cur > _RESCALE
-        if np.any(big):
-            v_prev[big] /= _RESCALE
-            v_cur[big] /= _RESCALE
-            off[big] += _LN_RESCALE
-        with np.errstate(divide="ignore"):
-            out[l + 1 - m] = np.log(v_cur) + off
+    out[0] = seed
+    if l_max > m:
+        # ratios r_l = v_{l+1}/v_l of the normalised ladder v_l = Pbar_l^m / Pbar_m^m
+        # obey r_l = a_l x - b_l / r_{l-1} with b_m = 0; every r_l > 0 for x >= 1,
+        # so the ladder is one log and one running sum of them
+        ll = np.arange(m, l_max, dtype=float)
+        c3 = np.sqrt((ll + 1.0) ** 2 - m * m)
+        r = out[1:]
+        np.multiply(((2.0 * ll + 1.0) / c3)[:, None], x, out=r)
+        b = (np.sqrt(ll * ll - m * m) / c3).tolist()
+        tmp = np.empty(n)
+        rows = list(r)
+        for k in range(1, len(rows)):
+            np.divide(b[k], rows[k - 1], out=tmp)
+            np.subtract(rows[k], tmp, out=rows[k])
+        np.log(r, out=r)
+        np.cumsum(r, axis=0, out=r)
+        r += seed
     return out
 
 

@@ -41,6 +41,33 @@ def test_logdet_spectral_anomaly():
     # an eigenvalue past 1 flips the determinant sign, also an error
     with pytest.raises(NumericsError):
         logdet_one_minus(_block_of(np.diag([1.5, 0.1])))
+    # two eigenvalues past 1 leave det(I - M) = 0.25 > 0, still not positive definite
+    with pytest.raises(NumericsError):
+        logdet_one_minus(_block_of(np.diag([1.5, 1.5])))
+
+
+@pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 2.5])
+def test_logdet_leading_l_matches_sliced_sub_block(omega):
+    # the leading-l value read off the one factorisation equals the
+    # log-determinant of the explicitly sliced principal sub-block
+    sphere, plane = SphereSheet(1.0, omega), PlaneSheet(omega, 1.2)
+    l_max, nl_drop = 14, 4
+    for kappa in (0.4, 2.0, 6.0):
+        for m in (0, 3, -3):
+            block = assemble_block(m, kappa, sphere, plane, NumericsSpec(l_max=l_max))
+            nl_keep = block.dim // 2 - nl_drop
+            full, lead = logdet_one_minus(block, nl_keep)
+            assert full == logdet_one_minus(block)
+            k = 2 * nl_keep
+            sub = RoundTripBlock(m=m, kappa=kappa, l_max=l_max, matrix=block.matrix[:k, :k],
+                                 log_scale=block.log_scale, log_t_half=block.log_t_half[:k])
+            want = logdet_one_minus(sub)
+            assert lead == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert lead > full  # dropping degrees drops attraction
+            lu = np.linalg.slogdet(np.eye(k) - math.exp(block.log_scale) * sub.matrix)[1]
+            assert lead == pytest.approx(lu, rel=1e-10, abs=0.0)
+    with pytest.raises(ValueError):
+        logdet_one_minus(block, 0)
 
 
 def _det4_cofactor(a):

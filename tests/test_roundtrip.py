@@ -6,7 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from plasmacas.energy_exact import NumericsSpec, logdet_one_minus
-from plasmacas.roundtrip import AngularKernel, _angular_logs, assemble_block, m_element
+from plasmacas import roundtrip
+from plasmacas.roundtrip import (AngularKernel, KappaTable, _angular_logs, assemble_block,
+                                 m_element)
 from plasmacas.scattering import (PERFECT_CONDUCTOR, PlaneSheet, Polarization,
                                   SphereSheet, sphere_t)
 
@@ -209,3 +211,31 @@ def test_block_concurrent_assembly_matches_serial():
             lambda jk: assemble_block(jk[0], jk[1], sphere, plane, _spec(8)).matrix, jobs))
     for a, b in zip(serial, parallel):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
+def test_shared_kappa_table_gives_standalone_blocks(omega, monkeypatch):
+    sphere, plane = SphereSheet(1.0, omega), PlaneSheet(omega, 1.3)
+    kappa, spec = 0.9, _spec(12, 48)
+    standalone = [assemble_block(m, kappa, sphere, plane, spec) for m in range(13)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return legendre_pbar_log(*args)
+
+    legendre_pbar_log = roundtrip.legendre_pbar_log
+    monkeypatch.setattr(roundtrip, "legendre_pbar_log", counted)
+    table = KappaTable.build(kappa, sphere, plane, spec)
+    for m, want in enumerate(standalone):
+        got = assemble_block(m, kappa, sphere, plane, spec, table=table)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got.log_t_half, want.log_t_half)
+        assert got.log_scale == want.log_scale
+        assert np.array_equal(got.matrix, got.matrix.T)
+    # the m+1 ladder of block m serves block m+1: one ladder per order
+    assert calls == list(range(13))
+    with pytest.raises(ValueError):
+        assemble_block(0, 2.0 * kappa, sphere, plane, spec, table=table)
+    with pytest.raises(ValueError):
+        assemble_block(0, kappa, sphere, plane, _spec(12, 40), table=table)

@@ -137,6 +137,28 @@ def test_legendre_pbar_log_extreme_range_finite():
     assert np.all(np.isfinite(table[1:, :]))
 
 
+def test_legendre_pbar_log_against_mpmath_recurrence():
+    # 60-digit upward recurrence of the normalised ladder from the exact seed
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    xs = [1.0 + 1e-8, 1.01, 2.0, 50.0, 1e4]
+    for l_max, m in ((130, 0), (130, 40), (300, 5), (600, 0)):
+        got = legendre_pbar_log(l_max, m, np.array(xs))
+        for j, xf in enumerate(xs):
+            x = mp.mpf(xf)
+            log_seed = (0.5 * mp.log(mp.factorial(2 * m)) - m * mp.log(2) - mp.log(mp.factorial(m))
+                        + 0.5 * m * mp.log(x * x - 1))
+            v_prev, v_cur = mp.mpf(0), mp.mpf(1)
+            want = [log_seed]
+            for l in range(m, l_max):
+                v_prev, v_cur = v_cur, (((2 * l + 1) * x * v_cur - mp.sqrt(l * l - m * m) * v_prev)
+                                        / mp.sqrt((l + 1) ** 2 - m * m))
+                want.append(log_seed + mp.log(v_cur))
+            want = np.array([float(w) for w in want])
+            err = np.abs(got[:, j] - want)
+            assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(want))), (l_max, m, xf, err.max())
+
+
 # ---------------------------------------------------------------- dilog
 
 def test_dilog_exact_points():
