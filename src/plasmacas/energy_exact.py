@@ -138,11 +138,31 @@ def _mode_sum(kappa, sphere, plane, numerics, m_max, l_drop):
         total_sub += weight * sub
         contribs.append(abs(c))
         m_used = m
-        if m >= 4 and abs(c) < 0.25 * numerics.rel_tol * abs(total):
+        # inclusive, so a node whose blocks all give ln det = 0 stops at m = 4
+        if m >= 4 and abs(c) <= 0.25 * numerics.rel_tol * abs(total):
             ratio = min(contribs[-1] / contribs[-2], 0.9) if contribs[-2] > 0.0 else 0.0
             tail = abs(c) * ratio / (1.0 - ratio)
             break
     return total, total_sub, tail, m_used
+
+
+def _auto_l_max(d):
+    """Starting l_max for the gap d (in units of R)."""
+    return min(int(math.ceil(6.0 / d)) + 10, _L_MAX_CEILING)
+
+
+def _pass_spec(numerics, l_max):
+    """The spec every kappa node is evaluated with at this l_max, and l_drop.
+
+    The rapidity integrand of the highest angular orders peaks near
+    u = 2 l_max, so the theta-node floor scales with l_max (the user value
+    only sets a lower bound); the Laguerre rule is stable to ~192 nodes.
+    l_drop is the number of degrees the l-truncation probe leaves out.
+    """
+    m_max = l_max if numerics.m_max == "auto" else numerics.m_max
+    theta_nodes = min(max(numerics.theta_nodes, l_max // 2 + 24), _THETA_NODE_CEILING)
+    spec = replace(numerics, l_max=l_max, m_max=m_max, theta_nodes=theta_nodes)
+    return spec, max(4, l_max // 8)
 
 
 def _quadrature_pass(n_kappa, d, sphere, plane, numerics, m_max, l_drop):
@@ -192,21 +212,13 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     d = L / R - 1.0
 
     auto_l = numerics.l_max == "auto"
-    if auto_l:
-        l_max = min(int(math.ceil(6.0 / d)) + 10, _L_MAX_CEILING)
-    else:
-        l_max = numerics.l_max
+    l_max = _auto_l_max(d) if auto_l else numerics.l_max
 
     for _growth in range(4):
         if l_max > _L_MAX_CEILING:
             raise NumericsError(f"l_max cap {_L_MAX_CEILING} exceeded (needed {l_max})")
-        m_max = l_max if numerics.m_max == "auto" else numerics.m_max
-        # the rapidity integrand of the highest angular orders peaks near
-        # u = 2 l_max, so the node count floor scales with l_max (user value
-        # only sets a lower bound); the Laguerre rule is stable to ~192
-        theta_nodes = min(max(numerics.theta_nodes, l_max // 2 + 24), _THETA_NODE_CEILING)
-        spec = replace(numerics, l_max=l_max, m_max=m_max, theta_nodes=theta_nodes)
-        l_drop = max(4, l_max // 8)
+        spec, l_drop = _pass_spec(numerics, l_max)
+        m_max = spec.m_max
 
         n = numerics.kappa_nodes
         e_prev, err_l, err_m, m_used, x_nodes, f_vals = _quadrature_pass(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from plasmacas import energy_exact
 from plasmacas.energy_exact import (EnergyResult, NumericsSpec, casimir_energy,
                                     logdet_one_minus)
 from plasmacas.errors import NumericsError, SpectralAnomalyError
@@ -207,3 +208,35 @@ def test_energy_deterministic():
     a = casimir_energy(SphereSheet(1.0, 3.0), PlaneSheet(3.0, 1.5), spec)
     b = casimir_energy(SphereSheet(1.0, 3.0), PlaneSheet(3.0, 1.5), spec)
     assert a.energy == b.energy and a.error_estimate == b.error_estimate
+
+
+# ---------------------------------------------------------------- truncation
+
+def _counting_blocks(monkeypatch):
+    calls = []
+    real = energy_exact.assemble_block
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(energy_exact, "assemble_block", counting)
+    return calls
+
+
+def test_zero_tail_node_stops_at_m4(monkeypatch):
+    # at x = 2 kappa d = 60 every block's ln det rounds to 0; the m sum must
+    # stop at the first m it may stop at instead of running to l_max
+    d = 0.1
+    spec, l_drop = energy_exact._pass_spec(NumericsSpec(), energy_exact._auto_l_max(d))
+    calls = _counting_blocks(monkeypatch)
+    out = energy_exact._mode_sum(300.0, SphereSheet(1.0, PERFECT_CONDUCTOR),
+                                 PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), spec, spec.m_max, l_drop)
+    assert out == (0.0, 0.0, 0.0, 4)
+    assert calls == [0, 1, 2, 3, 4]
+
+
+def test_m_max_used_is_the_largest_m_a_node_needed():
+    res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR),
+                         PlaneSheet(PERFECT_CONDUCTOR, 1.1), NumericsSpec(rel_tol=1e-3))
+    assert 4 <= res.m_max_used < res.l_max_used
