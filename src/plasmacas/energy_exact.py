@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import NumericsError, SpectralAnomalyError
 from .roundtrip import KappaTable, RoundTripBlock, assemble_block
 from .scattering import PlaneSheet, SphereSheet, varpi
-from ._quadrature import gauss_laguerre
 
 _L_MAX_CEILING = 2000
-_KAPPA_NODE_CEILING = 128
+_KAPPA_NODE_CEILING = 128  # finest kappa level n (n - 1 nodes)
+_KAPPA_MAP_SCALE = 3.0  # x = a (1 + s)/(1 - s): half of every level lies below x = a
 _THETA_NODE_CEILING = 192
 _LOGDET_POSITIVE_TOL = 1e-12
 
@@ -165,37 +166,65 @@ def _pass_spec(numerics, l_max):
     return spec, max(4, l_max // 8)
 
 
-def _quadrature_pass(n_kappa, d, sphere, plane, numerics, m_max, l_drop):
-    x, w = gauss_laguerre(n_kappa)
-    log_w = np.log(w) + x
+def _kappa_rule(n):
+    """Level n of the nested rule for int_0^inf g(x) dx: nodes x, weights.
+
+    Fejer's second rule on s = cos(k pi / n), k = 1 .. n-1, mapped by
+    x = a (1 + s)/(1 - s) = a cot^2(k pi / 2n); the weights carry the
+    Jacobian dx/ds = a / (2 sin^4(k pi / 2n)).  Level 2n holds every node of
+    level n (k -> 2k) and adds n new ones.  The far nodes reach
+    x ~ 4 a n^2 / pi^2.
+    """
+    k = np.arange(1, n)
+    t = k * math.pi / n
+    j = np.arange(1, n // 2 + 1)
+    w_s = 4.0 / n * np.sin(t) * (np.sin(np.outer(t, 2 * j - 1)) / (2 * j - 1)).sum(axis=1)
+    half_sin = np.sin(0.5 * t)
+    x = _KAPPA_MAP_SCALE / np.tan(0.5 * t) ** 2
+    return x, w_s * _KAPPA_MAP_SCALE / (2.0 * half_sin ** 4)
+
+
+def _quadrature_pass(n_kappa, d, sphere, plane, numerics, m_max, l_drop, evaluated):
+    """Level n_kappa of the kappa rule, with kappa = x / (2 d).
+
+    Returns E, the l- and m-truncation estimates, the largest m any node
+    used, and the level's nodes x, weights and F(kappa) values.
+    ``evaluated`` maps a node, as its Chebyshev angle k/n in units of pi, to
+    its ``_mode_sum`` result: nodes of earlier levels are read from it, and
+    the new ones are added.
+    """
+    x, w = _kappa_rule(n_kappa)
+    rows = []
+    for k in range(1, n_kappa):
+        node = Fraction(k, n_kappa)
+        if node not in evaluated:
+            evaluated[node] = _mode_sum(x[k - 1] / (2.0 * d), sphere, plane, numerics,
+                                        m_max, l_drop)
+        rows.append(evaluated[node])
+    f, f_sub, m_tail, m_used = (np.array(col) for col in zip(*rows))
     pref = 1.0 / (2.0 * math.pi) / (2.0 * d)
-    e = 0.0
-    e_sub = 0.0
-    err_m = 0.0
-    f_vals = np.empty(n_kappa)
-    m_used = 0
-    for i in range(n_kappa):
-        kappa = x[i] / (2.0 * d)
-        f, f_sub, m_tail, mu = _mode_sum(kappa, sphere, plane, numerics, m_max, l_drop)
-        wt = math.exp(log_w[i])
-        f_vals[i] = f
-        e += wt * f
-        e_sub += wt * f_sub
-        err_m += wt * m_tail
-        m_used = max(m_used, mu)
-    return pref * e, pref * abs(e - e_sub), pref * err_m, m_used, x, f_vals
+    return (pref * (w @ f), pref * abs(w @ (f - f_sub)), pref * (w @ m_tail),
+            int(m_used.max()), x, w, f)
 
 
 def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
                    numerics: NumericsSpec = NumericsSpec()) -> EnergyResult:
     """Exact sphere-plane Casimir interaction energy.
 
-    The kappa integral uses kappa = x / (2(L-R)) with Gauss-Laguerre nodes in
-    x (the integrand decays on the gap scale, not L); node count doubles
-    until stable.  l_max grows until the last increment is below rel_tol/4,
-    and the m sum stops once a block contributes less than rel_tol/4 of the
-    running total.  The three truncation estimates aggregate into
-    error_estimate.
+    The kappa integral runs over x = 2 kappa (L-R) (the integrand decays on
+    the gap scale, not L) with a nested rule: Fejer's second rule mapped
+    onto 0 < x < inf by x = 3 (1+s)/(1-s).  Level n has n - 1 nodes, and
+    level 2n reuses all of them and adds n new ones, so each node is
+    evaluated once per l_max.  The first level is ``kappa_nodes``; the level
+    doubles until two levels agree within rel_tol/4 (``err_k`` is their
+    difference), up to level 128, and ``kappa_nodes_used`` is the last
+    level.  l_max grows until the last increment is below rel_tol/4.  At
+    each node the m sum stops at the first m >= 4 whose block contributes at
+    most rel_tol/4 of the running total, so a node whose blocks all give
+    ln det = 0 stops at m = 4; ``m_max_used`` is the largest m any node of
+    the last level reached.  The theta-node count is checked at the node
+    with the largest weighted |F|.  The kappa, l, m and theta estimates add
+    up to error_estimate.
 
     Returns energy in units hbar c per unit length of the inputs, alongside
     the dimensionless E d^2/(hbar c R).
@@ -221,20 +250,17 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
         m_max = spec.m_max
 
         n = numerics.kappa_nodes
-        e_prev, err_l, err_m, m_used, x_nodes, f_vals = _quadrature_pass(
-            n, d, s1, p1, spec, m_max, l_drop)
+        evaluated = {}
+        level = _quadrature_pass(n, d, s1, p1, spec, m_max, l_drop, evaluated)
         err_k = math.inf
-        while True:
-            if 2 * n > _KAPPA_NODE_CEILING:
-                break
+        while 2 * n <= _KAPPA_NODE_CEILING:
             n *= 2
-            e_cur, err_l, err_m, m_used, x_nodes, f_vals = _quadrature_pass(
-                n, d, s1, p1, spec, m_max, l_drop)
-            err_k = abs(e_cur - e_prev)
-            e_prev = e_cur
-            if err_k <= 0.25 * numerics.rel_tol * abs(e_cur):
+            e_prev = level[0]
+            level = _quadrature_pass(n, d, s1, p1, spec, m_max, l_drop, evaluated)
+            err_k = abs(level[0] - e_prev)
+            if err_k <= 0.25 * numerics.rel_tol * abs(level[0]):
                 break
-        e_hat = e_prev
+        e_hat, err_l, err_m, m_used, x, w, f_vals = level
 
         if not auto_l or err_l <= 0.25 * numerics.rel_tol * abs(e_hat):
             break
@@ -245,10 +271,7 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
             f"vs target {0.25 * numerics.rel_tol * abs(e_hat)}", error_estimate=err_l)
 
     # theta-node check at the dominant kappa node
-    x, w = gauss_laguerre(n)
-    log_w = np.log(w) + x
-    weighted = np.array([math.exp(lw) * abs(f) for lw, f in zip(log_w, f_vals)])
-    i_peak = int(np.argmax(weighted))
+    i_peak = int(np.argmax(np.abs(w * f_vals)))
     probe_nodes = min(2 * spec.theta_nodes, _THETA_NODE_CEILING)
     if probe_nodes == spec.theta_nodes:
         probe_nodes -= 16
@@ -272,9 +295,9 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
             error_estimate=error)
 
     return EnergyResult(
-        energy=e_hat / R,
-        energy_dimensionless=e_hat * d * d,
-        error_estimate=error / R,
+        energy=float(e_hat / R),
+        energy_dimensionless=float(e_hat * d * d),
+        error_estimate=float(error / R),
         l_max_used=l_max,
         m_max_used=m_used,
         kappa_nodes_used=n,

@@ -203,6 +203,15 @@ def test_exact_approaches_leading_plus_ntl():
     assert devs[0.05] < devs[0.1] < 0.10
 
 
+def test_energy_result_fields_are_plain_numbers():
+    for om, L in ((PERFECT_CONDUCTOR, 1.3), (3.0, 1.4)):
+        res = casimir_energy(SphereSheet(1.0, om), PlaneSheet(om, L), NumericsSpec(rel_tol=1e-3))
+        for name in ("energy", "energy_dimensionless", "error_estimate"):
+            assert type(getattr(res, name)) is float, name
+        for name in ("l_max_used", "m_max_used", "kappa_nodes_used"):
+            assert type(getattr(res, name)) is int, name
+
+
 def test_energy_deterministic():
     spec = NumericsSpec(rel_tol=1e-3)
     a = casimir_energy(SphereSheet(1.0, 3.0), PlaneSheet(3.0, 1.5), spec)
@@ -240,3 +249,92 @@ def test_m_max_used_is_the_largest_m_a_node_needed():
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR),
                          PlaneSheet(PERFECT_CONDUCTOR, 1.1), NumericsSpec(rel_tol=1e-3))
     assert 4 <= res.m_max_used < res.l_max_used
+
+
+def test_block_count_guard_pc_tenth(monkeypatch):
+    # far kappa nodes stop at m = 4 and no node is evaluated twice: 1474
+    # blocks before either change, 340 with both
+    calls = _counting_blocks(monkeypatch)
+    casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
+                   NumericsSpec(rel_tol=1e-3))
+    assert len(calls) <= 700
+
+
+# ---------------------------------------------------------------- kappa rule
+
+def test_kappa_rule_is_nested():
+    for n in (8, 11, 16, 64):
+        x, w = energy_exact._kappa_rule(n)
+        x2, _ = energy_exact._kappa_rule(2 * n)
+        assert x.size == n - 1 and x2.size == 2 * n - 1
+        assert np.array_equal(x2[1::2], x)  # bit-identical, so a node is looked up, not redone
+        assert np.all(np.diff(x) < 0.0) and np.all(w > 0.0)
+
+
+def test_kappa_rule_integrates_decaying_functions():
+    # int x^k e^-x = k!, and an algebraic tail int (1+x)^-3 = 1/2, relative
+    # errors.  Level 16 (15 nodes, the default first level) gets the tail to
+    # 2e-8 and e^-x to 2e-6, but x^3 e^-x only to 3e-4; every error shrinks
+    # at level 32, and level 64 holds all five to 1e-8.
+    cases = [(lambda x, k=k: x ** k * np.exp(-x), math.factorial(k)) for k in range(4)]
+    cases.append((lambda x: (1.0 + x) ** -3, 0.5))
+    errors = {}
+    for n in (16, 32, 64):
+        x, w = energy_exact._kappa_rule(n)
+        errors[n] = [abs(w @ g(x) - want) / want for g, want in cases]
+    assert errors[16][0] < 1e-5 and errors[16][4] < 1e-7
+    assert max(errors[16]) < 1e-3
+    for coarse, fine in zip(errors[16], errors[32]):
+        assert fine < coarse
+    assert max(errors[64]) < 1e-8
+
+
+def test_each_kappa_node_evaluated_once(monkeypatch):
+    calls = []
+    real = energy_exact._mode_sum
+
+    def counting(kappa, *args):
+        calls.append(kappa)
+        return real(kappa, *args)
+
+    monkeypatch.setattr(energy_exact, "_mode_sum", counting)
+    d = 0.3
+    res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d),
+                         NumericsSpec(rel_tol=1e-3))
+    assert res.l_max_used == energy_exact._auto_l_max(d)  # no l_max growth
+    assert res.kappa_nodes_used > NumericsSpec().kappa_nodes  # at least one refinement
+    # every node of the last level once, then the theta probe at one of them
+    assert len(calls) == (res.kappa_nodes_used - 1) + 1
+    assert len(set(calls[:-1])) == len(calls) - 1 and calls[-1] in calls[:-1]
+
+
+def test_far_kappa_nodes_stay_finite(monkeypatch):
+    # the far nodes of a refined level reach kappa R ~ 5e4 at d/R = 0.05;
+    # every node must give a finite F <= 0
+    values = []
+    real = energy_exact._mode_sum
+
+    def recording(kappa, *args):
+        out = real(kappa, *args)
+        values.append((kappa, out))
+        return out
+
+    monkeypatch.setattr(energy_exact, "_mode_sum", recording)
+    d = 0.05
+    sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
+    res = casimir_energy(sphere, plane, NumericsSpec(kappa_nodes=32, rel_tol=1e-3))
+    assert len(values) == res.kappa_nodes_used
+    assert max(k for k, _ in values) > 1e4
+    for kappa, (f, f_sub, m_tail, _) in values:
+        assert math.isfinite(f) and math.isfinite(f_sub) and math.isfinite(m_tail)
+        assert f <= 0.0 and f_sub <= 0.0
+    # the edges of the stated range, kappa R = 1e6 (level 128 at d/R ~ 0.02)
+    # and 1e-4 (level 128 at d/R ~ 2)
+    spec, l_drop = energy_exact._pass_spec(NumericsSpec(), energy_exact._auto_l_max(d))
+    assert real(1e6, sphere, plane, spec, spec.m_max, l_drop) == (0.0, 0.0, 0.0, 4)
+    for om in (PERFECT_CONDUCTOR, 0.5):
+        d_wide = 2.0
+        spec, l_drop = energy_exact._pass_spec(NumericsSpec(), energy_exact._auto_l_max(d_wide))
+        f, f_sub, m_tail, _ = real(1e-4, SphereSheet(1.0, om), PlaneSheet(om, 1.0 + d_wide),
+                                   spec, spec.m_max, l_drop)
+        assert math.isfinite(f) and f < 0.0 and f <= f_sub <= 0.0 and m_tail >= 0.0
