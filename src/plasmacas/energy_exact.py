@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -115,21 +114,23 @@ def logdet_one_minus(block: RoundTripBlock, nl_keep: int | None = None):
     return full if nl_keep is None else (full, kept)
 
 
-def _mode_sum(kappa, sphere, plane, numerics, m_max, l_drop):
+def _mode_sum(kappa, sphere, plane, numerics):
     """F(kappa) = sum_m ln det(I - M_m) with the m <-> -m doubling.
 
-    Also returns the same sum on the principal submatrix with l_drop fewer
-    degrees (the l-truncation probe) and a geometric m-tail estimate.  The
-    kappa-only part of the blocks is computed once, in one shared
-    :class:`KappaTable`.
+    ``numerics`` has integer l_max and m_max (see :func:`_pass_spec`).  Also
+    returns the same sum on the principal submatrix with l_drop =
+    max(4, l_max // 8) fewer degrees (the l-truncation probe), a geometric
+    m-tail estimate and the last m summed.  The kappa-only part of the
+    blocks is computed once, in one shared :class:`KappaTable`.
     """
+    l_drop = max(4, numerics.l_max // 8)
     table = KappaTable.build(kappa, sphere, plane, numerics)
     total = 0.0
     total_sub = 0.0
     tail = 0.0
     contribs = []
     m_used = 0
-    for m in range(0, min(m_max, numerics.l_max) + 1):
+    for m in range(0, min(numerics.m_max, numerics.l_max) + 1):
         block = assemble_block(m, kappa, sphere, plane, numerics, table=table)
         weight = 1.0 if m == 0 else 2.0
         nl = block.dim // 2
@@ -153,17 +154,15 @@ def _auto_l_max(d):
 
 
 def _pass_spec(numerics, l_max):
-    """The spec every kappa node is evaluated with at this l_max, and l_drop.
+    """The spec every kappa node is evaluated with at this l_max.
 
     The rapidity integrand of the highest angular orders peaks near
     u = 2 l_max, so the theta-node floor scales with l_max (the user value
     only sets a lower bound); the Laguerre rule is stable to ~192 nodes.
-    l_drop is the number of degrees the l-truncation probe leaves out.
     """
     m_max = l_max if numerics.m_max == "auto" else numerics.m_max
     theta_nodes = min(max(numerics.theta_nodes, l_max // 2 + 24), _THETA_NODE_CEILING)
-    spec = replace(numerics, l_max=l_max, m_max=m_max, theta_nodes=theta_nodes)
-    return spec, max(4, l_max // 8)
+    return replace(numerics, l_max=l_max, m_max=m_max, theta_nodes=theta_nodes)
 
 
 def _kappa_rule(n):
@@ -179,27 +178,26 @@ def _kappa_rule(n):
     t = k * math.pi / n
     j = np.arange(1, n // 2 + 1)
     w_s = 4.0 / n * np.sin(t) * (np.sin(np.outer(t, 2 * j - 1)) / (2 * j - 1)).sum(axis=1)
-    half_sin = np.sin(0.5 * t)
     x = _KAPPA_MAP_SCALE / np.tan(0.5 * t) ** 2
-    return x, w_s * _KAPPA_MAP_SCALE / (2.0 * half_sin ** 4)
+    return x, w_s * _KAPPA_MAP_SCALE / (2.0 * np.sin(0.5 * t) ** 4)
 
 
-def _quadrature_pass(n_kappa, d, sphere, plane, numerics, m_max, l_drop, evaluated):
+def _quadrature_pass(n_kappa, d, sphere, plane, numerics, evaluated):
     """Level n_kappa of the kappa rule, with kappa = x / (2 d).
 
     Returns E, the l- and m-truncation estimates, the largest m any node
     used, and the level's nodes x, weights and F(kappa) values.
-    ``evaluated`` maps a node, as its Chebyshev angle k/n in units of pi, to
-    its ``_mode_sum`` result: nodes of earlier levels are read from it, and
-    the new ones are added.
+    ``evaluated`` maps a node, as its Chebyshev angle k/n in units of pi in
+    lowest terms, to its ``_mode_sum`` result: nodes of earlier levels are
+    read from it, and the new ones are added.
     """
     x, w = _kappa_rule(n_kappa)
     rows = []
     for k in range(1, n_kappa):
-        node = Fraction(k, n_kappa)
+        g = math.gcd(k, n_kappa)
+        node = (k // g, n_kappa // g)
         if node not in evaluated:
-            evaluated[node] = _mode_sum(x[k - 1] / (2.0 * d), sphere, plane, numerics,
-                                        m_max, l_drop)
+            evaluated[node] = _mode_sum(x[k - 1] / (2.0 * d), sphere, plane, numerics)
         rows.append(evaluated[node])
     f, f_sub, m_tail, m_used = (np.array(col) for col in zip(*rows))
     pref = 1.0 / (2.0 * math.pi) / (2.0 * d)
@@ -216,15 +214,15 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     onto 0 < x < inf by x = 3 (1+s)/(1-s).  Level n has n - 1 nodes, and
     level 2n reuses all of them and adds n new ones, so each node is
     evaluated once per l_max.  The first level is ``kappa_nodes``; the level
-    doubles until two levels agree within rel_tol/4 (``err_k`` is their
-    difference), up to level 128, and ``kappa_nodes_used`` is the last
-    level.  l_max grows until the last increment is below rel_tol/4.  At
-    each node the m sum stops at the first m >= 4 whose block contributes at
-    most rel_tol/4 of the running total, so a node whose blocks all give
-    ln det = 0 stops at m = 4; ``m_max_used`` is the largest m any node of
-    the last level reached.  The theta-node count is checked at the node
-    with the largest weighted |F|.  The kappa, l, m and theta estimates add
-    up to error_estimate.
+    doubles, up to 128, until two levels agree within rel_tol/4, their
+    difference being the kappa error estimate, and ``kappa_nodes_used`` is
+    the last level.  l_max grows until the last increment is below
+    rel_tol/4.  At each node the m sum stops at the first m >= 4 whose
+    block contributes at most rel_tol/4 of the running total, so a node
+    whose blocks all give ln det = 0 stops at m = 4; ``m_max_used`` is the
+    largest m any node of the last level reached.  The theta-node count is
+    checked at the node with the largest weighted |F|.  The kappa, l, m and
+    theta estimates add up to error_estimate.
 
     Returns energy in units hbar c per unit length of the inputs, alongside
     the dimensionless E d^2/(hbar c R).
@@ -246,17 +244,16 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     for _growth in range(4):
         if l_max > _L_MAX_CEILING:
             raise NumericsError(f"l_max cap {_L_MAX_CEILING} exceeded (needed {l_max})")
-        spec, l_drop = _pass_spec(numerics, l_max)
-        m_max = spec.m_max
+        spec = _pass_spec(numerics, l_max)
 
         n = numerics.kappa_nodes
         evaluated = {}
-        level = _quadrature_pass(n, d, s1, p1, spec, m_max, l_drop, evaluated)
+        level = _quadrature_pass(n, d, s1, p1, spec, evaluated)
         err_k = math.inf
         while 2 * n <= _KAPPA_NODE_CEILING:
             n *= 2
             e_prev = level[0]
-            level = _quadrature_pass(n, d, s1, p1, spec, m_max, l_drop, evaluated)
+            level = _quadrature_pass(n, d, s1, p1, spec, evaluated)
             err_k = abs(level[0] - e_prev)
             if err_k <= 0.25 * numerics.rel_tol * abs(level[0]):
                 break
@@ -276,7 +273,7 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     if probe_nodes == spec.theta_nodes:
         probe_nodes -= 16
     spec2 = replace(spec, theta_nodes=probe_nodes)
-    f2, _, _, _ = _mode_sum(x[i_peak] / (2.0 * d), s1, p1, spec2, m_max, l_drop)
+    f2, _, _, _ = _mode_sum(x[i_peak] / (2.0 * d), s1, p1, spec2)
     rel_theta = abs(f2 - f_vals[i_peak]) / max(abs(f_vals[i_peak]), 1e-300)
     err_theta = rel_theta * abs(e_hat)
 

@@ -237,27 +237,23 @@ def test_zero_tail_node_stops_at_m4(monkeypatch):
     # at x = 2 kappa d = 60 every block's ln det rounds to 0; the m sum must
     # stop at the first m it may stop at instead of running to l_max
     d = 0.1
-    spec, l_drop = energy_exact._pass_spec(NumericsSpec(), energy_exact._auto_l_max(d))
+    spec = energy_exact._pass_spec(NumericsSpec(), energy_exact._auto_l_max(d))
     calls = _counting_blocks(monkeypatch)
     out = energy_exact._mode_sum(300.0, SphereSheet(1.0, PERFECT_CONDUCTOR),
-                                 PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), spec, spec.m_max, l_drop)
+                                 PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), spec)
     assert out == (0.0, 0.0, 0.0, 4)
     assert calls == [0, 1, 2, 3, 4]
 
 
-def test_m_max_used_is_the_largest_m_a_node_needed():
-    res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR),
-                         PlaneSheet(PERFECT_CONDUCTOR, 1.1), NumericsSpec(rel_tol=1e-3))
-    assert 4 <= res.m_max_used < res.l_max_used
-
-
-def test_block_count_guard_pc_tenth(monkeypatch):
-    # far kappa nodes stop at m = 4 and no node is evaluated twice: 1474
-    # blocks before either change, 340 with both
+def test_pc_tenth_block_count_and_m_max_used(monkeypatch):
+    # far kappa nodes stop at m = 4 and no kappa node is evaluated twice:
+    # 1474 blocks with neither, 340 with both.  m_max_used is the largest m
+    # a node needed (12), not l_max (70).
     calls = _counting_blocks(monkeypatch)
-    casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
-                   NumericsSpec(rel_tol=1e-3))
+    res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
+                         NumericsSpec(rel_tol=1e-3))
     assert len(calls) <= 700
+    assert 4 <= res.m_max_used < res.l_max_used
 
 
 # ---------------------------------------------------------------- kappa rule
@@ -330,11 +326,10 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
         assert f <= 0.0 and f_sub <= 0.0
     # the edges of the stated range, kappa R = 1e6 (level 128 at d/R ~ 0.02)
     # and 1e-4 (level 128 at d/R ~ 2)
-    spec, l_drop = energy_exact._pass_spec(NumericsSpec(), energy_exact._auto_l_max(d))
-    assert real(1e6, sphere, plane, spec, spec.m_max, l_drop) == (0.0, 0.0, 0.0, 4)
+    spec = energy_exact._pass_spec(NumericsSpec(), energy_exact._auto_l_max(d))
+    assert real(1e6, sphere, plane, spec) == (0.0, 0.0, 0.0, 4)
     for om in (PERFECT_CONDUCTOR, 0.5):
         d_wide = 2.0
-        spec, l_drop = energy_exact._pass_spec(NumericsSpec(), energy_exact._auto_l_max(d_wide))
-        f, f_sub, m_tail, _ = real(1e-4, SphereSheet(1.0, om), PlaneSheet(om, 1.0 + d_wide),
-                                   spec, spec.m_max, l_drop)
+        spec = energy_exact._pass_spec(NumericsSpec(), energy_exact._auto_l_max(d_wide))
+        f, f_sub, m_tail, _ = real(1e-4, SphereSheet(1.0, om), PlaneSheet(om, 1.0 + d_wide), spec)
         assert math.isfinite(f) and f < 0.0 and f <= f_sub <= 0.0 and m_tail >= 0.0
