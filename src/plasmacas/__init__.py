@@ -8,14 +8,13 @@ asymptotic expansion with its next-to-leading correction.
 from .errors import NumericsError, SpectralAnomalyError
 from .scattering import (PERFECT_CONDUCTOR, PlaneSheet, Polarization, SphereSheet,
                          plane_r, sphere_t)
-from .roundtrip import AngularKernel, RoundTripBlock, assemble_block, m_element
+from .roundtrip import RoundTripBlock, assemble_block
 from .energy_exact import EnergyResult, NumericsSpec, casimir_energy, logdet_one_minus
 from .pfa import PfaParams, lifshitz_plane_plane, pfa_energy
 from .asymptotics import (NtlCoefficients, e0, e1, ntl_coefficients, ntl_integrand,
                           small_gap_expansion, theta)
 
 __all__ = [
-    "AngularKernel",
     "EnergyResult",
     "NtlCoefficients",
     "NumericsError",
@@ -33,7 +32,6 @@ __all__ = [
     "e1",
     "lifshitz_plane_plane",
     "logdet_one_minus",
-    "m_element",
     "ntl_coefficients",
     "ntl_integrand",
     "pfa_energy",

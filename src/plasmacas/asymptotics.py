@@ -30,7 +30,6 @@ from .scattering import PERFECT_CONDUCTOR, check_omega, varpi
 from ._quadrature import gauss_laguerre, tau_rule
 
 _N_T = 48
-_N_TAU = 48
 _N_MAX = 192            # scipy's Laguerre roots degrade beyond this
 _S_MAX = 200
 _SMALL_VARPI = 0.1      # below this the T0 pole sits too close to the t axis
@@ -56,22 +55,6 @@ def _hom_power_sum(a, b, n: int):
         acc = acc * b + ap
         ap = ap * a
     return acc
-
-
-def script_b_divided_difference(s, t, tau, varpi_s, varpi_p):
-    """B in its divided-difference form (reference for tests).
-
-    Undefined exactly at T0TE*T0tTE = T0TM*T0tTM; the production path uses
-    the power-sum form instead.
-    """
-    sig = s + 1
-    te = _t0(t, tau, varpi_s, False) * _t0(t, tau, varpi_p, False)
-    tm = _t0(t, tau, varpi_s, True) * _t0(t, tau, varpi_p, True)
-    mix = (_t0(t, tau, varpi_s, False) * _t0(t, tau, varpi_p, True)
-           + _t0(t, tau, varpi_s, True) * _t0(t, tau, varpi_p, False))
-    dd1 = (te ** sig - tm ** sig) / (te - tm)
-    dd2 = (te ** s - tm ** s) / (te - tm)
-    return (1.0 - tau ** 2) / (2.0 * t * tau ** 2) * (mix * dd1 + 2.0 * te * tm * dd2)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import concurrent.futures
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,8 +81,8 @@ def _parse_omega(text: str, name: str) -> float:
         value = float(text)
     except ValueError:
         raise UsageError(f"{name}: cannot parse {text!r}") from None
-    if value < 0:
-        raise UsageError(f"{name} must be >= 0 or 'inf'")
+    if not value >= 0:  # also rejects nan
+        raise UsageError(f"{name} must be >= 0 or 'inf', got {text!r}")
     return value
 
 
@@ -125,7 +125,10 @@ def _spacing(lo: float, hi: float, count: int, kind: str) -> tuple:
 
 
 def parse_config(args: argparse.Namespace) -> SweepConfig:
-    """Merge config file and flags (flags win) into a resolved SweepConfig."""
+    """Merge config file and flags (flags win) into a resolved SweepConfig.
+
+    Without an ``out`` flag or key the CSV goes to ``<command>.csv``.
+    """
     conf = _read_config_file(args.config) if args.config else {}
 
     def pick(key, flag_value, default=None):
@@ -169,7 +172,7 @@ def parse_config(args: argparse.Namespace) -> SweepConfig:
         lmax=pick("lmax", args.lmax),
         mmax=pick("mmax", args.mmax),
         rel_tol=pick("rel_tol", args.rel_tol),
-        out=str(pick("out", args.out, "sweep.csv")),
+        out=str(pick("out", args.out, f"{args.command}.csv")),
         threads=int(pick("threads", args.threads, 1)),
     )
 
@@ -348,12 +351,7 @@ def main(argv=None) -> int:
             return _run_figure(args.number, args.out, args.threads)
         config = parse_config(args)
         if args.command == "point":
-            config = SweepConfig(method=config.method, radii=config.radii[:1],
-                                 gaps=config.gaps[:1], omega_s=config.omega_s,
-                                 omega_p=config.omega_p, lmax=config.lmax,
-                                 mmax=config.mmax, rel_tol=config.rel_tol,
-                                 out=config.out if args.out or args.config else "point.csv",
-                                 threads=1)
+            config = replace(config, radii=config.radii[:1], gaps=config.gaps[:1], threads=1)
         return run_sweep(config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

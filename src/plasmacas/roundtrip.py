@@ -32,6 +32,11 @@ Numerical organisation, fixed once here and relied on everywhere:
   so with the positive (Hobson) Legendre convention used by specfun the net
   kernel is positive; each m block then contributes attractively, and the
   m <-> -m degeneracy is an exact signature conjugation.
+
+This module holds the one production transcription of the element.  The
+scalar single-element route (one 2x2 element with its own adaptive rapidity
+quadrature) and the un-balancing of a block are test oracles and live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -54,17 +59,13 @@ if TYPE_CHECKING:
 _FOLD_LOG = -600.0
 
 
-def _angular_logs(l_max: int, m_abs: int, c_nodes: np.ndarray, ladder=None):
+def _angular_logs(l_max: int, m_abs: int, c_nodes: np.ndarray, ladder):
     """Log arrays of the normalised angular functions on cosh(theta) nodes.
 
     tau_l = sinh(theta) dPbar_l^m/dx and pi_l = (m/sinh(theta)) Pbar_l^m,
     both positive for x > 1.  Rows run over l = max(1, m) .. l_max.
-    ``ladder(k)`` gives ln Pbar_l^k for l = k .. l_max on ``c_nodes``; it
-    defaults to computing the ladder here.
+    ``ladder(k)`` gives ln Pbar_l^k for l = k .. l_max on ``c_nodes``.
     """
-    if ladder is None:
-        def ladder(k):
-            return legendre_pbar_log(l_max, k, c_nodes)
     l0 = max(1, m_abs)
     lvec = np.arange(l0, l_max + 1)
     pbar_m = ladder(m_abs)[l0 - m_abs:, :]
@@ -88,119 +89,6 @@ def _angular_logs(l_max: int, m_abs: int, c_nodes: np.ndarray, ladder=None):
 
 
 @dataclass(frozen=True)
-class AngularKernel:
-    """Rapidity-integrand data of one (l, l', m) element.
-
-    ``entries[i]`` is the 2x2 product angular(l) * reflection * angular(l')
-    at theta_nodes[i], with the factorial normalisation of the element
-    prefactor absorbed into the angular functions.  For m = 0 the TE-TM
-    coupling entries vanish identically.
-    """
-
-    l: int
-    l_prime: int
-    m: int
-    theta_nodes: np.ndarray
-    entries: np.ndarray = field(repr=False)
-
-    @classmethod
-    def build(cls, l, l_prime, m, kappa, plane: PlaneSheet, u_nodes: np.ndarray):
-        mm = abs(m)
-        if l < max(1, mm) or l_prime < max(1, mm):
-            raise ValueError("l and l_prime must be >= max(1, |m|)")
-        kl = kappa * plane.distance_L
-        c = 1.0 + u_nodes / (2.0 * kl)
-        theta = np.arccosh(c)
-        _, ltau_l, lpi_l = _angular_logs(l, mm, c)
-        _, ltau_r, lpi_r = _angular_logs(l_prime, mm, c)
-        A, B = np.exp(ltau_l[-1]), np.exp(lpi_l[-1])
-        C, D = np.exp(ltau_r[-1]), np.exp(lpi_r[-1])
-        if m < 0:
-            B, D = -B, -D
-        sh = np.sqrt((c - 1.0) * (c + 1.0))
-        rte = plane_r(Polarization.TE, kappa, kappa * sh, plane)
-        rtm = plane_r(Polarization.TM, kappa, kappa * sh, plane)
-        # rows of the left angular matrix are (A, -B) and (-B, A); rtm < 0
-        entries = np.empty((u_nodes.size, 2, 2))
-        entries[:, 0, 0] = A * rte * C - B * rtm * D
-        entries[:, 0, 1] = A * rte * D - B * rtm * C
-        entries[:, 1, 0] = -B * rte * C + A * rtm * D
-        entries[:, 1, 1] = -B * rte * D + A * rtm * C
-        return cls(l=l, l_prime=l_prime, m=m, theta_nodes=theta, entries=entries)
-
-
-def _element_once(l, l_prime, m, kappa, sphere, plane, n_theta):
-    """One quadrature pass of the true 2x2 element."""
-    mm = abs(m)
-    kl = kappa * plane.distance_L
-    u, v = gauss_laguerre(n_theta)
-    c = 1.0 + u / (2.0 * kl)
-    _, ltau_l, lpi_l = _angular_logs(l, mm, c)
-    _, ltau_r, lpi_r = _angular_logs(l_prime, mm, c)
-    hw = 0.5 * np.log(v)
-    ga_t, ga_p = ltau_l[-1] + hw, lpi_l[-1] + hw
-    gb_t, gb_p = ltau_r[-1] + hw, lpi_r[-1] + hw
-    sig_a = max(ga_t.max(), ga_p.max() if mm > 0 else -np.inf)
-    sig_b = max(gb_t.max(), gb_p.max() if mm > 0 else -np.inf)
-    at, ap = np.exp(ga_t - sig_a), np.exp(ga_p - sig_a)
-    bt, bp = np.exp(gb_t - sig_b), np.exp(gb_p - sig_b)
-    sh = np.sqrt((c - 1.0) * (c + 1.0))
-    rte = plane_r(Polarization.TE, kappa, kappa * sh, plane)
-    qtm = -plane_r(Polarization.TM, kappa, kappa * sh, plane)
-    kern = {
-        (0, 0): at @ (rte * bt) + ap @ (qtm * bp),
-        (0, 1): at @ (rte * bp) + ap @ (qtm * bt),
-        (1, 0): ap @ (rte * bt) + at @ (qtm * bp),
-        (1, 1): ap @ (rte * bp) + at @ (qtm * bt),
-    }
-    log_te, log_tm = sphere_t_logs(l, kappa, sphere)
-    logt = {0: log_te[l - 1], 1: log_tm[l - 1]}
-    lpref = math.log(math.pi / 2.0) + 0.5 * (
-        math.log(2 * l + 1.0) + math.log(2 * l_prime + 1.0)
-        - math.log(l * (l + 1.0)) - math.log(l_prime * (l_prime + 1.0)))
-    z = kappa * sphere.radius_R
-    common = 2.0 * z - 2.0 * kl - math.log(2.0 * kl) + lpref + sig_a + sig_b
-    out = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            sgn = -1.0 if (m < 0 and i != j) else 1.0
-            out[i, j] = sgn * math.exp(common + logt[i]) * kern[(i, j)]
-    return out
-
-
-def m_element(l: int, l_prime: int, m: int, kappa: float, sphere: SphereSheet,
-              plane: PlaneSheet, theta_nodes: int = 40, rel_tol: float = 1e-10) -> np.ndarray:
-    """True 2x2 polarization block of the round-trip element.
-
-    Rows and columns are ordered (TE, TM).  The rapidity quadrature doubles
-    its node count until the two finest passes agree to rel_tol; failure to
-    converge raises :class:`NumericsError` carrying the last error estimate.
-    Values carry the full physical scale, so extreme kappa(L-R) under- or
-    overflows a double; the block assembly path is immune to that.
-    """
-    mm = abs(m)
-    if l < max(1, mm) or l_prime < max(1, mm):
-        raise ValueError(f"l, l_prime must be >= max(1, |m|), got {l}, {l_prime}, m={m}")
-    if not (kappa > 0.0):
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if sphere.omega_s == 0.0:
-        return np.zeros((2, 2))
-    prev = _element_once(l, l_prime, m, kappa, sphere, plane, theta_nodes)
-    n = theta_nodes
-    for _ in range(4):
-        n *= 2
-        cur = _element_once(l, l_prime, m, kappa, sphere, plane, n)
-        scale = np.max(np.abs(cur))
-        err = np.max(np.abs(cur - prev))
-        if scale == 0.0 or err <= rel_tol * scale:
-            return cur
-        prev = cur
-    raise NumericsError(
-        f"theta quadrature for element (l={l}, l'={l_prime}, m={m}) did not "
-        f"converge below rel_tol={rel_tol}", error_estimate=err / scale)
-
-
-@dataclass(frozen=True)
 class RoundTripBlock:
     """Dense round-trip block at fixed (m, kappa).
 
@@ -216,17 +104,10 @@ class RoundTripBlock:
     l_max: int
     matrix: np.ndarray = field(repr=False)
     log_scale: float
-    log_t_half: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def dense_matrix(self) -> np.ndarray:
-        """Un-balanced physical matrix; may overflow for extreme parameters."""
-        r = self.log_t_half[:, None] - self.log_t_half[None, :]
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_scale + r) * self.matrix
 
 
 @dataclass(frozen=True)
@@ -324,10 +205,8 @@ def assemble_block(m: int, kappa: float, sphere: SphereSheet, plane: PlaneSheet,
 
     _, ltau, lpi = _angular_logs(l_max, mm, table.c, table.ladder)
     nl, n = ltau.shape
-    half_te = table.half_log_t[0][l0 - 1:]
-    half_tm = table.half_log_t[1][l0 - 1:]
-    row_te = (table.half_pref[l0 - 1:] + half_te)[:, None]
-    row_tm = (table.half_pref[l0 - 1:] + half_tm)[:, None]
+    row_te = (table.half_pref[l0 - 1:] + table.half_log_t[0][l0 - 1:])[:, None]
+    row_tm = (table.half_pref[l0 - 1:] + table.half_log_t[1][l0 - 1:])[:, None]
     # M = H H^T with a TE row [tau sqrt(r_TE), pi sqrt(q_TM)] and a TM row
     # [pi sqrt(r_TE), tau sqrt(q_TM)], each times its row weight
     h = np.empty((2 * nl, 2 * n))
@@ -338,13 +217,9 @@ def assemble_block(m: int, kappa: float, sphere: SphereSheet, plane: PlaneSheet,
     if m < 0:
         h[1::2] *= -1.0
     matrix = h @ h.T
-
-    log_t_half = np.empty(2 * nl)
-    log_t_half[0::2] = half_te
-    log_t_half[1::2] = half_tm
     if not np.all(np.isfinite(matrix)):
         raise NumericsError(
             f"non-finite entries in block m={m}, kappa={kappa} "
             f"(l_max={l_max}, theta_nodes={numerics.theta_nodes})")
     return RoundTripBlock(m=m, kappa=kappa, l_max=l_max, matrix=matrix,
-                          log_scale=table.log_scale, log_t_half=log_t_half)
+                          log_scale=table.log_scale)

@@ -8,14 +8,13 @@ The Bessel pair is kept exponentially scaled,
     i_scaled = e^{-z} I_{l+1/2}(z),      k_scaled = e^{+z} K_{l+1/2}(z),
 
 so that the products I*K appearing downstream never overflow.  At extreme
-(l, z) combinations even the scaled values leave the double range; the log
-fields of :class:`ScaledBessel` and the array ladders stay finite there.
+(l, z) combinations even the scaled values leave the double range, so
+:func:`bessel_ik_log` returns their logarithms, which stay finite there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,55 +104,6 @@ def bessel_ik_log(l_max: int, z: float):
     cal = log_i0 - (math.log(vals[0]) + offs[0])
     log_i = np.log(vals) + offs + cal
     return log_i, log_k
-
-
-@dataclass(frozen=True)
-class ScaledBessel:
-    """Exponentially scaled I and K of order l+1/2 with derivatives.
-
-    The linear fields saturate to inf/0 when the scaled value leaves the
-    double range (possible for l >> z); the log fields are always finite.
-    k_deriv_scaled is negative for every (l, z), hence log_k_deriv_abs.
-    """
-
-    order_l: int
-    argument: float
-    i_scaled: float
-    k_scaled: float
-    i_deriv_scaled: float
-    k_deriv_scaled: float
-    log_i: float
-    log_k: float
-    log_i_deriv: float
-    log_k_deriv_abs: float
-
-
-def bessel_half(order_l: int, z: float) -> ScaledBessel:
-    """Scaled I_{l+1/2}, K_{l+1/2} and their derivatives at z > 0."""
-    if order_l < 0:
-        raise ValueError(f"order_l must be >= 0, got {order_l}")
-    if not (z > 0.0) or not math.isfinite(z):
-        raise ValueError(f"argument must be positive and finite, got {z}")
-    log_i, log_k = bessel_ik_log(order_l, z)
-    nu = order_l + 0.5
-    li, lk = log_i[order_l], log_k[order_l]
-    # I'_nu = I_{nu+1} + (nu/z) I_nu ; K'_nu = -(K_{nu-1} + (nu/z) K_nu); K_{-1/2} = K_{1/2}
-    lid = np.logaddexp(log_i[order_l + 1], math.log(nu / z) + li)
-    lkm1 = log_k[order_l - 1] if order_l >= 1 else log_k[0]
-    lkd = np.logaddexp(lkm1, math.log(nu / z) + lk)
-    with np.errstate(over="ignore"):
-        return ScaledBessel(
-            order_l=order_l,
-            argument=z,
-            i_scaled=float(np.exp(li)),
-            k_scaled=float(np.exp(lk)),
-            i_deriv_scaled=float(np.exp(lid)),
-            k_deriv_scaled=float(-np.exp(lkd)),
-            log_i=float(li),
-            log_k=float(lk),
-            log_i_deriv=float(lid),
-            log_k_deriv_abs=float(lkd),
-        )
 
 
 def legendre_p(l: int, m: int, x: float):

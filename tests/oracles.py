@@ -1,0 +1,137 @@
+"""Reference implementations the tests check the production code against.
+
+None of these is on a production path.  Each is a second, slower or more
+literal transcription of a formula that ``src/plasmacas`` evaluates once in
+its own way:
+
+* :func:`m_element` computes one (l, l', m) round-trip element as a scalar
+  2x2 block with its own adaptive rapidity quadrature; the block assembler
+  ``roundtrip.assemble_block`` computes whole blocks as one product H H^T;
+* :func:`dense_matrix` undoes the balancing of an assembled block, so its
+  entries can be compared with :func:`m_element` or fed to a cofactor
+  expansion;
+* :func:`script_b_divided_difference` is the coefficient B of the E1 braces
+  in its divided-difference form; the production kernel uses the
+  homogeneous power-sum form, which has no a -> b cancellation.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from plasmacas.asymptotics import _t0
+from plasmacas.errors import NumericsError
+from plasmacas.roundtrip import _angular_logs
+from plasmacas.scattering import Polarization, plane_r, sphere_t_logs
+from plasmacas.specfun import legendre_pbar_log
+from plasmacas._quadrature import gauss_laguerre
+
+
+def angular_logs(l_max, m_abs, c_nodes):
+    """``roundtrip._angular_logs`` with the Legendre ladders computed here."""
+    return _angular_logs(l_max, m_abs, c_nodes, lambda k: legendre_pbar_log(l_max, k, c_nodes))
+
+
+def _element_once(l, l_prime, m, kappa, sphere, plane, n_theta):
+    """One quadrature pass of the true 2x2 element."""
+    mm = abs(m)
+    kl = kappa * plane.distance_L
+    u, v = gauss_laguerre(n_theta)
+    c = 1.0 + u / (2.0 * kl)
+    _, ltau_l, lpi_l = angular_logs(l, mm, c)
+    _, ltau_r, lpi_r = angular_logs(l_prime, mm, c)
+    hw = 0.5 * np.log(v)
+    ga_t, ga_p = ltau_l[-1] + hw, lpi_l[-1] + hw
+    gb_t, gb_p = ltau_r[-1] + hw, lpi_r[-1] + hw
+    sig_a = max(ga_t.max(), ga_p.max() if mm > 0 else -np.inf)
+    sig_b = max(gb_t.max(), gb_p.max() if mm > 0 else -np.inf)
+    at, ap = np.exp(ga_t - sig_a), np.exp(ga_p - sig_a)
+    bt, bp = np.exp(gb_t - sig_b), np.exp(gb_p - sig_b)
+    sh = np.sqrt((c - 1.0) * (c + 1.0))
+    rte = plane_r(Polarization.TE, kappa, kappa * sh, plane)
+    qtm = -plane_r(Polarization.TM, kappa, kappa * sh, plane)
+    kern = {
+        (0, 0): at @ (rte * bt) + ap @ (qtm * bp),
+        (0, 1): at @ (rte * bp) + ap @ (qtm * bt),
+        (1, 0): ap @ (rte * bt) + at @ (qtm * bp),
+        (1, 1): ap @ (rte * bp) + at @ (qtm * bt),
+    }
+    log_te, log_tm = sphere_t_logs(l, kappa, sphere)
+    logt = {0: log_te[l - 1], 1: log_tm[l - 1]}
+    lpref = math.log(math.pi / 2.0) + 0.5 * (
+        math.log(2 * l + 1.0) + math.log(2 * l_prime + 1.0)
+        - math.log(l * (l + 1.0)) - math.log(l_prime * (l_prime + 1.0)))
+    z = kappa * sphere.radius_R
+    common = 2.0 * z - 2.0 * kl - math.log(2.0 * kl) + lpref + sig_a + sig_b
+    out = np.empty((2, 2))
+    for i in range(2):
+        for j in range(2):
+            sgn = -1.0 if (m < 0 and i != j) else 1.0
+            out[i, j] = sgn * math.exp(common + logt[i]) * kern[(i, j)]
+    return out
+
+
+def m_element(l, l_prime, m, kappa, sphere, plane, theta_nodes=40, rel_tol=1e-10):
+    """True 2x2 polarization block of the round-trip element.
+
+    Rows and columns are ordered (TE, TM).  The rapidity quadrature doubles
+    its node count until the two finest passes agree to rel_tol; failure to
+    converge raises :class:`NumericsError` carrying the last error estimate.
+    Values carry the full physical scale, so extreme kappa(L-R) under- or
+    overflows a double; the block assembly path is immune to that.
+    """
+    mm = abs(m)
+    if l < max(1, mm) or l_prime < max(1, mm):
+        raise ValueError(f"l, l_prime must be >= max(1, |m|), got {l}, {l_prime}, m={m}")
+    if not (kappa > 0.0):
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    if sphere.omega_s == 0.0:
+        return np.zeros((2, 2))
+    prev = _element_once(l, l_prime, m, kappa, sphere, plane, theta_nodes)
+    n = theta_nodes
+    for _ in range(4):
+        n *= 2
+        cur = _element_once(l, l_prime, m, kappa, sphere, plane, n)
+        scale = np.max(np.abs(cur))
+        err = np.max(np.abs(cur - prev))
+        if scale == 0.0 or err <= rel_tol * scale:
+            return cur
+        prev = cur
+    raise NumericsError(
+        f"theta quadrature for element (l={l}, l'={l_prime}, m={m}) did not "
+        f"converge below rel_tol={rel_tol}", error_estimate=err / scale)
+
+
+def dense_matrix(block, sphere):
+    """Un-balanced physical matrix of a block; may overflow for extreme parameters.
+
+    ``sphere`` is the sphere the block was assembled for: the half-logs of
+    |T_l| that the balancing split across rows and columns are rebuilt from
+    it.
+    """
+    log_te, log_tm = sphere_t_logs(block.l_max, block.kappa, sphere)
+    l0 = max(1, abs(block.m))
+    log_t_half = np.empty(block.dim)
+    log_t_half[0::2] = 0.5 * log_te[l0 - 1:]
+    log_t_half[1::2] = 0.5 * log_tm[l0 - 1:]
+    r = log_t_half[:, None] - log_t_half[None, :]
+    with np.errstate(over="ignore"):
+        return np.exp(block.log_scale + r) * block.matrix
+
+
+def script_b_divided_difference(s, t, tau, varpi_s, varpi_p):
+    """B in its divided-difference form.
+
+    Undefined exactly at T0TE*T0tTE = T0TM*T0tTM; the production path uses
+    the power-sum form instead.
+    """
+    sig = s + 1
+    te = _t0(t, tau, varpi_s, False) * _t0(t, tau, varpi_p, False)
+    tm = _t0(t, tau, varpi_s, True) * _t0(t, tau, varpi_p, True)
+    mix = (_t0(t, tau, varpi_s, False) * _t0(t, tau, varpi_p, True)
+           + _t0(t, tau, varpi_s, True) * _t0(t, tau, varpi_p, False))
+    dd1 = (te ** sig - tm ** sig) / (te - tm)
+    dd2 = (te ** s - tm ** s) / (te - tm)
+    return (1.0 - tau ** 2) / (2.0 * t * tau ** 2) * (mix * dd1 + 2.0 * te * tm * dd2)

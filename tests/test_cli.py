@@ -62,6 +62,25 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
+def test_point_config_without_out_writes_point_csv(tmp_path, monkeypatch):
+    conf = tmp_path / "run.conf"
+    conf.write_text("method=pfa\nradius=1e-3\ngap=1e-5\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["point", "--config", str(conf)]) == 0
+    assert (tmp_path / "point.csv").exists()
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--omega-sphere", "--omega-plane"])
+def test_nan_omega_is_usage_error(tmp_path, capsys, flag):
+    out = tmp_path / "nan.csv"
+    code = main(["point", "--method", "pfa", "--radius", "1e-3", "--gap", "1e-5",
+                 flag, "nan", "--out", str(out)])
+    assert code == 2
+    assert flag[2:] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_point_pfa_transparent_zero(tmp_path, capsys):
     out = tmp_path / "p.csv"
     code = main(["point", "--method", "pfa", "--radius", "1e-3", "--gap", "1e-5",

@@ -10,11 +10,13 @@ from plasmacas.errors import NumericsError, SpectralAnomalyError
 from plasmacas.roundtrip import RoundTripBlock, assemble_block
 from plasmacas.scattering import PERFECT_CONDUCTOR, PlaneSheet, SphereSheet
 
+from oracles import dense_matrix
+
 
 def _block_of(matrix, m=1, log_scale=0.0):
     n = matrix.shape[0]
     return RoundTripBlock(m=m, kappa=1.0, l_max=n // 2, matrix=matrix,
-                          log_scale=log_scale, log_t_half=np.zeros(n))
+                          log_scale=log_scale)
 
 
 # ---------------------------------------------------------------- logdet
@@ -61,7 +63,7 @@ def test_logdet_leading_l_matches_sliced_sub_block(omega):
             assert full == logdet_one_minus(block)
             k = 2 * nl_keep
             sub = RoundTripBlock(m=m, kappa=kappa, l_max=l_max, matrix=block.matrix[:k, :k],
-                                 log_scale=block.log_scale, log_t_half=block.log_t_half[:k])
+                                 log_scale=block.log_scale)
             want = logdet_one_minus(sub)
             assert lead == pytest.approx(want, rel=1e-12, abs=0.0)
             assert lead > full  # dropping degrees drops attraction
@@ -92,7 +94,7 @@ def test_logdet_against_cofactor_oracle():
         kappa = float(10.0 ** rng.uniform(-0.5, 0.5))
         block = assemble_block(2, kappa, sphere, plane, NumericsSpec(l_max=3))
         assert block.dim == 4
-        want = math.log(_det4_cofactor(np.eye(4) - block.dense_matrix()))
+        want = math.log(_det4_cofactor(np.eye(4) - dense_matrix(block, sphere)))
         assert logdet_one_minus(block) == pytest.approx(want, abs=1e-12, rel=1e-12)
 
 
@@ -185,6 +187,13 @@ def test_numerics_spec_validation():
         NumericsSpec(theta_nodes=4)
     with pytest.raises(ValueError):
         NumericsSpec(rel_tol=0.0)
+    # counts the driver cannot honour: theta above the Laguerre ceiling, a
+    # first kappa level with no room to double, and non-integers
+    for bad in (dict(theta_nodes=193), dict(theta_nodes=300), dict(kappa_nodes=65),
+                dict(kappa_nodes=128), dict(kappa_nodes=16.0), dict(theta_nodes=40.0)):
+        with pytest.raises(ValueError):
+            NumericsSpec(**bad)
+    assert NumericsSpec(kappa_nodes=64, theta_nodes=192).kappa_nodes == 64
     assert NumericsSpec().l_max == "auto"
 
 

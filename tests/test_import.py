@@ -1,8 +1,28 @@
+import importlib
 import os
 import subprocess
 import sys
 
 import plasmacas
+
+# deleted, or moved to tests/oracles.py, with the module that defined them
+REMOVED = {
+    "roundtrip": ("AngularKernel", "m_element", "_element_once"),
+    "specfun": ("ScaledBessel", "bessel_half"),
+    "asymptotics": ("script_b_divided_difference",),
+}
+
+
+def test_public_names_resolve_and_removed_names_are_gone():
+    for name in plasmacas.__all__:
+        assert getattr(plasmacas, name) is not None, name
+    for module, names in REMOVED.items():
+        mod = importlib.import_module(f"plasmacas.{module}")
+        for name in names:
+            assert name not in plasmacas.__all__
+            assert not hasattr(plasmacas, name), name
+            assert not hasattr(mod, name), f"{module}.{name}"
+    assert not hasattr(plasmacas.RoundTripBlock, "dense_matrix")
 
 
 def test_import_leaves_scipy_linalg_unloaded():

@@ -4,43 +4,42 @@ import numpy as np
 import pytest
 from scipy.special import ive, kve, spence
 
-from plasmacas.specfun import (ScaledBessel, bessel_half, bessel_ik_log, dilog,
-                               legendre_p, legendre_pbar_log)
+from plasmacas.specfun import bessel_ik_log, dilog, legendre_p, legendre_pbar_log
 
 
 # ---------------------------------------------------------------- bessel
 
 def test_bessel_half_order0_series_oracle():
     # e^{-1} I_{1/2}(1); frozen from a 60-term ascending series at 50 digits
-    sb = bessel_half(0, 1.0)
-    assert sb.i_scaled == pytest.approx(0.34495131388824462599, rel=1e-14)
+    log_i, log_k = bessel_ik_log(0, 1.0)
+    assert math.exp(log_i[0]) == pytest.approx(0.34495131388824462599, rel=1e-14)
     # K_{1/2}(z) = sqrt(pi/(2z)) e^{-z} exactly, so the scaled value is sqrt(pi/2)
-    assert sb.k_scaled == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-14)
+    assert math.exp(log_k[0]) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-14)
 
 
 def test_bessel_half_small_argument_pair_product():
     # I_nu K_nu -> 1/(2 nu) as z -> 0
-    sb = bessel_half(5, 0.01)
-    assert sb.i_scaled * sb.k_scaled == pytest.approx(1.0 / 11.0, rel=1e-4)
+    log_i, log_k = bessel_ik_log(5, 0.01)
+    assert math.exp(log_i[5]) * math.exp(log_k[5]) == pytest.approx(1.0 / 11.0, rel=1e-4)
 
 
 def test_bessel_half_domain_errors():
     with pytest.raises(ValueError):
-        bessel_half(0, 0.0)
+        bessel_ik_log(0, 0.0)
     with pytest.raises(ValueError):
-        bessel_half(0, -2.0)
+        bessel_ik_log(0, -2.0)
     with pytest.raises(ValueError):
-        bessel_half(0, math.nan)
+        bessel_ik_log(0, math.nan)
     with pytest.raises(ValueError):
-        bessel_half(-1, 1.0)
+        bessel_ik_log(-1, 1.0)
 
 
 def test_bessel_against_scipy_scaled():
     # scipy's ive/kve use the same exponential scaling
     for l, z in [(0, 0.5), (3, 2.0), (10, 7.7), (25, 40.0), (60, 200.0)]:
-        sb = bessel_half(l, z)
-        assert sb.i_scaled == pytest.approx(ive(l + 0.5, z), rel=1e-12)
-        assert sb.k_scaled == pytest.approx(kve(l + 0.5, z), rel=1e-12)
+        log_i, log_k = bessel_ik_log(l, z)
+        assert math.exp(log_i[l]) == pytest.approx(ive(l + 0.5, z), rel=1e-12)
+        assert math.exp(log_k[l]) == pytest.approx(kve(l + 0.5, z), rel=1e-12)
 
 
 def test_bessel_finite_over_spec_domain():
@@ -195,12 +194,3 @@ def test_dilog_series_accuracy_absolute():
     for x in (-0.999, -0.51, -0.5, 0.25, 0.49999, 0.5, 0.51, 0.77, 0.999, 0.9999):
         ref = float(mp.polylog(2, x))
         assert abs(dilog(x) - ref) < 1e-14
-
-
-def test_scaled_bessel_dataclass_fields():
-    sb = bessel_half(3, 2.5)
-    assert isinstance(sb, ScaledBessel)
-    assert sb.order_l == 3 and sb.argument == 2.5
-    assert sb.i_scaled > 0 and sb.k_scaled > 0
-    assert sb.k_deriv_scaled < 0
-    assert sb.log_i == pytest.approx(math.log(sb.i_scaled), rel=1e-14)
