@@ -12,9 +12,15 @@ All 1/t poles of the coefficients are cancelled analytically by folding one
 power of t into the integrand, after which plain Gauss-Laguerre on
 x = 2 t (s+1) converges at machine precision.  The divided differences in B
 are evaluated as explicit homogeneous power sums, which removes the a -> b
-cancellation exactly.  The s-sums decay like powers of 1/(s+1); truncation
-is corrected by fitting the last terms to an inverse-power tail and summing
-it with polygamma functions.
+cancellation exactly.
+
+The s-sums decay like powers of 1/(s+1): E0 terms like (s+1)^-4, E1 terms
+like (s+1)^-2.  After each term the last five are fitted to the powers
+p0 .. p0+4 of 1/(s+1), and the fitted tail is summed exactly with polygamma
+functions.  A sum stops once two successive tail-corrected totals agree to
+rel_tol/10 and the tail is at most 5% of the total; PC and graphene-like
+sheets need 6-10 E0 terms and 14-22 E1 terms at the default rel_tol 1e-10.
+_S_MAX bounds the sum; a tail still above 5% there raises NumericsError.
 """
 
 from __future__ import annotations
@@ -195,46 +201,53 @@ def _braces_times_t(s, t, tau, ws, wp):
             + ptm ** (s + 1) * (c["script_a"] + sum(cd_terms("tm"))) + c["script_b"])
 
 
-_POLYGAMMA_TAIL = {
-    2: lambda s0: polygamma(1, s0),
-    3: lambda s0: -polygamma(2, s0) / 2.0,
-    4: lambda s0: polygamma(3, s0) / 6.0,
-    5: lambda s0: -polygamma(4, s0) / 24.0,
-    6: lambda s0: polygamma(5, s0) / 120.0,
-}
+_FIT_TERMS = 5
 
 
-def _tail_corrected_sum(term, powers, rel_tol, what):
-    """Sum term(s) over s >= 0 with an inverse-power tail fit.
+def _power_tail(p, s0):
+    """sum_{sig >= s0} sig^(-p), p >= 2, in closed form."""
+    return (-1) ** p * polygamma(p - 1, s0) / math.factorial(p - 1)
 
-    term(s) must decay like (s+1)^(-powers[0]) with corrections at the next
-    powers; the fitted tail is summed exactly with polygamma functions.
+
+def _fitted_tail(last_terms, s_last, p0):
+    """Sum over s > s_last of the fit of the terms at s_last - k + 1 .. s_last
+    (k of them) to (s+1)^(-p0) .. (s+1)^(-p0-k+1)."""
+    sig = np.arange(s_last - len(last_terms) + 2, s_last + 2, dtype=float)
+    powers = np.arange(p0, p0 + len(last_terms))
+    # columns scaled to 1 at the last node keep the solve well conditioned
+    coef = np.linalg.solve((sig[-1] / sig[:, None]) ** powers, last_terms)
+    return sum(c * sig[-1] ** p * _power_tail(p, s_last + 2.0) for c, p in zip(coef, powers))
+
+
+def _tail_corrected_sum(term, p0, rel_tol, what):
+    """Sum term(s) over s >= 0, stopping once the tail-corrected sum settles.
+
+    term(s) must decay like (s+1)^(-p0) with corrections at the next powers.
+    From s = _FIT_TERMS - 1 on, each new term refits the tail (see
+    _fitted_tail) and adds it to the partial sum.  The sum stops at the first
+    s where two successive tail-corrected totals agree to rel_tol/10 and the
+    tail is at most 5% of the total, at s = _S_MAX otherwise.  Returns the
+    last total and its difference from the one before, the series error.
     """
     terms = []
-    total = 0.0
+    total = prev = 0.0
     for s in range(_S_MAX + 1):
-        v = term(s)
-        terms.append(v)
-        total += v
-        if s >= 3 and abs(v) < 0.02 * rel_tol * abs(total):
-            break
-    s_last = len(terms) - 1
-    if abs(terms[-1]) < 1e3 * np.finfo(float).tiny:
-        return total, 0.0
-    sig3 = np.array([s_last - 2, s_last - 1, s_last], dtype=float) + 1.0
-    basis = np.stack([sig3 ** (-p) for p in powers], axis=1)
-    try:
-        coef = np.linalg.solve(basis, np.array(terms[-3:]))
-    except np.linalg.LinAlgError:
-        coef = None
-    if coef is None or not np.all(np.isfinite(coef)):
-        tail = abs(terms[-1]) * (s_last + 2.0)  # crude bound, still conservative
-    else:
-        tail = sum(c * _POLYGAMMA_TAIL[p](s_last + 2.0) for c, p in zip(coef, powers))
-    if abs(tail) > 0.05 * abs(total + tail):
+        terms.append(term(s))
+        total += terms[-1]
+        if s < _FIT_TERMS - 1:
+            continue
+        if abs(terms[-1]) < 1e3 * np.finfo(float).tiny:
+            return total, 0.0
+        tail = _fitted_tail(terms[-_FIT_TERMS:], s, p0)
+        est = total + tail
+        diff = abs(est - prev)
+        if s >= _FIT_TERMS and diff <= 0.1 * rel_tol * abs(est) and abs(tail) <= 0.05 * abs(est):
+            return est, diff
+        prev = est
+    if not abs(tail) <= 0.05 * abs(est):  # also catches nan
         raise NumericsError(f"{what}: s-sum not converged, tail {tail} vs sum {total}",
                             error_estimate=abs(tail))
-    return total + tail, abs(tail)
+    return est, diff
 
 
 def _pick_nodes(term_at):
@@ -278,8 +291,9 @@ def _log_t_nodes(sig, w_min):
 
 
 def _series_term_factory(varpi_s, varpi_p, g_func):
-    """Per-s integral of (measure) e^{-2t(s+1)} g(s, t, tau), route chosen by
-    how close the smallest plasma parameter pushes the poles to the axis."""
+    """Per-s integral of (measure) e^{-2t(s+1)} g_func(s, t, tau, w_s, w_p),
+    route chosen by how close the smallest plasma parameter pushes the poles
+    to the axis."""
     w_min = _min_finite_varpi(varpi_s, varpi_p)
     if w_min >= _SMALL_VARPI:
         def term_at(s, n):
@@ -287,7 +301,7 @@ def _series_term_factory(varpi_s, varpi_p, g_func):
             tau, wtau = tau_rule(n)
             sig = s + 1.0
             t = x[:, None] / (2.0 * sig)
-            g = g_func(s, t, tau[None, :])
+            g = g_func(s, t, tau[None, :], varpi_s, varpi_p)
             return float(wx @ g @ wtau) / (2.0 * sig) / sig ** 2
 
         n = _pick_nodes(term_at)
@@ -298,28 +312,27 @@ def _series_term_factory(varpi_s, varpi_p, g_func):
     def term(s):
         sig = s + 1.0
         t, wt = _log_t_nodes(sig, w_min)
-        g = g_func(s, t[:, None], tau[None, :])
+        g = g_func(s, t[:, None], tau[None, :], varpi_s, varpi_p)
         return float((wt * np.exp(-2.0 * sig * t)) @ g @ wtau) / sig ** 2
 
     return term
 
 
-def _e0_series(varpi_s, varpi_p, rel_tol):
-    def g_func(s, t, tau):
-        sig = s + 1.0
-        return t * ((_t0(t, tau, varpi_s, False) * _t0(t, tau, varpi_p, False)) ** sig
-                    + (_t0(t, tau, varpi_s, True) * _t0(t, tau, varpi_p, True)) ** sig)
+def _e0_times_t(s, t, tau, ws, wp):
+    """t * sum_pol [T0 T0t]^{s+1}, the E0 integrand without its exponential."""
+    sig = s + 1.0
+    return t * ((_t0(t, tau, ws, False) * _t0(t, tau, wp, False)) ** sig
+                + (_t0(t, tau, ws, True) * _t0(t, tau, wp, True)) ** sig)
 
-    term = _series_term_factory(varpi_s, varpi_p, g_func)
-    return _tail_corrected_sum(term, (4, 5, 6), rel_tol, "E0")
+
+def _e0_series(varpi_s, varpi_p, rel_tol):
+    term = _series_term_factory(varpi_s, varpi_p, _e0_times_t)
+    return _tail_corrected_sum(term, 4, rel_tol, "E0")
 
 
 def _e1_series(varpi_s, varpi_p, rel_tol):
-    def g_func(s, t, tau):
-        return _braces_times_t(s, t, tau, varpi_s, varpi_p)
-
-    term = _series_term_factory(varpi_s, varpi_p, g_func)
-    return _tail_corrected_sum(term, (2, 3, 4), rel_tol, "E1")
+    term = _series_term_factory(varpi_s, varpi_p, _braces_times_t)
+    return _tail_corrected_sum(term, 2, rel_tol, "E1")
 
 
 def _transparent(radius_R, gap_d, varpi_s, varpi_p) -> bool:

@@ -72,6 +72,17 @@ class SweepConfig:
             raise UsageError("all radii and gaps must be positive")
         if self.threads < 1:
             raise UsageError("threads must be >= 1")
+        try:
+            _exact_spec(self.lmax, self.mmax, self.rel_tol)
+        except ValueError as exc:
+            raise UsageError(f"bad --lmax, --mmax or --rel-tol: {exc}") from None
+
+
+def _exact_spec(lmax, mmax, rel_tol) -> NumericsSpec:
+    """The exact path's numerics for the flags; None leaves a default."""
+    return NumericsSpec(l_max="auto" if lmax is None else lmax,
+                        m_max="auto" if mmax is None else mmax,
+                        rel_tol=1e-3 if rel_tol is None else rel_tol)
 
 
 def _parse_omega(text: str, name: str) -> float:
@@ -201,12 +212,9 @@ def _compute_row(task) -> dict:
                omega_s_per_m=omega_s, omega_p_per_m=omega_p, status="ok")
     try:
         if method == "exact":
-            spec = NumericsSpec(
-                l_max=lmax if lmax is not None else "auto",
-                m_max=mmax if mmax is not None else "auto",
-                rel_tol=rel_tol if rel_tol is not None else 1e-3)
             res = casimir_energy(SphereSheet(radius, omega_s),
-                                 PlaneSheet(omega_p, radius + gap), spec)
+                                 PlaneSheet(omega_p, radius + gap),
+                                 _exact_spec(lmax, mmax, rel_tol))
             energy_j = res.energy * HBARC_J_M
             row.update(error_estimate=res.error_estimate * HBARC_J_M,
                        l_max_used=res.l_max_used, m_max_used=res.m_max_used)

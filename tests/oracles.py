@@ -12,7 +12,10 @@ its own way:
   expansion;
 * :func:`script_b_divided_difference` is the coefficient B of the E1 braces
   in its divided-difference form; the production kernel uses the
-  homogeneous power-sum form, which has no a -> b cancellation.
+  homogeneous power-sum form, which has no a -> b cancellation;
+* :func:`full_sum_theta` sums both small-gap s-series over every s up to
+  ``asymptotics._S_MAX`` with a three-term tail fit; the production sum
+  stops as soon as its five-term tail-corrected total settles.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import zeta
 
-from plasmacas.asymptotics import _t0
+from plasmacas.asymptotics import _S_MAX, _braces_times_t, _e0_times_t, _series_term_factory, _t0
 from plasmacas.errors import NumericsError
 from plasmacas.roundtrip import _angular_logs
 from plasmacas.scattering import Polarization, plane_r, sphere_t_logs
@@ -135,3 +139,20 @@ def script_b_divided_difference(s, t, tau, varpi_s, varpi_p):
     dd1 = (te ** sig - tm ** sig) / (te - tm)
     dd2 = (te ** s - tm ** s) / (te - tm)
     return (1.0 - tau ** 2) / (2.0 * t * tau ** 2) * (mix * dd1 + 2.0 * te * tm * dd2)
+
+
+def _full_s_sum(term, p0):
+    """Every term up to _S_MAX, plus the tail of the last three fitted to
+    (s+1)^(-p0) .. (s+1)^(-p0-2) and summed with the Hurwitz zeta function."""
+    terms = np.array([term(s) for s in range(_S_MAX + 1)])
+    sig = np.arange(_S_MAX - 1, _S_MAX + 2, dtype=float)
+    powers = np.arange(p0, p0 + 3)
+    coef = np.linalg.solve(sig[:, None] ** -powers.astype(float), terms[-3:])
+    return terms.sum() + sum(c * zeta(p, _S_MAX + 2.0) for c, p in zip(coef, powers))
+
+
+def full_sum_theta(varpi_s, varpi_p):
+    """theta = E1/E0 (R/d) from the full-length E0 and E1 s-series."""
+    q0 = _full_s_sum(_series_term_factory(varpi_s, varpi_p, _e0_times_t), 4)
+    q1 = _full_s_sum(_series_term_factory(varpi_s, varpi_p, _braces_times_t), 2)
+    return q1 / q0

@@ -12,7 +12,7 @@ from plasmacas.pfa import PfaParams, pfa_energy
 from plasmacas.scattering import PERFECT_CONDUCTOR as PC
 from plasmacas._quadrature import tau_rule
 
-from oracles import script_b_divided_difference
+from oracles import full_sum_theta, script_b_divided_difference
 
 THETA_PC = 1.0 / 3.0 - 20.0 / math.pi ** 2
 
@@ -201,6 +201,38 @@ def test_small_gap_expansion_matches_separate_calls():
         assert small_gap_expansion(R, d, ws, wp) == (
             e0(R, d, ws, wp), e1(R, d, ws, wp), theta(d, R, om_s, om_p))
     assert small_gap_expansion(R, d, PC, 0.0) == (0.0, 0.0, None)
+
+
+# equal graphene-like sheets: w = 0.095 takes the log-trapezoid route, the
+# others Gauss-Laguerre with node doubling (w = 0.24 needs the most nodes)
+_GRAPHENE_W = (0.095, 0.24, 1.3, 58.0)
+
+
+@pytest.mark.parametrize("ws, wp", [(PC, PC), (4.0, 2.0)] + [(w, w) for w in _GRAPHENE_W])
+def test_s_series_stop_matches_full_sum(ws, wp):
+    # the s-sums stop once their tail-corrected totals settle; the oracle
+    # sums every term up to _S_MAX
+    got = small_gap_expansion(1.0, 0.01, ws, wp)[2]
+    assert got == pytest.approx(full_sum_theta(ws, wp), rel=1e-10)
+
+
+def test_s_series_term_counts(monkeypatch):
+    counts = {"E0": 0, "E1": 0}
+
+    def counted(term, p0, rel_tol, what, _orig=asy._tail_corrected_sum):
+        def counted_term(s):
+            counts[what] += 1
+            return term(s)
+        return _orig(counted_term, p0, rel_tol, what)
+
+    monkeypatch.setattr(asy, "_tail_corrected_sum", counted)
+    theta(1.0, 17.0, PC, PC)
+    # the E1 tail, (2/3)/(s+2) of a total 0.92, is below 5% from s = 14 on
+    assert counts["E0"] <= 8 and counts["E1"] <= 16, counts
+    for w in _GRAPHENE_W:
+        counts.update(E0=0, E1=0)
+        small_gap_expansion(1.0, 0.01, w, w)
+        assert counts["E1"] <= 30, (w, counts)
 
 
 def test_theta_transparent_raises():

@@ -81,6 +81,18 @@ def test_nan_omega_is_usage_error(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--lmax", "0"), ("--mmax", "-1"), ("--rel-tol", "-1")])
+def test_bad_numerics_flag_is_usage_error(tmp_path, capsys, flag, value):
+    # checked up front for every method, not row by row
+    for method in ("exact", "asympt"):
+        out = tmp_path / f"{method}.csv"
+        code = main(["point", "--method", method, "--radius", "1e-6", "--gap", "1e-7",
+                     flag, value, "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_point_pfa_transparent_zero(tmp_path, capsys):
     out = tmp_path / "p.csv"
     code = main(["point", "--method", "pfa", "--radius", "1e-3", "--gap", "1e-5",
