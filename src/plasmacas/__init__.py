@@ -8,7 +8,7 @@ asymptotic expansion with its next-to-leading correction.
 from .errors import NumericsError, SpectralAnomalyError
 from .scattering import (PERFECT_CONDUCTOR, PlaneSheet, Polarization, SphereSheet,
                          plane_r, sphere_t)
-from .roundtrip import RoundTripBlock, assemble_block
+from .roundtrip import KappaTable, RoundTripBlock, assemble_block
 from .energy_exact import EnergyResult, NumericsSpec, casimir_energy, logdet_one_minus
 from .pfa import PfaParams, lifshitz_plane_plane, pfa_energy
 from .asymptotics import (NtlCoefficients, e0, e1, ntl_coefficients, ntl_integrand,
@@ -16,6 +16,7 @@ from .asymptotics import (NtlCoefficients, e0, e1, ntl_coefficients, ntl_integra
 
 __all__ = [
     "EnergyResult",
+    "KappaTable",
     "NtlCoefficients",
     "NumericsError",
     "NumericsSpec",

@@ -4,14 +4,13 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_genlaguerre
+from scipy.special import roots_laguerre
 
 
 @lru_cache(maxsize=64)
-def gauss_laguerre(n: int, alpha: float = 0.0):
-    """Nodes and weights for int_0^inf x^alpha e^{-x} f(x) dx."""
-    x, w = roots_genlaguerre(n, alpha)
-    return x, w
+def gauss_laguerre(n: int):
+    """Nodes and weights for int_0^inf e^{-x} f(x) dx."""
+    return roots_laguerre(n)
 
 
 @lru_cache(maxsize=64)

@@ -20,7 +20,10 @@ p0 .. p0+4 of 1/(s+1), and the fitted tail is summed exactly with polygamma
 functions.  A sum stops once two successive tail-corrected totals agree to
 rel_tol/10 and the tail is at most 5% of the total; PC and graphene-like
 sheets need 6-10 E0 terms and 14-22 E1 terms at the default rel_tol 1e-10.
-_S_MAX bounds the sum; a tail still above 5% there raises NumericsError.
+_S_MAX bounds the sum; a sum that has not settled there raises
+NumericsError.  The fit amplifies the round-off of the terms, so below
+rel_tol = _REL_TOL_FLOOR the sums stop settling (first on the log-trapezoid
+route), and such a rel_tol is rejected up front with a ValueError.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from ._quadrature import gauss_laguerre, tau_rule
 _N_T = 48
 _N_MAX = 192            # scipy's Laguerre roots degrade beyond this
 _S_MAX = 200
+_REL_TOL_FLOOR = 1e-11  # w = 0.03 and 0.095 no longer settle at 3e-12
 _SMALL_VARPI = 0.1      # below this the T0 pole sits too close to the t axis
                         # for Gauss-Laguerre; a log-axis trapezoid takes over
 _LOG_TRAP_H = 0.28
@@ -226,8 +230,9 @@ def _tail_corrected_sum(term, p0, rel_tol, what):
     From s = _FIT_TERMS - 1 on, each new term refits the tail (see
     _fitted_tail) and adds it to the partial sum.  The sum stops at the first
     s where two successive tail-corrected totals agree to rel_tol/10 and the
-    tail is at most 5% of the total, at s = _S_MAX otherwise.  Returns the
-    last total and its difference from the one before, the series error.
+    tail is at most 5% of the total, and raises NumericsError if that has
+    not happened by s = _S_MAX.  Returns the last total and its difference
+    from the one before, the series error.
     """
     terms = []
     total = prev = 0.0
@@ -244,10 +249,8 @@ def _tail_corrected_sum(term, p0, rel_tol, what):
         if s >= _FIT_TERMS and diff <= 0.1 * rel_tol * abs(est) and abs(tail) <= 0.05 * abs(est):
             return est, diff
         prev = est
-    if not abs(tail) <= 0.05 * abs(est):  # also catches nan
-        raise NumericsError(f"{what}: s-sum not converged, tail {tail} vs sum {total}",
-                            error_estimate=abs(tail))
-    return est, diff
+    raise NumericsError(f"{what}: s-sum not settled in {_S_MAX + 1} terms: last change "
+                        f"{diff:.1e}, tail {tail:.1e}, sum {est:.6e}", error_estimate=diff)
 
 
 def _pick_nodes(term_at):
@@ -280,14 +283,20 @@ def _log_t_nodes(sig, w_min):
 
     The integrands are analytic in a strip of half-width pi around the real
     v axis (their t poles are on the negative real axis), so the trapezoid
-    converges like exp(-2 pi^2 / h) regardless of how small w_min is.
+    converges like exp(-2 pi^2 / h) regardless of how small w_min is.  Below
+    the first node the E1 integrand tends to c t dv, and the first weight
+    adds the nodes that would continue the grid to t = 0, a geometric
+    series; the E0 integrand, c t^2 dv there, is far below round-off.
     """
     lo = math.log(min(w_min, 1.0 / sig)) - 20.0
     hi = math.log(25.0 / sig)
     n = int((hi - lo) / _LOG_TRAP_H) + 1
     v = lo + (hi - lo) * np.arange(n) / (n - 1)
     t = np.exp(v)
-    return t, t * (hi - lo) / (n - 1)
+    h = (hi - lo) / (n - 1)
+    wt = t * h
+    wt[0] /= -math.expm1(-h)
+    return t, wt
 
 
 def _series_term_factory(varpi_s, varpi_p, g_func):
@@ -335,11 +344,14 @@ def _e1_series(varpi_s, varpi_p, rel_tol):
     return _tail_corrected_sum(term, 2, rel_tol, "E1")
 
 
-def _transparent(radius_R, gap_d, varpi_s, varpi_p) -> bool:
+def _transparent(radius_R, gap_d, varpi_s, varpi_p, rel_tol) -> bool:
     """Check the arguments of the small-gap terms; True if a sheet is
     transparent, where E0 and E1 vanish."""
     if not (radius_R > 0.0 and gap_d > 0.0):
         raise ValueError("radius_R and gap_d must be positive")
+    if not rel_tol >= _REL_TOL_FLOOR:  # also rejects nan
+        raise ValueError(f"rel_tol must be at least {_REL_TOL_FLOOR:g}, where the "
+                         f"s-series still settle; got {rel_tol!r}")
     check_omega(varpi_s, "varpi_s")
     check_omega(varpi_p, "varpi_p")
     return varpi_s == 0.0 or varpi_p == 0.0
@@ -359,7 +371,7 @@ def e0(radius_R: float, gap_d: float, varpi_s, varpi_p, rel_tol: float = 1e-10) 
     Coincides with the PFA energy at equal dimensionless parameters; the two
     are computed along fully independent quadrature routes.
     """
-    if _transparent(radius_R, gap_d, varpi_s, varpi_p):
+    if _transparent(radius_R, gap_d, varpi_s, varpi_p, rel_tol):
         return 0.0
     q0, _ = _e0_series(varpi_s, varpi_p, rel_tol)
     return _e0_prefactor(radius_R, gap_d) * q0
@@ -367,7 +379,7 @@ def e0(radius_R: float, gap_d: float, varpi_s, varpi_p, rel_tol: float = 1e-10) 
 
 def e1(radius_R: float, gap_d: float, varpi_s, varpi_p, rel_tol: float = 1e-10) -> float:
     """Next-to-leading term, units hbar c = 1 (dimension 1/length)."""
-    if _transparent(radius_R, gap_d, varpi_s, varpi_p):
+    if _transparent(radius_R, gap_d, varpi_s, varpi_p, rel_tol):
         return 0.0
     q1, _ = _e1_series(varpi_s, varpi_p, rel_tol)
     return _e1_prefactor(gap_d) * q1
@@ -380,7 +392,7 @@ def small_gap_expansion(radius_R: float, gap_d: float, varpi_s, varpi_p,
     Same values as e0, e1 and theta called one by one, at the cost of e0
     and e1 alone.  theta is None when a sheet is transparent.
     """
-    if _transparent(radius_R, gap_d, varpi_s, varpi_p):
+    if _transparent(radius_R, gap_d, varpi_s, varpi_p, rel_tol):
         return 0.0, 0.0, None
     q0, _ = _e0_series(varpi_s, varpi_p, rel_tol)
     q1, _ = _e1_series(varpi_s, varpi_p, rel_tol)

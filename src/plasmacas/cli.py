@@ -359,7 +359,9 @@ def main(argv=None) -> int:
             return _run_figure(args.number, args.out, args.threads)
         config = parse_config(args)
         if args.command == "point":
-            config = replace(config, radii=config.radii[:1], gaps=config.gaps[:1], threads=1)
+            if len(config.radii) > 1 or len(config.gaps) > 1:
+                raise UsageError("point takes one radius and one gap; use sweep for ranges")
+            config = replace(config, threads=1)
         return run_sweep(config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ together with the dimensionless combination E d^2 / (hbar c R).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,39 +22,37 @@ from .scattering import PlaneSheet, SphereSheet, varpi
 _L_MAX_CEILING = 2000
 _KAPPA_NODE_CEILING = 128  # finest kappa level n (n - 1 nodes)
 _KAPPA_MAP_SCALE = 3.0  # x = a (1 + s)/(1 - s): half of every level lies below x = a
-_THETA_NODE_CEILING = 192
+_THETA_NODE_FLOOR = 40
+_THETA_NODE_CEILING = 192  # the Gauss-Laguerre rule is stable up to here
 _LOGDET_POSITIVE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class NumericsSpec:
-    """Every knob the truncations leave open.
+    """The truncation knobs a caller sets.
 
-    l_max/m_max may be "auto"; tolerances apply to the dimensionless core
-    value E R / (hbar c).
+    l_max/m_max may be "auto"; rel_tol applies to the dimensionless core
+    value E R / (hbar c).  The rapidity nodes follow l_max (see
+    :func:`_theta_nodes`).
     """
 
     l_max: int | str = "auto"
     m_max: int | str = "auto"
     kappa_nodes: int = 16
-    theta_nodes: int = 40
     rel_tol: float = 1e-3
-    abs_tol: float = 1e-12
 
     def __post_init__(self):
         for name in ("l_max", "m_max"):
             v = getattr(self, name)
             if v != "auto" and (not isinstance(v, int) or v < 1):
                 raise ValueError(f"{name} must be a positive integer or 'auto', got {v!r}")
-        # the kappa rule needs room for one doubling below its ceiling, and the
-        # Laguerre theta rule is stable only up to its ceiling
-        for name, top in (("kappa_nodes", _KAPPA_NODE_CEILING // 2),
-                          ("theta_nodes", _THETA_NODE_CEILING)):
-            v = getattr(self, name)
-            if not isinstance(v, int) or not 8 <= v <= top:
-                raise ValueError(f"{name} must be an integer in 8 .. {top}, got {v!r}")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        # the kappa rule needs room for one doubling below its ceiling
+        top = _KAPPA_NODE_CEILING // 2
+        if not isinstance(self.kappa_nodes, int) or not 8 <= self.kappa_nodes <= top:
+            raise ValueError(f"kappa_nodes must be an integer in 8 .. {top}, "
+                             f"got {self.kappa_nodes!r}")
+        if not self.rel_tol > 0.0:
+            raise ValueError("rel_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -119,24 +117,24 @@ def logdet_one_minus(block: RoundTripBlock, nl_keep: int | None = None):
     return full if nl_keep is None else (full, kept)
 
 
-def _mode_sum(kappa, sphere, plane, numerics):
+def _mode_sum(kappa, sphere, plane, l_max, m_max, theta_nodes, rel_tol):
     """F(kappa) = sum_m ln det(I - M_m) with the m <-> -m doubling.
 
-    ``numerics`` has integer l_max and m_max (see :func:`_pass_spec`).  Also
-    returns the same sum on the principal submatrix with l_drop =
+    Also returns the same sum on the principal submatrix with l_drop =
     max(4, l_max // 8) fewer degrees (the l-truncation probe), a geometric
-    m-tail estimate and the last m summed.  The kappa-only part of the
-    blocks is computed once, in one shared :class:`KappaTable`.
+    m-tail estimate and the last m summed.  The tail comes from the last two
+    blocks, both when the m sum stops and when it ends at m_max < l_max; it
+    is 0 when the sum runs to m = l_max, past which there are no blocks.
+    The kappa-only part of the blocks is computed once, in one shared
+    :class:`KappaTable`.
     """
-    l_drop = max(4, numerics.l_max // 8)
-    table = KappaTable.build(kappa, sphere, plane, numerics)
+    l_drop = max(4, l_max // 8)
+    table = KappaTable.build(kappa, sphere, plane, l_max, theta_nodes)
     total = 0.0
     total_sub = 0.0
-    tail = 0.0
     contribs = []
-    m_used = 0
-    for m in range(0, min(numerics.m_max, numerics.l_max) + 1):
-        block = assemble_block(m, kappa, sphere, plane, numerics, table=table)
+    for m in range(0, min(m_max, l_max) + 1):
+        block = assemble_block(m, table)
         weight = 1.0 if m == 0 else 2.0
         nl = block.dim // 2
         full, sub = logdet_one_minus(block, max(1, nl - l_drop))
@@ -144,13 +142,14 @@ def _mode_sum(kappa, sphere, plane, numerics):
         total += c
         total_sub += weight * sub
         contribs.append(abs(c))
-        m_used = m
         # inclusive, so a node whose blocks all give ln det = 0 stops at m = 4
-        if m >= 4 and abs(c) <= 0.25 * numerics.rel_tol * abs(total):
-            ratio = min(contribs[-1] / contribs[-2], 0.9) if contribs[-2] > 0.0 else 0.0
-            tail = abs(c) * ratio / (1.0 - ratio)
+        if m >= 4 and abs(c) <= 0.25 * rel_tol * abs(total):
             break
-    return total, total_sub, tail, m_used
+    else:
+        if m_max >= l_max:
+            return total, total_sub, 0.0, m
+    ratio = min(contribs[-1] / contribs[-2], 0.9) if contribs[-2] > 0.0 else 0.0
+    return total, total_sub, contribs[-1] * ratio / (1.0 - ratio), m
 
 
 def _auto_l_max(d):
@@ -158,16 +157,14 @@ def _auto_l_max(d):
     return min(int(math.ceil(6.0 / d)) + 10, _L_MAX_CEILING)
 
 
-def _pass_spec(numerics, l_max):
-    """The spec every kappa node is evaluated with at this l_max.
+def _theta_nodes(l_max):
+    """The rapidity-node count every kappa node is evaluated with at this l_max.
 
     The rapidity integrand of the highest angular orders peaks near
-    u = 2 l_max, so the theta-node floor scales with l_max (the user value
-    only sets a lower bound); the Laguerre rule is stable to ~192 nodes.
+    u = 2 l_max, so the count grows with l_max from a floor of 40 up to the
+    ceiling of 192.
     """
-    m_max = l_max if numerics.m_max == "auto" else numerics.m_max
-    theta_nodes = min(max(numerics.theta_nodes, l_max // 2 + 24), _THETA_NODE_CEILING)
-    return replace(numerics, l_max=l_max, m_max=m_max, theta_nodes=theta_nodes)
+    return min(max(_THETA_NODE_FLOOR, l_max // 2 + 24), _THETA_NODE_CEILING)
 
 
 def _kappa_rule(n):
@@ -187,14 +184,14 @@ def _kappa_rule(n):
     return x, w_s * _KAPPA_MAP_SCALE / (2.0 * np.sin(0.5 * t) ** 4)
 
 
-def _quadrature_pass(n_kappa, d, sphere, plane, numerics, evaluated):
+def _quadrature_pass(n_kappa, d, evaluated, mode_args):
     """Level n_kappa of the kappa rule, with kappa = x / (2 d).
 
     Returns E, the l- and m-truncation estimates, the largest m any node
     used, and the level's nodes x, weights and F(kappa) values.
     ``evaluated`` maps a node, as its Chebyshev angle k/n in units of pi in
-    lowest terms, to its ``_mode_sum`` result: nodes of earlier levels are
-    read from it, and the new ones are added.
+    lowest terms, to its ``_mode_sum(kappa, *mode_args)`` result: nodes of
+    earlier levels are read from it, and the new ones are added.
     """
     x, w = _kappa_rule(n_kappa)
     rows = []
@@ -202,7 +199,7 @@ def _quadrature_pass(n_kappa, d, sphere, plane, numerics, evaluated):
         g = math.gcd(k, n_kappa)
         node = (k // g, n_kappa // g)
         if node not in evaluated:
-            evaluated[node] = _mode_sum(x[k - 1] / (2.0 * d), sphere, plane, numerics)
+            evaluated[node] = _mode_sum(x[k - 1] / (2.0 * d), *mode_args)
         rows.append(evaluated[node])
     f, f_sub, m_tail, m_used = (np.array(col) for col in zip(*rows))
     pref = 1.0 / (2.0 * math.pi) / (2.0 * d)
@@ -225,9 +222,10 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     rel_tol/4.  At each node the m sum stops at the first m >= 4 whose
     block contributes at most rel_tol/4 of the running total, so a node
     whose blocks all give ln det = 0 stops at m = 4; ``m_max_used`` is the
-    largest m any node of the last level reached.  The theta-node count is
-    checked at the node with the largest weighted |F|.  The kappa, l, m and
-    theta estimates add up to error_estimate.
+    largest m any node of the last level reached.  The rapidity-node count
+    follows l_max (:func:`_theta_nodes`) and is checked at the node with the
+    largest weighted |F|.  The kappa, l, m and theta estimates add up to
+    error_estimate, which must be at most rel_tol |E|.
 
     Returns energy in units hbar c per unit length of the inputs, alongside
     the dimensionless E d^2/(hbar c R).
@@ -249,16 +247,18 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     for _growth in range(4):
         if l_max > _L_MAX_CEILING:
             raise NumericsError(f"l_max cap {_L_MAX_CEILING} exceeded (needed {l_max})")
-        spec = _pass_spec(numerics, l_max)
+        m_max = l_max if numerics.m_max == "auto" else numerics.m_max
+        theta_nodes = _theta_nodes(l_max)
+        mode_args = (s1, p1, l_max, m_max, theta_nodes, numerics.rel_tol)
 
         n = numerics.kappa_nodes
         evaluated = {}
-        level = _quadrature_pass(n, d, s1, p1, spec, evaluated)
+        level = _quadrature_pass(n, d, evaluated, mode_args)
         err_k = math.inf
         while 2 * n <= _KAPPA_NODE_CEILING:
             n *= 2
             e_prev = level[0]
-            level = _quadrature_pass(n, d, s1, p1, spec, evaluated)
+            level = _quadrature_pass(n, d, evaluated, mode_args)
             err_k = abs(level[0] - e_prev)
             if err_k <= 0.25 * numerics.rel_tol * abs(level[0]):
                 break
@@ -274,21 +274,21 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
 
     # theta-node check at the dominant kappa node
     i_peak = int(np.argmax(np.abs(w * f_vals)))
-    probe_nodes = min(2 * spec.theta_nodes, _THETA_NODE_CEILING)
-    if probe_nodes == spec.theta_nodes:
+    probe_nodes = min(2 * theta_nodes, _THETA_NODE_CEILING)
+    if probe_nodes == theta_nodes:
         probe_nodes -= 16
-    spec2 = replace(spec, theta_nodes=probe_nodes)
-    f2, _, _, _ = _mode_sum(x[i_peak] / (2.0 * d), s1, p1, spec2)
+    f2, _, _, _ = _mode_sum(x[i_peak] / (2.0 * d), s1, p1, l_max, m_max, probe_nodes,
+                            numerics.rel_tol)
     rel_theta = abs(f2 - f_vals[i_peak]) / max(abs(f_vals[i_peak]), 1e-300)
     err_theta = rel_theta * abs(e_hat)
 
     error = err_k + err_l + err_m + err_theta
     if e_hat >= 0.0:
         raise SpectralAnomalyError(f"non-negative energy {e_hat} from valid inputs")
-    if error > numerics.rel_tol * abs(e_hat) + numerics.abs_tol:
+    if error > numerics.rel_tol * abs(e_hat):
         raise NumericsError(
             f"energy not converged: error estimate {error:.3e} vs allowed "
-            f"{numerics.rel_tol * abs(e_hat) + numerics.abs_tol:.3e} "
+            f"{numerics.rel_tol * abs(e_hat):.3e} "
             f"(kappa {err_k:.1e}, l {err_l:.1e}, m {err_m:.1e}, theta {err_theta:.1e})",
             error_estimate=error)
 

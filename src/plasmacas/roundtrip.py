@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,9 +50,6 @@ from .errors import NumericsError
 from .scattering import PlaneSheet, Polarization, SphereSheet, plane_r, sphere_t_logs
 from .specfun import legendre_pbar_log
 from ._quadrature import gauss_laguerre
-
-if TYPE_CHECKING:
-    from .energy_exact import NumericsSpec
 
 # fold the symbolic scale into the entries once it is this far below 1
 _FOLD_LOG = -600.0
@@ -125,7 +121,7 @@ class KappaTable:
     once.  That cache makes a table a one-thread object.
     """
 
-    key: tuple = field(repr=False)
+    kappa: float
     c: np.ndarray = field(repr=False)
     col_te: np.ndarray = field(repr=False)
     col_tm: np.ndarray = field(repr=False)
@@ -134,16 +130,14 @@ class KappaTable:
     log_scale: float
     _ladders: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @staticmethod
-    def make_key(kappa, sphere, plane, numerics) -> tuple:
-        return (kappa, sphere, plane, numerics.l_max, numerics.theta_nodes)
-
     @classmethod
     def build(cls, kappa: float, sphere: SphereSheet, plane: PlaneSheet,
-              numerics: "NumericsSpec") -> "KappaTable":
-        l_max = numerics.l_max
+              l_max: int, theta_nodes: int) -> "KappaTable":
+        """The table for degrees l = 1 .. l_max on ``theta_nodes`` Gauss-Laguerre nodes."""
+        if not (kappa > 0.0):
+            raise ValueError(f"kappa must be positive, got {kappa}")
         kl = kappa * plane.distance_L
-        u, v = gauss_laguerre(numerics.theta_nodes)
+        u, v = gauss_laguerre(theta_nodes)
         c = 1.0 + u / (2.0 * kl)
         sh = np.sqrt((c - 1.0) * (c + 1.0))
         rte = plane_r(Polarization.TE, kappa, kappa * sh, plane)
@@ -160,48 +154,36 @@ class KappaTable:
         lvec = np.arange(1, l_max + 1)
         half_pref = 0.5 * (math.log(math.pi / 2.0) + fold
                            + np.log(2 * lvec + 1.0) - np.log(lvec * (lvec + 1.0)))
-        return cls(key=cls.make_key(kappa, sphere, plane, numerics), c=c,
-                   col_te=col_te, col_tm=col_tm, half_pref=half_pref,
+        return cls(kappa=kappa, c=c, col_te=col_te, col_tm=col_tm, half_pref=half_pref,
                    half_log_t=(0.5 * log_te, 0.5 * log_tm), log_scale=log_scale)
+
+    @property
+    def l_max(self) -> int:
+        return self.half_pref.size
 
     def ladder(self, m_abs: int) -> np.ndarray:
         """ln Pbar_l^m_abs for l = m_abs .. l_max on the nodes."""
         lad = self._ladders.get(m_abs)
         if lad is None:
-            l_max = self.half_pref.size
-            lad = legendre_pbar_log(l_max, m_abs, self.c)
+            lad = legendre_pbar_log(self.l_max, m_abs, self.c)
             self._ladders[m_abs] = lad
             if len(self._ladders) > 2:
                 del self._ladders[next(iter(self._ladders))]
         return lad
 
 
-def assemble_block(m: int, kappa: float, sphere: SphereSheet, plane: PlaneSheet,
-                   numerics: "NumericsSpec", *, table: KappaTable | None = None
-                   ) -> RoundTripBlock:
+def assemble_block(m: int, table: KappaTable) -> RoundTripBlock:
     """Assemble the dense round-trip block for one azimuthal index.
 
-    Requires a :class:`NumericsSpec` with concrete integer l_max (the energy
-    driver resolves "auto" before calling).  ``table`` is the
-    :class:`KappaTable` of the same (kappa, sphere, plane, l_max,
-    theta_nodes); it is built here when not given, and passing one shares
-    the kappa-only work between the blocks of one kappa.  Without ``table``
-    the call is pure, so distinct (m, kappa) blocks may be assembled
-    concurrently.
+    ``table`` fixes kappa, the sheets, l_max and the rapidity nodes.  Blocks
+    of one table share its kappa-only work and its Legendre-ladder cache, so
+    they are assembled on one thread; distinct tables are independent.
     """
-    l_max = numerics.l_max
-    if not isinstance(l_max, int):
-        raise ValueError("assemble_block needs a concrete integer l_max")
+    l_max = table.l_max
     mm = abs(m)
     l0 = max(1, mm)
     if l_max < l0:
         raise ValueError(f"l_max={l_max} below max(1, |m|)={l0}")
-    if not (kappa > 0.0):
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if table is None:
-        table = KappaTable.build(kappa, sphere, plane, numerics)
-    elif table.key != KappaTable.make_key(kappa, sphere, plane, numerics):
-        raise ValueError("table was built for other (kappa, sphere, plane, l_max, theta_nodes)")
 
     _, ltau, lpi = _angular_logs(l_max, mm, table.c, table.ladder)
     nl, n = ltau.shape
@@ -219,7 +201,7 @@ def assemble_block(m: int, kappa: float, sphere: SphereSheet, plane: PlaneSheet,
     matrix = h @ h.T
     if not np.all(np.isfinite(matrix)):
         raise NumericsError(
-            f"non-finite entries in block m={m}, kappa={kappa} "
-            f"(l_max={l_max}, theta_nodes={numerics.theta_nodes})")
-    return RoundTripBlock(m=m, kappa=kappa, l_max=l_max, matrix=matrix,
+            f"non-finite entries in block m={m}, kappa={table.kappa} "
+            f"(l_max={l_max}, theta_nodes={n})")
+    return RoundTripBlock(m=m, kappa=table.kappa, l_max=l_max, matrix=matrix,
                           log_scale=table.log_scale)

@@ -27,10 +27,15 @@ from scipy.special import zeta
 
 from plasmacas.asymptotics import _S_MAX, _braces_times_t, _e0_times_t, _series_term_factory, _t0
 from plasmacas.errors import NumericsError
-from plasmacas.roundtrip import _angular_logs
+from plasmacas.roundtrip import KappaTable, _angular_logs, assemble_block
 from plasmacas.scattering import Polarization, plane_r, sphere_t_logs
 from plasmacas.specfun import legendre_pbar_log
 from plasmacas._quadrature import gauss_laguerre
+
+
+def block_at(m, kappa, sphere, plane, l_max, theta_nodes=40):
+    """One round-trip block, assembled on a :class:`KappaTable` of its own."""
+    return assemble_block(m, KappaTable.build(kappa, sphere, plane, l_max, theta_nodes))
 
 
 def angular_logs(l_max, m_abs, c_nodes):

@@ -8,6 +8,7 @@ from scipy.special import roots_genlaguerre
 import plasmacas.asymptotics as asy
 from plasmacas.asymptotics import (NtlCoefficients, e0, e1, ntl_coefficients, ntl_integrand,
                                    small_gap_expansion, theta)
+from plasmacas.errors import NumericsError
 from plasmacas.pfa import PfaParams, pfa_energy
 from plasmacas.scattering import PERFECT_CONDUCTOR as PC
 from plasmacas._quadrature import tau_rule
@@ -233,6 +234,33 @@ def test_s_series_term_counts(monkeypatch):
         counts.update(E0=0, E1=0)
         small_gap_expansion(1.0, 0.01, w, w)
         assert counts["E1"] <= 30, (w, counts)
+
+
+@pytest.mark.parametrize("w", [0.5, 3.39])
+def test_log_trapezoid_route_matches_laguerre_route(w, monkeypatch):
+    # sheets either route can take; the log-trapezoid's first weight carries
+    # the E1 integrand below its first node, which tends to c t as t -> 0
+    lag = small_gap_expansion(1.0, 0.01, w, w, rel_tol=1e-11)[2]
+    monkeypatch.setattr(asy, "_SMALL_VARPI", math.inf)
+    trap = small_gap_expansion(1.0, 0.01, w, w, rel_tol=1e-11)[2]
+    assert abs(trap - lag) < 1e-11
+
+
+def test_s_series_rel_tol_floor_and_unsettled_ceiling():
+    # below the floor the sums stop settling, so such a rel_tol is refused
+    # before any term is computed
+    for bad in (1e-13, 0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="rel_tol"):
+            small_gap_expansion(1.0, 0.01, 1.3, 1.3, rel_tol=bad)
+    with pytest.raises(ValueError, match="rel_tol"):
+        theta(1.0, 17.0, PC, PC, rel_tol=1e-12)
+    # alternating relative noise of 1e-10 in the terms, which the tail fit
+    # amplifies: the tail stays below 5% but the total never settles
+    def term(s):
+        return (s + 1.0) ** -2 * (1.0 + 1e-10 * (-1) ** s)
+
+    with pytest.raises(NumericsError, match="not settled"):
+        asy._tail_corrected_sum(term, 2, 1e-10, "E1")
 
 
 def test_theta_transparent_raises():

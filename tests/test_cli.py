@@ -71,6 +71,20 @@ def test_point_config_without_out_writes_point_csv(tmp_path, monkeypatch):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["gap", "radius"])
+def test_point_with_range_config_is_usage_error(tmp_path, capsys, key):
+    conf = tmp_path / "run.conf"
+    other = "radius" if key == "gap" else "gap"
+    conf.write_text(f"{other}=1e-5\n{key}_min=1e-6\n{key}_max=1e-5\n{key}_count=3\n")
+    out = tmp_path / "point.csv"
+    assert main(["point", "--config", str(conf), "--method", "pfa", "--out", str(out)]) == 2
+    assert "sweep" in capsys.readouterr().err
+    assert not out.exists()
+    # the same file drives a sweep of three rows
+    assert main(["sweep", "--config", str(conf), "--method", "pfa", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4
+
+
 @pytest.mark.parametrize("flag", ["--omega-sphere", "--omega-plane"])
 def test_nan_omega_is_usage_error(tmp_path, capsys, flag):
     out = tmp_path / "nan.csv"

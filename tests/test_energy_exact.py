@@ -7,10 +7,10 @@ from plasmacas import energy_exact
 from plasmacas.energy_exact import (EnergyResult, NumericsSpec, casimir_energy,
                                     logdet_one_minus)
 from plasmacas.errors import NumericsError, SpectralAnomalyError
-from plasmacas.roundtrip import RoundTripBlock, assemble_block
+from plasmacas.roundtrip import RoundTripBlock
 from plasmacas.scattering import PERFECT_CONDUCTOR, PlaneSheet, SphereSheet
 
-from oracles import dense_matrix
+from oracles import block_at, dense_matrix
 
 
 def _block_of(matrix, m=1, log_scale=0.0):
@@ -57,7 +57,7 @@ def test_logdet_leading_l_matches_sliced_sub_block(omega):
     l_max, nl_drop = 14, 4
     for kappa in (0.4, 2.0, 6.0):
         for m in (0, 3, -3):
-            block = assemble_block(m, kappa, sphere, plane, NumericsSpec(l_max=l_max))
+            block = block_at(m, kappa, sphere, plane, l_max)
             nl_keep = block.dim // 2 - nl_drop
             full, lead = logdet_one_minus(block, nl_keep)
             assert full == logdet_one_minus(block)
@@ -92,7 +92,7 @@ def test_logdet_against_cofactor_oracle():
         sphere = SphereSheet(1.0, float(10.0 ** rng.uniform(-1, 1)))
         plane = PlaneSheet(float(10.0 ** rng.uniform(-1, 1)), float(rng.uniform(1.5, 3.0)))
         kappa = float(10.0 ** rng.uniform(-0.5, 0.5))
-        block = assemble_block(2, kappa, sphere, plane, NumericsSpec(l_max=3))
+        block = block_at(2, kappa, sphere, plane, 3)
         assert block.dim == 4
         want = math.log(_det4_cofactor(np.eye(4) - dense_matrix(block, sphere)))
         assert logdet_one_minus(block) == pytest.approx(want, abs=1e-12, rel=1e-12)
@@ -165,7 +165,7 @@ def test_energy_truncation_convergence_within_estimate():
     res = casimir_energy(sphere, plane, NumericsSpec(rel_tol=1e-3))
     hard = casimir_energy(sphere, plane, NumericsSpec(
         l_max=2 * res.l_max_used, m_max=2 * res.l_max_used,
-        kappa_nodes=2 * res.kappa_nodes_used, theta_nodes=80, rel_tol=1e-3))
+        kappa_nodes=2 * res.kappa_nodes_used, rel_tol=1e-3))
     assert abs(hard.energy - res.energy) < res.error_estimate
 
 
@@ -176,6 +176,18 @@ def test_energy_explicit_truncation_too_small_raises():
                        NumericsSpec(l_max=6, rel_tol=1e-4))
 
 
+def test_m_max_cap_puts_its_tail_into_the_estimate():
+    # PC d/R = 0.1: m = 0 .. 2 give E = -3.2152 against -3.8183 with every m;
+    # the geometric tail of the last two blocks now enters err_m
+    sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1)
+    with pytest.raises(NumericsError, match="energy not converged"):
+        casimir_energy(sphere, plane, NumericsSpec(m_max=2, rel_tol=1e-3))
+    full = casimir_energy(sphere, plane, NumericsSpec(rel_tol=1e-3))
+    capped = casimir_energy(sphere, plane, NumericsSpec(m_max=6, rel_tol=1e-2))
+    assert capped.m_max_used == 6
+    assert abs(capped.energy - full.energy) < capped.error_estimate
+
+
 def test_numerics_spec_validation():
     with pytest.raises(ValueError):
         NumericsSpec(l_max=0)
@@ -184,17 +196,20 @@ def test_numerics_spec_validation():
     with pytest.raises(ValueError):
         NumericsSpec(kappa_nodes=4)
     with pytest.raises(ValueError):
-        NumericsSpec(theta_nodes=4)
-    with pytest.raises(ValueError):
         NumericsSpec(rel_tol=0.0)
-    # counts the driver cannot honour: theta above the Laguerre ceiling, a
-    # first kappa level with no room to double, and non-integers
-    for bad in (dict(theta_nodes=193), dict(theta_nodes=300), dict(kappa_nodes=65),
-                dict(kappa_nodes=128), dict(kappa_nodes=16.0), dict(theta_nodes=40.0)):
+    # counts the driver cannot honour: a first kappa level with no room to
+    # double, and non-integers
+    for bad in (dict(kappa_nodes=65), dict(kappa_nodes=128), dict(kappa_nodes=16.0)):
         with pytest.raises(ValueError):
             NumericsSpec(**bad)
-    assert NumericsSpec(kappa_nodes=64, theta_nodes=192).kappa_nodes == 64
+    # the rapidity nodes and an absolute tolerance are not caller knobs
+    for gone in (dict(theta_nodes=40), dict(abs_tol=1e-12)):
+        with pytest.raises(TypeError):
+            NumericsSpec(**gone)
+    assert NumericsSpec(kappa_nodes=64).kappa_nodes == 64
     assert NumericsSpec().l_max == "auto"
+    # the benchmark's warm-up spec
+    assert NumericsSpec(l_max=8, kappa_nodes=8, rel_tol=0.5).l_max == 8
 
 
 def test_exact_approaches_leading_plus_ntl():
@@ -242,14 +257,19 @@ def _counting_blocks(monkeypatch):
     return calls
 
 
+def _pass_args(d):
+    """(l_max, m_max, theta_nodes, rel_tol) of the first auto pass at gap d."""
+    l_max = energy_exact._auto_l_max(d)
+    return l_max, l_max, energy_exact._theta_nodes(l_max), NumericsSpec().rel_tol
+
+
 def test_zero_tail_node_stops_at_m4(monkeypatch):
     # at x = 2 kappa d = 60 every block's ln det rounds to 0; the m sum must
     # stop at the first m it may stop at instead of running to l_max
     d = 0.1
-    spec = energy_exact._pass_spec(NumericsSpec(), energy_exact._auto_l_max(d))
     calls = _counting_blocks(monkeypatch)
     out = energy_exact._mode_sum(300.0, SphereSheet(1.0, PERFECT_CONDUCTOR),
-                                 PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), spec)
+                                 PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), *_pass_args(d))
     assert out == (0.0, 0.0, 0.0, 4)
     assert calls == [0, 1, 2, 3, 4]
 
@@ -335,10 +355,9 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
         assert f <= 0.0 and f_sub <= 0.0
     # the edges of the stated range, kappa R = 1e6 (level 128 at d/R ~ 0.02)
     # and 1e-4 (level 128 at d/R ~ 2)
-    spec = energy_exact._pass_spec(NumericsSpec(), energy_exact._auto_l_max(d))
-    assert real(1e6, sphere, plane, spec) == (0.0, 0.0, 0.0, 4)
+    assert real(1e6, sphere, plane, *_pass_args(d)) == (0.0, 0.0, 0.0, 4)
     for om in (PERFECT_CONDUCTOR, 0.5):
         d_wide = 2.0
-        spec = energy_exact._pass_spec(NumericsSpec(), energy_exact._auto_l_max(d_wide))
-        f, f_sub, m_tail, _ = real(1e-4, SphereSheet(1.0, om), PlaneSheet(om, 1.0 + d_wide), spec)
+        f, f_sub, m_tail, _ = real(1e-4, SphereSheet(1.0, om), PlaneSheet(om, 1.0 + d_wide),
+                                   *_pass_args(d_wide))
         assert math.isfinite(f) and f < 0.0 and f <= f_sub <= 0.0 and m_tail >= 0.0

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from plasmacas.energy_exact import NumericsSpec, logdet_one_minus
+from plasmacas.energy_exact import logdet_one_minus
 from plasmacas import roundtrip
 from plasmacas.roundtrip import KappaTable, assemble_block
 from plasmacas.scattering import (PERFECT_CONDUCTOR, PlaneSheet, Polarization,
                                   SphereSheet, sphere_t)
 
-from oracles import angular_logs, dense_matrix, m_element
+from oracles import angular_logs, block_at, dense_matrix, m_element
 
 TE, TM = Polarization.TE, Polarization.TM
 
@@ -96,14 +96,10 @@ def test_tete_integral_reduction_against_oracle():
         assert mine == pytest.approx(want, rel=1e-8)
 
 
-def _spec(l_max, theta_nodes=40):
-    return NumericsSpec(l_max=l_max, theta_nodes=theta_nodes)
-
-
 def test_block_dimension_single_l():
     for m in (0, 1, 4):
         l0 = max(1, m)
-        b = assemble_block(m, 0.7, SphereSheet(1.0, 1.0), PlaneSheet(1.0, 2.0), _spec(l0))
+        b = block_at(m, 0.7, SphereSheet(1.0, 1.0), PlaneSheet(1.0, 2.0), l0)
         assert b.matrix.shape == (2, 2)
 
 
@@ -112,7 +108,7 @@ def test_block_matches_m_element_entrywise():
     sphere = SphereSheet(1.0, float(rng.uniform(0.5, 2.0)))
     plane = PlaneSheet(float(rng.uniform(0.5, 2.0)), 2.2)
     kappa, m, l_max = 0.9, 2, 6
-    block = assemble_block(m, kappa, sphere, plane, _spec(l_max, 80))
+    block = block_at(m, kappa, sphere, plane, l_max, 80)
     dense = dense_matrix(block, sphere)
     l0 = max(1, m)
     for li, l in enumerate(range(l0, l_max + 1)):
@@ -130,8 +126,8 @@ def test_block_negative_m_degeneracy():
         kappa = float(10.0 ** rng.uniform(-0.5, 0.5))
         sphere = SphereSheet(1.0, float(10.0 ** rng.uniform(-1, 1)))
         plane = PlaneSheet(float(10.0 ** rng.uniform(-1, 1)), float(rng.uniform(1.5, 3.0)))
-        bp = assemble_block(m, kappa, sphere, plane, _spec(l_max))
-        bm = assemble_block(-m, kappa, sphere, plane, _spec(l_max))
+        bp = block_at(m, kappa, sphere, plane, l_max)
+        bm = block_at(-m, kappa, sphere, plane, l_max)
         dp = logdet_one_minus(bp)
         dm = logdet_one_minus(bm)
         assert dm == pytest.approx(dp, rel=1e-10)
@@ -146,14 +142,14 @@ def test_block_far_distance_entries_negligible():
     for lr, omega in ((6.0, PERFECT_CONDUCTOR), (10.0, 1.0)):
         kappa = 40.0 / lr
         sphere = SphereSheet(1.0, omega)
-        b = assemble_block(1, kappa, sphere, PlaneSheet(omega, lr), _spec(4))
+        b = block_at(1, kappa, sphere, PlaneSheet(omega, lr), 4)
         assert np.max(np.abs(dense_matrix(b, sphere))) < 1e-30
 
 
 def test_block_diagonal_decay_in_l():
     kappa, l_max = 1.2, 18
     sphere = SphereSheet(1.0, PERFECT_CONDUCTOR)
-    b = assemble_block(0, kappa, sphere, PlaneSheet(PERFECT_CONDUCTOR, 1.6), _spec(l_max))
+    b = block_at(0, kappa, sphere, PlaneSheet(PERFECT_CONDUCTOR, 1.6), l_max)
     dense = np.abs(dense_matrix(b, sphere))
     lmin = int(2 * kappa + 5)
     for pol in (0, 1):
@@ -170,7 +166,7 @@ def test_block_spectral_radius_below_one():
         kappa = float(10.0 ** rng.uniform(-1, 1))
         sphere = SphereSheet(1.0, float(10.0 ** rng.uniform(-1, 2)))
         plane = PlaneSheet(float(10.0 ** rng.uniform(-1, 2)), float(rng.uniform(1.3, 4.0)))
-        b = assemble_block(m, kappa, sphere, plane, _spec(l_max))
+        b = block_at(m, kappa, sphere, plane, l_max)
         lam = np.linalg.eigvals(math.exp(b.log_scale) * b.matrix)
         assert np.max(np.abs(lam)) < 1.0
 
@@ -179,10 +175,10 @@ def test_block_concurrent_assembly_matches_serial():
     sphere = SphereSheet(1.0, 1.3)
     plane = PlaneSheet(0.8, 2.0)
     jobs = [(m, 0.4 + 0.2 * k) for m in range(0, 5) for k in range(4)]
-    serial = [assemble_block(m, kap, sphere, plane, _spec(8)).matrix for m, kap in jobs]
+    serial = [block_at(m, kap, sphere, plane, 8).matrix for m, kap in jobs]
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(
-            lambda jk: assemble_block(jk[0], jk[1], sphere, plane, _spec(8)).matrix, jobs))
+            lambda jk: block_at(jk[0], jk[1], sphere, plane, 8).matrix, jobs))
     for a, b in zip(serial, parallel):
         assert np.array_equal(a, b)
 
@@ -190,8 +186,8 @@ def test_block_concurrent_assembly_matches_serial():
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
 def test_shared_kappa_table_gives_standalone_blocks(omega, monkeypatch):
     sphere, plane = SphereSheet(1.0, omega), PlaneSheet(omega, 1.3)
-    kappa, spec = 0.9, _spec(12, 48)
-    standalone = [assemble_block(m, kappa, sphere, plane, spec) for m in range(13)]
+    kappa = 0.9
+    standalone = [block_at(m, kappa, sphere, plane, 12, 48) for m in range(13)]
     calls = []
 
     def counted(*args):
@@ -200,15 +196,13 @@ def test_shared_kappa_table_gives_standalone_blocks(omega, monkeypatch):
 
     legendre_pbar_log = roundtrip.legendre_pbar_log
     monkeypatch.setattr(roundtrip, "legendre_pbar_log", counted)
-    table = KappaTable.build(kappa, sphere, plane, spec)
+    table = KappaTable.build(kappa, sphere, plane, 12, 48)
     for m, want in enumerate(standalone):
-        got = assemble_block(m, kappa, sphere, plane, spec, table=table)
+        got = assemble_block(m, table)
         assert np.array_equal(got.matrix, want.matrix)
         assert got.log_scale == want.log_scale
         assert np.array_equal(got.matrix, got.matrix.T)
     # the m+1 ladder of block m serves block m+1: one ladder per order
     assert calls == list(range(13))
     with pytest.raises(ValueError):
-        assemble_block(0, 2.0 * kappa, sphere, plane, spec, table=table)
-    with pytest.raises(ValueError):
-        assemble_block(0, kappa, sphere, plane, _spec(12, 40), table=table)
+        assemble_block(13, table)  # block m = 13 needs l >= 13 > l_max = 12
