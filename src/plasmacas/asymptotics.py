@@ -20,6 +20,9 @@ p0 .. p0+4 of 1/(s+1), and the fitted tail is summed exactly with polygamma
 functions.  A sum stops once two successive tail-corrected totals agree to
 rel_tol/10 and the tail is at most 5% of the total; PC and graphene-like
 sheets need 6-10 E0 terms and 14-22 E1 terms at the default rel_tol 1e-10.
+The E1 sum changes sign between w = 1e-4 and 2e-4 for equal sheets, so it is
+judged against the larger of itself and the E0 sum: theta = E1 sum / E0 sum
+then settles to rel_tol/10 times max(|theta|, 1).
 _S_MAX bounds the sum; a sum that has not settled there raises
 NumericsError.  The fit amplifies the round-off of the terms, so below
 rel_tol = _REL_TOL_FLOOR the sums stop settling (first on the log-trapezoid
@@ -223,16 +226,17 @@ def _fitted_tail(last_terms, s_last, p0):
     return sum(c * sig[-1] ** p * _power_tail(p, s_last + 2.0) for c, p in zip(coef, powers))
 
 
-def _tail_corrected_sum(term, p0, rel_tol, what):
+def _tail_corrected_sum(term, p0, rel_tol, what, floor=0.0):
     """Sum term(s) over s >= 0, stopping once the tail-corrected sum settles.
 
     term(s) must decay like (s+1)^(-p0) with corrections at the next powers.
     From s = _FIT_TERMS - 1 on, each new term refits the tail (see
     _fitted_tail) and adds it to the partial sum.  The sum stops at the first
     s where two successive tail-corrected totals agree to rel_tol/10 and the
-    tail is at most 5% of the total, and raises NumericsError if that has
-    not happened by s = _S_MAX.  Returns the last total and its difference
-    from the one before, the series error.
+    tail is at most 5% of the total, both measured against the larger of the
+    total and floor, and raises NumericsError if that has not happened by
+    s = _S_MAX.  Returns the last total and its difference from the one
+    before, the series error.
     """
     terms = []
     total = prev = 0.0
@@ -246,7 +250,8 @@ def _tail_corrected_sum(term, p0, rel_tol, what):
         tail = _fitted_tail(terms[-_FIT_TERMS:], s, p0)
         est = total + tail
         diff = abs(est - prev)
-        if s >= _FIT_TERMS and diff <= 0.1 * rel_tol * abs(est) and abs(tail) <= 0.05 * abs(est):
+        scale = max(abs(est), floor)
+        if s >= _FIT_TERMS and diff <= 0.1 * rel_tol * scale and abs(tail) <= 0.05 * scale:
             return est, diff
         prev = est
     raise NumericsError(f"{what}: s-sum not settled in {_S_MAX + 1} terms: last change "
@@ -339,9 +344,11 @@ def _e0_series(varpi_s, varpi_p, rel_tol):
     return _tail_corrected_sum(term, 4, rel_tol, "E0")
 
 
-def _e1_series(varpi_s, varpi_p, rel_tol):
+def _e1_series(varpi_s, varpi_p, rel_tol, q0):
+    """The E1 s-sum, converged relative to the larger of itself and the
+    E0 sum q0."""
     term = _series_term_factory(varpi_s, varpi_p, _braces_times_t)
-    return _tail_corrected_sum(term, 2, rel_tol, "E1")
+    return _tail_corrected_sum(term, 2, rel_tol, "E1", abs(q0))
 
 
 def _transparent(radius_R, gap_d, varpi_s, varpi_p, rel_tol) -> bool:
@@ -378,10 +385,15 @@ def e0(radius_R: float, gap_d: float, varpi_s, varpi_p, rel_tol: float = 1e-10) 
 
 
 def e1(radius_R: float, gap_d: float, varpi_s, varpi_p, rel_tol: float = 1e-10) -> float:
-    """Next-to-leading term, units hbar c = 1 (dimension 1/length)."""
+    """Next-to-leading term, units hbar c = 1 (dimension 1/length).
+
+    Accurate to rel_tol of the larger of |E1| and |E0| d/R, where E1 crosses
+    zero; the E0 series that sets this scale costs fewer terms than E1.
+    """
     if _transparent(radius_R, gap_d, varpi_s, varpi_p, rel_tol):
         return 0.0
-    q1, _ = _e1_series(varpi_s, varpi_p, rel_tol)
+    q0, _ = _e0_series(varpi_s, varpi_p, rel_tol)
+    q1, _ = _e1_series(varpi_s, varpi_p, rel_tol, q0)
     return _e1_prefactor(gap_d) * q1
 
 
@@ -389,13 +401,13 @@ def small_gap_expansion(radius_R: float, gap_d: float, varpi_s, varpi_p,
                         rel_tol: float = 1e-10) -> tuple:
     """(E0, E1, theta) from one evaluation of each series.
 
-    Same values as e0, e1 and theta called one by one, at the cost of e0
-    and e1 alone.  theta is None when a sheet is transparent.
+    Same values as e0, e1 and theta called one by one, at the cost of e1
+    alone.  theta is None when a sheet is transparent.
     """
     if _transparent(radius_R, gap_d, varpi_s, varpi_p, rel_tol):
         return 0.0, 0.0, None
     q0, _ = _e0_series(varpi_s, varpi_p, rel_tol)
-    q1, _ = _e1_series(varpi_s, varpi_p, rel_tol)
+    q1, _ = _e1_series(varpi_s, varpi_p, rel_tol, q0)
     return _e0_prefactor(radius_R, gap_d) * q0, _e1_prefactor(gap_d) * q1, q1 / q0
 
 

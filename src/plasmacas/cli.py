@@ -151,28 +151,26 @@ def parse_config(args: argparse.Namespace) -> SweepConfig:
     omega_s = _parse_omega(str(pick("omega_sphere", args.omega_sphere, "inf")), "omega-sphere")
     omega_p = _parse_omega(str(pick("omega_plane", args.omega_plane, "inf")), "omega-plane")
 
-    radius = pick("radius", args.radius)
-    gap = pick("gap", args.gap)
-    gmin, gmax = pick("gap_min", getattr(args, "gap_min", None)), pick("gap_max", getattr(args, "gap_max", None))
-    if gmin is not None or gmax is not None:
-        if gmin is None or gmax is None:
-            raise UsageError("gap_min and gap_max must be given together")
-        gaps = _spacing(gmin, gmax, int(pick("gap_count", getattr(args, "gap_count", None), 25)),
-                        pick("gap_spacing", getattr(args, "gap_spacing", None), "log"))
-    elif gap is not None:
-        gaps = (float(gap),)
-    else:
-        raise UsageError("need --gap or a gap range")
-    rmin, rmax = pick("radius_min", getattr(args, "radius_min", None)), pick("radius_max", getattr(args, "radius_max", None))
-    if rmin is not None or rmax is not None:
-        if rmin is None or rmax is None:
-            raise UsageError("radius_min and radius_max must be given together")
-        radii = _spacing(rmin, rmax, int(pick("radius_count", getattr(args, "radius_count", None), 1)),
-                         pick("radius_spacing", getattr(args, "radius_spacing", None), "log"))
-    elif radius is not None:
-        radii = (float(radius),)
-    else:
-        raise UsageError("need --radius or a radius range")
+    def axis(name, count_default):
+        """The values of the gap or radius axis.  A single-value flag beats a
+        range from the file; a range (flags, else file keys) beats a single
+        value from the file."""
+        flag_lo, flag_hi = getattr(args, f"{name}_min", None), getattr(args, f"{name}_max", None)
+        if getattr(args, name) is not None and flag_lo is None and flag_hi is None:
+            return (float(getattr(args, name)),)
+        lo, hi = pick(f"{name}_min", flag_lo), pick(f"{name}_max", flag_hi)
+        if lo is not None or hi is not None:
+            if lo is None or hi is None:
+                raise UsageError(f"{name}_min and {name}_max must be given together")
+            return _spacing(lo, hi,
+                            int(pick(f"{name}_count", getattr(args, f"{name}_count", None), count_default)),
+                            pick(f"{name}_spacing", getattr(args, f"{name}_spacing", None), "log"))
+        if name not in conf:
+            raise UsageError(f"need --{name} or a {name} range")
+        return (float(conf[name]),)
+
+    gaps = axis("gap", 25)
+    radii = axis("radius", 1)
 
     return SweepConfig(
         method=str(method),

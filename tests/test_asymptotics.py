@@ -220,11 +220,11 @@ def test_s_series_stop_matches_full_sum(ws, wp):
 def test_s_series_term_counts(monkeypatch):
     counts = {"E0": 0, "E1": 0}
 
-    def counted(term, p0, rel_tol, what, _orig=asy._tail_corrected_sum):
+    def counted(term, p0, rel_tol, what, *floor, _orig=asy._tail_corrected_sum):
         def counted_term(s):
             counts[what] += 1
             return term(s)
-        return _orig(counted_term, p0, rel_tol, what)
+        return _orig(counted_term, p0, rel_tol, what, *floor)
 
     monkeypatch.setattr(asy, "_tail_corrected_sum", counted)
     theta(1.0, 17.0, PC, PC)
@@ -261,6 +261,11 @@ def test_s_series_rel_tol_floor_and_unsettled_ceiling():
 
     with pytest.raises(NumericsError, match="not settled"):
         asy._tail_corrected_sum(term, 2, 1e-10, "E1")
+    # equal sheets: theta changes sign between w = 1e-4 and 2e-4, where a
+    # stop relative to the E1 sum alone never fires at w = 1e-4; against the
+    # E0 sum it settles in 20 terms, to rel_tol of max(|theta|, 1)
+    got = small_gap_expansion(1.0, 0.01, 1e-4, 1e-4)[2]
+    assert abs(got - full_sum_theta(1e-4, 1e-4)) < 1e-10
 
 
 def test_theta_transparent_raises():

@@ -83,6 +83,11 @@ def test_point_with_range_config_is_usage_error(tmp_path, capsys, key):
     # the same file drives a sweep of three rows
     assert main(["sweep", "--config", str(conf), "--method", "pfa", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 4
+    # a single-value flag wins over the file's range
+    assert main(["point", "--config", str(conf), f"--{key}", "2e-6", "--method", "pfa",
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 1 and float(rows[0][{"gap": "d_m", "radius": "R_m"}[key]]) == 2e-6
 
 
 @pytest.mark.parametrize("flag", ["--omega-sphere", "--omega-plane"])
