@@ -246,13 +246,13 @@ def _tail_corrected_sum(term, p0, rel_tol, what, floor=0.0):
         if s < _FIT_TERMS - 1:
             continue
         if abs(terms[-1]) < 1e3 * np.finfo(float).tiny:
-            return total, 0.0
+            return float(total), 0.0
         tail = _fitted_tail(terms[-_FIT_TERMS:], s, p0)
         est = total + tail
         diff = abs(est - prev)
         scale = max(abs(est), floor)
         if s >= _FIT_TERMS and diff <= 0.1 * rel_tol * scale and abs(tail) <= 0.05 * scale:
-            return est, diff
+            return float(est), float(diff)
         prev = est
     raise NumericsError(f"{what}: s-sum not settled in {_S_MAX + 1} terms: last change "
                         f"{diff:.1e}, tail {tail:.1e}, sum {est:.6e}", error_estimate=diff)
@@ -390,11 +390,7 @@ def e1(radius_R: float, gap_d: float, varpi_s, varpi_p, rel_tol: float = 1e-10) 
     Accurate to rel_tol of the larger of |E1| and |E0| d/R, where E1 crosses
     zero; the E0 series that sets this scale costs fewer terms than E1.
     """
-    if _transparent(radius_R, gap_d, varpi_s, varpi_p, rel_tol):
-        return 0.0
-    q0, _ = _e0_series(varpi_s, varpi_p, rel_tol)
-    q1, _ = _e1_series(varpi_s, varpi_p, rel_tol, q0)
-    return _e1_prefactor(gap_d) * q1
+    return small_gap_expansion(radius_R, gap_d, varpi_s, varpi_p, rel_tol)[1]
 
 
 def small_gap_expansion(radius_R: float, gap_d: float, varpi_s, varpi_p,

@@ -70,12 +70,13 @@ class EnergyResult:
 def logdet_one_minus(block: RoundTripBlock, nl_keep: int | None = None):
     """ln det(I - M_m) <= 0 from a round-trip block.
 
-    One Cholesky factorisation I - s M = L L^T (LAPACK potrf through numpy,
-    which reads the lower triangle of the exactly symmetric block), with the
-    block's symbolic scale s = exp(log_scale) re-applied first.  The
-    m = 0 block decouples into TE and TM halves, which are factorised
-    separately.  On the imaginary axis I - M is symmetric positive definite,
-    so a failed factorisation (an eigenvalue of M at or past 1) raises
+    One Cholesky factorisation I - M = L L^T (LAPACK potrf through numpy,
+    which reads the lower triangle of the exactly symmetric block).  The
+    block carries its scale, and its entries are below 1 in magnitude (see
+    :class:`RoundTripBlock`), so nothing is rescaled here.  The m = 0 block
+    decouples into TE and TM halves, which are factorised separately.  On
+    the imaginary axis I - M is symmetric positive definite, so a failed
+    factorisation (an eigenvalue of M at or past 1) raises
     :class:`SpectralAnomalyError`, as does a positive result (an eigenvalue
     below 0).
 
@@ -84,9 +85,6 @@ def logdet_one_minus(block: RoundTripBlock, nl_keep: int | None = None):
     both read off the one factorisation as 2 sum ln L_ii; the sub-block
     value is the l-truncation probe.
     """
-    scale = math.exp(block.log_scale) if block.log_scale < 700.0 else math.inf
-    if not math.isfinite(scale):
-        raise NumericsError(f"block scale overflow, log_scale={block.log_scale}")
     if nl_keep is not None and not 1 <= nl_keep <= block.dim // 2:
         raise ValueError(f"nl_keep={nl_keep} outside 1 .. {block.dim // 2}")
     mat = block.matrix
@@ -96,7 +94,7 @@ def logdet_one_minus(block: RoundTripBlock, nl_keep: int | None = None):
 
     vals = np.zeros(2)
     for a in halves:
-        a = np.multiply(a, -scale)
+        a = np.negative(a)
         a.ravel()[::a.shape[0] + 1] += 1.0
         try:
             chol = np.linalg.cholesky(a)
@@ -184,27 +182,22 @@ def _kappa_rule(n):
     return x, w_s * _KAPPA_MAP_SCALE / (2.0 * np.sin(0.5 * t) ** 4)
 
 
-def _quadrature_pass(n_kappa, d, evaluated, mode_args):
+def _quadrature_pass(n_kappa, d, prev, mode_args):
     """Level n_kappa of the kappa rule, with kappa = x / (2 d).
 
     Returns E, the l- and m-truncation estimates, the largest m any node
-    used, and the level's nodes x, weights and F(kappa) values.
-    ``evaluated`` maps a node, as its Chebyshev angle k/n in units of pi in
-    lowest terms, to its ``_mode_sum(kappa, *mode_args)`` result: nodes of
-    earlier levels are read from it, and the new ones are added.
+    used, and the level's nodes x, weights and ``_mode_sum(kappa,
+    *mode_args)`` rows.  ``prev`` holds the rows of level n_kappa / 2, or is
+    empty: node k of this level is node k / 2 of that one for every even k,
+    so only the odd k are evaluated then.
     """
     x, w = _kappa_rule(n_kappa)
-    rows = []
-    for k in range(1, n_kappa):
-        g = math.gcd(k, n_kappa)
-        node = (k // g, n_kappa // g)
-        if node not in evaluated:
-            evaluated[node] = _mode_sum(x[k - 1] / (2.0 * d), *mode_args)
-        rows.append(evaluated[node])
+    rows = [prev[k // 2 - 1] if prev and k % 2 == 0
+            else _mode_sum(x[k - 1] / (2.0 * d), *mode_args) for k in range(1, n_kappa)]
     f, f_sub, m_tail, m_used = (np.array(col) for col in zip(*rows))
     pref = 1.0 / (2.0 * math.pi) / (2.0 * d)
     return (pref * (w @ f), pref * abs(w @ (f - f_sub)), pref * (w @ m_tail),
-            int(m_used.max()), x, w, f)
+            int(m_used.max()), x, w, rows)
 
 
 def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
@@ -252,17 +245,16 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
         mode_args = (s1, p1, l_max, m_max, theta_nodes, numerics.rel_tol)
 
         n = numerics.kappa_nodes
-        evaluated = {}
-        level = _quadrature_pass(n, d, evaluated, mode_args)
+        level = _quadrature_pass(n, d, [], mode_args)
         err_k = math.inf
         while 2 * n <= _KAPPA_NODE_CEILING:
             n *= 2
             e_prev = level[0]
-            level = _quadrature_pass(n, d, evaluated, mode_args)
+            level = _quadrature_pass(n, d, level[-1], mode_args)
             err_k = abs(level[0] - e_prev)
             if err_k <= 0.25 * numerics.rel_tol * abs(level[0]):
                 break
-        e_hat, err_l, err_m, m_used, x, w, f_vals = level
+        e_hat, err_l, err_m, m_used, x, w, rows = level
 
         if not auto_l or err_l <= 0.25 * numerics.rel_tol * abs(e_hat):
             break
@@ -273,6 +265,7 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
             f"vs target {0.25 * numerics.rel_tol * abs(e_hat)}", error_estimate=err_l)
 
     # theta-node check at the dominant kappa node
+    f_vals = np.array([row[0] for row in rows])
     i_peak = int(np.argmax(np.abs(w * f_vals)))
     probe_nodes = min(2 * theta_nodes, _THETA_NODE_CEILING)
     if probe_nodes == theta_nodes:

@@ -92,7 +92,7 @@ def _polylog_integral(w1, w2, p: int) -> float:
         return b * (1.0 + w / 2 ** p + w ** 2 / 3 ** p + w ** 3 / 4 ** p)
 
     tail = 0.5 * np.sum(wx * pol_sum(_T_SPLIT + 0.5 * x, tail_series))
-    return head + tail
+    return float(head + tail)
 
 
 def lifshitz_plane_plane(d: float, omega_1: float, omega_2: float) -> float:

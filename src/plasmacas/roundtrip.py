@@ -13,13 +13,16 @@ Numerical organisation, fixed once here and relied on everywhere:
 * all angular functions carry the factorial normalisation
   sqrt((l-m)!/(l+m)!) of the prefactor and are handled in log space;
 * blocks are stored in the determinant-preserving balanced form with
-  sqrt|T_l| split across rows and columns, entries O(1) by Cauchy-Schwarz;
-* the common factor e^{-2 kappa (L-R)}/(2 kappa L) stays symbolic in
-  ``log_scale`` until the determinant stage;
+  sqrt|T_l| split across rows and columns;
+* the common factor s = e^{-2 kappa (L-R)}/(2 kappa L) is folded into the
+  l prefactor, so a block holds M itself.  That cannot overflow: M is
+  positive semi-definite and I - M positive definite, so every |M_ij| < 1,
+  and every entry of H (M = H H^T, below) is below 1 too.  M/s alone, by
+  contrast, overflows at small kappa;
 * everything that depends on kappa but not on m (nodes, Laguerre weights,
-  plane reflections, sphere T logs, the l prefactor, ``log_scale``) lives in
-  one :class:`KappaTable` per kappa, which also hands the m+1 Legendre
-  ladder of block m on to block m+1;
+  plane reflections, sphere T logs, the scaled l prefactor) lives in one
+  :class:`KappaTable` per kappa, which also hands the m+1 Legendre ladder
+  of block m on to block m+1;
 * the balanced weight of an element separates into a row factor and a
   column factor, so a block is one product M = H H^T with H of size
   2 n_l x 2 n_theta (a TE row [tau sqrt r_TE, pi sqrt q_TM], a TM row
@@ -50,9 +53,6 @@ from .errors import NumericsError
 from .scattering import PlaneSheet, Polarization, SphereSheet, plane_r, sphere_t_logs
 from .specfun import legendre_pbar_log
 from ._quadrature import gauss_laguerre
-
-# fold the symbolic scale into the entries once it is this far below 1
-_FOLD_LOG = -600.0
 
 
 def _angular_logs(l_max: int, m_abs: int, c_nodes: np.ndarray, ladder):
@@ -88,18 +88,18 @@ def _angular_logs(l_max: int, m_abs: int, c_nodes: np.ndarray, ladder):
 class RoundTripBlock:
     """Dense round-trip block at fixed (m, kappa).
 
-    ``matrix`` holds the balanced entries: sqrt|T_l| is split across rows and
+    ``matrix`` is M in balanced form: sqrt|T_l| is split across rows and
     columns (a similarity transform, so every determinant built from the
-    block is unchanged) and the common factor exp(log_scale) with
-    log_scale = -2 kappa (L-R) - ln(2 kappa L) is kept symbolic.  Row/column
-    index is 2*(l - max(1,|m|)) + pol with pol TE=0, TM=1.
+    block is unchanged), and the common factor e^{-2 kappa (L-R)}/(2 kappa L)
+    is included.  Every entry is below 1 in magnitude, since I - M is
+    positive definite and M positive semi-definite.  Row/column index is
+    2*(l - max(1,|m|)) + pol with pol TE=0, TM=1.
     """
 
     m: int
     kappa: float
     l_max: int
     matrix: np.ndarray = field(repr=False)
-    log_scale: float
 
     @property
     def dim(self) -> int:
@@ -114,11 +114,12 @@ class KappaTable:
     half-logs of the column weights v r_TE and v (-r_TM): Laguerre weight
     times plane reflection, so their exponentials are the sqrt weights of the
     rapidity sum.  ``half_pref`` is the half-log of the element prefactor
-    (pi/2) (2l+1)/(l(l+1)) e^fold and ``half_log_t`` the TE and TM half-logs
-    of |T_l|, for l = 1 .. l_max.  The table also keeps the two Legendre
-    ladders asked for last: the m+1 ladder of block m is the m ladder of
-    block m+1, so assembling m = 0, 1, 2, ... in order computes each ladder
-    once.  That cache makes a table a one-thread object.
+    (pi/2) (2l+1)/(l(l+1)) times the block scale
+    e^{-2 kappa (L-R)}/(2 kappa L), and ``half_log_t`` the TE and TM
+    half-logs of |T_l|, for l = 1 .. l_max.  The table also keeps the two
+    Legendre ladders asked for last: the m+1 ladder of block m is the m
+    ladder of block m+1, so assembling m = 0, 1, 2, ... in order computes
+    each ladder once.  That cache makes a table a one-thread object.
     """
 
     kappa: float
@@ -127,7 +128,6 @@ class KappaTable:
     col_tm: np.ndarray = field(repr=False)
     half_pref: np.ndarray = field(repr=False)
     half_log_t: tuple = field(repr=False)
-    log_scale: float
     _ladders: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
@@ -147,15 +147,12 @@ class KappaTable:
             col_tm = 0.5 * (np.log(v) + np.log(qtm))
         log_te, log_tm = sphere_t_logs(l_max, kappa, sphere)
 
-        log_scale = 2.0 * kappa * sphere.radius_R - 2.0 * kl - math.log(2.0 * kl)
-        fold = 0.0
-        if log_scale < _FOLD_LOG:
-            fold, log_scale = log_scale, 0.0
+        log_s = 2.0 * kappa * sphere.radius_R - 2.0 * kl - math.log(2.0 * kl)
         lvec = np.arange(1, l_max + 1)
-        half_pref = 0.5 * (math.log(math.pi / 2.0) + fold
+        half_pref = 0.5 * (math.log(math.pi / 2.0) + log_s
                            + np.log(2 * lvec + 1.0) - np.log(lvec * (lvec + 1.0)))
         return cls(kappa=kappa, c=c, col_te=col_te, col_tm=col_tm, half_pref=half_pref,
-                   half_log_t=(0.5 * log_te, 0.5 * log_tm), log_scale=log_scale)
+                   half_log_t=(0.5 * log_te, 0.5 * log_tm))
 
     @property
     def l_max(self) -> int:
@@ -203,5 +200,4 @@ def assemble_block(m: int, table: KappaTable) -> RoundTripBlock:
         raise NumericsError(
             f"non-finite entries in block m={m}, kappa={table.kappa} "
             f"(l_max={l_max}, theta_nodes={n})")
-    return RoundTripBlock(m=m, kappa=table.kappa, l_max=l_max, matrix=matrix,
-                          log_scale=table.log_scale)
+    return RoundTripBlock(m=m, kappa=table.kappa, l_max=l_max, matrix=matrix)

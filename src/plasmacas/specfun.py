@@ -1,7 +1,8 @@
 """Overflow-safe special functions.
 
 Half-integer modified Bessel functions, associated Legendre functions of
-argument >= 1, and the dilogarithm.  Everything here is pure and re-entrant.
+argument >= 1 (as log ladders), and the dilogarithm, taken from scipy.
+Everything here is pure and re-entrant.
 
 The Bessel pair is kept exponentially scaled,
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import spence
 
 _LN_RESCALE = 250.0 * math.log(10.0)
 _RESCALE = 1e250
@@ -106,54 +108,6 @@ def bessel_ik_log(l_max: int, z: float):
     return log_i, log_k
 
 
-def legendre_p(l: int, m: int, x: float):
-    """Associated Legendre P_l^m(x) and dP_l^m/dx for x >= 1.
-
-    Convention for x >= 1: P_l^m(x) = (x^2-1)^{m/2} d^m P_l/dx^m, which is
-    positive and increasing; only m >= 0 is accepted, negative orders are the
-    caller's factorial prefactor.
-
-    Returns
-    -------
-    (value, derivative) : tuple of float
-    """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if m < 0 or m > l:
-        raise ValueError(f"m must satisfy 0 <= m <= l, got m={m}, l={l}")
-    if not (x >= 1.0):
-        raise ValueError(f"argument must be >= 1, got {x}")
-
-    if x == 1.0:
-        value = 1.0 if m == 0 else 0.0
-        if m == 0:
-            deriv = l * (l + 1) / 2.0
-        elif m == 1:
-            deriv = math.inf
-        elif m == 2:
-            deriv = (l - 1) * l * (l + 1) * (l + 2) / 4.0
-        else:
-            deriv = 0.0
-        return value, deriv
-
-    sh2 = (x - 1.0) * (x + 1.0)
-    # seed P_m^m = (2m-1)!! (x^2-1)^{m/2}, then upward in l
-    if m == 0:
-        pmm = 1.0
-    else:
-        log_pmm = math.lgamma(2 * m + 1) - m * math.log(2.0) - math.lgamma(m + 1) \
-            + 0.5 * m * math.log(sh2)
-        pmm = math.exp(log_pmm)
-    if l == m:
-        pl, plm1 = pmm, 0.0
-    else:
-        plm1, pl = pmm, (2 * m + 1) * x * pmm
-        for ll in range(m + 2, l + 1):
-            plm1, pl = pl, ((2 * ll - 1) * x * pl - (ll + m - 1) * plm1) / (ll - m)
-    deriv = (l * x * pl - (l + m) * plm1) / sh2
-    return pl, deriv
-
-
 def legendre_pbar_log(l_max: int, m: int, x):
     """ln of the normalized Legendre ladder sqrt((l-m)!/(l+m)!) P_l^m(x).
 
@@ -209,48 +163,11 @@ def legendre_pbar_log(l_max: int, m: int, x):
     return out
 
 
-_DILOG_TERMS = 48
-
-
-def _dilog_series(x):
-    """Power series sum x^n/n^2, valid for |x| <= 1/2."""
-    acc = np.zeros_like(x)
-    xn = np.ones_like(x)
-    for n in range(1, _DILOG_TERMS + 1):
-        xn = xn * x
-        acc = acc + xn / (n * n)
-    return acc
-
-
 def dilog(x):
-    """Dilogarithm Li2(x) = sum_{n>=1} x^n/n^2 on [-1, 1].
-
-    Series on |x| <= 1/2; the Euler reflection maps (1/2, 1] and the Landen
-    transform maps [-1, -1/2) back into the series region, so convergence is
-    uniform over the whole interval.
-    """
+    """Dilogarithm Li2(x) = sum_{n>=1} x^n/n^2 on [-1, 1], as scipy's spence(1 - x)."""
     scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(x) > 1.0) or not np.all(np.isfinite(x)):
         raise ValueError("dilog argument must lie in [-1, 1]")
-    out = np.empty_like(x)
-
-    core = np.abs(x) <= 0.5
-    out[core] = _dilog_series(x[core])
-
-    hi = x > 0.5  # Li2(x) = pi^2/6 - ln x ln(1-x) - Li2(1-x)
-    if np.any(hi):
-        xh = x[hi]
-        one_minus = 1.0 - xh
-        cross = np.zeros_like(xh)
-        pos = one_minus > 0.0
-        cross[pos] = np.log(xh[pos]) * np.log(one_minus[pos])
-        out[hi] = math.pi ** 2 / 6.0 - cross - _dilog_series(one_minus)
-
-    lo = x < -0.5  # Li2(x) = -Li2(x/(x-1)) - ln^2(1-x)/2
-    if np.any(lo):
-        xl = x[lo]
-        y = xl / (xl - 1.0)
-        out[lo] = -_dilog_series(y) - 0.5 * np.log1p(-xl) ** 2
-
+    out = spence(1.0 - x)
     return float(out[0]) if scalar else out

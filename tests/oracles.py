@@ -10,6 +10,9 @@ its own way:
 * :func:`dense_matrix` undoes the balancing of an assembled block, so its
   entries can be compared with :func:`m_element` or fed to a cofactor
   expansion;
+* :func:`legendre_p` evaluates one P_l^m(x) and its derivative by the
+  plain three-term recurrence; the blocks use the normalised log ladders
+  of ``specfun.legendre_pbar_log`` instead;
 * :func:`script_b_divided_difference` is the coefficient B of the E1 braces
   in its divided-difference form; the production kernel uses the
   homogeneous power-sum form, which has no a -> b cancellation;
@@ -127,7 +130,55 @@ def dense_matrix(block, sphere):
     log_t_half[1::2] = 0.5 * log_tm[l0 - 1:]
     r = log_t_half[:, None] - log_t_half[None, :]
     with np.errstate(over="ignore"):
-        return np.exp(block.log_scale + r) * block.matrix
+        return np.exp(r) * block.matrix
+
+
+def legendre_p(l: int, m: int, x: float):
+    """Associated Legendre P_l^m(x) and dP_l^m/dx for x >= 1.
+
+    Convention for x >= 1: P_l^m(x) = (x^2-1)^{m/2} d^m P_l/dx^m, which is
+    positive and increasing; only m >= 0 is accepted, negative orders are the
+    caller's factorial prefactor.
+
+    Returns
+    -------
+    (value, derivative) : tuple of float
+    """
+    if l < 1:
+        raise ValueError(f"l must be >= 1, got {l}")
+    if m < 0 or m > l:
+        raise ValueError(f"m must satisfy 0 <= m <= l, got m={m}, l={l}")
+    if not (x >= 1.0):
+        raise ValueError(f"argument must be >= 1, got {x}")
+
+    if x == 1.0:
+        value = 1.0 if m == 0 else 0.0
+        if m == 0:
+            deriv = l * (l + 1) / 2.0
+        elif m == 1:
+            deriv = math.inf
+        elif m == 2:
+            deriv = (l - 1) * l * (l + 1) * (l + 2) / 4.0
+        else:
+            deriv = 0.0
+        return value, deriv
+
+    sh2 = (x - 1.0) * (x + 1.0)
+    # seed P_m^m = (2m-1)!! (x^2-1)^{m/2}, then upward in l
+    if m == 0:
+        pmm = 1.0
+    else:
+        log_pmm = math.lgamma(2 * m + 1) - m * math.log(2.0) - math.lgamma(m + 1) \
+            + 0.5 * m * math.log(sh2)
+        pmm = math.exp(log_pmm)
+    if l == m:
+        pl, plm1 = pmm, 0.0
+    else:
+        plm1, pl = pmm, (2 * m + 1) * x * pmm
+        for ll in range(m + 2, l + 1):
+            plm1, pl = pl, ((2 * ll - 1) * x * pl - (ll + m - 1) * plm1) / (ll - m)
+    deriv = (l * x * pl - (l + m) * plm1) / sh2
+    return pl, deriv
 
 
 def script_b_divided_difference(s, t, tau, varpi_s, varpi_p):

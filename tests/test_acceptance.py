@@ -19,10 +19,10 @@ from plasmacas.energy_exact import NumericsSpec, casimir_energy, logdet_one_minu
 from plasmacas.pfa import PfaParams, pfa_energy
 from plasmacas.scattering import (PERFECT_CONDUCTOR, PlaneSheet, SphereSheet,
                                   plane_r, sphere_t, Polarization)
-from plasmacas.specfun import bessel_ik_log, dilog, legendre_p
+from plasmacas.specfun import bessel_ik_log, dilog
 from plasmacas._quadrature import tau_rule
 
-from oracles import block_at, script_b_divided_difference
+from oracles import block_at, legendre_p, script_b_divided_difference
 
 PC = PERFECT_CONDUCTOR
 THETA_PC = 1.0 / 3.0 - 20.0 / math.pi ** 2

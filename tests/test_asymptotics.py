@@ -204,6 +204,17 @@ def test_small_gap_expansion_matches_separate_calls():
     assert small_gap_expansion(R, d, PC, 0.0) == (0.0, 0.0, None)
 
 
+def test_small_gap_and_pfa_values_are_plain_floats():
+    from plasmacas.pfa import lifshitz_plane_plane
+
+    R, d = 1.3, 0.25
+    for ws, wp in ((PC, PC), (4.0, 2.0)):
+        values = [e0(R, d, ws, wp), e1(R, d, ws, wp), *small_gap_expansion(R, d, ws, wp),
+                  theta(d, R, ws, wp), pfa_energy(PfaParams(ws, wp, R, d)),
+                  lifshitz_plane_plane(d, ws, wp)]
+        assert [type(v) for v in values] == [float] * len(values), values
+
+
 # equal graphene-like sheets: w = 0.095 takes the log-trapezoid route, the
 # others Gauss-Laguerre with node doubling (w = 0.24 needs the most nodes)
 _GRAPHENE_W = (0.095, 0.24, 1.3, 58.0)

@@ -13,10 +13,9 @@ from plasmacas.scattering import PERFECT_CONDUCTOR, PlaneSheet, SphereSheet
 from oracles import block_at, dense_matrix
 
 
-def _block_of(matrix, m=1, log_scale=0.0):
+def _block_of(matrix, m=1):
     n = matrix.shape[0]
-    return RoundTripBlock(m=m, kappa=1.0, l_max=n // 2, matrix=matrix,
-                          log_scale=log_scale)
+    return RoundTripBlock(m=m, kappa=1.0, l_max=n // 2, matrix=matrix)
 
 
 # ---------------------------------------------------------------- logdet
@@ -29,12 +28,6 @@ def test_logdet_diagonal():
     q = np.array([0.1, 0.35, 0.02, 0.6])
     b = _block_of(np.diag(q))
     assert logdet_one_minus(b) == pytest.approx(np.sum(np.log1p(-q)), rel=1e-14)
-
-
-def test_logdet_applies_symbolic_scale():
-    q = np.array([0.4, 0.8])
-    b = _block_of(np.diag(q), log_scale=math.log(0.5))
-    assert logdet_one_minus(b) == pytest.approx(np.sum(np.log1p(-0.5 * q)), rel=1e-14)
 
 
 def test_logdet_spectral_anomaly():
@@ -62,15 +55,28 @@ def test_logdet_leading_l_matches_sliced_sub_block(omega):
             full, lead = logdet_one_minus(block, nl_keep)
             assert full == logdet_one_minus(block)
             k = 2 * nl_keep
-            sub = RoundTripBlock(m=m, kappa=kappa, l_max=l_max, matrix=block.matrix[:k, :k],
-                                 log_scale=block.log_scale)
+            sub = RoundTripBlock(m=m, kappa=kappa, l_max=l_max, matrix=block.matrix[:k, :k])
             want = logdet_one_minus(sub)
             assert lead == pytest.approx(want, rel=1e-12, abs=0.0)
             assert lead > full  # dropping degrees drops attraction
-            lu = np.linalg.slogdet(np.eye(k) - math.exp(block.log_scale) * sub.matrix)[1]
+            lu = np.linalg.slogdet(np.eye(k) - sub.matrix)[1]
             assert lead == pytest.approx(lu, rel=1e-10, abs=0.0)
     with pytest.raises(ValueError):
         logdet_one_minus(block, 0)
+
+
+@pytest.mark.parametrize("kappa", [1e-4, 3.1e3])
+def test_logdet_of_folded_block_at_extreme_scale(kappa):
+    # at d/R = 0.1 the block scale e^{-2 kappa d}/(2 kappa L) is about 5e3
+    # at kappa R = 1e-4 and e^{-629} at the far node kappa R = 3.1e3; it is
+    # part of the matrix, whose entries stay below 1, and the Cholesky value
+    # is the plain log-determinant of I - matrix
+    sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1)
+    for m in (0, 1, 3):
+        block = block_at(m, kappa, sphere, plane, 10)
+        assert np.all(np.abs(block.matrix) < 1.0)
+        want = np.linalg.slogdet(np.eye(block.dim) - block.matrix)[1]
+        assert logdet_one_minus(block) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def _det4_cofactor(a):
@@ -333,6 +339,18 @@ def test_each_kappa_node_evaluated_once(monkeypatch):
     # every node of the last level once, then the theta probe at one of them
     assert len(calls) == (res.kappa_nodes_used - 1) + 1
     assert len(set(calls[:-1])) == len(calls) - 1 and calls[-1] in calls[:-1]
+
+
+def test_refined_level_reuses_rows_by_index():
+    # level 2n takes its even nodes from level n's rows and evaluates only
+    # the odd ones; the result is bit-identical to evaluating every node
+    d = 0.3
+    mode_args = (SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), *_pass_args(d))
+    coarse = energy_exact._quadrature_pass(8, d, [], mode_args)
+    fine = energy_exact._quadrature_pass(16, d, coarse[-1], mode_args)
+    fresh = energy_exact._quadrature_pass(16, d, [], mode_args)
+    assert fine[:4] == fresh[:4]
+    assert fine[-1] == fresh[-1] and fine[-1][1::2] == coarse[-1]
 
 
 def test_far_kappa_nodes_stay_finite(monkeypatch):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import ive, kve, spence
 
-from plasmacas.specfun import bessel_ik_log, dilog, legendre_p, legendre_pbar_log
+from plasmacas.specfun import bessel_ik_log, dilog, legendre_pbar_log
+
+from oracles import legendre_p
 
 
 # ---------------------------------------------------------------- bessel
