@@ -67,43 +67,72 @@ class EnergyResult:
     kappa_nodes_used: int
 
 
-def logdet_one_minus(block: RoundTripBlock, nl_keep: int | None = None):
-    """ln det(I - M_m) <= 0 from a round-trip block.
+def _logdet_and_lead(f, kept):
+    """ln det(I - F F^T) and ln det(I - F_k F_k^T), F_k the first ``kept`` rows.
 
-    One Cholesky factorisation I - M = L L^T (LAPACK potrf through numpy,
-    which reads the lower triangle of the exactly symmetric block).  The
-    block carries its scale, and its entries are below 1 in magnitude (see
-    :class:`RoundTripBlock`), so nothing is rescaled here.  The m = 0 block
-    decouples into TE and TM halves, which are factorised separately.  On
-    the imaginary axis I - M is symmetric positive definite, so a failed
-    factorisation (an eigenvalue of M at or past 1) raises
-    :class:`SpectralAnomalyError`, as does a positive result (an eigenvalue
-    below 0).
+    One Cholesky factorisation of the smaller of two matrices with the same
+    determinant.  The l side is I - F F^T, whose leading ``kept`` pivots
+    give the sub-block value.  The theta side is the bordered matrix
+    K = [[I - F_k^T F_k, F_d^T], [F_d, I]], F_d the dropped rows: its Schur
+    complement on the lower-right I is I - F^T F, so det K = det(I - F F^T)
+    (Sylvester), and its leading pivots, one per column of F, give
+    det(I - F_k^T F_k) = det(I - F_k F_k^T).
+    """
+    rows, cols = f.shape
+    dropped = rows - kept
+    if cols + dropped < rows:
+        size, lead = cols + dropped, cols
+        fk, fd = f[:kept], f[kept:]
+        a = np.zeros((size, size))
+        a[:cols, :cols] = -(fk.T @ fk)
+        a[cols:, :cols] = fd
+        a[:cols, cols:] = fd.T
+    else:
+        size, lead = rows, kept
+        a = -(f @ f.T)
+    a.ravel()[::size + 1] += 1.0
+    lds = 2.0 * np.cumsum(np.log(np.diagonal(np.linalg.cholesky(a))))
+    return lds[-1], lds[lead - 1]
+
+
+def logdet_one_minus(block: RoundTripBlock, nl_keep: int | None = None):
+    """ln det(I - M_m) <= 0 from a round-trip block M = H H^T.
+
+    One Cholesky factorisation (LAPACK potrf through numpy) of whichever
+    side of det(I - H H^T) = det(I - H^T H) is smaller (see
+    :func:`_logdet_and_lead`): I - H H^T, of size 2 n_l, or a bordered
+    matrix of size 2 n_theta plus one row per dropped l row.  The rule
+    depends on the block's shape alone.  H carries the block scale and its
+    entries are below 1 (see :class:`RoundTripBlock`), so nothing is
+    rescaled here.  At m = 0, H is block-diagonal (TE rows on the first
+    n_theta columns, TM rows on the last), so the TE and TM halves are
+    factorised separately, each by the same rule.  On the imaginary axis
+    I - M is symmetric positive definite, so a failed factorisation (an
+    eigenvalue of M at or past 1) raises :class:`SpectralAnomalyError`, as
+    does a result above round-off past 0, which M = H H^T rules out.
 
     With ``nl_keep`` the call returns the pair (full value, value of the
     leading principal sub-block that keeps the first ``nl_keep`` degrees l),
-    both read off the one factorisation as 2 sum ln L_ii; the sub-block
-    value is the l-truncation probe.
+    both read off the one factorisation; the sub-block value is the
+    l-truncation probe.
     """
-    if nl_keep is not None and not 1 <= nl_keep <= block.dim // 2:
-        raise ValueError(f"nl_keep={nl_keep} outside 1 .. {block.dim // 2}")
-    mat = block.matrix
-    halves = (mat[0::2, 0::2], mat[1::2, 1::2]) if block.m == 0 else (mat,)
-    # each factorised matrix has one row per degree l at m = 0, two otherwise
-    rows_kept = (1 if block.m == 0 else 2) * (block.dim // 2 if nl_keep is None else nl_keep)
+    nl = block.dim // 2
+    if nl_keep is not None and not 1 <= nl_keep <= nl:
+        raise ValueError(f"nl_keep={nl_keep} outside 1 .. {nl}")
+    h = block.factor
+    n = h.shape[1] // 2
+    halves = (h[0::2, :n], h[1::2, n:]) if block.m == 0 else (h,)
+    # each half has one row per degree l at m = 0, the whole factor two
+    rows_kept = (1 if block.m == 0 else 2) * (nl if nl_keep is None else nl_keep)
 
     vals = np.zeros(2)
-    for a in halves:
-        a = np.negative(a)
-        a.ravel()[::a.shape[0] + 1] += 1.0
+    for f in halves:
         try:
-            chol = np.linalg.cholesky(a)
+            vals += _logdet_and_lead(f, rows_kept)
         except np.linalg.LinAlgError:
             raise SpectralAnomalyError(
                 f"I - M is not positive definite in block m={block.m}, "
                 f"kappa={block.kappa}; l_max too small or scattering bug") from None
-        lds = 2.0 * np.cumsum(np.log(np.diagonal(chol)))
-        vals += lds[-1], lds[rows_kept - 1]
     if not np.all(np.isfinite(vals)):
         raise NumericsError(
             f"non-finite factorisation in block m={block.m}, kappa={block.kappa}")

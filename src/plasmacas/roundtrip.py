@@ -24,12 +24,14 @@ Numerical organisation, fixed once here and relied on everywhere:
   :class:`KappaTable` per kappa, which also hands the m+1 Legendre ladder
   of block m on to block m+1;
 * the balanced weight of an element separates into a row factor and a
-  column factor, so a block is one product M = H H^T with H of size
-  2 n_l x 2 n_theta (a TE row [tau sqrt r_TE, pi sqrt q_TM], a TM row
-  [pi sqrt r_TE, tau sqrt q_TM], q_TM = -r_TM >= 0, TM rows negated for
-  m < 0); M is exactly symmetric and positive semi-definite, and I - M is
-  positive definite on the imaginary axis, so one Cholesky factorisation
-  gives ln det(I - M) and every leading-l truncation of it;
+  column factor, so a block is M = H H^T with H of size 2 n_l x 2 n_theta
+  (a TE row [tau sqrt r_TE, pi sqrt q_TM], a TM row [pi sqrt r_TE,
+  tau sqrt q_TM], q_TM = -r_TM >= 0, TM rows negated for m < 0), and a
+  block is stored as H alone; M is positive semi-definite and I - M
+  positive definite on the imaginary axis, and since det(I - H H^T) =
+  det(I - H^T H) the log-determinant is one Cholesky factorisation of
+  whichever side is smaller, which also gives the leading-l truncation
+  used as the l probe;
 * the alternating azimuthal phase in the element prefactor cancels against
   the phase produced by continuing the angular functions to hyperbolic angles,
   so with the positive (Hobson) Legendre convention used by specfun the net
@@ -86,24 +88,32 @@ def _angular_logs(l_max: int, m_abs: int, c_nodes: np.ndarray, ladder):
 
 @dataclass(frozen=True)
 class RoundTripBlock:
-    """Dense round-trip block at fixed (m, kappa).
+    """Round-trip block at fixed (m, kappa), stored as its factor.
 
-    ``matrix`` is M in balanced form: sqrt|T_l| is split across rows and
-    columns (a similarity transform, so every determinant built from the
-    block is unchanged), and the common factor e^{-2 kappa (L-R)}/(2 kappa L)
-    is included.  Every entry is below 1 in magnitude, since I - M is
-    positive definite and M positive semi-definite.  Row/column index is
-    2*(l - max(1,|m|)) + pol with pol TE=0, TM=1.
+    ``factor`` is H, of size 2 n_l x 2 n_theta, with M = H H^T in balanced
+    form: sqrt|T_l| is split across rows and columns (a similarity
+    transform, so every determinant built from the block is unchanged), and
+    the common factor e^{-2 kappa (L-R)}/(2 kappa L) is included.  Every
+    entry of H and of M is below 1 in magnitude, since I - M is positive
+    definite and M positive semi-definite.  Row index is
+    2*(l - max(1,|m|)) + pol with pol TE=0, TM=1; the first n_theta columns
+    carry r_TE and the last q_TM, and at m = 0 the TE rows vanish on the
+    last n_theta columns and the TM rows on the first.  ``matrix`` forms M
+    on each access, for tests and oracles; ``dim`` is its size 2 n_l.
     """
 
     m: int
     kappa: float
     l_max: int
-    matrix: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.factor @ self.factor.T
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.factor.shape[0]
 
 
 @dataclass(frozen=True)
@@ -170,7 +180,7 @@ class KappaTable:
 
 
 def assemble_block(m: int, table: KappaTable) -> RoundTripBlock:
-    """Assemble the dense round-trip block for one azimuthal index.
+    """Assemble the round-trip block for one azimuthal index as its factor H.
 
     ``table`` fixes kappa, the sheets, l_max and the rapidity nodes.  Blocks
     of one table share its kappa-only work and its Legendre-ladder cache, so
@@ -195,9 +205,8 @@ def assemble_block(m: int, table: KappaTable) -> RoundTripBlock:
     np.exp(ltau + row_tm + table.col_tm, out=h[1::2, n:])
     if m < 0:
         h[1::2] *= -1.0
-    matrix = h @ h.T
-    if not np.all(np.isfinite(matrix)):
+    if not np.all(np.isfinite(h)):
         raise NumericsError(
             f"non-finite entries in block m={m}, kappa={table.kappa} "
             f"(l_max={l_max}, theta_nodes={n})")
-    return RoundTripBlock(m=m, kappa=table.kappa, l_max=l_max, matrix=matrix)
+    return RoundTripBlock(m=m, kappa=table.kappa, l_max=l_max, factor=h)

@@ -6,7 +6,8 @@ its own way:
 
 * :func:`m_element` computes one (l, l', m) round-trip element as a scalar
   2x2 block with its own adaptive rapidity quadrature; the block assembler
-  ``roundtrip.assemble_block`` computes whole blocks as one product H H^T;
+  ``roundtrip.assemble_block`` computes whole blocks as one factor H of
+  M = H H^T;
 * :func:`dense_matrix` undoes the balancing of an assembled block, so its
   entries can be compared with :func:`m_element` or fed to a cofactor
   expansion;

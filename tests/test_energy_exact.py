@@ -13,9 +13,22 @@ from plasmacas.scattering import PERFECT_CONDUCTOR, PlaneSheet, SphereSheet
 from oracles import block_at, dense_matrix
 
 
-def _block_of(matrix, m=1):
-    n = matrix.shape[0]
-    return RoundTripBlock(m=m, kappa=1.0, l_max=n // 2, matrix=matrix)
+def _block_of(factor, m=1):
+    n = factor.shape[0]
+    return RoundTripBlock(m=m, kappa=1.0, l_max=n // 2, factor=factor)
+
+
+def _recording_cholesky(monkeypatch):
+    """Record the size of every matrix handed to np.linalg.cholesky."""
+    sizes = []
+    real = np.linalg.cholesky
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    return sizes
 
 
 # ---------------------------------------------------------------- logdet
@@ -26,20 +39,58 @@ def test_logdet_zero_matrix():
 
 def test_logdet_diagonal():
     q = np.array([0.1, 0.35, 0.02, 0.6])
-    b = _block_of(np.diag(q))
+    b = _block_of(np.diag(np.sqrt(q)))
     assert logdet_one_minus(b) == pytest.approx(np.sum(np.log1p(-q)), rel=1e-14)
 
 
-def test_logdet_spectral_anomaly():
-    # det(I - M) > 1 is unphysical for a round-trip block
+def test_block_is_built_from_its_factor():
+    f = np.arange(12.0).reshape(4, 3) / 20.0
+    b = _block_of(f)
+    assert b.dim == 4 and np.array_equal(b.matrix, f @ f.T)
+    # M = H H^T is positive semi-definite by type, so a block takes no matrix
+    with pytest.raises(TypeError):
+        RoundTripBlock(m=1, kappa=1.0, l_max=2, matrix=f @ f.T)
+
+
+def test_logdet_spectral_anomaly(monkeypatch):
+    # an eigenvalue of M = H H^T past 1 flips the determinant sign
     with pytest.raises(SpectralAnomalyError):
-        logdet_one_minus(_block_of(np.diag([-0.5, -0.4])))
-    # an eigenvalue past 1 flips the determinant sign, also an error
-    with pytest.raises(NumericsError):
-        logdet_one_minus(_block_of(np.diag([1.5, 0.1])))
+        logdet_one_minus(_block_of(np.diag(np.sqrt([1.5, 0.1]))))
     # two eigenvalues past 1 leave det(I - M) = 0.25 > 0, still not positive definite
-    with pytest.raises(NumericsError):
-        logdet_one_minus(_block_of(np.diag([1.5, 1.5])))
+    with pytest.raises(SpectralAnomalyError):
+        logdet_one_minus(_block_of(np.diag(np.sqrt([1.5, 1.5]))))
+    # a tall factor is factorised on the theta side, I - H^T H; a spectral
+    # norm above 1 must fail there too, with and without the l probe
+    tall = np.zeros((6, 2))
+    tall[0, 0], tall[3, 1] = 1.2, 0.5
+    sizes = _recording_cholesky(monkeypatch)
+    for nl_keep in (None, 2):
+        with pytest.raises(SpectralAnomalyError):
+            logdet_one_minus(_block_of(tall), nl_keep)
+    assert sizes == [2, 4]
+
+
+def test_logdet_random_factors_of_both_shapes(monkeypatch):
+    # M = H H^T cannot make det(I - M) > 1: random factors of spectral norm
+    # below 1, wide (l side) and tall (theta side), give a value <= 0 equal
+    # to slogdet of the explicit I - H H^T and of its leading sub-block
+    rng = np.random.default_rng(7)
+    sizes = _recording_cholesky(monkeypatch)
+    for shape in ((4, 12), (12, 3)):
+        for _ in range(5):
+            f = rng.standard_normal(shape)
+            f /= 1.05 * np.linalg.norm(f, 2)
+            nl_keep = shape[0] // 2 - 1
+            k = 2 * nl_keep
+            full, lead = logdet_one_minus(_block_of(f), nl_keep)
+            assert full <= lead <= 0.0
+            m = f @ f.T
+            assert full == pytest.approx(np.linalg.slogdet(np.eye(shape[0]) - m)[1],
+                                         rel=1e-12, abs=1e-14)
+            assert lead == pytest.approx(np.linalg.slogdet(np.eye(k) - m[:k, :k])[1],
+                                         rel=1e-12, abs=1e-14)
+    # l side I - H H^T of size 4; theta side of size 3 plus 2 dropped rows
+    assert sizes == [4] * 5 + [5] * 5
 
 
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 2.5])
@@ -55,7 +106,7 @@ def test_logdet_leading_l_matches_sliced_sub_block(omega):
             full, lead = logdet_one_minus(block, nl_keep)
             assert full == logdet_one_minus(block)
             k = 2 * nl_keep
-            sub = RoundTripBlock(m=m, kappa=kappa, l_max=l_max, matrix=block.matrix[:k, :k])
+            sub = RoundTripBlock(m=m, kappa=kappa, l_max=l_max, factor=block.factor[:k])
             want = logdet_one_minus(sub)
             assert lead == pytest.approx(want, rel=1e-12, abs=0.0)
             assert lead > full  # dropping degrees drops attraction
@@ -63,6 +114,36 @@ def test_logdet_leading_l_matches_sliced_sub_block(omega):
             assert lead == pytest.approx(lu, rel=1e-10, abs=0.0)
     with pytest.raises(ValueError):
         logdet_one_minus(block, 0)
+
+
+@pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 2.5])
+@pytest.mark.parametrize("l_max, theta_nodes", [(40, 12), (8, 40)])
+def test_logdet_factorises_the_smaller_side(monkeypatch, omega, l_max, theta_nodes):
+    # det(I - H H^T) = det(I - H^T H): l_max 40 on 12 rapidity nodes puts
+    # every block on the theta side, l_max 8 on 40 nodes on the l side.
+    # Both the full value and the l probe match slogdet of the explicit
+    # I - H H^T and of its sliced leading sub-block, and each matrix
+    # factorised is the smaller of the two sides.
+    sphere, plane = SphereSheet(1.0, omega), PlaneSheet(omega, 1.2)
+    nl_drop = 2
+    sizes = _recording_cholesky(monkeypatch)
+    for kappa in (0.4, 2.0, 6.0):
+        for m in (0, 3, -3):
+            block = block_at(m, kappa, sphere, plane, l_max, theta_nodes)
+            nl = block.dim // 2
+            k = 2 * (nl - nl_drop)
+            del sizes[:]
+            full, lead = logdet_one_minus(block, nl - nl_drop)
+            halves, per_l = (2, 1) if m == 0 else (1, 2)
+            l_side, theta_side = per_l * nl, per_l * (theta_nodes + nl_drop)
+            assert sizes == [min(l_side, theta_side)] * halves
+            assert (theta_side < l_side) == (l_max == 40)
+            mat = block.matrix
+            want_full = np.linalg.slogdet(np.eye(block.dim) - mat)[1]
+            want_lead = np.linalg.slogdet(np.eye(k) - mat[:k, :k])[1]
+            assert abs(full - want_full) <= 1e-12 * max(1.0, abs(want_full))
+            assert abs(lead - want_lead) <= 1e-12 * max(1.0, abs(want_lead))
+            assert full < lead < 0.0
 
 
 @pytest.mark.parametrize("kappa", [1e-4, 3.1e3])
@@ -291,6 +372,19 @@ def test_pc_tenth_block_count_and_m_max_used(monkeypatch):
                          NumericsSpec(rel_tol=1e-3))
     assert len(calls) <= 700
     assert 4 <= res.m_max_used < res.l_max_used
+
+
+@pytest.mark.parametrize("d, truncation, energy", [
+    (0.1, (70, 12, 32), -3.818313024637776),
+    (0.05, (130, 16, 32), -16.137990943933154)])
+def test_pc_exact_pair_truncations_are_pinned(d, truncation, energy):
+    # the criterion-5 pair: each far kappa node stops its m sum on a tiny
+    # ln det, so factorisation round-off could move that stop by one m;
+    # (l_max_used, m_max_used, kappa_nodes_used) and E must not move
+    res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR),
+                         PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), NumericsSpec(rel_tol=1e-3))
+    assert (res.l_max_used, res.m_max_used, res.kappa_nodes_used) == truncation
+    assert res.energy == pytest.approx(energy, rel=1e-10, abs=0.0)
 
 
 # ---------------------------------------------------------------- kappa rule

@@ -196,3 +196,16 @@ def test_dilog_series_accuracy_absolute():
     for x in (-0.999, -0.51, -0.5, 0.25, 0.49999, 0.5, 0.51, 0.77, 0.999, 0.9999):
         ref = float(mp.polylog(2, x))
         assert abs(dilog(x) - ref) < 1e-14
+
+
+def test_dilog_relative_accuracy_near_zero():
+    # spence(1 - x) alone rounds away the low bits of x (8e-8 relative at
+    # x = 1e-10); with that rounding added back dilog keeps 1e-14 relative
+    # for both signs
+    mp = pytest.importorskip("mpmath")
+    mag = np.geomspace(1e-12, 1e-1, 241)
+    x = np.concatenate([mag, -mag])
+    with mp.workdps(40):
+        ref = np.array([float(mp.polylog(2, mp.mpf(float(v)))) for v in x])
+    assert np.max(np.abs(dilog(x) - ref) / np.abs(ref)) <= 1e-14
+    assert dilog(1e-10) == pytest.approx(1e-10 + 0.25e-20, rel=1e-15)
