@@ -228,7 +228,7 @@ def _compute_row(task) -> dict:
         row.update(energy_J=energy_j,
                    energy_dimensionless=energy_j * gap * gap / (HBARC_J_M * radius),
                    ratio_to_PFA_PC=energy_j / _pfa_pc_energy_j(radius, gap))
-    except (NumericsError, ValueError, AssertionError) as exc:
+    except (NumericsError, ValueError) as exc:
         row.update(status=f"error: {exc}")
     return row
 

@@ -56,8 +56,6 @@ def _polylog(p: int, z):
     """Li_1(z) = -ln(1 - z) or Li_2(z)."""
     if p == 1:
         return -np.log1p(-z)
-    if np.any(z > 1.0) or np.any(z < -1.0):
-        raise AssertionError("dilog argument left [-1, 1]; |r r| <= 1 violated")
     return dilog(z)
 
 

@@ -19,7 +19,10 @@ its own way:
   homogeneous power-sum form, which has no a -> b cancellation;
 * :func:`full_sum_theta` sums both small-gap s-series over every s up to
   ``asymptotics._S_MAX`` with a three-term tail fit; the production sum
-  stops as soon as its five-term tail-corrected total settles.
+  stops as soon as its five-term tail-corrected total settles;
+* :func:`laguerre_theta` integrates each small-gap s-term in t by
+  Gauss-Laguerre on x = 2 t (s+1); the production terms use a trapezoid on
+  ln t.
 """
 
 from __future__ import annotations
@@ -29,12 +32,13 @@ import math
 import numpy as np
 from scipy.special import zeta
 
-from plasmacas.asymptotics import _S_MAX, _braces_times_t, _e0_times_t, _series_term_factory, _t0
+from plasmacas.asymptotics import (_S_MAX, _braces_times_t, _e0_times_t, _series_term_factory,
+                                   _t0, _tail_corrected_sum)
 from plasmacas.errors import NumericsError
 from plasmacas.roundtrip import KappaTable, _angular_logs, assemble_block
 from plasmacas.scattering import Polarization, plane_r, sphere_t_logs
 from plasmacas.specfun import legendre_pbar_log
-from plasmacas._quadrature import gauss_laguerre
+from plasmacas._quadrature import gauss_laguerre, tau_rule
 
 
 def block_at(m, kappa, sphere, plane, l_max, theta_nodes=40):
@@ -212,4 +216,28 @@ def full_sum_theta(varpi_s, varpi_p):
     """theta = E1/E0 (R/d) from the full-length E0 and E1 s-series."""
     q0 = _full_s_sum(_series_term_factory(varpi_s, varpi_p, _e0_times_t), 4)
     q1 = _full_s_sum(_series_term_factory(varpi_s, varpi_p, _braces_times_t), 2)
+    return q1 / q0
+
+
+def laguerre_theta(varpi_s, varpi_p, rel_tol, n=96):
+    """theta with each s-term integrated by n-point Gauss-Laguerre on
+    x = 2 t (s+1) and an n-point tau rule, the s-sums stopped as in
+    production.
+
+    The T0 poles sit at x = -2 (s+1) w, close to the nodes for small w: at
+    n = 96 theta is good to 1e-11 only from about w = 0.5 up.
+    """
+    x, wx = gauss_laguerre(n)
+    tau, wtau = tau_rule(n)
+
+    def series_term(g_func):
+        def term(s):
+            sig = s + 1.0
+            t = x[:, None] / (2.0 * sig)
+            g = g_func(s, t, tau[None, :], varpi_s, varpi_p)
+            return float(wx @ g @ wtau) / (2.0 * sig) / sig ** 2
+        return term
+
+    q0, _ = _tail_corrected_sum(series_term(_e0_times_t), 4, rel_tol, "E0")
+    q1, _ = _tail_corrected_sum(series_term(_braces_times_t), 2, rel_tol, "E1", abs(q0))
     return q1 / q0

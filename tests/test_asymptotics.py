@@ -13,7 +13,7 @@ from plasmacas.pfa import PfaParams, pfa_energy
 from plasmacas.scattering import PERFECT_CONDUCTOR as PC
 from plasmacas._quadrature import tau_rule
 
-from oracles import full_sum_theta, script_b_divided_difference
+from oracles import full_sum_theta, laguerre_theta, script_b_divided_difference
 
 THETA_PC = 1.0 / 3.0 - 20.0 / math.pi ** 2
 
@@ -168,9 +168,28 @@ def test_e1_pc_value():
 
 def test_e1_stable_under_node_doubling(monkeypatch):
     base = e1(1.0, 0.1, 1.0, 1.0)
-    monkeypatch.setattr(asy, "_N_T", 96)
+    monkeypatch.setattr(asy, "_N_TAU", 2 * asy._N_TAU)
     fine = e1(1.0, 0.1, 1.0, 1.0)
     assert fine == pytest.approx(base, rel=1e-6)
+
+
+@pytest.mark.parametrize("w", [0.1, 1e-5])
+def test_theta_matches_finer_quadrature(w, monkeypatch):
+    # w = 0.1 needs 48 tau nodes and w = 1e-5 needs 384; a Gauss-Laguerre t
+    # rule capped at 192 nodes, or a fixed 192-node tau rule, misses by 1e-8
+    got = small_gap_expansion(1.0, 0.01, w, w)[2]
+    monkeypatch.setattr(asy, "_N_TAU", 384)
+    monkeypatch.setattr(asy, "_LOG_TRAP_H", 0.2)
+    fine = small_gap_expansion(1.0, 0.01, w, w)[2]
+    assert abs(got - fine) < 1e-10 * max(abs(fine), 1.0)
+
+
+def test_tau_probe_raises_at_its_cap(monkeypatch):
+    # w = 1e-3 needs 96 to 192 tau nodes; a cap of 48 must raise, not return
+    monkeypatch.setattr(asy, "_N_TAU_MAX", 48)
+    with pytest.raises(NumericsError, match="tau rule not settled") as info:
+        small_gap_expansion(1.0, 0.01, 1e-3, 1e-3)
+    assert math.isfinite(info.value.error_estimate) and info.value.error_estimate > 0.0
 
 
 def test_theta_pc():
@@ -215,8 +234,8 @@ def test_small_gap_and_pfa_values_are_plain_floats():
         assert [type(v) for v in values] == [float] * len(values), values
 
 
-# equal graphene-like sheets: w = 0.095 takes the log-trapezoid route, the
-# others Gauss-Laguerre with node doubling (w = 0.24 needs the most nodes)
+# equal graphene-like sheets from both ends of the bench gap grid; w = 0.095
+# needs the most tau nodes (48), the others settle on the first 24
 _GRAPHENE_W = (0.095, 0.24, 1.3, 58.0)
 
 
@@ -248,13 +267,12 @@ def test_s_series_term_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("w", [0.5, 3.39])
-def test_log_trapezoid_route_matches_laguerre_route(w, monkeypatch):
-    # sheets either route can take; the log-trapezoid's first weight carries
-    # the E1 integrand below its first node, which tends to c t as t -> 0
-    lag = small_gap_expansion(1.0, 0.01, w, w, rel_tol=1e-11)[2]
-    monkeypatch.setattr(asy, "_SMALL_VARPI", math.inf)
+def test_log_trapezoid_route_matches_laguerre_route(w):
+    # sheets where Gauss-Laguerre in t converges too; the log-trapezoid's
+    # first weight carries the E1 integrand below its first node, which
+    # tends to c t as t -> 0
     trap = small_gap_expansion(1.0, 0.01, w, w, rel_tol=1e-11)[2]
-    assert abs(trap - lag) < 1e-11
+    assert abs(trap - laguerre_theta(w, w, rel_tol=1e-11)) < 1e-11
 
 
 def test_s_series_rel_tol_floor_and_unsettled_ceiling():
