@@ -18,12 +18,12 @@ import numpy as np
 from .errors import NumericsError, SpectralAnomalyError
 from .roundtrip import KappaTable, RoundTripBlock, assemble_block
 from .scattering import PlaneSheet, SphereSheet, varpi
+from ._quadrature import rapidity_rule
 
-_L_MAX_CEILING = 2000
+_D_MIN = 0.01  # smallest d/R of the multipole path
 _KAPPA_NODE_CEILING = 128  # finest kappa level n (n - 1 nodes)
 _KAPPA_MAP_SCALE = 3.0  # x = a (1 + s)/(1 - s): half of every level lies below x = a
-_THETA_NODE_FLOOR = 40
-_THETA_NODE_CEILING = 192  # the Gauss-Laguerre rule is stable up to here
+_THETA_PANEL_FLOOR = 5  # 8-point panels, so at least 40 rapidity nodes
 _LOGDET_POSITIVE_TOL = 1e-12
 
 
@@ -32,8 +32,8 @@ class NumericsSpec:
     """The truncation knobs a caller sets.
 
     l_max/m_max may be "auto"; rel_tol applies to the dimensionless core
-    value E R / (hbar c).  The rapidity nodes follow l_max (see
-    :func:`_theta_nodes`).
+    value E R / (hbar c).  The rapidity rule follows l_max (see
+    :func:`_theta_rule`).
     """
 
     l_max: int | str = "auto"
@@ -144,7 +144,7 @@ def logdet_one_minus(block: RoundTripBlock, nl_keep: int | None = None):
     return full if nl_keep is None else (full, kept)
 
 
-def _mode_sum(kappa, sphere, plane, l_max, m_max, theta_nodes, rel_tol):
+def _mode_sum(kappa, sphere, plane, l_max, m_max, theta_rule, rel_tol):
     """F(kappa) = sum_m ln det(I - M_m) with the m <-> -m doubling.
 
     Also returns the same sum on the principal submatrix with l_drop =
@@ -153,10 +153,11 @@ def _mode_sum(kappa, sphere, plane, l_max, m_max, theta_nodes, rel_tol):
     blocks, both when the m sum stops and when it ends at m_max < l_max; it
     is 0 when the sum runs to m = l_max, past which there are no blocks.
     The kappa-only part of the blocks is computed once, in one shared
-    :class:`KappaTable`.
+    :class:`KappaTable`, on the rapidity rule of ``theta_rule`` =
+    (panels, v_max).
     """
     l_drop = max(4, l_max // 8)
-    table = KappaTable.build(kappa, sphere, plane, l_max, theta_nodes)
+    table = KappaTable.build(kappa, sphere, plane, l_max, rapidity_rule(*theta_rule))
     total = 0.0
     total_sub = 0.0
     contribs = []
@@ -181,17 +182,30 @@ def _mode_sum(kappa, sphere, plane, l_max, m_max, theta_nodes, rel_tol):
 
 def _auto_l_max(d):
     """Starting l_max for the gap d (in units of R)."""
-    return min(int(math.ceil(6.0 / d)) + 10, _L_MAX_CEILING)
+    return int(math.ceil(6.0 / d)) + 10
 
 
-def _theta_nodes(l_max):
-    """The rapidity-node count every kappa node is evaluated with at this l_max.
+def _theta_rule(l_max):
+    """(panels, v_max) of the rapidity rule every kappa node uses at this l_max.
 
-    The rapidity integrand of the highest angular orders peaks near
-    u = 2 l_max, so the count grows with l_max from a floor of 40 up to the
-    ceiling of 192.
+    The rule is composite 8-point Gauss-Legendre in v = sqrt(u) on
+    [0, v_max] (``_quadrature.rapidity_rule``).  Row l of H carries
+    Pbar_l^m(c) ~ c^l with c = 1 + u/(2 kappa L), so the integrand of the
+    highest row is about e^{g}, g = -u + 2 l_max ln(2 kappa L + u).  It
+    peaks at u = 2 l_max - 2 kappa L <= 2 l_max, i.e. at
+    v* <= sqrt(2 l_max), with curvature g'' = -2 v*^2 / l_max in v.  That
+    is sharpest, -4, as kappa L -> 0, a Gaussian of width 1/2:
+    g(v* + dv) - g(v*) = -2 dv^2 + (2/3) dv^3 / v* - ...  At dv = 6 that is
+    e^{-72} at large l_max and still below e^{-58} at l_max = 20, so
+    v_max = sqrt(2 l_max) + 6 cuts nothing a double can hold, with room for
+    the polynomial prefactors that move the peak by O(1/v*).  The panel
+    width of at most 5 and the floor of 5 panels are measured, not derived.
+    Since every row's peak is narrowest at small kappa, the rule is weakest
+    at the smallest kappa node, and the driver's theta probe runs there.
+    The node count grows like sqrt(l_max), not like l_max.
     """
-    return min(max(_THETA_NODE_FLOOR, l_max // 2 + 24), _THETA_NODE_CEILING)
+    v_max = math.sqrt(2.0 * l_max) + 6.0
+    return max(_THETA_PANEL_FLOOR, math.ceil(v_max / 5.0)), v_max
 
 
 def _kappa_rule(n):
@@ -244,10 +258,15 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     rel_tol/4.  At each node the m sum stops at the first m >= 4 whose
     block contributes at most rel_tol/4 of the running total, so a node
     whose blocks all give ln det = 0 stops at m = 4; ``m_max_used`` is the
-    largest m any node of the last level reached.  The rapidity-node count
-    follows l_max (:func:`_theta_nodes`) and is checked at the node with the
-    largest weighted |F|.  The kappa, l, m and theta estimates add up to
-    error_estimate, which must be at most rel_tol |E|.
+    largest m any node of the last level reached.  The rapidity rule
+    follows l_max (:func:`_theta_rule`) and is checked at the smallest
+    kappa node, where it is weakest: F there is recomputed on twice the
+    panels and 1.25 v_max, and the relative change, times |E|, is the theta
+    estimate.  The kappa, l, m and theta estimates add up to
+    error_estimate, which must be at most rel_tol |E|.  Gaps below
+    d/R = 0.01 are outside the supported domain and raise
+    :class:`NumericsError` before any block is built: at the default
+    rel_tol the m estimate alone exceeds the budget at d/R = 0.0075.
 
     Returns energy in units hbar c per unit length of the inputs, alongside
     the dimensionless E d^2/(hbar c R).
@@ -262,16 +281,17 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     s1 = SphereSheet(radius_R=1.0, omega_s=varpi(sphere.omega_s, R))
     p1 = PlaneSheet(omega_p=varpi(plane.omega_p, R), distance_L=L / R)
     d = L / R - 1.0
+    if d < _D_MIN * (1.0 - 1e-9):  # slack for the rounding of L/R - 1
+        raise NumericsError(f"d/R = {d:.3g} is below the smallest supported gap "
+                            f"d/R = {_D_MIN} of the multipole path")
 
     auto_l = numerics.l_max == "auto"
     l_max = _auto_l_max(d) if auto_l else numerics.l_max
 
     for _growth in range(4):
-        if l_max > _L_MAX_CEILING:
-            raise NumericsError(f"l_max cap {_L_MAX_CEILING} exceeded (needed {l_max})")
         m_max = l_max if numerics.m_max == "auto" else numerics.m_max
-        theta_nodes = _theta_nodes(l_max)
-        mode_args = (s1, p1, l_max, m_max, theta_nodes, numerics.rel_tol)
+        panels, v_max = _theta_rule(l_max)
+        mode_args = (s1, p1, l_max, m_max, (panels, v_max), numerics.rel_tol)
 
         n = numerics.kappa_nodes
         level = _quadrature_pass(n, d, [], mode_args)
@@ -283,26 +303,22 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
             err_k = abs(level[0] - e_prev)
             if err_k <= 0.25 * numerics.rel_tol * abs(level[0]):
                 break
-        e_hat, err_l, err_m, m_used, x, w, rows = level
+        e_hat, err_l, err_m, m_used, x, _, rows = level
 
         if not auto_l or err_l <= 0.25 * numerics.rel_tol * abs(e_hat):
             break
-        l_max = min(l_max + max(10, l_max // 3), _L_MAX_CEILING + 1)
+        l_max += max(10, l_max // 3)
     else:
         raise NumericsError(
             f"l_max growth did not converge; last increment estimate {err_l} "
             f"vs target {0.25 * numerics.rel_tol * abs(e_hat)}", error_estimate=err_l)
 
-    # theta-node check at the dominant kappa node
-    f_vals = np.array([row[0] for row in rows])
-    i_peak = int(np.argmax(np.abs(w * f_vals)))
-    probe_nodes = min(2 * theta_nodes, _THETA_NODE_CEILING)
-    if probe_nodes == theta_nodes:
-        probe_nodes -= 16
-    f2, _, _, _ = _mode_sum(x[i_peak] / (2.0 * d), s1, p1, l_max, m_max, probe_nodes,
-                            numerics.rel_tol)
-    rel_theta = abs(f2 - f_vals[i_peak]) / max(abs(f_vals[i_peak]), 1e-300)
-    err_theta = rel_theta * abs(e_hat)
+    # rapidity-rule check at the smallest kappa node, where the rule is weakest
+    i_min = int(np.argmin(x))
+    f_min = rows[i_min][0]
+    f2, _, _, _ = _mode_sum(x[i_min] / (2.0 * d), s1, p1, l_max, m_max,
+                            (2 * panels, 1.25 * v_max), numerics.rel_tol)
+    err_theta = abs(f2 - f_min) / max(abs(f_min), 1e-300) * abs(e_hat)
 
     error = err_k + err_l + err_m + err_theta
     if e_hat >= 0.0:

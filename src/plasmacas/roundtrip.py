@@ -8,8 +8,10 @@ cosh(theta)}.
 
 Numerical organisation, fixed once here and relied on everywhere:
 
-* cosh(theta) = 1 + u/(2 kappa L) maps the integral onto Gauss-Laguerre
-  nodes in u with the overall e^{-2 kappa L} pulled out;
+* cosh(theta) = 1 + u/(2 kappa L) maps the integral onto
+  int_0^inf e^{-u} g(u) du with the overall e^{-2 kappa L} pulled out; the
+  rule for it (nodes u, log weights) is the caller's, and the exact driver
+  uses composite Gauss-Legendre in v = sqrt(u) (``_quadrature.rapidity_rule``);
 * all angular functions carry the factorial normalisation
   sqrt((l-m)!/(l+m)!) of the prefactor and are handled in log space;
 * blocks are stored in the determinant-preserving balanced form with
@@ -19,7 +21,7 @@ Numerical organisation, fixed once here and relied on everywhere:
   positive semi-definite and I - M positive definite, so every |M_ij| < 1,
   and every entry of H (M = H H^T, below) is below 1 too.  M/s alone, by
   contrast, overflows at small kappa;
-* everything that depends on kappa but not on m (nodes, Laguerre weights,
+* everything that depends on kappa but not on m (rapidity nodes and weights,
   plane reflections, sphere T logs, the scaled l prefactor) lives in one
   :class:`KappaTable` per kappa, which also hands the m+1 Legendre ladder
   of block m on to block m+1;
@@ -54,7 +56,6 @@ import numpy as np
 from .errors import NumericsError
 from .scattering import PlaneSheet, Polarization, SphereSheet, plane_r, sphere_t_logs
 from .specfun import legendre_pbar_log
-from ._quadrature import gauss_laguerre
 
 
 def _angular_logs(l_max: int, m_abs: int, c_nodes: np.ndarray, ladder):
@@ -121,9 +122,9 @@ class KappaTable:
     """The part of every block at one kappa that does not depend on m.
 
     ``c`` holds the cosh(theta) nodes.  ``col_te``/``col_tm`` are the
-    half-logs of the column weights v r_TE and v (-r_TM): Laguerre weight
-    times plane reflection, so their exponentials are the sqrt weights of the
-    rapidity sum.  ``half_pref`` is the half-log of the element prefactor
+    half-logs of the column weights w r_TE and w (-r_TM): rapidity weight
+    (which includes e^{-u}) times plane reflection, so their exponentials are
+    the sqrt weights of the rapidity sum.  ``half_pref`` is the half-log of the element prefactor
     (pi/2) (2l+1)/(l(l+1)) times the block scale
     e^{-2 kappa (L-R)}/(2 kappa L), and ``half_log_t`` the TE and TM
     half-logs of |T_l|, for l = 1 .. l_max.  The table also keeps the two
@@ -142,19 +143,22 @@ class KappaTable:
 
     @classmethod
     def build(cls, kappa: float, sphere: SphereSheet, plane: PlaneSheet,
-              l_max: int, theta_nodes: int) -> "KappaTable":
-        """The table for degrees l = 1 .. l_max on ``theta_nodes`` Gauss-Laguerre nodes."""
+              l_max: int, rule) -> "KappaTable":
+        """The table for degrees l = 1 .. l_max on the rapidity rule (u, ln w).
+
+        ``rule`` integrates int_0^inf e^{-u} f(u) du as sum exp(ln w) f(u).
+        """
         if not (kappa > 0.0):
             raise ValueError(f"kappa must be positive, got {kappa}")
         kl = kappa * plane.distance_L
-        u, v = gauss_laguerre(theta_nodes)
+        u, log_w = rule
         c = 1.0 + u / (2.0 * kl)
         sh = np.sqrt((c - 1.0) * (c + 1.0))
         rte = plane_r(Polarization.TE, kappa, kappa * sh, plane)
         qtm = -plane_r(Polarization.TM, kappa, kappa * sh, plane)
         with np.errstate(divide="ignore"):
-            col_te = 0.5 * (np.log(v) + np.log(rte))
-            col_tm = 0.5 * (np.log(v) + np.log(qtm))
+            col_te = 0.5 * (log_w + np.log(rte))
+            col_tm = 0.5 * (log_w + np.log(qtm))
         log_te, log_tm = sphere_t_logs(l_max, kappa, sphere)
 
         log_s = 2.0 * kappa * sphere.radius_R - 2.0 * kl - math.log(2.0 * kl)

@@ -5,9 +5,10 @@ literal transcription of a formula that ``src/plasmacas`` evaluates once in
 its own way:
 
 * :func:`m_element` computes one (l, l', m) round-trip element as a scalar
-  2x2 block with its own adaptive rapidity quadrature; the block assembler
-  ``roundtrip.assemble_block`` computes whole blocks as one factor H of
-  M = H H^T;
+  2x2 block with its own adaptive Gauss-Laguerre rapidity quadrature; the
+  block assembler ``roundtrip.assemble_block`` computes whole blocks as one
+  factor H of M = H H^T, on the driver's composite Gauss-Legendre rule in
+  sqrt(u);
 * :func:`dense_matrix` undoes the balancing of an assembled block, so its
   entries can be compared with :func:`m_element` or fed to a cofactor
   expansion;
@@ -34,16 +35,23 @@ from scipy.special import zeta
 
 from plasmacas.asymptotics import (_S_MAX, _braces_times_t, _e0_times_t, _series_term_factory,
                                    _t0, _tail_corrected_sum)
+from plasmacas.energy_exact import _theta_rule
 from plasmacas.errors import NumericsError
 from plasmacas.roundtrip import KappaTable, _angular_logs, assemble_block
 from plasmacas.scattering import Polarization, plane_r, sphere_t_logs
 from plasmacas.specfun import legendre_pbar_log
-from plasmacas._quadrature import gauss_laguerre, tau_rule
+from plasmacas._quadrature import gauss_laguerre, rapidity_rule, tau_rule
 
 
-def block_at(m, kappa, sphere, plane, l_max, theta_nodes=40):
-    """One round-trip block, assembled on a :class:`KappaTable` of its own."""
-    return assemble_block(m, KappaTable.build(kappa, sphere, plane, l_max, theta_nodes))
+def block_at(m, kappa, sphere, plane, l_max, rule=None):
+    """One round-trip block, assembled on a :class:`KappaTable` of its own.
+
+    The rapidity rule (u, ln w) is the driver's for ``l_max`` unless
+    ``rule`` is given.
+    """
+    if rule is None:
+        rule = rapidity_rule(*_theta_rule(l_max))
+    return assemble_block(m, KappaTable.build(kappa, sphere, plane, l_max, rule))
 
 
 def angular_logs(l_max, m_abs, c_nodes):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from plasmacas.energy_exact import (EnergyResult, NumericsSpec, casimir_energy,
 from plasmacas.errors import NumericsError, SpectralAnomalyError
 from plasmacas.roundtrip import RoundTripBlock
 from plasmacas.scattering import PERFECT_CONDUCTOR, PlaneSheet, SphereSheet
+from plasmacas._quadrature import rapidity_rule
 
 from oracles import block_at, dense_matrix
 
@@ -121,15 +123,17 @@ def test_logdet_leading_l_matches_sliced_sub_block(omega):
 def test_logdet_factorises_the_smaller_side(monkeypatch, omega, l_max, theta_nodes):
     # det(I - H H^T) = det(I - H^T H): l_max 40 on 12 rapidity nodes puts
     # every block on the theta side, l_max 8 on 40 nodes on the l side.
+    # The rule is Gauss-Laguerre here, as any rule (u, ln w) may be.
     # Both the full value and the l probe match slogdet of the explicit
     # I - H H^T and of its sliced leading sub-block, and each matrix
     # factorised is the smaller of the two sides.
     sphere, plane = SphereSheet(1.0, omega), PlaneSheet(omega, 1.2)
     nl_drop = 2
+    u, w = np.polynomial.laguerre.laggauss(theta_nodes)
     sizes = _recording_cholesky(monkeypatch)
     for kappa in (0.4, 2.0, 6.0):
         for m in (0, 3, -3):
-            block = block_at(m, kappa, sphere, plane, l_max, theta_nodes)
+            block = block_at(m, kappa, sphere, plane, l_max, (u, np.log(w)))
             nl = block.dim // 2
             k = 2 * (nl - nl_drop)
             del sizes[:]
@@ -250,8 +254,11 @@ def test_energy_truncation_convergence_within_estimate(monkeypatch):
     sphere = SphereSheet(1.0, PERFECT_CONDUCTOR)
     plane = PlaneSheet(PERFECT_CONDUCTOR, 1.25)
     res = casimir_energy(sphere, plane, NumericsSpec(rel_tol=1e-3))
-    # the reference also runs on 80 rapidity nodes, twice the run under test
-    monkeypatch.setattr(energy_exact, "_THETA_NODE_FLOOR", 80)
+    # the reference also runs on the refined rapidity rule the theta probe
+    # uses: twice the panels on 1.25 v_max
+    rule = energy_exact._theta_rule
+    monkeypatch.setattr(energy_exact, "_theta_rule",
+                        lambda l_max: (2 * rule(l_max)[0], 1.25 * rule(l_max)[1]))
     hard = casimir_energy(sphere, plane, NumericsSpec(
         l_max=2 * res.l_max_used, m_max=2 * res.l_max_used,
         kappa_nodes=2 * res.kappa_nodes_used, rel_tol=1e-3))
@@ -347,9 +354,9 @@ def _counting_blocks(monkeypatch):
 
 
 def _pass_args(d):
-    """(l_max, m_max, theta_nodes, rel_tol) of the first auto pass at gap d."""
+    """(l_max, m_max, theta_rule, rel_tol) of the first auto pass at gap d."""
     l_max = energy_exact._auto_l_max(d)
-    return l_max, l_max, energy_exact._theta_nodes(l_max), NumericsSpec().rel_tol
+    return l_max, l_max, energy_exact._theta_rule(l_max), NumericsSpec().rel_tol
 
 
 def test_zero_tail_node_stops_at_m4(monkeypatch):
@@ -375,12 +382,15 @@ def test_pc_tenth_block_count_and_m_max_used(monkeypatch):
 
 
 @pytest.mark.parametrize("d, truncation, energy", [
-    (0.1, (70, 12, 32), -3.818313024637776),
-    (0.05, (130, 16, 32), -16.137990943933154)])
+    (0.1, (70, 12, 32), -3.8183133234149396),
+    (0.05, (130, 16, 32), -16.137979581424464)])
 def test_pc_exact_pair_truncations_are_pinned(d, truncation, energy):
     # the criterion-5 pair: each far kappa node stops its m sum on a tiny
     # ln det, so factorisation round-off could move that stop by one m;
-    # (l_max_used, m_max_used, kappa_nodes_used) and E must not move
+    # (l_max_used, m_max_used, kappa_nodes_used) and E must not move.  The
+    # 40-node sqrt(u) rapidity rule moved E from the 59- and 89-node
+    # Gauss-Laguerre values (-3.818313024637776, -16.137990943933154) by
+    # 3.0e-7 and 1.1e-5, against error estimates of 6.3e-4 and 4.8e-3
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR),
                          PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), NumericsSpec(rel_tol=1e-3))
     assert (res.l_max_used, res.m_max_used, res.kappa_nodes_used) == truncation
@@ -475,3 +485,94 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
         f, f_sub, m_tail, _ = real(1e-4, SphereSheet(1.0, om), PlaneSheet(om, 1.0 + d_wide),
                                    *_pass_args(d_wide))
         assert math.isfinite(f) and f < 0.0 and f <= f_sub <= 0.0 and m_tail >= 0.0
+
+
+# ---------------------------------------------------------------- rapidity rule
+
+def test_rapidity_log_weights_finite_up_to_the_domain_limit():
+    # the largest l_max the driver reaches is the fourth pass at the
+    # smallest gap; the rule and its probe stay finite there with no
+    # ceiling, although their last weights underflow as plain doubles
+    l_top = energy_exact._auto_l_max(energy_exact._D_MIN)
+    for _ in range(3):
+        l_top += max(10, l_top // 3)
+    for l_max in range(1, l_top + 1):
+        panels, v_max = energy_exact._theta_rule(l_max)
+        for rule in ((panels, v_max), (2 * panels, 1.25 * v_max)):
+            u, log_w = rapidity_rule(*rule)
+            assert u.size == 8 * rule[0] and np.all(np.isfinite(log_w))
+            assert u[-1] > 2 * l_max  # past the peak of the highest row
+    assert np.exp(log_w[-1]) == 0.0
+
+
+@pytest.mark.parametrize("d", [0.3, 0.05])
+def test_rapidity_rule_error_within_its_probe(d):
+    # F at the smallest node of kappa level 128 (where the driver probes)
+    # and at x = 2 kappa d ~ 0.67: the production rule matches one with 4x
+    # the panels on 1.5 v_max within the relative change the probe reports
+    sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
+    l_max, m_max, (panels, v_max), rel_tol = _pass_args(d)
+    x_min = energy_exact._kappa_rule(128)[0].min()
+    x_mid = energy_exact._kappa_rule(32)[0][22]
+    assert x_mid == pytest.approx(0.672, abs=1e-3)
+    for x in (x_min, x_mid):
+        def f(rule):
+            return energy_exact._mode_sum(x / (2.0 * d), sphere, plane, l_max, m_max, rule,
+                                          rel_tol)[0]
+        prod = f((panels, v_max))
+        probe = abs(f((2 * panels, 1.25 * v_max)) - prod) / abs(prod)
+        ref = f((4 * panels, 1.5 * v_max))
+        assert abs(prod - ref) / abs(ref) <= probe
+
+
+@pytest.mark.parametrize("d, omega_s, omega_p, e_ref, err_ref", [
+    (0.2916677455724206, 2.2969562477180534, 14.374812270822432,
+     -0.20147491635025208, 1.7836781372087212e-06),
+    (0.5331081609387962, PERFECT_CONDUCTOR, PERFECT_CONDUCTOR,
+     -0.09207545004444254, 5.338224870450861e-07)])
+def test_theta_probe_sees_an_under_resolved_rule(monkeypatch, d, omega_s, omega_p, e_ref,
+                                                 err_ref):
+    # two benchmark points with their rel_tol 1e-4 references
+    # (bench/points.json, R = 1).  On 24 rapidity nodes (3 panels) E misses
+    # the reference by more than the other estimates; the theta probe at
+    # the smallest kappa must either make the run raise or cover the miss
+    monkeypatch.setattr(energy_exact, "_THETA_PANEL_FLOOR", 3)
+    assert energy_exact._theta_rule(energy_exact._auto_l_max(d))[0] == 3
+    try:
+        res = casimir_energy(SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d),
+                             NumericsSpec(rel_tol=1e-3))
+    except NumericsError:
+        return
+    assert abs(res.energy - e_ref) <= res.error_estimate + err_ref
+
+
+def test_gap_below_the_domain_raises_up_front(monkeypatch):
+    calls = _counting_blocks(monkeypatch)
+    sphere = SphereSheet(1.0, PERFECT_CONDUCTOR)
+    start = time.perf_counter()
+    for d in (0.9 * energy_exact._D_MIN, 1e-4):
+        with pytest.raises(NumericsError, match="smallest supported gap"):
+            casimir_energy(sphere, PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d))
+    assert time.perf_counter() - start < 1.0
+    assert calls == []
+
+    # the limit itself is inside, also where L/R - 1 rounds below it
+    class Reached(Exception):
+        pass
+
+    def reached(d):
+        raise Reached
+
+    monkeypatch.setattr(energy_exact, "_auto_l_max", reached)
+    for radius in (1.0, 1e-3, 7.0):
+        with pytest.raises(Reached):
+            casimir_energy(SphereSheet(radius, PERFECT_CONDUCTOR),
+                           PlaneSheet(PERFECT_CONDUCTOR, radius * (1.0 + energy_exact._D_MIN)))
+
+
+def test_pc_small_gap_matches_tight_reference():
+    # PC d/R = 0.02 at rel_tol 1e-3 against a rel_tol 1e-4 run of the
+    # Gauss-Laguerre rule (E = -104.66071, estimate 4.8e-3, l_max 413)
+    res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.02),
+                         NumericsSpec(rel_tol=1e-3))
+    assert abs(res.energy - -104.66071) <= res.error_estimate + 4.8e-3

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from plasmacas.energy_exact import logdet_one_minus
+from plasmacas.energy_exact import _theta_rule, logdet_one_minus
 from plasmacas import roundtrip
 from plasmacas.roundtrip import KappaTable, assemble_block
 from plasmacas.scattering import (PERFECT_CONDUCTOR, PlaneSheet, Polarization,
                                   SphereSheet, sphere_t)
+from plasmacas._quadrature import rapidity_rule
 
 from oracles import angular_logs, block_at, dense_matrix, m_element
 
@@ -104,11 +105,15 @@ def test_block_dimension_single_l():
 
 
 def test_block_matches_m_element_entrywise():
+    # the block on the driver's sqrt(u) Gauss-Legendre rule, with twice its
+    # panels, against the Gauss-Laguerre element oracle, an independent
+    # rapidity rule; on the driver's own 5 panels the entries agree to 7e-9
     rng = np.random.default_rng(31)
     sphere = SphereSheet(1.0, float(rng.uniform(0.5, 2.0)))
     plane = PlaneSheet(float(rng.uniform(0.5, 2.0)), 2.2)
     kappa, m, l_max = 0.9, 2, 6
-    block = block_at(m, kappa, sphere, plane, l_max, 80)
+    panels, v_max = _theta_rule(l_max)
+    block = block_at(m, kappa, sphere, plane, l_max, rapidity_rule(2 * panels, v_max))
     dense = dense_matrix(block, sphere)
     l0 = max(1, m)
     for li, l in enumerate(range(l0, l_max + 1)):
@@ -187,7 +192,7 @@ def test_block_concurrent_assembly_matches_serial():
 def test_shared_kappa_table_gives_standalone_blocks(omega, monkeypatch):
     sphere, plane = SphereSheet(1.0, omega), PlaneSheet(omega, 1.3)
     kappa = 0.9
-    standalone = [block_at(m, kappa, sphere, plane, 12, 48) for m in range(13)]
+    standalone = [block_at(m, kappa, sphere, plane, 12) for m in range(13)]
     calls = []
 
     def counted(*args):
@@ -196,7 +201,7 @@ def test_shared_kappa_table_gives_standalone_blocks(omega, monkeypatch):
 
     legendre_pbar_log = roundtrip.legendre_pbar_log
     monkeypatch.setattr(roundtrip, "legendre_pbar_log", counted)
-    table = KappaTable.build(kappa, sphere, plane, 12, 48)
+    table = KappaTable.build(kappa, sphere, plane, 12, rapidity_rule(*_theta_rule(12)))
     for m, want in enumerate(standalone):
         got = assemble_block(m, table)
         assert np.array_equal(got.matrix, want.matrix)
