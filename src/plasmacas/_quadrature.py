@@ -1,23 +1,28 @@
-"""Cached quadrature rules shared by the integration-heavy modules."""
+"""Cached quadrature rules shared by the integration-heavy modules.
 
+The sheet-sheet (t, tau) integrals of ``pfa`` and ``asymptotics`` share one
+design: a trapezoid on ln t (_log_t_nodes) times a tau rule (tau_rule)
+whose node count a doubling probe settles (_pick_nodes).
+"""
+
+import math
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_laguerre
 
+from .errors import NumericsError
+
+_N_TAU = 24
+_N_TAU_MAX = 768
+_LOG_TRAP_H = 0.28
+
 
 @lru_cache(maxsize=64)
 def gauss_laguerre(n: int):
     """Nodes and weights for int_0^inf e^{-x} f(x) dx."""
     return roots_laguerre(n)
-
-
-@lru_cache(maxsize=64)
-def gauss_legendre_01(n: int):
-    """Nodes and weights on [0, 1]."""
-    x, w = leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 @lru_cache(maxsize=64)
@@ -46,3 +51,57 @@ def tau_rule(n: int):
     wphi = w * np.pi / 4.0
     tau = np.sin(phi)
     return tau, wphi * tau
+
+
+def _pick_nodes(f, what):
+    """Tau node count n and the value f(n) it settles on.
+
+    n is doubled from _N_TAU until f stops moving: n is taken when n and 2n
+    nodes agree to 1e-12 (relative), 2n when they agree to 1e-7.  The probed
+    integral should carry the sharpest tau feature of the family, 1 - tau^2
+    ~ w/t; a rule not settled by _N_TAU_MAX nodes raises NumericsError, and
+    so does a value that is not finite, which no relative test can judge.
+    """
+    n = _N_TAU
+    v = f(n)
+    while 2 * n <= _N_TAU_MAX:
+        v2 = f(2 * n)
+        if not math.isfinite(v2):
+            raise NumericsError(f"{what}: value {v2} on the {2 * n}-node tau rule",
+                                error_estimate=math.inf)
+        diff = abs(v2 - v)
+        if diff <= 1e-12 * abs(v2):
+            return n, v
+        if diff <= 1e-7 * abs(v2):
+            return 2 * n, v2
+        n, v = 2 * n, v2
+    raise NumericsError(f"{what}: tau rule not settled at {n} nodes: value {v:.6e} "
+                        f"moved by {diff:.1e} on the last doubling",
+                        error_estimate=diff / abs(v))
+
+
+def _log_t_nodes(sig, w_min):
+    """Trapezoid nodes on t = e^v covering both the pole scale and the decay.
+
+    For integrands with the factor exp(-2 sig t) and reflection poles at
+    t ~ -w_min (w_min = inf for perfect conductors).  The poles sit on the
+    negative real axis, at Im v = pi, but the factor exp(-2 sig e^v) grows
+    without bound past |Im v| = pi/2.  So the integrands are analytic and
+    bounded in the strip |Im v| < pi/2, and the trapezoid error falls like
+    exp(-pi^2 / h) however small w_min is.  Measured on single terms from
+    w = 1e-5 to PC, the relative error is about 5e-7 at h = 0.5, 1e-10 at
+    h = 0.35 and at most 3e-12 at h = _LOG_TRAP_H.  Below the first node
+    the E1 integrand tends to c t dv, and the first weight adds the nodes
+    that would continue the grid to t = 0, a geometric series; the E0 and
+    PFA integrands, which fall at least like t^2 dv there, are far below
+    round-off.
+    """
+    lo = math.log(min(w_min, 1.0 / sig)) - 20.0
+    hi = math.log(25.0 / sig)
+    n = int((hi - lo) / _LOG_TRAP_H) + 1
+    v = lo + (hi - lo) * np.arange(n) / (n - 1)
+    t = np.exp(v)
+    h = (hi - lo) / (n - 1)
+    wt = t * h
+    wt[0] /= -math.expm1(-h)
+    return t, wt

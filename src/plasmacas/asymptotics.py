@@ -10,9 +10,10 @@ Layout of the s-th term of either series, in the variables (t, tau):
 
 All 1/t poles of the coefficients are cancelled analytically by folding one
 power of t into the integrand.  Every term, for every pair of sheets, is
-then one trapezoid on ln t (_log_t_nodes) times one Gauss rule in tau
-(_pick_nodes).  The divided differences in B are evaluated as explicit
-homogeneous power sums, which removes the a -> b cancellation exactly.
+then one trapezoid on ln t (_log_t_nodes) times one Gauss rule in tau sized
+by a doubling probe (_pick_nodes), the rule ``pfa`` uses too.  The divided
+differences in B are evaluated as explicit homogeneous power sums, which
+removes the a -> b cancellation exactly.
 
 The s-sums decay like powers of 1/(s+1): E0 terms like (s+1)^-4, E1 terms
 like (s+1)^-2.  After each term the last five are fitted to the powers
@@ -39,13 +40,10 @@ from scipy.special import polygamma
 
 from .errors import NumericsError
 from .scattering import PERFECT_CONDUCTOR, check_omega, varpi
-from ._quadrature import tau_rule
+from ._quadrature import _log_t_nodes, _pick_nodes, tau_rule
 
-_N_TAU = 24
-_N_TAU_MAX = 768
 _S_MAX = 200
 _REL_TOL_FLOOR = 1e-11  # w = 1e-4 and 0.01 no longer settle at 3e-12
-_LOG_TRAP_H = 0.28
 
 
 def _t0(t, tau, w, tm: bool):
@@ -255,72 +253,20 @@ def _tail_corrected_sum(term, p0, rel_tol, what, floor=0.0):
                         f"{diff:.1e}, tail {tail:.1e}, sum {est:.6e}", error_estimate=diff)
 
 
-def _pick_nodes(term_at):
-    """Tau node count: doubled from _N_TAU until the s = 0 term stops moving.
-
-    The s = 0 term has the sharpest tau feature, 1 - tau^2 ~ w/t.  n is
-    taken when n and 2n nodes agree to 1e-12 (relative), 2n when they agree
-    to 1e-7; a rule not settled by _N_TAU_MAX nodes raises NumericsError.
-    """
-    n = _N_TAU
-    v = term_at(0, n)
-    while 2 * n <= _N_TAU_MAX:
-        v2 = term_at(0, 2 * n)
-        diff = abs(v2 - v)
-        if diff <= 1e-12 * abs(v2):
-            return n
-        if diff <= 1e-7 * abs(v2):
-            return 2 * n
-        n, v = 2 * n, v2
-    raise NumericsError(f"tau rule not settled at {n} nodes: s = 0 term {v:.6e} "
-                        f"moved by {diff:.1e} on the last doubling",
-                        error_estimate=diff / abs(v))
-
-
-def _min_finite_varpi(varpi_s, varpi_p):
-    vals = [v for v in (varpi_s, varpi_p) if v != PERFECT_CONDUCTOR]
-    return min(vals) if vals else math.inf
-
-
-def _log_t_nodes(sig, w_min):
-    """Trapezoid nodes on t = e^v covering both the pole scale and the decay.
-
-    The t poles of the integrands sit on the negative real axis, at
-    Im v = pi, but the factor exp(-2 sig e^v) grows without bound past
-    |Im v| = pi/2.  So the integrands are analytic and bounded in the strip
-    |Im v| < pi/2, and the trapezoid error falls like exp(-pi^2 / h) however
-    small w_min is.  Measured on single terms from w = 1e-5 to PC, the
-    relative error is about 5e-7 at h = 0.5, 1e-10 at h = 0.35 and at most
-    3e-12 at h = _LOG_TRAP_H.  Below the first node the E1 integrand tends
-    to c t dv, and the first weight adds the nodes that would continue the
-    grid to t = 0, a geometric series; the E0 integrand, c t^2 dv there, is
-    far below round-off.
-    """
-    lo = math.log(min(w_min, 1.0 / sig)) - 20.0
-    hi = math.log(25.0 / sig)
-    n = int((hi - lo) / _LOG_TRAP_H) + 1
-    v = lo + (hi - lo) * np.arange(n) / (n - 1)
-    t = np.exp(v)
-    h = (hi - lo) / (n - 1)
-    wt = t * h
-    wt[0] /= -math.expm1(-h)
-    return t, wt
-
-
-def _series_term_factory(varpi_s, varpi_p, g_func):
+def _series_term_factory(varpi_s, varpi_p, g_func, what):
     """Per-s integral of (measure) e^{-2t(s+1)} g_func(s, t, tau, w_s, w_p):
-    the log-t trapezoid times a tau rule sized once by _pick_nodes."""
-    w_min = _min_finite_varpi(varpi_s, varpi_p)
+    the log-t trapezoid times a tau rule sized once by _pick_nodes on the
+    s = 0 term, which has the sharpest tau feature."""
 
     def term_at(s, n):
         sig = s + 1.0
-        t, wt = _log_t_nodes(sig, w_min)
+        t, wt = _log_t_nodes(sig, min(varpi_s, varpi_p))
         tau, wtau = tau_rule(n)
         g = g_func(s, t[:, None], tau[None, :], varpi_s, varpi_p)
         return float((wt * np.exp(-2.0 * sig * t)) @ g @ wtau) / sig ** 2
 
-    n = _pick_nodes(term_at)
-    return lambda s: term_at(s, n)
+    n, first = _pick_nodes(lambda n: term_at(0, n), what)
+    return lambda s: first if s == 0 else term_at(s, n)
 
 
 def _e0_times_t(s, t, tau, ws, wp):
@@ -331,14 +277,14 @@ def _e0_times_t(s, t, tau, ws, wp):
 
 
 def _e0_series(varpi_s, varpi_p, rel_tol):
-    term = _series_term_factory(varpi_s, varpi_p, _e0_times_t)
+    term = _series_term_factory(varpi_s, varpi_p, _e0_times_t, "E0")
     return _tail_corrected_sum(term, 4, rel_tol, "E0")
 
 
 def _e1_series(varpi_s, varpi_p, rel_tol, q0):
     """The E1 s-sum, converged relative to the larger of itself and the
     E0 sum q0."""
-    term = _series_term_factory(varpi_s, varpi_p, _braces_times_t)
+    term = _series_term_factory(varpi_s, varpi_p, _braces_times_t, "E1")
     return _tail_corrected_sum(term, 2, rel_tol, "E1", abs(q0))
 
 
@@ -366,8 +312,9 @@ def _e1_prefactor(gap_d):
 def e0(radius_R: float, gap_d: float, varpi_s, varpi_p, rel_tol: float = 1e-10) -> float:
     """Leading small-separation term, units hbar c = 1 (dimension 1/length).
 
-    Coincides with the PFA energy at equal dimensionless parameters; the two
-    are computed along fully independent quadrature routes.
+    Coincides with the PFA energy at equal dimensionless parameters.  The
+    two share the (t, tau) rule but not the integrand: E0 sums the s-terms
+    with a fitted tail, the PFA integrates the closed-form Li2.
     """
     if _transparent(radius_R, gap_d, varpi_s, varpi_p, rel_tol):
         return 0.0

@@ -5,10 +5,13 @@ reflection products
 
     r_TE(i) = w_i/(w_i + t),   r_TM(i) = -w_i/(w_i + t (1 - tau^2)),
 
-where w_i = Omega_i d.  The t integrand has a weak t^2 ln t endpoint
-singularity wherever the reflection product reaches 1 at t = 0, so the
-semi-axis is split: t = y^2 Gauss-Legendre on [0, T] (which tames the
-logarithm) plus a shifted Gauss-Laguerre tail.
+where w_i = Omega_i d.  Both are integrated on the rule of the small-gap
+series E0 and E1 (``_quadrature``): a trapezoid on ln t (sig = 1), which
+stays accurate however close the reflection poles t = -w_i come to the
+origin, times a tau rule whose node count a doubling probe settles.  Where
+the probe cannot settle (below about w = 2e-7, as for E0 and E1) it raises
+NumericsError.  The integrand, with the polylogarithm in closed form, is
+this module's own; E0 integrates the same energy term by term in s.
 """
 
 from __future__ import annotations
@@ -20,12 +23,7 @@ import numpy as np
 
 from .scattering import PERFECT_CONDUCTOR, check_omega, varpi
 from .specfun import dilog
-from ._quadrature import gauss_laguerre, gauss_legendre_01, tau_rule
-
-_T_SPLIT = 4.0
-_N_HEAD = 64
-_N_TAIL = 48
-_N_TAU = 64
+from ._quadrature import _log_t_nodes, _pick_nodes, tau_rule
 
 
 @dataclass(frozen=True)
@@ -62,35 +60,20 @@ def _polylog(p: int, z):
 def _polylog_integral(w1, w2, p: int) -> float:
     """int_0^inf dt t^(3-p) int_0^1 dtau tau/sqrt(1-tau^2) sum_pol Li_p(r r e^{-2t}).
 
-    p = 1 gives the plane-plane energy, p = 2 the PFA energy.  On the tail
-    t = T + x/2 the argument b e^{-x}, b = r r e^{-2T}, is tiny, so the
-    integrand times e^{x} is summed from the first terms of
-    Li_p(z) = sum_k z^k / k^p instead of forming e^{x}.
+    p = 1 gives the plane-plane energy, p = 2 the PFA energy.
     """
-    tau, wtau = tau_rule(_N_TAU)
+    t, wt = _log_t_nodes(1.0, min(w1, w2))
+    tt = t[:, None]
+    wt = wt * t ** (3 - p)
 
-    def pol_sum(t, li_of):
-        tt = t[:, None]
-        acc = np.zeros_like(tt * tau[None, :])
+    def at(n):
+        tau, wtau = tau_rule(n)
+        acc = np.zeros((t.size, n))
         for tm in (False, True):
-            acc += li_of(_r_product(tt, tau[None, :], w1, w2, tm), tt)
-        return tt[:, 0] ** (3 - p) * (acc @ wtau)
+            acc += _polylog(p, _r_product(tt, tau[None, :], w1, w2, tm) * np.exp(-2.0 * tt))
+        return float(wt @ acc @ wtau)
 
-    y, wy = gauss_legendre_01(_N_HEAD)
-    y = y * math.sqrt(_T_SPLIT)
-    wy = wy * math.sqrt(_T_SPLIT)
-    head = np.sum(wy * 2.0 * y * pol_sum(y * y, lambda r, tt: _polylog(p, r * np.exp(-2.0 * tt))))
-
-    x, wx = gauss_laguerre(_N_TAIL)
-    e_x = np.exp(-x)[:, None]
-
-    def tail_series(r, tt):
-        b = r * math.exp(-2.0 * _T_SPLIT)
-        w = b * e_x
-        return b * (1.0 + w / 2 ** p + w ** 2 / 3 ** p + w ** 3 / 4 ** p)
-
-    tail = 0.5 * np.sum(wx * pol_sum(_T_SPLIT + 0.5 * x, tail_series))
-    return float(head + tail)
+    return _pick_nodes(at, "PFA" if p == 2 else "plane-plane")[1]
 
 
 def lifshitz_plane_plane(d: float, omega_1: float, omega_2: float) -> float:

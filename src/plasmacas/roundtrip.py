@@ -67,11 +67,12 @@ def _angular_logs(l_max: int, m_abs: int, c_nodes: np.ndarray, ladder):
     """
     l0 = max(1, m_abs)
     lvec = np.arange(l0, l_max + 1)
-    pbar_m = ladder(m_abs)[l0 - m_abs:, :]
     sh = np.sqrt((c_nodes - 1.0) * (c_nodes + 1.0))
     n = c_nodes.size
-    # sinh * dPbar/dx = (m x / sinh) Pbar_l^m + sqrt((l-m)(l+m+1)) Pbar_l^{m+1}
+    # sinh * dPbar/dx = (m x / sinh) Pbar_l^m + sqrt((l-m)(l+m+1)) Pbar_l^{m+1};
+    # at m = 0 only the second term survives, so the order-0 ladder is unused
     if m_abs > 0:
+        pbar_m = ladder(m_abs)[l0 - m_abs:, :]
         t1 = np.log(m_abs * c_nodes / sh)[None, :] + pbar_m
         lpi = np.log(m_abs / sh)[None, :] + pbar_m
     else:
@@ -130,7 +131,9 @@ class KappaTable:
     half-logs of |T_l|, for l = 1 .. l_max.  The table also keeps the two
     Legendre ladders asked for last: the m+1 ladder of block m is the m
     ladder of block m+1, so assembling m = 0, 1, 2, ... in order computes
-    each ladder once.  That cache makes a table a one-thread object.
+    each ladder of order 1 .. l_max once; block 0 needs only the order-1
+    ladder, so order 0 is never computed.  That cache makes a table a
+    one-thread object.
     """
 
     kappa: float

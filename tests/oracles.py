@@ -222,8 +222,8 @@ def _full_s_sum(term, p0):
 
 def full_sum_theta(varpi_s, varpi_p):
     """theta = E1/E0 (R/d) from the full-length E0 and E1 s-series."""
-    q0 = _full_s_sum(_series_term_factory(varpi_s, varpi_p, _e0_times_t), 4)
-    q1 = _full_s_sum(_series_term_factory(varpi_s, varpi_p, _braces_times_t), 2)
+    q0 = _full_s_sum(_series_term_factory(varpi_s, varpi_p, _e0_times_t, "E0"), 4)
+    q1 = _full_s_sum(_series_term_factory(varpi_s, varpi_p, _braces_times_t, "E1"), 2)
     return q1 / q0
 
 

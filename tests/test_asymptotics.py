@@ -11,6 +11,7 @@ from plasmacas.asymptotics import (NtlCoefficients, e0, e1, ntl_coefficients, nt
 from plasmacas.errors import NumericsError
 from plasmacas.pfa import PfaParams, pfa_energy
 from plasmacas.scattering import PERFECT_CONDUCTOR as PC
+import plasmacas._quadrature as quadrature
 from plasmacas._quadrature import tau_rule
 
 from oracles import full_sum_theta, laguerre_theta, script_b_divided_difference
@@ -168,7 +169,7 @@ def test_e1_pc_value():
 
 def test_e1_stable_under_node_doubling(monkeypatch):
     base = e1(1.0, 0.1, 1.0, 1.0)
-    monkeypatch.setattr(asy, "_N_TAU", 2 * asy._N_TAU)
+    monkeypatch.setattr(quadrature, "_N_TAU", 2 * quadrature._N_TAU)
     fine = e1(1.0, 0.1, 1.0, 1.0)
     assert fine == pytest.approx(base, rel=1e-6)
 
@@ -178,15 +179,15 @@ def test_theta_matches_finer_quadrature(w, monkeypatch):
     # w = 0.1 needs 48 tau nodes and w = 1e-5 needs 384; a Gauss-Laguerre t
     # rule capped at 192 nodes, or a fixed 192-node tau rule, misses by 1e-8
     got = small_gap_expansion(1.0, 0.01, w, w)[2]
-    monkeypatch.setattr(asy, "_N_TAU", 384)
-    monkeypatch.setattr(asy, "_LOG_TRAP_H", 0.2)
+    monkeypatch.setattr(quadrature, "_N_TAU", 384)
+    monkeypatch.setattr(quadrature, "_LOG_TRAP_H", 0.2)
     fine = small_gap_expansion(1.0, 0.01, w, w)[2]
     assert abs(got - fine) < 1e-10 * max(abs(fine), 1.0)
 
 
 def test_tau_probe_raises_at_its_cap(monkeypatch):
     # w = 1e-3 needs 96 to 192 tau nodes; a cap of 48 must raise, not return
-    monkeypatch.setattr(asy, "_N_TAU_MAX", 48)
+    monkeypatch.setattr(quadrature, "_N_TAU_MAX", 48)
     with pytest.raises(NumericsError, match="tau rule not settled") as info:
         small_gap_expansion(1.0, 0.01, 1e-3, 1e-3)
     assert math.isfinite(info.value.error_estimate) and info.value.error_estimate > 0.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import plasmacas.asymptotics as asy
+import plasmacas._quadrature as quadrature
 from plasmacas import cli
 from plasmacas.cli import (HBARC_J_M, SweepConfig, UsageError, build_parser,
                            main, parse_config, run_sweep)
@@ -181,6 +182,18 @@ def test_row_error_recorded_with_exit_3(tmp_path, capsys):
     assert code == 3
     row = next(csv.DictReader(out.open()))
     assert row["status"].startswith("error:")
+    assert row["energy_J"] == ""
+
+
+def test_pfa_row_at_tau_cap_recorded_with_exit_3(tmp_path, monkeypatch):
+    # w = Omega d = 1e-3 needs more than 48 tau nodes
+    monkeypatch.setattr(quadrature, "_N_TAU_MAX", 48)
+    out = tmp_path / "capped.csv"
+    code = main(["point", "--method", "pfa", "--radius", "1.0", "--gap", "0.01",
+                 "--omega-sphere", "0.1", "--omega-plane", "0.1", "--out", str(out)])
+    assert code == 3
+    row = next(csv.DictReader(out.open()))
+    assert row["status"].startswith("error: PFA: tau rule not settled")
     assert row["energy_J"] == ""
 
 

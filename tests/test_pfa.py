@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
+import plasmacas._quadrature as quadrature
+from plasmacas.errors import NumericsError
 from plasmacas.pfa import PfaParams, lifshitz_plane_plane, pfa_energy
 from plasmacas.scattering import PERFECT_CONDUCTOR
 from plasmacas.asymptotics import e0
@@ -139,7 +141,8 @@ def test_pfa_params_validation():
 
 
 def test_e0_equals_pfa_on_random_pairs():
-    # independent quadrature paths agree at 1e-8
+    # the closed-form Li2 integrand and the fitted s-series of E0 agree at
+    # 1e-8 on the shared (t, tau) rule
     rng = np.random.default_rng(55)
     for _ in range(20):
         w1 = float(10.0 ** rng.uniform(-1, 1))
@@ -147,3 +150,36 @@ def test_e0_equals_pfa_on_random_pairs():
         a = e0(1.0, 0.3, w1, w2)
         b = pfa_energy(PfaParams(w1, w2, 1.0, 0.3))
         assert a == pytest.approx(b, rel=1e-8)
+
+
+@pytest.mark.parametrize("w", [1e-3, 1e-4, 1e-5])
+def test_pfa_matches_e0_at_small_w(w, monkeypatch):
+    # the reflection poles t = -w crowd the origin and the tau feature
+    # 1 - tau^2 ~ w/t sharpens, so a rule not sized by the probe drifts.  E0
+    # is taken on a finer rule (tau from 384 nodes, h = 0.2), so that a PFA
+    # on an under-resolved shared rule cannot agree with an E0 on the same one
+    got = pfa_energy(PfaParams(w, w, 1.0, 0.3))
+    monkeypatch.setattr(quadrature, "_N_TAU", 384)
+    monkeypatch.setattr(quadrature, "_LOG_TRAP_H", 0.2)
+    want = e0(1.0, 0.3, w, w)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("what, call", [
+    ("PFA", lambda: pfa_energy(PfaParams(1e-3, 1e-3, 1.0, 1.0))),
+    ("plane-plane", lambda: lifshitz_plane_plane(1.0, 1e-3, 1e-3)),
+])
+def test_tau_cap_raises_not_returns(what, call, monkeypatch):
+    # w = 1e-3 needs more than 48 tau nodes; a capped rule must raise
+    monkeypatch.setattr(quadrature, "_N_TAU_MAX", 48)
+    with pytest.raises(NumericsError, match=f"{what}: tau rule not settled") as info:
+        call()
+    assert math.isfinite(info.value.error_estimate) and info.value.error_estimate > 0.0
+
+
+def test_plane_plane_below_the_small_w_limit_raises():
+    # at w = 1e-8 the TM product rounds to 1 on the 192-node rule, so
+    # Li_1 = inf; the 96-node value, a fifth of the true energy, must not be
+    # taken as settled against it
+    with pytest.raises(NumericsError, match="plane-plane"):
+        lifshitz_plane_plane(1.0, 1e-8, 1e-8)

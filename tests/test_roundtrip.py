@@ -206,7 +206,8 @@ def test_shared_kappa_table_gives_standalone_blocks(omega, monkeypatch):
         got = assemble_block(m, table)
         assert np.array_equal(got.matrix, want.matrix)
         assert np.array_equal(got.matrix, got.matrix.T)
-    # the m+1 ladder of block m serves block m+1: one ladder per order
-    assert calls == list(range(13))
+    # the m+1 ladder of block m serves block m+1: one ladder per order, and
+    # none of order 0, which block 0 does not read
+    assert calls == list(range(1, 13))
     with pytest.raises(ValueError):
         assemble_block(13, table)  # block m = 13 needs l >= 13 > l_max = 12
