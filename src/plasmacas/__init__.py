@@ -10,8 +10,8 @@ from .scattering import (PERFECT_CONDUCTOR, PlaneSheet, Polarization, SphereShee
                          plane_r, sphere_t)
 from .roundtrip import KappaTable, RoundTripBlock, assemble_block
 from .energy_exact import EnergyResult, NumericsSpec, casimir_energy, logdet_one_minus
-from .pfa import PfaParams, lifshitz_plane_plane, pfa_energy
-from .asymptotics import (NtlCoefficients, e0, e1, ntl_coefficients, ntl_integrand,
+from .pfa import lifshitz_plane_plane, pfa_energy
+from .asymptotics import (NtlCoefficients, e0, ntl_coefficients, ntl_integrand,
                           small_gap_expansion, theta)
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "NumericsError",
     "NumericsSpec",
     "PERFECT_CONDUCTOR",
-    "PfaParams",
     "PlaneSheet",
     "Polarization",
     "RoundTripBlock",
@@ -30,7 +29,6 @@ __all__ = [
     "assemble_block",
     "casimir_energy",
     "e0",
-    "e1",
     "lifshitz_plane_plane",
     "logdet_one_minus",
     "ntl_coefficients",

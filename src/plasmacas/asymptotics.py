@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import polygamma
 
 from .errors import NumericsError
-from .scattering import PERFECT_CONDUCTOR, check_omega, varpi
+from .scattering import PERFECT_CONDUCTOR, check_sheets
 from ._quadrature import _log_t_nodes, _pick_nodes, tau_rule
 
 _S_MAX = 200
@@ -288,17 +288,12 @@ def _e1_series(varpi_s, varpi_p, rel_tol, q0):
     return _tail_corrected_sum(term, 2, rel_tol, "E1", abs(q0))
 
 
-def _transparent(radius_R, gap_d, varpi_s, varpi_p, rel_tol) -> bool:
-    """Check the arguments of the small-gap terms; True if a sheet is
-    transparent, where E0 and E1 vanish."""
-    if not (radius_R > 0.0 and gap_d > 0.0):
-        raise ValueError("radius_R and gap_d must be positive")
-    if not rel_tol >= _REL_TOL_FLOOR:  # also rejects nan
-        raise ValueError(f"rel_tol must be at least {_REL_TOL_FLOOR:g}, where the "
-                         f"s-series still settle; got {rel_tol!r}")
-    check_omega(varpi_s, "varpi_s")
-    check_omega(varpi_p, "varpi_p")
-    return varpi_s == 0.0 or varpi_p == 0.0
+def _transparent(varpi_s, varpi_p, rel_tol, **lengths) -> bool:
+    """check_sheets, after the rel_tol floor of the s-series."""
+    if not _REL_TOL_FLOOR <= rel_tol < math.inf:  # also rejects nan
+        raise ValueError(f"rel_tol must be finite and at least {_REL_TOL_FLOOR:g}, where "
+                         f"the s-series still settle; got {rel_tol!r}")
+    return check_sheets(varpi_s, varpi_p, **lengths)
 
 
 def _e0_prefactor(radius_R, gap_d):
@@ -312,48 +307,39 @@ def _e1_prefactor(gap_d):
 def e0(radius_R: float, gap_d: float, varpi_s, varpi_p, rel_tol: float = 1e-10) -> float:
     """Leading small-separation term, units hbar c = 1 (dimension 1/length).
 
-    Coincides with the PFA energy at equal dimensionless parameters.  The
-    two share the (t, tau) rule but not the integrand: E0 sums the s-terms
-    with a fitted tail, the PFA integrates the closed-form Li2.
+    Equals ``pfa_energy`` with the same arguments.  The two share the
+    (t, tau) rule but not the integrand: E0 sums the s-terms with a fitted
+    tail, the PFA integrates the closed-form Li2.
     """
-    if _transparent(radius_R, gap_d, varpi_s, varpi_p, rel_tol):
+    if _transparent(varpi_s, varpi_p, rel_tol, radius_R=radius_R, gap_d=gap_d):
         return 0.0
     q0, _ = _e0_series(varpi_s, varpi_p, rel_tol)
     return _e0_prefactor(radius_R, gap_d) * q0
-
-
-def e1(radius_R: float, gap_d: float, varpi_s, varpi_p, rel_tol: float = 1e-10) -> float:
-    """Next-to-leading term, units hbar c = 1 (dimension 1/length).
-
-    Accurate to rel_tol of the larger of |E1| and |E0| d/R, where E1 crosses
-    zero; the E0 series that sets this scale costs fewer terms than E1.
-    """
-    return small_gap_expansion(radius_R, gap_d, varpi_s, varpi_p, rel_tol)[1]
 
 
 def small_gap_expansion(radius_R: float, gap_d: float, varpi_s, varpi_p,
                         rel_tol: float = 1e-10) -> tuple:
     """(E0, E1, theta) from one evaluation of each series.
 
-    Same values as e0, e1 and theta called one by one, at the cost of e1
-    alone.  theta is None when a sheet is transparent.
+    E0 and E1 in units hbar c = 1 (dimension 1/length); E1 is accurate to
+    rel_tol of the larger of |E1| and |E0| d/R, where E1 crosses zero.
+    Same values as e0 and theta called one by one.  theta is None when a
+    sheet is transparent.
     """
-    if _transparent(radius_R, gap_d, varpi_s, varpi_p, rel_tol):
+    if _transparent(varpi_s, varpi_p, rel_tol, radius_R=radius_R, gap_d=gap_d):
         return 0.0, 0.0, None
     q0, _ = _e0_series(varpi_s, varpi_p, rel_tol)
     q1, _ = _e1_series(varpi_s, varpi_p, rel_tol, q0)
     return _e0_prefactor(radius_R, gap_d) * q0, _e1_prefactor(gap_d) * q1, q1 / q0
 
 
-def theta(gap_d: float, radius_R: float, omega_s, omega_p, rel_tol: float = 1e-10) -> float:
-    """Correction ratio theta = (E1/E0) (R/d), a pure function of (w_s, w_p).
+def theta(varpi_s, varpi_p, rel_tol: float = 1e-10) -> float:
+    """Correction ratio theta = (E1/E0) (R/d) of the sheets w = Omega d.
 
-    omega_s/omega_p are plasma parameters in 1/length (or PC markers); the
-    dimensionless w = Omega d are formed internally, so R and d enter only
-    through them.  PC-PC gives 1/3 - 20/pi^2.
+    R and d enter only through w.  PC-PC gives 1/3 - 20/pi^2.
     """
-    _, _, th = small_gap_expansion(radius_R, gap_d, varpi(omega_s, gap_d),
-                                   varpi(omega_p, gap_d), rel_tol)
-    if th is None:
+    if _transparent(varpi_s, varpi_p, rel_tol):
         raise ValueError("theta undefined for a transparent sheet (E0 = 0)")
-    return th
+    q0, _ = _e0_series(varpi_s, varpi_p, rel_tol)
+    q1, _ = _e1_series(varpi_s, varpi_p, rel_tol, q0)
+    return q1 / q0

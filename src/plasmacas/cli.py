@@ -24,7 +24,7 @@ from . import __version__
 from .asymptotics import small_gap_expansion as theta
 from .energy_exact import NumericsSpec, casimir_energy
 from .errors import NumericsError
-from .pfa import PfaParams, pfa_energy
+from .pfa import pfa_energy
 from .scattering import PERFECT_CONDUCTOR, PlaneSheet, SphereSheet, varpi
 
 HBARC_J_M = 3.1615268e-26  # hbar*c used for all SI conversion
@@ -68,8 +68,8 @@ class SweepConfig:
             raise UsageError(f"method must be one of {_METHODS}, got {self.method!r}")
         if not self.radii or not self.gaps:
             raise UsageError("empty geometry range")
-        if any(d <= 0 for d in self.gaps) or any(r <= 0 for r in self.radii):
-            raise UsageError("all radii and gaps must be positive")
+        if not all(0.0 < x < math.inf for x in self.gaps + self.radii):  # also nan
+            raise UsageError("all radii and gaps must be finite and positive")
         if self.threads < 1:
             raise UsageError("threads must be >= 1")
         try:
@@ -124,7 +124,7 @@ def _read_config_file(path: str) -> dict:
 
 
 def _spacing(lo: float, hi: float, count: int, kind: str) -> tuple:
-    if count < 1 or hi < lo or lo <= 0:
+    if count < 1 or not 0.0 < lo <= hi < math.inf:  # also rejects nan
         raise UsageError(f"bad range [{lo}, {hi}] x {count}")
     if count == 1:
         return (lo,)
@@ -205,6 +205,7 @@ def _pfa_pc_energy_j(radius: float, gap: float) -> float:
 def _compute_row(task) -> dict:
     """One CSV row; isolated so worker processes can run it."""
     method, radius, gap, omega_s, omega_p, lmax, mmax, rel_tol = task
+    ws, wp = varpi(omega_s, gap), varpi(omega_p, gap)
     row = {c: None for c in CSV_COLUMNS}
     row.update(method=method, R_m=radius, d_m=gap, L_m=radius + gap,
                omega_s_per_m=omega_s, omega_p_per_m=omega_p, status="ok")
@@ -217,10 +218,9 @@ def _compute_row(task) -> dict:
             row.update(error_estimate=res.error_estimate * HBARC_J_M,
                        l_max_used=res.l_max_used, m_max_used=res.m_max_used)
         elif method == "pfa":
-            ws, wp = varpi(omega_s, gap), varpi(omega_p, gap)
-            energy_j = pfa_energy(PfaParams(ws, wp, radius, gap)) * HBARC_J_M
+            energy_j = pfa_energy(radius, gap, ws, wp) * HBARC_J_M
         elif method == "asympt":
-            e0, e1, th = theta(radius, gap, varpi(omega_s, gap), varpi(omega_p, gap))
+            e0, e1, th = theta(radius, gap, ws, wp)
             energy_j = (e0 + e1) * HBARC_J_M
             row.update(theta=th)
         else:

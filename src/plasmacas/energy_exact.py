@@ -31,9 +31,10 @@ _LOGDET_POSITIVE_TOL = 1e-12
 class NumericsSpec:
     """The truncation knobs a caller sets.
 
-    l_max/m_max may be "auto"; rel_tol applies to the dimensionless core
-    value E R / (hbar c).  The rapidity rule follows l_max (see
-    :func:`_theta_rule`).
+    l_max (at least 2, so the l probe has a degree to drop) and m_max (at
+    least 1) may be "auto"; rel_tol, in (0, 1), applies to the
+    dimensionless core value E R / (hbar c).  The rapidity rule follows
+    l_max (see :func:`_theta_rule`).
     """
 
     l_max: int | str = "auto"
@@ -42,17 +43,17 @@ class NumericsSpec:
     rel_tol: float = 1e-3
 
     def __post_init__(self):
-        for name in ("l_max", "m_max"):
+        for name, low in (("l_max", 2), ("m_max", 1)):
             v = getattr(self, name)
-            if v != "auto" and (not isinstance(v, int) or v < 1):
-                raise ValueError(f"{name} must be a positive integer or 'auto', got {v!r}")
+            if v != "auto" and (type(v) is not int or v < low):  # a bool is not a count
+                raise ValueError(f"{name} must be an integer >= {low} or 'auto', got {v!r}")
         # the kappa rule needs room for one doubling below its ceiling
         top = _KAPPA_NODE_CEILING // 2
         if not isinstance(self.kappa_nodes, int) or not 8 <= self.kappa_nodes <= top:
             raise ValueError(f"kappa_nodes must be an integer in 8 .. {top}, "
                              f"got {self.kappa_nodes!r}")
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < 1.0:  # also rejects nan
+            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)

@@ -12,34 +12,20 @@ origin, times a tau rule whose node count a doubling probe settles.  Where
 the probe cannot settle (below about w = 2e-7, as for E0 and E1) it raises
 NumericsError.  The integrand, with the polylogarithm in closed form, is
 this module's own; E0 integrates the same energy term by term in s.
+
+Both take the paper's variables in the order of ``asymptotics.e0``,
+(R, d, w_1, w_2), the plane-plane energy without R.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .scattering import PERFECT_CONDUCTOR, check_omega, varpi
+from .scattering import PERFECT_CONDUCTOR, check_sheets
 from .specfun import dilog
 from ._quadrature import _log_t_nodes, _pick_nodes, tau_rule
-
-
-@dataclass(frozen=True)
-class PfaParams:
-    """Dimensionless plasma parameters (Omega_i d) and the geometry."""
-
-    varpi_1: float
-    varpi_2: float
-    radius_R: float
-    gap_d: float
-
-    def __post_init__(self):
-        check_omega(self.varpi_1, "varpi_1")
-        check_omega(self.varpi_2, "varpi_2")
-        if not (self.radius_R > 0.0 and self.gap_d > 0.0):
-            raise ValueError("radius_R and gap_d must be positive")
 
 
 def _r_product(t, tau, w1, w2, tm: bool):
@@ -53,7 +39,8 @@ def _r_product(t, tau, w1, w2, tm: bool):
 def _polylog(p: int, z):
     """Li_1(z) = -ln(1 - z) or Li_2(z)."""
     if p == 1:
-        return -np.log1p(-z)
+        with np.errstate(divide="ignore"):  # z = 1: inf, which the tau probe rejects
+            return -np.log1p(-z)
     return dilog(z)
 
 
@@ -76,23 +63,19 @@ def _polylog_integral(w1, w2, p: int) -> float:
     return _pick_nodes(at, "PFA" if p == 2 else "plane-plane")[1]
 
 
-def lifshitz_plane_plane(d: float, omega_1: float, omega_2: float) -> float:
+def lifshitz_plane_plane(gap_d: float, varpi_1, varpi_2) -> float:
     """Casimir energy per unit area between two planar plasma sheets.
 
     Units hbar c = 1, so the return value has dimension 1/length^3 and is
     negative; multiply by hbar c for SI.  PC-PC gives -pi^2/(720 d^3).
     """
-    if not (d > 0.0):
-        raise ValueError(f"separation must be positive, got {d}")
-    check_omega(omega_1, "omega_1")
-    check_omega(omega_2, "omega_2")
-    if omega_1 == 0.0 or omega_2 == 0.0:
+    if check_sheets(varpi_1, varpi_2, gap_d=gap_d):
         return 0.0
-    q = _polylog_integral(varpi(omega_1, d), varpi(omega_2, d), 1)
-    return -q / (4.0 * math.pi ** 2 * d ** 3)
+    q = _polylog_integral(varpi_1, varpi_2, 1)
+    return -q / (4.0 * math.pi ** 2 * gap_d ** 3)
 
 
-def pfa_energy(params: PfaParams) -> float:
+def pfa_energy(radius_R: float, gap_d: float, varpi_1, varpi_2) -> float:
     """PFA sphere-plane energy, units hbar c = 1 (dimension 1/length).
 
     -(R / 4 pi d^2) int dt t int dtau tau/sqrt(1-tau^2)
@@ -100,8 +83,7 @@ def pfa_energy(params: PfaParams) -> float:
 
     PC-PC gives -pi^3 R/(720 d^2).
     """
-    w1, w2 = params.varpi_1, params.varpi_2
-    if w1 == 0.0 or w2 == 0.0:
+    if check_sheets(varpi_1, varpi_2, radius_R=radius_R, gap_d=gap_d):
         return 0.0
-    q = _polylog_integral(w1, w2, 2)
-    return -params.radius_R / (4.0 * math.pi * params.gap_d ** 2) * q
+    q = _polylog_integral(varpi_1, varpi_2, 2)
+    return -radius_R / (4.0 * math.pi * gap_d ** 2) * q

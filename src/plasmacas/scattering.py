@@ -35,6 +35,19 @@ def check_omega(omega, name):
         raise ValueError(f"{name} must be >= 0 or the perfect-conductor marker, got {omega}")
 
 
+def check_sheets(varpi_1, varpi_2, **lengths) -> bool:
+    """Argument check of the PFA and small-gap layer: every named length
+    (radius_R, gap_d) finite and positive, both w = Omega d as in
+    check_omega.  True if a sheet is transparent (w = 0), where the
+    interaction vanishes."""
+    for name, value in lengths.items():
+        if not 0.0 < value < math.inf:  # also rejects nan
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    check_omega(varpi_1, "varpi_1")
+    check_omega(varpi_2, "varpi_2")
+    return varpi_1 == 0.0 or varpi_2 == 0.0
+
+
 def varpi(omega, length):
     """Dimensionless plasma parameter Omega * length; the PC marker stays."""
     return omega if omega == PERFECT_CONDUCTOR else omega * length

@@ -16,9 +16,9 @@ import plasmacas.asymptotics as asy
 from plasmacas import cli
 from plasmacas.asymptotics import e0, ntl_coefficients, theta
 from plasmacas.energy_exact import NumericsSpec, casimir_energy, logdet_one_minus
-from plasmacas.pfa import PfaParams, pfa_energy
+from plasmacas.pfa import pfa_energy
 from plasmacas.scattering import (PERFECT_CONDUCTOR, PlaneSheet, SphereSheet,
-                                  plane_r, sphere_t, Polarization)
+                                  plane_r, sphere_t, Polarization, varpi)
 from plasmacas.specfun import bessel_ik_log, dilog
 from plasmacas._quadrature import tau_rule
 
@@ -35,7 +35,7 @@ def _report(num, ok, detail):
 
 def test_criterion_1_pc_theta():
     t0 = time.time()
-    got = theta(1.0, 20.0, PC, PC)
+    got = theta(PC, PC)
     dt = time.time() - t0
     err = abs(got - THETA_PC)
     ok = err < 1e-4 and dt < 10.0
@@ -47,7 +47,7 @@ def test_criterion_2_pc_pfa_leading():
     t0 = time.time()
     R, d = 1.0, 0.05
     want = -math.pi ** 3 * R / (720.0 * d * d)
-    p = pfa_energy(PfaParams(PC, PC, R, d))
+    p = pfa_energy(R, d, PC, PC)
     a = e0(R, d, PC, PC)
     dt = time.time() - t0
     rp, ra = abs(p / want - 1.0), abs(a / want - 1.0)
@@ -62,7 +62,7 @@ def test_criterion_3_e0_pfa_identity():
         w1 = float(10.0 ** rng.uniform(-1, 1))
         w2 = float(10.0 ** rng.uniform(-1, 1))
         a = e0(1.0, 0.25, w1, w2)
-        b = pfa_energy(PfaParams(w1, w2, 1.0, 0.25))
+        b = pfa_energy(1.0, 0.25, w1, w2)
         worst = max(worst, abs(a - b) / abs(b))
     ok = worst < 1e-6
     _report(3, ok, f"20 random (w_s, w_p) in [0.1, 10]^2, worst |e0-pfa|/|pfa| = {worst:.2e}")
@@ -101,11 +101,11 @@ def test_criterion_5_exact_vs_asymptotic_consistency():
 
 
 def test_criterion_6_graphene_regime():
-    om, R = 6.75e5, 1e-3
-    far = [theta(d, R, om, om) for d in (1e-4, 3e-4, 1e-3)]
+    om = 6.75e5  # theta needs no radius: it depends on w = Omega d alone
+    far = [theta(varpi(om, d), varpi(om, d)) for d in (1e-4, 3e-4, 1e-3)]
     far_ok = all(abs(t / THETA_PC - 1.0) < 0.05 for t in far)
     ds = np.geomspace(1e-7, 1e-3, 25)
-    ths = np.array([theta(float(d), R, om, om) for d in ds])
+    ths = np.array([theta(varpi(om, float(d)), varpi(om, float(d))) for d in ds])
     i = int(np.argmin(ths))
     interior = 0 < i < len(ds) - 1
     ratio = float(ds[i] * om)

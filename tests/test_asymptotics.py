@@ -6,11 +6,11 @@ import pytest
 from scipy.special import roots_genlaguerre
 
 import plasmacas.asymptotics as asy
-from plasmacas.asymptotics import (NtlCoefficients, e0, e1, ntl_coefficients, ntl_integrand,
+from plasmacas.asymptotics import (NtlCoefficients, e0, ntl_coefficients, ntl_integrand,
                                    small_gap_expansion, theta)
 from plasmacas.errors import NumericsError
-from plasmacas.pfa import PfaParams, pfa_energy
-from plasmacas.scattering import PERFECT_CONDUCTOR as PC
+from plasmacas.pfa import lifshitz_plane_plane, pfa_energy
+from plasmacas.scattering import PERFECT_CONDUCTOR as PC, varpi
 import plasmacas._quadrature as quadrature
 from plasmacas._quadrature import tau_rule
 
@@ -156,7 +156,7 @@ def test_e0_transparent():
 
 def test_e0_matches_pfa():
     a = e0(1.0, 0.2, 2.0, 2.0)
-    b = pfa_energy(PfaParams(2.0, 2.0, 1.0, 0.2))
+    b = pfa_energy(1.0, 0.2, 2.0, 2.0)
     assert a == pytest.approx(b, rel=1e-8)
 
 
@@ -164,13 +164,13 @@ def test_e1_pc_value():
     # E1_PC = E0_PC * theta_PC * d/R
     R, d = 2.0, 0.1
     want = -math.pi ** 3 * R / (720.0 * d * d) * THETA_PC * d / R
-    assert e1(R, d, PC, PC) == pytest.approx(want, rel=1e-9)
+    assert small_gap_expansion(R, d, PC, PC)[1] == pytest.approx(want, rel=1e-9)
 
 
 def test_e1_stable_under_node_doubling(monkeypatch):
-    base = e1(1.0, 0.1, 1.0, 1.0)
+    base = small_gap_expansion(1.0, 0.1, 1.0, 1.0)[1]
     monkeypatch.setattr(quadrature, "_N_TAU", 2 * quadrature._N_TAU)
-    fine = e1(1.0, 0.1, 1.0, 1.0)
+    fine = small_gap_expansion(1.0, 0.1, 1.0, 1.0)[1]
     assert fine == pytest.approx(base, rel=1e-6)
 
 
@@ -194,44 +194,44 @@ def test_tau_probe_raises_at_its_cap(monkeypatch):
 
 
 def test_theta_pc():
-    got = theta(1.0, 17.0, PC, PC)
+    got = theta(PC, PC)
     assert got == pytest.approx(THETA_PC, abs=1e-10)
 
 
 def test_theta_scale_invariance():
-    # (R, d, Omega) -> (lam R, lam d, Omega/lam) leaves theta unchanged
-    om = 2.5
-    a = theta(0.4, 3.0, om, 0.8 * om)
+    # (R, d) -> (lam R, lam d) at fixed w divides E0 and E1 by lam and
+    # leaves theta unchanged
+    om, R, d = 2.5, 3.0, 0.4
+    ws, wp = varpi(om, d), varpi(0.8 * om, d)
+    e0_1, e1_1, th_1 = small_gap_expansion(R, d, ws, wp)
     lam = 7.3
-    b = theta(0.4 * lam, 3.0 * lam, om / lam, 0.8 * om / lam)
-    assert b == pytest.approx(a, rel=1e-9)
+    e0_l, e1_l, th_l = small_gap_expansion(lam * R, lam * d, ws, wp)
+    assert e0_l == pytest.approx(e0_1 / lam, rel=1e-9)
+    assert e1_l == pytest.approx(e1_1 / lam, rel=1e-9)
+    assert th_l == pytest.approx(th_1, rel=1e-9)
 
 
 def test_theta_negative_for_pc_and_graphene():
-    assert theta(1.0, 5.0, PC, PC) < 0.0
+    assert theta(PC, PC) < 0.0
     om = 6.75e5
     for d in np.geomspace(1e-8, 1e-3, 7):
-        assert theta(float(d), 1e-3, om, om) < 0.0
+        w = varpi(om, float(d))
+        assert theta(w, w) < 0.0
 
 
 def test_small_gap_expansion_matches_separate_calls():
-    # d = 1/4 keeps Omega = w/d and Omega d exact, so theta sees the same w
     R, d = 1.3, 0.25
     for ws, wp in ((PC, PC), (4.0, 2.0)):
-        om_s, om_p = (w if w == PC else w / d for w in (ws, wp))
-        assert small_gap_expansion(R, d, ws, wp) == (
-            e0(R, d, ws, wp), e1(R, d, ws, wp), theta(d, R, om_s, om_p))
+        e0_, _, th = small_gap_expansion(R, d, ws, wp)
+        assert (e0_, th) == (e0(R, d, ws, wp), theta(ws, wp))
     assert small_gap_expansion(R, d, PC, 0.0) == (0.0, 0.0, None)
 
 
 def test_small_gap_and_pfa_values_are_plain_floats():
-    from plasmacas.pfa import lifshitz_plane_plane
-
     R, d = 1.3, 0.25
     for ws, wp in ((PC, PC), (4.0, 2.0)):
-        values = [e0(R, d, ws, wp), e1(R, d, ws, wp), *small_gap_expansion(R, d, ws, wp),
-                  theta(d, R, ws, wp), pfa_energy(PfaParams(ws, wp, R, d)),
-                  lifshitz_plane_plane(d, ws, wp)]
+        values = [e0(R, d, ws, wp), *small_gap_expansion(R, d, ws, wp), theta(ws, wp),
+                  pfa_energy(R, d, ws, wp), lifshitz_plane_plane(d, ws, wp)]
         assert [type(v) for v in values] == [float] * len(values), values
 
 
@@ -258,7 +258,7 @@ def test_s_series_term_counts(monkeypatch):
         return _orig(counted_term, p0, rel_tol, what, *floor)
 
     monkeypatch.setattr(asy, "_tail_corrected_sum", counted)
-    theta(1.0, 17.0, PC, PC)
+    theta(PC, PC)
     # the E1 tail, (2/3)/(s+2) of a total 0.92, is below 5% from s = 14 on
     assert counts["E0"] <= 8 and counts["E1"] <= 16, counts
     for w in _GRAPHENE_W:
@@ -279,11 +279,11 @@ def test_log_trapezoid_route_matches_laguerre_route(w):
 def test_s_series_rel_tol_floor_and_unsettled_ceiling():
     # below the floor the sums stop settling, so such a rel_tol is refused
     # before any term is computed
-    for bad in (1e-13, 0.0, -1e-3, math.nan):
+    for bad in (1e-13, 0.0, -1e-3, math.nan, math.inf):
         with pytest.raises(ValueError, match="rel_tol"):
             small_gap_expansion(1.0, 0.01, 1.3, 1.3, rel_tol=bad)
     with pytest.raises(ValueError, match="rel_tol"):
-        theta(1.0, 17.0, PC, PC, rel_tol=1e-12)
+        theta(PC, PC, rel_tol=1e-12)
     # alternating relative noise of 1e-10 in the terms, which the tail fit
     # amplifies: the tail stays below 5% but the total never settles
     def term(s):
@@ -300,7 +300,7 @@ def test_s_series_rel_tol_floor_and_unsettled_ceiling():
 
 def test_theta_transparent_raises():
     with pytest.raises(ValueError):
-        theta(1.0, 1.0, 0.0, 1.0)
+        theta(0.0, 1.0)
 
 
 def test_ntl_integrand_array_and_scalar():

@@ -16,6 +16,11 @@ def _parse(argv):
     return build_parser().parse_args(argv)
 
 
+def _rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_defaults_with_required_flags(tmp_path):
     cfg = parse_config(_parse(["point", "--radius", "1e-3", "--gap", "1e-5"]))
     assert cfg.method == "asympt"
@@ -87,7 +92,7 @@ def test_point_with_range_config_is_usage_error(tmp_path, capsys, key):
     # a single-value flag wins over the file's range
     assert main(["point", "--config", str(conf), f"--{key}", "2e-6", "--method", "pfa",
                  "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = _rows(out)
     assert len(rows) == 1 and float(rows[0][{"gap": "d_m", "radius": "R_m"}[key]]) == 2e-6
 
 
@@ -101,7 +106,8 @@ def test_nan_omega_is_usage_error(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--lmax", "0"), ("--mmax", "-1"), ("--rel-tol", "-1")])
+@pytest.mark.parametrize("flag, value", [("--lmax", "0"), ("--mmax", "-1"), ("--rel-tol", "-1"),
+                                         ("--lmax", "1"), ("--rel-tol", "inf")])
 def test_bad_numerics_flag_is_usage_error(tmp_path, capsys, flag, value):
     # checked up front for every method, not row by row
     for method in ("exact", "asympt"):
@@ -113,12 +119,25 @@ def test_bad_numerics_flag_is_usage_error(tmp_path, capsys, flag, value):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["point", "--method", "pfa", "--radius", "1e-3", "--gap", "inf"],
+    ["point", "--method", "asympt", "--radius", "inf", "--gap", "1e-5"],
+    ["point", "--method", "pfa", "--radius", "1e-3", "--gap", "nan"],
+    ["sweep", "--method", "pfa", "--radius", "1e-3", "--gap-min", "1e-6", "--gap-max", "inf"],
+])
+def test_non_finite_geometry_is_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "geometry.csv"
+    assert main([*args, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_point_pfa_transparent_zero(tmp_path, capsys):
     out = tmp_path / "p.csv"
     code = main(["point", "--method", "pfa", "--radius", "1e-3", "--gap", "1e-5",
                  "--omega-sphere", "0", "--omega-plane", "1e5", "--out", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = _rows(out)
     assert len(rows) == 1
     assert float(rows[0]["energy_J"]) == 0.0
     assert rows[0]["status"] == "ok"
@@ -131,7 +150,7 @@ def test_sweep_csv_columns_and_dimensionless_consistency(tmp_path):
                  "--omega-sphere", "6.75e5", "--omega-plane", "6.75e5",
                  "--out", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = _rows(out)
     assert list(rows[0].keys()) == cli.CSV_COLUMNS
     assert len(rows) == 3
     for row in rows:
@@ -167,7 +186,7 @@ def test_point_asympt_pc_theta_column(tmp_path):
     code = main(["point", "--method", "asympt", "--radius", "1.0", "--gap", "0.05",
                  "--omega-sphere", "inf", "--omega-plane", "inf", "--out", str(out)])
     assert code == 0
-    row = next(csv.DictReader(out.open()))
+    row = _rows(out)[0]
     assert float(row["theta"]) == pytest.approx(1.0 / 3.0 - 20.0 / math.pi ** 2, abs=1e-4)
     # PC asympt energy ratio: 1 + eps * theta against the PC PFA column
     assert float(row["ratio_to_PFA_PC"]) == pytest.approx(
@@ -180,7 +199,7 @@ def test_row_error_recorded_with_exit_3(tmp_path, capsys):
                  "--omega-sphere", "inf", "--omega-plane", "inf",
                  "--lmax", "6", "--rel-tol", "1e-4", "--out", str(out)])
     assert code == 3
-    row = next(csv.DictReader(out.open()))
+    row = _rows(out)[0]
     assert row["status"].startswith("error:")
     assert row["energy_J"] == ""
 
@@ -192,7 +211,7 @@ def test_pfa_row_at_tau_cap_recorded_with_exit_3(tmp_path, monkeypatch):
     code = main(["point", "--method", "pfa", "--radius", "1.0", "--gap", "0.01",
                  "--omega-sphere", "0.1", "--omega-plane", "0.1", "--out", str(out)])
     assert code == 3
-    row = next(csv.DictReader(out.open()))
+    row = _rows(out)[0]
     assert row["status"].startswith("error: PFA: tau rule not settled")
     assert row["energy_J"] == ""
 
@@ -213,7 +232,7 @@ def test_figure_run_small(tmp_path, monkeypatch):
                         lambda lo, hi, count, kind: orig(lo, hi, min(count, 2), kind))
     out = tmp_path / "fig2.csv"
     assert main(["figure", "2", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = _rows(out)
     assert len(rows) == 2
     assert all(r["status"] == "ok" for r in rows)
     assert all(r["method"] == "asympt" for r in rows)
@@ -226,7 +245,7 @@ def test_figure_multi_material_run_small(tmp_path, monkeypatch):
                         lambda lo, hi, count, kind: orig(lo, hi, min(count, 2), kind))
     out = tmp_path / "fig4.csv"
     assert main(["figure", "4", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = _rows(out)
     assert len(rows) == 8
     assert all(r["status"] == "ok" and r["method"] == "asympt" for r in rows)
     omegas = [6.75e5, 6.75e6, 6.75e7, math.inf]
@@ -257,7 +276,7 @@ def test_graphene_sweep_monotone_energy_and_theta_minimum(tmp_path):
                  "--omega-sphere", "6.75e5", "--omega-plane", "6.75e5",
                  "--out", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = _rows(out)
     mags = [abs(float(r["energy_J"])) for r in rows]
     assert all(b < a for a, b in zip(mags, mags[1:]))
     thetas = [float(r["theta"]) for r in rows]

@@ -272,6 +272,16 @@ def test_energy_explicit_truncation_too_small_raises():
                        NumericsSpec(l_max=6, rel_tol=1e-4))
 
 
+def test_smallest_l_max_reports_its_truncation():
+    # PC d/R = 0.1 at l_max = 2 gives E = -0.594 against -3.8183; the l
+    # probe, which drops the degree l = 2, reports 0.29 of that gap (at
+    # l_max = 1 it had nothing to drop and read 0)
+    with pytest.raises(NumericsError, match="energy not converged") as info:
+        casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
+                       NumericsSpec(l_max=2, rel_tol=1e-3))
+    assert info.value.error_estimate > 0.1
+
+
 def test_m_max_cap_puts_its_tail_into_the_estimate():
     # PC d/R = 0.1: m = 0 .. 2 give E = -3.2152 against -3.8183 with every m;
     # the geometric tail of the last two blocks now enters err_m
@@ -287,6 +297,13 @@ def test_m_max_cap_puts_its_tail_into_the_estimate():
 def test_numerics_spec_validation():
     with pytest.raises(ValueError):
         NumericsSpec(l_max=0)
+    # l_max = 1 leaves the l probe no degree to drop, so its estimate read 0;
+    # a bool is an int to Python but not a truncation; rel_tol must be a
+    # finite fraction
+    for bad in (dict(l_max=1), dict(l_max=True), dict(m_max=0), dict(m_max=False),
+                dict(rel_tol=math.inf), dict(rel_tol=math.nan), dict(rel_tol=1.0)):
+        with pytest.raises(ValueError):
+            NumericsSpec(**bad)
     with pytest.raises(ValueError):
         NumericsSpec(m_max="many")
     with pytest.raises(ValueError):
@@ -312,13 +329,14 @@ def test_exact_approaches_leading_plus_ntl():
     # Omega R = 10: the expansion E0 + E1 tracks the exact energy better as
     # the gap shrinks; the residual at eps = 0.1 is genuinely several percent
     # (next order in eps), so only the trend and a loose cap are asserted
-    from plasmacas.asymptotics import e0, e1
+    from plasmacas.asymptotics import small_gap_expansion
 
     spec = NumericsSpec(rel_tol=1e-3)
     devs = {}
     for eps in (0.1, 0.05):
         exact = casimir_energy(SphereSheet(1.0, 10.0), PlaneSheet(10.0, 1.0 + eps), spec)
-        approx = e0(1.0, eps, 10.0 * eps, 10.0 * eps) + e1(1.0, eps, 10.0 * eps, 10.0 * eps)
+        e0, e1, _ = small_gap_expansion(1.0, eps, 10.0 * eps, 10.0 * eps)
+        approx = e0 + e1
         devs[eps] = abs(exact.energy - approx) / abs(exact.energy)
     assert devs[0.05] < devs[0.1] < 0.10
 

@@ -9,7 +9,8 @@ import plasmacas
 REMOVED = {
     "roundtrip": ("AngularKernel", "m_element", "_element_once"),
     "specfun": ("ScaledBessel", "bessel_half", "legendre_p", "_dilog_series"),
-    "asymptotics": ("script_b_divided_difference",),
+    "asymptotics": ("script_b_divided_difference", "e1"),
+    "pfa": ("PfaParams",),
 }
 
 

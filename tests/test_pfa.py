@@ -6,9 +6,9 @@ from scipy.integrate import quad, simpson
 
 import plasmacas._quadrature as quadrature
 from plasmacas.errors import NumericsError
-from plasmacas.pfa import PfaParams, lifshitz_plane_plane, pfa_energy
-from plasmacas.scattering import PERFECT_CONDUCTOR
-from plasmacas.asymptotics import e0
+from plasmacas.pfa import lifshitz_plane_plane, pfa_energy
+from plasmacas.scattering import PERFECT_CONDUCTOR, varpi
+from plasmacas.asymptotics import e0, small_gap_expansion, theta
 
 
 def test_lifshitz_transparent():
@@ -48,9 +48,9 @@ def _nsum_oracle(d, om1, om2, n_grid=501, q_max=25.0, n_max=200):
 
 
 def test_lifshitz_against_nsum_oracle():
-    d = 1.0
-    got = lifshitz_plane_plane(d, 1.0, 1.0)
-    want = _nsum_oracle(d, 1.0, 1.0)
+    d, om = 1.0, 1.0
+    got = lifshitz_plane_plane(d, varpi(om, d), varpi(om, d))
+    want = _nsum_oracle(d, om, om)
     assert got == pytest.approx(want, rel=1e-6)
 
 
@@ -62,14 +62,14 @@ def test_lifshitz_domain():
 
 
 def test_pfa_pc_closed_form():
-    p = pfa_energy(PfaParams(PERFECT_CONDUCTOR, PERFECT_CONDUCTOR, 2.0, 0.25))
+    p = pfa_energy(2.0, 0.25, PERFECT_CONDUCTOR, PERFECT_CONDUCTOR)
     want = -math.pi ** 3 * 2.0 / (720.0 * 0.25 ** 2)
     assert p == pytest.approx(want, rel=1e-8)
 
 
 def test_pfa_transparent():
-    assert pfa_energy(PfaParams(0.0, 1.0, 1.0, 0.1)) == 0.0
-    assert pfa_energy(PfaParams(1.0, 0.0, 1.0, 0.1)) == 0.0
+    assert pfa_energy(1.0, 0.1, 0.0, 1.0) == 0.0
+    assert pfa_energy(1.0, 0.1, 1.0, 0.0) == 0.0
 
 
 def test_pfa_equals_gap_integral_of_lifshitz():
@@ -78,10 +78,10 @@ def test_pfa_equals_gap_integral_of_lifshitz():
     R, d = 1.5, 0.4
     w = 1.0
     om = w / d
-    want, _ = quad(lambda u: lifshitz_plane_plane(u, om, om), d, np.inf,
+    want, _ = quad(lambda u: lifshitz_plane_plane(u, varpi(om, u), varpi(om, u)), d, np.inf,
                    epsabs=1e-13, epsrel=1e-10)
     want *= 2.0 * math.pi * R
-    got = pfa_energy(PfaParams(w, w, R, d))
+    got = pfa_energy(R, d, w, w)
     assert got == pytest.approx(want, rel=1e-6)
 
 
@@ -118,26 +118,38 @@ def test_pfa_tau_substitution_independence():
     tail = 0.5 * np.sum(wx * np.exp(x) * inner(t2))
     q_jacobi = head + tail
     alt = -1.0 / (4.0 * math.pi * 1.0) * q_jacobi  # R = 1, d = 1
-    ref = pfa_energy(PfaParams(w1, w2, 1.0, 1.0))
+    ref = pfa_energy(1.0, 1.0, w1, w2)
     assert alt == pytest.approx(ref, rel=1e-9)
 
 
 def test_pfa_monotone_and_pc_bound():
     R, d = 1.0, 0.2
-    pc = pfa_energy(PfaParams(PERFECT_CONDUCTOR, PERFECT_CONDUCTOR, R, d))
+    pc = pfa_energy(R, d, PERFECT_CONDUCTOR, PERFECT_CONDUCTOR)
     prev = 0.0
     for w in (0.1, 0.5, 2.0, 10.0, 200.0):
-        val = pfa_energy(PfaParams(w, w, R, d))
+        val = pfa_energy(R, d, w, w)
         assert abs(val) > abs(prev)
         assert abs(val) < abs(pc)
         prev = val
 
 
-def test_pfa_params_validation():
-    with pytest.raises(ValueError):
-        PfaParams(-1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        PfaParams(1.0, 1.0, 0.0, 1.0)
+def test_pfa_and_small_gap_reject_the_same_bad_inputs():
+    # one argument check serves the whole layer; the plane-plane energy has
+    # no R, and theta neither R nor d
+    bad_lengths, bad_w = (0.0, -1.0, math.inf, math.nan), (-1.0, math.nan)
+    cases = ([(r, 0.1, 1.0, 1.0) for r in bad_lengths] + [(1.0, d, 1.0, 1.0) for d in bad_lengths]
+             + [(1.0, 0.1, w, 1.0) for w in bad_w] + [(1.0, 0.1, 1.0, w) for w in bad_w])
+    for radius_R, gap_d, w_1, w_2 in cases:
+        calls = [lambda: pfa_energy(radius_R, gap_d, w_1, w_2),
+                 lambda: e0(radius_R, gap_d, w_1, w_2),
+                 lambda: small_gap_expansion(radius_R, gap_d, w_1, w_2)]
+        if radius_R == 1.0:
+            calls.append(lambda: lifshitz_plane_plane(gap_d, w_1, w_2))
+        if (radius_R, gap_d) == (1.0, 0.1):
+            calls.append(lambda: theta(w_1, w_2))
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_e0_equals_pfa_on_random_pairs():
@@ -148,7 +160,7 @@ def test_e0_equals_pfa_on_random_pairs():
         w1 = float(10.0 ** rng.uniform(-1, 1))
         w2 = float(10.0 ** rng.uniform(-1, 1))
         a = e0(1.0, 0.3, w1, w2)
-        b = pfa_energy(PfaParams(w1, w2, 1.0, 0.3))
+        b = pfa_energy(1.0, 0.3, w1, w2)
         assert a == pytest.approx(b, rel=1e-8)
 
 
@@ -158,7 +170,7 @@ def test_pfa_matches_e0_at_small_w(w, monkeypatch):
     # 1 - tau^2 ~ w/t sharpens, so a rule not sized by the probe drifts.  E0
     # is taken on a finer rule (tau from 384 nodes, h = 0.2), so that a PFA
     # on an under-resolved shared rule cannot agree with an E0 on the same one
-    got = pfa_energy(PfaParams(w, w, 1.0, 0.3))
+    got = pfa_energy(1.0, 0.3, w, w)
     monkeypatch.setattr(quadrature, "_N_TAU", 384)
     monkeypatch.setattr(quadrature, "_LOG_TRAP_H", 0.2)
     want = e0(1.0, 0.3, w, w)
@@ -166,7 +178,7 @@ def test_pfa_matches_e0_at_small_w(w, monkeypatch):
 
 
 @pytest.mark.parametrize("what, call", [
-    ("PFA", lambda: pfa_energy(PfaParams(1e-3, 1e-3, 1.0, 1.0))),
+    ("PFA", lambda: pfa_energy(1.0, 1.0, 1e-3, 1e-3)),
     ("plane-plane", lambda: lifshitz_plane_plane(1.0, 1e-3, 1e-3)),
 ])
 def test_tau_cap_raises_not_returns(what, call, monkeypatch):

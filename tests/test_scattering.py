@@ -4,9 +4,25 @@ import numpy as np
 import pytest
 
 from plasmacas.scattering import (PERFECT_CONDUCTOR, PlaneSheet, Polarization,
-                                  SphereSheet, plane_r, sphere_t, sphere_t_logs)
+                                  SphereSheet, check_sheets, plane_r, sphere_t,
+                                  sphere_t_logs)
 
 TE, TM = Polarization.TE, Polarization.TM
+
+
+def test_check_sheets_lengths_finite_positive_and_transparency():
+    assert check_sheets(1.0, PERFECT_CONDUCTOR, radius_R=1.0, gap_d=0.1) is False
+    assert check_sheets(0.0, 2.0, gap_d=0.1) is True
+    assert check_sheets(PERFECT_CONDUCTOR, 0.0) is True
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        for lengths in (dict(radius_R=bad, gap_d=0.1), dict(radius_R=1.0, gap_d=bad)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                check_sheets(1.0, 1.0, **lengths)
+    for bad in (-1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            check_sheets(bad, 1.0)
+        with pytest.raises(ValueError):
+            check_sheets(1.0, bad)
 
 
 # ---------------------------------------------------------------- sphere
