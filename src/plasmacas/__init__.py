@@ -11,7 +11,7 @@ from .scattering import (PERFECT_CONDUCTOR, PlaneSheet, Polarization, SphereShee
 from .roundtrip import KappaTable, RoundTripBlock, assemble_block
 from .energy_exact import EnergyResult, NumericsSpec, casimir_energy, logdet_one_minus
 from .pfa import lifshitz_plane_plane, pfa_energy
-from .asymptotics import (NtlCoefficients, e0, ntl_coefficients, ntl_integrand,
+from .asymptotics import (NtlCoefficients, ntl_coefficients, ntl_integrand,
                           small_gap_expansion, theta)
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "SpectralAnomalyError",
     "assemble_block",
     "casimir_energy",
-    "e0",
     "lifshitz_plane_plane",
     "logdet_one_minus",
     "ntl_coefficients",

@@ -1,12 +1,14 @@
 """Small-separation expansion of the sphere-plane interaction.
 
-Leading term E0 (which equals the PFA), next-to-leading term E1 with the
-full coefficient set, and the correction ratio theta = (E1/E0)(R/d).
+Leading term E0, next-to-leading term E1 with the full coefficient set, and
+the correction ratio theta = (E1/E0)(R/d).  E0 is the PFA: its integral q0
+and its prefactor -R/(4 pi d^2) come from ``pfa``, so E0 and
+``pfa_energy`` are one number.
 
-Layout of the s-th term of either series, in the variables (t, tau):
+E1 is a sum over s; its s-th term, in the variables (t, tau), is
 
-    E0_s ~ int dt t int dtau (tau measure) e^{-2t(s+1)} sum_pol [T0 T0t]^{s+1}
-    E1_s ~ same with { sum_pol [T0 T0t]^{s+1} (A + C_pol + D_pol) + B }
+    E1_s ~ int dt t int dtau (tau measure) e^{-2t(s+1)}
+               { sum_pol [T0 T0t]^{s+1} (A + C_pol + D_pol) + B }
 
 All 1/t poles of the coefficients are cancelled analytically by folding one
 power of t into the integrand.  Every term, for every pair of sheets, is
@@ -15,18 +17,17 @@ by a doubling probe (_pick_nodes), the rule ``pfa`` uses too.  The divided
 differences in B are evaluated as explicit homogeneous power sums, which
 removes the a -> b cancellation exactly.
 
-The s-sums decay like powers of 1/(s+1): E0 terms like (s+1)^-4, E1 terms
-like (s+1)^-2.  After each term the last five are fitted to the powers
-p0 .. p0+4 of 1/(s+1), and the fitted tail is summed exactly with polygamma
-functions.  A sum stops once two successive tail-corrected totals agree to
-rel_tol/10 and the tail is at most 5% of the total; PC and graphene-like
-sheets need 6-10 E0 terms and 14-22 E1 terms at the default rel_tol 1e-10.
-The E1 sum changes sign between w = 1e-4 and 2e-4 for equal sheets, so it is
-judged against the larger of itself and the E0 sum: theta = E1 sum / E0 sum
-then settles to rel_tol/10 times max(|theta|, 1).
-_S_MAX bounds the sum; a sum that has not settled there raises
+The terms decay like (s+1)^-2.  After each term the last five are fitted to
+the powers p0 .. p0+4 of 1/(s+1) (p0 = 2), and the fitted tail is summed
+exactly with polygamma functions.  The sum stops once two successive
+tail-corrected totals agree to rel_tol/10 and the tail is at most 5% of the
+total; PC and graphene-like sheets need 14-22 terms at the default rel_tol
+1e-10.  The E1 sum changes sign between w = 1e-4 and 2e-4 for equal sheets,
+so it is judged against the larger of itself and q0: theta = q1/q0 then
+settles to rel_tol/10 times max(|theta|, 1); q0 itself is good to about
+4e-12.  _S_MAX bounds the sum; a sum that has not settled there raises
 NumericsError.  The fit amplifies the round-off of the terms, so below
-rel_tol = _REL_TOL_FLOOR the sums stop settling, and such a rel_tol is
+rel_tol = _REL_TOL_FLOOR the sum stops settling, and such a rel_tol is
 rejected up front with a ValueError.
 """
 
@@ -39,18 +40,12 @@ import numpy as np
 from scipy.special import polygamma
 
 from .errors import NumericsError
+from .pfa import _pfa_prefactor, _polylog_integral, _t0
 from .scattering import PERFECT_CONDUCTOR, check_sheets
 from ._quadrature import _log_t_nodes, _pick_nodes, tau_rule
 
 _S_MAX = 200
 _REL_TOL_FLOOR = 1e-11  # w = 1e-4 and 0.01 no longer settle at 3e-12
-
-
-def _t0(t, tau, w, tm: bool):
-    if w == PERFECT_CONDUCTOR:
-        return np.ones(np.broadcast(t, tau).shape)
-    arg = t * (1.0 - tau ** 2) if tm else t
-    return w / (w + arg) * np.ones(np.broadcast(t, tau).shape)
 
 
 def _hom_power_sum(a, b, n: int):
@@ -269,25 +264,6 @@ def _series_term_factory(varpi_s, varpi_p, g_func, what):
     return lambda s: first if s == 0 else term_at(s, n)
 
 
-def _e0_times_t(s, t, tau, ws, wp):
-    """t * sum_pol [T0 T0t]^{s+1}, the E0 integrand without its exponential."""
-    sig = s + 1.0
-    return t * ((_t0(t, tau, ws, False) * _t0(t, tau, wp, False)) ** sig
-                + (_t0(t, tau, ws, True) * _t0(t, tau, wp, True)) ** sig)
-
-
-def _e0_series(varpi_s, varpi_p, rel_tol):
-    term = _series_term_factory(varpi_s, varpi_p, _e0_times_t, "E0")
-    return _tail_corrected_sum(term, 4, rel_tol, "E0")
-
-
-def _e1_series(varpi_s, varpi_p, rel_tol, q0):
-    """The E1 s-sum, converged relative to the larger of itself and the
-    E0 sum q0."""
-    term = _series_term_factory(varpi_s, varpi_p, _braces_times_t, "E1")
-    return _tail_corrected_sum(term, 2, rel_tol, "E1", abs(q0))
-
-
 def _transparent(varpi_s, varpi_p, rel_tol, **lengths) -> bool:
     """check_sheets, after the rel_tol floor of the s-series."""
     if not _REL_TOL_FLOOR <= rel_tol < math.inf:  # also rejects nan
@@ -296,50 +272,30 @@ def _transparent(varpi_s, varpi_p, rel_tol, **lengths) -> bool:
     return check_sheets(varpi_s, varpi_p, **lengths)
 
 
-def _e0_prefactor(radius_R, gap_d):
-    return -radius_R / (4.0 * math.pi * gap_d ** 2)
-
-
-def _e1_prefactor(gap_d):
-    return -1.0 / (4.0 * math.pi * gap_d)
-
-
-def e0(radius_R: float, gap_d: float, varpi_s, varpi_p, rel_tol: float = 1e-10) -> float:
-    """Leading small-separation term, units hbar c = 1 (dimension 1/length).
-
-    Equals ``pfa_energy`` with the same arguments.  The two share the
-    (t, tau) rule but not the integrand: E0 sums the s-terms with a fitted
-    tail, the PFA integrates the closed-form Li2.
-    """
-    if _transparent(varpi_s, varpi_p, rel_tol, radius_R=radius_R, gap_d=gap_d):
-        return 0.0
-    q0, _ = _e0_series(varpi_s, varpi_p, rel_tol)
-    return _e0_prefactor(radius_R, gap_d) * q0
-
-
 def small_gap_expansion(radius_R: float, gap_d: float, varpi_s, varpi_p,
                         rel_tol: float = 1e-10) -> tuple:
-    """(E0, E1, theta) from one evaluation of each series.
+    """(E0, E1, theta) from one PFA integral and one E1 series.
 
-    E0 and E1 in units hbar c = 1 (dimension 1/length); E1 is accurate to
-    rel_tol of the larger of |E1| and |E0| d/R, where E1 crosses zero.
-    Same values as e0 and theta called one by one.  theta is None when a
-    sheet is transparent.
+    E0 and E1 in units hbar c = 1 (dimension 1/length).  E0 is the PFA and
+    equals ``pfa_energy`` with the same arguments bit for bit; E1 is
+    accurate to rel_tol of the larger of |E1| and |E0| d/R, where E1
+    crosses zero.  theta is None when a sheet is transparent.  Raises
+    NumericsError where a prefactor leaves the double range.
     """
     if _transparent(varpi_s, varpi_p, rel_tol, radius_R=radius_R, gap_d=gap_d):
         return 0.0, 0.0, None
-    q0, _ = _e0_series(varpi_s, varpi_p, rel_tol)
-    q1, _ = _e1_series(varpi_s, varpi_p, rel_tol, q0)
-    return _e0_prefactor(radius_R, gap_d) * q0, _e1_prefactor(gap_d) * q1, q1 / q0
+    pref0 = _pfa_prefactor(radius_R, gap_d)  # in range, so is E1's -1/(4 pi d)
+    q0 = _polylog_integral(varpi_s, varpi_p, 2)
+    term = _series_term_factory(varpi_s, varpi_p, _braces_times_t, "E1")
+    q1, _ = _tail_corrected_sum(term, 2, rel_tol, "E1", abs(q0))
+    return pref0 * q0, -1.0 / (4.0 * math.pi * gap_d) * q1, q1 / q0
 
 
 def theta(varpi_s, varpi_p, rel_tol: float = 1e-10) -> float:
     """Correction ratio theta = (E1/E0) (R/d) of the sheets w = Omega d.
 
-    R and d enter only through w.  PC-PC gives 1/3 - 20/pi^2.
+    R and d enter only through w, so any pair serves.  PC-PC: 1/3 - 20/pi^2.
     """
     if _transparent(varpi_s, varpi_p, rel_tol):
         raise ValueError("theta undefined for a transparent sheet (E0 = 0)")
-    q0, _ = _e0_series(varpi_s, varpi_p, rel_tol)
-    q1, _ = _e1_series(varpi_s, varpi_p, rel_tol, q0)
-    return q1 / q0
+    return small_gap_expansion(1.0, 1.0, varpi_s, varpi_p, rel_tol)[2]

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import __version__
 # The asympt row's one call into the small-gap layer: E0, E1 and theta from
-# one evaluation of each series.  It is bound to the name ``theta`` because
-# the benchmark (bench/layers.py and its tests) counts asympt rows by calls
-# to ``cli.theta``.
+# one PFA integral and one E1 series.  It is bound to the name ``theta``
+# because the benchmark (bench/layers.py and its tests) counts asympt rows
+# by calls to ``cli.theta``.
 from .asymptotics import small_gap_expansion as theta
 from .energy_exact import NumericsSpec, casimir_energy
 from .errors import NumericsError
@@ -42,6 +42,7 @@ _CONFIG_KEYS = {
 }
 
 _METHODS = ("exact", "pfa", "asympt", "all")
+_SPACINGS = {"log": np.geomspace, "linear": np.linspace}
 
 
 class UsageError(Exception):
@@ -124,15 +125,13 @@ def _read_config_file(path: str) -> dict:
 
 
 def _spacing(lo: float, hi: float, count: int, kind: str) -> tuple:
+    if kind not in _SPACINGS:
+        raise UsageError(f"spacing must be 'log' or 'linear', got {kind!r}")
     if count < 1 or not 0.0 < lo <= hi < math.inf:  # also rejects nan
         raise UsageError(f"bad range [{lo}, {hi}] x {count}")
     if count == 1:
         return (lo,)
-    if kind == "log":
-        return tuple(np.geomspace(lo, hi, count))
-    if kind == "linear":
-        return tuple(np.linspace(lo, hi, count))
-    raise UsageError(f"spacing must be 'log' or 'linear', got {kind!r}")
+    return tuple(_SPACINGS[kind](lo, hi, count))
 
 
 def parse_config(args: argparse.Namespace) -> SweepConfig:
@@ -202,6 +201,22 @@ def _pfa_pc_energy_j(radius: float, gap: float) -> float:
     return -HBARC_J_M * math.pi ** 3 * radius / (720.0 * gap * gap)
 
 
+def _si_columns(energy: float, radius: float, gap: float) -> dict:
+    """The SI energy columns of a row; NumericsError where one is not
+    finite, as their own powers of the gap can be where the energy is not."""
+    energy_j = energy * HBARC_J_M
+    try:
+        cols = {"energy_J": energy_j,
+                "energy_dimensionless": energy_j * gap * gap / (HBARC_J_M * radius),
+                "ratio_to_PFA_PC": energy_j / _pfa_pc_energy_j(radius, gap)}
+        if all(map(math.isfinite, cols.values())):
+            return cols
+    except ZeroDivisionError:  # a product of lengths rounded to 0
+        pass
+    raise NumericsError(f"the energy columns at R = {radius!r} m, d = {gap!r} m are "
+                        "outside the double range")
+
+
 def _compute_row(task) -> dict:
     """One CSV row; isolated so worker processes can run it."""
     method, radius, gap, omega_s, omega_p, lmax, mmax, rel_tol = task
@@ -210,24 +225,23 @@ def _compute_row(task) -> dict:
     row.update(method=method, R_m=radius, d_m=gap, L_m=radius + gap,
                omega_s_per_m=omega_s, omega_p_per_m=omega_p, status="ok")
     try:
+        extra = {}
         if method == "exact":
             res = casimir_energy(SphereSheet(radius, omega_s),
                                  PlaneSheet(omega_p, radius + gap),
                                  _exact_spec(lmax, mmax, rel_tol))
-            energy_j = res.energy * HBARC_J_M
-            row.update(error_estimate=res.error_estimate * HBARC_J_M,
-                       l_max_used=res.l_max_used, m_max_used=res.m_max_used)
+            energy = res.energy
+            extra = dict(error_estimate=res.error_estimate * HBARC_J_M,
+                         l_max_used=res.l_max_used, m_max_used=res.m_max_used)
         elif method == "pfa":
-            energy_j = pfa_energy(radius, gap, ws, wp) * HBARC_J_M
+            energy = pfa_energy(radius, gap, ws, wp)
         elif method == "asympt":
             e0, e1, th = theta(radius, gap, ws, wp)
-            energy_j = (e0 + e1) * HBARC_J_M
-            row.update(theta=th)
+            energy = e0 + e1
+            extra = dict(theta=th)
         else:
             raise ValueError(f"unknown method {method!r}")
-        row.update(energy_J=energy_j,
-                   energy_dimensionless=energy_j * gap * gap / (HBARC_J_M * radius),
-                   ratio_to_PFA_PC=energy_j / _pfa_pc_energy_j(radius, gap))
+        row.update(_si_columns(energy, radius, gap), **extra)
     except (NumericsError, ValueError) as exc:
         row.update(status=f"error: {exc}")
     return row

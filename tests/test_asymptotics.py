@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from scipy.special import roots_genlaguerre
 
 import plasmacas.asymptotics as asy
-from plasmacas.asymptotics import (NtlCoefficients, e0, ntl_coefficients, ntl_integrand,
+from plasmacas.asymptotics import (NtlCoefficients, ntl_coefficients, ntl_integrand,
                                    small_gap_expansion, theta)
 from plasmacas.errors import NumericsError
 from plasmacas.pfa import lifshitz_plane_plane, pfa_energy
@@ -14,7 +15,7 @@ from plasmacas.scattering import PERFECT_CONDUCTOR as PC, varpi
 import plasmacas._quadrature as quadrature
 from plasmacas._quadrature import tau_rule
 
-from oracles import full_sum_theta, laguerre_theta, script_b_divided_difference
+from oracles import e0_s_series, full_sum_theta, laguerre_theta, script_b_divided_difference
 
 THETA_PC = 1.0 / 3.0 - 20.0 / math.pi ** 2
 
@@ -39,7 +40,6 @@ def _ntl_oracle(s, t, tau, ws, wp):
     """Every NtlCoefficients field and the braces at one point, re-derived in
     exact rational arithmetic; a PC side is w = 10^40, which is within 1e-40
     (relative) of the w -> oo limit."""
-    sp = pytest.importorskip("sympy")
     R = sp.Rational
     ws = R(10) ** 40 if ws == PC else R(ws)
     wp = R(10) ** 40 if wp == PC else R(wp)
@@ -146,16 +146,17 @@ def test_script_b_degenerate_region_finite():
 
 
 def test_e0_pc_value():
-    got = e0(2.0, 0.1, PC, PC)
+    got = small_gap_expansion(2.0, 0.1, PC, PC)[0]
     assert got == pytest.approx(-math.pi ** 3 * 2.0 / (720.0 * 0.01), rel=1e-10)
 
 
 def test_e0_transparent():
-    assert e0(1.0, 0.1, 0.0, 1.0) == 0.0
+    assert small_gap_expansion(1.0, 0.1, 0.0, 1.0)[0] == 0.0
 
 
 def test_e0_matches_pfa():
-    a = e0(1.0, 0.2, 2.0, 2.0)
+    # E0 as its fitted s-series against the closed-form Li2 integral
+    a = e0_s_series(1.0, 0.2, 2.0, 2.0)
     b = pfa_energy(1.0, 0.2, 2.0, 2.0)
     assert a == pytest.approx(b, rel=1e-8)
 
@@ -220,17 +221,18 @@ def test_theta_negative_for_pc_and_graphene():
 
 
 def test_small_gap_expansion_matches_separate_calls():
+    # E0 is the PFA energy, bit for bit
     R, d = 1.3, 0.25
     for ws, wp in ((PC, PC), (4.0, 2.0)):
         e0_, _, th = small_gap_expansion(R, d, ws, wp)
-        assert (e0_, th) == (e0(R, d, ws, wp), theta(ws, wp))
+        assert (e0_, th) == (pfa_energy(R, d, ws, wp), theta(ws, wp))
     assert small_gap_expansion(R, d, PC, 0.0) == (0.0, 0.0, None)
 
 
 def test_small_gap_and_pfa_values_are_plain_floats():
     R, d = 1.3, 0.25
     for ws, wp in ((PC, PC), (4.0, 2.0)):
-        values = [e0(R, d, ws, wp), *small_gap_expansion(R, d, ws, wp), theta(ws, wp),
+        values = [*small_gap_expansion(R, d, ws, wp), theta(ws, wp),
                   pfa_energy(R, d, ws, wp), lifshitz_plane_plane(d, ws, wp)]
         assert [type(v) for v in values] == [float] * len(values), values
 
@@ -249,7 +251,7 @@ def test_s_series_stop_matches_full_sum(ws, wp):
 
 
 def test_s_series_term_counts(monkeypatch):
-    counts = {"E0": 0, "E1": 0}
+    counts = {"E1": 0}
 
     def counted(term, p0, rel_tol, what, *floor, _orig=asy._tail_corrected_sum):
         def counted_term(s):
@@ -260,9 +262,9 @@ def test_s_series_term_counts(monkeypatch):
     monkeypatch.setattr(asy, "_tail_corrected_sum", counted)
     theta(PC, PC)
     # the E1 tail, (2/3)/(s+2) of a total 0.92, is below 5% from s = 14 on
-    assert counts["E0"] <= 8 and counts["E1"] <= 16, counts
+    assert counts["E1"] <= 16, counts
     for w in _GRAPHENE_W:
-        counts.update(E0=0, E1=0)
+        counts.update(E1=0)
         small_gap_expansion(1.0, 0.01, w, w)
         assert counts["E1"] <= 30, (w, counts)
 

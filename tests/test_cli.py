@@ -257,7 +257,8 @@ def test_figure_multi_material_run_small(tmp_path, monkeypatch):
 
 
 def test_asympt_row_runs_each_series_once(monkeypatch):
-    calls = {"_e0_series": 0, "_e1_series": 0}
+    # one PFA integral for E0 and one E1 s-series
+    calls = {"_polylog_integral": 0, "_tail_corrected_sum": 0}
     for name in calls:
         def counted(*args, _name=name, _orig=getattr(asy, name)):
             calls[_name] += 1
@@ -265,7 +266,7 @@ def test_asympt_row_runs_each_series_once(monkeypatch):
         monkeypatch.setattr(asy, name, counted)
     row = cli._compute_row(("asympt", 1e-3, 1e-5, 6.75e5, 6.75e5, None, None, None))
     assert row["status"] == "ok" and row["theta"] < 0.0
-    assert calls == {"_e0_series": 1, "_e1_series": 1}
+    assert calls == {"_polylog_integral": 1, "_tail_corrected_sum": 1}
 
 
 def test_graphene_sweep_monotone_energy_and_theta_minimum(tmp_path):
@@ -298,3 +299,34 @@ def test_sweep_config_validation():
         SweepConfig(method="pfa", radii=(), gaps=(0.1,), omega_s=1.0, omega_p=1.0)
     with pytest.raises(UsageError):
         SweepConfig(method="pfa", radii=(1.0,), gaps=(-0.1,), omega_s=1.0, omega_p=1.0)
+
+
+@pytest.mark.parametrize("args", [
+    ["--method", "pfa", "--radius", "1", "--gap", "1e-200"],
+    ["--method", "asympt", "--radius", "1e200", "--gap", "1e-170"],
+    ["--method", "pfa", "--radius", "1e300", "--gap", "1e300"],
+    # the library's energy is fine; the CLI's own d^2 rounds to 0
+    ["--method", "exact", "--radius", "1e-200", "--gap", "1e-201"],
+])
+def test_lengths_outside_the_double_range_fail_the_row(tmp_path, capsys, args):
+    out = tmp_path / "range.csv"
+    assert main(["point", *args, "--out", str(out)]) == 3
+    (row,) = _rows(out)
+    assert row["status"].startswith("error:") and "outside the double range" in row["status"]
+    assert row["energy_J"] == row["ratio_to_PFA_PC"] == row["error_estimate"] == ""
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_bad_config_spacing_is_usage_error_for_any_count(tmp_path, capsys, count):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"radius = 1e-3\ngap_min = 1e-5\ngap_max = 1e-5\ngap_count = {count}\n"
+                    "gap_spacing = bogus\n")
+    out = tmp_path / "spacing.csv"
+    assert main(["sweep", "--config", str(conf), "--method", "pfa", "--out", str(out)]) == 2
+    assert "bogus" in capsys.readouterr().err
+    assert not out.exists()
+    conf.write_text(f"gap = 1e-5\nradius_min = 1e-3\nradius_max = 1e-3\n"
+                    f"radius_count = {count}\nradius_spacing = bogus\n")
+    assert main(["sweep", "--config", str(conf), "--method", "pfa", "--out", str(out)]) == 2
+    assert not out.exists()

@@ -594,3 +594,37 @@ def test_pc_small_gap_matches_tight_reference():
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.02),
                          NumericsSpec(rel_tol=1e-3))
     assert abs(res.energy - -104.66071) <= res.error_estimate + 4.8e-3
+
+
+def _l_max_tries(monkeypatch, start):
+    """Start the auto l_max at ``start`` and record every l_max tried."""
+    tried = []
+    rule = energy_exact._theta_rule
+
+    def recording(l_max):
+        tried.append(l_max)
+        return rule(l_max)
+
+    monkeypatch.setattr(energy_exact, "_auto_l_max", lambda d: start)
+    monkeypatch.setattr(energy_exact, "_theta_rule", recording)
+    return tried
+
+
+def test_l_max_growth_reaches_the_auto_value(monkeypatch):
+    # PC d/R = 0.1 starts at l_max 70 on its own; from 40 the l probe grows
+    # it by max(10, l_max // 3) twice and lands on the same run
+    tried = _l_max_tries(monkeypatch, 40)
+    res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
+                         NumericsSpec(rel_tol=1e-3))
+    assert tried == [40, 53, 70]
+    assert res.l_max_used == 70 and res.energy == -3.8183133234149396
+
+
+def test_l_max_growth_that_does_not_converge_raises(monkeypatch):
+    # from 20 the four tries 20, 30, 40, 53 all miss rel_tol/4 of |E|
+    tried = _l_max_tries(monkeypatch, 20)
+    with pytest.raises(NumericsError, match="l_max growth did not converge") as info:
+        casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
+                       NumericsSpec(rel_tol=1e-3))
+    assert tried == [20, 30, 40, 53]
+    assert math.isfinite(info.value.error_estimate) and info.value.error_estimate > 0.0

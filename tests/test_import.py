@@ -9,8 +9,9 @@ import plasmacas
 REMOVED = {
     "roundtrip": ("AngularKernel", "m_element", "_element_once"),
     "specfun": ("ScaledBessel", "bessel_half", "legendre_p", "_dilog_series"),
-    "asymptotics": ("script_b_divided_difference", "e1"),
-    "pfa": ("PfaParams",),
+    "asymptotics": ("script_b_divided_difference", "e1", "e0", "_e0_times_t", "_e0_series",
+                    "_e0_prefactor", "_e1_series"),
+    "pfa": ("PfaParams", "_r_product"),
 }
 
 

@@ -8,7 +8,9 @@ import plasmacas._quadrature as quadrature
 from plasmacas.errors import NumericsError
 from plasmacas.pfa import lifshitz_plane_plane, pfa_energy
 from plasmacas.scattering import PERFECT_CONDUCTOR, varpi
-from plasmacas.asymptotics import e0, small_gap_expansion, theta
+from plasmacas.asymptotics import small_gap_expansion, theta
+
+from oracles import e0_s_series
 
 
 def test_lifshitz_transparent():
@@ -141,7 +143,6 @@ def test_pfa_and_small_gap_reject_the_same_bad_inputs():
              + [(1.0, 0.1, w, 1.0) for w in bad_w] + [(1.0, 0.1, 1.0, w) for w in bad_w])
     for radius_R, gap_d, w_1, w_2 in cases:
         calls = [lambda: pfa_energy(radius_R, gap_d, w_1, w_2),
-                 lambda: e0(radius_R, gap_d, w_1, w_2),
                  lambda: small_gap_expansion(radius_R, gap_d, w_1, w_2)]
         if radius_R == 1.0:
             calls.append(lambda: lifshitz_plane_plane(gap_d, w_1, w_2))
@@ -153,13 +154,14 @@ def test_pfa_and_small_gap_reject_the_same_bad_inputs():
 
 
 def test_e0_equals_pfa_on_random_pairs():
-    # the closed-form Li2 integrand and the fitted s-series of E0 agree at
-    # 1e-8 on the shared (t, tau) rule
+    # the closed-form Li2 integrand and the fitted s-series of E0 (the
+    # oracle; the library's E0 is the PFA) agree at 1e-8 on the shared
+    # (t, tau) rule
     rng = np.random.default_rng(55)
     for _ in range(20):
         w1 = float(10.0 ** rng.uniform(-1, 1))
         w2 = float(10.0 ** rng.uniform(-1, 1))
-        a = e0(1.0, 0.3, w1, w2)
+        a = e0_s_series(1.0, 0.3, w1, w2)
         b = pfa_energy(1.0, 0.3, w1, w2)
         assert a == pytest.approx(b, rel=1e-8)
 
@@ -167,13 +169,13 @@ def test_e0_equals_pfa_on_random_pairs():
 @pytest.mark.parametrize("w", [1e-3, 1e-4, 1e-5])
 def test_pfa_matches_e0_at_small_w(w, monkeypatch):
     # the reflection poles t = -w crowd the origin and the tau feature
-    # 1 - tau^2 ~ w/t sharpens, so a rule not sized by the probe drifts.  E0
-    # is taken on a finer rule (tau from 384 nodes, h = 0.2), so that a PFA
+    # 1 - tau^2 ~ w/t sharpens, so a rule not sized by the probe drifts.  The
+    # E0 s-series is taken on a finer rule (tau from 384 nodes, h = 0.2), so that a PFA
     # on an under-resolved shared rule cannot agree with an E0 on the same one
     got = pfa_energy(1.0, 0.3, w, w)
     monkeypatch.setattr(quadrature, "_N_TAU", 384)
     monkeypatch.setattr(quadrature, "_LOG_TRAP_H", 0.2)
-    want = e0(1.0, 0.3, w, w)
+    want = e0_s_series(1.0, 0.3, w, w)
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -195,3 +197,35 @@ def test_plane_plane_below_the_small_w_limit_raises():
     # taken as settled against it
     with pytest.raises(NumericsError, match="plane-plane"):
         lifshitz_plane_plane(1.0, 1e-8, 1e-8)
+
+
+PC = PERFECT_CONDUCTOR
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pfa_energy(1.0, 1e-200, PC, PC),          # d^2 rounds to 0
+    lambda: pfa_energy(1e300, 1e300, PC, PC),         # d^2 overflows
+    lambda: pfa_energy(1.0, np.float64(1e300), PC, PC),  # and warns for numpy
+    lambda: pfa_energy(1e-150, 1e-154, PC, PC),       # d^2 is subnormal
+    lambda: pfa_energy(1e300, 1e-5, PC, PC),          # -R/(4 pi d^2) is inf
+    lambda: pfa_energy(1e-300, 1e5, PC, PC),          # -R/(4 pi d^2) rounds to 0
+    lambda: small_gap_expansion(1.0, 1e-200, PC, PC),
+    lambda: small_gap_expansion(1e200, 1e-170, PC, PC),
+    lambda: small_gap_expansion(1.0, 1e-320, PC, PC),  # -1/(4 pi d) would be inf
+    lambda: lifshitz_plane_plane(1e-110, PC, PC),
+    lambda: lifshitz_plane_plane(1e110, PC, PC),
+    lambda: lifshitz_plane_plane(1e102, PC, PC),       # the energy is subnormal
+])
+def test_lengths_outside_the_double_range_raise(call):
+    with pytest.raises(NumericsError, match="outside the double range") as info:
+        call()
+    assert info.value.error_estimate == math.inf
+
+
+def test_lengths_at_the_edge_of_the_double_range_keep_their_values():
+    # scale invariance, E(lam R, lam d) = E(R, d)/lam, holds up to the edge
+    base = pfa_energy(1.0, 0.1, PC, PC)
+    for lam in (1e-150, 1e150):
+        assert pfa_energy(lam, 0.1 * lam, PC, PC) == pytest.approx(base / lam, rel=1e-14)
+    assert lifshitz_plane_plane(1e-100, PC, PC) == pytest.approx(
+        lifshitz_plane_plane(1.0, PC, PC) * 1e300, rel=1e-14)

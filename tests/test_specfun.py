@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import ive, kve, spence
@@ -140,7 +141,6 @@ def test_legendre_pbar_log_extreme_range_finite():
 
 def test_legendre_pbar_log_against_mpmath_recurrence():
     # 60-digit upward recurrence of the normalised ladder from the exact seed
-    mp = pytest.importorskip("mpmath")
     mp.mp.dps = 60
     xs = [1.0 + 1e-8, 1.01, 2.0, 50.0, 1e4]
     for l_max, m in ((130, 0), (130, 40), (300, 5), (600, 0)):
@@ -191,7 +191,6 @@ def test_dilog_against_scipy_spence():
 
 def test_dilog_series_accuracy_absolute():
     # absolute 1e-14 against the defining series summed in extended precision
-    mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     for x in (-0.999, -0.51, -0.5, 0.25, 0.49999, 0.5, 0.51, 0.77, 0.999, 0.9999):
         ref = float(mp.polylog(2, x))
@@ -202,7 +201,6 @@ def test_dilog_relative_accuracy_near_zero():
     # spence(1 - x) alone rounds away the low bits of x (8e-8 relative at
     # x = 1e-10); with that rounding added back dilog keeps 1e-14 relative
     # for both signs
-    mp = pytest.importorskip("mpmath")
     mag = np.geomspace(1e-12, 1e-1, 241)
     x = np.concatenate([mag, -mag])
     with mp.workdps(40):
