@@ -23,8 +23,11 @@ Numerical organisation, fixed once here and relied on everywhere:
   contrast, overflows at small kappa;
 * everything that depends on kappa but not on m (rapidity nodes and weights,
   plane reflections, sphere T logs, the scaled l prefactor) lives in one
-  :class:`KappaTable` per kappa, which also hands the m+1 Legendre ladder
-  of block m on to block m+1;
+  :class:`KappaTable` per set of kappa nodes, with a leading node axis, which
+  also hands the m+1 Legendre ladder of block m on to block m+1.  A block
+  then holds every node of its table at one m, and the ladders, the
+  angular functions and the block entries are each one array operation
+  over all of them; a scalar kappa is the one-node case;
 * the balanced weight of an element separates into a row factor and a
   column factor, so a block is M = H H^T with H of size 2 n_l x 2 n_theta
   (a TE row [tau sqrt r_TE, pi sqrt q_TM], a TM row [pi sqrt r_TE,
@@ -90,7 +93,7 @@ def _angular_logs(l_max: int, m_abs: int, c_nodes: np.ndarray, ladder):
 
 @dataclass(frozen=True)
 class RoundTripBlock:
-    """Round-trip block at fixed (m, kappa), stored as its factor.
+    """Round-trip block at fixed m, stored as its factor, at one kappa or a stack.
 
     ``factor`` is H, of size 2 n_l x 2 n_theta, with M = H H^T in balanced
     form: sqrt|T_l| is split across rows and columns (a similarity
@@ -100,43 +103,50 @@ class RoundTripBlock:
     definite and M positive semi-definite.  Row index is
     2*(l - max(1,|m|)) + pol with pol TE=0, TM=1; the first n_theta columns
     carry r_TE and the last q_TM, and at m = 0 the TE rows vanish on the
-    last n_theta columns and the TM rows on the first.  ``matrix`` forms M
-    on each access, for tests and oracles; ``dim`` is its size 2 n_l.
+    last n_theta columns and the TM rows on the first.  A block of K kappa
+    nodes has ``kappa`` of shape (K,) and a leading node axis on
+    ``factor``, (K, 2 n_l, 2 n_theta); a scalar kappa gives a 2-D factor.
+    ``matrix`` forms M on each access, for tests and oracles; ``dim`` is
+    its size 2 n_l.
     """
 
     m: int
-    kappa: float
+    kappa: float | np.ndarray
     l_max: int
     factor: np.ndarray = field(repr=False)
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.factor @ self.factor.T
+        return self.factor @ np.swapaxes(self.factor, -1, -2)
 
     @property
     def dim(self) -> int:
-        return self.factor.shape[0]
+        return self.factor.shape[-2]
 
 
 @dataclass(frozen=True)
 class KappaTable:
-    """The part of every block at one kappa that does not depend on m.
+    """The part of every block at a set of kappa nodes that does not depend on m.
 
-    ``c`` holds the cosh(theta) nodes.  ``col_te``/``col_tm`` are the
+    ``kappa`` is a scalar or an array of K nodes, and every array below has
+    a leading axis of the K nodes (K = 1 for a scalar).  ``c`` holds the
+    cosh(theta) nodes, (K, n_theta).  ``col_te``/``col_tm`` are the
     half-logs of the column weights w r_TE and w (-r_TM): rapidity weight
-    (which includes e^{-u}) times plane reflection, so their exponentials are
-    the sqrt weights of the rapidity sum.  ``half_pref`` is the half-log of the element prefactor
-    (pi/2) (2l+1)/(l(l+1)) times the block scale
-    e^{-2 kappa (L-R)}/(2 kappa L), and ``half_log_t`` the TE and TM
-    half-logs of |T_l|, for l = 1 .. l_max.  The table also keeps the two
-    Legendre ladders asked for last: the m+1 ladder of block m is the m
+    (which includes e^{-u}) times plane reflection, so their exponentials
+    are the sqrt weights of the rapidity sum.  ``half_pref`` is the
+    half-log of the element prefactor (pi/2) (2l+1)/(l(l+1)) times the
+    block scale e^{-2 kappa (L-R)}/(2 kappa L), and ``half_log_t`` the TE
+    and TM half-logs of |T_l|, each (K, l_max) for l = 1 .. l_max.  The
+    table also keeps the two Legendre ladders asked for last, each one
+    array over all K n_theta nodes: the m+1 ladder of block m is the m
     ladder of block m+1, so assembling m = 0, 1, 2, ... in order computes
     each ladder of order 1 .. l_max once; block 0 needs only the order-1
     ladder, so order 0 is never computed.  That cache makes a table a
-    one-thread object.
+    one-thread object.  :meth:`take` keeps some of the nodes, cached
+    ladders included, so nodes that need no more m can leave the stack.
     """
 
-    kappa: float
+    kappa: float | np.ndarray
     c: np.ndarray = field(repr=False)
     col_te: np.ndarray = field(repr=False)
     col_tm: np.ndarray = field(repr=False)
@@ -145,53 +155,69 @@ class KappaTable:
     _ladders: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
-    def build(cls, kappa: float, sphere: SphereSheet, plane: PlaneSheet,
+    def build(cls, kappa, sphere: SphereSheet, plane: PlaneSheet,
               l_max: int, rule) -> "KappaTable":
         """The table for degrees l = 1 .. l_max on the rapidity rule (u, ln w).
 
-        ``rule`` integrates int_0^inf e^{-u} f(u) du as sum exp(ln w) f(u).
+        ``kappa`` is a positive scalar or a 1-D array of them.  ``rule``
+        integrates int_0^inf e^{-u} f(u) du as sum exp(ln w) f(u).
         """
-        if not (kappa > 0.0):
+        kap = np.atleast_1d(np.asarray(kappa, dtype=float))
+        if kap.ndim != 1 or kap.size == 0 or not np.all(kap > 0.0):
             raise ValueError(f"kappa must be positive, got {kappa}")
-        kl = kappa * plane.distance_L
+        kl = kap * plane.distance_L
         u, log_w = rule
-        c = 1.0 + u / (2.0 * kl)
+        c = 1.0 + u / (2.0 * kl[:, None])
         sh = np.sqrt((c - 1.0) * (c + 1.0))
-        rte = plane_r(Polarization.TE, kappa, kappa * sh, plane)
-        qtm = -plane_r(Polarization.TM, kappa, kappa * sh, plane)
+        rte = plane_r(Polarization.TE, kap[:, None], kap[:, None] * sh, plane)
+        qtm = -plane_r(Polarization.TM, kap[:, None], kap[:, None] * sh, plane)
         with np.errstate(divide="ignore"):
             col_te = 0.5 * (log_w + np.log(rte))
             col_tm = 0.5 * (log_w + np.log(qtm))
-        log_te, log_tm = sphere_t_logs(l_max, kappa, sphere)
+        log_te, log_tm = np.array([sphere_t_logs(l_max, k, sphere) for k in kap]).swapaxes(0, 1)
 
-        log_s = 2.0 * kappa * sphere.radius_R - 2.0 * kl - math.log(2.0 * kl)
+        # math.log node by node: np.log rounds differently for about 1 in 1e4 arguments
+        log_s = np.array([2.0 * k * sphere.radius_R - 2.0 * x - math.log(2.0 * x)
+                          for k, x in zip(kap.tolist(), kl.tolist())])
         lvec = np.arange(1, l_max + 1)
-        half_pref = 0.5 * (math.log(math.pi / 2.0) + log_s
+        half_pref = 0.5 * (math.log(math.pi / 2.0) + log_s[:, None]
                            + np.log(2 * lvec + 1.0) - np.log(lvec * (lvec + 1.0)))
         return cls(kappa=kappa, c=c, col_te=col_te, col_tm=col_tm, half_pref=half_pref,
                    half_log_t=(0.5 * log_te, 0.5 * log_tm))
 
     @property
     def l_max(self) -> int:
-        return self.half_pref.size
+        return self.half_pref.shape[1]
 
     def ladder(self, m_abs: int) -> np.ndarray:
-        """ln Pbar_l^m_abs for l = m_abs .. l_max on the nodes."""
+        """ln Pbar_l^m_abs for l = m_abs .. l_max on the K n_theta nodes, node-major."""
         lad = self._ladders.get(m_abs)
         if lad is None:
-            lad = legendre_pbar_log(self.l_max, m_abs, self.c)
+            lad = legendre_pbar_log(self.l_max, m_abs, self.c.ravel())
             self._ladders[m_abs] = lad
             if len(self._ladders) > 2:
                 del self._ladders[next(iter(self._ladders))]
         return lad
 
+    def take(self, keep) -> "KappaTable":
+        """The table of the nodes ``keep`` selects (a mask or indices on the node axis)."""
+        nodes, n = self.c.shape
+        ladders = {k: lad.reshape(len(lad), nodes, n)[:, keep].reshape(len(lad), -1)
+                   for k, lad in self._ladders.items()}
+        return KappaTable(kappa=np.atleast_1d(self.kappa)[keep], c=self.c[keep],
+                          col_te=self.col_te[keep], col_tm=self.col_tm[keep],
+                          half_pref=self.half_pref[keep],
+                          half_log_t=tuple(t[keep] for t in self.half_log_t), _ladders=ladders)
+
 
 def assemble_block(m: int, table: KappaTable) -> RoundTripBlock:
     """Assemble the round-trip block for one azimuthal index as its factor H.
 
-    ``table`` fixes kappa, the sheets, l_max and the rapidity nodes.  Blocks
-    of one table share its kappa-only work and its Legendre-ladder cache, so
-    they are assembled on one thread; distinct tables are independent.
+    ``table`` fixes the kappa nodes, the sheets, l_max and the rapidity
+    nodes; the block covers every node of the table, with a 2-D factor for
+    a scalar kappa.  Blocks of one table share its kappa-only work and its
+    Legendre-ladder cache, so they are assembled on one thread; distinct
+    tables are independent.
     """
     l_max = table.l_max
     mm = abs(m)
@@ -199,21 +225,29 @@ def assemble_block(m: int, table: KappaTable) -> RoundTripBlock:
     if l_max < l0:
         raise ValueError(f"l_max={l_max} below max(1, |m|)={l0}")
 
-    _, ltau, lpi = _angular_logs(l_max, mm, table.c, table.ladder)
-    nl, n = ltau.shape
-    row_te = (table.half_pref[l0 - 1:] + table.half_log_t[0][l0 - 1:])[:, None]
-    row_tm = (table.half_pref[l0 - 1:] + table.half_log_t[1][l0 - 1:])[:, None]
+    nodes, n = table.c.shape
+    _, ltau, lpi = _angular_logs(l_max, mm, table.c.ravel(), table.ladder)
+    nl = ltau.shape[0]
+    # (n_l, K n_theta) -> (K, n_l, n_theta), as views
+    ltau = ltau.reshape(nl, nodes, n).swapaxes(0, 1)
+    lpi = lpi.reshape(nl, nodes, n).swapaxes(0, 1)
+    row_te = (table.half_pref[:, l0 - 1:] + table.half_log_t[0][:, l0 - 1:])[:, :, None]
+    row_tm = (table.half_pref[:, l0 - 1:] + table.half_log_t[1][:, l0 - 1:])[:, :, None]
+    col_te, col_tm = table.col_te[:, None, :], table.col_tm[:, None, :]
     # M = H H^T with a TE row [tau sqrt(r_TE), pi sqrt(q_TM)] and a TM row
     # [pi sqrt(r_TE), tau sqrt(q_TM)], each times its row weight
-    h = np.empty((2 * nl, 2 * n))
-    np.exp(ltau + row_te + table.col_te, out=h[0::2, :n])
-    np.exp(lpi + row_te + table.col_tm, out=h[0::2, n:])
-    np.exp(lpi + row_tm + table.col_te, out=h[1::2, :n])
-    np.exp(ltau + row_tm + table.col_tm, out=h[1::2, n:])
+    h = np.empty((nodes, 2 * nl, 2 * n))
+    np.exp(ltau + row_te + col_te, out=h[:, 0::2, :n])
+    np.exp(lpi + row_te + col_tm, out=h[:, 0::2, n:])
+    np.exp(lpi + row_tm + col_te, out=h[:, 1::2, :n])
+    np.exp(ltau + row_tm + col_tm, out=h[:, 1::2, n:])
     if m < 0:
-        h[1::2] *= -1.0
-    if not np.all(np.isfinite(h)):
+        h[:, 1::2] *= -1.0
+    finite = np.isfinite(h).all(axis=(1, 2))
+    if not finite.all():
         raise NumericsError(
-            f"non-finite entries in block m={m}, kappa={table.kappa} "
+            f"non-finite entries in block m={m}, "
+            f"kappa={np.atleast_1d(table.kappa)[np.argmin(finite)]} "
             f"(l_max={l_max}, theta_nodes={n})")
-    return RoundTripBlock(m=m, kappa=table.kappa, l_max=l_max, factor=h)
+    return RoundTripBlock(m=m, kappa=table.kappa, l_max=l_max,
+                          factor=h if np.ndim(table.kappa) else h[0])

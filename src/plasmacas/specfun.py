@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import spence
 
 _LN_RESCALE = 250.0 * math.log(10.0)
 _RESCALE = 1e250
@@ -173,6 +172,8 @@ def dilog(x):
     (at most 0.4 |e|), so relative accuracy holds down to the smallest |x|.
     For x >= 1/2, y is exact and e = 0.
     """
+    from scipy.special import spence  # scipy.special costs 0.28 s and 26 MB to import
+
     scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(x) > 1.0) or not np.all(np.isfinite(x)):

@@ -21,12 +21,13 @@ def _block_of(factor, m=1):
 
 
 def _recording_cholesky(monkeypatch):
-    """Record the size of every matrix handed to np.linalg.cholesky."""
+    """Record the size of every matrix handed to np.linalg.cholesky, one
+    entry per matrix of a stack."""
     sizes = []
     real = np.linalg.cholesky
 
     def recording(a, *args, **kwargs):
-        sizes.append(a.shape[0])
+        sizes.extend([a.shape[-1]] * (a.shape[0] if a.ndim == 3 else 1))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cholesky", recording)
@@ -360,12 +361,15 @@ def test_energy_deterministic():
 # ---------------------------------------------------------------- truncation
 
 def _counting_blocks(monkeypatch):
+    """Record the m of every node-block: a stacked block of K nodes adds K
+    entries."""
     calls = []
     real = energy_exact.assemble_block
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+        block = real(*args, **kwargs)
+        calls.extend([args[0]] * np.size(block.kappa))
+        return block
 
     monkeypatch.setattr(energy_exact, "assemble_block", counting)
     return calls
@@ -382,15 +386,16 @@ def test_zero_tail_node_stops_at_m4(monkeypatch):
     # stop at the first m it may stop at instead of running to l_max
     d = 0.1
     calls = _counting_blocks(monkeypatch)
-    out = energy_exact._mode_sum(300.0, SphereSheet(1.0, PERFECT_CONDUCTOR),
-                                 PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), *_pass_args(d))
-    assert out == (0.0, 0.0, 0.0, 4)
+    out = energy_exact._mode_sums(np.array([300.0]), SphereSheet(1.0, PERFECT_CONDUCTOR),
+                                  PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), *_pass_args(d))
+    assert out == [(0.0, 0.0, 0.0, 4)]
     assert calls == [0, 1, 2, 3, 4]
 
 
 def test_pc_tenth_block_count_and_m_max_used(monkeypatch):
     # far kappa nodes stop at m = 4 and no kappa node is evaluated twice:
-    # 1474 blocks with neither, 340 with both.  m_max_used is the largest m
+    # 1474 node-blocks with neither, 340 with both; a stacked block of K
+    # nodes counts K.  m_max_used is the largest m
     # a node needed (12), not l_max (70).
     calls = _counting_blocks(monkeypatch)
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
@@ -446,13 +451,13 @@ def test_kappa_rule_integrates_decaying_functions():
 
 def test_each_kappa_node_evaluated_once(monkeypatch):
     calls = []
-    real = energy_exact._mode_sum
+    real = energy_exact._mode_sums
 
     def counting(kappa, *args):
-        calls.append(kappa)
+        calls.extend(kappa.tolist())
         return real(kappa, *args)
 
-    monkeypatch.setattr(energy_exact, "_mode_sum", counting)
+    monkeypatch.setattr(energy_exact, "_mode_sums", counting)
     d = 0.3
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d),
                          NumericsSpec(rel_tol=1e-3))
@@ -475,18 +480,87 @@ def test_refined_level_reuses_rows_by_index():
     assert fine[-1] == fresh[-1] and fine[-1][1::2] == coarse[-1]
 
 
+@pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
+def test_level_major_rows_equal_per_node_rows(monkeypatch, omega):
+    # one kappa level evaluated as one stack gives, for every node, the row
+    # (F, F_sub, m tail, m used) of that node evaluated alone, bit for bit;
+    # the far nodes stop at m = 4 and leave the stack while the near ones
+    # run on
+    d = 0.3
+    sphere, plane = SphereSheet(1.0, omega), PlaneSheet(omega, 1.0 + d)
+    kappa = energy_exact._kappa_rule(16)[0] / (2.0 * d)
+    stacks = []
+    real = energy_exact.assemble_block
+
+    def recording(m, table):
+        block = real(m, table)
+        stacks.append((m, np.size(block.kappa)))
+        return block
+
+    monkeypatch.setattr(energy_exact, "assemble_block", recording)
+    stacked = energy_exact._mode_sums(kappa, sphere, plane, *_pass_args(d))
+    assert stacks[0] == (0, kappa.size)  # the whole level in one stack
+    assert [k for _, k in stacks] == sorted((k for _, k in stacks), reverse=True)
+    alone = [energy_exact._mode_sums(kappa[i:i + 1], sphere, plane, *_pass_args(d))[0]
+             for i in range(kappa.size)]
+    assert stacked == alone
+    m_used = [row[3] for row in stacked]
+    assert m_used[0] == 4 and max(m_used) > 4
+
+
+def test_stacked_errors_name_the_node(monkeypatch):
+    # a fault in one node of a stack is reported with that node's kappa and m
+    d = 0.3
+    sphere, plane = SphereSheet(1.0, 1.7), PlaneSheet(1.7, 1.0 + d)
+    kappa = np.array([0.5, 1.0, 2.0])
+    real = energy_exact.assemble_block
+
+    def corrupting(scale, value=None):
+        def assemble(m, table):
+            block = real(m, table)
+            if m == 2:
+                block.factor[1] *= scale  # M past 1: I - M not positive definite
+                if value is not None:
+                    block.factor[1, 0, 0] = value
+            return block
+        return assemble
+
+    monkeypatch.setattr(energy_exact, "assemble_block", corrupting(30.0))
+    with pytest.raises(SpectralAnomalyError, match=r"not positive definite in block m=2, "
+                                                   r"kappa=1\.0;"):
+        energy_exact._mode_sums(kappa, sphere, plane, *_pass_args(d))
+    # a non-finite entry
+    monkeypatch.setattr(energy_exact, "assemble_block", corrupting(1.0, math.nan))
+    with pytest.raises(NumericsError, match=r"non-finite factorisation in block m=2, "
+                                            r"kappa=1\.0$"):
+        energy_exact._mode_sums(kappa, sphere, plane, *_pass_args(d))
+    # a positive ln det, which M = H H^T rules out, is not passed on
+    monkeypatch.setattr(energy_exact, "assemble_block", real)
+    real_lead = energy_exact._logdet_and_lead
+
+    def positive(f, kept):
+        full, lead = real_lead(f, kept)
+        full[-1] = 1e-6
+        return full, lead
+
+    monkeypatch.setattr(energy_exact, "_logdet_and_lead", positive)
+    with pytest.raises(SpectralAnomalyError, match=r"> 0 for block m=0, kappa=2\.0;") as info:
+        energy_exact._mode_sums(kappa, sphere, plane, *_pass_args(d))
+    assert info.value.error_estimate == pytest.approx(2e-6)  # the TE and TM halves of m = 0
+
+
 def test_far_kappa_nodes_stay_finite(monkeypatch):
     # the far nodes of a refined level reach kappa R ~ 5e4 at d/R = 0.05;
     # every node must give a finite F <= 0
     values = []
-    real = energy_exact._mode_sum
+    real = energy_exact._mode_sums
 
     def recording(kappa, *args):
         out = real(kappa, *args)
-        values.append((kappa, out))
+        values.extend(zip(kappa.tolist(), out))
         return out
 
-    monkeypatch.setattr(energy_exact, "_mode_sum", recording)
+    monkeypatch.setattr(energy_exact, "_mode_sums", recording)
     d = 0.05
     sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     res = casimir_energy(sphere, plane, NumericsSpec(kappa_nodes=32, rel_tol=1e-3))
@@ -497,11 +571,11 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
         assert f <= 0.0 and f_sub <= 0.0
     # the edges of the stated range, kappa R = 1e6 (level 128 at d/R ~ 0.02)
     # and 1e-4 (level 128 at d/R ~ 2)
-    assert real(1e6, sphere, plane, *_pass_args(d)) == (0.0, 0.0, 0.0, 4)
+    assert real(np.array([1e6]), sphere, plane, *_pass_args(d)) == [(0.0, 0.0, 0.0, 4)]
     for om in (PERFECT_CONDUCTOR, 0.5):
         d_wide = 2.0
-        f, f_sub, m_tail, _ = real(1e-4, SphereSheet(1.0, om), PlaneSheet(om, 1.0 + d_wide),
-                                   *_pass_args(d_wide))
+        [(f, f_sub, m_tail, _)] = real(np.array([1e-4]), SphereSheet(1.0, om),
+                                       PlaneSheet(om, 1.0 + d_wide), *_pass_args(d_wide))
         assert math.isfinite(f) and f < 0.0 and f <= f_sub <= 0.0 and m_tail >= 0.0
 
 
@@ -535,8 +609,8 @@ def test_rapidity_rule_error_within_its_probe(d):
     assert x_mid == pytest.approx(0.672, abs=1e-3)
     for x in (x_min, x_mid):
         def f(rule):
-            return energy_exact._mode_sum(x / (2.0 * d), sphere, plane, l_max, m_max, rule,
-                                          rel_tol)[0]
+            return energy_exact._mode_sums(np.array([x / (2.0 * d)]), sphere, plane, l_max,
+                                           m_max, rule, rel_tol)[0][0]
         prod = f((panels, v_max))
         probe = abs(f((2 * panels, 1.25 * v_max)) - prod) / abs(prod)
         ref = f((4 * panels, 1.5 * v_max))

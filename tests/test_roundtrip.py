@@ -211,3 +211,31 @@ def test_shared_kappa_table_gives_standalone_blocks(omega, monkeypatch):
     assert calls == list(range(1, 13))
     with pytest.raises(ValueError):
         assemble_block(13, table)  # block m = 13 needs l >= 13 > l_max = 12
+
+
+@pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
+def test_array_kappa_table_stacks_the_scalar_blocks(omega):
+    # a table of K nodes gives one block per m with a leading node axis;
+    # node k of it is, bit for bit, the block of a scalar table at kappa_k,
+    # and the log-determinants come as one array instead of one float each.
+    # take() keeps a subset of the nodes, with the ladder cache
+    sphere, plane = SphereSheet(1.0, omega), PlaneSheet(omega, 1.3)
+    kappa = np.array([0.3, 0.9, 4.0])
+    rule = rapidity_rule(*_theta_rule(12))
+    table = KappaTable.build(kappa, sphere, plane, 12, rule)
+    singles = [KappaTable.build(float(k), sphere, plane, 12, rule) for k in kappa]
+    for m in range(6):
+        if m == 3:
+            table = table.take([0, 2])
+            kappa, singles = kappa[[0, 2]], [singles[0], singles[2]]
+        block = assemble_block(m, table)
+        assert block.factor.shape[0] == kappa.size and np.array_equal(block.kappa, kappa)
+        full, lead = logdet_one_minus(block, block.dim // 2 - 2)
+        for k, single in enumerate(singles):
+            one = assemble_block(m, single)
+            assert one.factor.ndim == 2 and np.array_equal(block.factor[k], one.factor)
+            assert block.dim == one.dim and np.array_equal(block.matrix[k], one.matrix)
+            pair = logdet_one_minus(one, one.dim // 2 - 2)
+            assert type(pair[0]) is float and pair == (full[k], lead[k])
+    with pytest.raises(ValueError):
+        KappaTable.build(np.array([1.0, 0.0]), sphere, plane, 12, rule)
