@@ -177,13 +177,22 @@ def _mode_sums(kappa, sphere, plane, l_max, m_max, theta_rule, rel_tol):
     one stacked block per m (:func:`_chunk_mode_sums`), so the per-call
     cost of numpy is paid once per chunk instead of once per node.  A chunk
     holds as many nodes as keep their m = 0 factors H within _STACK_BYTES,
-    4 MiB; the chunk's peak memory is a few times that (angular logs,
-    ladders, exp temporaries).  Measured on a 2-core Xeon (AVX-512) with
-    one BLAS thread: a pass over PC d/R = 0.1 and 0.05 (H of 90 and 166 kB
-    per node) took 0.84 s one node at a time, 0.52 s at 1 MiB, 0.44 s at
-    2 MiB, 0.38 s at 4 MiB and 0.39 s at 8 MiB.  At PC d/R = 0.01 (1.4 MB
-    per node) the time is 11.0-11.8 s at every size, and the peak RSS is
-    46-47 MB up to 4 MiB but 63 MB at 8 MiB and 88 MB at 16 MiB.
+    4 MiB.  That bounds the largest array of the chunk, not its working
+    set: while block m is assembled, block m-1's H is still held, and the
+    new H comes with its two angular log arrays, one exponent buffer and up
+    to three Legendre ladders, each a quarter of H.  The numpy peak of one
+    PC d/R = 0.02 point (tracemalloc, H of 555 kB per node, 7 nodes per
+    chunk) is 13.3 MB, 3.3 times the budget.  Measured on a 2-core Xeon
+    (AVX-512) with one BLAS thread, medians of 5 rounds that spread by
+    about 10%: a pass over PC d/R = 0.1 and 0.05 (H of 90 and 166 kB per
+    node) took 0.42 s at 1 MiB, 0.39 s at 2 MiB, 0.37 s at 4 MiB and
+    0.38 s at 8 MiB, with a peak RSS of 37.6, 41.1, 44.0 and 44.0 MB.  PC
+    d/R = 0.02 took 1.9-2.1 s at 1 MiB, 1.4-1.7 s at 2 MiB, 1.6-1.7 s at
+    4 MiB and 8 MiB, and peaked at 37.6, 38.4, 46.6 and 66.2 MB; PC d/R =
+    0.01 (1.4 MB per node: 1, 2 and 5 nodes per chunk) took 10.0, 10.1 and
+    10.7 s at 2, 4 and 8 MiB and peaked at 45.0, 45.1 and 58.8 MB.  4 MiB
+    stays because no size is faster on the d/R = 0.1 and 0.05 pass; 2 MiB
+    is faster and smaller at d/R = 0.02 only.
     """
     rule = rapidity_rule(*theta_rule)
     per_node = 8 * (2 * l_max) * (2 * rule[0].size)

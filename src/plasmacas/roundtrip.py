@@ -37,6 +37,12 @@ Numerical organisation, fixed once here and relied on everywhere:
   det(I - H^T H) the log-determinant is one Cholesky factorisation of
   whichever side is smaller, which also gives the leading-l truncation
   used as the l probe;
+* ln tau is formed from ln pi and the bounded ratio tau/pi - c, with one
+  exp and one log and no log-sum (see :func:`_angular_logs`); at m = 0,
+  where pi = 0, only the TE/TE and TM/TM quarters of H are computed and
+  the other two stay zero.  Each quarter's exponent, angular log plus row
+  and column half-logs, is summed in one scratch buffer and exp writes it
+  straight into H;
 * the alternating azimuthal phase in the element prefactor cancels against
   the phase produced by continuing the angular functions to hyperbolic angles,
   so with the positive (Hobson) Legendre convention used by specfun the net
@@ -62,33 +68,45 @@ from .specfun import legendre_pbar_log
 
 
 def _angular_logs(l_max: int, m_abs: int, c_nodes: np.ndarray, ladder):
-    """Log arrays of the normalised angular functions on cosh(theta) nodes.
+    """Log arrays (ltau, lpi) of the normalised angular functions on cosh(theta) nodes.
 
     tau_l = sinh(theta) dPbar_l^m/dx and pi_l = (m/sinh(theta)) Pbar_l^m,
-    both positive for x > 1.  Rows run over l = max(1, m) .. l_max.
-    ``ladder(k)`` gives ln Pbar_l^k for l = k .. l_max on ``c_nodes``.
+    both positive for x > 1 and m >= 1.  Rows run over l = max(1, m) ..
+    l_max.  ``ladder(k)`` gives ln Pbar_l^k for l = k .. l_max on
+    ``c_nodes``.  At m = 0, pi_l = 0 for every l and ``lpi`` is None.
+
+    tau comes from pi without a log-sum: sinh dPbar_l^m/dx = c pi_l +
+    sqrt((l-m)(l+m+1)) Pbar_l^{m+1}, so for m >= 1
+
+        ln tau_l = ln pi_l + ln(c + exp(ln(tau_l/pi_l - c))),
+
+    with tau_l/pi_l - c = 0 at l = m.  That exponential is bounded:
+    Pbar_l^m = const (x^2-1)^{m/2} Q(x), Q = d^m P_l/dx^m of degree l-m with
+    all its roots r_i in (-1, 1) (derivatives of P_l keep real roots
+    there), so tau/pi = x + ((x^2-1)/m) sum_i 1/(x - r_i) and
+    0 <= tau/pi - c <= (l-m)(c+1)/m.  The exp neither overflows nor meets
+    a cancellation, and ln(c + ...) >= ln c > 0.  At m = 0 only the
+    Pbar^{m+1} term survives and ln tau is read off the order-1 ladder.
     """
-    l0 = max(1, m_abs)
-    lvec = np.arange(l0, l_max + 1)
+    if m_abs == 0:
+        lvec = np.arange(1, l_max + 1)
+        return 0.5 * np.log(lvec * (lvec + 1.0))[:, None] + ladder(1), None
     sh = np.sqrt((c_nodes - 1.0) * (c_nodes + 1.0))
-    n = c_nodes.size
-    # sinh * dPbar/dx = (m x / sinh) Pbar_l^m + sqrt((l-m)(l+m+1)) Pbar_l^{m+1};
-    # at m = 0 only the second term survives, so the order-0 ladder is unused
-    if m_abs > 0:
-        pbar_m = ladder(m_abs)[l0 - m_abs:, :]
-        t1 = np.log(m_abs * c_nodes / sh)[None, :] + pbar_m
-        lpi = np.log(m_abs / sh)[None, :] + pbar_m
-    else:
-        t1 = np.full((lvec.size, n), -np.inf)
-        lpi = np.full((lvec.size, n), -np.inf)
-    t2 = np.full((lvec.size, n), -np.inf)
-    if l_max >= m_abs + 1:
-        pbar_m1 = ladder(m_abs + 1)
-        rows = lvec >= m_abs + 1
-        coef = (lvec[rows] - m_abs) * (lvec[rows] + m_abs + 1.0)
-        t2[rows] = 0.5 * np.log(coef)[:, None] + pbar_m1[lvec[rows] - (m_abs + 1), :]
-    ltau = np.logaddexp(t1, t2)
-    return lvec, ltau, lpi
+    lpi = np.log(m_abs / sh) + ladder(m_abs)
+    ltau = np.empty_like(lpi)
+    ltau[0] = lpi[0] + np.log(c_nodes)
+    if l_max > m_abs:
+        lvec = np.arange(m_abs + 1, l_max + 1)
+        ratio = ltau[1:]
+        # ln(tau/pi - c), then ln tau, in place
+        np.add(0.5 * np.log((lvec - m_abs) * (lvec + m_abs + 1.0))[:, None],
+               ladder(m_abs + 1), out=ratio)
+        ratio -= lpi[1:]
+        np.exp(ratio, out=ratio)
+        ratio += c_nodes
+        np.log(ratio, out=ratio)
+        ratio += lpi[1:]
+    return ltau, lpi
 
 
 @dataclass(frozen=True)
@@ -226,21 +244,27 @@ def assemble_block(m: int, table: KappaTable) -> RoundTripBlock:
         raise ValueError(f"l_max={l_max} below max(1, |m|)={l0}")
 
     nodes, n = table.c.shape
-    _, ltau, lpi = _angular_logs(l_max, mm, table.c.ravel(), table.ladder)
+    ltau, lpi = _angular_logs(l_max, mm, table.c.ravel(), table.ladder)
     nl = ltau.shape[0]
-    # (n_l, K n_theta) -> (K, n_l, n_theta), as views
-    ltau = ltau.reshape(nl, nodes, n).swapaxes(0, 1)
-    lpi = lpi.reshape(nl, nodes, n).swapaxes(0, 1)
     row_te = (table.half_pref[:, l0 - 1:] + table.half_log_t[0][:, l0 - 1:])[:, :, None]
     row_tm = (table.half_pref[:, l0 - 1:] + table.half_log_t[1][:, l0 - 1:])[:, :, None]
     col_te, col_tm = table.col_te[:, None, :], table.col_tm[:, None, :]
     # M = H H^T with a TE row [tau sqrt(r_TE), pi sqrt(q_TM)] and a TM row
-    # [pi sqrt(r_TE), tau sqrt(q_TM)], each times its row weight
-    h = np.empty((nodes, 2 * nl, 2 * n))
-    np.exp(ltau + row_te + col_te, out=h[:, 0::2, :n])
-    np.exp(lpi + row_te + col_tm, out=h[:, 0::2, n:])
-    np.exp(lpi + row_tm + col_te, out=h[:, 1::2, :n])
-    np.exp(ltau + row_tm + col_tm, out=h[:, 1::2, n:])
+    # [pi sqrt(r_TE), tau sqrt(q_TM)], each times its row weight; at m = 0
+    # pi = 0 and only the TE/TE and TM/TM quarters are filled
+    quarters = [(ltau, row_te, col_te, 0, slice(None, n)),
+                (ltau, row_tm, col_tm, 1, slice(n, None))]
+    if mm > 0:
+        quarters += [(lpi, row_te, col_tm, 0, slice(n, None)),
+                     (lpi, row_tm, col_te, 1, slice(None, n))]
+    arg = np.empty((nodes, nl, n))
+    h = (np.empty if mm > 0 else np.zeros)((nodes, 2 * nl, 2 * n))
+    for angular, row, col, pol, cols in quarters:
+        # (n_l, K n_theta) -> (K, n_l, n_theta) as a view; the sum is formed
+        # in one buffer and exp writes straight into the quarter of H
+        np.add(angular.reshape(nl, nodes, n).swapaxes(0, 1), row, out=arg)
+        arg += col
+        np.exp(arg, out=h[:, pol::2, cols])
     if m < 0:
         h[:, 1::2] *= -1.0
     finite = np.isfinite(h).all(axis=(1, 2))

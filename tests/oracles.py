@@ -12,6 +12,9 @@ its own way:
 * :func:`dense_matrix` undoes the balancing of an assembled block, so its
   entries can be compared with :func:`m_element` or fed to a cofactor
   expansion;
+* :func:`angular_logs_logaddexp` forms ln tau_l of the blocks as the
+  log-sum of its two Legendre terms; ``roundtrip._angular_logs`` forms it
+  from ln pi_l and a bounded ratio, without a log-sum;
 * :func:`legendre_p` evaluates one P_l^m(x) and its derivative by the
   plain three-term recurrence; the blocks use the normalised log ladders
   of ``specfun.legendre_pbar_log`` instead;
@@ -64,21 +67,53 @@ def angular_logs(l_max, m_abs, c_nodes):
     return _angular_logs(l_max, m_abs, c_nodes, lambda k: legendre_pbar_log(l_max, k, c_nodes))
 
 
+def angular_logs_logaddexp(l_max, m_abs, c_nodes):
+    """(ln tau, ln pi) as two log terms joined by ``np.logaddexp``, ladders computed here.
+
+    tau_l = (m x / sinh) Pbar_l^m + sqrt((l-m)(l+m+1)) Pbar_l^{m+1}, each
+    term in log space; ln pi is -inf at m = 0.
+    """
+    l0 = max(1, m_abs)
+    lvec = np.arange(l0, l_max + 1)
+    sh = np.sqrt((c_nodes - 1.0) * (c_nodes + 1.0))
+    n = c_nodes.size
+    # sinh * dPbar/dx = (m x / sinh) Pbar_l^m + sqrt((l-m)(l+m+1)) Pbar_l^{m+1};
+    # at m = 0 only the second term survives, so the order-0 ladder is unused
+    if m_abs > 0:
+        pbar_m = legendre_pbar_log(l_max, m_abs, c_nodes)[l0 - m_abs:, :]
+        t1 = np.log(m_abs * c_nodes / sh)[None, :] + pbar_m
+        lpi = np.log(m_abs / sh)[None, :] + pbar_m
+    else:
+        t1 = np.full((lvec.size, n), -np.inf)
+        lpi = np.full((lvec.size, n), -np.inf)
+    t2 = np.full((lvec.size, n), -np.inf)
+    if l_max >= m_abs + 1:
+        pbar_m1 = legendre_pbar_log(l_max, m_abs + 1, c_nodes)
+        rows = lvec >= m_abs + 1
+        coef = (lvec[rows] - m_abs) * (lvec[rows] + m_abs + 1.0)
+        t2[rows] = 0.5 * np.log(coef)[:, None] + pbar_m1[lvec[rows] - (m_abs + 1), :]
+    ltau = np.logaddexp(t1, t2)
+    return ltau, lpi
+
+
 def _element_once(l, l_prime, m, kappa, sphere, plane, n_theta):
     """One quadrature pass of the true 2x2 element."""
     mm = abs(m)
     kl = kappa * plane.distance_L
     u, v = gauss_laguerre(n_theta)
     c = 1.0 + u / (2.0 * kl)
-    _, ltau_l, lpi_l = angular_logs(l, mm, c)
-    _, ltau_r, lpi_r = angular_logs(l_prime, mm, c)
+    ltau_l, lpi_l = angular_logs(l, mm, c)
+    ltau_r, lpi_r = angular_logs(l_prime, mm, c)
     hw = 0.5 * np.log(v)
-    ga_t, ga_p = ltau_l[-1] + hw, lpi_l[-1] + hw
-    gb_t, gb_p = ltau_r[-1] + hw, lpi_r[-1] + hw
-    sig_a = max(ga_t.max(), ga_p.max() if mm > 0 else -np.inf)
-    sig_b = max(gb_t.max(), gb_p.max() if mm > 0 else -np.inf)
-    at, ap = np.exp(ga_t - sig_a), np.exp(ga_p - sig_a)
-    bt, bp = np.exp(gb_t - sig_b), np.exp(gb_p - sig_b)
+    ga_t, gb_t = ltau_l[-1] + hw, ltau_r[-1] + hw
+    if mm > 0:
+        ga_p, gb_p = lpi_l[-1] + hw, lpi_r[-1] + hw
+        sig_a, sig_b = max(ga_t.max(), ga_p.max()), max(gb_t.max(), gb_p.max())
+        ap, bp = np.exp(ga_p - sig_a), np.exp(gb_p - sig_b)
+    else:  # pi = 0 at m = 0
+        sig_a, sig_b = ga_t.max(), gb_t.max()
+        ap = bp = np.zeros(n_theta)
+    at, bt = np.exp(ga_t - sig_a), np.exp(gb_t - sig_b)
     sh = np.sqrt((c - 1.0) * (c + 1.0))
     rte = plane_r(Polarization.TE, kappa, kappa * sh, plane)
     qtm = -plane_r(Polarization.TM, kappa, kappa * sh, plane)

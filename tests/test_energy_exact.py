@@ -686,12 +686,15 @@ def _l_max_tries(monkeypatch, start):
 
 def test_l_max_growth_reaches_the_auto_value(monkeypatch):
     # PC d/R = 0.1 starts at l_max 70 on its own; from 40 the l probe grows
-    # it by max(10, l_max // 3) twice and lands on the same run
+    # it by max(10, l_max // 3) twice and lands on the same run, bit for bit
+    args = (SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
+            NumericsSpec(rel_tol=1e-3))
+    auto = casimir_energy(*args)
     tried = _l_max_tries(monkeypatch, 40)
-    res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
-                         NumericsSpec(rel_tol=1e-3))
+    res = casimir_energy(*args)
     assert tried == [40, 53, 70]
-    assert res.l_max_used == 70 and res.energy == -3.8183133234149396
+    assert res.l_max_used == auto.l_max_used == 70
+    assert res.energy == auto.energy and res.error_estimate == auto.error_estimate
 
 
 def test_l_max_growth_that_does_not_converge_raises(monkeypatch):

@@ -12,7 +12,7 @@ from plasmacas.scattering import (PERFECT_CONDUCTOR, PlaneSheet, Polarization,
                                   SphereSheet, sphere_t)
 from plasmacas._quadrature import rapidity_rule
 
-from oracles import angular_logs, block_at, dense_matrix, m_element
+from oracles import angular_logs, angular_logs_logaddexp, block_at, dense_matrix, m_element
 
 TE, TM = Polarization.TE, Polarization.TM
 
@@ -84,17 +84,35 @@ def test_tete_integral_reduction_against_oracle():
     for l, m in ((2, 0), (3, 1), (5, 2)):
         u, v = np.polynomial.laguerre.laggauss(80)
         c = 1.0 + u / (2.0 * kappa * L)
-        _, ltau, _ = angular_logs(l, m, c)
+        ltau, _ = angular_logs(l, m, c)
         mine = math.exp(-2.0 * kappa * L) / (2.0 * kappa * L) * float(
             v @ np.exp(2.0 * ltau[-1]))
 
         def f(uu):
             cc = 1.0 + uu
-            _, lt, _ = angular_logs(l, m, np.array([cc]))
+            lt, _ = angular_logs(l, m, np.array([cc]))
             return math.exp(2.0 * lt[-1, 0] - 2.0 * kappa * L * cc)
 
         want, _ = quad(f, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12)
         assert mine == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("l_max", [20, 130, 610])
+def test_angular_logs_match_the_logaddexp_form(l_max):
+    # ln tau from ln pi and the bounded ratio tau/pi - c against the log-sum
+    # of its two Legendre terms, from c just above 1 to far rapidities; the
+    # production route raises no floating-point flag on the way
+    c = np.array([1.0 + 1e-9, 1.0 + 1e-6, 1.01, 3.0, 1e3, 5e4])
+    for m in sorted({0, 1, 2, 7, l_max // 2, l_max - 1, l_max}):
+        want_tau, want_pi = angular_logs_logaddexp(l_max, m, c)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            ltau, lpi = angular_logs(l_max, m, c)
+        assert ltau.shape == (l_max - max(1, m) + 1, c.size)
+        assert np.all(np.abs(ltau - want_tau) <= 4e-15 * np.maximum(1.0, np.abs(want_tau)))
+        if m == 0:
+            assert lpi is None  # pi = 0 at m = 0
+        else:
+            assert np.array_equal(lpi, want_pi)
 
 
 def test_block_dimension_single_l():
