@@ -166,7 +166,7 @@ def _factorises(f, kept) -> bool:
 
 
 def _mode_sums(kappa, sphere, plane, l_max, m_max, theta_rule, rel_tol):
-    """Rows (F, F_sub, m tail, m used) of the kappa nodes ``kappa`` (1-D).
+    """The (4, K) record of the K kappa nodes ``kappa`` (1-D): rows F, F_sub, m tail, m used.
 
     F(kappa) = sum_m ln det(I - M_m) with the m <-> -m doubling.  Also
     returned: the same sum on the principal submatrix with l_drop =
@@ -180,32 +180,32 @@ def _mode_sums(kappa, sphere, plane, l_max, m_max, theta_rule, rel_tol):
     4 MiB.  That bounds the largest array of the chunk, not its working
     set: while block m is assembled, block m-1's H is still held, and the
     new H comes with its two angular log arrays, one exponent buffer and up
-    to three Legendre ladders, each a quarter of H.  The numpy peak of one
-    PC d/R = 0.02 point (tracemalloc, H of 555 kB per node, 7 nodes per
-    chunk) is 13.3 MB, 3.3 times the budget.  Measured on a 2-core Xeon
-    (AVX-512) with one BLAS thread, medians of 5 rounds that spread by
-    about 10%: a pass over PC d/R = 0.1 and 0.05 (H of 90 and 166 kB per
-    node) took 0.42 s at 1 MiB, 0.39 s at 2 MiB, 0.37 s at 4 MiB and
-    0.38 s at 8 MiB, with a peak RSS of 37.6, 41.1, 44.0 and 44.0 MB.  PC
-    d/R = 0.02 took 1.9-2.1 s at 1 MiB, 1.4-1.7 s at 2 MiB, 1.6-1.7 s at
-    4 MiB and 8 MiB, and peaked at 37.6, 38.4, 46.6 and 66.2 MB; PC d/R =
-    0.01 (1.4 MB per node: 1, 2 and 5 nodes per chunk) took 10.0, 10.1 and
-    10.7 s at 2, 4 and 8 MiB and peaked at 45.0, 45.1 and 58.8 MB.  4 MiB
-    stays because no size is faster on the d/R = 0.1 and 0.05 pass; 2 MiB
-    is faster and smaller at d/R = 0.02 only.
+    to three Legendre ladders, each a quarter of H.  Dropping block m-1 first
+    was no faster and saved 0.3 of 50.7 MB (PC d/R = 0.1 and 0.05, medians
+    of 30 alternating rounds: 0.309 s held, 0.317 s dropped).  The numpy peak
+    of one PC d/R = 0.02 point (tracemalloc, H of 555 kB per node, 7 nodes
+    per chunk) is 13.3 MB, 3.3 times the budget.  Measured on a 2-core Xeon
+    (AVX-512) with one BLAS thread, medians of 5 rounds that spread by about
+    10%: a pass over PC d/R = 0.1 and 0.05 (H of 90 and 166 kB per node)
+    took 0.42 s at 1 MiB, 0.39 s at 2 MiB, 0.37 s at 4 MiB and 0.38 s at
+    8 MiB, with a peak RSS of 37.6, 41.1, 44.0 and 44.0 MB.  PC d/R = 0.02
+    took 1.9-2.1 s at 1 MiB, 1.4-1.7 s at 2 MiB, 1.6-1.7 s at 4 MiB and
+    8 MiB, and peaked at 37.6, 38.4, 46.6 and 66.2 MB; PC d/R = 0.01 (1.4 MB
+    per node: 1, 2 and 5 nodes per chunk) took 10.0, 10.1 and 10.7 s at 2, 4
+    and 8 MiB and peaked at 45.0, 45.1 and 58.8 MB.  4 MiB stays because no
+    size is faster on the d/R = 0.1 and 0.05 pass; 2 MiB is faster and
+    smaller at d/R = 0.02 only.
     """
     rule = rapidity_rule(*theta_rule)
     per_node = 8 * (2 * l_max) * (2 * rule[0].size)
     size = max(1, _STACK_BYTES // per_node)
-    rows = []
-    for start in range(0, len(kappa), size):
-        table = KappaTable.build(kappa[start:start + size], sphere, plane, l_max, rule)
-        rows += _chunk_mode_sums(table, m_max, rel_tol)
-    return rows
+    tables = (KappaTable.build(kappa[start:start + size], sphere, plane, l_max, rule)
+              for start in range(0, len(kappa), size))
+    return np.hstack([_chunk_mode_sums(table, m_max, rel_tol) for table in tables])
 
 
 def _chunk_mode_sums(table, m_max, rel_tol):
-    """The rows of :func:`_mode_sums` for every node of ``table``.
+    """The (4, K) record of :func:`_mode_sums` for the K nodes of ``table``.
 
     The m sum stops per node, at the first m >= 4 whose block contributes
     at most rel_tol/4 of that node's running total, so a node whose blocks
@@ -213,14 +213,14 @@ def _chunk_mode_sums(table, m_max, rel_tol):
     and later blocks and the cached ladders hold only the nodes still
     summing.  The tail comes from a node's last two blocks, both when its
     sum stops and when it ends at m_max < l_max; it is 0 when the sum runs
-    to m = l_max, past which there are no blocks.  Every node's row is
-    bit-identical to that of the node in a table of its own.
+    to m = l_max, past which there are no blocks.  A node's column is
+    written when it stops, bit-identical to that of the node alone.
     """
     l_max = table.l_max
     l_drop = max(4, l_max // 8)
     top = min(m_max, l_max)
     nodes = len(table.c)
-    rows = [None] * nodes
+    rows = np.empty((4, nodes))
     active = np.arange(nodes)
     total = total_sub = last = np.zeros(nodes)
     for m in range(top + 1):
@@ -234,13 +234,12 @@ def _chunk_mode_sums(table, m_max, rel_tol):
         # inclusive, so a node whose blocks all give ln det = 0 stops at m = 4
         stop = (last <= 0.25 * rel_tol * np.abs(total)) & (m >= 4)
         done = stop | (m == top)
-        for i in np.flatnonzero(done):
-            tail = (0.0 if not stop[i] and m_max >= l_max
-                    else _geometric_tail(float(last[i]), float(before[i])))
-            rows[active[i]] = (float(total[i]), float(total_sub[i]), tail, m)
-        if done.all():
-            break
         if done.any():
+            tail = np.where(stop | (m_max < l_max), _geometric_tail(last, before), 0.0)
+            record = np.stack([total, total_sub, tail, np.full_like(total, m)])
+            rows[:, active[done]] = record[:, done]
+            if done.all():
+                break
             keep = ~done
             table, active = table.take(keep), active[keep]
             total, total_sub, last = total[keep], total_sub[keep], last[keep]
@@ -248,8 +247,8 @@ def _chunk_mode_sums(table, m_max, rel_tol):
 
 
 def _geometric_tail(last, before):
-    """Sum of the m blocks past the last, from the ratio of the last two."""
-    ratio = min(last / before, 0.9) if before > 0.0 else 0.0
+    """Sums of the m blocks past the last, from the ratio of the last two (arrays)."""
+    ratio = np.minimum(np.divide(last, before, out=np.zeros_like(last), where=before > 0.0), 0.9)
     return last * ratio / (1.0 - ratio)
 
 
@@ -302,19 +301,22 @@ def _quadrature_pass(n_kappa, d, prev, mode_args):
     """Level n_kappa of the kappa rule, with kappa = x / (2 d).
 
     Returns E, the l- and m-truncation estimates, the largest m any node
-    used, and the level's nodes x, weights and ``_mode_sums(kappa,
-    *mode_args)`` rows.  ``prev`` holds the rows of level n_kappa / 2, or is
-    empty: node k of this level is node k / 2 of that one for every even k,
+    used, the level's nodes x and its (4, n_kappa - 1) record, rows F,
+    F_sub, m tail, m used.  ``prev`` is the record of level n_kappa / 2, or
+    None: node k of this level is node k / 2 of that one for every even k,
     so only the odd k are evaluated then, all in one ``_mode_sums`` call.
     """
     x, w = _kappa_rule(n_kappa)
-    fresh = iter(_mode_sums(x[::2 if prev else 1] / (2.0 * d), *mode_args))
-    rows = [prev[k // 2 - 1] if prev and k % 2 == 0 else next(fresh)
-            for k in range(1, n_kappa)]
-    f, f_sub, m_tail, m_used = (np.array(col) for col in zip(*rows))
+    if prev is None:
+        rows = _mode_sums(x / (2.0 * d), *mode_args)
+    else:
+        rows = np.empty((4, x.size))
+        rows[:, ::2] = _mode_sums(x[::2] / (2.0 * d), *mode_args)
+        rows[:, 1::2] = prev
+    f, f_sub, m_tail, m_used = rows
     pref = 1.0 / (2.0 * math.pi) / (2.0 * d)
     return (pref * (w @ f), pref * abs(w @ (f - f_sub)), pref * (w @ m_tail),
-            int(m_used.max()), x, w, rows)
+            int(m_used.max()), x, rows)
 
 
 def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
@@ -368,7 +370,7 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
         mode_args = (s1, p1, l_max, m_max, (panels, v_max), numerics.rel_tol)
 
         n = numerics.kappa_nodes
-        level = _quadrature_pass(n, d, [], mode_args)
+        level = _quadrature_pass(n, d, None, mode_args)
         err_k = math.inf
         while 2 * n <= _KAPPA_NODE_CEILING:
             n *= 2
@@ -377,7 +379,7 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
             err_k = abs(level[0] - e_prev)
             if err_k <= 0.25 * numerics.rel_tol * abs(level[0]):
                 break
-        e_hat, err_l, err_m, m_used, x, _, rows = level
+        e_hat, err_l, err_m, m_used, x, rows = level
 
         if not auto_l or err_l <= 0.25 * numerics.rel_tol * abs(e_hat):
             break
@@ -389,9 +391,9 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
 
     # rapidity-rule check at the smallest kappa node, where the rule is weakest
     i_min = int(np.argmin(x))
-    f_min = rows[i_min][0]
+    f_min = rows[0, i_min]
     f2 = _mode_sums(x[i_min:i_min + 1] / (2.0 * d), s1, p1, l_max, m_max,
-                    (2 * panels, 1.25 * v_max), numerics.rel_tol)[0][0]
+                    (2 * panels, 1.25 * v_max), numerics.rel_tol)[0, 0]
     err_theta = abs(f2 - f_min) / max(abs(f_min), 1e-300) * abs(e_hat)
 
     error = err_k + err_l + err_m + err_theta

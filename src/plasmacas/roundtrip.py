@@ -21,13 +21,14 @@ Numerical organisation, fixed once here and relied on everywhere:
   positive semi-definite and I - M positive definite, so every |M_ij| < 1,
   and every entry of H (M = H H^T, below) is below 1 too.  M/s alone, by
   contrast, overflows at small kappa;
-* everything that depends on kappa but not on m (rapidity nodes and weights,
-  plane reflections, sphere T logs, the scaled l prefactor) lives in one
-  :class:`KappaTable` per set of kappa nodes, with a leading node axis, which
-  also hands the m+1 Legendre ladder of block m on to block m+1.  A block
-  then holds every node of its table at one m, and the ladders, the
-  angular functions and the block entries are each one array operation
-  over all of them; a scalar kappa is the one-node case;
+* everything that depends on kappa but not on m (rapidity nodes, H's column
+  half-logs from rapidity weights and plane reflections, H's row half-logs
+  from the scaled l prefactor and sphere T) lives in one :class:`KappaTable`
+  per set of kappa nodes, with a leading node axis, which also hands the
+  m+1 Legendre ladder of block m on to block m+1.  A block then holds
+  every node of its table at one m, and the ladders, the angular functions
+  and the block entries are each one array operation over all of them; a
+  scalar kappa is the one-node case;
 * the balanced weight of an element separates into a row factor and a
   column factor, so a block is M = H H^T with H of size 2 n_l x 2 n_theta
   (a TE row [tau sqrt r_TE, pi sqrt q_TM], a TM row [pi sqrt r_TE,
@@ -151,11 +152,11 @@ class KappaTable:
     cosh(theta) nodes, (K, n_theta).  ``col_te``/``col_tm`` are the
     half-logs of the column weights w r_TE and w (-r_TM): rapidity weight
     (which includes e^{-u}) times plane reflection, so their exponentials
-    are the sqrt weights of the rapidity sum.  ``half_pref`` is the
-    half-log of the element prefactor (pi/2) (2l+1)/(l(l+1)) times the
-    block scale e^{-2 kappa (L-R)}/(2 kappa L), and ``half_log_t`` the TE
-    and TM half-logs of |T_l|, each (K, l_max) for l = 1 .. l_max.  The
-    table also keeps the two Legendre ladders asked for last, each one
+    are the sqrt weights of the rapidity sum.  ``row_te``/``row_tm`` are
+    the half-logs of the row weights, (K, l_max) for l = 1 .. l_max: the
+    element prefactor (pi/2) (2l+1)/(l(l+1)) times the block scale
+    e^{-2 kappa (L-R)}/(2 kappa L) times the TE or TM |T_l|.  The table
+    also keeps the two Legendre ladders asked for last, each one
     array over all K n_theta nodes: the m+1 ladder of block m is the m
     ladder of block m+1, so assembling m = 0, 1, 2, ... in order computes
     each ladder of order 1 .. l_max once; block 0 needs only the order-1
@@ -168,8 +169,8 @@ class KappaTable:
     c: np.ndarray = field(repr=False)
     col_te: np.ndarray = field(repr=False)
     col_tm: np.ndarray = field(repr=False)
-    half_pref: np.ndarray = field(repr=False)
-    half_log_t: tuple = field(repr=False)
+    row_te: np.ndarray = field(repr=False)
+    row_tm: np.ndarray = field(repr=False)
     _ladders: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
@@ -194,18 +195,16 @@ class KappaTable:
             col_tm = 0.5 * (log_w + np.log(qtm))
         log_te, log_tm = np.array([sphere_t_logs(l_max, k, sphere) for k in kap]).swapaxes(0, 1)
 
-        # math.log node by node: np.log rounds differently for about 1 in 1e4 arguments
-        log_s = np.array([2.0 * k * sphere.radius_R - 2.0 * x - math.log(2.0 * x)
-                          for k, x in zip(kap.tolist(), kl.tolist())])
+        log_s = 2.0 * kap * sphere.radius_R - 2.0 * kl - np.log(2.0 * kl)
         lvec = np.arange(1, l_max + 1)
         half_pref = 0.5 * (math.log(math.pi / 2.0) + log_s[:, None]
                            + np.log(2 * lvec + 1.0) - np.log(lvec * (lvec + 1.0)))
-        return cls(kappa=kappa, c=c, col_te=col_te, col_tm=col_tm, half_pref=half_pref,
-                   half_log_t=(0.5 * log_te, 0.5 * log_tm))
+        return cls(kappa=kappa, c=c, col_te=col_te, col_tm=col_tm,
+                   row_te=half_pref + 0.5 * log_te, row_tm=half_pref + 0.5 * log_tm)
 
     @property
     def l_max(self) -> int:
-        return self.half_pref.shape[1]
+        return self.row_te.shape[1]
 
     def ladder(self, m_abs: int) -> np.ndarray:
         """ln Pbar_l^m_abs for l = m_abs .. l_max on the K n_theta nodes, node-major."""
@@ -224,8 +223,7 @@ class KappaTable:
                    for k, lad in self._ladders.items()}
         return KappaTable(kappa=np.atleast_1d(self.kappa)[keep], c=self.c[keep],
                           col_te=self.col_te[keep], col_tm=self.col_tm[keep],
-                          half_pref=self.half_pref[keep],
-                          half_log_t=tuple(t[keep] for t in self.half_log_t), _ladders=ladders)
+                          row_te=self.row_te[keep], row_tm=self.row_tm[keep], _ladders=ladders)
 
 
 def assemble_block(m: int, table: KappaTable) -> RoundTripBlock:
@@ -246,8 +244,7 @@ def assemble_block(m: int, table: KappaTable) -> RoundTripBlock:
     nodes, n = table.c.shape
     ltau, lpi = _angular_logs(l_max, mm, table.c.ravel(), table.ladder)
     nl = ltau.shape[0]
-    row_te = (table.half_pref[:, l0 - 1:] + table.half_log_t[0][:, l0 - 1:])[:, :, None]
-    row_tm = (table.half_pref[:, l0 - 1:] + table.half_log_t[1][:, l0 - 1:])[:, :, None]
+    row_te, row_tm = table.row_te[:, l0 - 1:, None], table.row_tm[:, l0 - 1:, None]
     col_te, col_tm = table.col_te[:, None, :], table.col_tm[:, None, :]
     # M = H H^T with a TE row [tau sqrt(r_TE), pi sqrt(q_TM)] and a TM row
     # [pi sqrt(r_TE), tau sqrt(q_TM)], each times its row weight; at m = 0

@@ -388,7 +388,7 @@ def test_zero_tail_node_stops_at_m4(monkeypatch):
     calls = _counting_blocks(monkeypatch)
     out = energy_exact._mode_sums(np.array([300.0]), SphereSheet(1.0, PERFECT_CONDUCTOR),
                                   PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), *_pass_args(d))
-    assert out == [(0.0, 0.0, 0.0, 4)]
+    assert np.array_equal(out, [[0.0], [0.0], [0.0], [4]])
     assert calls == [0, 1, 2, 3, 4]
 
 
@@ -469,20 +469,20 @@ def test_each_kappa_node_evaluated_once(monkeypatch):
 
 
 def test_refined_level_reuses_rows_by_index():
-    # level 2n takes its even nodes from level n's rows and evaluates only
+    # level 2n takes its even nodes from level n's record and evaluates only
     # the odd ones; the result is bit-identical to evaluating every node
     d = 0.3
     mode_args = (SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), *_pass_args(d))
-    coarse = energy_exact._quadrature_pass(8, d, [], mode_args)
+    coarse = energy_exact._quadrature_pass(8, d, None, mode_args)
     fine = energy_exact._quadrature_pass(16, d, coarse[-1], mode_args)
-    fresh = energy_exact._quadrature_pass(16, d, [], mode_args)
+    fresh = energy_exact._quadrature_pass(16, d, None, mode_args)
     assert fine[:4] == fresh[:4]
-    assert fine[-1] == fresh[-1] and fine[-1][1::2] == coarse[-1]
+    assert np.array_equal(fine[-1], fresh[-1]) and np.array_equal(fine[-1][:, 1::2], coarse[-1])
 
 
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
 def test_level_major_rows_equal_per_node_rows(monkeypatch, omega):
-    # one kappa level evaluated as one stack gives, for every node, the row
+    # one kappa level evaluated as one stack gives, for every node, the column
     # (F, F_sub, m tail, m used) of that node evaluated alone, bit for bit;
     # the far nodes stop at m = 4 and leave the stack while the near ones
     # run on
@@ -501,11 +501,38 @@ def test_level_major_rows_equal_per_node_rows(monkeypatch, omega):
     stacked = energy_exact._mode_sums(kappa, sphere, plane, *_pass_args(d))
     assert stacks[0] == (0, kappa.size)  # the whole level in one stack
     assert [k for _, k in stacks] == sorted((k for _, k in stacks), reverse=True)
-    alone = [energy_exact._mode_sums(kappa[i:i + 1], sphere, plane, *_pass_args(d))[0]
-             for i in range(kappa.size)]
-    assert stacked == alone
-    m_used = [row[3] for row in stacked]
-    assert m_used[0] == 4 and max(m_used) > 4
+    alone = np.hstack([energy_exact._mode_sums(kappa[i:i + 1], sphere, plane, *_pass_args(d))
+                       for i in range(kappa.size)])
+    assert np.array_equal(stacked, alone)
+    m_used = stacked[3]
+    assert m_used[0] == 4 and m_used.max() > 4
+
+
+def test_chunks_join_in_order(monkeypatch):
+    # a level split into uneven chunks gives the record of the level in one
+    # chunk, bit for bit and in node order
+    d = 0.3
+    sphere, plane = SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
+    kappa = energy_exact._kappa_rule(16)[0] / (2.0 * d)
+    args = _pass_args(d)
+    l_max, _, theta_rule, _ = args
+    per_node = 8 * (2 * l_max) * (2 * rapidity_rule(*theta_rule)[0].size)
+    chunks = []
+    real = energy_exact.assemble_block
+
+    def recording(m, table):
+        if m == 0:
+            chunks.append(np.size(table.kappa))
+        return real(m, table)
+
+    monkeypatch.setattr(energy_exact, "assemble_block", recording)
+    whole = energy_exact._mode_sums(kappa, sphere, plane, *args)
+    assert chunks == [15]
+    chunks.clear()
+    monkeypatch.setattr(energy_exact, "_STACK_BYTES", 4 * per_node + per_node // 2)
+    chunked = energy_exact._mode_sums(kappa, sphere, plane, *args)
+    assert chunks == [4, 4, 4, 3]
+    assert np.array_equal(chunked, whole)
 
 
 def test_stacked_errors_name_the_node(monkeypatch):
@@ -557,7 +584,7 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
 
     def recording(kappa, *args):
         out = real(kappa, *args)
-        values.extend(zip(kappa.tolist(), out))
+        values.extend(zip(kappa.tolist(), out.T.tolist()))
         return out
 
     monkeypatch.setattr(energy_exact, "_mode_sums", recording)
@@ -571,11 +598,12 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
         assert f <= 0.0 and f_sub <= 0.0
     # the edges of the stated range, kappa R = 1e6 (level 128 at d/R ~ 0.02)
     # and 1e-4 (level 128 at d/R ~ 2)
-    assert real(np.array([1e6]), sphere, plane, *_pass_args(d)) == [(0.0, 0.0, 0.0, 4)]
+    assert np.array_equal(real(np.array([1e6]), sphere, plane, *_pass_args(d)),
+                          [[0.0], [0.0], [0.0], [4]])
     for om in (PERFECT_CONDUCTOR, 0.5):
         d_wide = 2.0
-        [(f, f_sub, m_tail, _)] = real(np.array([1e-4]), SphereSheet(1.0, om),
-                                       PlaneSheet(om, 1.0 + d_wide), *_pass_args(d_wide))
+        [f], [f_sub], [m_tail], _ = real(np.array([1e-4]), SphereSheet(1.0, om),
+                                         PlaneSheet(om, 1.0 + d_wide), *_pass_args(d_wide))
         assert math.isfinite(f) and f < 0.0 and f <= f_sub <= 0.0 and m_tail >= 0.0
 
 
