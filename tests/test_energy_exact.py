@@ -284,14 +284,15 @@ def test_smallest_l_max_reports_its_truncation():
 
 
 def test_m_max_cap_puts_its_tail_into_the_estimate():
-    # PC d/R = 0.1: m = 0 .. 2 give E = -3.2152 against -3.8183 with every m;
-    # the geometric tail of the last two blocks now enters err_m
+    # PC d/R = 0.1: m = 0 .. 2 give E = -3.2152 against -3.8189 with every m;
+    # the cap's tail is added to E and its uncertainty enters err_m.  The
+    # sum stops on its own at m = 9, so a cap at 6 is what ends it
     sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1)
     with pytest.raises(NumericsError, match="energy not converged"):
         casimir_energy(sphere, plane, NumericsSpec(m_max=2, rel_tol=1e-3))
     full = casimir_energy(sphere, plane, NumericsSpec(rel_tol=1e-3))
-    capped = casimir_energy(sphere, plane, NumericsSpec(m_max=6, rel_tol=1e-2))
-    assert capped.m_max_used == 6
+    capped = casimir_energy(sphere, plane, NumericsSpec(m_max=6, rel_tol=1e-3))
+    assert capped.m_max_used == 6 < full.m_max_used
     assert abs(capped.energy - full.energy) < capped.error_estimate
 
 
@@ -375,6 +376,13 @@ def _counting_blocks(monkeypatch):
     return calls
 
 
+def _m_sum_to_l_max(monkeypatch):
+    """Give every m tail 0 and an infinite uncertainty, so no m sum stops
+    before m_max."""
+    monkeypatch.setattr(energy_exact, "_geometric_tail",
+                        lambda last, *_: (np.zeros_like(last), np.full_like(last, np.inf)))
+
+
 def _pass_args(d):
     """(l_max, m_max, theta_rule, rel_tol) of the first auto pass at gap d."""
     l_max = energy_exact._auto_l_max(d)
@@ -392,32 +400,103 @@ def test_zero_tail_node_stops_at_m4(monkeypatch):
     assert calls == [0, 1, 2, 3, 4]
 
 
+def test_geometric_tail_of_synthetic_blocks():
+    # |block| at m, m-1, m-2, one node per column
+    tail, err = energy_exact._geometric_tail(np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0]),
+                                             np.array([2.0, 2.0, 1.0, 2.0, 2.0, 0.0]),
+                                             np.array([4.0, 8.0, 1.0, 0.0, 2.5, 0.0]))
+    floor = energy_exact._TAIL_FLOOR
+    # an exact geometric sequence (ratio 1/2): T = last r/(1 - r) = 1, and
+    # the uncertainty is the floor
+    assert tail[0] == 1.0 and err[0] == floor
+    # a rising ratio (1/4, then 1/2), a ratio at the 0.9 cap (T = 9) and no
+    # earlier block: the uncertainty is the whole tail
+    assert tail[1:4] == pytest.approx([1.0, 9.0, 1.0], rel=1e-15)
+    assert np.array_equal(err[1:4], tail[1:4])
+    # a falling ratio (0.8, then 1/2): T' = 4 with the earlier ratio
+    assert tail[4] == 1.0 and err[4] == pytest.approx(3.0 + floor, rel=1e-15)
+    # all-zero blocks
+    assert tail[5] == 0.0 and err[5] == 0.0
+
+
+def test_m_sum_to_l_max_has_no_tail_and_a_cap_has_one(monkeypatch):
+    # a sum capped below l_max adds its tail to F and F_sub and reports the
+    # tail's uncertainty, which covers the blocks the cap left out; one
+    # that reaches m = l_max is complete, with no tail and no m error.  At
+    # l_max 8 or 12 the blocks near l_max are cut short by the l truncation
+    # and fall faster than any geometric tail, so l_max is 20 here
+    d, l_max = 0.3, 20
+    args = (np.array([0.5, 2.0]), SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d),
+            l_max)
+    rule = energy_exact._theta_rule(l_max)
+    capped = energy_exact._mode_sums(*args, 5, rule, 1e-14)
+    assert capped[3].tolist() == [5, 5] and np.all(capped[2] > 0.0)
+    _m_sum_to_l_max(monkeypatch)
+    whole = energy_exact._mode_sums(*args, l_max, rule, 1e-14)
+    assert whole[3].tolist() == [l_max, l_max] and whole[2].tolist() == [0.0, 0.0]
+    assert np.all(np.abs(capped[0] - whole[0]) <= capped[2])
+    # the same tail T > 0 is taken off F and F_sub, so the l probe
+    # F - F_sub is that of the partial sums
+    partial = energy_exact._mode_sums(*args, 5, rule, 1e-14)
+    tail = partial[0] - capped[0]
+    assert np.all(tail > 0.0)
+    assert np.allclose(partial[1] - capped[1], tail, rtol=1e-12, atol=0.0)
+
+
 def test_pc_tenth_block_count_and_m_max_used(monkeypatch):
-    # far kappa nodes stop at m = 4 and no kappa node is evaluated twice:
-    # 1474 node-blocks with neither, 340 with both; a stacked block of K
-    # nodes counts K.  m_max_used is the largest m
-    # a node needed (12), not l_max (70).
+    # far kappa nodes stop at m = 4, no kappa node is evaluated twice, and
+    # the m sum stops once its tail is known: 1474 node-blocks with none of
+    # these, 341 with the first two, 249 with all three; a stacked block of
+    # K nodes counts K.  m_max_used is the largest m a node needed (9), not
+    # l_max (70).
     calls = _counting_blocks(monkeypatch)
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
                          NumericsSpec(rel_tol=1e-3))
-    assert len(calls) <= 700
+    assert len(calls) <= 260
     assert 4 <= res.m_max_used < res.l_max_used
 
 
 @pytest.mark.parametrize("d, truncation, energy", [
-    (0.1, (70, 12, 32), -3.8183133234149396),
-    (0.05, (130, 16, 32), -16.137979581424464)])
+    (0.1, (70, 9, 32), -3.818949911789906),
+    (0.05, (130, 12, 32), -16.142251429954612)])
 def test_pc_exact_pair_truncations_are_pinned(d, truncation, energy):
-    # the criterion-5 pair: each far kappa node stops its m sum on a tiny
-    # ln det, so factorisation round-off could move that stop by one m;
-    # (l_max_used, m_max_used, kappa_nodes_used) and E must not move.  The
-    # 40-node sqrt(u) rapidity rule moved E from the 59- and 89-node
-    # Gauss-Laguerre values (-3.818313024637776, -16.137990943933154) by
-    # 3.0e-7 and 1.1e-5, against error estimates of 6.3e-4 and 4.8e-3
+    # the criterion-5 pair: (l_max_used, m_max_used, kappa_nodes_used) and E
+    # must not move.  With the geometric m tail in F, E sits 1.55e-4 and
+    # 6.96e-4 beyond the m sum run to l_max at the same l_max, kappa level
+    # and rapidity rule (-3.8187946, -16.1415550), against m estimates of
+    # 6.6e-4 and 2.8e-3.  The old pins, -3.8183133 and -16.1379796, left
+    # the tail out and sat 4.8e-4 and 3.6e-3 short of those values
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR),
                          PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), NumericsSpec(rel_tol=1e-3))
     assert (res.l_max_used, res.m_max_used, res.kappa_nodes_used) == truncation
     assert res.energy == pytest.approx(energy, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("d, omega_s, omega_p", [
+    (0.1, PERFECT_CONDUCTOR, PERFECT_CONDUCTOR),
+    (0.2916677455724206, 2.2969562477180534, 14.374812270822432)])
+def test_m_error_covers_the_m_sum_run_to_l_max(monkeypatch, d, omega_s, omega_p):
+    # PC d/R = 0.1 and an exact-wide benchmark point: E against the m sum
+    # run to l_max with the same l_max, kappa level and rapidity rule.  The
+    # miss lies within err_m (0.23 and 0.17 of it), err_m within the m share
+    # rel_tol/4 of |E|, and at every node within row 2 of the record.  A
+    # block below about 1e-15 rounds to ln det = 0, so the run to l_max
+    # drops it while the tail extrapolates it: 1e-14 per node covers that
+    # (one node at x = 23 of the second point, F = -1.6e-12, misses by 4e-15)
+    rel_tol = 1e-3
+    sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d)
+    res = casimir_energy(sphere, plane, NumericsSpec(rel_tol=rel_tol))
+    args = (sphere, plane, res.l_max_used, res.l_max_used,
+            energy_exact._theta_rule(res.l_max_used), rel_tol)
+    e, _, err_m, _, _, rows = energy_exact._quadrature_pass(res.kappa_nodes_used, d, None, args)
+    assert e == pytest.approx(res.energy, rel=1e-12, abs=0.0)
+    assert 0.0 < err_m <= 0.25 * rel_tol * abs(e)
+    _m_sum_to_l_max(monkeypatch)
+    e_all, _, err_all, m_all, _, rows_all = energy_exact._quadrature_pass(
+        res.kappa_nodes_used, d, None, args)
+    assert err_all == 0.0 and m_all == res.l_max_used
+    assert abs(e - e_all) <= err_m
+    assert np.all(np.abs(rows[0] - rows_all[0]) <= rows[2] + 1e-14)
 
 
 # ---------------------------------------------------------------- kappa rule
@@ -483,7 +562,7 @@ def test_refined_level_reuses_rows_by_index():
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
 def test_level_major_rows_equal_per_node_rows(monkeypatch, omega):
     # one kappa level evaluated as one stack gives, for every node, the column
-    # (F, F_sub, m tail, m used) of that node evaluated alone, bit for bit;
+    # (F, F_sub, m error, m used) of that node evaluated alone, bit for bit;
     # the far nodes stop at m = 4 and leave the stack while the near ones
     # run on
     d = 0.3
@@ -593,8 +672,8 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
     res = casimir_energy(sphere, plane, NumericsSpec(kappa_nodes=32, rel_tol=1e-3))
     assert len(values) == res.kappa_nodes_used
     assert max(k for k, _ in values) > 1e4
-    for kappa, (f, f_sub, m_tail, _) in values:
-        assert math.isfinite(f) and math.isfinite(f_sub) and math.isfinite(m_tail)
+    for kappa, (f, f_sub, m_err, _) in values:
+        assert math.isfinite(f) and math.isfinite(f_sub) and math.isfinite(m_err)
         assert f <= 0.0 and f_sub <= 0.0
     # the edges of the stated range, kappa R = 1e6 (level 128 at d/R ~ 0.02)
     # and 1e-4 (level 128 at d/R ~ 2)
@@ -602,9 +681,9 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
                           [[0.0], [0.0], [0.0], [4]])
     for om in (PERFECT_CONDUCTOR, 0.5):
         d_wide = 2.0
-        [f], [f_sub], [m_tail], _ = real(np.array([1e-4]), SphereSheet(1.0, om),
-                                         PlaneSheet(om, 1.0 + d_wide), *_pass_args(d_wide))
-        assert math.isfinite(f) and f < 0.0 and f <= f_sub <= 0.0 and m_tail >= 0.0
+        [f], [f_sub], [m_err], _ = real(np.array([1e-4]), SphereSheet(1.0, om),
+                                        PlaneSheet(om, 1.0 + d_wide), *_pass_args(d_wide))
+        assert math.isfinite(f) and f < 0.0 and f <= f_sub <= 0.0 and m_err >= 0.0
 
 
 # ---------------------------------------------------------------- rapidity rule
