@@ -155,7 +155,8 @@ class KappaTable:
     are the sqrt weights of the rapidity sum.  ``row_te``/``row_tm`` are
     the half-logs of the row weights, (K, l_max) for l = 1 .. l_max: the
     element prefactor (pi/2) (2l+1)/(l(l+1)) times the block scale
-    e^{-2 kappa (L-R)}/(2 kappa L) times the TE or TM |T_l|.  The table
+    e^{-2 kappa (L-R)}/(2 kappa L) times the TE or TM |T_l|, whose logs
+    for all K nodes come from one ``sphere_t_logs`` call.  The table
     also keeps the two Legendre ladders asked for last, each one
     array over all K n_theta nodes: the m+1 ladder of block m is the m
     ladder of block m+1, so assembling m = 0, 1, 2, ... in order computes
@@ -193,14 +194,14 @@ class KappaTable:
         with np.errstate(divide="ignore"):
             col_te = 0.5 * (log_w + np.log(rte))
             col_tm = 0.5 * (log_w + np.log(qtm))
-        log_te, log_tm = np.array([sphere_t_logs(l_max, k, sphere) for k in kap]).swapaxes(0, 1)
+        log_te, log_tm = sphere_t_logs(l_max, kap, sphere)
 
         log_s = 2.0 * kap * sphere.radius_R - 2.0 * kl - np.log(2.0 * kl)
         lvec = np.arange(1, l_max + 1)
         half_pref = 0.5 * (math.log(math.pi / 2.0) + log_s[:, None]
                            + np.log(2 * lvec + 1.0) - np.log(lvec * (lvec + 1.0)))
         return cls(kappa=kappa, c=c, col_te=col_te, col_tm=col_tm,
-                   row_te=half_pref + 0.5 * log_te, row_tm=half_pref + 0.5 * log_tm)
+                   row_te=half_pref + 0.5 * log_te.T, row_tm=half_pref + 0.5 * log_tm.T)
 
     @property
     def l_max(self) -> int:

@@ -87,7 +87,7 @@ class PlaneSheet:
         return self.omega_p == PERFECT_CONDUCTOR
 
 
-def sphere_t_logs(l_max: int, kappa: float, sphere: SphereSheet):
+def sphere_t_logs(l_max: int, kappa, sphere: SphereSheet):
     """Log-magnitudes of the scaled sphere T-matrix elements for l = 1 .. l_max.
 
     The true elements are
@@ -97,27 +97,30 @@ def sphere_t_logs(l_max: int, kappa: float, sphere: SphereSheet):
 
     i.e. the overall e^{2 kappa R} growth of I^2 is kept symbolic so the
     round-trip assembly can cancel it against e^{-2 kappa L}.  A transparent
-    sphere gives -inf logs.
+    sphere gives -inf logs.  ``kappa`` is a positive scalar or a 1-D array
+    of K nodes, all taken in one Bessel call; each node's column equals the
+    scalar call bit for bit.
 
     Returns
     -------
     (log_te, log_tm_abs) : ndarray, ndarray
+        shape (l_max,) for a scalar kappa, (l_max, K) for an array
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    if not (kappa > 0.0):
+    z = np.asarray(kappa, dtype=float) * sphere.radius_R
+    if not np.all(z > 0.0):
         raise ValueError(f"kappa must be positive, got {kappa}")
-    z = kappa * sphere.radius_R
     log_i, log_k = bessel_ik_log(l_max + 1, z)
-    l = np.arange(1, l_max + 1)
+    l = np.arange(1.0, l_max + 1).reshape((-1,) + (1,) * z.ndim)
     li = log_i[1:l_max + 1]
     lk = log_k[1:l_max + 1]
     # n = I/2 + zR I' = (l+1) i_l + z i_{l+1} > 0 ; m = K/2 + zR K' = -(z k_{l-1} + l k_l) < 0
-    log_n = np.logaddexp(np.log(l + 1.0) + li, math.log(z) + log_i[2:l_max + 2])
-    log_m = np.logaddexp(math.log(z) + log_k[0:l_max], np.log(l.astype(float)) + lk)
+    log_n = np.logaddexp(np.log(l + 1.0) + li, np.log(z) + log_i[2:l_max + 2])
+    log_m = np.logaddexp(np.log(z) + log_k[0:l_max], np.log(l) + lk)
 
     if sphere.omega_s == 0.0:
-        neg = np.full(l_max, -np.inf)
+        neg = np.full(li.shape, -np.inf)
         return neg, neg.copy()
     if sphere.is_pc:
         return li - lk, log_n - log_m

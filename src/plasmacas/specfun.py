@@ -11,6 +11,12 @@ The Bessel pair is kept exponentially scaled,
 so that the products I*K appearing downstream never overflow.  At extreme
 (l, z) combinations even the scaled values leave the double range, so
 :func:`bessel_ik_log` returns their logarithms, which stay finite there.
+
+Every ladder is one recurrence on positive ratios of neighbouring orders
+(:func:`_log_ratios`), run where the wanted solution dominates: K and P
+upward, I downward from a continued fraction.  A ratio cannot overflow, so
+nothing is rescaled; one log and one running sum up from the closed-form
+lowest order give the ladder for a whole array of arguments.
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ import math
 
 import numpy as np
 
-_LN_RESCALE = 250.0 * math.log(10.0)
-_RESCALE = 1e250
+from .errors import NumericsError
 
 
 def _cf1_ratio(nu: float, z: float) -> float:
@@ -42,69 +47,67 @@ def _cf1_ratio(nu: float, z: float) -> float:
         f *= delta
         if abs(delta - 1.0) < 2e-16:
             return f
-    raise ArithmeticError(f"Bessel continued fraction failed for nu={nu}, z={z}")
+    raise NumericsError(f"Bessel continued fraction failed for nu={nu}, z={z}")
 
 
-def bessel_ik_log(l_max: int, z: float):
+def _log_ratios(r, b):
+    """Overwrite the rows a_k of ``r`` (one order each, over an array of
+    arguments) with ln r_k of r_0 = a_0, r_k = a_k + b_k / r_{k-1}; the
+    floats ``b`` are as many as the rows (b_0 unused), and every r_k > 0."""
+    rows = list(r)
+    for row, prev, b_k in zip(rows[1:], rows, b[1:]):
+        row += b_k / prev
+    return np.log(r, out=r)
+
+
+def bessel_ik_log(l_max: int, z):
     """Log-scaled half-integer Bessel ladders.
+
+    K runs upward on k_{l+1}/k_l = (2l+1)/z + k_{l-1}/k_l from k_{-1} = k_0,
+    I downward on i_l/i_{l+1} = (2l+3)/z + i_{l+2}/i_{l+1} from the
+    continued fraction at the top; i_0 and k_0 are closed forms.
 
     Parameters
     ----------
     l_max : int
         highest order l, non-negative
-    z : float
-        positive argument
+    z : float or 1-D array_like
+        positive finite argument(s)
 
     Returns
     -------
     (log_i, log_k) : ndarray, ndarray
         log_i[l] = ln(e^{-z} I_{l+1/2}(z)) for l = 0 .. l_max+1,
         log_k[l] = ln(e^{+z} K_{l+1/2}(z)) for l = 0 .. l_max.
-        The extra I order feeds the derivative ladder.
+        The extra I order feeds the derivative ladder.  For an array ``z``
+        of K arguments both have a trailing axis of K, shapes (l_max+2, K)
+        and (l_max+1, K); each column equals the scalar call bit for bit.
     """
-    if not (z > 0.0) or not math.isfinite(z):
+    zz = np.atleast_1d(np.asarray(z, dtype=float))
+    if zz.ndim != 1 or not np.all(zz > 0.0) or not np.all(np.isfinite(zz)):
         raise ValueError(f"Bessel argument must be positive and finite, got {z}")
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
 
-    # K: upward recurrence, stable, with running rescale
-    log_k = np.empty(l_max + 1)
-    k0 = 0.5 * (math.log(math.pi / 2.0) - math.log(z))
-    log_k[0] = k0
-    if l_max >= 1:
-        off = 0.0
-        km1, kc = 1.0, 1.0 + 1.0 / z
-        log_k[1] = k0 + math.log(kc)
-        for l in range(1, l_max):
-            km1, kc = kc, km1 + (2 * l + 1) / z * kc
-            if kc > _RESCALE:
-                km1 /= _RESCALE
-                kc /= _RESCALE
-                off += _LN_RESCALE
-            log_k[l + 1] = k0 + math.log(kc) + off
+    # row l+1 of log_k takes ln(k_{l+1}/k_l), row l+1 of log_i ln(i_l/i_{l+1})
+    log_k = np.empty((l_max + 1, zz.size))
+    log_k[0] = 0.5 * (math.log(math.pi / 2.0) - np.log(zz))
+    r = log_k[1:]
+    np.divide(np.arange(1.0, 2 * l_max, 2.0)[:, None], zz, out=r)
+    r[:1] += 1.0  # k_{-1} = k_0, so the first ratio is 1 + 1/z
+    np.cumsum(_log_ratios(r, [1.0] * l_max), axis=0, out=r)
+    r += log_k[0]
 
-    # I: downward recurrence seeded by the continued-fraction ratio at the top
     top = l_max + 1
-    ratio = _cf1_ratio(top + 0.5, z)
-    vals = np.empty(top + 1)
-    offs = np.empty(top + 1)
-    ip1, ic = ratio, 1.0
-    off = 0.0
-    vals[top] = ic
-    offs[top] = 0.0
-    for l in range(top, 0, -1):
-        ip1, ic = ic, ip1 + (2.0 * (l + 0.5) / z) * ic
-        if ic > _RESCALE:
-            ip1 /= _RESCALE
-            ic /= _RESCALE
-            off += _LN_RESCALE
-        vals[l - 1] = ic
-        offs[l - 1] = off
-    # calibrate against i_0 = e^{-z} I_{1/2}(z) = sqrt(2/(pi z)) (1-e^{-2z})/2
-    log_i0 = 0.5 * math.log(2.0 / (math.pi * z)) + math.log(-math.expm1(-2.0 * z)) - math.log(2.0)
-    cal = log_i0 - (math.log(vals[0]) + offs[0])
-    log_i = np.log(vals) + offs + cal
-    return log_i, log_k
+    log_i = np.empty((top + 1, zz.size))
+    # i_0 = e^{-z} I_{1/2}(z) = sqrt(2/(pi z)) (1-e^{-2z})/2
+    log_i[0] = 0.5 * np.log(2.0 / (math.pi * zz)) + np.log(-np.expm1(-2.0 * zz)) - math.log(2.0)
+    r = log_i[:0:-1]  # downward: l = top-1 .. 0
+    np.divide(np.arange(2.0 * top + 1, 2.0, -2.0)[:, None], zz, out=r)
+    r[0] += [_cf1_ratio(top + 0.5, x) for x in zz.tolist()]
+    _log_ratios(r, [1.0] * top)
+    log_i[1:] = log_i[0] - np.cumsum(log_i[1:], axis=0)
+    return (log_i[:, 0], log_k[:, 0]) if np.ndim(z) == 0 else (log_i, log_k)
 
 
 def legendre_pbar_log(l_max: int, m: int, x):
@@ -144,20 +147,12 @@ def legendre_pbar_log(l_max: int, m: int, x):
     out[0] = seed
     if l_max > m:
         # ratios r_l = v_{l+1}/v_l of the normalised ladder v_l = Pbar_l^m / Pbar_m^m
-        # obey r_l = a_l x - b_l / r_{l-1} with b_m = 0; every r_l > 0 for x >= 1,
-        # so the ladder is one log and one running sum of them
+        # obey r_l = a_l x - b_l / r_{l-1} with b_m = 0; every r_l > 0 for x >= 1
         ll = np.arange(m, l_max, dtype=float)
         c3 = np.sqrt((ll + 1.0) ** 2 - m * m)
         r = out[1:]
         np.multiply(((2.0 * ll + 1.0) / c3)[:, None], x, out=r)
-        b = (np.sqrt(ll * ll - m * m) / c3).tolist()
-        tmp = np.empty(n)
-        rows = list(r)
-        for k in range(1, len(rows)):
-            np.divide(b[k], rows[k - 1], out=tmp)
-            np.subtract(rows[k], tmp, out=rows[k])
-        np.log(r, out=r)
-        np.cumsum(r, axis=0, out=r)
+        np.cumsum(_log_ratios(r, (-np.sqrt(ll * ll - m * m) / c3).tolist()), axis=0, out=r)
         r += seed
     return out
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from plasmacas.energy_exact import _theta_rule, logdet_one_minus
+from plasmacas.energy_exact import _kappa_rule, _theta_rule, logdet_one_minus
 from plasmacas import roundtrip
 from plasmacas.roundtrip import KappaTable, assemble_block
 from plasmacas.scattering import (PERFECT_CONDUCTOR, PlaneSheet, Polarization,
@@ -229,6 +229,21 @@ def test_shared_kappa_table_gives_standalone_blocks(omega, monkeypatch):
     assert calls == list(range(1, 13))
     with pytest.raises(ValueError):
         assemble_block(13, table)  # block m = 13 needs l >= 13 > l_max = 12
+
+
+def test_kappa_table_takes_the_sphere_t_logs_of_all_nodes_in_one_call(monkeypatch):
+    calls = []
+
+    def counted(l_max, kappa, sphere):
+        calls.append(np.shape(kappa))
+        return sphere_t_logs(l_max, kappa, sphere)
+
+    sphere_t_logs = roundtrip.sphere_t_logs
+    monkeypatch.setattr(roundtrip, "sphere_t_logs", counted)
+    kappa = _kappa_rule(16)[0] / (2.0 * 0.3)
+    table = KappaTable.build(kappa, SphereSheet(1.0, 1.7), PlaneSheet(1.7, 1.3), 22,
+                             rapidity_rule(*_theta_rule(22)))
+    assert calls == [(15,)] and table.row_te.shape == (15, 22)
 
 
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from plasmacas import energy_exact
+from plasmacas.errors import NumericsError
 from plasmacas.scattering import (PERFECT_CONDUCTOR, PlaneSheet, Polarization,
                                   SphereSheet, check_sheets, plane_r, sphere_t,
                                   sphere_t_logs)
@@ -123,6 +125,30 @@ def test_sphere_t_logs_match_scalar():
     for l in (1, 3, 6):
         assert math.exp(log_te[l - 1] + 2 * z) == pytest.approx(sphere_t(TE, l, 0.9, s), rel=1e-12)
         assert -math.exp(log_tm[l - 1] + 2 * z) == pytest.approx(sphere_t(TM, l, 0.9, s), rel=1e-12)
+
+
+@pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 2.3, 0.0])
+@pytest.mark.parametrize("d", [0.5, 0.1, 0.05])
+def test_sphere_t_logs_array_kappa_equals_scalar_calls(d, omega):
+    # the level-128 kappa nodes at d/R = d, at the first auto l_max
+    kappa, l_max = energy_exact._kappa_rule(128)[0] / (2.0 * d), energy_exact._auto_l_max(d)
+    s = SphereSheet(1.0, omega)
+    log_te, log_tm = sphere_t_logs(l_max, kappa, s)
+    assert log_te.shape == log_tm.shape == (l_max, kappa.size)
+    for j, k in enumerate(kappa.tolist()):
+        one_te, one_tm = sphere_t_logs(l_max, k, s)
+        assert np.array_equal(log_te[:, j], one_te) and np.array_equal(log_tm[:, j], one_tm)
+
+
+def test_continued_fraction_failure_is_a_numerics_error():
+    # at kappa R = 1e9 the Lentz iteration for the top ratio I_{nu+1}/I_nu
+    # (nu = l_max + 5/2) does not settle within its step limit; the domain
+    # stops near kappa R = 1e6
+    s = SphereSheet(1.0, 1.0)
+    with pytest.raises(NumericsError, match=r"continued fraction failed for nu=5\.5, z=1000000000\.0"):
+        sphere_t_logs(3, 1e9, s)
+    with pytest.raises(NumericsError, match="continued fraction failed"):
+        sphere_t(TE, 1, 1e9, s)
 
 
 # ---------------------------------------------------------------- plane

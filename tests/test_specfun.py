@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ive, kve, spence
 
+from plasmacas import energy_exact
 from plasmacas.specfun import bessel_ik_log, dilog, legendre_pbar_log
 
 from oracles import legendre_p
@@ -77,6 +78,45 @@ def test_bessel_recurrence_invariant():
         log_i, _ = bessel_ik_log(l + 1, z)
         lhs = math.exp(log_i[l - 1] - log_i[l]) - math.exp(log_i[l + 1] - log_i[l])
         assert lhs == pytest.approx(2.0 * (l + 0.5) / z, rel=1e-10)
+
+
+def _ln_k_scaled(l, z):
+    # e^z K_{l+1/2}(z) = sqrt(pi/(2z)) sum_{k<=l} (l+k)!/(k!(l-k)!) (2z)^-k, a
+    # finite sum of positive terms; mpmath's besselk takes seconds at l ~ 400, z = 1e3
+    term = total = mp.mpf(1)
+    for k in range(l):
+        term *= mp.mpf((l + k + 1) * (l - k)) / ((k + 1) * 2 * z)
+        total += term
+    return 0.5 * mp.log(mp.pi / (2 * z)) + mp.log(total)
+
+
+@pytest.mark.parametrize("l_max, z", [(1221, 4e-4), (1221, 2e-3), (1221, 1.0), (1221, 1e3),
+                                      (1221, 1e6), (610, 0.02), (610, 3e4), (10, 1e6),
+                                      (300, 50.0), (40, 4e-4), (1446, 1e-4), (1446, 1e6)])
+def test_bessel_against_mpmath_at_domain_orders(l_max, z):
+    # the T logs ask for order l_max + 1, and l_max reaches 1445 on the fourth
+    # l pass at d/R = 0.01; kappa R spans 1e-4 .. 1e6 over the domain.  Both
+    # ladders, their ends and a middle row
+    log_i, log_k = bessel_ik_log(l_max, z)
+    rows = sorted({0, 1, l_max // 3, l_max})
+    with mp.workdps(40):
+        zm = mp.mpf(z)
+        want_i = [float(mp.log(mp.besseli(l + 0.5, zm)) - zm) for l in rows + [l_max + 1]]
+        want_k = [float(_ln_k_scaled(l, zm)) for l in rows]
+    for got, want in ((log_i[rows + [l_max + 1]], want_i), (log_k[rows], want_k)):
+        want = np.array(want)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (got - want)
+
+
+@pytest.mark.parametrize("d", [0.5, 0.1, 0.05])
+def test_bessel_array_argument_equals_scalar_calls(d):
+    # kappa R of the level-128 nodes at d/R = d, at the first auto l_max
+    z, l_max = energy_exact._kappa_rule(128)[0] / (2.0 * d), energy_exact._auto_l_max(d)
+    log_i, log_k = bessel_ik_log(l_max + 1, z)
+    assert log_i.shape == (l_max + 3, z.size) and log_k.shape == (l_max + 2, z.size)
+    for j, zj in enumerate(z.tolist()):
+        one_i, one_k = bessel_ik_log(l_max + 1, zj)
+        assert np.array_equal(log_i[:, j], one_i) and np.array_equal(log_k[:, j], one_k)
 
 
 # ---------------------------------------------------------------- legendre
