@@ -47,16 +47,17 @@ _S_MAX = 200
 _REL_TOL_FLOOR = 1e-11  # w = 1e-4 and 0.01 no longer settle at 3e-12
 
 
-def _hom_power_sum(a, b, n: int):
-    """sum_{k=0}^{n} a^k b^{n-k}; empty (n < 0) gives 0."""
+def _hom_power_sums(a, b, n: int):
+    """(h_n, h_{n-1}) for h_n = sum_{k=0}^{n} a^k b^{n-k} and n >= 0; h_{-1} = 0.
+
+    The Horner loop for h_n passes through h_{n-1} one step before the end.
+    """
     acc = np.zeros(np.broadcast(a, b).shape)
-    if n < 0:
-        return acc
-    ap = np.ones_like(acc)
+    prev, ap = acc, np.ones_like(acc)
     for _ in range(n + 1):
-        acc = acc * b + ap
+        prev, acc = acc, acc * b + ap
         ap = ap * a
-    return acc
+    return acc, prev
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,7 @@ def _ntl_kernel(s, t, tau, ws, wp):
         yield sig * c[f"y2_{pol}"]
 
     pte, ptm = c["t0_te"] * c["t0t_te"], c["t0_tm"] * c["t0t_tm"]
-    ps1 = _hom_power_sum(pte, ptm, s)
-    ps2 = _hom_power_sum(pte, ptm, s - 1)
+    ps1, ps2 = _hom_power_sums(pte, ptm, s)
     mix = c["t0_te"] * c["t0t_tm"] + c["t0_tm"] * c["t0t_te"]
     c["script_b"] = (1.0 - t2) / (2.0 * t2) * (mix * ps1 + 2.0 * pte * ptm * ps2)
     return c, cd_terms

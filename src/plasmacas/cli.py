@@ -1,8 +1,10 @@
 """Batch front end: points, parameter sweeps, preset dataset grids, CSV.
 
-All core numerics is unit-free; SI enters only here through hbar*c.  Sweep
-points go to a worker pool but rows are written in input order, and a fixed
-float format keeps the CSV byte-identical between runs of the same config.
+All core numerics is unit-free; SI enters only here through hbar*c.  The
+settings of point and sweep are one table, _SETTINGS: each entry is a
+config-file key and a flag.  Sweep points go to a worker pool of at most one
+worker per row, but rows are written in input order, and a fixed float format
+keeps the CSV byte-identical between runs of the same config.
 """
 
 from __future__ import annotations
@@ -33,16 +35,32 @@ CSV_COLUMNS = ["method", "R_m", "d_m", "L_m", "omega_s_per_m", "omega_p_per_m",
                "energy_J", "energy_dimensionless", "ratio_to_PFA_PC", "theta",
                "error_estimate", "l_max_used", "m_max_used", "status"]
 
-_CONFIG_KEYS = {
-    "method": str, "radius": float, "gap": float,
-    "omega_sphere": str, "omega_plane": str,
-    "lmax": int, "mmax": int, "rel_tol": float, "out": str, "threads": int,
-    "gap_min": float, "gap_max": float, "gap_count": int, "gap_spacing": str,
-    "radius_min": float, "radius_max": float, "radius_count": int, "radius_spacing": str,
-}
-
 _METHODS = ("exact", "pfa", "asympt", "all")
 _SPACINGS = {"log": np.geomspace, "linear": np.linspace}
+
+# Every setting of point and sweep: config-file key -> (type, choices, help).
+# Each key is also the flag "--" + the key with dashes; the flags of the
+# range keys (gap_*, radius_*) belong to sweep alone.
+_SETTINGS = {
+    "method": (str, _METHODS, None),
+    "radius": (float, None, "sphere radius R in m"),
+    "gap": (float, None, "surface gap d = L - R in m"),
+    "omega_sphere": (str, None, "Omega_s in 1/m, or 'inf'"),
+    "omega_plane": (str, None, "Omega_p in 1/m, or 'inf'"),
+    "lmax": (int, None, None),
+    "mmax": (int, None, None),
+    "rel_tol": (float, None, None),
+    "out": (str, None, None),
+    "threads": (int, None, None),
+    "gap_min": (float, None, None),
+    "gap_max": (float, None, None),
+    "gap_count": (int, None, None),
+    "gap_spacing": (str, tuple(_SPACINGS), None),
+    "radius_min": (float, None, None),
+    "radius_max": (float, None, None),
+    "radius_count": (int, None, None),
+    "radius_spacing": (str, tuple(_SPACINGS), None),
+}
 
 
 class UsageError(Exception):
@@ -114,11 +132,11 @@ def _read_config_file(path: str) -> dict:
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = _CONFIG_KEYS[key]
+        caster = _SETTINGS[key][0]
         try:
-            values[key] = text if caster is str else caster(text)
+            values[key] = caster(text)
         except ValueError:
             raise UsageError(f"{path}:{lineno}: malformed value for {key}: {text!r}") from None
     return values
@@ -131,58 +149,43 @@ def _spacing(lo: float, hi: float, count: int, kind: str) -> tuple:
         raise UsageError(f"bad range [{lo}, {hi}] x {count}")
     if count == 1:
         return (lo,)
-    return tuple(_SPACINGS[kind](lo, hi, count))
+    return tuple(float(x) for x in _SPACINGS[kind](lo, hi, count))
 
 
 def parse_config(args: argparse.Namespace) -> SweepConfig:
     """Merge config file and flags (flags win) into a resolved SweepConfig.
 
+    Every setting is a key of _SETTINGS, in the file as in the flags.
     Without an ``out`` flag or key the CSV goes to ``<command>.csv``.
     """
-    conf = _read_config_file(args.config) if args.config else {}
-
-    def pick(key, flag_value, default=None):
-        if flag_value is not None:
-            return flag_value
-        return conf.get(key, default)
-
-    method = pick("method", args.method, "asympt")
-    omega_s = _parse_omega(str(pick("omega_sphere", args.omega_sphere, "inf")), "omega-sphere")
-    omega_p = _parse_omega(str(pick("omega_plane", args.omega_plane, "inf")), "omega-plane")
+    flags = {k: v for k, v in vars(args).items() if k in _SETTINGS and v is not None}
+    values = {**(_read_config_file(args.config) if args.config else {}), **flags}
 
     def axis(name, count_default):
-        """The values of the gap or radius axis.  A single-value flag beats a
-        range from the file; a range (flags, else file keys) beats a single
+        """The values of the gap or radius axis.  A single-value flag beats
+        a range from the file; a range (flags, else file keys) beats a single
         value from the file."""
-        flag_lo, flag_hi = getattr(args, f"{name}_min", None), getattr(args, f"{name}_max", None)
-        if getattr(args, name) is not None and flag_lo is None and flag_hi is None:
-            return (float(getattr(args, name)),)
-        lo, hi = pick(f"{name}_min", flag_lo), pick(f"{name}_max", flag_hi)
-        if lo is not None or hi is not None:
-            if lo is None or hi is None:
-                raise UsageError(f"{name}_min and {name}_max must be given together")
-            return _spacing(lo, hi,
-                            int(pick(f"{name}_count", getattr(args, f"{name}_count", None), count_default)),
-                            pick(f"{name}_spacing", getattr(args, f"{name}_spacing", None), "log"))
-        if name not in conf:
-            raise UsageError(f"need --{name} or a {name} range")
-        return (float(conf[name]),)
+        lo, hi = values.get(f"{name}_min"), values.get(f"{name}_max")
+        flag_range = f"{name}_min" in flags or f"{name}_max" in flags
+        if (lo is None and hi is None) or (name in flags and not flag_range):
+            if name not in values:
+                raise UsageError(f"need --{name} or a {name} range")
+            return (values[name],)
+        if lo is None or hi is None:
+            raise UsageError(f"{name}_min and {name}_max must be given together")
+        return _spacing(lo, hi, values.get(f"{name}_count", count_default),
+                        values.get(f"{name}_spacing", "log"))
 
+    # Checked in this order, so that of several faults the first is reported.
+    omega_s = _parse_omega(values.get("omega_sphere", "inf"), "omega-sphere")
+    omega_p = _parse_omega(values.get("omega_plane", "inf"), "omega-plane")
     gaps = axis("gap", 25)
     radii = axis("radius", 1)
-
-    return SweepConfig(
-        method=str(method),
-        radii=radii,
-        gaps=tuple(float(g) for g in gaps),
-        omega_s=omega_s,
-        omega_p=omega_p,
-        lmax=pick("lmax", args.lmax),
-        mmax=pick("mmax", args.mmax),
-        rel_tol=pick("rel_tol", args.rel_tol),
-        out=str(pick("out", args.out, f"{args.command}.csv")),
-        threads=int(pick("threads", args.threads, 1)),
-    )
+    return SweepConfig(method=values.get("method", "asympt"), radii=radii, gaps=gaps,
+                       omega_s=omega_s, omega_p=omega_p, lmax=values.get("lmax"),
+                       mmax=values.get("mmax"), rel_tol=values.get("rel_tol"),
+                       out=values.get("out", f"{args.command}.csv"),
+                       threads=values.get("threads", 1))
 
 
 def _fmt(x) -> str:
@@ -254,10 +257,12 @@ def _sweep_tasks(config: SweepConfig) -> list:
 
 
 def _run_tasks(tasks: list, config: SweepConfig) -> int:
-    """Compute the rows of tasks, on config.threads workers, and write them
-    in task order to config.out; returns the exit status."""
+    """Compute the rows of tasks, on up to config.threads workers but no
+    more than there are tasks, and write them in task order to config.out;
+    returns the exit status."""
     if config.threads > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.threads) as pool:
+        workers = min(config.threads, len(tasks))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_compute_row, tasks))
     else:
         rows = [_compute_row(t) for t in tasks]
@@ -324,26 +329,12 @@ def _run_figure(number: int, out: str | None, threads: int) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, sweep: bool) -> None:
-    parser.add_argument("--method", choices=_METHODS)
-    parser.add_argument("--radius", type=float, help="sphere radius R in m")
-    parser.add_argument("--gap", type=float, help="surface gap d = L - R in m")
-    parser.add_argument("--omega-sphere", help="Omega_s in 1/m, or 'inf'")
-    parser.add_argument("--omega-plane", help="Omega_p in 1/m, or 'inf'")
-    parser.add_argument("--lmax", type=int)
-    parser.add_argument("--mmax", type=int)
-    parser.add_argument("--rel-tol", type=float, dest="rel_tol")
-    parser.add_argument("--out")
+    """One flag per key of _SETTINGS, the range keys for sweep only."""
+    for key, (kind, choices, text) in _SETTINGS.items():
+        if sweep or not key.startswith(("gap_", "radius_")):
+            parser.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices,
+                                help=text)
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--threads", type=int)
-    if sweep:
-        parser.add_argument("--gap-min", type=float)
-        parser.add_argument("--gap-max", type=float)
-        parser.add_argument("--gap-count", type=int)
-        parser.add_argument("--gap-spacing", choices=("log", "linear"))
-        parser.add_argument("--radius-min", type=float)
-        parser.add_argument("--radius-max", type=float)
-        parser.add_argument("--radius-count", type=int)
-        parser.add_argument("--radius-spacing", choices=("log", "linear"))
 
 
 def build_parser() -> argparse.ArgumentParser:

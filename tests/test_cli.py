@@ -330,3 +330,93 @@ def test_bad_config_spacing_is_usage_error_for_any_count(tmp_path, capsys, count
                     f"radius_count = {count}\nradius_spacing = bogus\n")
     assert main(["sweep", "--config", str(conf), "--method", "pfa", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+# one value per config key, each different from what the base file below resolves to
+_KEY_SAMPLES = {
+    "method": "pfa", "radius": "2e-3", "gap": "3e-5", "omega_sphere": "6.75e5",
+    "omega_plane": "1e6", "lmax": "40", "mmax": "6", "rel_tol": "1e-4", "out": "x.csv",
+    "threads": "2", "gap_min": "2e-4", "gap_max": "2e-3", "gap_count": "4",
+    "gap_spacing": "linear", "radius_min": "2e-4", "radius_max": "2e-3",
+    "radius_count": "4", "radius_spacing": "linear",
+}
+
+
+@pytest.mark.parametrize("key", list(cli._SETTINGS))
+def test_config_key_and_flag_resolve_alike(tmp_path, key):
+    base = {"radius": "1e-3", "gap": "1e-5"}
+    ranged = key.startswith(("gap_", "radius_"))
+    if ranged:
+        axis = key.split("_")[0]
+        base.update({f"{axis}_min": "1e-4", f"{axis}_max": "1e-3", f"{axis}_count": "3"})
+    command = "sweep" if ranged else "point"
+
+    def resolve(settings, *flags):
+        conf = tmp_path / "run.conf"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        return parse_config(_parse([command, "--config", str(conf), *flags]))
+
+    by_file = resolve({**base, key: _KEY_SAMPLES[key]})
+    by_flag = resolve(base, "--" + key.replace("_", "-"), _KEY_SAMPLES[key])
+    assert by_file == by_flag
+    assert by_file != resolve(base)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("point", [k for k in cli._SETTINGS if not k.startswith(("gap_", "radius_"))] + ["config"]),
+    ("sweep", [*cli._SETTINGS, "config"]),
+    ("figure", ["out", "threads"]),
+])
+def test_help_lists_every_flag(capsys, command, flags):
+    # argparse formats the help text only here, so a bad help entry shows up here alone
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for flag in flags:
+        assert "--" + flag.replace("_", "-") + " " in text
+
+
+def test_threads_never_start_more_workers_than_rows(tmp_path, monkeypatch, capsys):
+    workers = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    out = tmp_path / "two.csv"
+    assert main(["sweep", "--method", "pfa", "--radius", "1e-3", "--gap-min", "1e-6",
+                 "--gap-max", "1e-5", "--gap-count", "2", "--threads", "64",
+                 "--out", str(out)]) == 0
+    assert workers == [2]
+    assert len(_rows(out)) == 2
+
+
+def test_run_sweep_looks_up_compute_row_per_call(tmp_path, monkeypatch, capsys):
+    # the benchmark times each asympt-sweep row by swapping cli._compute_row
+    seen, original = [], cli._compute_row
+
+    def wrapped(task):
+        seen.append(task)
+        return original(task)
+
+    monkeypatch.setattr(cli, "_compute_row", wrapped)
+    gaps = (1e-6, 2e-6, 5e-6)
+    config = SweepConfig(method="pfa", radii=(1e-3,), gaps=gaps, omega_s=6.75e5,
+                         omega_p=6.75e5, out=str(tmp_path / "hook.csv"))
+    assert run_sweep(config) == 0
+    assert len(seen) == len(gaps)
+    assert all(len(task) == 8 for task in seen)
+    assert [task[2] for task in seen] == list(gaps)
