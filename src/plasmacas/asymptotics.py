@@ -19,7 +19,7 @@ removes the a -> b cancellation exactly.
 
 The terms decay like (s+1)^-2.  After each term the last five are fitted to
 the powers p0 .. p0+4 of 1/(s+1) (p0 = 2), and the fitted tail is summed
-exactly with polygamma functions.  The sum stops once two successive
+to round-off by Euler-Maclaurin.  The sum stops once two successive
 tail-corrected totals agree to rel_tol/10 and the tail is at most 5% of the
 total; PC and graphene-like sheets need 14-22 terms at the default rel_tol
 1e-10.  The E1 sum changes sign between w = 1e-4 and 2e-4 for equal sheets,
@@ -45,6 +45,18 @@ from ._quadrature import _log_t_nodes, _pick_nodes, tau_rule
 
 _S_MAX = 200
 _REL_TOL_FLOOR = 1e-11  # w = 1e-4 and 0.01 no longer settle at 3e-12
+
+# Each E1 s-term allocates and frees about 20 (t, tau) arrays, half a MiB at
+# w = 0.1.  glibc hands the top of its heap back to the system once more
+# than its trim threshold (128 KiB at start) lies free there, so in a
+# process whose heap top is free after a term that memory is faulted back
+# in for the next one: 2300-2700 minor faults, about 5 ms, per row at
+# w = 0.1 in the benchmark's sweep process.  Freeing a block above the mmap
+# threshold raises that threshold to the block's size and the trim
+# threshold to twice it (mallopt(3), M_MMAP_THRESHOLD): 2 and 4 MiB here.
+# Under another allocator this is one short-lived allocation.
+_block = np.empty(1 << 18)
+del _block
 
 
 def _hom_power_sums(a, b, n: int):
@@ -200,21 +212,37 @@ def _braces_times_t(s, t, tau, ws, wp):
 _FIT_TERMS = 5
 
 
-def _power_tail(p, s0):
-    """sum_{sig >= s0} sig^(-p), p >= 2, in closed form."""
-    from scipy.special import polygamma  # scipy.special costs 0.28 s and 26 MB to import
+# B_2j/(2j)! for j = 1 .. 8, the Euler-Maclaurin corrections of _power_tail
+_EM_BERNOULLI = (8.333333333333333e-02, -1.388888888888889e-03, 3.306878306878307e-05,
+                 -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+                 1.3382536530684679e-11, -3.3896802963225827e-13)
+_EM_DIRECT = 9
 
-    return (-1) ** p * polygamma(p - 1, s0) / math.factorial(p - 1)
+
+def _power_tail(powers, s0):
+    """Hurwitz zeta(p, s0) = sum_{k >= 0} (s0 + k)^(-p) for an array of
+    powers p >= 2 and s0 >= 1, by Euler-Maclaurin: _EM_DIRECT terms
+    summed directly, then from a = s0 + _EM_DIRECT on
+
+        a^(1-p)/(p-1) + a^(-p)/2 + sum_j B_2j/(2j)! p (p+1) .. (p+2j-2) a^(-p-2j+1),
+
+    whose eight corrections leave less than 1e-17 relative for p <= 6."""
+    p = np.asarray(powers, dtype=float)
+    direct = ((s0 + np.arange(_EM_DIRECT)) ** -p[:, None]).sum(axis=1)
+    a = s0 + _EM_DIRECT
+    # p (p+1) .. (p+2j-2) / a^(2j-1) for j = 1 .. 8
+    rising = np.cumprod((p[:, None] + np.arange(2 * len(_EM_BERNOULLI) - 1)) / a, axis=1)
+    return direct + a ** -p * (a / (p - 1.0) + 0.5 + rising[:, ::2] @ _EM_BERNOULLI)
 
 
 def _fitted_tail(last_terms, s_last, p0):
     """Sum over s > s_last of the fit of the terms at s_last - k + 1 .. s_last
     (k of them) to (s+1)^(-p0) .. (s+1)^(-p0-k+1)."""
     sig = np.arange(s_last - len(last_terms) + 2, s_last + 2, dtype=float)
-    powers = np.arange(p0, p0 + len(last_terms))
+    powers = np.arange(p0, p0 + len(last_terms), dtype=float)
     # columns scaled to 1 at the last node keep the solve well conditioned
     coef = np.linalg.solve((sig[-1] / sig[:, None]) ** powers, last_terms)
-    return sum(c * sig[-1] ** p * _power_tail(p, s_last + 2.0) for c, p in zip(coef, powers))
+    return float(coef @ (sig[-1] ** powers * _power_tail(powers, s_last + 2.0)))
 
 
 def _tail_corrected_sum(term, p0, rel_tol, what, floor=0.0):

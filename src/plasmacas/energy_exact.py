@@ -382,7 +382,7 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     supported domain and raise :class:`NumericsError` before any block is
     built.  The limit is one of cost, not of convergence: at the default
     rel_tol, PC d/R = 0.0075 and 0.005 converge (error 3.2e-4 of |E|) in
-    20 s and 54 s with one BLAS thread on a 2-core Xeon.
+    20 s and 50 s with one BLAS thread on a 2-core Intel Xeon.
 
     Returns energy in units hbar c per unit length of the inputs, alongside
     the dimensionless E d^2/(hbar c R).

@@ -72,18 +72,23 @@ def _polylog(p: int, z):
 def _polylog_integral(w1, w2, p: int) -> float:
     """int_0^inf dt t^(3-p) int_0^1 dtau tau/sqrt(1-tau^2) sum_pol Li_p(r r e^{-2t}).
 
-    p = 1 gives the plane-plane energy, p = 2 the PFA energy.
+    p = 1 gives the plane-plane energy, p = 2 the PFA energy.  Li_p of both
+    polarisations comes from one call per tau rule, the TE arguments (and
+    both for PC-PC) at one value per t node.
     """
     t, wt = _log_t_nodes(1.0, min(w1, w2))
     tt = t[:, None]
     wt = wt * t ** (3 - p)
+    decay = np.exp(-2.0 * tt)
 
     def at(n):
         tau, wtau = tau_rule(n)
+        z = [_t0(tt, tau, w1, tm) * _t0(tt, tau, w2, tm) * decay for tm in (False, True)]
+        li = _polylog(p, np.concatenate([zi.ravel() for zi in z]))
+        te, tm = np.split(li, [z[0].size])
         acc = np.zeros((t.size, n))
-        for tm in (False, True):
-            r_r = _t0(tt, tau[None, :], w1, tm) * _t0(tt, tau[None, :], w2, tm)
-            acc += _polylog(p, r_r * np.exp(-2.0 * tt))
+        acc += te.reshape(z[0].shape)
+        acc += tm.reshape(z[1].shape)
         return float(wt @ acc @ wtau)
 
     return _pick_nodes(at, "PFA" if p == 2 else "plane-plane")[1]

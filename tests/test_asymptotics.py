@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
-from scipy.special import roots_genlaguerre
+from scipy.special import roots_genlaguerre, zeta
 
 import plasmacas.asymptotics as asy
 from plasmacas.asymptotics import (NtlCoefficients, ntl_coefficients, ntl_integrand,
@@ -320,3 +320,11 @@ def test_ntl_coefficients_domain():
         ntl_coefficients(0, 0.0, 0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         ntl_coefficients(0, 1.0, 1.0, 1.0, 1.0)
+
+
+def test_power_tail_against_hurwitz_zeta():
+    powers = np.arange(2.0, 7.0)
+    for s0 in range(2, 203):
+        want = zeta(powers, float(s0))
+        got = asy._power_tail(powers, float(s0))
+        assert np.all(np.abs(got - want) <= 2e-15 * want), (s0, got / want - 1.0)

@@ -1,7 +1,10 @@
+import ast
 import importlib
 import os
 import subprocess
 import sys
+
+import pytest
 
 import plasmacas
 
@@ -28,17 +31,89 @@ def test_public_names_resolve_and_removed_names_are_gone():
     assert not hasattr(plasmacas.RoundTripBlock, "dense_matrix")
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    # no module of the library imports scipy.linalg, which adds about 75 ms;
-    # scipy.special (0.28 s and 26 MB) is imported inside the three functions
-    # that use it, none of them on the exact path, so importing the package
-    # and computing one exact energy loads neither
+# run in a child whose import system refuses scipy: every production path
+# of the library, the CLI included, must work on numpy alone
+_WITHOUT_SCIPY = """
+import importlib.abc, sys
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+import plasmacas
+from plasmacas import cli
+from plasmacas.asymptotics import small_gap_expansion, theta
+
+inf, g = float("inf"), 6.75e5 * 1e-6  # PC, and graphene at d = 1 um
+assert plasmacas.pfa_energy(1e-3, 1e-6, g, g) < 0.0
+assert plasmacas.lifshitz_plane_plane(1e-6, g, g) < 0.0
+for w in (inf, g):
+    e0, e1, th = small_gap_expansion(1.0, 0.01, w, w)
+    assert e0 < 0.0 and th < 0.0
+assert abs(theta(inf, inf) - (1.0 / 3.0 - 20.0 / 3.141592653589793 ** 2)) < 1e-9
+s, p = plasmacas.SphereSheet(1.0, 2.0), plasmacas.PlaneSheet(2.0, 1.5)
+assert plasmacas.casimir_energy(s, p, plasmacas.NumericsSpec(rel_tol=1e-2)).energy < 0.0
+assert cli.main(["point", "--method", "all", "--radius", "1e-3", "--gap", "4e-4",
+                 "--omega-sphere", "6.75e5", "--omega-plane", "6.75e5",
+                 "--rel-tol", "1e-4", "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_library_runs_without_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(plasmacas.__file__)))
-    code = ("import sys, plasmacas\n"
-            "s, p = plasmacas.SphereSheet(1.0, 2.0), plasmacas.PlaneSheet(2.0, 1.5)\n"
-            "res = plasmacas.casimir_energy(s, p, plasmacas.NumericsSpec(rel_tol=1e-2))\n"
-            "print(res.energy < 0.0, [m for m in ('scipy.special', 'scipy.linalg') "
-            "if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "True []"
+    out_csv = tmp_path / "point.csv"
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(out_csv)],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    rows = out_csv.read_text().splitlines()
+    assert len(rows) == 4 and all(row.endswith(",ok") for row in rows[1:]), rows
+
+
+def _scipy_imports(tree):
+    """(enclosing function, imported module) of every scipy import in tree."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        found.extend((func, n) for n in names if n == "scipy" or n.startswith("scipy."))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_scipy_is_a_test_dependency_only():
+    # the library needs numpy alone; gauss_laguerre, which only the oracles
+    # call, keeps the one scipy import (see its docstring)
+    pkg = os.path.dirname(os.path.abspath(plasmacas.__file__))
+    found = {}
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                hits = _scipy_imports(ast.parse(fh.read(), name))
+            if hits:
+                found[name] = hits
+    assert found == {"_quadrature.py": [("gauss_laguerre", "scipy.special")]}
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(os.path.join(pkg, "..", "..", "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert not any(dep.startswith("scipy") for dep in project["dependencies"])
+    extras = {k: [d for d in v if d.startswith("scipy")]
+              for k, v in project["optional-dependencies"].items()}
+    assert {k: v for k, v in extras.items() if v} == {"test": ["scipy>=1.10"]}

@@ -238,8 +238,8 @@ def test_dilog_series_accuracy_absolute():
 
 
 def test_dilog_relative_accuracy_near_zero():
-    # spence(1 - x) alone rounds away the low bits of x (8e-8 relative at
-    # x = 1e-10); with that rounding added back dilog keeps 1e-14 relative
+    # spence(1 - x) rounds away the low bits of x (8e-8 relative at
+    # x = 1e-10); the series in u = -log1p(-x) keeps them, 1e-14 relative
     # for both signs
     mag = np.geomspace(1e-12, 1e-1, 241)
     x = np.concatenate([mag, -mag])
@@ -247,3 +247,15 @@ def test_dilog_relative_accuracy_near_zero():
         ref = np.array([float(mp.polylog(2, mp.mpf(float(v)))) for v in x])
     assert np.max(np.abs(dilog(x) - ref) / np.abs(ref)) <= 1e-14
     assert dilog(1e-10) == pytest.approx(1e-10 + 0.25e-20, rel=1e-15)
+
+
+def test_dilog_relative_accuracy_against_mpmath():
+    # the whole of [-1, 1], |x| from 1e-300 of both signs, and 1 - x from 1e-16
+    mag = np.geomspace(1e-300, 1e-1, 300)
+    x = np.concatenate([np.linspace(-1.0, 1.0, 801), mag, -mag,
+                        1.0 - np.geomspace(1e-16, 1e-1, 151)])
+    x = x[x != 0.0]
+    with mp.workdps(40):
+        ref = np.array([float(mp.polylog(2, mp.mpf(float(v)))) for v in x])
+    assert np.max(np.abs(dilog(x) - ref) / np.abs(ref)) <= 1e-15
+    assert dilog(1.0) == math.pi ** 2 / 6.0
