@@ -8,14 +8,17 @@ and its prefactor -R/(4 pi d^2) come from ``pfa``, so E0 and
 E1 is a sum over s; its s-th term, in the variables (t, tau), is
 
     E1_s ~ int dt t int dtau (tau measure) e^{-2t(s+1)}
-               { sum_pol [T0 T0t]^{s+1} (A + C_pol + D_pol) + B }
+               { sum_pol [T0 T0t]_pol^{s+1} (A + C_pol + D_pol) + B }
 
-All 1/t poles of the coefficients are cancelled analytically by folding one
-power of t into the integrand.  Every term, for every pair of sheets, is
-then one trapezoid on ln t (_log_t_nodes) times one Gauss rule in tau sized
-by a doubling probe (_pick_nodes), the rule ``pfa`` uses too.  The divided
-differences in B are evaluated as explicit homogeneous power sums, which
-removes the a -> b cancellation exactly.
+A, B, C_pol and D_pol are entries of one coefficient table (_ntl_kernel),
+which the scalar view ``ntl_coefficients`` reads too.  A perfect-conductor
+(PC) side enters as its w -> oo limit: T0 = 1, and k1 = k2 = 0 (plane) or
+w1 = w2 = 0 and a t y2 of tau alone (sphere).  All 1/t poles are cancelled
+analytically by folding one power of t into the integrand.  Every term,
+for every pair of sheets, is then one trapezoid on ln t (_log_t_nodes)
+times one Gauss rule in tau sized by a doubling probe (_pick_nodes), the
+rule ``pfa`` uses too.  The divided differences in B are evaluated as
+explicit homogeneous power sums, which removes the a -> b cancellation exactly.
 
 The terms decay like (s+1)^-2.  After each term the last five are fitted to
 the powers p0 .. p0+4 of 1/(s+1) (p0 = 2), and the fitted tail is summed
@@ -46,15 +49,17 @@ from ._quadrature import _log_t_nodes, _pick_nodes, tau_rule
 _S_MAX = 200
 _REL_TOL_FLOOR = 1e-11  # w = 1e-4 and 0.01 no longer settle at 3e-12
 
-# Each E1 s-term allocates and frees about 20 (t, tau) arrays, half a MiB at
-# w = 0.1.  glibc hands the top of its heap back to the system once more
+# Each E1 s-term allocates and frees about 26 (t, tau) arrays: a traced
+# peak of 0.93 MB at w = 0.095, where the grid is 92 x 48 and one array
+# 35 kB.  glibc hands the top of its heap back to the system once more
 # than its trim threshold (128 KiB at start) lies free there, so in a
 # process whose heap top is free after a term that memory is faulted back
 # in for the next one: 2300-2700 minor faults, about 5 ms, per row at
 # w = 0.1 in the benchmark's sweep process.  Freeing a block above the mmap
 # threshold raises that threshold to the block's size and the trim
-# threshold to twice it (mallopt(3), M_MMAP_THRESHOLD): 2 and 4 MiB here.
-# Under another allocator this is one short-lived allocation.
+# threshold to twice it (mallopt(3), M_MMAP_THRESHOLD): 2 and 4 MiB here,
+# 4.5 times a term's peak.  Under another allocator this is one
+# short-lived allocation.
 _block = np.empty(1 << 18)
 del _block
 
@@ -107,20 +112,22 @@ class NtlCoefficients:
 
 # Coefficients with a 1/t pole; the kernel returns them times t, which
 # cancels the pole before the integration.
-_TIMES_T = ("script_a", "script_b", "c_v", "d_vv", "d_v", "y2_te", "y2_tm")
+_TIMES_T = ("script_a", "script_b", "script_c_te", "script_c_tm", "script_d_te",
+            "script_d_tm", "c_v", "d_vv", "d_v", "y2_te", "y2_tm")
 
 
 def _ntl_kernel(s, t, tau, ws, wp):
     """Every coefficient of the E1 braces at (s, t, tau), vectorised.
 
-    Returns (coef, cd_terms).  coef maps the NtlCoefficients field names to
-    values, the fields in _TIMES_T multiplied by t.  cd_terms(pol) yields
-    the terms of t (C_pol + D_pol) one at a time, in summation order; the
-    first two make up t C_pol.
+    Returns (coef, pte, ptm): coef maps each NtlCoefficients field name to
+    its value, those in _TIMES_T times t, and pte, ptm are the products
+    [T0 T0t]_pol, so t times the braces is sum_pol [T0 T0t]_pol^{s+1}
+    (A + C_pol + D_pol) + B read off coef.  A PC plane's k1, k2 and a PC
+    sphere's w1, w2 are the scalar 0.0, and a PC sphere's t y2 is
+    1/4 - 5 tau^2/12 (TE) or 1/4 + 7 tau^2/12 (TM), of tau alone.
     """
     sig = s + 1.0
     t2 = tau ** 2
-    zero = np.zeros(np.broadcast(t, tau).shape)
     c = {"t0_te": _t0(t, tau, ws, False), "t0_tm": _t0(t, tau, ws, True),
          "t0t_te": _t0(t, tau, wp, False), "t0t_tm": _t0(t, tau, wp, True)}
     c["script_a"] = ((t * t * t2 / 3.0) * (sig ** 3 + 2 * sig)
@@ -138,7 +145,7 @@ def _ntl_kernel(s, t, tau, ws, wp):
     c["d_j"] = (t / 3.0) * (sig ** 2 - 1.0)
 
     if wp == PERFECT_CONDUCTOR:
-        c.update(k1_te=zero, k2_te=zero, k1_tm=zero, k2_tm=zero)
+        c.update(k1_te=0.0, k2_te=0.0, k1_tm=0.0, k2_tm=0.0)
     else:
         c["k1_te"] = -t * tau / (wp + t)
         c["k2_te"] = -t * (wp + t * (1.0 - 2.0 * t2)) / (2.0 * (wp + t) ** 2)
@@ -146,9 +153,9 @@ def _ntl_kernel(s, t, tau, ws, wp):
         c["k2_tm"] = (t * (1.0 - t2) * (wp * (1.0 - 2.0 * t2) + t * (1.0 - t2))
                       / (2.0 * (wp + t * (1.0 - t2)) ** 2))
     if ws == PERFECT_CONDUCTOR:
-        c.update(w1_te=zero, w2_te=zero, w1_tm=zero, w2_tm=zero)
-        c["y2_te"] = (0.25 - 5.0 * t2 / 12.0) + zero
-        c["y2_tm"] = (0.25 + 7.0 * t2 / 12.0) + zero
+        c.update(w1_te=0.0, w2_te=0.0, w1_tm=0.0, w2_tm=0.0)
+        c["y2_te"] = 0.25 - 5.0 * t2 / 12.0
+        c["y2_tm"] = 0.25 + 7.0 * t2 / 12.0
     else:
         c["w1_te"] = -tau / (ws + t)
         c["w2_te"] = -(t * (1.0 - 3.0 * t2) + ws * (1.0 - t2)) / (2.0 * t * (ws + t) ** 2)
@@ -159,35 +166,26 @@ def _ntl_kernel(s, t, tau, ws, wp):
         c["y2_tm"] = (t * tau * (1.0 - t2) / (2.0 * (ws + t * (1.0 - t2)))
                       + (0.25 + 7.0 * t2 / 12.0))
 
-    def cd_terms(pol):
+    for pol in ("te", "tm"):
         k1, k2, w1, w2 = (c[f"{k}_{pol}"] for k in ("k1", "k2", "w1", "w2"))
-        yield c["c_v"] * k1
-        yield t * c["c_j"] * w1
-        yield c["d_vv"] * k1 ** 2
-        yield t * c["d_vj"] * k1 * w1
-        yield t * c["d_jj"] * w1 ** 2
-        yield c["d_v"] * k2
-        yield t * c["d_j"] * w2
-        yield sig * c[f"y2_{pol}"]
+        c[f"script_c_{pol}"] = c["c_v"] * k1 + t * c["c_j"] * w1
+        c[f"script_d_{pol}"] = (c["d_vv"] * k1 ** 2 + t * c["d_vj"] * k1 * w1
+                                + t * c["d_jj"] * w1 ** 2 + c["d_v"] * k2 + t * c["d_j"] * w2
+                                + sig * c[f"y2_{pol}"])
 
     pte, ptm = c["t0_te"] * c["t0t_te"], c["t0_tm"] * c["t0t_tm"]
     ps1, ps2 = _hom_power_sums(pte, ptm, s)
     mix = c["t0_te"] * c["t0t_tm"] + c["t0_tm"] * c["t0t_te"]
     c["script_b"] = (1.0 - t2) / (2.0 * t2) * (mix * ps1 + 2.0 * pte * ptm * ps2)
-    return c, cd_terms
+    return c, pte, ptm
 
 
 def ntl_coefficients(s: int, t: float, tau: float, varpi_s, varpi_p) -> NtlCoefficients:
     """Scalar view of the coefficient set at (s, t, tau, w_s, w_p)."""
     if s < 0 or not (t > 0.0) or not (0.0 < tau < 1.0):
         raise ValueError("need s >= 0, t > 0 and tau in (0, 1)")
-    coef, cd_terms = _ntl_kernel(s, t, tau, varpi_s, varpi_p)
-    view = {k: float(v / t if k in _TIMES_T else v) for k, v in coef.items()}
-    for pol in ("te", "tm"):
-        terms = list(cd_terms(pol))
-        view[f"script_c_{pol}"] = float(sum(terms[:2]) / t)
-        view[f"script_d_{pol}"] = float(sum(terms[2:]) / t)
-    return NtlCoefficients(**view)
+    coef = _ntl_kernel(s, t, tau, varpi_s, varpi_p)[0]
+    return NtlCoefficients(**{k: float(v / t if k in _TIMES_T else v) for k, v in coef.items()})
 
 
 def ntl_integrand(s: int, t, tau, varpi_s, varpi_p):
@@ -195,18 +193,17 @@ def ntl_integrand(s: int, t, tau, varpi_s, varpi_p):
     t = np.asarray(t, dtype=float)
     tau = np.asarray(tau, dtype=float)
     scalar = t.ndim == 0 and tau.ndim == 0
-    val = np.exp(-2.0 * np.atleast_1d(t) * (s + 1)) \
-        * _braces_times_t(s, np.atleast_1d(t), np.atleast_1d(tau), varpi_s, varpi_p) \
-        / np.atleast_1d(t)
+    t, tau = np.atleast_1d(t, tau)
+    val = np.exp(-2.0 * t * (s + 1)) * _braces_times_t(s, t, tau, varpi_s, varpi_p) / t
     return float(val[0]) if scalar else val
 
 
 def _braces_times_t(s, t, tau, ws, wp):
     """t * braces of the E1 integrand, vectorized, 1/t poles cancelled."""
-    c, cd_terms = _ntl_kernel(s, t, tau, ws, wp)
-    pte, ptm = c["t0_te"] * c["t0t_te"], c["t0_tm"] * c["t0t_tm"]
-    return (pte ** (s + 1) * (c["script_a"] + sum(cd_terms("te")))
-            + ptm ** (s + 1) * (c["script_a"] + sum(cd_terms("tm"))) + c["script_b"])
+    c, pte, ptm = _ntl_kernel(s, t, tau, ws, wp)
+    a = c["script_a"]
+    return (pte ** (s + 1) * (a + c["script_c_te"] + c["script_d_te"])
+            + ptm ** (s + 1) * (a + c["script_c_tm"] + c["script_d_tm"]) + c["script_b"])
 
 
 _FIT_TERMS = 5

@@ -14,7 +14,7 @@ import concurrent.futures
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -364,7 +364,6 @@ def main(argv=None) -> int:
         if args.command == "point":
             if len(config.radii) > 1 or len(config.gaps) > 1:
                 raise UsageError("point takes one radius and one gap; use sweep for ranges")
-            config = replace(config, threads=1)
         return run_sweep(config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -188,16 +188,16 @@ def _mode_sums(kappa, sphere, plane, l_max, m_max, theta_rule, rel_tol):
     of 30 alternating rounds: 0.309 s held, 0.317 s dropped).  The numpy peak
     of one PC d/R = 0.02 point (tracemalloc, H of 555 kB per node, 7 nodes
     per chunk) is 13.3 MB, 3.3 times the budget.  Measured on a 2-core Xeon
-    (AVX-512) with one BLAS thread, medians of 5 rounds that spread by about
-    10%: a pass over PC d/R = 0.1 and 0.05 (H of 90 and 166 kB per node)
-    took 0.42 s at 1 MiB, 0.39 s at 2 MiB, 0.37 s at 4 MiB and 0.38 s at
-    8 MiB, with a peak RSS of 37.6, 41.1, 44.0 and 44.0 MB.  PC d/R = 0.02
-    took 1.9-2.1 s at 1 MiB, 1.4-1.7 s at 2 MiB, 1.6-1.7 s at 4 MiB and
-    8 MiB, and peaked at 37.6, 38.4, 46.6 and 66.2 MB; PC d/R = 0.01 (1.4 MB
-    per node: 1, 2 and 5 nodes per chunk) took 10.0, 10.1 and 10.7 s at 2, 4
-    and 8 MiB and peaked at 45.0, 45.1 and 58.8 MB.  4 MiB stays because no
-    size is faster on the d/R = 0.1 and 0.05 pass; 2 MiB is faster and
-    smaller at d/R = 0.02 only.
+    (AVX-512) with one BLAS thread, each size in its own process, medians of
+    5 interleaved rounds that spread by up to 25%: a pass over PC d/R = 0.1
+    and 0.05 (H of 90 and 166 kB per node) took 0.27 s at 1 MiB, 0.26 s at
+    2 MiB, 0.24 s at 4 MiB and 0.26 s at 8 MiB, with a peak RSS of 37.2,
+    40.6, 43.5 and 43.4 MB.  PC d/R = 0.02 took 1.34, 1.13, 1.14 and 1.16 s
+    and peaked at 37.4, 38.1, 46.5 and 61.8 MB; PC d/R = 0.01 (1.4 MB per
+    node: 1, 2 and 5 nodes per chunk) took 8.2, 7.6 and 7.6 s at 2, 4 and
+    8 MiB and peaked at 44.9, 44.8 and 57.3 MB.  4 MiB stays because no
+    size is faster on the d/R = 0.1 and 0.05 pass; 2 MiB is as fast and
+    8 MB smaller at d/R = 0.02 only.
     """
     rule = rapidity_rule(*theta_rule)
     per_node = 8 * (2 * l_max) * (2 * rule[0].size)

@@ -94,11 +94,17 @@ def _ntl_oracle(s, t, tau, ws, wp):
 
 def test_sympy_transcription_oracle():
     # independent re-derivation of every coefficient and of the braces; the
-    # points cover s = 0 and s = 2, unequal finite sheets and PC sides
+    # points cover s = 0 .. 12, unequal finite sheets, the benchmark's w
+    # (0.095, 0.85, 8.6 and 57.8) and PC sides
     points = [(0, 1, 0.5, 1, 1), (2, 0.75, 0.4, 3, 0.5), (0, 2.5, 0.25, 0.125, 4),
-              (2, 1.25, 0.625, PC, 1.5), (2, 0.5, 0.75, 0.25, PC), (3, 0.8, 0.4, PC, PC)]
+              (2, 1.25, 0.625, PC, 1.5), (2, 0.5, 0.75, 0.25, PC), (3, 0.8, 0.4, PC, PC),
+              (12, 0.3, 0.55, 0.095, 0.095), (7, 1.5, 0.2, 0.85, 8.6),
+              (12, 4.0, 0.9, 57.8, 0.85), (5, 0.05, 0.35, 8.6, 57.8),
+              (12, 0.6, 0.45, PC, 0.095), (9, 2.0, 0.15, 57.8, PC)]
     fields = [f.name for f in dataclasses.fields(NtlCoefficients)]
     for s, t, tau, ws, wp in points:
+        # the table the integrand sums is the scalar view, field for field
+        assert sorted(asy._ntl_kernel(s, t, tau, ws, wp)[0]) == sorted(fields)
         want = _ntl_oracle(s, t, tau, ws, wp)
         got = ntl_coefficients(s, t, tau, ws, wp)
         for name in fields:
@@ -306,11 +312,15 @@ def test_theta_transparent_raises():
 
 
 def test_ntl_integrand_array_and_scalar():
-    t = np.array([0.5, 1.0, 2.0])
-    tau = np.array([0.3, 0.3, 0.3])
-    arr = ntl_integrand(1, t, tau, 1.0, 2.0)
-    assert arr.shape == (3,)
-    assert arr[1] == pytest.approx(ntl_integrand(1, 1.0, 0.3, 1.0, 2.0), rel=1e-14)
+    # a (t, tau) grid, as the s-terms use it, with finite and PC sides
+    t = np.array([0.05, 0.5, 1.0, 2.0, 6.0])[:, None]
+    tau = np.array([0.1, 0.3, 0.7, 0.95])[None, :]
+    for ws, wp in ((1.0, 2.0), (PC, 0.85), (8.6, PC), (PC, PC)):
+        arr = ntl_integrand(4, t, tau, ws, wp)
+        assert arr.shape == (5, 4)
+        for (i, j), value in np.ndenumerate(arr):
+            want = ntl_integrand(4, t[i, 0], tau[0, j], ws, wp)
+            assert value == pytest.approx(want, rel=1e-14), (ws, wp, i, j)
 
 
 def test_ntl_coefficients_domain():

@@ -403,6 +403,15 @@ def test_threads_never_start_more_workers_than_rows(tmp_path, monkeypatch, capsy
     assert workers == [2]
     assert len(_rows(out)) == 2
 
+    # point honours --threads too: --method all is three rows, in task order
+    point = ["point", "--method", "all", "--radius", "1e-5", "--gap", "5e-6"]
+    workers.clear()
+    assert main([*point, "--threads", "8", "--out", str(tmp_path / "p8.csv")]) == 0
+    assert workers == [3]
+    assert main([*point, "--threads", "1", "--out", str(tmp_path / "p1.csv")]) == 0
+    assert workers == [3]
+    assert (tmp_path / "p8.csv").read_bytes() == (tmp_path / "p1.csv").read_bytes()
+
 
 def test_run_sweep_looks_up_compute_row_per_call(tmp_path, monkeypatch, capsys):
     # the benchmark times each asympt-sweep row by swapping cli._compute_row
