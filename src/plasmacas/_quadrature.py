@@ -89,8 +89,9 @@ def _pick_nodes(f, what):
                         error_estimate=diff / abs(v))
 
 
-def _log_t_nodes(sig, w_min):
-    """Trapezoid nodes on t = e^v covering both the pole scale and the decay.
+def _log_t_nodes(sig, w_min, step_scale=1.0):
+    """Trapezoid nodes on t = e^v covering both the pole scale and the decay,
+    at a step of at most step_scale times _LOG_TRAP_H.
 
     For integrands with the factor exp(-2 sig t) and reflection poles at
     t ~ -w_min (w_min = inf for perfect conductors).  The poles sit on the
@@ -107,7 +108,7 @@ def _log_t_nodes(sig, w_min):
     """
     lo = math.log(min(w_min, 1.0 / sig)) - 20.0
     hi = math.log(25.0 / sig)
-    n = int((hi - lo) / _LOG_TRAP_H) + 1
+    n = int((hi - lo) / (step_scale * _LOG_TRAP_H)) + 1
     v = lo + (hi - lo) * np.arange(n) / (n - 1)
     t = np.exp(v)
     h = (hi - lo) / (n - 1)

@@ -10,15 +10,26 @@ E1 is a sum over s; its s-th term, in the variables (t, tau), is
     E1_s ~ int dt t int dtau (tau measure) e^{-2t(s+1)}
                { sum_pol [T0 T0t]_pol^{s+1} (A + C_pol + D_pol) + B }
 
-A, B, C_pol and D_pol are entries of one coefficient table (_ntl_kernel),
+A, B, C_pol and D_pol are entries of one coefficient table (_ntl_table),
 which the scalar view ``ntl_coefficients`` reads too.  A perfect-conductor
 (PC) side enters as its w -> oo limit: T0 = 1, and k1 = k2 = 0 (plane) or
 w1 = w2 = 0 and a t y2 of tau alone (sphere).  All 1/t poles are cancelled
-analytically by folding one power of t into the integrand.  Every term,
-for every pair of sheets, is then one trapezoid on ln t (_log_t_nodes)
-times one Gauss rule in tau sized by a doubling probe (_pick_nodes), the
-rule ``pfa`` uses too.  The divided differences in B are evaluated as
-explicit homogeneous power sums, which removes the a -> b cancellation exactly.
+analytically by folding one power of t into the integrand.  Only powers of
+sig = s + 1 and [T0 T0t]^{s+1} depend on s: A + C_pol + D_pol is a
+polynomial in sig and 1/sig, and B's divided differences are homogeneous
+power sums, free of the a -> b cancellation and carried from one s to the
+next.  So a row builds the table once per probed tau rule (_e1_braces).
+
+Every term of a row lies on one grid: a trapezoid on ln t (_log_t_nodes)
+over the s = 0 window [ln min(w, 1) - 20, ln 25], times a Gauss rule in
+tau sized by a doubling probe on the s = 0 term (_pick_nodes), the rule
+``pfa`` uses too.  Above ln(25/sig) the factor e^{-2 sig t} is below
+e^{-50}; below the first node t0 the first weight's geometric continuation
+to t = 0 still holds, as t0 sig <= 201 e^{-20}.  The step is _E1_STEP =
+0.8 times _LOG_TRAP_H.  At _LOG_TRAP_H a grid that does not scale with sig
+aliases: the PC terms miss (1/(6 sig^2) - 2/3)/sig^2 by up to 7.5e-13, with
+a sign that flips from one s to the next, the tail fit amplifies that, and
+PC-PC takes 21 terms.  At 0.8 they are within 4e-15 for s <= 30.
 
 The terms decay like (s+1)^-2.  After each term the last five are fitted to
 the powers p0 .. p0+4 of 1/(s+1) (p0 = 2), and the fitted tail is summed
@@ -37,6 +48,7 @@ rejected up front with a ValueError.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,33 +60,30 @@ from ._quadrature import _log_t_nodes, _pick_nodes, tau_rule
 
 _S_MAX = 200
 _REL_TOL_FLOOR = 1e-11  # w = 1e-4 and 0.01 no longer settle at 3e-12
+_E1_STEP = 0.8  # the E1 grid's log-t step, in units of _LOG_TRAP_H
 
-# Each E1 s-term allocates and frees about 26 (t, tau) arrays: a traced
-# peak of 0.93 MB at w = 0.095, where the grid is 92 x 48 and one array
-# 35 kB.  glibc hands the top of its heap back to the system once more
-# than its trim threshold (128 KiB at start) lies free there, so in a
-# process whose heap top is free after a term that memory is faulted back
-# in for the next one: 2300-2700 minor faults, about 5 ms, per row at
-# w = 0.1 in the benchmark's sweep process.  Freeing a block above the mmap
-# threshold raises that threshold to the block's size and the trim
-# threshold to twice it (mallopt(3), M_MMAP_THRESHOLD): 2 and 4 MiB here,
-# 4.5 times a term's peak.  Under another allocator this is one
-# short-lived allocation.
+# A row builds an E1 table per probed tau rule and a few (t, tau) arrays per
+# s-term: a traced peak of 1.6 MB at w = 0.095, on a 115 x 48 grid.  glibc
+# hands its heap top back to the system once more than its trim threshold
+# (128 KiB at start) lies free there, to be faulted in again by the next
+# table, term or exact-path m: about 2100 minor faults per benchmark pass
+# of asympt-sweep and 9300-10800 of exact-wide without this block, near 0
+# with it.  Freeing a block above the mmap threshold raises that threshold
+# to its size and the trim threshold to twice it (mallopt(3)): 2 and 4 MiB
+# here.  Under another allocator this is one short-lived allocation.
 _block = np.empty(1 << 18)
 del _block
 
 
-def _hom_power_sums(a, b, n: int):
-    """(h_n, h_{n-1}) for h_n = sum_{k=0}^{n} a^k b^{n-k} and n >= 0; h_{-1} = 0.
-
-    The Horner loop for h_n passes through h_{n-1} one step before the end.
-    """
-    acc = np.zeros(np.broadcast(a, b).shape)
-    prev, ap = acc, np.ones_like(acc)
-    for _ in range(n + 1):
-        prev, acc = acc, acc * b + ap
-        ap = ap * a
-    return acc, prev
+def _running_products(pte, ptm, s=0):
+    """Yield (pte^{k+1}, ptm^{k+1}, h_k, h_{k-1}) for k = s, s + 1, ..., where
+    h_k = sum_{j=0}^{k} pte^j ptm^{k-j} = ptm h_{k-1} + pte^k, h_{-1} = 0."""
+    pe, pm, h, h_prev, k = pte, ptm, 1.0, 0.0, 0
+    while True:
+        if k >= s:
+            yield pe, pm, h, h_prev
+        h_prev, h = h, ptm * h + pe
+        pe, pm, k = pe * pte, pm * ptm, k + 1
 
 
 @dataclass(frozen=True)
@@ -110,100 +119,127 @@ class NtlCoefficients:
     y2_tm: float
 
 
-# Coefficients with a 1/t pole; the kernel returns them times t, which
+# Coefficients with a 1/t pole; the table holds them times t, which
 # cancels the pole before the integration.
 _TIMES_T = ("script_a", "script_b", "script_c_te", "script_c_tm", "script_d_te",
             "script_d_tm", "c_v", "d_vv", "d_v", "y2_te", "y2_tm")
 
 
-def _ntl_kernel(s, t, tau, ws, wp):
-    """Every coefficient of the E1 braces at (s, t, tau), vectorised.
+def _horner(p, sig):
+    """The sig polynomial p, its coefficients of (sig^3, sig^2, sig, 1, 1/sig)."""
+    return ((p[0] * sig + p[1]) * sig + p[2]) * sig + p[3] + p[4] / sig
 
-    Returns (coef, pte, ptm): coef maps each NtlCoefficients field name to
-    its value, those in _TIMES_T times t, and pte, ptm are the products
-    [T0 T0t]_pol, so t times the braces is sum_pol [T0 T0t]_pol^{s+1}
-    (A + C_pol + D_pol) + B read off coef.  A PC plane's k1, k2 and a PC
-    sphere's w1, w2 are the scalar 0.0, and a PC sphere's t y2 is
-    1/4 - 5 tau^2/12 (TE) or 1/4 + 7 tau^2/12 (TM), of tau alone.
-    """
-    sig = s + 1.0
+
+def _lin(*pairs):
+    """sum_k x_k P_k over (sig polynomial P_k, factor x_k) pairs; scalar zeros are skipped."""
+    return tuple(sum(p[i] * x for p, x in pairs if (np.ndim(p[i]) or p[i]) and (np.ndim(x) or x))
+                 for i in range(5))
+
+
+def _pol_entries(c, t, tau, ws, wp, pol):
+    """Add one polarisation's k1, k2 (plane) and w1, w2, t y2 (sphere) to c;
+    return the pairs whose _lin is C_pol (the first two) and D_pol (the rest).
+    PC sides: k1, k2 or w1, w2 the scalar 0.0, t y2 of tau alone."""
+    t2 = tau ** 2
+    k1 = k2 = w1 = w2 = 0.0
+    y2 = 0.25 + 7.0 * t2 / 12.0 if pol == "tm" else 0.25 - 5.0 * t2 / 12.0
+    if wp != PERFECT_CONDUCTOR and pol == "te":
+        k1 = -t * tau / (wp + t)
+        k2 = -t * (wp + t * (1.0 - 2.0 * t2)) / (2.0 * (wp + t) ** 2)
+    elif wp != PERFECT_CONDUCTOR:
+        k1 = t * (1.0 - t2) / (wp + t * (1.0 - t2))
+        k2 = (t * (1.0 - t2) * (wp * (1.0 - 2.0 * t2) + t * (1.0 - t2))
+              / (2.0 * (wp + t * (1.0 - t2)) ** 2))
+    if ws != PERFECT_CONDUCTOR and pol == "te":
+        w1 = -tau / (ws + t)
+        w2 = -(t * (1.0 - 3.0 * t2) + ws * (1.0 - t2)) / (2.0 * t * (ws + t) ** 2)
+    elif ws != PERFECT_CONDUCTOR:
+        w1 = tau * (1.0 - t2) / (ws + t * (1.0 - t2))
+        w2 = ((1.0 - t2) * (t * (1.0 - t2) ** 2 + ws * (1.0 - 3.0 * t2))
+              / (2.0 * t * (ws + t * (1.0 - t2)) ** 2))
+    y2 = y2 + 0.5 * t * w1 if ws != PERFECT_CONDUCTOR else y2
+    c.update({f"k1_{pol}": k1, f"k2_{pol}": k2, f"w1_{pol}": w1, f"w2_{pol}": w2, f"y2_{pol}": y2})
+    tw1 = t * w1
+    return [(c["c_v"], k1), (c["c_j"], tw1), (c["d_vv"], k1 * k1), (c["d_vj"], tw1 * k1),
+            (c["d_jj"], tw1 * w1), (c["d_v"], k2), (c["d_j"], t * w2),
+            ((0.0, 0.0, 1.0, 0.0, 0.0), y2)]
+
+
+def _ntl_table(t, tau, ws, wp, pols=("te", "tm")):
+    """Every coefficient of the E1 braces on a (t, tau) grid, for every s:
+    NtlCoefficients field name -> value, those in _TIMES_T times t, the
+    polarisation entries of pols only.  An entry that depends on s is a sig
+    polynomial (_horner); script_b is the pair (b1, b2) of B = b1 h_s +
+    b2 h_{s-1} (h from _running_products)."""
     t2 = tau ** 2
     c = {"t0_te": _t0(t, tau, ws, False), "t0_tm": _t0(t, tau, ws, True),
          "t0t_te": _t0(t, tau, wp, False), "t0t_tm": _t0(t, tau, wp, True)}
-    c["script_a"] = ((t * t * t2 / 3.0) * (sig ** 3 + 2 * sig)
-                     + t * ((t2 - 2.0) * sig ** 2 - 3.0 * tau * sig + 2.0 * t2 - 1.0) / 3.0
-                     + (t2 ** 2 + t2 - 12.0) / (12.0 * t2) * sig
-                     + (1.0 + tau) * (1.0 - t2) / (2.0 * t2)
-                     - (1.0 - t2) / 3.0 / sig)
-    c["c_v"] = (-(tau / 3.0) * (sig ** 3 + 2 * sig) * t + (1.0 - t2) / (6.0 * tau) * sig ** 2
-                + 0.5 * sig + (1.0 - 4.0 * t2) / (12.0 * tau))
-    c["c_j"] = -(t * tau / 3.0) * (sig ** 3 - sig) + (sig ** 2 - 1.0) / (6.0 * tau)
-    c["d_vv"] = (sig ** 3 - 2 * sig ** 2 + 2 * sig - 1.0) / 12.0
-    c["d_jj"] = (t / 12.0) * (sig ** 3 - 2 * sig ** 2 - sig + 2.0)
-    c["d_vj"] = (sig ** 3 - sig) / 6.0
-    c["d_v"] = (2 * sig ** 2 + 1.0) / 6.0
-    c["d_j"] = (t / 3.0) * (sig ** 2 - 1.0)
+    a3, cv3, g = t * t * t2 / 3.0, -(tau / 3.0) * t, 1.0 / (6.0 * tau)
+    c["script_a"] = (a3, t * (t2 - 2.0) / 3.0,
+                     2.0 * a3 - t * tau + (t2 ** 2 + t2 - 12.0) / (12.0 * t2),
+                     t * (2.0 * t2 - 1.0) / 3.0 + (1.0 + tau) * (1.0 - t2) / (2.0 * t2),
+                     -(1.0 - t2) / 3.0)
+    c["c_v"] = (cv3, (1.0 - t2) * g, 2.0 * cv3 + 0.5, (0.5 - 2.0 * t2) * g, 0.0)
+    c["c_j"] = (cv3, g, -cv3, -g, 0.0)
+    c["d_vv"] = (1.0 / 12.0, -1.0 / 6.0, 1.0 / 6.0, -1.0 / 12.0, 0.0)
+    c["d_jj"] = (t / 12.0, -t / 6.0, -t / 12.0, t / 6.0, 0.0)
+    c["d_vj"] = (1.0 / 6.0, 0.0, -1.0 / 6.0, 0.0, 0.0)
+    c["d_v"] = (0.0, 1.0 / 3.0, 0.0, 1.0 / 6.0, 0.0)
+    c["d_j"] = (0.0, t / 3.0, 0.0, -t / 3.0, 0.0)
+    b = (1.0 - t2) / (2.0 * t2)
+    c["script_b"] = (b * (c["t0_te"] * c["t0t_tm"] + c["t0_tm"] * c["t0t_te"]),
+                     2.0 * b * (c["t0_te"] * c["t0t_te"]) * (c["t0_tm"] * c["t0t_tm"]))
+    for pol in pols:
+        pairs = _pol_entries(c, t, tau, ws, wp, pol)
+        c[f"script_c_{pol}"], c[f"script_d_{pol}"] = _lin(*pairs[:2]), _lin(*pairs[2:])
+    return c
 
-    if wp == PERFECT_CONDUCTOR:
-        c.update(k1_te=0.0, k2_te=0.0, k1_tm=0.0, k2_tm=0.0)
-    else:
-        c["k1_te"] = -t * tau / (wp + t)
-        c["k2_te"] = -t * (wp + t * (1.0 - 2.0 * t2)) / (2.0 * (wp + t) ** 2)
-        c["k1_tm"] = t * (1.0 - t2) / (wp + t * (1.0 - t2))
-        c["k2_tm"] = (t * (1.0 - t2) * (wp * (1.0 - 2.0 * t2) + t * (1.0 - t2))
-                      / (2.0 * (wp + t * (1.0 - t2)) ** 2))
-    if ws == PERFECT_CONDUCTOR:
-        c.update(w1_te=0.0, w2_te=0.0, w1_tm=0.0, w2_tm=0.0)
-        c["y2_te"] = 0.25 - 5.0 * t2 / 12.0
-        c["y2_tm"] = 0.25 + 7.0 * t2 / 12.0
-    else:
-        c["w1_te"] = -tau / (ws + t)
-        c["w2_te"] = -(t * (1.0 - 3.0 * t2) + ws * (1.0 - t2)) / (2.0 * t * (ws + t) ** 2)
-        c["w1_tm"] = tau * (1.0 - t2) / (ws + t * (1.0 - t2))
-        c["w2_tm"] = ((1.0 - t2) * (t * (1.0 - t2) ** 2 + ws * (1.0 - 3.0 * t2))
-                      / (2.0 * t * (ws + t * (1.0 - t2)) ** 2))
-        c["y2_te"] = -t * tau / (2.0 * (ws + t)) + (0.25 - 5.0 * t2 / 12.0)
-        c["y2_tm"] = (t * tau * (1.0 - t2) / (2.0 * (ws + t * (1.0 - t2)))
-                      + (0.25 + 7.0 * t2 / 12.0))
 
-    for pol in ("te", "tm"):
-        k1, k2, w1, w2 = (c[f"{k}_{pol}"] for k in ("k1", "k2", "w1", "w2"))
-        c[f"script_c_{pol}"] = c["c_v"] * k1 + t * c["c_j"] * w1
-        c[f"script_d_{pol}"] = (c["d_vv"] * k1 ** 2 + t * c["d_vj"] * k1 * w1
-                                + t * c["d_jj"] * w1 ** 2 + c["d_v"] * k2 + t * c["d_j"] * w2
-                                + sig * c[f"y2_{pol}"])
-
-    pte, ptm = c["t0_te"] * c["t0t_te"], c["t0_tm"] * c["t0t_tm"]
-    ps1, ps2 = _hom_power_sums(pte, ptm, s)
-    mix = c["t0_te"] * c["t0t_tm"] + c["t0_tm"] * c["t0t_te"]
-    c["script_b"] = (1.0 - t2) / (2.0 * t2) * (mix * ps1 + 2.0 * pte * ptm * ps2)
-    return c, pte, ptm
+def _check_s(s) -> int:
+    """s as an int; ValueError unless it is one >= 0, where the sig polynomials hold."""
+    if not hasattr(s, "__index__") or operator.index(s) < 0:
+        raise ValueError(f"s must be an integer >= 0, got {s!r}")
+    return operator.index(s)
 
 
 def ntl_coefficients(s: int, t: float, tau: float, varpi_s, varpi_p) -> NtlCoefficients:
     """Scalar view of the coefficient set at (s, t, tau, w_s, w_p)."""
-    if s < 0 or not (t > 0.0) or not (0.0 < tau < 1.0):
-        raise ValueError("need s >= 0, t > 0 and tau in (0, 1)")
-    coef = _ntl_kernel(s, t, tau, varpi_s, varpi_p)[0]
-    return NtlCoefficients(**{k: float(v / t if k in _TIMES_T else v) for k, v in coef.items()})
+    s = _check_s(s)
+    if not (t > 0.0) or not (0.0 < tau < 1.0):
+        raise ValueError("need t > 0 and tau in (0, 1)")
+    c = _ntl_table(t, tau, varpi_s, varpi_p)
+    pte, ptm = c["t0_te"] * c["t0t_te"], c["t0_tm"] * c["t0t_tm"]
+    _, _, h, h_prev = next(_running_products(pte, ptm, s))
+    c["script_b"] = c["script_b"][0] * h + c["script_b"][1] * h_prev
+    return NtlCoefficients(**{k: float((_horner(v, s + 1.0) if isinstance(v, tuple) else v)
+                                       / (t if k in _TIMES_T else 1.0)) for k, v in c.items()})
 
 
 def ntl_integrand(s: int, t, tau, varpi_s, varpi_p):
     """e^{-2t(s+1)} { sum_pol [T0 T0t]^{s+1} (A + C + D) + B }; scalar or arrays."""
-    t = np.asarray(t, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    scalar = t.ndim == 0 and tau.ndim == 0
-    t, tau = np.atleast_1d(t, tau)
+    s, scalar = _check_s(s), np.ndim(t) == 0 and np.ndim(tau) == 0
+    t, tau = np.atleast_1d(np.asarray(t, dtype=float), np.asarray(tau, dtype=float))
     val = np.exp(-2.0 * t * (s + 1)) * _braces_times_t(s, t, tau, varpi_s, varpi_p) / t
     return float(val[0]) if scalar else val
 
 
+def _e1_braces(t, tau, ws, wp, s=0):
+    """Yield t times the E1 braces at s, s + 1, ... on one (t, tau) grid: the
+    table holds A + C_pol + D_pol as one sig polynomial per polarisation
+    (each built on a copy of c, whose entries go before the next), and each
+    s costs a Horner evaluation per polarisation and one running step."""
+    c = _ntl_table(t, tau, ws, wp, pols=())
+    acd_te, acd_tm = (_lin((c["script_a"], 1.0), *_pol_entries(dict(c), t, tau, ws, wp, pol))
+                      for pol in ("te", "tm"))
+    (b1, b2), pte, ptm = c["script_b"], c["t0_te"] * c["t0t_te"], c["t0_tm"] * c["t0t_tm"]
+    del c
+    for sig, (pe, pm, h, h_prev) in enumerate(_running_products(pte, ptm, s), s + 1):
+        yield pe * _horner(acd_te, sig) + pm * _horner(acd_tm, sig) + b1 * h + b2 * h_prev
+
+
 def _braces_times_t(s, t, tau, ws, wp):
-    """t * braces of the E1 integrand, vectorized, 1/t poles cancelled."""
-    c, pte, ptm = _ntl_kernel(s, t, tau, ws, wp)
-    a = c["script_a"]
-    return (pte ** (s + 1) * (a + c["script_c_te"] + c["script_d_te"])
-            + ptm ** (s + 1) * (a + c["script_c_tm"] + c["script_d_tm"]) + c["script_b"])
+    """t * braces of the E1 integrand at one s, vectorized, 1/t poles cancelled."""
+    return next(_e1_braces(t, tau, ws, wp, s))
 
 
 _FIT_TERMS = 5
@@ -274,20 +310,23 @@ def _tail_corrected_sum(term, p0, rel_tol, what, floor=0.0):
                         f"{diff:.1e}, tail {tail:.1e}, sum {est:.6e}", error_estimate=diff)
 
 
-def _series_term_factory(varpi_s, varpi_p, g_func, what):
-    """Per-s integral of (measure) e^{-2t(s+1)} g_func(s, t, tau, w_s, w_p):
-    the log-t trapezoid times a tau rule sized once by _pick_nodes on the
-    s = 0 term, which has the sharpest tau feature."""
+def _e1_terms(varpi_s, varpi_p):
+    """term(s) of the E1 series, called for s = 0, 1, 2, ... in turn, all on
+    one (t, tau) grid (module docstring): each tau rule _pick_nodes probes
+    builds one table (_e1_braces), and the accepted rule's runs on."""
+    t, wt = _log_t_nodes(1.0, min(varpi_s, varpi_p), _E1_STEP)
+    runs = {}
 
-    def term_at(s, n):
-        sig = s + 1.0
-        t, wt = _log_t_nodes(sig, min(varpi_s, varpi_p))
+    def first(n):
+        runs.pop(n // 4, None)  # the probe compares each rule with the one before only
         tau, wtau = tau_rule(n)
-        g = g_func(s, t[:, None], tau[None, :], varpi_s, varpi_p)
-        return float((wt * np.exp(-2.0 * sig * t)) @ g @ wtau) / sig ** 2
+        runs[n] = (float((wt * np.exp(-2.0 * sig * t)) @ g @ wtau) / sig ** 2 for sig, g
+                   in enumerate(_e1_braces(t[:, None], tau[None, :], varpi_s, varpi_p), 1))
+        return next(runs[n])
 
-    n, first = _pick_nodes(lambda n: term_at(0, n), what)
-    return lambda s: first if s == 0 else term_at(s, n)
+    n, value = _pick_nodes(first, "E1")
+    rest = runs[n]
+    return lambda s: value if s == 0 else next(rest)
 
 
 def _transparent(varpi_s, varpi_p, rel_tol, **lengths) -> bool:
@@ -312,7 +351,7 @@ def small_gap_expansion(radius_R: float, gap_d: float, varpi_s, varpi_p,
         return 0.0, 0.0, None
     pref0 = _pfa_prefactor(radius_R, gap_d)  # in range, so is E1's -1/(4 pi d)
     q0 = _polylog_integral(varpi_s, varpi_p, 2)
-    term = _series_term_factory(varpi_s, varpi_p, _braces_times_t, "E1")
+    term = _e1_terms(varpi_s, varpi_p)
     q1, _ = _tail_corrected_sum(term, 2, rel_tol, "E1", abs(q0))
     return pref0 * q0, -1.0 / (4.0 * math.pi * gap_d) * q1, q1 / q0
 

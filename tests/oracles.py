@@ -19,15 +19,23 @@ its own way:
   plain three-term recurrence; the blocks use the normalised log ladders
   of ``specfun.legendre_pbar_log`` instead;
 * :func:`script_b_divided_difference` is the coefficient B of the E1 braces
-  in its divided-difference form; the production kernel uses the
+  in its divided-difference form; the production table uses the
   homogeneous power-sum form, which has no a -> b cancellation;
+* :func:`hom_power_sums` forms those power sums at one s by a Horner loop
+  over s; the production series carries them from one s to the next by
+  the recurrence of ``asymptotics._running_products``;
 * :func:`e0_s_series` is the leading small-gap term E0 as a sum over s
   with a fitted tail, each term on the production (t, tau) rule; the
   library takes E0 from the PFA integral, ``pfa._polylog_integral``, which
   integrates the closed-form Li2 instead;
+* :func:`series_term_factory` integrates each small-gap s-term on a log-t
+  grid scaled to that s, through ``asymptotics._braces_times_t`` at that s;
+  the production series puts every term of a row on the grid of the
+  s = 0 term, at a finer step, and builds the E1 table once;
 * :func:`full_sum_theta` sums both small-gap s-series over every s up to
-  ``asymptotics._S_MAX`` with a three-term tail fit; the production sum
-  stops as soon as its five-term tail-corrected total settles;
+  ``asymptotics._S_MAX`` with a three-term tail fit, each term from
+  :func:`series_term_factory`; the production sum stops as soon as its
+  five-term tail-corrected total settles;
 * :func:`laguerre_theta` integrates each small-gap s-term in t by
   Gauss-Laguerre on x = 2 t (s+1); the production terms use a trapezoid on
   ln t.
@@ -40,15 +48,15 @@ import math
 import numpy as np
 from scipy.special import zeta
 
-from plasmacas.asymptotics import (_S_MAX, _braces_times_t, _series_term_factory,
-                                   _tail_corrected_sum)
+from plasmacas.asymptotics import _S_MAX, _braces_times_t, _tail_corrected_sum
 from plasmacas.energy_exact import _theta_rule
 from plasmacas.errors import NumericsError
 from plasmacas.pfa import _t0
 from plasmacas.roundtrip import KappaTable, _angular_logs, assemble_block
 from plasmacas.scattering import Polarization, plane_r, sphere_t_logs
 from plasmacas.specfun import legendre_pbar_log
-from plasmacas._quadrature import gauss_laguerre, rapidity_rule, tau_rule
+from plasmacas._quadrature import (_log_t_nodes, _pick_nodes, gauss_laguerre, rapidity_rule,
+                                   tau_rule)
 
 
 def block_at(m, kappa, sphere, plane, l_max, rule=None):
@@ -250,6 +258,36 @@ def script_b_divided_difference(s, t, tau, varpi_s, varpi_p):
     return (1.0 - tau ** 2) / (2.0 * t * tau ** 2) * (mix * dd1 + 2.0 * te * tm * dd2)
 
 
+def hom_power_sums(a, b, n: int):
+    """(h_n, h_{n-1}) for h_n = sum_{k=0}^{n} a^k b^{n-k} and n >= 0; h_{-1} = 0.
+
+    The Horner loop for h_n passes through h_{n-1} one step before the end.
+    """
+    acc = np.zeros(np.broadcast(a, b).shape)
+    prev, ap = acc, np.ones_like(acc)
+    for _ in range(n + 1):
+        prev, acc = acc, acc * b + ap
+        ap = ap * a
+    return acc, prev
+
+
+def series_term_factory(varpi_s, varpi_p, g_func, what):
+    """Per-s integral of (measure) e^{-2t(s+1)} g_func(s, t, tau, w_s, w_p):
+    the log-t trapezoid scaled to each s (_log_t_nodes(s + 1, w)) times a
+    tau rule sized once by _pick_nodes on the s = 0 term, which has the
+    sharpest tau feature."""
+
+    def term_at(s, n):
+        sig = s + 1.0
+        t, wt = _log_t_nodes(sig, min(varpi_s, varpi_p))
+        tau, wtau = tau_rule(n)
+        g = g_func(s, t[:, None], tau[None, :], varpi_s, varpi_p)
+        return float((wt * np.exp(-2.0 * sig * t)) @ g @ wtau) / sig ** 2
+
+    n, first = _pick_nodes(lambda n: term_at(0, n), what)
+    return lambda s: first if s == 0 else term_at(s, n)
+
+
 def _e0_times_t(s, t, tau, ws, wp):
     """t * sum_pol [T0 T0t]^{s+1}, the E0 integrand without its exponential."""
     sig = s + 1.0
@@ -262,7 +300,7 @@ def e0_s_series(radius_R, gap_d, varpi_s, varpi_p, rel_tol=1e-10):
     """E0 = -R/(4 pi d^2) q0 with q0 summed over s: the terms decay like
     (s+1)^-4 and stop as the E1 series does.  Agrees with ``pfa_energy``
     within about 4e-12 down to w = 2e-7."""
-    term = _series_term_factory(varpi_s, varpi_p, _e0_times_t, "E0")
+    term = series_term_factory(varpi_s, varpi_p, _e0_times_t, "E0")
     q0, _ = _tail_corrected_sum(term, 4, rel_tol, "E0")
     return -radius_R / (4.0 * math.pi * gap_d ** 2) * q0
 
@@ -279,8 +317,8 @@ def _full_s_sum(term, p0):
 
 def full_sum_theta(varpi_s, varpi_p):
     """theta = E1/E0 (R/d) from the full-length E0 and E1 s-series."""
-    q0 = _full_s_sum(_series_term_factory(varpi_s, varpi_p, _e0_times_t, "E0"), 4)
-    q1 = _full_s_sum(_series_term_factory(varpi_s, varpi_p, _braces_times_t, "E1"), 2)
+    q0 = _full_s_sum(series_term_factory(varpi_s, varpi_p, _e0_times_t, "E0"), 4)
+    q1 = _full_s_sum(series_term_factory(varpi_s, varpi_p, _braces_times_t, "E1"), 2)
     return q1 / q0
 
 

@@ -15,7 +15,8 @@ from plasmacas.scattering import PERFECT_CONDUCTOR as PC, varpi
 import plasmacas._quadrature as quadrature
 from plasmacas._quadrature import tau_rule
 
-from oracles import e0_s_series, full_sum_theta, laguerre_theta, script_b_divided_difference
+from oracles import (e0_s_series, full_sum_theta, hom_power_sums, laguerre_theta,
+                     script_b_divided_difference)
 
 THETA_PC = 1.0 / 3.0 - 20.0 / math.pi ** 2
 
@@ -95,23 +96,25 @@ def _ntl_oracle(s, t, tau, ws, wp):
 def test_sympy_transcription_oracle():
     # independent re-derivation of every coefficient and of the braces; the
     # points cover s = 0 .. 12, unequal finite sheets, the benchmark's w
-    # (0.095, 0.85, 8.6 and 57.8) and PC sides
+    # (0.095, 0.85, 8.6 and 57.8) and PC sides, and one point at s = 0, 1,
+    # 4, 12 and 30 pins every power of sig in the table's polynomials
     points = [(0, 1, 0.5, 1, 1), (2, 0.75, 0.4, 3, 0.5), (0, 2.5, 0.25, 0.125, 4),
               (2, 1.25, 0.625, PC, 1.5), (2, 0.5, 0.75, 0.25, PC), (3, 0.8, 0.4, PC, PC),
               (12, 0.3, 0.55, 0.095, 0.095), (7, 1.5, 0.2, 0.85, 8.6),
               (12, 4.0, 0.9, 57.8, 0.85), (5, 0.05, 0.35, 8.6, 57.8),
               (12, 0.6, 0.45, PC, 0.095), (9, 2.0, 0.15, 57.8, PC)]
+    points += [(s, 0.7, 0.6, 0.85, 8.6) for s in (0, 1, 4, 12, 30)]
     fields = [f.name for f in dataclasses.fields(NtlCoefficients)]
     for s, t, tau, ws, wp in points:
         # the table the integrand sums is the scalar view, field for field
-        assert sorted(asy._ntl_kernel(s, t, tau, ws, wp)[0]) == sorted(fields)
+        assert sorted(asy._ntl_table(t, tau, ws, wp)) == sorted(fields)
         want = _ntl_oracle(s, t, tau, ws, wp)
         got = ntl_coefficients(s, t, tau, ws, wp)
         for name in fields:
             assert getattr(got, name) == pytest.approx(want[name], rel=1e-13, abs=1e-30), \
                 (name, s, t, tau, ws, wp)
         integrand = want["braces"] * math.exp(-2.0 * t * (s + 1))
-        assert ntl_integrand(s, t, tau, ws, wp) == pytest.approx(integrand, rel=1e-13)
+        assert ntl_integrand(s, t, tau, ws, wp) == pytest.approx(integrand, rel=1e-13, abs=0.0)
 
 
 def test_ntl_coefficients_pc_limit():
@@ -137,6 +140,18 @@ def test_script_b_power_sum_vs_divided_difference():
         ps = ntl_coefficients(s, t, tau, ws, wp).script_b
         dd = script_b_divided_difference(s, t, tau, ws, wp)
         assert ps == pytest.approx(dd, rel=1e-12)
+
+
+def test_running_power_sums_match_horner_oracle():
+    # the series carries B's power sums from one s to the next; the oracle
+    # forms them afresh at each s
+    rng = np.random.default_rng(7)
+    a, b = rng.uniform(0.05, 1.0, (2, 40))
+    products = asy._running_products(a, b)
+    for s in range(40):
+        want = (a ** (s + 1), b ** (s + 1), *hom_power_sums(a, b, s))
+        for got, value in zip(next(products), want):
+            np.testing.assert_allclose(np.broadcast_to(got, a.shape), value, rtol=1e-13)
 
 
 def test_script_b_degenerate_region_finite():
@@ -275,6 +290,34 @@ def test_s_series_term_counts(monkeypatch):
         assert counts["E1"] <= 30, (w, counts)
 
 
+def test_pc_terms_on_the_shared_grid():
+    # every term lies on the s = 0 grid; at the step _LOG_TRAP_H that grid
+    # aliases, and these terms miss by up to 7.5e-13 with alternating signs
+    term = asy._e1_terms(PC, PC)
+    for s in range(31):
+        sig = s + 1.0
+        want = (1.0 / (6.0 * sig ** 2) - 2.0 / 3.0) / sig ** 2
+        assert term(s) == pytest.approx(want, rel=1e-13, abs=0.0), s
+
+
+def test_one_e1_table_per_probed_tau_rule(monkeypatch):
+    # a row builds the E1 table once per tau rule the probe tries, never per s
+    rules, terms = [], []
+
+    def table(t, tau, *args, _orig=asy._ntl_table, **kwargs):
+        rules.append(np.size(tau))
+        return _orig(t, tau, *args, **kwargs)
+
+    def counted(term, *args, _orig=asy._tail_corrected_sum):
+        return _orig(lambda s: terms.append(s) or term(s), *args)
+
+    monkeypatch.setattr(asy, "_ntl_table", table)
+    monkeypatch.setattr(asy, "_tail_corrected_sum", counted)
+    small_gap_expansion(1.0, 0.01, 0.095, 0.095)
+    assert len(rules) <= 3 and len(set(rules)) == len(rules), rules
+    assert len(terms) >= 14, terms
+
+
 @pytest.mark.parametrize("w", [0.5, 3.39])
 def test_log_trapezoid_route_matches_laguerre_route(w):
     # sheets where Gauss-Laguerre in t converges too; the log-trapezoid's
@@ -326,6 +369,14 @@ def test_ntl_integrand_array_and_scalar():
 def test_ntl_coefficients_domain():
     with pytest.raises(ValueError):
         ntl_coefficients(-1, 1.0, 0.5, 1.0, 1.0)
+    # s must be a non-negative integer: the sig polynomials mean nothing
+    # between the integers
+    for bad in (-1, 2.5, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="integer"):
+            ntl_coefficients(bad, 1.0, 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="integer"):
+            ntl_integrand(bad, 1.0, 0.5, 1.0, 1.0)
+    assert ntl_integrand(np.int64(2), 1.0, 0.5, 1.0, 1.0) == ntl_integrand(2, 1.0, 0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         ntl_coefficients(0, 0.0, 0.5, 1.0, 1.0)
     with pytest.raises(ValueError):

@@ -14,7 +14,8 @@ REMOVED = {
     "specfun": ("ScaledBessel", "bessel_half", "legendre_p", "_dilog_series", "_RESCALE",
                 "_LN_RESCALE"),
     "asymptotics": ("script_b_divided_difference", "e1", "e0", "_e0_times_t", "_e0_series",
-                    "_e0_prefactor", "_e1_series"),
+                    "_e0_prefactor", "_e1_series", "_series_term_factory", "_hom_power_sums",
+                    "_ntl_kernel"),
     "pfa": ("PfaParams", "_r_product"),
 }
 
@@ -75,6 +76,35 @@ def test_library_runs_without_scipy(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[]"
     rows = out_csv.read_text().splitlines()
     assert len(rows) == 4 and all(row.endswith(",ok") for row in rows[1:]), rows
+
+
+# run in a fresh child: the modules `import plasmacas` adds to those numpy
+# loaded, and every plasmacas module attribute that is an array
+_IMPORT_COST = """
+import sys
+import numpy
+before = set(sys.modules)
+import plasmacas
+print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] != "plasmacas"))
+print(sorted(f"{name}.{key}" for name, mod in list(sys.modules.items())
+             if name.split(".")[0] == "plasmacas"
+             for key, value in vars(mod).items() if isinstance(value, numpy.ndarray)))
+"""
+
+
+def test_import_adds_no_module_and_builds_no_array():
+    # every child process that imports the library pays for what its import
+    # loads and computes: an added import or an import-time table must show
+    # up as an edit here
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plasmacas.__file__)))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_COST],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    added, arrays = (ast.literal_eval(line) for line in out.stdout.splitlines()[-2:])
+    allowed = {"__future__", "copy", "dataclasses", "numpy.polynomial"}
+    assert [m for m in added if m not in allowed and not m.startswith("numpy.polynomial.")] == []
+    assert arrays == []
 
 
 def _scipy_imports(tree):
