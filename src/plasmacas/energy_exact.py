@@ -25,8 +25,6 @@ _KAPPA_NODE_CEILING = 128  # finest kappa level n (n - 1 nodes)
 _KAPPA_MAP_SCALE = 3.0  # x = a (1 + s)/(1 - s): half of every level lies below x = a
 _THETA_PANEL_FLOOR = 5  # 8-point panels, so at least 40 rapidity nodes
 _LOGDET_POSITIVE_TOL = 1e-12
-_RATIO_CAP = 0.9  # largest m-block ratio the geometric tail extrapolates with
-_TAIL_FLOOR = 0.05  # share of a steady m tail counted as its error (see _geometric_tail)
 _STACK_BYTES = 4 << 20  # m = 0 factors H of one stack of kappa nodes (see _mode_sums)
 
 
@@ -170,12 +168,13 @@ def _factorises(f, kept) -> bool:
 def _mode_sums(kappa, sphere, plane, l_max, m_max, theta_rule, rel_tol):
     """The (4, K) record of the K kappa nodes ``kappa`` (1-D): rows F, F_sub, m error, m used.
 
-    F(kappa) = sum_m ln det(I - M_m) with the m <-> -m doubling, its
-    geometric m tail included.  Also returned: the same sum on the
-    principal submatrix with l_drop = max(4, l_max // 8) fewer degrees (the
-    l-truncation probe), the uncertainty of the m tail (the m error) and
-    the last m summed.  The rapidity rule is that of
-    ``theta_rule`` = (panels, v_max).  The nodes are evaluated level-major:
+    F(kappa) = sum_m ln det(I - M_m) with the m <-> -m doubling, the trace
+    of the blocks not summed taken off it.  Also returned: the same sum on
+    the principal submatrix with l_drop = max(4, l_max // 8) fewer degrees
+    (the l-truncation probe), the bound on the rest of the m tail (the m
+    error) and the last m summed, -1 where no block was needed.  The
+    rapidity rule is that of ``theta_rule`` = (panels, v_max).  The nodes
+    are evaluated level-major:
     in chunks, each one :class:`KappaTable` with a leading node axis and
     one stacked block per m (:func:`_chunk_mode_sums`), so the per-call
     cost of numpy is paid once per chunk instead of once per node.  A chunk
@@ -183,7 +182,8 @@ def _mode_sums(kappa, sphere, plane, l_max, m_max, theta_rule, rel_tol):
     4 MiB.  That bounds the largest array of the chunk, not its working
     set: while block m is assembled, block m-1's H is still held, and the
     new H comes with its two angular log arrays, one exponent buffer and up
-    to three Legendre ladders, each a quarter of H.  Dropping block m-1 first
+    to three Legendre ladders, each a quarter of H; the trace step before
+    block 0 holds four arrays of that size.  Dropping block m-1 first
     was no faster and saved 0.3 of 50.7 MB (PC d/R = 0.1 and 0.05, medians
     of 30 alternating rounds: 0.309 s held, 0.317 s dropped).  The numpy peak
     of one PC d/R = 0.02 point (tracemalloc, H of 555 kB per node, 7 nodes
@@ -210,83 +210,82 @@ def _mode_sums(kappa, sphere, plane, l_max, m_max, theta_rule, rel_tol):
 def _chunk_mode_sums(table, m_max, rel_tol):
     """The (4, K) record of :func:`_mode_sums` for the K nodes of ``table``.
 
-    After each block, a node's geometric m tail T and its uncertainty are
-    taken from its last three blocks (:func:`_geometric_tail`).  The m sum
-    stops per node at the first m >= 4 where that uncertainty is at most
-    rel_tol/4 of the node's partial sum, so a node whose blocks all give
-    ln det = 0 stops at m = 4 with the record (0, 0, 0, 4).  F and F_sub
-    are the partial sums minus T (blocks are negative; the same T in both
-    leaves their difference, the l probe, as it was), and row 2 is the
-    uncertainty of T, the m error.  A sum that ends at m_max < l_max is
-    recorded the same way; one that runs to m = l_max has T = 0 and error
-    0, since there are no blocks past l_max.  A node that stops leaves the
-    stack, and later blocks and the cached ladders hold only the nodes
-    still summing.  A node's column is written when it stops, bit-identical
-    to that of the node alone.
+    The m tail is the trace still to come.  The table gives each node
+    T = sum_m (2 - delta_m0) tr M_m over every block m = 0 .. l_max
+    (:meth:`KappaTable.m_summed_traces`); after block m the blocks not yet
+    summed have the trace R = T - sum_{m' <= m} (2 - delta_m'0) ||H_m'||_F^2.
+    Since -ln det(I - M) = tr M + sum_{k >= 2} tr M^k / k, they add
+    -R - V to the sum, 0 <= V <= U (:func:`_tail_bound`).  The node takes
+    the upper end, F = partial - R, with m error U, not the midpoint: U
+    charges every later block with a largest eigenvalue lam = R/w that no
+    single block reaches, and against the m sum run to l_max the miss was
+    at most 0.5 U at every node of the 12 benchmark points.  The m sum
+    stops per node at the first m, or before any block, where
+    U <= rel_tol/4 |F|; a weak node thus takes F = -T with no block, and
+    its m used is -1.  F_sub is F on the leading l_keep = l_max - l_drop
+    degrees (l_drop = max(4, l_max // 8), at least one kept), with its own
+    trace T_keep; a block m > l_keep keeps its first degree in the probe
+    (:func:`logdet_one_minus` keeps at least one), which T_keep leaves
+    out.  A sum that ends at m_max < l_max is recorded the same way; one
+    that runs to m = l_max is complete, and its R, round-off then, is
+    dropped with U.  A node that stops leaves the stack, and later blocks
+    and the cached ladders hold only the nodes still summing.  A node's
+    column is written when it stops, bit-identical to that of the node
+    alone.
     """
     l_max = table.l_max
     l_drop = max(4, l_max // 8)
+    l_keep = max(1, l_max - l_drop)
     top = min(m_max, l_max)
     nodes = len(table.c)
     rows = np.empty((4, nodes))
     active = np.arange(nodes)
-    total = total_sub = last = before = np.zeros(nodes)
-    for m in range(top + 1):
-        block = assemble_block(m, table)
-        full, sub = logdet_one_minus(block, max(1, block.dim // 2 - l_drop))
-        weight = 1.0 if m == 0 else 2.0
-        c = weight * full
-        total = total + c
-        total_sub = total_sub + weight * sub
-        earlier, before, last = before, last, np.abs(c)
-        tail, err = _geometric_tail(last, before, earlier)
-        # inclusive, so a node whose blocks all give ln det = 0 stops at m = 4
-        stop = (err <= 0.25 * rel_tol * np.abs(total)) & (m >= 4)
-        done = stop | (m == top)
+    rest, rest_sub = table.m_summed_traces(l_keep)
+    total = total_sub = np.zeros(nodes)
+    for m in range(-1, top + 1):
+        if m >= 0:
+            block = assemble_block(m, table)
+            full, sub = logdet_one_minus(block, max(1, block.dim // 2 - l_drop))
+            weight = 1.0 if m == 0 else 2.0
+            total = total + weight * full
+            total_sub = total_sub + weight * sub
+            # squared row norms of H, two rows per degree l >= max(1, m)
+            norms = np.einsum("kij,kij->ki", block.factor, block.factor)
+            rest = rest - weight * norms.sum(axis=1)
+            rest_sub = rest_sub - weight * norms[:, :2 * max(0, l_keep - max(1, m) + 1)].sum(axis=1)
+        if m == l_max:  # no blocks past l_max
+            rest = rest_sub = err = np.zeros_like(total)
+        else:
+            rest, rest_sub = np.maximum(rest, 0.0), np.maximum(rest_sub, 0.0)
+            # the next block is m = 0, of weight 1, before any block
+            err = _tail_bound(rest, 1.0 if m < 0 else 2.0)
+        f = total - rest
+        done = (err <= 0.25 * rel_tol * np.abs(f)) | (m == top)
         if done.any():
-            if m == l_max:  # no blocks past l_max
-                tail = err = np.zeros_like(total)
-            record = np.stack([total - tail, total_sub - tail, err, np.full_like(total, m)])
+            record = np.stack([f, total_sub - rest_sub, err, np.full_like(f, m)])
             rows[:, active[done]] = record[:, done]
             if done.all():
                 break
             keep = ~done
             table, active = table.take(keep), active[keep]
             total, total_sub = total[keep], total_sub[keep]
-            last, before = last[keep], before[keep]
+            rest, rest_sub = rest[keep], rest_sub[keep]
     return rows
 
 
-def _geometric_tail(last, before, earlier):
-    """The m tail past the last block, and its uncertainty (arrays, >= 0).
+def _tail_bound(rest, weight):
+    """U >= V, what the blocks still to come add to the m sum beyond -``rest``.
 
-    ``last``, ``before`` and ``earlier`` are |block| at m, m-1 and m-2.  The
-    tail is T = last r/(1 - r), r = last/before capped at 0.9.  T' applies
-    the earlier ratio r' = before/earlier to ``last``; |T - T'| is the first
-    order change of T with the ratio.  While the ratio is steady the
-    uncertainty is |T - T'| + 0.05 T; otherwise (r at the cap, no earlier
-    block, or r > r', where the geometric tail falls short if the ratio
-    keeps rising) it is T itself.  The 5% floor covers the second order: a
-    ratio that drifts by D per block moves the true tail from T by about
-    last D/(1 - r)^3, which is 1/(1 - r) times |T - T'|.  Against the m sum
-    run to l_max at the same l_max, kappa level and rapidity rule, on all
-    12 benchmark points at rel_tol 1e-3, the largest per-node ratio of the
-    tail's miss to the uncertainty was 1.47 with the floor at 2%, 0.92 at
-    5% and 0.57 at 10% (nodes with |F| < 1e-10, whose last blocks are
-    round-off, left out), and the integrated miss was 0.53, 0.34 and 0.22
-    of err_m.
+    ``rest`` is their trace R = sum w tr M_m (w = 2 for m >= 1), and
+    ``weight`` the least w among them.  Each later block has its largest
+    eigenvalue at most its trace, so at most lam = R / weight, and
+    tr M^k <= lam^{k-1} tr M; hence
+    V = sum w sum_{k >= 2} tr M^k / k <= R sum_{k >= 2} lam^{k-1} / 2
+    = R lam / (2 (1 - lam)).  U is infinite where lam >= 1.
     """
-    ratio = _capped_ratio(last, before)
-    tail = last * ratio / (1.0 - ratio)
-    prior = _capped_ratio(before, earlier)
-    steady = (earlier > 0.0) & (ratio < _RATIO_CAP) & (ratio <= prior)
-    drift = np.abs(tail - last * prior / (1.0 - prior))
-    return tail, np.where(steady, drift + _TAIL_FLOOR * tail, tail)
-
-
-def _capped_ratio(num, den):
-    """num/den capped at _RATIO_CAP, and 0 where den is 0."""
-    return np.minimum(np.divide(num, den, out=np.zeros_like(num), where=den > 0.0), _RATIO_CAP)
+    lam = rest / weight
+    return np.divide(rest * lam, 2.0 * (1.0 - lam), out=np.full_like(rest, np.inf),
+                     where=lam < 1.0)
 
 
 def _auto_l_max(d):
@@ -368,12 +367,17 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     doubles, up to 128, until two levels agree within rel_tol/4, their
     difference being the kappa error estimate, and ``kappa_nodes_used`` is
     the last level.  l_max grows until the last increment is below
-    rel_tol/4.  At each node the geometric tail of the m sum is added to
-    the sum, and the m sum stops at the first m >= 4 where that tail's
-    uncertainty is at most rel_tol/4 of the partial sum, so a node whose
-    blocks all give ln det = 0 stops at m = 4; ``m_max_used`` is the
-    largest m any node of the last level reached, and the m estimate is
-    the integral of the tails' uncertainties.  The rapidity rule follows
+    rel_tol/4.  At each node the Legendre addition theorem gives
+    T = sum_m (2 - delta_m0) tr M_m over every m in closed form, so after
+    block m the trace R of the blocks still to come is known.  They add
+    between -R - U and -R to the sum, U = R lam / (2 (1 - lam)) with
+    lam = R/2 (R before block 0) bounding each one's largest eigenvalue;
+    the node takes -R and counts U as its m error, and the m sum stops at
+    the first m, or before any block, where U is at most rel_tol/4 of the
+    node's value.  A weak node (T below about rel_tol/2) thus needs no
+    block at all.  ``m_max_used`` is the largest m any node of the last
+    level reached (-1 if none needed a block), and the m estimate is the
+    integral of the nodes' U.  The rapidity rule follows
     l_max (:func:`_theta_rule`) and is checked at the smallest kappa node,
     where it is weakest: F there is recomputed on twice the panels and
     1.25 v_max, and the relative change, times |E|, is the theta estimate.
@@ -381,8 +385,8 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     must be at most rel_tol |E|.  Gaps below d/R = 0.01 are outside the
     supported domain and raise :class:`NumericsError` before any block is
     built.  The limit is one of cost, not of convergence: at the default
-    rel_tol, PC d/R = 0.0075 and 0.005 converge (error 3.2e-4 of |E|) in
-    20 s and 50 s with one BLAS thread on a 2-core Intel Xeon.
+    rel_tol, PC d/R = 0.0075 and 0.005 converge (error 3.4e-4 and 3.3e-4
+    of |E|) in 13 s and 38 s with one BLAS thread on a 2-core Intel Xeon.
 
     Returns energy in units hbar c per unit length of the inputs, alongside
     the dimensionless E d^2/(hbar c R).

@@ -38,6 +38,9 @@ Numerical organisation, fixed once here and relied on everywhere:
   det(I - H^T H) the log-determinant is one Cholesky factorisation of
   whichever side is smaller, which also gives the leading-l truncation
   used as the l probe;
+* the trace of every block, summed over m, needs no block: the Legendre
+  addition theorem sums the angular functions over m in closed form
+  (:meth:`KappaTable.m_summed_traces`);
 * ln tau is formed from ln pi and the bounded ratio tau/pi - c, with one
   exp and one log and no log-sum (see :func:`_angular_logs`); at m = 0,
   where pi = 0, only the TE/TE and TM/TM quarters of H are computed and
@@ -161,7 +164,7 @@ class KappaTable:
     array over all K n_theta nodes: the m+1 ladder of block m is the m
     ladder of block m+1, so assembling m = 0, 1, 2, ... in order computes
     each ladder of order 1 .. l_max once; block 0 needs only the order-1
-    ladder, so order 0 is never computed.  That cache makes a table a
+    ladder, so order 0 on these nodes is never computed.  That cache makes a table a
     one-thread object.  :meth:`take` keeps some of the nodes, cached
     ladders included, so nodes that need no more m can leave the stack.
     """
@@ -216,6 +219,57 @@ class KappaTable:
             if len(self._ladders) > 2:
                 del self._ladders[next(iter(self._ladders))]
         return lad
+
+    def m_summed_traces(self, l_keep: int):
+        """Per node, T = sum_m (2 - delta_m0) tr M_m over every block m = 0 .. l_max, and T_keep.
+
+        T_keep is the same sum over the degrees l <= ``l_keep`` alone.  Both
+        are (K,) arrays.  tr M_m = ||H_m||_F^2, and each entry of H is a
+        row weight times a column weight times tau_lm or pi_lm (see
+        :func:`assemble_block`).  The addition theorem sums the angular
+        functions over m in closed form.  With X = cosh(2 theta) = 2c^2 - 1,
+
+            sum_m (2 - delta_m0) pi_lm^2 = P_l'(X),
+            sum_m (2 - delta_m0) tau_lm^2 = l(l+1) P_l(X) - X P_l'(X),
+
+        so T is one sum over l and the rapidity nodes, the size of one
+        quarter of block 0.  ln P_l(X) is the order-0 ladder at X.
+        ln P_l'(X) is the order-1 ladder without its seed, since
+        Pbar_l^1 / Pbar_1^1 = P_l'(X) sqrt(2/(l(l+1))); so the rounding of
+        X - 1 near X = 1 does not enter.  The tau sum is P_l (l(l+1) - q),
+        q = X P_l'/P_l in [l, l(l+1)/2], so nothing cancels there.  Each
+        node's sum runs along contiguous axes of its own, so it is
+        bit-identical stacked or alone.
+        """
+        nodes, n = self.c.shape
+        l_max = self.l_max
+        c = self.c.ravel()
+        sh2 = (c - 1.0) * (c + 1.0)
+        x = 1.0 + 2.0 * sh2
+        ll = np.arange(1.0, l_max + 1.0)
+        l_pl = legendre_pbar_log(l_max, 0, x)[1:]
+        l_dp = legendre_pbar_log(l_max, 1, x)
+        l_dp -= l_dp[0]
+        l_dp += 0.5 * np.log(0.5 * ll * (ll + 1.0))[:, None]
+        # ln sum_m tau^2 = ln P_l + ln(l(l+1) - q), in place
+        l_tau = np.log1p(2.0 * sh2) + l_dp
+        l_tau -= l_pl
+        np.exp(l_tau, out=l_tau)
+        np.subtract((ll * (ll + 1.0))[:, None], l_tau, out=l_tau)
+        np.log(l_tau, out=l_tau)
+        l_tau += l_pl
+        per_l = np.zeros((nodes, l_max))
+        arg = np.empty((nodes, l_max, n))
+        # TE rows [tau sqrt r_TE, pi sqrt q_TM], TM rows [pi sqrt r_TE, tau sqrt q_TM]
+        for angular, row, col in ((l_tau, self.row_te, self.col_te),
+                                  (l_dp, self.row_te, self.col_tm),
+                                  (l_dp, self.row_tm, self.col_te),
+                                  (l_tau, self.row_tm, self.col_tm)):
+            np.add(angular.reshape(l_max, nodes, n).swapaxes(0, 1), 2.0 * row[:, :, None], out=arg)
+            arg += 2.0 * col[:, None, :]
+            np.exp(arg, out=arg)
+            per_l += arg.sum(axis=2)
+        return per_l.sum(axis=1), per_l[:, :l_keep].sum(axis=1)
 
     def take(self, keep) -> "KappaTable":
         """The table of the nodes ``keep`` selects (a mask or indices on the node axis)."""

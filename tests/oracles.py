@@ -12,6 +12,14 @@ its own way:
 * :func:`dense_matrix` undoes the balancing of an assembled block, so its
   entries can be compared with :func:`m_element` or fed to a cofactor
   expansion;
+* :func:`m_summed_trace` sums (2 - delta_m0) ||H_m||_F^2 block by block up
+  to m = l_max; ``KappaTable.m_summed_traces`` takes the same sum in
+  closed form from the Legendre addition theorem;
+* :func:`logdet_with_small_block_series` gives ln det(I - M) of a weak
+  block as -tr M - tr M^2 / 2, where the Cholesky value of
+  ``energy_exact.logdet_one_minus`` is round-off;
+* :func:`pc_far_field_energy` is the static-dipole limit of two perfect
+  conductors far apart; the exact driver sums the full mode series;
 * :func:`angular_logs_logaddexp` forms ln tau_l of the blocks as the
   log-sum of its two Legendre terms; ``roundtrip._angular_logs`` forms it
   from ln pi_l and a bounded ratio, without a log-sum;
@@ -49,7 +57,7 @@ import numpy as np
 from scipy.special import zeta
 
 from plasmacas.asymptotics import _S_MAX, _braces_times_t, _tail_corrected_sum
-from plasmacas.energy_exact import _theta_rule
+from plasmacas.energy_exact import _theta_rule, logdet_one_minus
 from plasmacas.errors import NumericsError
 from plasmacas.pfa import _t0
 from plasmacas.roundtrip import KappaTable, _angular_logs, assemble_block
@@ -192,6 +200,50 @@ def dense_matrix(block, sphere):
     r = log_t_half[:, None] - log_t_half[None, :]
     with np.errstate(over="ignore"):
         return np.exp(r) * block.matrix
+
+
+def m_summed_trace(table, l_keep):
+    """(T, T_keep) of ``KappaTable.m_summed_traces``, block by block.
+
+    Every block m = 0 .. l_max is assembled on ``table``, and the squares of
+    its entries are summed with the weight 2 - delta_m0; T_keep sums the
+    rows of degree l <= ``l_keep`` alone (two rows per degree, from
+    l = max(1, m)).
+    """
+    nodes = len(table.c)
+    total, kept = np.zeros(nodes), np.zeros(nodes)
+    for m in range(table.l_max + 1):
+        h = assemble_block(m, table).factor
+        rows = np.sum(h * h, axis=2)
+        weight = 1.0 if m == 0 else 2.0
+        total += weight * rows.sum(axis=1)
+        kept += weight * rows[:, :2 * max(0, l_keep - max(1, m) + 1)].sum(axis=1)
+    return total, kept
+
+
+def logdet_with_small_block_series(block, nl_keep):
+    """``energy_exact.logdet_one_minus(block, nl_keep)`` of a stacked block,
+    with -tr M - tr M^2 / 2 wherever tr M <= 1e-6.
+
+    The Cholesky value of ln det(I - M) carries a round-off of about 1e-16
+    per pivot, which is all of it once ||M|| ~ 1e-9.  The series leaves
+    sum_{k >= 3} tr M^k / k <= tr M^3 / 3 / (1 - tr M) < 4e-19 there; tr M^k
+    is tr G^k of the smaller Gram matrix G = H^T H.
+    """
+    full, kept = logdet_one_minus(block, nl_keep)
+    for values, f in ((full, block.factor), (kept, block.factor[:, :2 * nl_keep])):
+        g = np.swapaxes(f, 1, 2) @ f
+        tr1 = np.trace(g, axis1=1, axis2=2)
+        small = tr1 <= 1e-6
+        values[small] = -(tr1 + 0.5 * np.sum(g * g, axis=(1, 2)))[small]
+    return full, kept
+
+
+def pc_far_field_energy(radius_R, distance_L):
+    """E -> -9 hbar c R^3 / (16 pi L^4) of a perfectly conducting sphere far
+    from a perfectly conducting plane (static electric and magnetic dipole
+    polarisabilities R^3 and -R^3 / 2), in units hbar c per length unit."""
+    return -9.0 * radius_R ** 3 / (16.0 * math.pi * distance_L ** 4)
 
 
 def legendre_p(l: int, m: int, x: float):

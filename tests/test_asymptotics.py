@@ -363,7 +363,7 @@ def test_ntl_integrand_array_and_scalar():
         assert arr.shape == (5, 4)
         for (i, j), value in np.ndenumerate(arr):
             want = ntl_integrand(4, t[i, 0], tau[0, j], ws, wp)
-            assert value == pytest.approx(want, rel=1e-14), (ws, wp, i, j)
+            assert value == pytest.approx(want, rel=1e-14, abs=0.0), (ws, wp, i, j)
 
 
 def test_ntl_coefficients_domain():

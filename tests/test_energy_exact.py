@@ -8,11 +8,12 @@ from plasmacas import energy_exact
 from plasmacas.energy_exact import (EnergyResult, NumericsSpec, casimir_energy,
                                     logdet_one_minus)
 from plasmacas.errors import NumericsError, SpectralAnomalyError
-from plasmacas.roundtrip import RoundTripBlock
+from plasmacas.roundtrip import KappaTable, RoundTripBlock, assemble_block
 from plasmacas.scattering import PERFECT_CONDUCTOR, PlaneSheet, SphereSheet
 from plasmacas._quadrature import rapidity_rule
 
-from oracles import block_at, dense_matrix
+from oracles import (block_at, dense_matrix, logdet_with_small_block_series, m_summed_trace,
+                     pc_far_field_energy)
 
 
 def _block_of(factor, m=1):
@@ -284,15 +285,16 @@ def test_smallest_l_max_reports_its_truncation():
 
 
 def test_m_max_cap_puts_its_tail_into_the_estimate():
-    # PC d/R = 0.1: m = 0 .. 2 give E = -3.2152 against -3.8189 with every m;
-    # the cap's tail is added to E and its uncertainty enters err_m.  The
-    # sum stops on its own at m = 9, so a cap at 6 is what ends it
+    # PC d/R = 0.1: after m = 2 the trace still to come is taken off E, and
+    # its second-order bound (m error 5.6e-2 against the allowed 3.8e-3)
+    # enters err_m.  The sum stops on its own at m = 5, so a cap at 4 is
+    # what ends it
     sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1)
     with pytest.raises(NumericsError, match="energy not converged"):
         casimir_energy(sphere, plane, NumericsSpec(m_max=2, rel_tol=1e-3))
     full = casimir_energy(sphere, plane, NumericsSpec(rel_tol=1e-3))
-    capped = casimir_energy(sphere, plane, NumericsSpec(m_max=6, rel_tol=1e-3))
-    assert capped.m_max_used == 6 < full.m_max_used
+    capped = casimir_energy(sphere, plane, NumericsSpec(m_max=4, rel_tol=1e-3))
+    assert capped.m_max_used == 4 < full.m_max_used
     assert abs(capped.energy - full.energy) < capped.error_estimate
 
 
@@ -377,10 +379,11 @@ def _counting_blocks(monkeypatch):
 
 
 def _m_sum_to_l_max(monkeypatch):
-    """Give every m tail 0 and an infinite uncertainty, so no m sum stops
-    before m_max."""
-    monkeypatch.setattr(energy_exact, "_geometric_tail",
-                        lambda last, *_: (np.zeros_like(last), np.full_like(last, np.inf)))
+    """Give every m tail an infinite uncertainty, so no m sum stops before
+    m_max, and take ln det of a weak block from its trace series, where the
+    Cholesky value is round-off."""
+    monkeypatch.setattr(energy_exact, "_tail_bound", lambda rest, _: np.full_like(rest, np.inf))
+    monkeypatch.setattr(energy_exact, "logdet_one_minus", logdet_with_small_block_series)
 
 
 def _pass_args(d):
@@ -389,83 +392,103 @@ def _pass_args(d):
     return l_max, l_max, energy_exact._theta_rule(l_max), NumericsSpec().rel_tol
 
 
-def test_zero_tail_node_stops_at_m4(monkeypatch):
-    # at x = 2 kappa d = 60 every block's ln det rounds to 0; the m sum must
-    # stop at the first m it may stop at instead of running to l_max
+def test_weak_node_needs_no_block(monkeypatch):
+    # at x = 2 kappa d = 60 the trace of every block together is 3.4e-26:
+    # the node takes F = -T from the table, with no block at all, and
+    # records m used -1
     d = 0.1
+    sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     calls = _counting_blocks(monkeypatch)
-    out = energy_exact._mode_sums(np.array([300.0]), SphereSheet(1.0, PERFECT_CONDUCTOR),
-                                  PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), *_pass_args(d))
-    assert np.array_equal(out, [[0.0], [0.0], [0.0], [4]])
-    assert calls == [0, 1, 2, 3, 4]
+    out = energy_exact._mode_sums(np.array([300.0]), sphere, plane, *_pass_args(d))
+    assert calls == [] and out[3].tolist() == [-1]
+    l_max, _, theta_rule, rel_tol = _pass_args(d)
+    table = KappaTable.build(np.array([300.0]), sphere, plane, l_max, rapidity_rule(*theta_rule))
+    want, want_sub = m_summed_trace(table, l_max - max(4, l_max // 8))
+    assert 0.0 < want[0] < 1e-25
+    assert -out[:2, 0] == pytest.approx([want[0], want_sub[0]], rel=1e-12, abs=0.0)
+    # before block 0 the next block has weight 1, so lam = T and U = T^2/2
+    assert out[2, 0] == pytest.approx(0.5 * want[0] ** 2, rel=1e-12, abs=0.0)
+    assert 0.0 < out[2, 0] <= 0.25 * rel_tol * abs(out[0, 0])
 
 
-def test_geometric_tail_of_synthetic_blocks():
-    # |block| at m, m-1, m-2, one node per column
-    tail, err = energy_exact._geometric_tail(np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0]),
-                                             np.array([2.0, 2.0, 1.0, 2.0, 2.0, 0.0]),
-                                             np.array([4.0, 8.0, 1.0, 0.0, 2.5, 0.0]))
-    floor = energy_exact._TAIL_FLOOR
-    # an exact geometric sequence (ratio 1/2): T = last r/(1 - r) = 1, and
-    # the uncertainty is the floor
-    assert tail[0] == 1.0 and err[0] == floor
-    # a rising ratio (1/4, then 1/2), a ratio at the 0.9 cap (T = 9) and no
-    # earlier block: the uncertainty is the whole tail
-    assert tail[1:4] == pytest.approx([1.0, 9.0, 1.0], rel=1e-15)
-    assert np.array_equal(err[1:4], tail[1:4])
-    # a falling ratio (0.8, then 1/2): T' = 4 with the earlier ratio
-    assert tail[4] == 1.0 and err[4] == pytest.approx(3.0 + floor, rel=1e-15)
-    # all-zero blocks
-    assert tail[5] == 0.0 and err[5] == 0.0
+def test_tail_bound_of_synthetic_traces():
+    # U = R lam / (2 (1 - lam)) with lam = R / weight, infinite once lam >= 1
+    rest = np.array([0.0, 0.1, 1.0, 2.0, 3.0])
+    u = energy_exact._tail_bound(rest, 2.0)
+    assert u[0] == 0.0 and u[2] == 0.5
+    assert u[1] == pytest.approx(0.1 * 0.05 / 1.9, rel=1e-15)
+    assert np.all(np.isinf(u[3:]))
+    assert energy_exact._tail_bound(np.array([0.5]), 1.0)[0] == 0.25
+    # it bounds what random positive semi-definite blocks of that trace add
+    # beyond -tr M: one block of weight 1, then four of weight 2
+    rng = np.random.default_rng(5)
+    for scale in (1e-3, 0.05, 0.2):
+        factors = [scale * rng.random((6, 4)) * 0.5 ** m for m in range(5)]
+        weights = [1.0] + [2.0] * 4
+        trace = sum(w * np.sum(f * f) for w, f in zip(weights, factors))
+        beyond = sum(w * (-np.linalg.slogdet(np.eye(6) - f @ f.T)[1] - np.sum(f * f))
+                     for w, f in zip(weights, factors))
+        bound = energy_exact._tail_bound(np.array([trace]), 1.0)[0]
+        assert 0.0 < beyond <= bound < np.inf
 
 
 def test_m_sum_to_l_max_has_no_tail_and_a_cap_has_one(monkeypatch):
-    # a sum capped below l_max adds its tail to F and F_sub and reports the
-    # tail's uncertainty, which covers the blocks the cap left out; one
-    # that reaches m = l_max is complete, with no tail and no m error.  At
-    # l_max 8 or 12 the blocks near l_max are cut short by the l truncation
-    # and fall faster than any geometric tail, so l_max is 20 here
+    # a sum capped below l_max takes the trace of the blocks the cap left
+    # out off F, and that of their leading l_max - l_drop degrees off F_sub,
+    # and reports the bound on the rest, which covers the sum run to l_max;
+    # one that reaches m = l_max is complete, with no tail and no m error
     d, l_max = 0.3, 20
-    args = (np.array([0.5, 2.0]), SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d),
-            l_max)
+    kappa, sphere, plane = np.array([0.5, 2.0]), SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR,
+                                                                                   1.0 + d)
     rule = energy_exact._theta_rule(l_max)
-    capped = energy_exact._mode_sums(*args, 5, rule, 1e-14)
+    capped = energy_exact._mode_sums(kappa, sphere, plane, l_max, 5, rule, 1e-14)
     assert capped[3].tolist() == [5, 5] and np.all(capped[2] > 0.0)
+    # the partial sums and the trace of blocks 6 .. l_max, block by block
+    l_keep = l_max - 4
+    table = KappaTable.build(kappa, sphere, plane, l_max, rapidity_rule(*rule))
+    trace, trace_sub = m_summed_trace(table, l_keep)
+    partial, partial_sub = np.zeros(2), np.zeros(2)
+    for m in range(6):
+        block, weight, kept = assemble_block(m, table), 1.0 if m == 0 else 2.0, l_keep - max(1, m) + 1
+        full, sub = logdet_one_minus(block, kept)
+        partial += weight * full
+        partial_sub += weight * sub
+        rows = np.sum(block.factor ** 2, axis=2)
+        trace -= weight * rows.sum(axis=1)
+        trace_sub -= weight * rows[:, :2 * kept].sum(axis=1)
+    assert np.all(trace > 0.0) and np.all(trace_sub > 0.0)
+    assert capped[0] == pytest.approx(partial - trace, rel=1e-12, abs=0.0)
+    assert capped[1] == pytest.approx(partial_sub - trace_sub, rel=1e-12, abs=0.0)
     _m_sum_to_l_max(monkeypatch)
-    whole = energy_exact._mode_sums(*args, l_max, rule, 1e-14)
+    whole = energy_exact._mode_sums(kappa, sphere, plane, l_max, l_max, rule, 1e-14)
     assert whole[3].tolist() == [l_max, l_max] and whole[2].tolist() == [0.0, 0.0]
     assert np.all(np.abs(capped[0] - whole[0]) <= capped[2])
-    # the same tail T > 0 is taken off F and F_sub, so the l probe
-    # F - F_sub is that of the partial sums
-    partial = energy_exact._mode_sums(*args, 5, rule, 1e-14)
-    tail = partial[0] - capped[0]
-    assert np.all(tail > 0.0)
-    assert np.allclose(partial[1] - capped[1], tail, rtol=1e-12, atol=0.0)
+    # the tail adds attraction beyond -R, so F = partial - R lies above the whole sum
+    assert np.all(whole[0] < capped[0])
 
 
 def test_pc_tenth_block_count_and_m_max_used(monkeypatch):
-    # far kappa nodes stop at m = 4, no kappa node is evaluated twice, and
-    # the m sum stops once its tail is known: 1474 node-blocks with none of
-    # these, 341 with the first two, 249 with all three; a stacked block of
-    # K nodes counts K.  m_max_used is the largest m a node needed (9), not
+    # no kappa node is evaluated twice, and each m sum stops once the trace
+    # still to come bounds the rest of it: 1474 node-blocks with neither,
+    # 117 with both (the far nodes need no block); a stacked block of K
+    # nodes counts K.  m_max_used is the largest m a node needed (5), not
     # l_max (70).
     calls = _counting_blocks(monkeypatch)
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
                          NumericsSpec(rel_tol=1e-3))
-    assert len(calls) <= 260
+    assert len(calls) <= 125
     assert 4 <= res.m_max_used < res.l_max_used
 
 
 @pytest.mark.parametrize("d, truncation, energy", [
-    (0.1, (70, 9, 32), -3.818949911789906),
-    (0.05, (130, 12, 32), -16.142251429954612)])
+    (0.1, (70, 5, 32), -3.8187622463952327),
+    (0.05, (130, 8, 32), -16.141414130742127)])
 def test_pc_exact_pair_truncations_are_pinned(d, truncation, energy):
     # the criterion-5 pair: (l_max_used, m_max_used, kappa_nodes_used) and E
-    # must not move.  With the geometric m tail in F, E sits 1.55e-4 and
-    # 6.96e-4 beyond the m sum run to l_max at the same l_max, kappa level
-    # and rapidity rule (-3.8187946, -16.1415550), against m estimates of
-    # 6.6e-4 and 2.8e-3.  The old pins, -3.8183133 and -16.1379796, left
-    # the tail out and sat 4.8e-4 and 3.6e-3 short of those values
+    # must not move.  With the trace still to come taken off F, E sits
+    # 3.2e-5 and 1.4e-4 short of the m sum run to l_max at the same l_max,
+    # kappa level and rapidity rule (-3.8187946, -16.1415549), against m
+    # estimates of 3.5e-4 and 3.0e-3
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR),
                          PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), NumericsSpec(rel_tol=1e-3))
     assert (res.l_max_used, res.m_max_used, res.kappa_nodes_used) == truncation
@@ -478,11 +501,13 @@ def test_pc_exact_pair_truncations_are_pinned(d, truncation, energy):
 def test_m_error_covers_the_m_sum_run_to_l_max(monkeypatch, d, omega_s, omega_p):
     # PC d/R = 0.1 and an exact-wide benchmark point: E against the m sum
     # run to l_max with the same l_max, kappa level and rapidity rule.  The
-    # miss lies within err_m (0.23 and 0.17 of it), err_m within the m share
-    # rel_tol/4 of |E|, and at every node within row 2 of the record.  A
-    # block below about 1e-15 rounds to ln det = 0, so the run to l_max
-    # drops it while the tail extrapolates it: 1e-14 per node covers that
-    # (one node at x = 23 of the second point, F = -1.6e-12, misses by 4e-15)
+    # miss lies within err_m (0.09 and 0.30 of it), err_m within the m share
+    # rel_tol/4 of |E|, and at every node within row 2 of the record (at
+    # most 0.11 and 0.31 of it where the miss passes 1e-14).  The run to
+    # l_max takes ln det of a block with tr M <= 1e-6 from its trace series:
+    # the Cholesky value there is round-off, and the node miss beyond row 2
+    # read 9.4e-14 at x = 17.5 of the first point (F = -1.3e-7) and 7.2e-14
+    # at x = 13.4 of the second, which 1e-14 per node does not cover
     rel_tol = 1e-3
     sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d)
     res = casimir_energy(sphere, plane, NumericsSpec(rel_tol=rel_tol))
@@ -563,8 +588,8 @@ def test_refined_level_reuses_rows_by_index():
 def test_level_major_rows_equal_per_node_rows(monkeypatch, omega):
     # one kappa level evaluated as one stack gives, for every node, the column
     # (F, F_sub, m error, m used) of that node evaluated alone, bit for bit;
-    # the far nodes stop at m = 4 and leave the stack while the near ones
-    # run on
+    # the far nodes take their value from the trace and leave the stack
+    # before block 0, and the others leave it one by one
     d = 0.3
     sphere, plane = SphereSheet(1.0, omega), PlaneSheet(omega, 1.0 + d)
     kappa = energy_exact._kappa_rule(16)[0] / (2.0 * d)
@@ -578,13 +603,14 @@ def test_level_major_rows_equal_per_node_rows(monkeypatch, omega):
 
     monkeypatch.setattr(energy_exact, "assemble_block", recording)
     stacked = energy_exact._mode_sums(kappa, sphere, plane, *_pass_args(d))
-    assert stacks[0] == (0, kappa.size)  # the whole level in one stack
     assert [k for _, k in stacks] == sorted((k for _, k in stacks), reverse=True)
     alone = np.hstack([energy_exact._mode_sums(kappa[i:i + 1], sphere, plane, *_pass_args(d))
                        for i in range(kappa.size)])
     assert np.array_equal(stacked, alone)
     m_used = stacked[3]
-    assert m_used[0] == 4 and m_used.max() > 4
+    # every node that needed a block was in the first one
+    assert stacks[0] == (0, np.sum(m_used >= 0))
+    assert m_used[0] == -1 and m_used.max() > 1
 
 
 def test_chunks_join_in_order(monkeypatch):
@@ -597,14 +623,13 @@ def test_chunks_join_in_order(monkeypatch):
     l_max, _, theta_rule, _ = args
     per_node = 8 * (2 * l_max) * (2 * rapidity_rule(*theta_rule)[0].size)
     chunks = []
-    real = energy_exact.assemble_block
+    real = KappaTable.m_summed_traces
 
-    def recording(m, table):
-        if m == 0:
-            chunks.append(np.size(table.kappa))
-        return real(m, table)
+    def recording(table, l_keep):
+        chunks.append(np.size(table.kappa))
+        return real(table, l_keep)
 
-    monkeypatch.setattr(energy_exact, "assemble_block", recording)
+    monkeypatch.setattr(KappaTable, "m_summed_traces", recording)
     whole = energy_exact._mode_sums(kappa, sphere, plane, *args)
     assert chunks == [15]
     chunks.clear()
@@ -675,10 +700,11 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
     for kappa, (f, f_sub, m_err, _) in values:
         assert math.isfinite(f) and math.isfinite(f_sub) and math.isfinite(m_err)
         assert f <= 0.0 and f_sub <= 0.0
-    # the edges of the stated range, kappa R = 1e6 (level 128 at d/R ~ 0.02)
-    # and 1e-4 (level 128 at d/R ~ 2)
+    # the edges of the stated range, kappa R = 1e6 (level 128 at d/R ~ 0.02),
+    # where every block underflows to 0 and so does the trace, and 1e-4
+    # (level 128 at d/R ~ 2)
     assert np.array_equal(real(np.array([1e6]), sphere, plane, *_pass_args(d)),
-                          [[0.0], [0.0], [0.0], [4]])
+                          [[0.0], [0.0], [0.0], [-1]])
     for om in (PERFECT_CONDUCTOR, 0.5):
         d_wide = 2.0
         [f], [f_sub], [m_err], _ = real(np.array([1e-4]), SphereSheet(1.0, om),
@@ -775,6 +801,20 @@ def test_pc_small_gap_matches_tight_reference():
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.02),
                          NumericsSpec(rel_tol=1e-3))
     assert abs(res.energy - -104.66071) <= res.error_estimate + 4.8e-3
+
+
+@pytest.mark.parametrize("distance_L", [101.0, 301.0])
+def test_pc_far_field_meets_the_dipole_limit(monkeypatch, distance_L):
+    # far apart, two perfect conductors interact through the static dipoles
+    # of the sphere, E -> -9 R^3 / (16 pi L^4), an independent route.  The
+    # next order is c (R/L)^2 of |E|, measured c = 1.40 at L/R = 101 and
+    # 1.39 at 301; the allowance is 2 (R/L)^2.  Every kappa node takes its
+    # value from the trace, with no block
+    calls = _counting_blocks(monkeypatch)
+    res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, distance_L))
+    want = pc_far_field_energy(1.0, distance_L)
+    assert abs(res.energy - want) <= res.error_estimate + 2.0 * abs(want) / distance_L ** 2
+    assert calls == [] and res.m_max_used == -1
 
 
 def _l_max_tries(monkeypatch, start):

@@ -12,7 +12,8 @@ from plasmacas.scattering import (PERFECT_CONDUCTOR, PlaneSheet, Polarization,
                                   SphereSheet, sphere_t)
 from plasmacas._quadrature import rapidity_rule
 
-from oracles import angular_logs, angular_logs_logaddexp, block_at, dense_matrix, m_element
+from oracles import (angular_logs, angular_logs_logaddexp, block_at, dense_matrix, m_element,
+                     m_summed_trace)
 
 TE, TM = Polarization.TE, Polarization.TM
 
@@ -272,3 +273,31 @@ def test_array_kappa_table_stacks_the_scalar_blocks(omega):
             assert type(pair[0]) is float and pair == (full[k], lead[k])
     with pytest.raises(ValueError):
         KappaTable.build(np.array([1.0, 0.0]), sphere, plane, 12, rule)
+
+
+@pytest.mark.parametrize("d, l_max, omega_s, omega_p, xs, far", [
+    (0.1, 70, PERFECT_CONDUCTOR, PERFECT_CONDUCTOR, (0.05, 0.7, 5.0, 17.5, 60.0), True),
+    (0.1, 70, 1.7, PERFECT_CONDUCTOR, (0.05, 0.7, 5.0, 17.5, 60.0), True),
+    (0.1, 70, PERFECT_CONDUCTOR, 0.5, (0.05, 0.7, 5.0, 17.5, 60.0), True),
+    (0.05, 130, 2.0, 5.0, (0.05, 0.7, 5.0), True),
+    (0.01, 610, PERFECT_CONDUCTOR, PERFECT_CONDUCTOR, (), False)])
+def test_m_summed_traces_match_the_block_by_block_sum(d, l_max, omega_s, omega_p, xs, far):
+    # the addition-theorem sum of (2 - delta_m0) tr M_m over m = 0 .. l_max
+    # against the blocks assembled one by one, at x = 2 kappa d on the near
+    # edge of kappa level 128, at ``xs`` and on the far edge.  X =
+    # cosh(2 theta) runs from 1 + 1.6e-8 to 8e9 over the rapidity nodes,
+    # and P_l(X) up to 1e5750; on the far edge every block and the trace
+    # underflow to 0
+    x = _kappa_rule(128)[0]
+    kappa = np.array([x.min(), *xs] + ([x.max()] if far else [])) / (2.0 * d)
+    table = KappaTable.build(kappa, SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d), l_max,
+                             rapidity_rule(*_theta_rule(l_max)))
+    l_keep = l_max - max(4, l_max // 8)
+    got, got_keep = table.m_summed_traces(l_keep)
+    want, want_keep = m_summed_trace(table, l_keep)
+    if far:
+        assert want[-1] == got[-1] == 0.0
+        got, got_keep, want, want_keep = got[:-1], got_keep[:-1], want[:-1], want_keep[:-1]
+    assert np.all(want > 0.0) and np.all(got_keep < got)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert got_keep == pytest.approx(want_keep, rel=1e-12, abs=0.0)
