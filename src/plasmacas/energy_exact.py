@@ -73,9 +73,10 @@ def _logdet_and_lead(f, kept):
     """ln det(I - F F^T) and ln det(I - F_k F_k^T) of each factor of a stack.
 
     ``f`` is (K, rows, cols), F_k the first ``kept`` rows; one value pair
-    per factor.  One Cholesky factorisation of the smaller of two matrices
-    with the same determinant.  The l side is I - F F^T, whose leading
-    ``kept`` pivots give the sub-block value.  The theta side is the
+    per factor, and ln det 0 for the empty F_k of ``kept`` = 0.  One
+    Cholesky factorisation of the smaller of two matrices with the same
+    determinant.  The l side is I - F F^T, whose leading ``kept`` pivots
+    give the sub-block value.  The theta side is the
     bordered matrix K = [[I - F_k^T F_k, F_d^T], [F_d, I]], F_d the dropped
     rows: its Schur complement on the lower-right I is I - F^T F, so
     det K = det(I - F F^T) (Sylvester), and its leading pivots, one per
@@ -96,7 +97,7 @@ def _logdet_and_lead(f, kept):
     a.reshape(nodes, -1)[:, ::size + 1] += 1.0
     chol = np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2)
     lds = 2.0 * np.cumsum(np.log(chol), axis=1)
-    return lds[:, -1], lds[:, lead - 1]
+    return lds[:, -1], (lds[:, lead - 1] if lead else np.zeros(nodes))
 
 
 def logdet_one_minus(block: RoundTripBlock, nl_keep: int | None = None):
@@ -119,12 +120,13 @@ def logdet_one_minus(block: RoundTripBlock, nl_keep: int | None = None):
     With ``nl_keep`` the call returns the pair (full value, value of the
     leading principal sub-block that keeps the first ``nl_keep`` degrees l),
     both read off the one factorisation; the sub-block value is the
-    l-truncation probe.  A stacked block (3-D factor) gives one value per
-    node, as arrays; a 2-D factor gives floats.
+    l-truncation probe, and 0 for ``nl_keep`` = 0, the empty sub-block.  A
+    stacked block (3-D factor) gives one value per node, as arrays; a 2-D
+    factor gives floats.
     """
     nl = block.dim // 2
-    if nl_keep is not None and not 1 <= nl_keep <= nl:
-        raise ValueError(f"nl_keep={nl_keep} outside 1 .. {nl}")
+    if nl_keep is not None and not 0 <= nl_keep <= nl:
+        raise ValueError(f"nl_keep={nl_keep} outside 0 .. {nl}")
     h = block.factor if block.factor.ndim == 3 else block.factor[None]
     kappa = np.atleast_1d(block.kappa)
     n = h.shape[2] // 2
@@ -165,14 +167,15 @@ def _factorises(f, kept) -> bool:
     return True
 
 
-def _mode_sums(kappa, sphere, plane, l_max, m_max, theta_rule, rel_tol):
+def _mode_sums(kappa, sphere, plane, l_max, m_max, theta_rule, m_tol):
     """The (4, K) record of the K kappa nodes ``kappa`` (1-D): rows F, F_sub, m error, m used.
 
     F(kappa) = sum_m ln det(I - M_m) with the m <-> -m doubling, the trace
     of the blocks not summed taken off it.  Also returned: the same sum on
     the principal submatrix with l_drop = max(4, l_max // 8) fewer degrees
     (the l-truncation probe), the bound on the rest of the m tail (the m
-    error) and the last m summed, -1 where no block was needed.  The
+    error) and the last m summed, -1 where no block was needed.  A node's
+    m sum stops once its m error is at most ``m_tol`` |F|.  The
     rapidity rule is that of ``theta_rule`` = (panels, v_max).  The nodes
     are evaluated level-major:
     in chunks, each one :class:`KappaTable` with a leading node axis and
@@ -204,10 +207,10 @@ def _mode_sums(kappa, sphere, plane, l_max, m_max, theta_rule, rel_tol):
     size = max(1, _STACK_BYTES // per_node)
     tables = (KappaTable.build(kappa[start:start + size], sphere, plane, l_max, rule)
               for start in range(0, len(kappa), size))
-    return np.hstack([_chunk_mode_sums(table, m_max, rel_tol) for table in tables])
+    return np.hstack([_chunk_mode_sums(table, m_max, m_tol) for table in tables])
 
 
-def _chunk_mode_sums(table, m_max, rel_tol):
+def _chunk_mode_sums(table, m_max, m_tol):
     """The (4, K) record of :func:`_mode_sums` for the K nodes of ``table``.
 
     The m tail is the trace still to come.  The table gives each node
@@ -221,17 +224,18 @@ def _chunk_mode_sums(table, m_max, rel_tol):
     single block reaches, and against the m sum run to l_max the miss was
     at most 0.5 U at every node of the 12 benchmark points.  The m sum
     stops per node at the first m, or before any block, where
-    U <= rel_tol/4 |F|; a weak node thus takes F = -T with no block, and
+    U <= m_tol |F|; a weak node thus takes F = -T with no block, and
     its m used is -1.  F_sub is F on the leading l_keep = l_max - l_drop
     degrees (l_drop = max(4, l_max // 8), at least one kept), with its own
-    trace T_keep; a block m > l_keep keeps its first degree in the probe
-    (:func:`logdet_one_minus` keeps at least one), which T_keep leaves
-    out.  A sum that ends at m_max < l_max is recorded the same way; one
-    that runs to m = l_max is complete, and its R, round-off then, is
-    dropped with U.  A node that stops leaves the stack, and later blocks
-    and the cached ladders hold only the nodes still summing.  A node's
-    column is written when it stops, bit-identical to that of the node
-    alone.
+    trace T_keep.  F and F_sub are carried as one (2, K) pair, of ln det
+    sums and of traces still to come.  Block m keeps its degrees
+    l <= l_keep in the probe, in its ln det and in its trace alike, and so
+    none past m = l_keep.  A sum that ends at m_max < l_max is recorded the
+    same way; one that runs to m = l_max is complete, and its R, round-off
+    then, is dropped, so its U is 0.  A node that stops leaves the stack,
+    and later blocks and the cached ladders hold only the nodes still
+    summing.  A node's column is written when it stops, bit-identical to
+    that of the node alone.
     """
     l_max = table.l_max
     l_drop = max(4, l_max // 8)
@@ -240,36 +244,32 @@ def _chunk_mode_sums(table, m_max, rel_tol):
     nodes = len(table.c)
     rows = np.empty((4, nodes))
     active = np.arange(nodes)
-    rest, rest_sub = table.m_summed_traces(l_keep)
-    total = total_sub = np.zeros(nodes)
+    # rows F and F_sub: the ln det sums and the traces still to come
+    total = np.zeros((2, nodes))
+    rest = np.array(table.m_summed_traces(l_keep))
     for m in range(-1, top + 1):
         if m >= 0:
             block = assemble_block(m, table)
-            full, sub = logdet_one_minus(block, max(1, block.dim // 2 - l_drop))
+            kept = max(0, l_keep - max(1, m) + 1)  # the degrees max(1, m) .. l_keep
             weight = 1.0 if m == 0 else 2.0
-            total = total + weight * full
-            total_sub = total_sub + weight * sub
+            total = total + weight * np.array(logdet_one_minus(block, kept))
             # squared row norms of H, two rows per degree l >= max(1, m)
             norms = np.einsum("kij,kij->ki", block.factor, block.factor)
-            rest = rest - weight * norms.sum(axis=1)
-            rest_sub = rest_sub - weight * norms[:, :2 * max(0, l_keep - max(1, m) + 1)].sum(axis=1)
-        if m == l_max:  # no blocks past l_max
-            rest = rest_sub = err = np.zeros_like(total)
-        else:
-            rest, rest_sub = np.maximum(rest, 0.0), np.maximum(rest_sub, 0.0)
-            # the next block is m = 0, of weight 1, before any block
-            err = _tail_bound(rest, 1.0 if m < 0 else 2.0)
+            rest = rest - weight * np.array([norms.sum(axis=1), norms[:, :2 * kept].sum(axis=1)])
+        # no blocks past l_max: the sum is complete, its rest round-off
+        rest = np.maximum(rest, 0.0) if m < l_max else np.zeros_like(total)
+        # the next block is m = 0, of weight 1, before any block
+        err = _tail_bound(rest[0], 1.0 if m < 0 else 2.0)
         f = total - rest
-        done = (err <= 0.25 * rel_tol * np.abs(f)) | (m == top)
+        done = (err <= m_tol * np.abs(f[0])) | (m == top)
         if done.any():
-            record = np.stack([f, total_sub - rest_sub, err, np.full_like(f, m)])
+            record = np.vstack([f, err, np.full_like(err, m)])
             rows[:, active[done]] = record[:, done]
             if done.all():
                 break
             keep = ~done
             table, active = table.take(keep), active[keep]
-            total, total_sub = total[keep], total_sub[keep]
-            rest, rest_sub = rest[keep], rest_sub[keep]
+            total, rest = total[:, keep], rest[:, keep]
     return rows
 
 
@@ -333,14 +333,24 @@ def _kappa_rule(n):
     return x, w_s * _KAPPA_MAP_SCALE / (2.0 * np.sin(0.5 * t) ** 4)
 
 
-def _quadrature_pass(n_kappa, d, prev, mode_args):
-    """Level n_kappa of the kappa rule, with kappa = x / (2 d).
+@dataclass(frozen=True)
+class _Level:
+    """One level of the kappa rule: E, its l and m estimates, the nodes x
+    and the (4, K) record, rows F, F_sub, m error, m used."""
 
-    Returns E, the l- and m-truncation estimates, the largest m any node
-    used, the level's nodes x and its (4, n_kappa - 1) record, rows F,
-    F_sub, m error, m used.  ``prev`` is the record of level n_kappa / 2, or
-    None: node k of this level is node k / 2 of that one for every even k,
-    so only the odd k are evaluated then, all in one ``_mode_sums`` call.
+    energy: float
+    err_l: float
+    err_m: float
+    x: np.ndarray
+    rows: np.ndarray
+
+
+def _quadrature_pass(n_kappa, d, prev, mode_args):
+    """Level n_kappa of the kappa rule, with kappa = x / (2 d), as a :class:`_Level`.
+
+    ``prev`` is the record of level n_kappa / 2, or None: node k of this
+    level is node k / 2 of that one for every even k, so only the odd k are
+    evaluated then, all in one ``_mode_sums`` call.
     """
     x, w = _kappa_rule(n_kappa)
     if prev is None:
@@ -349,10 +359,9 @@ def _quadrature_pass(n_kappa, d, prev, mode_args):
         rows = np.empty((4, x.size))
         rows[:, ::2] = _mode_sums(x[::2] / (2.0 * d), *mode_args)
         rows[:, 1::2] = prev
-    f, f_sub, m_err, m_used = rows
+    f, f_sub, m_err, _ = rows
     pref = 1.0 / (2.0 * math.pi) / (2.0 * d)
-    return (pref * (w @ f), pref * abs(w @ (f - f_sub)), pref * (w @ m_err),
-            int(m_used.max()), x, rows)
+    return _Level(pref * (w @ f), pref * abs(w @ (f - f_sub)), pref * (w @ m_err), x, rows)
 
 
 def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
@@ -407,54 +416,53 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
 
     auto_l = numerics.l_max == "auto"
     l_max = _auto_l_max(d) if auto_l else numerics.l_max
+    share = 0.25 * numerics.rel_tol  # of |E|, for each of the four estimates
 
     for _growth in range(4):
         m_max = l_max if numerics.m_max == "auto" else numerics.m_max
         panels, v_max = _theta_rule(l_max)
-        mode_args = (s1, p1, l_max, m_max, (panels, v_max), numerics.rel_tol)
+        mode_args = (s1, p1, l_max, m_max, (panels, v_max), share)
 
         n = numerics.kappa_nodes
-        level = _quadrature_pass(n, d, None, mode_args)
-        err_k = math.inf
-        while 2 * n <= _KAPPA_NODE_CEILING:
+        levels = [_quadrature_pass(n, d, None, mode_args)]
+        while 2 * n <= _KAPPA_NODE_CEILING:  # at least once: kappa_nodes <= 64
             n *= 2
-            e_prev = level[0]
-            level = _quadrature_pass(n, d, level[-1], mode_args)
-            err_k = abs(level[0] - e_prev)
-            if err_k <= 0.25 * numerics.rel_tol * abs(level[0]):
+            levels.append(_quadrature_pass(n, d, levels[-1].rows, mode_args))
+            err_k = abs(levels[-1].energy - levels[-2].energy)
+            if err_k <= share * abs(levels[-1].energy):
                 break
-        e_hat, err_l, err_m, m_used, x, rows = level
+        last = levels[-1]
 
-        if not auto_l or err_l <= 0.25 * numerics.rel_tol * abs(e_hat):
+        if not auto_l or last.err_l <= share * abs(last.energy):
             break
         l_max += max(10, l_max // 3)
     else:
         raise NumericsError(
-            f"l_max growth did not converge; last increment estimate {err_l} "
-            f"vs target {0.25 * numerics.rel_tol * abs(e_hat)}", error_estimate=err_l)
+            f"l_max growth did not converge; last increment estimate {last.err_l} "
+            f"vs target {share * abs(last.energy)}", error_estimate=last.err_l)
 
     # rapidity-rule check at the smallest kappa node, where the rule is weakest
-    i_min = int(np.argmin(x))
-    f_min = rows[0, i_min]
-    f2 = _mode_sums(x[i_min:i_min + 1] / (2.0 * d), s1, p1, l_max, m_max,
-                    (2 * panels, 1.25 * v_max), numerics.rel_tol)[0, 0]
-    err_theta = abs(f2 - f_min) / max(abs(f_min), 1e-300) * abs(e_hat)
+    i_min = int(np.argmin(last.x))
+    f_min = last.rows[0, i_min]
+    f2 = _mode_sums(last.x[i_min:i_min + 1] / (2.0 * d), s1, p1, l_max, m_max,
+                    (2 * panels, 1.25 * v_max), share)[0, 0]
+    err_theta = abs(f2 - f_min) / max(abs(f_min), 1e-300) * abs(last.energy)
 
-    error = err_k + err_l + err_m + err_theta
-    if e_hat >= 0.0:
-        raise SpectralAnomalyError(f"non-negative energy {e_hat} from valid inputs")
-    if error > numerics.rel_tol * abs(e_hat):
+    error = err_k + last.err_l + last.err_m + err_theta
+    if last.energy >= 0.0:
+        raise SpectralAnomalyError(f"non-negative energy {last.energy} from valid inputs")
+    if error > numerics.rel_tol * abs(last.energy):
         raise NumericsError(
             f"energy not converged: error estimate {error:.3e} vs allowed "
-            f"{numerics.rel_tol * abs(e_hat):.3e} "
-            f"(kappa {err_k:.1e}, l {err_l:.1e}, m {err_m:.1e}, theta {err_theta:.1e})",
+            f"{numerics.rel_tol * abs(last.energy):.3e} "
+            f"(kappa {err_k:.1e}, l {last.err_l:.1e}, m {last.err_m:.1e}, theta {err_theta:.1e})",
             error_estimate=error)
 
     return EnergyResult(
-        energy=float(e_hat / R),
-        energy_dimensionless=float(e_hat * d * d),
+        energy=float(last.energy / R),
+        energy_dimensionless=float(last.energy * d * d),
         error_estimate=float(error / R),
         l_max_used=l_max,
-        m_max_used=m_used,
+        m_max_used=int(last.rows[3].max()),
         kappa_nodes_used=n,
     )

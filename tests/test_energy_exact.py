@@ -116,8 +116,12 @@ def test_logdet_leading_l_matches_sliced_sub_block(omega):
             assert lead > full  # dropping degrees drops attraction
             lu = np.linalg.slogdet(np.eye(k) - sub.matrix)[1]
             assert lead == pytest.approx(lu, rel=1e-10, abs=0.0)
-    with pytest.raises(ValueError):
-        logdet_one_minus(block, 0)
+    # nl_keep counts 0 .. nl degrees; 0 keeps the empty sub-block, ln det 0
+    for bad in (-1, block.dim // 2 + 1):
+        with pytest.raises(ValueError, match=r"outside 0 \.\. "):
+            logdet_one_minus(block, bad)
+    full, lead = logdet_one_minus(block, 0)
+    assert (full, lead) == (logdet_one_minus(block), 0.0)
 
 
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 2.5])
@@ -378,18 +382,22 @@ def _counting_blocks(monkeypatch):
     return calls
 
 
+# an m share below every m error: no m sum stops before m_max, except at a
+# node whose F and m error are both 0
+_NO_M_STOP = -1.0
+
+
 def _m_sum_to_l_max(monkeypatch):
-    """Give every m tail an infinite uncertainty, so no m sum stops before
-    m_max, and take ln det of a weak block from its trace series, where the
-    Cholesky value is round-off."""
-    monkeypatch.setattr(energy_exact, "_tail_bound", lambda rest, _: np.full_like(rest, np.inf))
+    """Take ln det of a weak block from its trace series, where the Cholesky
+    value is round-off; with ``_NO_M_STOP`` an m sum then runs to l_max."""
     monkeypatch.setattr(energy_exact, "logdet_one_minus", logdet_with_small_block_series)
 
 
 def _pass_args(d):
-    """(l_max, m_max, theta_rule, rel_tol) of the first auto pass at gap d."""
+    """(l_max, m_max, theta_rule, m_tol) of the first auto pass at gap d; the
+    m sum's share m_tol of |F| is a quarter of the default rel_tol."""
     l_max = energy_exact._auto_l_max(d)
-    return l_max, l_max, energy_exact._theta_rule(l_max), NumericsSpec().rel_tol
+    return l_max, l_max, energy_exact._theta_rule(l_max), 0.25 * NumericsSpec().rel_tol
 
 
 def test_weak_node_needs_no_block(monkeypatch):
@@ -401,14 +409,14 @@ def test_weak_node_needs_no_block(monkeypatch):
     calls = _counting_blocks(monkeypatch)
     out = energy_exact._mode_sums(np.array([300.0]), sphere, plane, *_pass_args(d))
     assert calls == [] and out[3].tolist() == [-1]
-    l_max, _, theta_rule, rel_tol = _pass_args(d)
+    l_max, _, theta_rule, m_tol = _pass_args(d)
     table = KappaTable.build(np.array([300.0]), sphere, plane, l_max, rapidity_rule(*theta_rule))
     want, want_sub = m_summed_trace(table, l_max - max(4, l_max // 8))
     assert 0.0 < want[0] < 1e-25
     assert -out[:2, 0] == pytest.approx([want[0], want_sub[0]], rel=1e-12, abs=0.0)
     # before block 0 the next block has weight 1, so lam = T and U = T^2/2
     assert out[2, 0] == pytest.approx(0.5 * want[0] ** 2, rel=1e-12, abs=0.0)
-    assert 0.0 < out[2, 0] <= 0.25 * rel_tol * abs(out[0, 0])
+    assert 0.0 < out[2, 0] <= m_tol * abs(out[0, 0])
 
 
 def test_tail_bound_of_synthetic_traces():
@@ -460,11 +468,29 @@ def test_m_sum_to_l_max_has_no_tail_and_a_cap_has_one(monkeypatch):
     assert capped[0] == pytest.approx(partial - trace, rel=1e-12, abs=0.0)
     assert capped[1] == pytest.approx(partial_sub - trace_sub, rel=1e-12, abs=0.0)
     _m_sum_to_l_max(monkeypatch)
-    whole = energy_exact._mode_sums(kappa, sphere, plane, l_max, l_max, rule, 1e-14)
+    whole = energy_exact._mode_sums(kappa, sphere, plane, l_max, l_max, rule, _NO_M_STOP)
     assert whole[3].tolist() == [l_max, l_max] and whole[2].tolist() == [0.0, 0.0]
     assert np.all(np.abs(capped[0] - whole[0]) <= capped[2])
     # the tail adds attraction beyond -R, so F = partial - R lies above the whole sum
     assert np.all(whole[0] < capped[0])
+
+
+@pytest.mark.parametrize("omega_s", [PERFECT_CONDUCTOR, 1.7])
+def test_l_probe_is_the_m_sum_on_the_kept_degrees(monkeypatch, omega_s):
+    # F_sub keeps the degrees l <= l_keep = l_max - l_drop of every block m,
+    # in its ln det and in its trace, and so none past m = l_keep: the F_sub
+    # of a sum run to l_max is the F of the same nodes at l_max' = l_keep,
+    # run to m = l_keep on the same rapidity rule.  Keeping one degree past
+    # m = l_keep missed by 1.8e-8 and 1.9e-8
+    d, l_max = 0.5, 12
+    l_keep = l_max - max(4, l_max // 8)
+    sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
+    kappa, rule = np.array([0.05, 0.5, 2.0]), energy_exact._theta_rule(l_max)
+    _m_sum_to_l_max(monkeypatch)
+    whole = energy_exact._mode_sums(kappa, sphere, plane, l_max, l_max, rule, _NO_M_STOP)
+    kept = energy_exact._mode_sums(kappa, sphere, plane, l_keep, l_keep, rule, _NO_M_STOP)
+    assert whole[3].tolist() == [l_max] * 3 and kept[3].tolist() == [l_keep] * 3
+    assert whole[1] == pytest.approx(kept[0], rel=1e-13, abs=0.0)
 
 
 def test_pc_tenth_block_count_and_m_max_used(monkeypatch):
@@ -511,17 +537,18 @@ def test_m_error_covers_the_m_sum_run_to_l_max(monkeypatch, d, omega_s, omega_p)
     rel_tol = 1e-3
     sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d)
     res = casimir_energy(sphere, plane, NumericsSpec(rel_tol=rel_tol))
+    m_tol = 0.25 * rel_tol
     args = (sphere, plane, res.l_max_used, res.l_max_used,
-            energy_exact._theta_rule(res.l_max_used), rel_tol)
-    e, _, err_m, _, _, rows = energy_exact._quadrature_pass(res.kappa_nodes_used, d, None, args)
-    assert e == pytest.approx(res.energy, rel=1e-12, abs=0.0)
-    assert 0.0 < err_m <= 0.25 * rel_tol * abs(e)
+            energy_exact._theta_rule(res.l_max_used), m_tol)
+    level = energy_exact._quadrature_pass(res.kappa_nodes_used, d, None, args)
+    assert level.energy == pytest.approx(res.energy, rel=1e-12, abs=0.0)
+    assert 0.0 < level.err_m <= m_tol * abs(level.energy)
     _m_sum_to_l_max(monkeypatch)
-    e_all, _, err_all, m_all, _, rows_all = energy_exact._quadrature_pass(
-        res.kappa_nodes_used, d, None, args)
-    assert err_all == 0.0 and m_all == res.l_max_used
-    assert abs(e - e_all) <= err_m
-    assert np.all(np.abs(rows[0] - rows_all[0]) <= rows[2] + 1e-14)
+    args = (*args[:-1], _NO_M_STOP)
+    whole = energy_exact._quadrature_pass(res.kappa_nodes_used, d, None, args)
+    assert whole.err_m == 0.0 and whole.rows[3].max() == res.l_max_used
+    assert abs(level.energy - whole.energy) <= level.err_m
+    assert np.all(np.abs(level.rows[0] - whole.rows[0]) <= level.rows[2] + 1e-14)
 
 
 # ---------------------------------------------------------------- kappa rule
@@ -578,10 +605,59 @@ def test_refined_level_reuses_rows_by_index():
     d = 0.3
     mode_args = (SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), *_pass_args(d))
     coarse = energy_exact._quadrature_pass(8, d, None, mode_args)
-    fine = energy_exact._quadrature_pass(16, d, coarse[-1], mode_args)
+    fine = energy_exact._quadrature_pass(16, d, coarse.rows, mode_args)
     fresh = energy_exact._quadrature_pass(16, d, None, mode_args)
-    assert fine[:4] == fresh[:4]
-    assert np.array_equal(fine[-1], fresh[-1]) and np.array_equal(fine[-1][:, 1::2], coarse[-1])
+    assert (fine.energy, fine.err_l, fine.err_m) == (fresh.energy, fresh.err_l, fresh.err_m)
+    assert fine.rows[3].max() == fresh.rows[3].max()
+    assert np.array_equal(fine.x, fresh.x) and np.array_equal(fine.x[1::2], coarse.x)
+    assert np.array_equal(fine.rows, fresh.rows)
+    assert np.array_equal(fine.rows[:, 1::2], coarse.rows)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-3, 1e-5])
+def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
+    # an Omega R = 1.7 sphere before a PC plane at d/R = 0.3: every level
+    # of one run is recorded; the kappa, l, m and theta
+    # estimates formed from the records of the last l_max and from the
+    # theta probe add up to error_estimate, bit for bit, and the records
+    # show each stop: a level refines until two agree within rel_tol/4, and
+    # l_max grows until the l estimate is within rel_tol/4 (at rel_tol 1e-5
+    # it grows once)
+    runs, sums = [], []
+    real_pass, real_sums = energy_exact._quadrature_pass, energy_exact._mode_sums
+
+    def recording_pass(n_kappa, d, prev, mode_args):
+        level = real_pass(n_kappa, d, prev, mode_args)
+        if prev is None:  # the first level of an l_max
+            runs.append([])
+        runs[-1].append(level)
+        return level
+
+    def recording_sums(kappa, *args):
+        out = real_sums(kappa, *args)
+        sums.append(out)
+        return out
+
+    monkeypatch.setattr(energy_exact, "_quadrature_pass", recording_pass)
+    monkeypatch.setattr(energy_exact, "_mode_sums", recording_sums)
+    res = casimir_energy(SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.3),
+                         NumericsSpec(rel_tol=rel_tol))
+    share = 0.25 * rel_tol
+    levels = runs[-1]
+    last = levels[-1]
+    assert [lv.x.size + 1 for lv in levels] == [16 * 2 ** k for k in range(len(levels))]
+    assert last.x.size + 1 == res.kappa_nodes_used
+    assert last.energy == res.energy and last.rows[3].max() == res.m_max_used
+    err_k = abs(last.energy - levels[-2].energy)
+    f_min = last.rows[0, np.argmin(last.x)]
+    err_theta = abs(sums[-1][0, 0] - f_min) / max(abs(f_min), 1e-300) * abs(last.energy)
+    assert err_k + last.err_l + last.err_m + err_theta == res.error_estimate
+    for coarse, fine in zip(levels[:-2], levels[1:-1]):
+        assert abs(fine.energy - coarse.energy) > share * abs(fine.energy)
+    assert err_k <= share * abs(last.energy) and last.err_l <= share * abs(last.energy)
+    for run in runs[:-1]:
+        assert run[-1].err_l > share * abs(run[-1].energy)
+    assert len(runs) == (1 if rel_tol == 1e-3 else 2)
 
 
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
@@ -736,14 +812,14 @@ def test_rapidity_rule_error_within_its_probe(d):
     # and at x = 2 kappa d ~ 0.67: the production rule matches one with 4x
     # the panels on 1.5 v_max within the relative change the probe reports
     sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
-    l_max, m_max, (panels, v_max), rel_tol = _pass_args(d)
+    l_max, m_max, (panels, v_max), m_tol = _pass_args(d)
     x_min = energy_exact._kappa_rule(128)[0].min()
     x_mid = energy_exact._kappa_rule(32)[0][22]
     assert x_mid == pytest.approx(0.672, abs=1e-3)
     for x in (x_min, x_mid):
         def f(rule):
             return energy_exact._mode_sums(np.array([x / (2.0 * d)]), sphere, plane, l_max,
-                                           m_max, rule, rel_tol)[0][0]
+                                           m_max, rule, m_tol)[0][0]
         prod = f((panels, v_max))
         probe = abs(f((2 * panels, 1.25 * v_max)) - prod) / abs(prod)
         ref = f((4 * panels, 1.5 * v_max))
