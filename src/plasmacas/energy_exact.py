@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, SpectralAnomalyError
-from .roundtrip import KappaTable, RoundTripBlock, assemble_block
+from .roundtrip import KappaTable, RoundTripBlock, _squared_norms, assemble_block
 from .scattering import PlaneSheet, SphereSheet, varpi
 from ._quadrature import rapidity_rule
 
@@ -185,12 +185,15 @@ def _mode_sums(kappa, sphere, plane, l_max, m_max, theta_rule, m_tol):
     4 MiB.  That bounds the largest array of the chunk, not its working
     set: while block m is assembled, block m-1's H is still held, and the
     new H comes with its two angular log arrays, one exponent buffer and up
-    to three Legendre ladders, each a quarter of H; the trace step before
-    block 0 holds four arrays of that size.  Dropping block m-1 first
+    to three Legendre ladders, each a quarter of H.  The trace step before
+    block 0 holds the m-summed factor, the size of block 0's H, with its
+    exponent buffer and two log arrays of a quarter each, and lets them
+    go before block 0.  Dropping block m-1 first
     was no faster and saved 0.3 of 50.7 MB (PC d/R = 0.1 and 0.05, medians
     of 30 alternating rounds: 0.309 s held, 0.317 s dropped).  The numpy peak
     of one PC d/R = 0.02 point (tracemalloc, H of 555 kB per node, 7 nodes
-    per chunk) is 13.3 MB, 3.3 times the budget.  Measured on a 2-core Xeon
+    per chunk) is 13.1 MB, 3.1 times the budget; its trace step peaks at
+    6.9 MB above what the chunk held before it.  Measured on a 2-core Xeon
     (AVX-512) with one BLAS thread, each size in its own process, medians of
     5 interleaved rounds that spread by up to 25%: a pass over PC d/R = 0.1
     and 0.05 (H of 90 and 166 kB per node) took 0.27 s at 1 MiB, 0.26 s at
@@ -246,16 +249,14 @@ def _chunk_mode_sums(table, m_max, m_tol):
     active = np.arange(nodes)
     # rows F and F_sub: the ln det sums and the traces still to come
     total = np.zeros((2, nodes))
-    rest = np.array(table.m_summed_traces(l_keep))
+    rest = table.m_summed_traces(l_keep)
     for m in range(-1, top + 1):
         if m >= 0:
             block = assemble_block(m, table)
             kept = max(0, l_keep - max(1, m) + 1)  # the degrees max(1, m) .. l_keep
             weight = 1.0 if m == 0 else 2.0
             total = total + weight * np.array(logdet_one_minus(block, kept))
-            # squared row norms of H, two rows per degree l >= max(1, m)
-            norms = np.einsum("kij,kij->ki", block.factor, block.factor)
-            rest = rest - weight * np.array([norms.sum(axis=1), norms[:, :2 * kept].sum(axis=1)])
+            rest = rest - weight * _squared_norms(block.factor, kept)
         # no blocks past l_max: the sum is complete, its rest round-off
         rest = np.maximum(rest, 0.0) if m < l_max else np.zeros_like(total)
         # the next block is m = 0, of weight 1, before any block
@@ -398,13 +399,14 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     of |E|) in 13 s and 38 s with one BLAS thread on a 2-core Intel Xeon.
 
     Returns energy in units hbar c per unit length of the inputs, alongside
-    the dimensionless E d^2/(hbar c R).
+    the dimensionless E d^2/(hbar c R).  A transparent sheet needs no block:
+    E = 0, with every estimate and count 0 and ``m_max_used`` -1.
     """
     R, L = sphere.radius_R, plane.distance_L
     if not (L > R):
         raise ValueError(f"need L > R, got L={L}, R={R}")
     if sphere.omega_s == 0.0 or plane.omega_p == 0.0:
-        return EnergyResult(0.0, 0.0, 0.0, 0, 0, 0)
+        return EnergyResult(0.0, 0.0, 0.0, 0, -1, 0)
 
     # dimensionless core: R = 1
     s1 = SphereSheet(radius_R=1.0, omega_s=varpi(sphere.omega_s, R))

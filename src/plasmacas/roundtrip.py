@@ -39,8 +39,11 @@ Numerical organisation, fixed once here and relied on everywhere:
   whichever side is smaller, which also gives the leading-l truncation
   used as the l probe;
 * the trace of every block, summed over m, needs no block: the Legendre
-  addition theorem sums the angular functions over m in closed form
-  (:meth:`KappaTable.m_summed_traces`);
+  addition theorem sums the squared angular functions over m in closed
+  form, and H filled with the square roots of those sums in place of tau
+  and pi is an m-summed factor whose squared norm is that trace
+  (:meth:`KappaTable.m_summed_traces`).  One function,
+  :func:`_fill_factor`, fills that factor and every block's H;
 * ln tau is formed from ln pi and the bounded ratio tau/pi - c, with one
   exp and one log and no log-sum (see :func:`_angular_logs`); at m = 0,
   where pi = 0, only the TE/TE and TM/TM quarters of H are computed and
@@ -232,16 +235,19 @@ class KappaTable:
             sum_m (2 - delta_m0) pi_lm^2 = P_l'(X),
             sum_m (2 - delta_m0) tau_lm^2 = l(l+1) P_l(X) - X P_l'(X),
 
-        so T is one sum over l and the rapidity nodes, the size of one
-        quarter of block 0.  ln P_l(X) is the order-0 ladder at X.
-        ln P_l'(X) is the order-1 ladder without its seed, since
-        Pbar_l^1 / Pbar_1^1 = P_l'(X) sqrt(2/(l(l+1))); so the rounding of
-        X - 1 near X = 1 does not enter.  The tau sum is P_l (l(l+1) - q),
-        q = X P_l'/P_l in [l, l(l+1)/2], so nothing cancels there.  Each
-        node's sum runs along contiguous axes of its own, so it is
-        bit-identical stacked or alone.
+        so T is the squared norm of an m-summed factor: the block
+        assembler's fill (:func:`_fill_factor`) with the halves of the logs
+        of these two sums in place of ln tau and ln pi, and degrees from
+        l = 1.  That factor is the size of block 0's H, and T_keep is its
+        norm over the first l_keep degrees (:func:`_squared_norms`).
+        ln P_l(X) is the order-0 ladder at X.  ln P_l'(X) is the order-1
+        ladder without its seed, since Pbar_l^1 / Pbar_1^1 = P_l'(X)
+        sqrt(2/(l(l+1))); so the rounding of X - 1 near X = 1 does not
+        enter.  The tau sum is P_l (l(l+1) - q), q = X P_l'/P_l in
+        [l, l(l+1)/2], so nothing cancels there.  Each node's norms sum
+        the entries of its own factor, row by row and then over the rows,
+        so they are bit-identical stacked or alone.
         """
-        nodes, n = self.c.shape
         l_max = self.l_max
         c = self.c.ravel()
         sh2 = (c - 1.0) * (c + 1.0)
@@ -258,18 +264,13 @@ class KappaTable:
         np.subtract((ll * (ll + 1.0))[:, None], l_tau, out=l_tau)
         np.log(l_tau, out=l_tau)
         l_tau += l_pl
-        per_l = np.zeros((nodes, l_max))
-        arg = np.empty((nodes, l_max, n))
-        # TE rows [tau sqrt r_TE, pi sqrt q_TM], TM rows [pi sqrt r_TE, tau sqrt q_TM]
-        for angular, row, col in ((l_tau, self.row_te, self.col_te),
-                                  (l_dp, self.row_te, self.col_tm),
-                                  (l_dp, self.row_tm, self.col_te),
-                                  (l_tau, self.row_tm, self.col_tm)):
-            np.add(angular.reshape(l_max, nodes, n).swapaxes(0, 1), 2.0 * row[:, :, None], out=arg)
-            arg += 2.0 * col[:, None, :]
-            np.exp(arg, out=arg)
-            per_l += arg.sum(axis=2)
-        return per_l.sum(axis=1), per_l[:, :l_keep].sum(axis=1)
+        # the order-0 ladder goes before the factor is filled: held, it
+        # raised the peak RSS of a d/R = 0.1 and 0.05 pass by 0.7 MB
+        del l_pl
+        # the square roots of both sums, the factor's angular entries
+        l_tau *= 0.5
+        l_dp *= 0.5
+        return _squared_norms(_fill_factor(self, l_tau, l_dp, 1), l_keep)
 
     def take(self, keep) -> "KappaTable":
         """The table of the nodes ``keep`` selects (a mask or indices on the node axis)."""
@@ -296,28 +297,8 @@ def assemble_block(m: int, table: KappaTable) -> RoundTripBlock:
     if l_max < l0:
         raise ValueError(f"l_max={l_max} below max(1, |m|)={l0}")
 
-    nodes, n = table.c.shape
     ltau, lpi = _angular_logs(l_max, mm, table.c.ravel(), table.ladder)
-    nl = ltau.shape[0]
-    row_te, row_tm = table.row_te[:, l0 - 1:, None], table.row_tm[:, l0 - 1:, None]
-    col_te, col_tm = table.col_te[:, None, :], table.col_tm[:, None, :]
-    # M = H H^T with a TE row [tau sqrt(r_TE), pi sqrt(q_TM)] and a TM row
-    # [pi sqrt(r_TE), tau sqrt(q_TM)], each times its row weight; at m = 0
-    # pi = 0 and only the TE/TE and TM/TM quarters are filled
-    quarters = [(ltau, row_te, col_te, 0, slice(None, n)),
-                (ltau, row_tm, col_tm, 1, slice(n, None))]
-    if mm > 0:
-        quarters += [(lpi, row_te, col_tm, 0, slice(n, None)),
-                     (lpi, row_tm, col_te, 1, slice(None, n))]
-    # the exponent buffer goes before H: allocated after it, it raised the
-    # measured peak RSS of a d/R = 0.1 and 0.05 pass by 0.8 MB
-    arg = np.empty((nodes, nl, n))
-    h = (np.empty if mm > 0 else np.zeros)((nodes, 2 * nl, 2 * n))
-    for angular, row, col, pol, cols in quarters:
-        # (n_l, K n_theta) -> (K, n_l, n_theta), as a view
-        np.add(angular.reshape(nl, nodes, n).swapaxes(0, 1), row, out=arg)
-        arg += col
-        np.exp(arg, out=h[:, pol::2, cols])
+    h = _fill_factor(table, ltau, lpi, l0)
     if m < 0:
         h[:, 1::2] *= -1.0
     finite = np.isfinite(h).all(axis=(1, 2))
@@ -325,6 +306,48 @@ def assemble_block(m: int, table: KappaTable) -> RoundTripBlock:
         raise NumericsError(
             f"non-finite entries in block m={m}, "
             f"kappa={np.atleast_1d(table.kappa)[np.argmin(finite)]} "
-            f"(l_max={l_max}, theta_nodes={n})")
+            f"(l_max={l_max}, theta_nodes={table.c.shape[1]})")
     return RoundTripBlock(m=m, kappa=table.kappa, l_max=l_max,
                           factor=h if np.ndim(table.kappa) else h[0])
+
+
+def _fill_factor(table: KappaTable, ltau, lpi, l0: int) -> np.ndarray:
+    """The factor H, (K, 2 n_l, 2 n_theta), on the table's nodes from its angular logs.
+
+    ``ltau`` and ``lpi`` hold the logs of the tau and pi entries, (n_l, K
+    n_theta) for the degrees l = l0 .. l_max; ``lpi`` is None where pi = 0
+    (m = 0), and then only the TE/TE and TM/TM quarters are filled and the
+    other two stay zero.  Each entry is exp(angular + row half-log +
+    column half-log), its exponent summed in one scratch buffer that exp
+    writes straight into H.  Rows carry no sign.
+    """
+    nodes, n = table.c.shape
+    nl = ltau.shape[0]
+    row_te, row_tm = table.row_te[:, l0 - 1:, None], table.row_tm[:, l0 - 1:, None]
+    col_te, col_tm = table.col_te[:, None, :], table.col_tm[:, None, :]
+    # M = H H^T with a TE row [tau sqrt(r_TE), pi sqrt(q_TM)] and a TM row
+    # [pi sqrt(r_TE), tau sqrt(q_TM)], each times its row weight
+    quarters = [(ltau, row_te, col_te, 0, slice(None, n)),
+                (ltau, row_tm, col_tm, 1, slice(n, None))]
+    if lpi is not None:
+        quarters += [(lpi, row_te, col_tm, 0, slice(n, None)),
+                     (lpi, row_tm, col_te, 1, slice(None, n))]
+    # the exponent buffer goes before H: allocated after it, it raised the
+    # measured peak RSS of a d/R = 0.1 and 0.05 pass by 0.8 MB
+    arg = np.empty((nodes, nl, n))
+    h = (np.zeros if lpi is None else np.empty)((nodes, 2 * nl, 2 * n))
+    for angular, row, col, pol, cols in quarters:
+        # (n_l, K n_theta) -> (K, n_l, n_theta), as a view
+        np.add(angular.reshape(nl, nodes, n).swapaxes(0, 1), row, out=arg)
+        arg += col
+        np.exp(arg, out=h[:, pol::2, cols])
+    return h
+
+
+def _squared_norms(h: np.ndarray, k: int) -> np.ndarray:
+    """The (2, K) squared norms of a stack of factors H: whole, and over its first k degrees.
+
+    H has two rows per degree, so the first k degrees are its first 2k rows.
+    """
+    rows = np.einsum("kij,kij->ki", h, h)
+    return np.array([rows.sum(axis=1), rows[:, :2 * k].sum(axis=1)])

@@ -198,10 +198,11 @@ def test_logdet_against_cofactor_oracle():
 # ---------------------------------------------------------------- energy
 
 def test_energy_transparent_is_zero():
+    # no block is needed, so m_max_used is -1, as for a node that needs none
     r = casimir_energy(SphereSheet(1.0, 0.0), PlaneSheet(1.0, 2.0))
-    assert r.energy == 0.0
+    assert r.energy == 0.0 and r.m_max_used == -1
     r = casimir_energy(SphereSheet(1.0, 1.0), PlaneSheet(0.0, 2.0))
-    assert r.energy == 0.0
+    assert r.energy == 0.0 and r.m_max_used == -1
 
 
 def test_energy_requires_separation():

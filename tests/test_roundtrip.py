@@ -287,17 +287,22 @@ def test_m_summed_traces_match_the_block_by_block_sum(d, l_max, omega_s, omega_p
     # edge of kappa level 128, at ``xs`` and on the far edge.  X =
     # cosh(2 theta) runs from 1 + 1.6e-8 to 8e9 over the rapidity nodes,
     # and P_l(X) up to 1e5750; on the far edge every block and the trace
-    # underflow to 0
+    # underflow to 0.  T_keep is checked at the probe's cutoff and at both
+    # ends, l_keep = 1 and l_keep = l_max, where it is T itself
     x = _kappa_rule(128)[0]
     kappa = np.array([x.min(), *xs] + ([x.max()] if far else [])) / (2.0 * d)
     table = KappaTable.build(kappa, SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d), l_max,
                              rapidity_rule(*_theta_rule(l_max)))
-    l_keep = l_max - max(4, l_max // 8)
-    got, got_keep = table.m_summed_traces(l_keep)
-    want, want_keep = m_summed_trace(table, l_keep)
-    if far:
-        assert want[-1] == got[-1] == 0.0
-        got, got_keep, want, want_keep = got[:-1], got_keep[:-1], want[:-1], want_keep[:-1]
-    assert np.all(want > 0.0) and np.all(got_keep < got)
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert got_keep == pytest.approx(want_keep, rel=1e-12, abs=0.0)
+    for l_keep in (1, l_max - max(4, l_max // 8), l_max):
+        got, got_keep = table.m_summed_traces(l_keep)
+        want, want_keep = m_summed_trace(table, l_keep)
+        if far:
+            assert want[-1] == got[-1] == want_keep[-1] == got_keep[-1] == 0.0
+            got, got_keep, want, want_keep = got[:-1], got_keep[:-1], want[:-1], want_keep[:-1]
+        assert np.all(want > 0.0) and np.all(want_keep > 0.0)
+        if l_keep == l_max:
+            assert np.array_equal(got_keep, got) and np.array_equal(want_keep, want)
+        else:
+            assert np.all(got_keep < got)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got_keep == pytest.approx(want_keep, rel=1e-12, abs=0.0)
