@@ -66,11 +66,13 @@ _E1_STEP = 0.8  # the E1 grid's log-t step, in units of _LOG_TRAP_H
 # s-term: a traced peak of 1.6 MB at w = 0.095, on a 115 x 48 grid.  glibc
 # hands its heap top back to the system once more than its trim threshold
 # (128 KiB at start) lies free there, to be faulted in again by the next
-# table, term or exact-path m: about 2100 minor faults per benchmark pass
-# of asympt-sweep and 9300-10800 of exact-wide without this block, near 0
-# with it.  Freeing a block above the mmap threshold raises that threshold
-# to its size and the trim threshold to twice it (mallopt(3)): 2 and 4 MiB
-# here.  Under another allocator this is one short-lived allocation.
+# table, term or exact-path m.  Without this block a benchmark pass (seed
+# 1, in-process, median of 15) takes 3269 minor faults on asympt-sweep and
+# 735 on exact-wide, against 1 and 1 with it; pass times did not move
+# beyond their own spread (0.05-0.08 s and 0.10-0.23 s, two runs each).
+# Freeing a block above the mmap threshold raises that threshold to its
+# size and the trim threshold to twice it (mallopt(3)): 2 and 4 MiB here.
+# Under another allocator this is one short-lived allocation.
 _block = np.empty(1 << 18)
 del _block
 

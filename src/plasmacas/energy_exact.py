@@ -11,6 +11,7 @@ together with the dimensionless combination E d^2 / (hbar c R).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,31 +29,38 @@ _LOGDET_POSITIVE_TOL = 1e-12
 _STACK_BYTES = 4 << 20  # m = 0 factors H of one stack of kappa nodes (see _mode_sums)
 
 
+def _is_count(v) -> bool:
+    """An integer of any type, numpy's included; a bool is not a count."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class NumericsSpec:
     """The truncation knobs a caller sets.
 
-    l_max (at least 2, so the l probe has a degree to drop) and m_max (at
-    least 1) may be "auto"; rel_tol, in (0, 1), applies to the
-    dimensionless core value E R / (hbar c).  The rapidity rule follows
-    l_max (see :func:`_theta_rule`).
+    l_max (at least 2, so the l probe has a degree to drop) may be "auto";
+    rel_tol, in (0, 1), applies to the dimensionless core value
+    E R / (hbar c).  The rapidity rule follows l_max (see
+    :func:`_theta_rule`), and each kappa node's m cutoff follows rel_tol
+    (see :func:`_chunk_mode_sums`).  The counts may be any integer type but
+    bool, and are kept as Python ints.
     """
 
     l_max: int | str = "auto"
-    m_max: int | str = "auto"
     kappa_nodes: int = 16
     rel_tol: float = 1e-3
 
     def __post_init__(self):
-        for name, low in (("l_max", 2), ("m_max", 1)):
-            v = getattr(self, name)
-            if v != "auto" and (type(v) is not int or v < low):  # a bool is not a count
-                raise ValueError(f"{name} must be an integer >= {low} or 'auto', got {v!r}")
+        if self.l_max != "auto" and not (_is_count(self.l_max) and self.l_max >= 2):
+            raise ValueError(f"l_max must be an integer >= 2 or 'auto', got {self.l_max!r}")
         # the kappa rule needs room for one doubling below its ceiling
         top = _KAPPA_NODE_CEILING // 2
-        if not isinstance(self.kappa_nodes, int) or not 8 <= self.kappa_nodes <= top:
+        if not (_is_count(self.kappa_nodes) and 8 <= self.kappa_nodes <= top):
             raise ValueError(f"kappa_nodes must be an integer in 8 .. {top}, "
                              f"got {self.kappa_nodes!r}")
+        for name in ("l_max", "kappa_nodes"):  # np.int64 -> int, as the results report them
+            if getattr(self, name) != "auto":
+                object.__setattr__(self, name, int(getattr(self, name)))
         if not 0.0 < self.rel_tol < 1.0:  # also rejects nan
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
 
@@ -167,7 +175,7 @@ def _factorises(f, kept) -> bool:
     return True
 
 
-def _mode_sums(kappa, sphere, plane, l_max, m_max, theta_rule, m_tol):
+def _mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol):
     """The (4, K) record of the K kappa nodes ``kappa`` (1-D): rows F, F_sub, m error, m used.
 
     F(kappa) = sum_m ln det(I - M_m) with the m <-> -m doubling, the trace
@@ -189,31 +197,33 @@ def _mode_sums(kappa, sphere, plane, l_max, m_max, theta_rule, m_tol):
     block 0 holds the m-summed factor, the size of block 0's H, with its
     exponent buffer and two log arrays of a quarter each, and lets them
     go before block 0.  Dropping block m-1 first
-    was no faster and saved 0.3 of 50.7 MB (PC d/R = 0.1 and 0.05, medians
-    of 30 alternating rounds: 0.309 s held, 0.317 s dropped).  The numpy peak
+    was no faster and saved 0.1 of 39.4 MB (PC d/R = 0.1 and 0.05, one
+    process per round, the median of 5 passes each, medians of 20
+    alternating rounds: 0.141 s held, 0.147 s dropped).  The numpy peak
     of one PC d/R = 0.02 point (tracemalloc, H of 555 kB per node, 7 nodes
     per chunk) is 13.1 MB, 3.1 times the budget; its trace step peaks at
     6.9 MB above what the chunk held before it.  Measured on a 2-core Xeon
     (AVX-512) with one BLAS thread, each size in its own process, medians of
-    5 interleaved rounds that spread by up to 25%: a pass over PC d/R = 0.1
-    and 0.05 (H of 90 and 166 kB per node) took 0.27 s at 1 MiB, 0.26 s at
-    2 MiB, 0.24 s at 4 MiB and 0.26 s at 8 MiB, with a peak RSS of 37.2,
-    40.6, 43.5 and 43.4 MB.  PC d/R = 0.02 took 1.34, 1.13, 1.14 and 1.16 s
-    and peaked at 37.4, 38.1, 46.5 and 61.8 MB; PC d/R = 0.01 (1.4 MB per
-    node: 1, 2 and 5 nodes per chunk) took 8.2, 7.6 and 7.6 s at 2, 4 and
-    8 MiB and peaked at 44.9, 44.8 and 57.3 MB.  4 MiB stays because no
-    size is faster on the d/R = 0.1 and 0.05 pass; 2 MiB is as fast and
-    8 MB smaller at d/R = 0.02 only.
+    5 interleaved rounds: a pass over PC d/R = 0.1 and 0.05 (H of 90 and
+    166 kB per node; the median of 5 passes per process) took 0.18 s at
+    1 MiB, 0.14 s at 2 MiB, 0.15 s at 4 MiB and 0.15 s at 8 MiB, its rounds
+    spreading over 0.11-0.23 s, with a peak RSS of 36.8, 37.8, 40.5 and
+    40.5 MB.  PC d/R = 0.02 took 1.01, 0.75, 0.75 and 0.84 s and peaked at
+    37.5, 38.4, 47.0 and 50.6 MB; PC d/R = 0.01 (1.4 MB per node: 1, 2 and
+    5 nodes per chunk) took 5.7, 4.9 and 4.9 s at 2, 4 and 8 MiB and peaked
+    at 45.1, 45.0 and 57.4 MB.  4 MiB stays: on the d/R = 0.1 and 0.05 pass
+    no size is faster beyond that spread, 2 MiB is as fast and 8.6 MB
+    smaller at d/R = 0.02, and 14% slower at d/R = 0.01.
     """
     rule = rapidity_rule(*theta_rule)
     per_node = 8 * (2 * l_max) * (2 * rule[0].size)
     size = max(1, _STACK_BYTES // per_node)
     tables = (KappaTable.build(kappa[start:start + size], sphere, plane, l_max, rule)
               for start in range(0, len(kappa), size))
-    return np.hstack([_chunk_mode_sums(table, m_max, m_tol) for table in tables])
+    return np.hstack([_chunk_mode_sums(table, m_tol) for table in tables])
 
 
-def _chunk_mode_sums(table, m_max, m_tol):
+def _chunk_mode_sums(table, m_tol):
     """The (4, K) record of :func:`_mode_sums` for the K nodes of ``table``.
 
     The m tail is the trace still to come.  The table gives each node
@@ -233,9 +243,8 @@ def _chunk_mode_sums(table, m_max, m_tol):
     trace T_keep.  F and F_sub are carried as one (2, K) pair, of ln det
     sums and of traces still to come.  Block m keeps its degrees
     l <= l_keep in the probe, in its ln det and in its trace alike, and so
-    none past m = l_keep.  A sum that ends at m_max < l_max is recorded the
-    same way; one that runs to m = l_max is complete, and its R, round-off
-    then, is dropped, so its U is 0.  A node that stops leaves the stack,
+    none past m = l_keep.  A sum that runs to m = l_max is complete, and its
+    R, round-off then, is dropped, so its U is 0.  A node that stops leaves the stack,
     and later blocks and the cached ladders hold only the nodes still
     summing.  A node's column is written when it stops, bit-identical to
     that of the node alone.
@@ -243,14 +252,13 @@ def _chunk_mode_sums(table, m_max, m_tol):
     l_max = table.l_max
     l_drop = max(4, l_max // 8)
     l_keep = max(1, l_max - l_drop)
-    top = min(m_max, l_max)
     nodes = len(table.c)
     rows = np.empty((4, nodes))
     active = np.arange(nodes)
     # rows F and F_sub: the ln det sums and the traces still to come
     total = np.zeros((2, nodes))
     rest = table.m_summed_traces(l_keep)
-    for m in range(-1, top + 1):
+    for m in range(-1, l_max + 1):
         if m >= 0:
             block = assemble_block(m, table)
             kept = max(0, l_keep - max(1, m) + 1)  # the degrees max(1, m) .. l_keep
@@ -262,7 +270,7 @@ def _chunk_mode_sums(table, m_max, m_tol):
         # the next block is m = 0, of weight 1, before any block
         err = _tail_bound(rest[0], 1.0 if m < 0 else 2.0)
         f = total - rest
-        done = (err <= m_tol * np.abs(f[0])) | (m == top)
+        done = (err <= m_tol * np.abs(f[0])) | (m == l_max)
         if done.any():
             record = np.vstack([f, err, np.full_like(err, m)])
             rows[:, active[done]] = record[:, done]
@@ -421,9 +429,8 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     share = 0.25 * numerics.rel_tol  # of |E|, for each of the four estimates
 
     for _growth in range(4):
-        m_max = l_max if numerics.m_max == "auto" else numerics.m_max
         panels, v_max = _theta_rule(l_max)
-        mode_args = (s1, p1, l_max, m_max, (panels, v_max), share)
+        mode_args = (s1, p1, l_max, (panels, v_max), share)
 
         n = numerics.kappa_nodes
         levels = [_quadrature_pass(n, d, None, mode_args)]
@@ -446,7 +453,7 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     # rapidity-rule check at the smallest kappa node, where the rule is weakest
     i_min = int(np.argmin(last.x))
     f_min = last.rows[0, i_min]
-    f2 = _mode_sums(last.x[i_min:i_min + 1] / (2.0 * d), s1, p1, l_max, m_max,
+    f2 = _mode_sums(last.x[i_min:i_min + 1] / (2.0 * d), s1, p1, l_max,
                     (2 * panels, 1.25 * v_max), share)[0, 0]
     err_theta = abs(f2 - f_min) / max(abs(f_min), 1e-300) * abs(last.energy)
 

@@ -106,7 +106,7 @@ def test_nan_omega_is_usage_error(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--lmax", "0"), ("--mmax", "-1"), ("--rel-tol", "-1"),
+@pytest.mark.parametrize("flag, value", [("--lmax", "0"), ("--rel-tol", "-1"),
                                          ("--lmax", "1"), ("--rel-tol", "inf")])
 def test_bad_numerics_flag_is_usage_error(tmp_path, capsys, flag, value):
     # checked up front for every method, not row by row
@@ -269,6 +269,30 @@ def test_asympt_row_runs_each_series_once(monkeypatch):
     assert calls == {"_polylog_integral": 1, "_tail_corrected_sum": 1}
 
 
+@pytest.mark.parametrize("method", ["pfa", "asympt"])
+def test_benchmark_warm_up_task_computes(method):
+    # the benchmark's asympt-sweep warm-up passes pfa and asympt rows with
+    # three numerics slots; those rows read none of them
+    row = cli._compute_row((method, 1e-3, 1e-4, 6.75e5, 6.75e5, None, None, None))
+    assert row["status"] == "ok" and row["energy_J"] < 0.0
+
+
+def test_m_cap_is_not_a_setting(tmp_path, capsys):
+    # each kappa node's m cutoff comes from rel_tol, so --mmax and the mmax
+    # key are refused like any unknown setting
+    point = ["point", "--method", "exact", "--radius", "1e-3", "--gap", "1e-4"]
+    out = tmp_path / "m.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*point, "--mmax", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mmax 4" in capsys.readouterr().err
+    conf = tmp_path / "c.conf"
+    conf.write_text("radius = 1e-3\ngap = 1e-4\nmmax = 4\n")
+    assert main(["point", "--config", str(conf), "--out", str(out)]) == 2
+    assert "c.conf:3: unknown key 'mmax'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_graphene_sweep_monotone_energy_and_theta_minimum(tmp_path):
     # spans the theta minimum near d = 1/Omega = 1.48 um
     out = tmp_path / "g.csv"
@@ -335,7 +359,7 @@ def test_bad_config_spacing_is_usage_error_for_any_count(tmp_path, capsys, count
 # one value per config key, each different from what the base file below resolves to
 _KEY_SAMPLES = {
     "method": "pfa", "radius": "2e-3", "gap": "3e-5", "omega_sphere": "6.75e5",
-    "omega_plane": "1e6", "lmax": "40", "mmax": "6", "rel_tol": "1e-4", "out": "x.csv",
+    "omega_plane": "1e6", "lmax": "40", "rel_tol": "1e-4", "out": "x.csv",
     "threads": "2", "gap_min": "2e-4", "gap_max": "2e-3", "gap_count": "4",
     "gap_spacing": "linear", "radius_min": "2e-4", "radius_max": "2e-3",
     "radius_count": "4", "radius_spacing": "linear",
@@ -427,5 +451,5 @@ def test_run_sweep_looks_up_compute_row_per_call(tmp_path, monkeypatch, capsys):
                          omega_p=6.75e5, out=str(tmp_path / "hook.csv"))
     assert run_sweep(config) == 0
     assert len(seen) == len(gaps)
-    assert all(len(task) == 8 for task in seen)
+    assert all(len(task) == 7 for task in seen)
     assert [task[2] for task in seen] == list(gaps)

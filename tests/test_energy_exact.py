@@ -267,7 +267,7 @@ def test_energy_truncation_convergence_within_estimate(monkeypatch):
     monkeypatch.setattr(energy_exact, "_theta_rule",
                         lambda l_max: (2 * rule(l_max)[0], 1.25 * rule(l_max)[1]))
     hard = casimir_energy(sphere, plane, NumericsSpec(
-        l_max=2 * res.l_max_used, m_max=2 * res.l_max_used,
+        l_max=2 * res.l_max_used,
         kappa_nodes=2 * res.kappa_nodes_used, rel_tol=1e-3))
     assert abs(hard.energy - res.energy) < res.error_estimate
 
@@ -289,49 +289,47 @@ def test_smallest_l_max_reports_its_truncation():
     assert info.value.error_estimate > 0.1
 
 
-def test_m_max_cap_puts_its_tail_into_the_estimate():
-    # PC d/R = 0.1: after m = 2 the trace still to come is taken off E, and
-    # its second-order bound (m error 5.6e-2 against the allowed 3.8e-3)
-    # enters err_m.  The sum stops on its own at m = 5, so a cap at 4 is
-    # what ends it
-    sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1)
-    with pytest.raises(NumericsError, match="energy not converged"):
-        casimir_energy(sphere, plane, NumericsSpec(m_max=2, rel_tol=1e-3))
-    full = casimir_energy(sphere, plane, NumericsSpec(rel_tol=1e-3))
-    capped = casimir_energy(sphere, plane, NumericsSpec(m_max=4, rel_tol=1e-3))
-    assert capped.m_max_used == 4 < full.m_max_used
-    assert abs(capped.energy - full.energy) < capped.error_estimate
-
-
 def test_numerics_spec_validation():
     with pytest.raises(ValueError):
         NumericsSpec(l_max=0)
     # l_max = 1 leaves the l probe no degree to drop, so its estimate read 0;
-    # a bool is an int to Python but not a truncation; rel_tol must be a
-    # finite fraction
-    for bad in (dict(l_max=1), dict(l_max=True), dict(m_max=0), dict(m_max=False),
-                dict(rel_tol=math.inf), dict(rel_tol=math.nan), dict(rel_tol=1.0)):
+    # a bool, numpy's too, is an int to Python but not a truncation; rel_tol
+    # must be a finite fraction
+    for bad in (dict(l_max=1), dict(l_max=True), dict(l_max=np.bool_(True)),
+                dict(l_max=np.int64(1)), dict(rel_tol=math.inf), dict(rel_tol=math.nan),
+                dict(rel_tol=1.0)):
         with pytest.raises(ValueError):
             NumericsSpec(**bad)
-    with pytest.raises(ValueError):
-        NumericsSpec(m_max="many")
     with pytest.raises(ValueError):
         NumericsSpec(kappa_nodes=4)
     with pytest.raises(ValueError):
         NumericsSpec(rel_tol=0.0)
     # counts the driver cannot honour: a first kappa level with no room to
     # double, and non-integers
-    for bad in (dict(kappa_nodes=65), dict(kappa_nodes=128), dict(kappa_nodes=16.0)):
+    for bad in (dict(kappa_nodes=65), dict(kappa_nodes=128), dict(kappa_nodes=16.0),
+                dict(kappa_nodes=np.int8(4)), dict(kappa_nodes=np.float64(16.0))):
         with pytest.raises(ValueError):
             NumericsSpec(**bad)
-    # the rapidity nodes and an absolute tolerance are not caller knobs
-    for gone in (dict(theta_nodes=40), dict(abs_tol=1e-12)):
+    # the rapidity nodes, an absolute tolerance and an m cap are not caller
+    # knobs: the trace still to come sets each node's m cutoff
+    for gone in (dict(theta_nodes=40), dict(abs_tol=1e-12), dict(m_max=4)):
         with pytest.raises(TypeError):
             NumericsSpec(**gone)
     assert NumericsSpec(kappa_nodes=64).kappa_nodes == 64
     assert NumericsSpec().l_max == "auto"
     # the benchmark's warm-up spec
     assert NumericsSpec(l_max=8, kappa_nodes=8, rel_tol=0.5).l_max == 8
+
+
+def test_numerics_spec_takes_numpy_integers():
+    # a count taken from np.arange is a count, kept as a Python int so that
+    # l_max_used stays one
+    spec = NumericsSpec(l_max=np.int64(40), kappa_nodes=np.int64(16))
+    assert spec == NumericsSpec(l_max=40, kappa_nodes=16)
+    assert type(spec.l_max) is int and type(spec.kappa_nodes) is int
+    res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.5),
+                         NumericsSpec(l_max=np.int64(20), rel_tol=1e-2))
+    assert type(res.l_max_used) is int and res.l_max_used == 20
 
 
 def test_exact_approaches_leading_plus_ntl():
@@ -383,7 +381,7 @@ def _counting_blocks(monkeypatch):
     return calls
 
 
-# an m share below every m error: no m sum stops before m_max, except at a
+# an m share below every m error: no m sum stops before l_max, except at a
 # node whose F and m error are both 0
 _NO_M_STOP = -1.0
 
@@ -395,10 +393,10 @@ def _m_sum_to_l_max(monkeypatch):
 
 
 def _pass_args(d):
-    """(l_max, m_max, theta_rule, m_tol) of the first auto pass at gap d; the
-    m sum's share m_tol of |F| is a quarter of the default rel_tol."""
+    """(l_max, theta_rule, m_tol) of the first auto pass at gap d; the m
+    sum's share m_tol of |F| is a quarter of the default rel_tol."""
     l_max = energy_exact._auto_l_max(d)
-    return l_max, l_max, energy_exact._theta_rule(l_max), 0.25 * NumericsSpec().rel_tol
+    return l_max, energy_exact._theta_rule(l_max), 0.25 * NumericsSpec().rel_tol
 
 
 def test_weak_node_needs_no_block(monkeypatch):
@@ -410,7 +408,7 @@ def test_weak_node_needs_no_block(monkeypatch):
     calls = _counting_blocks(monkeypatch)
     out = energy_exact._mode_sums(np.array([300.0]), sphere, plane, *_pass_args(d))
     assert calls == [] and out[3].tolist() == [-1]
-    l_max, _, theta_rule, m_tol = _pass_args(d)
+    l_max, theta_rule, m_tol = _pass_args(d)
     table = KappaTable.build(np.array([300.0]), sphere, plane, l_max, rapidity_rule(*theta_rule))
     want, want_sub = m_summed_trace(table, l_max - max(4, l_max // 8))
     assert 0.0 < want[0] < 1e-25
@@ -442,38 +440,42 @@ def test_tail_bound_of_synthetic_traces():
 
 
 def test_m_sum_to_l_max_has_no_tail_and_a_cap_has_one(monkeypatch):
-    # a sum capped below l_max takes the trace of the blocks the cap left
+    # a sum that stops below l_max takes the trace of the blocks it left
     # out off F, and that of their leading l_max - l_drop degrees off F_sub,
     # and reports the bound on the rest, which covers the sum run to l_max;
-    # one that reaches m = l_max is complete, with no tail and no m error
+    # one that reaches m = l_max is complete, with no tail and no m error.
+    # The two nodes stop at m = 6 and 5, each at its own m used
     d, l_max = 0.3, 20
-    kappa, sphere, plane = np.array([0.5, 2.0]), SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR,
+    kappa, sphere, plane = np.array([0.5, 6.0]), SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR,
                                                                                    1.0 + d)
     rule = energy_exact._theta_rule(l_max)
-    capped = energy_exact._mode_sums(kappa, sphere, plane, l_max, 5, rule, 1e-14)
-    assert capped[3].tolist() == [5, 5] and np.all(capped[2] > 0.0)
-    # the partial sums and the trace of blocks 6 .. l_max, block by block
+    stopped = energy_exact._mode_sums(kappa, sphere, plane, l_max, rule, 1e-8)
+    m_used = stopped[3].astype(int)
+    assert m_used.tolist() == [6, 5] and np.all(stopped[2] > 0.0)
+    # the partial sums and the trace of the blocks after each node's stop,
+    # block by block
     l_keep = l_max - 4
     table = KappaTable.build(kappa, sphere, plane, l_max, rapidity_rule(*rule))
     trace, trace_sub = m_summed_trace(table, l_keep)
     partial, partial_sub = np.zeros(2), np.zeros(2)
-    for m in range(6):
+    for m in range(m_used.max() + 1):
         block, weight, kept = assemble_block(m, table), 1.0 if m == 0 else 2.0, l_keep - max(1, m) + 1
+        summed = weight * (m <= m_used)  # a node that stopped adds no more blocks
         full, sub = logdet_one_minus(block, kept)
-        partial += weight * full
-        partial_sub += weight * sub
+        partial += summed * full
+        partial_sub += summed * sub
         rows = np.sum(block.factor ** 2, axis=2)
-        trace -= weight * rows.sum(axis=1)
-        trace_sub -= weight * rows[:, :2 * kept].sum(axis=1)
+        trace -= summed * rows.sum(axis=1)
+        trace_sub -= summed * rows[:, :2 * kept].sum(axis=1)
     assert np.all(trace > 0.0) and np.all(trace_sub > 0.0)
-    assert capped[0] == pytest.approx(partial - trace, rel=1e-12, abs=0.0)
-    assert capped[1] == pytest.approx(partial_sub - trace_sub, rel=1e-12, abs=0.0)
+    assert stopped[0] == pytest.approx(partial - trace, rel=1e-12, abs=0.0)
+    assert stopped[1] == pytest.approx(partial_sub - trace_sub, rel=1e-12, abs=0.0)
     _m_sum_to_l_max(monkeypatch)
-    whole = energy_exact._mode_sums(kappa, sphere, plane, l_max, l_max, rule, _NO_M_STOP)
+    whole = energy_exact._mode_sums(kappa, sphere, plane, l_max, rule, _NO_M_STOP)
     assert whole[3].tolist() == [l_max, l_max] and whole[2].tolist() == [0.0, 0.0]
-    assert np.all(np.abs(capped[0] - whole[0]) <= capped[2])
+    assert np.all(np.abs(stopped[0] - whole[0]) <= stopped[2])
     # the tail adds attraction beyond -R, so F = partial - R lies above the whole sum
-    assert np.all(whole[0] < capped[0])
+    assert np.all(whole[0] < stopped[0])
 
 
 @pytest.mark.parametrize("omega_s", [PERFECT_CONDUCTOR, 1.7])
@@ -488,8 +490,8 @@ def test_l_probe_is_the_m_sum_on_the_kept_degrees(monkeypatch, omega_s):
     sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     kappa, rule = np.array([0.05, 0.5, 2.0]), energy_exact._theta_rule(l_max)
     _m_sum_to_l_max(monkeypatch)
-    whole = energy_exact._mode_sums(kappa, sphere, plane, l_max, l_max, rule, _NO_M_STOP)
-    kept = energy_exact._mode_sums(kappa, sphere, plane, l_keep, l_keep, rule, _NO_M_STOP)
+    whole = energy_exact._mode_sums(kappa, sphere, plane, l_max, rule, _NO_M_STOP)
+    kept = energy_exact._mode_sums(kappa, sphere, plane, l_keep, rule, _NO_M_STOP)
     assert whole[3].tolist() == [l_max] * 3 and kept[3].tolist() == [l_keep] * 3
     assert whole[1] == pytest.approx(kept[0], rel=1e-13, abs=0.0)
 
@@ -539,8 +541,7 @@ def test_m_error_covers_the_m_sum_run_to_l_max(monkeypatch, d, omega_s, omega_p)
     sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d)
     res = casimir_energy(sphere, plane, NumericsSpec(rel_tol=rel_tol))
     m_tol = 0.25 * rel_tol
-    args = (sphere, plane, res.l_max_used, res.l_max_used,
-            energy_exact._theta_rule(res.l_max_used), m_tol)
+    args = (sphere, plane, res.l_max_used, energy_exact._theta_rule(res.l_max_used), m_tol)
     level = energy_exact._quadrature_pass(res.kappa_nodes_used, d, None, args)
     assert level.energy == pytest.approx(res.energy, rel=1e-12, abs=0.0)
     assert 0.0 < level.err_m <= m_tol * abs(level.energy)
@@ -697,7 +698,7 @@ def test_chunks_join_in_order(monkeypatch):
     sphere, plane = SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     kappa = energy_exact._kappa_rule(16)[0] / (2.0 * d)
     args = _pass_args(d)
-    l_max, _, theta_rule, _ = args
+    l_max, theta_rule, _ = args
     per_node = 8 * (2 * l_max) * (2 * rapidity_rule(*theta_rule)[0].size)
     chunks = []
     real = KappaTable.m_summed_traces
@@ -813,14 +814,14 @@ def test_rapidity_rule_error_within_its_probe(d):
     # and at x = 2 kappa d ~ 0.67: the production rule matches one with 4x
     # the panels on 1.5 v_max within the relative change the probe reports
     sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
-    l_max, m_max, (panels, v_max), m_tol = _pass_args(d)
+    l_max, (panels, v_max), m_tol = _pass_args(d)
     x_min = energy_exact._kappa_rule(128)[0].min()
     x_mid = energy_exact._kappa_rule(32)[0][22]
     assert x_mid == pytest.approx(0.672, abs=1e-3)
     for x in (x_min, x_mid):
         def f(rule):
             return energy_exact._mode_sums(np.array([x / (2.0 * d)]), sphere, plane, l_max,
-                                           m_max, rule, m_tol)[0][0]
+                                           rule, m_tol)[0][0]
         prod = f((panels, v_max))
         probe = abs(f((2 * panels, 1.25 * v_max)) - prod) / abs(prod)
         ref = f((4 * panels, 1.5 * v_max))
