@@ -36,8 +36,7 @@ Numerical organisation, fixed once here and relied on everywhere:
   block is stored as H alone; M is positive semi-definite and I - M
   positive definite on the imaginary axis, and since det(I - H H^T) =
   det(I - H^T H) the log-determinant is one Cholesky factorisation of
-  whichever side is smaller, which also gives the leading-l truncation
-  used as the l probe;
+  whichever side is smaller;
 * the trace of every block, summed over m, needs no block: the Legendre
   addition theorem sums the squared angular functions over m in closed
   form, and H filled with the square roots of those sums in place of tau
@@ -344,10 +343,11 @@ def _fill_factor(table: KappaTable, ltau, lpi, l0: int) -> np.ndarray:
     return h
 
 
-def _squared_norms(h: np.ndarray, k: int) -> np.ndarray:
-    """The (2, K) squared norms of a stack of factors H: whole, and over its first k degrees.
+def _squared_norms(h: np.ndarray, k: int | None = None) -> np.ndarray:
+    """The (K,) squared norms of a stack of factors H; with ``k``, (2, K), also over the first k degrees.
 
     H has two rows per degree, so the first k degrees are its first 2k rows.
     """
     rows = np.einsum("kij,kij->ki", h, h)
-    return np.array([rows.sum(axis=1), rows[:, :2 * k].sum(axis=1)])
+    whole = rows.sum(axis=1)
+    return whole if k is None else np.array([whole, rows[:, :2 * k].sum(axis=1)])

@@ -18,8 +18,9 @@ its own way:
 * :func:`logdet_with_small_block_series` gives ln det(I - M) of a weak
   block as -tr M - tr M^2 / 2, where the Cholesky value of
   ``energy_exact.logdet_one_minus`` is round-off;
-* :func:`pc_far_field_energy` is the static-dipole limit of two perfect
-  conductors far apart; the exact driver sums the full mode series;
+* :func:`far_field_energy` is the static-dipole limit of a plasma-sheet
+  sphere far from a perfectly conducting plane, from the l = 1 T-matrix
+  limits taken by hand; the exact driver sums the full mode series;
 * :func:`angular_logs_logaddexp` forms ln tau_l of the blocks as the
   log-sum of its two Legendre terms; ``roundtrip._angular_logs`` forms it
   from ln pi_l and a bounded ratio, without a log-sum;
@@ -221,29 +222,44 @@ def m_summed_trace(table, l_keep):
     return total, kept
 
 
-def logdet_with_small_block_series(block, nl_keep):
-    """``energy_exact.logdet_one_minus(block, nl_keep)`` of a stacked block,
-    with -tr M - tr M^2 / 2 wherever tr M <= 1e-6.
+def logdet_with_small_block_series(block):
+    """``energy_exact.logdet_one_minus(block)`` of a stacked block, with
+    -tr M - tr M^2 / 2 wherever tr M <= 1e-6.
 
     The Cholesky value of ln det(I - M) carries a round-off of about 1e-16
     per pivot, which is all of it once ||M|| ~ 1e-9.  The series leaves
     sum_{k >= 3} tr M^k / k <= tr M^3 / 3 / (1 - tr M) < 4e-19 there; tr M^k
     is tr G^k of the smaller Gram matrix G = H^T H.
     """
-    full, kept = logdet_one_minus(block, nl_keep)
-    for values, f in ((full, block.factor), (kept, block.factor[:, :2 * nl_keep])):
-        g = np.swapaxes(f, 1, 2) @ f
-        tr1 = np.trace(g, axis1=1, axis2=2)
-        small = tr1 <= 1e-6
-        values[small] = -(tr1 + 0.5 * np.sum(g * g, axis=(1, 2)))[small]
-    return full, kept
+    values = logdet_one_minus(block)
+    g = np.swapaxes(block.factor, 1, 2) @ block.factor
+    tr1 = np.trace(g, axis1=1, axis2=2)
+    small = tr1 <= 1e-6
+    values[small] = -(tr1 + 0.5 * np.sum(g * g, axis=(1, 2)))[small]
+    return values
 
 
-def pc_far_field_energy(radius_R, distance_L):
-    """E -> -9 hbar c R^3 / (16 pi L^4) of a perfectly conducting sphere far
-    from a perfectly conducting plane (static electric and magnetic dipole
-    polarisabilities R^3 and -R^3 / 2), in units hbar c per length unit."""
-    return -9.0 * radius_R ** 3 / (16.0 * math.pi * distance_L ** 4)
+def far_field_energy(radius_R, omega_s, distance_L):
+    """E -> -3 hbar c (alpha_E - alpha_M) / (8 pi L^4) of a plasma-sheet sphere
+    (``omega_s`` Omega_s, the perfect conductor included) far from a
+    perfectly conducting plane, in units hbar c per length unit.
+
+    The static polarisabilities are the kappa -> 0 limits of the paper's
+    l = 1 sphere T-matrix, taken by hand.  With z = kappa R, i = I_{3/2}(z)
+    and k = K_{3/2}(z), i k -> 1/3 and i / k -> 2 z^3 / (3 pi).  A perfect
+    conductor has T^TE = i / k and T^TM = -n / |m|, n = 2 i + z I_{5/2}(z)
+    -> 2 i and |m| = z K_{1/2}(z) + k -> k, so T^TM -> -2 i / k; these are
+    alpha_M = -R^3 / 2 and alpha_E = R^3, with T = +-(4 / (3 pi)) kappa^3
+    |alpha|.  A sheet of w = Omega_s R has
+    T^TE = 2 w i^2 / (1 + 2 w i k) -> (i / k) 2 w / (2 w + 3), so
+    alpha_M = -R^3 w / (2 w + 3), and T^TM = -2 w n^2 / (z^2 + 2 w n |m|)
+    -> -n / |m|, the perfect conductor's, so alpha_E = R^3 for any w > 0.
+    Hence E -> -(3 R^3 / (8 pi L^4)) (1 + w / (2 w + 3)), which is
+    -9 R^3 / (16 pi L^4) for the perfect conductor.
+    """
+    w = omega_s * radius_R
+    te = 0.5 if w == math.inf else w / (2.0 * w + 3.0)
+    return -3.0 * radius_R ** 3 * (1.0 + te) / (8.0 * math.pi * distance_L ** 4)
 
 
 def legendre_p(l: int, m: int, x: float):

@@ -12,8 +12,8 @@ from plasmacas.roundtrip import KappaTable, RoundTripBlock, assemble_block
 from plasmacas.scattering import PERFECT_CONDUCTOR, PlaneSheet, SphereSheet
 from plasmacas._quadrature import rapidity_rule
 
-from oracles import (block_at, dense_matrix, logdet_with_small_block_series, m_summed_trace,
-                     pc_far_field_energy)
+from oracles import (block_at, dense_matrix, far_field_energy, logdet_with_small_block_series,
+                     m_summed_trace)
 
 
 def _block_of(factor, m=1):
@@ -64,64 +64,31 @@ def test_logdet_spectral_anomaly(monkeypatch):
     with pytest.raises(SpectralAnomalyError):
         logdet_one_minus(_block_of(np.diag(np.sqrt([1.5, 1.5]))))
     # a tall factor is factorised on the theta side, I - H^T H; a spectral
-    # norm above 1 must fail there too, with and without the l probe
+    # norm above 1 must fail there too
     tall = np.zeros((6, 2))
     tall[0, 0], tall[3, 1] = 1.2, 0.5
     sizes = _recording_cholesky(monkeypatch)
-    for nl_keep in (None, 2):
-        with pytest.raises(SpectralAnomalyError):
-            logdet_one_minus(_block_of(tall), nl_keep)
-    assert sizes == [2, 4]
+    with pytest.raises(SpectralAnomalyError):
+        logdet_one_minus(_block_of(tall))
+    assert sizes == [2]
 
 
 def test_logdet_random_factors_of_both_shapes(monkeypatch):
     # M = H H^T cannot make det(I - M) > 1: random factors of spectral norm
     # below 1, wide (l side) and tall (theta side), give a value <= 0 equal
-    # to slogdet of the explicit I - H H^T and of its leading sub-block
+    # to slogdet of the explicit I - H H^T
     rng = np.random.default_rng(7)
     sizes = _recording_cholesky(monkeypatch)
     for shape in ((4, 12), (12, 3)):
         for _ in range(5):
             f = rng.standard_normal(shape)
             f /= 1.05 * np.linalg.norm(f, 2)
-            nl_keep = shape[0] // 2 - 1
-            k = 2 * nl_keep
-            full, lead = logdet_one_minus(_block_of(f), nl_keep)
-            assert full <= lead <= 0.0
-            m = f @ f.T
-            assert full == pytest.approx(np.linalg.slogdet(np.eye(shape[0]) - m)[1],
+            full = logdet_one_minus(_block_of(f))
+            assert full <= 0.0
+            assert full == pytest.approx(np.linalg.slogdet(np.eye(shape[0]) - f @ f.T)[1],
                                          rel=1e-12, abs=1e-14)
-            assert lead == pytest.approx(np.linalg.slogdet(np.eye(k) - m[:k, :k])[1],
-                                         rel=1e-12, abs=1e-14)
-    # l side I - H H^T of size 4; theta side of size 3 plus 2 dropped rows
-    assert sizes == [4] * 5 + [5] * 5
-
-
-@pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 2.5])
-def test_logdet_leading_l_matches_sliced_sub_block(omega):
-    # the leading-l value read off the one factorisation equals the
-    # log-determinant of the explicitly sliced principal sub-block
-    sphere, plane = SphereSheet(1.0, omega), PlaneSheet(omega, 1.2)
-    l_max, nl_drop = 14, 4
-    for kappa in (0.4, 2.0, 6.0):
-        for m in (0, 3, -3):
-            block = block_at(m, kappa, sphere, plane, l_max)
-            nl_keep = block.dim // 2 - nl_drop
-            full, lead = logdet_one_minus(block, nl_keep)
-            assert full == logdet_one_minus(block)
-            k = 2 * nl_keep
-            sub = RoundTripBlock(m=m, kappa=kappa, l_max=l_max, factor=block.factor[:k])
-            want = logdet_one_minus(sub)
-            assert lead == pytest.approx(want, rel=1e-12, abs=0.0)
-            assert lead > full  # dropping degrees drops attraction
-            lu = np.linalg.slogdet(np.eye(k) - sub.matrix)[1]
-            assert lead == pytest.approx(lu, rel=1e-10, abs=0.0)
-    # nl_keep counts 0 .. nl degrees; 0 keeps the empty sub-block, ln det 0
-    for bad in (-1, block.dim // 2 + 1):
-        with pytest.raises(ValueError, match=r"outside 0 \.\. "):
-            logdet_one_minus(block, bad)
-    full, lead = logdet_one_minus(block, 0)
-    assert (full, lead) == (logdet_one_minus(block), 0.0)
+    # l side I - H H^T of size 4; theta side I - H^T H of size 3
+    assert sizes == [4] * 5 + [3] * 5
 
 
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 2.5])
@@ -129,31 +96,25 @@ def test_logdet_leading_l_matches_sliced_sub_block(omega):
 def test_logdet_factorises_the_smaller_side(monkeypatch, omega, l_max, theta_nodes):
     # det(I - H H^T) = det(I - H^T H): l_max 40 on 12 rapidity nodes puts
     # every block on the theta side, l_max 8 on 40 nodes on the l side.
-    # The rule is Gauss-Laguerre here, as any rule (u, ln w) may be.
-    # Both the full value and the l probe match slogdet of the explicit
-    # I - H H^T and of its sliced leading sub-block, and each matrix
-    # factorised is the smaller of the two sides.
+    # The rule is Gauss-Laguerre here, as any rule (u, ln w) may be.  The
+    # value matches slogdet of the explicit I - H H^T, and each matrix
+    # factorised is the smaller of the two sides, I - H H^T or I - H^T H
+    # (per half at m = 0).
     sphere, plane = SphereSheet(1.0, omega), PlaneSheet(omega, 1.2)
-    nl_drop = 2
     u, w = np.polynomial.laguerre.laggauss(theta_nodes)
     sizes = _recording_cholesky(monkeypatch)
     for kappa in (0.4, 2.0, 6.0):
         for m in (0, 3, -3):
             block = block_at(m, kappa, sphere, plane, l_max, (u, np.log(w)))
-            nl = block.dim // 2
-            k = 2 * (nl - nl_drop)
             del sizes[:]
-            full, lead = logdet_one_minus(block, nl - nl_drop)
+            full = logdet_one_minus(block)
             halves, per_l = (2, 1) if m == 0 else (1, 2)
-            l_side, theta_side = per_l * nl, per_l * (theta_nodes + nl_drop)
+            l_side, theta_side = per_l * (block.dim // 2), per_l * theta_nodes
             assert sizes == [min(l_side, theta_side)] * halves
             assert (theta_side < l_side) == (l_max == 40)
-            mat = block.matrix
-            want_full = np.linalg.slogdet(np.eye(block.dim) - mat)[1]
-            want_lead = np.linalg.slogdet(np.eye(k) - mat[:k, :k])[1]
-            assert abs(full - want_full) <= 1e-12 * max(1.0, abs(want_full))
-            assert abs(lead - want_lead) <= 1e-12 * max(1.0, abs(want_lead))
-            assert full < lead < 0.0
+            want = np.linalg.slogdet(np.eye(block.dim) - block.matrix)[1]
+            assert abs(full - want) <= 1e-12 * max(1.0, abs(want))
+            assert full < 0.0
 
 
 @pytest.mark.parametrize("kappa", [1e-4, 3.1e3])
@@ -280,9 +241,9 @@ def test_energy_explicit_truncation_too_small_raises():
 
 
 def test_smallest_l_max_reports_its_truncation():
-    # PC d/R = 0.1 at l_max = 2 gives E = -0.594 against -3.8183; the l
-    # probe, which drops the degree l = 2, reports 0.29 of that gap (at
-    # l_max = 1 it had nothing to drop and read 0)
+    # PC d/R = 0.1 at l_max = 2 gives E = -0.594 against -3.8188; the l
+    # probe, the trace of the degree l = 2, reads 0.31, a tenth of that gap
+    # (at l_max = 1 it had no degree to drop and read 0)
     with pytest.raises(NumericsError, match="energy not converged") as info:
         casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
                        NumericsSpec(l_max=2, rel_tol=1e-3))
@@ -402,7 +363,7 @@ def _pass_args(d):
 def test_weak_node_needs_no_block(monkeypatch):
     # at x = 2 kappa d = 60 the trace of every block together is 3.4e-26:
     # the node takes F = -T from the table, with no block at all, and
-    # records m used -1
+    # records m used -1; its l probe is the trace of the top degrees
     d = 0.1
     sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     calls = _counting_blocks(monkeypatch)
@@ -412,7 +373,8 @@ def test_weak_node_needs_no_block(monkeypatch):
     table = KappaTable.build(np.array([300.0]), sphere, plane, l_max, rapidity_rule(*theta_rule))
     want, want_sub = m_summed_trace(table, l_max - max(4, l_max // 8))
     assert 0.0 < want[0] < 1e-25
-    assert -out[:2, 0] == pytest.approx([want[0], want_sub[0]], rel=1e-12, abs=0.0)
+    assert -out[0, 0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+    assert out[1, 0] == pytest.approx(want[0] - want_sub[0], rel=1e-12, abs=0.0)
     # before block 0 the next block has weight 1, so lam = T and U = T^2/2
     assert out[2, 0] == pytest.approx(0.5 * want[0] ** 2, rel=1e-12, abs=0.0)
     assert 0.0 < out[2, 0] <= m_tol * abs(out[0, 0])
@@ -441,10 +403,11 @@ def test_tail_bound_of_synthetic_traces():
 
 def test_m_sum_to_l_max_has_no_tail_and_a_cap_has_one(monkeypatch):
     # a sum that stops below l_max takes the trace of the blocks it left
-    # out off F, and that of their leading l_max - l_drop degrees off F_sub,
-    # and reports the bound on the rest, which covers the sum run to l_max;
-    # one that reaches m = l_max is complete, with no tail and no m error.
-    # The two nodes stop at m = 6 and 5, each at its own m used
+    # out off F, and reports the bound on the rest, which covers the sum
+    # run to l_max; one that reaches m = l_max is complete, with no tail
+    # and no m error.  Either way the l probe is the trace of the degrees
+    # past l_max - l_drop over every m.  The two nodes stop at m = 6 and 5,
+    # each at its own m used
     d, l_max = 0.3, 20
     kappa, sphere, plane = np.array([0.5, 6.0]), SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR,
                                                                                    1.0 + d)
@@ -454,46 +417,49 @@ def test_m_sum_to_l_max_has_no_tail_and_a_cap_has_one(monkeypatch):
     assert m_used.tolist() == [6, 5] and np.all(stopped[2] > 0.0)
     # the partial sums and the trace of the blocks after each node's stop,
     # block by block
-    l_keep = l_max - 4
     table = KappaTable.build(kappa, sphere, plane, l_max, rapidity_rule(*rule))
-    trace, trace_sub = m_summed_trace(table, l_keep)
-    partial, partial_sub = np.zeros(2), np.zeros(2)
+    trace, trace_keep = m_summed_trace(table, l_max - 4)
+    top = trace - trace_keep
+    partial = np.zeros(2)
     for m in range(m_used.max() + 1):
-        block, weight, kept = assemble_block(m, table), 1.0 if m == 0 else 2.0, l_keep - max(1, m) + 1
+        block, weight = assemble_block(m, table), 1.0 if m == 0 else 2.0
         summed = weight * (m <= m_used)  # a node that stopped adds no more blocks
-        full, sub = logdet_one_minus(block, kept)
-        partial += summed * full
-        partial_sub += summed * sub
-        rows = np.sum(block.factor ** 2, axis=2)
-        trace -= summed * rows.sum(axis=1)
-        trace_sub -= summed * rows[:, :2 * kept].sum(axis=1)
-    assert np.all(trace > 0.0) and np.all(trace_sub > 0.0)
+        partial += summed * logdet_one_minus(block)
+        trace -= summed * np.sum(block.factor ** 2, axis=(1, 2))
+    assert np.all(trace > 0.0) and np.all(top > 0.0)
     assert stopped[0] == pytest.approx(partial - trace, rel=1e-12, abs=0.0)
-    assert stopped[1] == pytest.approx(partial_sub - trace_sub, rel=1e-12, abs=0.0)
+    assert stopped[1] == pytest.approx(top, rel=1e-12, abs=0.0)
     _m_sum_to_l_max(monkeypatch)
     whole = energy_exact._mode_sums(kappa, sphere, plane, l_max, rule, _NO_M_STOP)
     assert whole[3].tolist() == [l_max, l_max] and whole[2].tolist() == [0.0, 0.0]
+    assert np.array_equal(whole[1], stopped[1])
     assert np.all(np.abs(stopped[0] - whole[0]) <= stopped[2])
     # the tail adds attraction beyond -R, so F = partial - R lies above the whole sum
     assert np.all(whole[0] < stopped[0])
 
 
-@pytest.mark.parametrize("omega_s", [PERFECT_CONDUCTOR, 1.7])
-def test_l_probe_is_the_m_sum_on_the_kept_degrees(monkeypatch, omega_s):
-    # F_sub keeps the degrees l <= l_keep = l_max - l_drop of every block m,
-    # in its ln det and in its trace, and so none past m = l_keep: the F_sub
-    # of a sum run to l_max is the F of the same nodes at l_max' = l_keep,
-    # run to m = l_keep on the same rapidity rule.  Keeping one degree past
-    # m = l_keep missed by 1.8e-8 and 1.9e-8
-    d, l_max = 0.5, 12
-    l_keep = l_max - max(4, l_max // 8)
+@pytest.mark.parametrize("d, omega_s", [(0.1, PERFECT_CONDUCTOR), (0.2, 1.7)])
+def test_l_probe_is_a_floor_under_the_sub_block_sums(monkeypatch, d, omega_s):
+    # the l probe, the trace T - T_keep of the degrees l_keep < l <= l_max
+    # over every m, against what dropping those degrees changes in F: F of
+    # the same nodes at l_max' = l_keep, on the same rapidity rule, minus F
+    # at l_max, both summed to m = l_max' with real log-determinants.
+    # Fischer's inequality makes the probe a floor under that change; at
+    # the nodes of kappa level 32 it came within 4.6e-6 of it (PC) and
+    # 3.7e-6 (Omega R = 1.7), and at the far nodes both are round-off of F
     sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
-    kappa, rule = np.array([0.05, 0.5, 2.0]), energy_exact._theta_rule(l_max)
+    l_max, rule, _ = _pass_args(d)
+    l_keep = l_max - max(4, l_max // 8)
+    kappa = energy_exact._kappa_rule(32)[0] / (2.0 * d)
     _m_sum_to_l_max(monkeypatch)
     whole = energy_exact._mode_sums(kappa, sphere, plane, l_max, rule, _NO_M_STOP)
     kept = energy_exact._mode_sums(kappa, sphere, plane, l_keep, rule, _NO_M_STOP)
-    assert whole[3].tolist() == [l_max] * 3 and kept[3].tolist() == [l_keep] * 3
-    assert whole[1] == pytest.approx(kept[0], rel=1e-13, abs=0.0)
+    assert whole[3].max() == l_max and kept[3].max() == l_keep
+    change, top = kept[0] - whole[0], whole[1]
+    roundoff = 1e-14 * np.abs(whole[0])
+    assert np.all(top >= 0.0) and np.sum(top > 1e-6) >= 10
+    assert np.all(change - top >= -roundoff)
+    assert np.all(change - top <= 1e-5 * top + roundoff)
 
 
 def test_pc_tenth_block_count_and_m_max_used(monkeypatch):
@@ -551,6 +517,31 @@ def test_m_error_covers_the_m_sum_run_to_l_max(monkeypatch, d, omega_s, omega_p)
     assert whole.err_m == 0.0 and whole.rows[3].max() == res.l_max_used
     assert abs(level.energy - whole.energy) <= level.err_m
     assert np.all(np.abs(level.rows[0] - whole.rows[0]) <= level.rows[2] + 1e-14)
+
+
+@pytest.mark.parametrize("d, omega_s, omega_p", [
+    (0.1, PERFECT_CONDUCTOR, PERFECT_CONDUCTOR),
+    (0.2916677455724206, 2.2969562477180534, 14.374812270822432)])
+def test_l_estimate_is_above_the_trace_past_l_max(d, omega_s, omega_p):
+    # by Fischer's inequality, raising l_max to L' takes at least the trace
+    # of the degrees l_max < l <= L' over every m off F, so the integral of
+    # that trace is a floor under the l error, and any honest l estimate
+    # lies above it.  L' = floor(1.6 l_max), the trace on the rapidity rule
+    # of L', at the nodes of the driver's last kappa level.  err_l read
+    # 3.3 and 6.3 times the floor
+    sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d)
+    res = casimir_energy(sphere, plane)
+    l_max, n_kappa = res.l_max_used, res.kappa_nodes_used
+    args = (sphere, plane, l_max, energy_exact._theta_rule(l_max), 0.25 * NumericsSpec().rel_tol)
+    level = energy_exact._quadrature_pass(n_kappa, d, None, args)
+    assert level.energy == pytest.approx(res.energy, rel=1e-12, abs=0.0)
+    top_l = int(1.6 * l_max)
+    x, w = energy_exact._kappa_rule(n_kappa)
+    table = KappaTable.build(x / (2.0 * d), sphere, plane, top_l,
+                             rapidity_rule(*energy_exact._theta_rule(top_l)))
+    whole, kept = table.m_summed_traces(l_max)
+    floor = (w @ (whole - kept)) / (2.0 * math.pi) / (2.0 * d)
+    assert 0.0 < floor <= level.err_l
 
 
 # ---------------------------------------------------------------- kappa rule
@@ -665,7 +656,7 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
 def test_level_major_rows_equal_per_node_rows(monkeypatch, omega):
     # one kappa level evaluated as one stack gives, for every node, the column
-    # (F, F_sub, m error, m used) of that node evaluated alone, bit for bit;
+    # (F, l probe, m error, m used) of that node evaluated alone, bit for bit;
     # the far nodes take their value from the trace and leave the stack
     # before block 0, and the others leave it one by one
     d = 0.3
@@ -745,14 +736,14 @@ def test_stacked_errors_name_the_node(monkeypatch):
         energy_exact._mode_sums(kappa, sphere, plane, *_pass_args(d))
     # a positive ln det, which M = H H^T rules out, is not passed on
     monkeypatch.setattr(energy_exact, "assemble_block", real)
-    real_lead = energy_exact._logdet_and_lead
+    real_logdet = energy_exact._logdet
 
-    def positive(f, kept):
-        full, lead = real_lead(f, kept)
+    def positive(f):
+        full = real_logdet(f)
         full[-1] = 1e-6
-        return full, lead
+        return full
 
-    monkeypatch.setattr(energy_exact, "_logdet_and_lead", positive)
+    monkeypatch.setattr(energy_exact, "_logdet", positive)
     with pytest.raises(SpectralAnomalyError, match=r"> 0 for block m=0, kappa=2\.0;") as info:
         energy_exact._mode_sums(kappa, sphere, plane, *_pass_args(d))
     assert info.value.error_estimate == pytest.approx(2e-6)  # the TE and TM halves of m = 0
@@ -775,9 +766,9 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
     res = casimir_energy(sphere, plane, NumericsSpec(kappa_nodes=32, rel_tol=1e-3))
     assert len(values) == res.kappa_nodes_used
     assert max(k for k, _ in values) > 1e4
-    for kappa, (f, f_sub, m_err, _) in values:
-        assert math.isfinite(f) and math.isfinite(f_sub) and math.isfinite(m_err)
-        assert f <= 0.0 and f_sub <= 0.0
+    for kappa, (f, top, m_err, _) in values:
+        assert math.isfinite(f) and math.isfinite(top) and math.isfinite(m_err)
+        assert f <= 0.0 and top >= 0.0
     # the edges of the stated range, kappa R = 1e6 (level 128 at d/R ~ 0.02),
     # where every block underflows to 0 and so does the trace, and 1e-4
     # (level 128 at d/R ~ 2)
@@ -785,9 +776,9 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
                           [[0.0], [0.0], [0.0], [-1]])
     for om in (PERFECT_CONDUCTOR, 0.5):
         d_wide = 2.0
-        [f], [f_sub], [m_err], _ = real(np.array([1e-4]), SphereSheet(1.0, om),
-                                        PlaneSheet(om, 1.0 + d_wide), *_pass_args(d_wide))
-        assert math.isfinite(f) and f < 0.0 and f <= f_sub <= 0.0 and m_err >= 0.0
+        [f], [top], [m_err], _ = real(np.array([1e-4]), SphereSheet(1.0, om),
+                                      PlaneSheet(om, 1.0 + d_wide), *_pass_args(d_wide))
+        assert math.isfinite(f) and f < 0.0 and 0.0 <= top <= -f and m_err >= 0.0
 
 
 # ---------------------------------------------------------------- rapidity rule
@@ -890,9 +881,25 @@ def test_pc_far_field_meets_the_dipole_limit(monkeypatch, distance_L):
     # value from the trace, with no block
     calls = _counting_blocks(monkeypatch)
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, distance_L))
-    want = pc_far_field_energy(1.0, distance_L)
+    want = far_field_energy(1.0, PERFECT_CONDUCTOR, distance_L)
     assert abs(res.energy - want) <= res.error_estimate + 2.0 * abs(want) / distance_L ** 2
     assert calls == [] and res.m_max_used == -1
+
+
+@pytest.mark.parametrize("omega_s", [1.0, 10.0])
+@pytest.mark.parametrize("distance_L", [31.0, 101.0, 301.0])
+def test_plasma_sphere_far_field_meets_the_dipole_limit(distance_L, omega_s):
+    # a plasma-sheet sphere far from a perfectly conducting plane: its
+    # static electric dipole is the perfect conductor's and its magnetic
+    # one is that times 2 Omega R / (2 Omega R + 3), so
+    # E -> -(3 R^3 / (8 pi L^4)) (1 + Omega R / (2 Omega R + 3)), from the
+    # l = 1 T-matrix limits taken by hand.  The next order is (R/L)^2 of
+    # |E|, allowed as 2 (R/L)^2, as for the perfect conductor: E / limit - 1
+    # read -4.6e-5, -9.6e-6, -1.2e-6 (Omega R = 1) and 1.27e-3, 1.17e-4,
+    # 1.3e-5 (Omega R = 10) at L/R = 31, 101, 301
+    res = casimir_energy(SphereSheet(1.0, omega_s), PlaneSheet(PERFECT_CONDUCTOR, distance_L))
+    want = far_field_energy(1.0, omega_s, distance_L)
+    assert abs(res.energy - want) <= res.error_estimate + 2.0 * abs(want) / distance_L ** 2
 
 
 def _l_max_tries(monkeypatch, start):
