@@ -24,7 +24,9 @@ from ._quadrature import rapidity_rule
 _D_MIN = 0.01  # smallest d/R of the multipole path
 _KAPPA_NODE_CEILING = 128  # finest kappa level n (n - 1 nodes)
 _KAPPA_MAP_SCALE = 3.0  # x = a (1 + s)/(1 - s): half of every level lies below x = a
-_THETA_PANEL_FLOOR = 5  # 8-point panels, so at least 40 rapidity nodes
+_THETA_PANEL_FLOOR = 4  # 8-point panels, so at least 32 rapidity nodes
+_THETA_PANEL_STEPS = 4  # panels the theta probe may add, one per re-run
+_L_MAX_GROWTHS = 3  # l_max raises the l probe may ask for
 _LOGDET_POSITIVE_TOL = 1e-12
 _STACK_BYTES = 4 << 20  # m = 0 factors H of one stack of kappa nodes (see _mode_sums)
 
@@ -157,9 +159,14 @@ def _mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol):
     are evaluated level-major:
     in chunks, each one :class:`KappaTable` with a leading node axis and
     one stacked block per m (:func:`_chunk_mode_sums`), so the per-call
-    cost of numpy is paid once per chunk instead of once per node.  A chunk
-    holds as many nodes as keep their m = 0 factors H within _STACK_BYTES,
-    4 MiB.  That bounds the largest array of the chunk, not its working
+    cost of numpy is paid once per chunk instead of once per node.  The
+    nodes go into the fewest chunks whose m = 0 factors H fit within
+    _STACK_BYTES, 4 MiB, each, split as evenly as those allow: the first
+    pass of PC d/R = 0.05, the 31 nodes of kappa levels 16 and 32 at
+    166 kB each, runs as 16 + 15 nodes, not 25 + 6, which kept the peak RSS
+    of a d/R = 0.1 and 0.05 pass 0.9 MB lower (41.4 against 42.3 MB, 39.4 MB
+    with the two levels in separate calls).  The budget bounds the largest
+    array of a chunk, not its working
     set: while block m is assembled, block m-1's H is still held, and the
     new H comes with its two angular log arrays, one exponent buffer and up
     to three Legendre ladders, each a quarter of H.  The trace step before
@@ -169,26 +176,27 @@ def _mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol):
     was no faster and saved 0.1 of 39.4 MB (PC d/R = 0.1 and 0.05, one
     process per round, the median of 5 passes each, medians of 20
     alternating rounds: 0.141 s held, 0.147 s dropped).  The numpy peak
-    of one PC d/R = 0.02 point (tracemalloc, H of 555 kB per node, 7 nodes
-    per chunk) is 13.1 MB, 3.1 times the budget; its trace step peaks at
-    6.9 MB above what the chunk held before it.  Measured on a 2-core Xeon
-    (AVX-512) with one BLAS thread, each size in its own process, medians of
-    5 interleaved rounds: a pass over PC d/R = 0.1 and 0.05 (H of 90 and
-    166 kB per node; the median of 5 passes per process) took 0.18 s at
-    1 MiB, 0.14 s at 2 MiB, 0.15 s at 4 MiB and 0.15 s at 8 MiB, its rounds
-    spreading over 0.11-0.23 s, with a peak RSS of 36.8, 37.8, 40.5 and
-    40.5 MB.  PC d/R = 0.02 took 1.01, 0.75, 0.75 and 0.84 s and peaked at
-    37.5, 38.4, 47.0 and 50.6 MB; PC d/R = 0.01 (1.4 MB per node: 1, 2 and
-    5 nodes per chunk) took 5.7, 4.9 and 4.9 s at 2, 4 and 8 MiB and peaked
-    at 45.1, 45.0 and 57.4 MB.  4 MiB stays: on the d/R = 0.1 and 0.05 pass
-    no size is faster beyond that spread, 2 MiB is as fast and 8.6 MB
-    smaller at d/R = 0.02, and 14% slower at d/R = 0.01.
+    of one PC d/R = 0.02 point (tracemalloc, H of 555 kB per node, at most
+    7 nodes per chunk) is 11.2 MB, 2.7 times the budget; its trace step
+    peaks at 7.0 MB above what the chunk held before it.  Measured on a
+    2-core Xeon (AVX-512) with one BLAS thread, each size in its own
+    process, medians of 5 interleaved rounds: a pass over PC d/R = 0.1 and
+    0.05 (H of 72 and 166 kB per node; the median of 5 passes per process)
+    took 0.127 s at 1 MiB, 0.106 s at 2 MiB, 0.093 s at 4 MiB and 0.104 s
+    at 8 MiB, its rounds spreading over 0.092-0.146 s, with a peak RSS of
+    36.8, 39.9, 41.4 and 44.0 MB.  PC d/R = 0.02 took 0.71, 0.57, 0.56 and
+    0.56 s and peaked at 36.5, 37.6, 45.1 and 51.2 MB; PC d/R = 0.01
+    (1.4 MB per node: 1, 2 and 5 nodes per chunk; 3 rounds) took 4.5, 4.0
+    and 4.1 s at 2, 4 and 8 MiB and peaked at 42.3, 42.2 and 55.7 MB.
+    4 MiB stays: no size is faster on the d/R = 0.1 and 0.05 pass or at
+    d/R = 0.01, and 2 MiB, as fast at d/R = 0.02 and 7.5 MB smaller there,
+    is 12% slower at d/R = 0.01 and 14% slower on the pass.
     """
     rule = rapidity_rule(*theta_rule)
     per_node = 8 * (2 * l_max) * (2 * rule[0].size)
-    size = max(1, _STACK_BYTES // per_node)
-    tables = (KappaTable.build(kappa[start:start + size], sphere, plane, l_max, rule)
-              for start in range(0, len(kappa), size))
+    chunks = -(-len(kappa) // max(1, _STACK_BYTES // per_node))
+    tables = (KappaTable.build(part, sphere, plane, l_max, rule)
+              for part in np.array_split(kappa, chunks))
     return np.hstack([_chunk_mode_sums(table, m_tol) for table in tables])
 
 
@@ -210,9 +218,10 @@ def _chunk_mode_sums(table, m_tol):
     its m used is -1.  A sum that runs to m = l_max is complete, and its
     R, round-off then, is dropped, so its U is 0.
 
-    The l probe is T - T_keep, the trace of the degrees
+    The l probe is T_top, the trace of the degrees
     l_keep < l <= l_max, l_keep = l_max - l_drop (l_drop = max(4,
-    l_max // 8), at least one degree kept), over every m.  It is a floor
+    l_max // 8), at least one degree kept), over every m, summed from the
+    top rows of the m-summed factor, so it is never below 0.  It is a floor
     under what dropping those degrees changes in F: per block, Fischer's
     inequality gives ln det(I - M_kk) - ln det(I - M)
     >= -ln det(I - M_dd) >= tr M_dd for the kept (k) and dropped (d)
@@ -231,9 +240,7 @@ def _chunk_mode_sums(table, m_tol):
     rows = np.empty((4, nodes))
     active = np.arange(nodes)
     total = np.zeros(nodes)
-    rest, kept = table.m_summed_traces(l_keep)
-    # round-off, where the top degrees hold nothing, may leave it below 0
-    top = np.maximum(rest - kept, 0.0)
+    rest, top = table.m_summed_traces(l_keep)
     for m in range(-1, l_max + 1):
         if m >= 0:
             block = assemble_block(m, table)
@@ -291,10 +298,21 @@ def _theta_rule(l_max):
     e^{-72} at large l_max and still below e^{-58} at l_max = 20, so
     v_max = sqrt(2 l_max) + 6 cuts nothing a double can hold, with room for
     the polynomial prefactors that move the peak by O(1/v*).  The panel
-    width of at most 5 and the floor of 5 panels are measured, not derived.
-    Since every row's peak is narrowest at small kappa, the rule is weakest
-    at the smallest kappa node, and the driver's theta probe runs there.
-    The node count grows like sqrt(l_max), not like l_max.
+    width of at most 5 is measured, not derived, and the 4 panels are where
+    the rule starts, not a floor: the driver adds panels on its theta probe
+    (:func:`casimir_energy`).  Gauss-Legendre panels converge geometrically
+    in the panel count for an analytic integrand (Trefethen, SIAM Rev. 50,
+    67 (2008)), so one panel more is the step.  At the 12 benchmark points
+    (rel_tol 1e-3, kappa level 32), against 12 panels, 4 panels miss E by
+    5.6e-8 to 2.8e-6 of |E|, and the probe reads 3.0e-6 to 6.0e-5, under
+    its rel_tol/4 share of 2.5e-4, so no point re-runs (PC d/R = 0.05
+    starts on 5, by the width rule, and reads 2.3e-5).  3 panels miss by
+    1.7e-5 to 9.1e-5, and the probe reads 1.1e-4 to 1.0e-3, past the share
+    at 6 of the 12, which would re-run.  The probe over-reports the miss of
+    the level 6-54 times at 4 panels, and 3-33 times at 5.  Since every
+    row's peak is narrowest at small kappa, the rule is weakest at the
+    smallest kappa node, and the probe runs there.  The node count grows
+    like sqrt(l_max), not like l_max.
     """
     v_max = math.sqrt(2.0 * l_max) + 6.0
     return max(_THETA_PANEL_FLOOR, math.ceil(v_max / 5.0)), v_max
@@ -329,6 +347,13 @@ class _Level:
     rows: np.ndarray
 
 
+def _level(x, w, d, rows):
+    """The :class:`_Level` of the kappa rule (x, w), with kappa = x / (2 d), from its record."""
+    f, top, m_err, _ = rows
+    pref = 1.0 / (2.0 * math.pi) / (2.0 * d)
+    return _Level(pref * (w @ f), pref * (w @ top), pref * (w @ m_err), x, rows)
+
+
 def _quadrature_pass(n_kappa, d, prev, mode_args):
     """Level n_kappa of the kappa rule, with kappa = x / (2 d), as a :class:`_Level`.
 
@@ -343,9 +368,7 @@ def _quadrature_pass(n_kappa, d, prev, mode_args):
         rows = np.empty((4, x.size))
         rows[:, ::2] = _mode_sums(x[::2] / (2.0 * d), *mode_args)
         rows[:, 1::2] = prev
-    f, top, m_err, _ = rows
-    pref = 1.0 / (2.0 * math.pi) / (2.0 * d)
-    return _Level(pref * (w @ f), pref * (w @ top), pref * (w @ m_err), x, rows)
+    return _level(x, w, d, rows)
 
 
 def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
@@ -356,12 +379,17 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     the gap scale, not L) with a nested rule: Fejer's second rule mapped
     onto 0 < x < inf by x = 3 (1+s)/(1-s).  Level n has n - 1 nodes, and
     level 2n reuses all of them and adds n new ones, so each node is
-    evaluated once per l_max.  The first level is ``kappa_nodes``; the level
-    doubles, up to 128, until two levels agree within rel_tol/4, their
-    difference being the kappa error estimate, and ``kappa_nodes_used`` is
-    the last level.  The l estimate is the integral of the trace of the top
-    l_drop degrees over every m, a floor under what dropping them changes
-    (:func:`_chunk_mode_sums`); l_max grows until it is below rel_tol/4.
+    evaluated once per run (one l_max and rapidity rule).  The first level
+    is ``kappa_nodes``; the level doubles, up to 128, until two levels agree
+    within rel_tol/4, their difference being the kappa error estimate, and
+    ``kappa_nodes_used`` is the last level.  Every run evaluates at least
+    two levels (``kappa_nodes`` <= 64 leaves room for one doubling), so the
+    first two are one pass over the 2n - 1 nodes of level 2n, and level n's
+    record is that pass's odd columns, copied contiguous so that its
+    weighted sum is bit for bit that of a pass of its own.  The l estimate
+    is the integral of the trace of the top l_drop degrees over every m, a
+    floor under what dropping them changes (:func:`_chunk_mode_sums`);
+    l_max grows until it is below rel_tol/4.
     At each node the Legendre addition theorem gives
     T = sum_m (2 - delta_m0) tr M_m over every m in closed form, so after
     block m the trace R of the blocks still to come is known.  They add
@@ -372,17 +400,27 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     node's value.  A weak node (T below about rel_tol/2) thus needs no
     block at all.  ``m_max_used`` is the largest m any node of the last
     level reached (-1 if none needed a block), and the m estimate is the
-    integral of the nodes' U.  The rapidity rule follows
-    l_max (:func:`_theta_rule`) and is checked at the smallest kappa node,
-    where it is weakest: F there is recomputed on twice the panels and
+    integral of the nodes' U.  The rapidity rule starts from l_max
+    (:func:`_theta_rule`) and is checked at the smallest kappa node, where
+    it is weakest: F there is recomputed on twice the panels and
     1.25 v_max, and the relative change, times |E|, is the theta estimate.
     The kappa, l, m and theta estimates add up to error_estimate, which
-    must be at most rel_tol |E|.  Gaps below d/R = 0.01 are outside the
-    supported domain and raise :class:`NumericsError` before any block is
-    built.  The limit is one of cost, not of convergence: at the default
-    rel_tol, PC d/R = 0.0075 and 0.005 converge (error 3.4e-4 and 3.3e-4
-    of |E|, l_max 810 and 1211) in 9-10 s and 27-28 s, at a peak RSS of 46
-    and 57 MB, with one BLAS thread on a 2-core Intel Xeon.
+    must be at most rel_tol |E|.  One loop grows whichever truncation is
+    short: l_max while the l estimate is past rel_tol/4 (at most three
+    times), and, once it is not, the rule by one panel on the same v_max
+    while error_estimate is past rel_tol |E| and the theta estimate past
+    rel_tol/4 (at most ``_THETA_PANEL_STEPS`` times); each step re-runs the
+    levels, and past either bound the call raises.  A run that fits
+    rel_tol on its first rule never re-runs, as at every benchmark point at
+    rel_tol 1e-3.  So rel_tol 1e-5 is within reach at ordinary gaps: PC
+    d/R = 0.1 and 0.2, and an Omega R = 1.7 sphere before a PC plane at
+    d/R = 0.1, converge in 0.34, 0.09 and 0.30 s, two panels past the
+    start.  Gaps below d/R = 0.01 are outside the supported domain and
+    raise :class:`NumericsError` before any block is built.  The limit is
+    one of cost, not of convergence: at the default rel_tol, PC d/R =
+    0.0075 and 0.005 converge (error 3.4e-4 and 3.3e-4 of |E|, l_max 810
+    and 1211) in about 9 s and 25 s (8.6-8.8 s and 24.1-24.6 s), at a peak
+    RSS of 46 and 57 MB, with one BLAS thread on a 2-core Intel Xeon.
 
     Returns energy in units hbar c per unit length of the inputs, alongside
     the dimensionless E d^2/(hbar c R).  A transparent sheet needs no block:
@@ -405,37 +443,49 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     auto_l = numerics.l_max == "auto"
     l_max = _auto_l_max(d) if auto_l else numerics.l_max
     share = 0.25 * numerics.rel_tol  # of |E|, for each of the four estimates
+    added = l_steps = 0  # panels the theta probe added; l_max growths
 
-    for _growth in range(4):
+    while True:
         panels, v_max = _theta_rule(l_max)
+        panels += added
         mode_args = (s1, p1, l_max, (panels, v_max), share)
 
-        n = numerics.kappa_nodes
-        levels = [_quadrature_pass(n, d, None, mode_args)]
-        while 2 * n <= _KAPPA_NODE_CEILING:  # at least once: kappa_nodes <= 64
+        # the first two levels in one pass (kappa_nodes <= 64, so 2n <= 128);
+        # copied contiguous, the odd columns sum as a pass of their own would
+        n = 2 * numerics.kappa_nodes
+        fine = _quadrature_pass(n, d, None, mode_args)
+        coarse = np.ascontiguousarray(fine.rows[:, 1::2])
+        levels = [_level(*_kappa_rule(n // 2), d, coarse), fine]
+        while True:
+            err_k = abs(levels[-1].energy - levels[-2].energy)
+            if err_k <= share * abs(levels[-1].energy) or 2 * n > _KAPPA_NODE_CEILING:
+                break
             n *= 2
             levels.append(_quadrature_pass(n, d, levels[-1].rows, mode_args))
-            err_k = abs(levels[-1].energy - levels[-2].energy)
-            if err_k <= share * abs(levels[-1].energy):
-                break
         last = levels[-1]
 
-        if not auto_l or last.err_l <= share * abs(last.energy):
+        if auto_l and last.err_l > share * abs(last.energy):
+            if l_steps == _L_MAX_GROWTHS:
+                raise NumericsError(
+                    f"l_max growth did not converge; last increment estimate {last.err_l} "
+                    f"vs target {share * abs(last.energy)}", error_estimate=last.err_l)
+            l_max += max(10, l_max // 3)
+            l_steps += 1
+            continue
+
+        # rapidity-rule check at the smallest kappa node, where the rule is weakest
+        i_min = int(np.argmin(last.x))
+        f_min = last.rows[0, i_min]
+        f2 = _mode_sums(last.x[i_min:i_min + 1] / (2.0 * d), s1, p1, l_max,
+                        (2 * panels, 1.25 * v_max), share)[0, 0]
+        err_theta = abs(f2 - f_min) / max(abs(f_min), 1e-300) * abs(last.energy)
+
+        error = err_k + last.err_l + last.err_m + err_theta
+        if (error <= numerics.rel_tol * abs(last.energy) or err_theta <= share * abs(last.energy)
+                or added == _THETA_PANEL_STEPS):
             break
-        l_max += max(10, l_max // 3)
-    else:
-        raise NumericsError(
-            f"l_max growth did not converge; last increment estimate {last.err_l} "
-            f"vs target {share * abs(last.energy)}", error_estimate=last.err_l)
+        added += 1
 
-    # rapidity-rule check at the smallest kappa node, where the rule is weakest
-    i_min = int(np.argmin(last.x))
-    f_min = last.rows[0, i_min]
-    f2 = _mode_sums(last.x[i_min:i_min + 1] / (2.0 * d), s1, p1, l_max,
-                    (2 * panels, 1.25 * v_max), share)[0, 0]
-    err_theta = abs(f2 - f_min) / max(abs(f_min), 1e-300) * abs(last.energy)
-
-    error = err_k + last.err_l + last.err_m + err_theta
     if last.energy >= 0.0:
         raise SpectralAnomalyError(f"non-negative energy {last.energy} from valid inputs")
     if error > numerics.rel_tol * abs(last.energy):

@@ -223,9 +223,9 @@ class KappaTable:
         return lad
 
     def m_summed_traces(self, l_keep: int):
-        """Per node, T = sum_m (2 - delta_m0) tr M_m over every block m = 0 .. l_max, and T_keep.
+        """Per node, T = sum_m (2 - delta_m0) tr M_m over every block m = 0 .. l_max, and T_top.
 
-        T_keep is the same sum over the degrees l <= ``l_keep`` alone.  Both
+        T_top is the same sum over the degrees l > ``l_keep`` alone.  Both
         are (K,) arrays.  tr M_m = ||H_m||_F^2, and each entry of H is a
         row weight times a column weight times tau_lm or pi_lm (see
         :func:`assemble_block`).  The addition theorem sums the angular
@@ -237,8 +237,11 @@ class KappaTable:
         so T is the squared norm of an m-summed factor: the block
         assembler's fill (:func:`_fill_factor`) with the halves of the logs
         of these two sums in place of ln tau and ln pi, and degrees from
-        l = 1.  That factor is the size of block 0's H, and T_keep is its
-        norm over the first l_keep degrees (:func:`_squared_norms`).
+        l = 1.  That factor is the size of block 0's H, and T_top is its
+        norm over the rows past the first l_keep degrees
+        (:func:`_squared_norms`), summed from those rows themselves: T -
+        T_keep would leave the round-off of T where the top degrees hold
+        nothing.
         ln P_l(X) is the order-0 ladder at X.  ln P_l'(X) is the order-1
         ladder without its seed, since Pbar_l^1 / Pbar_1^1 = P_l'(X)
         sqrt(2/(l(l+1))); so the rounding of X - 1 near X = 1 does not
@@ -344,10 +347,11 @@ def _fill_factor(table: KappaTable, ltau, lpi, l0: int) -> np.ndarray:
 
 
 def _squared_norms(h: np.ndarray, k: int | None = None) -> np.ndarray:
-    """The (K,) squared norms of a stack of factors H; with ``k``, (2, K), also over the first k degrees.
+    """The (K,) squared norms of a stack of factors H; with ``k``, (2, K), also past degree k.
 
-    H has two rows per degree, so the first k degrees are its first 2k rows.
+    H has two rows per degree, so the degrees past the first k are its rows
+    from 2k on.
     """
     rows = np.einsum("kij,kij->ki", h, h)
     whole = rows.sum(axis=1)
-    return whole if k is None else np.array([whole, rows[:, :2 * k].sum(axis=1)])
+    return whole if k is None else np.array([whole, rows[:, 2 * k:].sum(axis=1)])

@@ -204,22 +204,22 @@ def dense_matrix(block, sphere):
 
 
 def m_summed_trace(table, l_keep):
-    """(T, T_keep) of ``KappaTable.m_summed_traces``, block by block.
+    """(T, T_top) of ``KappaTable.m_summed_traces``, block by block.
 
     Every block m = 0 .. l_max is assembled on ``table``, and the squares of
-    its entries are summed with the weight 2 - delta_m0; T_keep sums the
-    rows of degree l <= ``l_keep`` alone (two rows per degree, from
+    its entries are summed with the weight 2 - delta_m0; T_top sums the
+    rows of degree l > ``l_keep`` alone (two rows per degree, from
     l = max(1, m)).
     """
     nodes = len(table.c)
-    total, kept = np.zeros(nodes), np.zeros(nodes)
+    total, top = np.zeros(nodes), np.zeros(nodes)
     for m in range(table.l_max + 1):
         h = assemble_block(m, table).factor
         rows = np.sum(h * h, axis=2)
         weight = 1.0 if m == 0 else 2.0
         total += weight * rows.sum(axis=1)
-        kept += weight * rows[:, :2 * max(0, l_keep - max(1, m) + 1)].sum(axis=1)
-    return total, kept
+        top += weight * rows[:, 2 * max(0, l_keep - max(1, m) + 1):].sum(axis=1)
+    return total, top
 
 
 def logdet_with_small_block_series(block):

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import time
 
 import numpy as np
@@ -233,11 +235,22 @@ def test_energy_truncation_convergence_within_estimate(monkeypatch):
     assert abs(hard.energy - res.energy) < res.error_estimate
 
 
-def test_energy_explicit_truncation_too_small_raises():
-    with pytest.raises(NumericsError):
+def test_energy_explicit_truncation_too_small_raises(monkeypatch):
+    # the miss is the l truncation's, not the rapidity rule's, so the run
+    # raises without a re-run on more panels
+    rules = []
+    real = energy_exact._quadrature_pass
+
+    def recording(n_kappa, d, prev, mode_args):
+        rules.append(mode_args[3])
+        return real(n_kappa, d, prev, mode_args)
+
+    monkeypatch.setattr(energy_exact, "_quadrature_pass", recording)
+    with pytest.raises(NumericsError, match="energy not converged"):
         casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR),
                        PlaneSheet(PERFECT_CONDUCTOR, 1.05),
                        NumericsSpec(l_max=6, rel_tol=1e-4))
+    assert len(set(rules)) == 1
 
 
 def test_smallest_l_max_reports_its_truncation():
@@ -371,10 +384,10 @@ def test_weak_node_needs_no_block(monkeypatch):
     assert calls == [] and out[3].tolist() == [-1]
     l_max, theta_rule, m_tol = _pass_args(d)
     table = KappaTable.build(np.array([300.0]), sphere, plane, l_max, rapidity_rule(*theta_rule))
-    want, want_sub = m_summed_trace(table, l_max - max(4, l_max // 8))
+    want, want_top = m_summed_trace(table, l_max - max(4, l_max // 8))
     assert 0.0 < want[0] < 1e-25
     assert -out[0, 0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
-    assert out[1, 0] == pytest.approx(want[0] - want_sub[0], rel=1e-12, abs=0.0)
+    assert out[1, 0] == pytest.approx(want_top[0], rel=1e-12, abs=0.0)
     # before block 0 the next block has weight 1, so lam = T and U = T^2/2
     assert out[2, 0] == pytest.approx(0.5 * want[0] ** 2, rel=1e-12, abs=0.0)
     assert 0.0 < out[2, 0] <= m_tol * abs(out[0, 0])
@@ -418,8 +431,7 @@ def test_m_sum_to_l_max_has_no_tail_and_a_cap_has_one(monkeypatch):
     # the partial sums and the trace of the blocks after each node's stop,
     # block by block
     table = KappaTable.build(kappa, sphere, plane, l_max, rapidity_rule(*rule))
-    trace, trace_keep = m_summed_trace(table, l_max - 4)
-    top = trace - trace_keep
+    trace, top = m_summed_trace(table, l_max - 4)
     partial = np.zeros(2)
     for m in range(m_used.max() + 1):
         block, weight = assemble_block(m, table), 1.0 if m == 0 else 2.0
@@ -438,25 +450,52 @@ def test_m_sum_to_l_max_has_no_tail_and_a_cap_has_one(monkeypatch):
     assert np.all(whole[0] < stopped[0])
 
 
+def _factorised_pivots(monkeypatch):
+    """``_m_sum_to_l_max``, and per kappa node the Cholesky pivots behind
+    its F: for each block whose value is the Cholesky one (tr M > 1e-6, see
+    ``logdet_with_small_block_series``), the size of the smaller side
+    factorised, each half at m = 0, times the block's weight 2 - delta_m0."""
+    pivots = {}
+
+    def recording(block):
+        h = block.factor
+        n_rows, n_cols = h.shape[1:]
+        sides = 2 * min(n_rows // 2, n_cols // 2) if block.m == 0 else min(n_rows, n_cols)
+        weight = 1.0 if block.m == 0 else 2.0
+        for kappa, trace in zip(block.kappa, np.sum(h * h, axis=(1, 2))):
+            pivots[kappa] = pivots.get(kappa, 0.0) + weight * sides * (trace > 1e-6)
+        return logdet_with_small_block_series(block)
+
+    monkeypatch.setattr(energy_exact, "logdet_one_minus", recording)
+    return pivots
+
+
 @pytest.mark.parametrize("d, omega_s", [(0.1, PERFECT_CONDUCTOR), (0.2, 1.7)])
 def test_l_probe_is_a_floor_under_the_sub_block_sums(monkeypatch, d, omega_s):
-    # the l probe, the trace T - T_keep of the degrees l_keep < l <= l_max
-    # over every m, against what dropping those degrees changes in F: F of
-    # the same nodes at l_max' = l_keep, on the same rapidity rule, minus F
-    # at l_max, both summed to m = l_max' with real log-determinants.
+    # the l probe, the trace of the degrees l_keep < l <= l_max over every
+    # m, against what dropping those degrees changes in F: F of the same
+    # nodes at l_max' = l_keep, on the same rapidity rule, minus F at
+    # l_max, both summed to m = l_max' with real log-determinants.
     # Fischer's inequality makes the probe a floor under that change; at
     # the nodes of kappa level 32 it came within 4.6e-6 of it (PC) and
-    # 3.7e-6 (Omega R = 1.7), and at the far nodes both are round-off of F
+    # 3.7e-6 (Omega R = 1.7), and at the far nodes both are round-off of F.
+    # Round-off: a Cholesky ln det is sum_i ln d_i over its pivots, and at
+    # a weak block every d_i = 1 - delta_i lies near 1, where doubles are
+    # eps/2 apart, so each pivot carries an absolute error of about eps
+    # (the rounding of d_i, plus one ulp of its log), however small delta_i
+    # is.  The allowance is that, eps times the weighted pivots of both
+    # runs at the node, on top of 1e-14 |F|
     sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     l_max, rule, _ = _pass_args(d)
     l_keep = l_max - max(4, l_max // 8)
     kappa = energy_exact._kappa_rule(32)[0] / (2.0 * d)
-    _m_sum_to_l_max(monkeypatch)
+    pivots = _factorised_pivots(monkeypatch)
     whole = energy_exact._mode_sums(kappa, sphere, plane, l_max, rule, _NO_M_STOP)
     kept = energy_exact._mode_sums(kappa, sphere, plane, l_keep, rule, _NO_M_STOP)
     assert whole[3].max() == l_max and kept[3].max() == l_keep
     change, top = kept[0] - whole[0], whole[1]
-    roundoff = 1e-14 * np.abs(whole[0])
+    eps = np.finfo(float).eps
+    roundoff = 1e-14 * np.abs(whole[0]) + eps * np.array([pivots.get(k, 0.0) for k in kappa])
     assert np.all(top >= 0.0) and np.sum(top > 1e-6) >= 10
     assert np.all(change - top >= -roundoff)
     assert np.all(change - top <= 1e-5 * top + roundoff)
@@ -476,14 +515,17 @@ def test_pc_tenth_block_count_and_m_max_used(monkeypatch):
 
 
 @pytest.mark.parametrize("d, truncation, energy", [
-    (0.1, (70, 5, 32), -3.8187622463952327),
+    (0.1, (70, 5, 32), -3.8187510696907165),
     (0.05, (130, 8, 32), -16.141414130742127)])
 def test_pc_exact_pair_truncations_are_pinned(d, truncation, energy):
     # the criterion-5 pair: (l_max_used, m_max_used, kappa_nodes_used) and E
     # must not move.  With the trace still to come taken off F, E sits
     # 3.2e-5 and 1.4e-4 short of the m sum run to l_max at the same l_max,
-    # kappa level and rapidity rule (-3.8187946, -16.1415549), against m
-    # estimates of 3.5e-4 and 3.0e-3
+    # kappa level and rapidity rule (-3.8187834, -16.1415549), against m
+    # estimates of 3.5e-4 and 3.0e-3.  d/R = 0.1 runs on 4 rapidity panels
+    # (it ran on the old floor of 5, at -3.8187622463952327): E moved by
+    # 1.1e-5, 2.9e-6 of |E|, the rule error against 12 panels
+    # (-3.8187619), well inside the theta estimate of 2.3e-4
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR),
                          PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), NumericsSpec(rel_tol=1e-3))
     assert (res.l_max_used, res.m_max_used, res.kappa_nodes_used) == truncation
@@ -539,8 +581,7 @@ def test_l_estimate_is_above_the_trace_past_l_max(d, omega_s, omega_p):
     x, w = energy_exact._kappa_rule(n_kappa)
     table = KappaTable.build(x / (2.0 * d), sphere, plane, top_l,
                              rapidity_rule(*energy_exact._theta_rule(top_l)))
-    whole, kept = table.m_summed_traces(l_max)
-    floor = (w @ (whole - kept)) / (2.0 * math.pi) / (2.0 * d)
+    floor = (w @ table.m_summed_traces(l_max)[1]) / (2.0 * math.pi) / (2.0 * d)
     assert 0.0 < floor <= level.err_l
 
 
@@ -574,11 +615,13 @@ def test_kappa_rule_integrates_decaying_functions():
 
 
 def test_each_kappa_node_evaluated_once(monkeypatch):
-    calls = []
+    # the first two levels are one call over every node of the second
+    calls, sizes = [], []
     real = energy_exact._mode_sums
 
     def counting(kappa, *args):
         calls.extend(kappa.tolist())
+        sizes.append(kappa.size)
         return real(kappa, *args)
 
     monkeypatch.setattr(energy_exact, "_mode_sums", counting)
@@ -590,6 +633,7 @@ def test_each_kappa_node_evaluated_once(monkeypatch):
     # every node of the last level once, then the theta probe at one of them
     assert len(calls) == (res.kappa_nodes_used - 1) + 1
     assert len(set(calls[:-1])) == len(calls) - 1 and calls[-1] in calls[:-1]
+    assert sizes[0] == 2 * NumericsSpec().kappa_nodes - 1 and sizes[-1] == 1
 
 
 def test_refined_level_reuses_rows_by_index():
@@ -610,25 +654,33 @@ def test_refined_level_reuses_rows_by_index():
 @pytest.mark.parametrize("rel_tol", [1e-3, 1e-5])
 def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
     # an Omega R = 1.7 sphere before a PC plane at d/R = 0.3: every level
-    # of one run is recorded; the kappa, l, m and theta
-    # estimates formed from the records of the last l_max and from the
-    # theta probe add up to error_estimate, bit for bit, and the records
-    # show each stop: a level refines until two agree within rel_tol/4, and
-    # l_max grows until the l estimate is within rel_tol/4 (at rel_tol 1e-5
-    # it grows once)
-    runs, sums = [], []
+    # of one call is recorded, run by run, a run being one (l_max, panels).
+    # A run's first two levels are one pass over level 32, and level 16's
+    # record is its odd columns, bit for bit a pass of level 16 alone.  The
+    # kappa, l, m and theta estimates formed from the records of the last
+    # run and from its theta probe add up to error_estimate, bit for bit,
+    # and the records show each stop: a level refines until two agree
+    # within rel_tol/4, l_max grows until the l estimate is within
+    # rel_tol/4, and a run that misses rel_tol with the theta estimate past
+    # rel_tol/4 re-runs on one more panel.  At rel_tol 1e-5 l_max grows
+    # once, then the rule gains a panel once
+    tries = {1e-3: [(30, 4)], 1e-5: [(30, 4), (40, 4), (40, 5)]}[rel_tol]  # (l_max, panels)
+    runs, probes = [], []
     real_pass, real_sums = energy_exact._quadrature_pass, energy_exact._mode_sums
 
     def recording_pass(n_kappa, d, prev, mode_args):
         level = real_pass(n_kappa, d, prev, mode_args)
-        if prev is None:  # the first level of an l_max
-            runs.append([])
-        runs[-1].append(level)
+        if prev is None:  # the first two levels of a run
+            coarse = real_pass(n_kappa // 2, d, None, mode_args)
+            assert np.array_equal(level.rows[:, 1::2], coarse.rows)
+            runs.append((mode_args, [coarse]))
+        runs[-1][1].append(level)
         return level
 
     def recording_sums(kappa, *args):
         out = real_sums(kappa, *args)
-        sums.append(out)
+        if kappa.size == 1:  # a theta probe
+            probes.append((args[3], out))
         return out
 
     monkeypatch.setattr(energy_exact, "_quadrature_pass", recording_pass)
@@ -636,21 +688,33 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
     res = casimir_energy(SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.3),
                          NumericsSpec(rel_tol=rel_tol))
     share = 0.25 * rel_tol
-    levels = runs[-1]
+    assert [(args[2], args[3][0]) for args, _ in runs] == tries
+    # a probe follows each run at the last l_max, on twice its panels and 1.25 v_max
+    assert len(probes) == sum(1 for l_max, _ in tries if l_max == tries[-1][0])
+    for (args, _), (rule, _) in zip(runs[-len(probes):], probes):
+        assert rule == (2 * args[3][0], 1.25 * args[3][1])
+    levels = runs[-1][1]
     last = levels[-1]
     assert [lv.x.size + 1 for lv in levels] == [16 * 2 ** k for k in range(len(levels))]
     assert last.x.size + 1 == res.kappa_nodes_used
     assert last.energy == res.energy and last.rows[3].max() == res.m_max_used
+
+    def theta_estimate(level, probe):
+        f_min = level.rows[0, np.argmin(level.x)]
+        return abs(probe[0, 0] - f_min) / max(abs(f_min), 1e-300) * abs(level.energy)
+
     err_k = abs(last.energy - levels[-2].energy)
-    f_min = last.rows[0, np.argmin(last.x)]
-    err_theta = abs(sums[-1][0, 0] - f_min) / max(abs(f_min), 1e-300) * abs(last.energy)
+    err_theta = theta_estimate(last, probes[-1][1])
     assert err_k + last.err_l + last.err_m + err_theta == res.error_estimate
     for coarse, fine in zip(levels[:-2], levels[1:-1]):
         assert abs(fine.energy - coarse.energy) > share * abs(fine.energy)
     assert err_k <= share * abs(last.energy) and last.err_l <= share * abs(last.energy)
-    for run in runs[:-1]:
-        assert run[-1].err_l > share * abs(run[-1].energy)
-    assert len(runs) == (1 if rel_tol == 1e-3 else 2)
+    for (l_max, _), (_, run) in zip(tries, runs):
+        if l_max < tries[-1][0]:
+            assert run[-1].err_l > share * abs(run[-1].energy)
+    # the run before the panel was added missed rel_tol on its theta estimate
+    for (_, run), (_, probe) in zip(runs[-len(probes):-1], probes[:-1]):
+        assert theta_estimate(run[-1], probe) > share * abs(run[-1].energy)
 
 
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
@@ -838,6 +902,69 @@ def test_theta_probe_sees_an_under_resolved_rule(monkeypatch, d, omega_s, omega_
     except NumericsError:
         return
     assert abs(res.energy - e_ref) <= res.error_estimate + err_ref
+
+
+@pytest.mark.parametrize("d, omega_s", [(0.1, PERFECT_CONDUCTOR), (0.2, PERFECT_CONDUCTOR),
+                                         (0.1, 1.7)])
+def test_tight_rel_tol_grows_the_rapidity_rule(monkeypatch, d, omega_s):
+    # on the old fixed rule these raised at rel_tol 1e-5 on the theta
+    # estimate; the probe now adds panels until it fits.  Each result lies
+    # within the summed estimates of the rel_tol 1e-3 one, and the rule it
+    # ends on has more panels than it started with
+    sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
+    loose = casimir_energy(sphere, plane, NumericsSpec(rel_tol=1e-3))
+    panels = []
+    real = energy_exact._mode_sums
+
+    def recording(kappa, sphere, plane, l_max, rule, m_tol):
+        panels.append(rule[0])
+        return real(kappa, sphere, plane, l_max, rule, m_tol)
+
+    monkeypatch.setattr(energy_exact, "_mode_sums", recording)
+    tight = casimir_energy(sphere, plane, NumericsSpec(rel_tol=1e-5))
+    assert tight.error_estimate <= 1e-5 * abs(tight.energy)
+    assert abs(tight.energy - loose.energy) <= tight.error_estimate + loose.error_estimate
+    assert panels[0] == energy_exact._THETA_PANEL_FLOOR
+    assert panels[-2] > panels[0]  # the last run's level pass; the probe doubles it
+
+
+def test_bench_points_run_once_at_the_default_rel_tol(monkeypatch):
+    # at the benchmark's points and rel_tol 1e-3 the starting rule passes
+    # its probe: one run per l_max, each kappa node evaluated once, and one
+    # probe
+    with open(os.path.join(os.path.dirname(__file__), "..", "bench", "points.json"),
+              encoding="utf-8") as f:
+        bench = json.load(f)
+    points = bench["exact-narrow"] + bench["exact-wide"]
+    assert len(points) == 12
+
+    def omega(value):
+        return PERFECT_CONDUCTOR if value == "pc" else value
+
+    calls, runs = [], []
+    real_sums, real_pass = energy_exact._mode_sums, energy_exact._quadrature_pass
+
+    def counting_sums(kappa, *args):
+        calls.extend(kappa.tolist())
+        return real_sums(kappa, *args)
+
+    def counting_pass(n_kappa, d, prev, mode_args):
+        if prev is None:
+            runs.append(mode_args[2])
+        return real_pass(n_kappa, d, prev, mode_args)
+
+    monkeypatch.setattr(energy_exact, "_mode_sums", counting_sums)
+    monkeypatch.setattr(energy_exact, "_quadrature_pass", counting_pass)
+    for p in points:
+        calls.clear()
+        runs.clear()
+        d = p["d_over_R"]
+        res = casimir_energy(SphereSheet(1.0, omega(p["omega_R_sphere"])),
+                             PlaneSheet(omega(p["omega_R_plane"]), 1.0 + d),
+                             NumericsSpec(rel_tol=1e-3))
+        assert runs == [res.l_max_used] == [energy_exact._auto_l_max(d)]
+        assert len(calls) == (res.kappa_nodes_used - 1) + 1
+        assert len(set(calls[:-1])) == len(calls) - 1 and calls[-1] in calls[:-1]
 
 
 def test_gap_below_the_domain_raises_up_front(monkeypatch):

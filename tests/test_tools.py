@@ -65,3 +65,15 @@ def test_exact_points_prints_one_parsable_line_per_point():
         l_max, m_max, kappa_nodes = (int(v) for v in words[-3:])
         assert energy < 0.0 < error and l_max >= 2 and m_max >= -1 and kappa_nodes >= 16
     assert all(labels) and len(set(labels)) == 18
+
+
+def test_ab_time_runs_one_round_of_a_checkout_against_itself():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, os.path.join(REPO, "tools", "ab_time.py"), REPO, REPO,
+                          "--rounds", "1"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("A ") and lines[1].startswith("B ")
+    assert "over 1 passes of exact-wide" in lines[0]
+    assert float(lines[2].split("median ")[1].split()[0]) > 0.0
