@@ -34,15 +34,18 @@ PC-PC takes 21 terms.  At 0.8 they are within 4e-15 for s <= 30.
 The terms decay like (s+1)^-2.  After each term the last five are fitted to
 the powers p0 .. p0+4 of 1/(s+1) (p0 = 2), and the fitted tail is summed
 to round-off by Euler-Maclaurin.  The sum stops once two successive
-tail-corrected totals agree to rel_tol/10 and the tail is at most 5% of the
-total; PC and graphene-like sheets need 14-22 terms at the default rel_tol
-1e-10.  The E1 sum changes sign between w = 1e-4 and 2e-4 for equal sheets,
-so it is judged against the larger of itself and q0: theta = q1/q0 then
-settles to rel_tol/10 times max(|theta|, 1); q0 itself is good to about
-4e-12.  _S_MAX bounds the sum; a sum that has not settled there raises
-NumericsError.  The fit amplifies the round-off of the terms, so below
-rel_tol = _REL_TOL_FLOOR the sum stops settling, and such a rel_tol is
-rejected up front with a ValueError.
+tail-corrected totals agree to _SERIES_TOL/10 and the tail is at most 5% of
+the total.  The tolerance is fixed at 1e-10: the fit amplifies the
+round-off of the terms, so below about 1e-11 the sums stop settling.  Over
+the ten graphene gaps of the benchmark (w = 0.095 .. 58) equal sheets take
+14-22 terms, sheets of 10 and 100 times graphene's Omega 14-18 and 14-15,
+PC on both sheets 15, a PC sphere before a graphene plane 15-31 (32 at
+w = 0.2407) and a graphene sphere before a PC plane 14-29.  The E1 sum
+changes sign between w = 1e-4 and 2e-4 for equal sheets, so it is judged
+against the larger of itself and q0: theta = q1/q0 then settles to
+_SERIES_TOL/10 times max(|theta|, 1); q0 itself is good to about 4e-12.
+_S_MAX bounds the sum; a sum that has not settled there raises
+NumericsError.
 """
 
 from __future__ import annotations
@@ -59,7 +62,10 @@ from .scattering import PERFECT_CONDUCTOR, check_sheets
 from ._quadrature import _log_t_nodes, _pick_nodes, tau_rule
 
 _S_MAX = 200
-_REL_TOL_FLOOR = 1e-11  # w = 1e-4 and 0.01 no longer settle at 3e-12
+# The E1 series' relative tolerance.  Not lower: the tail fit amplifies the
+# round-off of the terms, so below 1e-11 the sums stop settling (w = 1e-4
+# and 0.01 fail at 3e-12).
+_SERIES_TOL = 1e-10
 _E1_STEP = 0.8  # the E1 grid's log-t step, in units of _LOG_TRAP_H
 
 # A row builds an E1 table per probed tau rule and a few (t, tau) arrays per
@@ -331,38 +337,31 @@ def _e1_terms(varpi_s, varpi_p):
     return lambda s: value if s == 0 else next(rest)
 
 
-def _transparent(varpi_s, varpi_p, rel_tol, **lengths) -> bool:
-    """check_sheets, after the rel_tol floor of the s-series."""
-    if not _REL_TOL_FLOOR <= rel_tol < math.inf:  # also rejects nan
-        raise ValueError(f"rel_tol must be finite and at least {_REL_TOL_FLOOR:g}, where "
-                         f"the s-series still settle; got {rel_tol!r}")
-    return check_sheets(varpi_s, varpi_p, **lengths)
-
-
-def small_gap_expansion(radius_R: float, gap_d: float, varpi_s, varpi_p,
-                        rel_tol: float = 1e-10) -> tuple:
+def small_gap_expansion(radius_R: float, gap_d: float, varpi_s, varpi_p) -> tuple:
     """(E0, E1, theta) from one PFA integral and one E1 series.
 
     E0 and E1 in units hbar c = 1 (dimension 1/length).  E0 is the PFA and
     equals ``pfa_energy`` with the same arguments bit for bit; E1 is
-    accurate to rel_tol of the larger of |E1| and |E0| d/R, where E1
-    crosses zero.  theta is None when a sheet is transparent.  Raises
-    NumericsError where a prefactor leaves the double range.
+    accurate to _SERIES_TOL (1e-10) of the larger of |E1| and |E0| d/R,
+    where E1 crosses zero.  theta is None when a sheet is transparent.
+    Raises NumericsError where a prefactor leaves the double range.
     """
-    if _transparent(varpi_s, varpi_p, rel_tol, radius_R=radius_R, gap_d=gap_d):
+    if check_sheets(varpi_s, varpi_p, radius_R=radius_R, gap_d=gap_d):
         return 0.0, 0.0, None
     pref0 = _pfa_prefactor(radius_R, gap_d)  # in range, so is E1's -1/(4 pi d)
     q0 = _polylog_integral(varpi_s, varpi_p, 2)
     term = _e1_terms(varpi_s, varpi_p)
-    q1, _ = _tail_corrected_sum(term, 2, rel_tol, "E1", abs(q0))
+    q1, _ = _tail_corrected_sum(term, 2, _SERIES_TOL, "E1", abs(q0))
     return pref0 * q0, -1.0 / (4.0 * math.pi * gap_d) * q1, q1 / q0
 
 
-def theta(varpi_s, varpi_p, rel_tol: float = 1e-10) -> float:
-    """Correction ratio theta = (E1/E0) (R/d) of the sheets w = Omega d.
+def theta(varpi_s, varpi_p) -> float:
+    """Correction ratio theta = (E1/E0) (R/d) of the sheets w = Omega d, to
+    _SERIES_TOL times max(|theta|, 1).
 
     R and d enter only through w, so any pair serves.  PC-PC: 1/3 - 20/pi^2.
     """
-    if _transparent(varpi_s, varpi_p, rel_tol):
+    value = small_gap_expansion(1.0, 1.0, varpi_s, varpi_p)[2]
+    if value is None:
         raise ValueError("theta undefined for a transparent sheet (E0 = 0)")
-    return small_gap_expansion(1.0, 1.0, varpi_s, varpi_p, rel_tol)[2]
+    return value

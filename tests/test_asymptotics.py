@@ -319,22 +319,37 @@ def test_one_e1_table_per_probed_tau_rule(monkeypatch):
 
 
 @pytest.mark.parametrize("w", [0.5, 3.39])
-def test_log_trapezoid_route_matches_laguerre_route(w):
+def test_log_trapezoid_route_matches_laguerre_route(w, monkeypatch):
     # sheets where Gauss-Laguerre in t converges too; the log-trapezoid's
     # first weight carries the E1 integrand below its first node, which
-    # tends to c t as t -> 0
-    trap = small_gap_expansion(1.0, 0.01, w, w, rel_tol=1e-11)[2]
+    # tends to c t as t -> 0.  At the fixed 1e-10 the two routes' stops
+    # differ by up to 4.2e-11, so both run at 1e-11, the lowest that settles
+    monkeypatch.setattr(asy, "_SERIES_TOL", 1e-11)
+    trap = small_gap_expansion(1.0, 0.01, w, w)[2]
     assert abs(trap - laguerre_theta(w, w, rel_tol=1e-11)) < 1e-11
 
 
-def test_s_series_rel_tol_floor_and_unsettled_ceiling():
-    # below the floor the sums stop settling, so such a rel_tol is refused
-    # before any term is computed
-    for bad in (1e-13, 0.0, -1e-3, math.nan, math.inf):
-        with pytest.raises(ValueError, match="rel_tol"):
-            small_gap_expansion(1.0, 0.01, 1.3, 1.3, rel_tol=bad)
-    with pytest.raises(ValueError, match="rel_tol"):
-        theta(PC, PC, rel_tol=1e-12)
+def test_series_tolerance_is_not_a_setting():
+    # the s-series run at one fixed tolerance, so neither entry takes one
+    with pytest.raises(TypeError, match="rel_tol"):
+        small_gap_expansion(1.0, 0.01, 1.3, 1.3, rel_tol=1e-10)
+    with pytest.raises(TypeError, match="rel_tol"):
+        theta(PC, PC, rel_tol=1e-10)
+
+
+def test_theta_checks_its_sheets_once(monkeypatch):
+    calls = []
+
+    def counted(*args, _orig=asy.check_sheets, **lengths):
+        calls.append(args)
+        return _orig(*args, **lengths)
+
+    monkeypatch.setattr(asy, "check_sheets", counted)
+    theta(PC, PC)
+    assert calls == [(PC, PC)]
+
+
+def test_s_series_unsettled_ceiling_and_sign_change():
     # alternating relative noise of 1e-10 in the terms, which the tail fit
     # amplifies: the tail stays below 5% but the total never settles
     def term(s):
@@ -344,7 +359,7 @@ def test_s_series_rel_tol_floor_and_unsettled_ceiling():
         asy._tail_corrected_sum(term, 2, 1e-10, "E1")
     # equal sheets: theta changes sign between w = 1e-4 and 2e-4, where a
     # stop relative to the E1 sum alone never fires at w = 1e-4; against the
-    # E0 sum it settles in 20 terms, to rel_tol of max(|theta|, 1)
+    # E0 sum it settles in 20 terms, to 1e-10 of max(|theta|, 1)
     got = small_gap_expansion(1.0, 0.01, 1e-4, 1e-4)[2]
     assert abs(got - full_sum_theta(1e-4, 1e-4)) < 1e-10
 

@@ -56,15 +56,22 @@ def test_exact_points_prints_one_parsable_line_per_point():
     out = subprocess.run([sys.executable, os.path.join(REPO, "tools", "exact_points.py")],
                          env=env, capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
-    assert len(lines) == 18
+    assert len(lines) == 31
+    exact, small_gap = lines[:18], lines[18:]
     labels = []
-    for line in lines:
+    for line in exact:
         words = line.split()
         labels.append(" ".join(words[:-5]))
         energy, error = (float.fromhex(v) for v in words[-5:-3])
         l_max, m_max, kappa_nodes = (int(v) for v in words[-3:])
         assert energy < 0.0 < error and l_max >= 2 and m_max >= -1 and kappa_nodes >= 16
-    assert all(labels) and len(set(labels)) == 18
+    for line in small_gap:
+        words = line.split()
+        labels.append(" ".join(words[:-4]))
+        pfa, e0, e1, theta = (float.fromhex(v) for v in words[-4:])
+        # E0 is the PFA bit for bit; E1 has the opposite sign at these sheets
+        assert labels[-1].startswith("small-gap ") and pfa == e0 < 0.0 < e1 and theta < 0.0
+    assert all(labels) and len(set(labels)) == 31
 
 
 def test_ab_time_runs_one_round_of_a_checkout_against_itself():
