@@ -22,7 +22,7 @@ from .scattering import PlaneSheet, SphereSheet, varpi
 from ._quadrature import rapidity_rule
 
 _D_MIN = 0.01  # smallest d/R of the multipole path
-_KAPPA_NODE_CEILING = 128  # finest kappa level n (n - 1 nodes)
+_KAPPA_NODE_CEILING = 128  # finest kappa level n (n - 1 nodes) of F; that of T is at most 2n
 _KAPPA_MAP_SCALE = 3.0  # x = a (1 + s)/(1 - s): half of every level lies below x = a
 _THETA_PANEL_FLOOR = 4  # 8-point panels, so at least 32 rapidity nodes
 _THETA_PANEL_STEPS = 4  # panels the theta probe may add, one per re-run
@@ -41,6 +41,8 @@ class NumericsSpec:
     """The truncation knobs a caller sets.
 
     l_max (at least 2, so the l probe has a degree to drop) may be "auto";
+    kappa_nodes, in 8 .. 64, is the first kappa level of F, the one the
+    control variate's estimate starts from (see :func:`casimir_energy`);
     rel_tol, in (0, 1), applies to the dimensionless core value
     E R / (hbar c).  The rapidity rule follows l_max (see
     :func:`_theta_rule`), and each kappa node's m cutoff follows rel_tol
@@ -49,13 +51,13 @@ class NumericsSpec:
     """
 
     l_max: int | str = "auto"
-    kappa_nodes: int = 16
+    kappa_nodes: int = 8
     rel_tol: float = 1e-3
 
     def __post_init__(self):
         if self.l_max != "auto" and not (_is_count(self.l_max) and self.l_max >= 2):
             raise ValueError(f"l_max must be an integer >= 2 or 'auto', got {self.l_max!r}")
-        # the kappa rule needs room for one doubling below its ceiling
+        # F's kappa rule needs room for one doubling below its ceiling
         top = _KAPPA_NODE_CEILING // 2
         if not (_is_count(self.kappa_nodes) and 8 <= self.kappa_nodes <= top):
             raise ValueError(f"kappa_nodes must be an integer in 8 .. {top}, "
@@ -146,26 +148,32 @@ def _factorises(f) -> bool:
     return True
 
 
-def _mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol):
-    """The (4, K) record of the K kappa nodes ``kappa`` (1-D): rows F, l probe, m error, m used.
+def _mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol, trace_only=None):
+    """The (5, K) record of the K kappa nodes ``kappa`` (1-D): rows F, l probe, m error, m used, T.
 
     F(kappa) = sum_m ln det(I - M_m) with the m <-> -m doubling, the trace
     of the blocks not summed taken off it.  Also returned: the m-summed
     trace of the top l_drop = max(4, l_max // 8) degrees (the l-truncation
     probe), the bound on the rest of the m tail (the m error) and the last
-    m summed, -1 where no block was needed.  A node's m sum stops once its
-    m error is at most ``m_tol`` |F|.  The
+    m summed, -1 where no block was needed, and T, the m-summed trace of
+    every degree.  A node's m sum stops once its m error is at most
+    ``m_tol`` |F|.  The nodes that ``trace_only`` (a (K,) bool mask, or
+    None for none) marks stop before block 0 whatever their m error: their
+    column is that of a weak node, F = -T with m error U (see
+    :func:`_chunk_mode_sums`), and only T and the l probe are theirs.  The
     rapidity rule is that of ``theta_rule`` = (panels, v_max).  The nodes
     are evaluated level-major:
     in chunks, each one :class:`KappaTable` with a leading node axis and
     one stacked block per m (:func:`_chunk_mode_sums`), so the per-call
     cost of numpy is paid once per chunk instead of once per node.  The
     nodes go into the fewest chunks whose m = 0 factors H fit within
-    _STACK_BYTES, 4 MiB, each, split as evenly as those allow: the first
-    pass of PC d/R = 0.05, the 31 nodes of kappa levels 16 and 32 at
-    166 kB each, runs as 16 + 15 nodes, not 25 + 6, which kept the peak RSS
-    of a d/R = 0.1 and 0.05 pass 0.9 MB lower (41.4 against 42.3 MB, 39.4 MB
-    with the two levels in separate calls).  The budget bounds the largest
+    _STACK_BYTES, 4 MiB, each, split as evenly as those allow.  A
+    trace-only node counts as a whole node: the trace step holds an
+    m-summed factor the size of block 0's H for every node of the chunk.
+    The first pass of PC d/R = 0.05, the 31 nodes of kappa level 32 at
+    166 kB each (blocks on 15 of them), runs as 16 + 15 nodes, not 25 + 6,
+    which keeps the peak RSS of a d/R = 0.1 and 0.05 pass 3.2 MB lower
+    (38.2 against 41.3-41.5 MB, 3 rounds).  The budget bounds the largest
     array of a chunk, not its working
     set: while block m is assembled, block m-1's H is still held, and the
     new H comes with its two angular log arrays, one exponent buffer and up
@@ -175,33 +183,36 @@ def _mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol):
     go before block 0.  Dropping block m-1 first
     was no faster and saved 0.1 of 39.4 MB (PC d/R = 0.1 and 0.05, one
     process per round, the median of 5 passes each, medians of 20
-    alternating rounds: 0.141 s held, 0.147 s dropped).  The numpy peak
-    of one PC d/R = 0.02 point (tracemalloc, H of 555 kB per node, at most
-    7 nodes per chunk) is 11.2 MB, 2.7 times the budget; its trace step
-    peaks at 7.0 MB above what the chunk held before it.  Measured on a
-    2-core Xeon (AVX-512) with one BLAS thread, each size in its own
-    process, medians of 5 interleaved rounds: a pass over PC d/R = 0.1 and
-    0.05 (H of 72 and 166 kB per node; the median of 5 passes per process)
-    took 0.127 s at 1 MiB, 0.106 s at 2 MiB, 0.093 s at 4 MiB and 0.104 s
-    at 8 MiB, its rounds spreading over 0.092-0.146 s, with a peak RSS of
-    36.8, 39.9, 41.4 and 44.0 MB.  PC d/R = 0.02 took 0.71, 0.57, 0.56 and
-    0.56 s and peaked at 36.5, 37.6, 45.1 and 51.2 MB; PC d/R = 0.01
-    (1.4 MB per node: 1, 2 and 5 nodes per chunk; 3 rounds) took 4.5, 4.0
-    and 4.1 s at 2, 4 and 8 MiB and peaked at 42.3, 42.2 and 55.7 MB.
-    4 MiB stays: no size is faster on the d/R = 0.1 and 0.05 pass or at
-    d/R = 0.01, and 2 MiB, as fast at d/R = 0.02 and 7.5 MB smaller there,
-    is 12% slower at d/R = 0.01 and 14% slower on the pass.
+    alternating rounds: 0.141 s held, 0.147 s dropped; measured when every
+    node of the pass had blocks).  The numpy peak of one PC d/R = 0.02
+    point (tracemalloc, H of 555 kB per node, at most 7 nodes per chunk)
+    is 9.2 MB, 2.2 times the budget; its trace step peaks at 7.0 MB above
+    what the chunk held before it.  Measured on a 2-core Xeon (AVX-512)
+    with one BLAS thread, each size in its own process, medians of 5
+    interleaved rounds: a pass over PC d/R = 0.1 and 0.05 (H of 72 and
+    166 kB per node; the median of 5 passes per process) took 0.094 s at
+    1 MiB, 0.085 s at 2 MiB, 0.060 s at 4 MiB and 0.061 s at 8 MiB, its
+    rounds spreading over 0.056-0.104 s, with a peak RSS of 34.7, 37.0,
+    38.2 and 44.1 MB.  PC d/R = 0.02 (3 rounds) took 0.91, 0.59, 0.52 and
+    0.55 s and peaked at 36.8, 38.0, 41.4 and 46.4 MB; PC d/R = 0.01
+    (1.4 MB per node: 1, 2 and 5 nodes per chunk; 3 rounds) took 4.07,
+    3.83 and 4.18 s at 2, 4 and 8 MiB and peaked at 42.6, 42.6 and
+    50.5 MB.  4 MiB stays: no size is faster on the d/R = 0.1 and 0.05
+    pass or at d/R = 0.02 and 0.01, and 2 MiB, 3.4 MB smaller at
+    d/R = 0.02, is 12% slower there and 6% slower at d/R = 0.01.
     """
     rule = rapidity_rule(*theta_rule)
     per_node = 8 * (2 * l_max) * (2 * rule[0].size)
     chunks = -(-len(kappa) // max(1, _STACK_BYTES // per_node))
-    tables = (KappaTable.build(part, sphere, plane, l_max, rule)
-              for part in np.array_split(kappa, chunks))
-    return np.hstack([_chunk_mode_sums(table, m_tol) for table in tables])
+    if trace_only is None:
+        trace_only = np.zeros(kappa.size, dtype=bool)
+    parts = zip(np.array_split(kappa, chunks), np.array_split(trace_only, chunks))
+    return np.hstack([_chunk_mode_sums(KappaTable.build(part, sphere, plane, l_max, rule),
+                                       m_tol, mask) for part, mask in parts])
 
 
-def _chunk_mode_sums(table, m_tol):
-    """The (4, K) record of :func:`_mode_sums` for the K nodes of ``table``.
+def _chunk_mode_sums(table, m_tol, trace_only):
+    """The (5, K) record of :func:`_mode_sums` for the K nodes of ``table``.
 
     The m tail is the trace still to come.  The table gives each node
     T = sum_m (2 - delta_m0) tr M_m over every block m = 0 .. l_max
@@ -215,8 +226,10 @@ def _chunk_mode_sums(table, m_tol):
     at most 0.5 U at every node of the 12 benchmark points.  The m sum
     stops per node at the first m, or before any block, where
     U <= m_tol |F|; a weak node thus takes F = -T with no block, and
-    its m used is -1.  A sum that runs to m = l_max is complete, and its
-    R, round-off then, is dropped, so its U is 0.
+    its m used is -1.  So does every node ``trace_only`` marks, whatever
+    its U.  A sum that runs to m = l_max is complete, and its R, round-off
+    then, is dropped, so its U is 0.  Row T is the table's T, at every
+    node.
 
     The l probe is T_top, the trace of the degrees
     l_keep < l <= l_max, l_keep = l_max - l_drop (l_drop = max(4,
@@ -237,10 +250,11 @@ def _chunk_mode_sums(table, m_tol):
     l_max = table.l_max
     l_keep = max(1, l_max - max(4, l_max // 8))
     nodes = len(table.c)
-    rows = np.empty((4, nodes))
+    rows = np.empty((5, nodes))
     active = np.arange(nodes)
     total = np.zeros(nodes)
     rest, top = table.m_summed_traces(l_keep)
+    rows[4] = rest
     for m in range(-1, l_max + 1):
         if m >= 0:
             block = assemble_block(m, table)
@@ -253,9 +267,11 @@ def _chunk_mode_sums(table, m_tol):
         err = _tail_bound(rest, 1.0 if m < 0 else 2.0)
         f = total - rest
         done = (err <= m_tol * np.abs(f)) | (m == l_max)
+        if m < 0:
+            done |= trace_only
         if done.any():
             record = np.vstack([f, top, err, np.full_like(err, m)])
-            rows[:, active[done]] = record[:, done]
+            rows[:4, active[done]] = record[:, done]
             if done.all():
                 break
             keep = ~done
@@ -337,35 +353,44 @@ def _kappa_rule(n):
 
 @dataclass(frozen=True)
 class _Level:
-    """One level of the kappa rule: E, its l and m estimates, the nodes x
-    and the (4, K) record, rows F, l probe, m error, m used."""
+    """One level of the kappa rule: the integral of F, its l and m
+    estimates, the integral of T, the nodes x and the (5, K) record, rows
+    F, l probe, m error, m used, T."""
 
     energy: float
     err_l: float
     err_m: float
+    trace: float
     x: np.ndarray
     rows: np.ndarray
 
 
 def _level(x, w, d, rows):
     """The :class:`_Level` of the kappa rule (x, w), with kappa = x / (2 d), from its record."""
-    f, top, m_err, _ = rows
+    f, top, m_err, _, t = rows
     pref = 1.0 / (2.0 * math.pi) / (2.0 * d)
-    return _Level(pref * (w @ f), pref * (w @ top), pref * (w @ m_err), x, rows)
+    return _Level(pref * (w @ f), pref * (w @ top), pref * (w @ m_err), pref * (w @ t), x, rows)
 
 
-def _quadrature_pass(n_kappa, d, prev, mode_args):
+def _quadrature_pass(n_kappa, d, prev, mode_args, trace_only=False):
     """Level n_kappa of the kappa rule, with kappa = x / (2 d), as a :class:`_Level`.
 
     ``prev`` is the record of level n_kappa / 2, or None: node k of this
     level is node k / 2 of that one for every even k, so only the odd k are
-    evaluated then, all in one ``_mode_sums`` call.
+    evaluated then, all in one ``_mode_sums`` call.  With ``trace_only``
+    (and no ``prev``), the odd k take T alone and leave the stack before
+    block 0, so blocks run only on the even k, level n_kappa / 2: the
+    first pass of :func:`casimir_energy`.  Such a level's ``trace`` is its
+    own, but its ``energy`` and ``err_m`` count each odd k as a node with
+    no block, F = -T with m error U.
     """
     x, w = _kappa_rule(n_kappa)
     if prev is None:
-        rows = _mode_sums(x / (2.0 * d), *mode_args)
+        mask = np.zeros(x.size, dtype=bool)
+        mask[::2] = trace_only
+        rows = _mode_sums(x / (2.0 * d), *mode_args, mask)
     else:
-        rows = np.empty((4, x.size))
+        rows = np.empty((5, x.size))
         rows[:, ::2] = _mode_sums(x[::2] / (2.0 * d), *mode_args)
         rows[:, 1::2] = prev
     return _level(x, w, d, rows)
@@ -378,15 +403,28 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     The kappa integral runs over x = 2 kappa (L-R) (the integrand decays on
     the gap scale, not L) with a nested rule: Fejer's second rule mapped
     onto 0 < x < inf by x = 3 (1+s)/(1-s).  Level n has n - 1 nodes, and
-    level 2n reuses all of them and adds n new ones, so each node is
-    evaluated once per run (one l_max and rapidity rule).  The first level
-    is ``kappa_nodes``; the level doubles, up to 128, until two levels agree
-    within rel_tol/4, their difference being the kappa error estimate, and
-    ``kappa_nodes_used`` is the last level.  Every run evaluates at least
-    two levels (``kappa_nodes`` <= 64 leaves room for one doubling), so the
-    first two are one pass over the 2n - 1 nodes of level 2n, and level n's
-    record is that pass's odd columns, copied contiguous so that its
-    weighted sum is bit for bit that of a pass of its own.  The l estimate
+    level 2n reuses all of them and adds n new ones.  The integrand is
+    F = sum_m ln det(I - M_m), and its first-order part -T, with
+    T = sum_m (2 - delta_m0) tr M_m, is known at every node before any
+    block (see below).  So T is a control variate: the energy is the
+    integral of F + T on level n less that of T on level 2n, where n is
+    twice ``kappa_nodes``.  One pass evaluates every node of level 2n,
+    with blocks only on the nodes of level n; the n others take T alone
+    (:func:`_quadrature_pass`).  The kappa estimate is the change of the
+    F + T sum from level n/2 to n plus that of the T sum from level n to
+    2n.  At the 12 benchmark points F + T is 1.5-6% of F on level 16, and
+    the control-variate sum missed the plain F sum on level 128 by
+    0.002-0.17 times that estimate.
+    If the estimate is past rel_tol/4, F is evaluated on the other nodes
+    of level 2n, where T then cancels: the energy is the plain F sum on
+    level 2n, and the level doubles, up to 128, until two plain sums agree
+    within rel_tol/4, their difference being the kappa estimate.  So a
+    miss costs one more table on those n nodes, and gives the energy a
+    pass over all of level 2n would, bit for bit.  ``kappa_nodes_used`` is
+    the last level of F.  At rel_tol 1e-3, 11 of the 12 benchmark points
+    stop at level 16, with blocks on 15 nodes instead of 31.  The l and m
+    estimates integrate over the nodes of F alone: T has no m error, and
+    its l truncation cancels between the two sums.  The l estimate
     is the integral of the trace of the top l_drop degrees over every m, a
     floor under what dropping them changes (:func:`_chunk_mode_sums`);
     l_max grows until it is below rel_tol/4.
@@ -399,10 +437,10 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     the first m, or before any block, where U is at most rel_tol/4 of the
     node's value.  A weak node (T below about rel_tol/2) thus needs no
     block at all.  ``m_max_used`` is the largest m any node of the last
-    level reached (-1 if none needed a block), and the m estimate is the
-    integral of the nodes' U.  The rapidity rule starts from l_max
-    (:func:`_theta_rule`) and is checked at the smallest kappa node, where
-    it is weakest: F there is recomputed on twice the panels and
+    level of F reached (-1 if none needed a block), and the m estimate is
+    the integral of the nodes' U.  The rapidity rule starts from l_max
+    (:func:`_theta_rule`) and is checked at the smallest kappa node of F,
+    where it is weakest: F there is recomputed on twice the panels and
     1.25 v_max, and the relative change, times |E|, is the theta estimate.
     The kappa, l, m and theta estimates add up to error_estimate, which
     must be at most rel_tol |E|.  One loop grows whichever truncation is
@@ -450,25 +488,27 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
         panels += added
         mode_args = (s1, p1, l_max, (panels, v_max), share)
 
-        # the first two levels in one pass (kappa_nodes <= 64, so 2n <= 128);
-        # copied contiguous, the odd columns sum as a pass of their own would
+        # one pass over level 2n: F on levels n and n / 2, T on every node;
+        # copied contiguous, each level sums as a pass of its own would
         n = 2 * numerics.kappa_nodes
-        fine = _quadrature_pass(n, d, None, mode_args)
-        coarse = np.ascontiguousarray(fine.rows[:, 1::2])
-        levels = [_level(*_kappa_rule(n // 2), d, coarse), fine]
-        while True:
-            err_k = abs(levels[-1].energy - levels[-2].energy)
-            if err_k <= share * abs(levels[-1].energy) or 2 * n > _KAPPA_NODE_CEILING:
-                break
+        first = _quadrature_pass(2 * n, d, None, mode_args, trace_only=True)
+        last = _level(*_kappa_rule(n), d, np.ascontiguousarray(first.rows[:, 1::2]))
+        prev = _level(*_kappa_rule(n // 2), d, np.ascontiguousarray(last.rows[:, 1::2]))
+        energy = last.energy + last.trace - first.trace
+        err_k = (abs(last.energy + last.trace - prev.energy - prev.trace)
+                 + abs(first.trace - last.trace))
+        # a miss: F on the other nodes of level 2n, where the control variate
+        # cancels, and plain levels from there on
+        while err_k > share * abs(energy) and 2 * n <= _KAPPA_NODE_CEILING:
             n *= 2
-            levels.append(_quadrature_pass(n, d, levels[-1].rows, mode_args))
-        last = levels[-1]
+            prev, last = last, _quadrature_pass(n, d, last.rows, mode_args)
+            energy, err_k = last.energy, abs(last.energy - prev.energy)
 
-        if auto_l and last.err_l > share * abs(last.energy):
+        if auto_l and last.err_l > share * abs(energy):
             if l_steps == _L_MAX_GROWTHS:
                 raise NumericsError(
                     f"l_max growth did not converge; last increment estimate {last.err_l} "
-                    f"vs target {share * abs(last.energy)}", error_estimate=last.err_l)
+                    f"vs target {share * abs(energy)}", error_estimate=last.err_l)
             l_max += max(10, l_max // 3)
             l_steps += 1
             continue
@@ -478,26 +518,26 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
         f_min = last.rows[0, i_min]
         f2 = _mode_sums(last.x[i_min:i_min + 1] / (2.0 * d), s1, p1, l_max,
                         (2 * panels, 1.25 * v_max), share)[0, 0]
-        err_theta = abs(f2 - f_min) / max(abs(f_min), 1e-300) * abs(last.energy)
+        err_theta = abs(f2 - f_min) / max(abs(f_min), 1e-300) * abs(energy)
 
         error = err_k + last.err_l + last.err_m + err_theta
-        if (error <= numerics.rel_tol * abs(last.energy) or err_theta <= share * abs(last.energy)
+        if (error <= numerics.rel_tol * abs(energy) or err_theta <= share * abs(energy)
                 or added == _THETA_PANEL_STEPS):
             break
         added += 1
 
-    if last.energy >= 0.0:
-        raise SpectralAnomalyError(f"non-negative energy {last.energy} from valid inputs")
-    if error > numerics.rel_tol * abs(last.energy):
+    if energy >= 0.0:
+        raise SpectralAnomalyError(f"non-negative energy {energy} from valid inputs")
+    if error > numerics.rel_tol * abs(energy):
         raise NumericsError(
             f"energy not converged: error estimate {error:.3e} vs allowed "
-            f"{numerics.rel_tol * abs(last.energy):.3e} "
+            f"{numerics.rel_tol * abs(energy):.3e} "
             f"(kappa {err_k:.1e}, l {last.err_l:.1e}, m {last.err_m:.1e}, theta {err_theta:.1e})",
             error_estimate=error)
 
     return EnergyResult(
-        energy=float(last.energy / R),
-        energy_dimensionless=float(last.energy * d * d),
+        energy=float(energy / R),
+        energy_dimensionless=float(energy * d * d),
         error_estimate=float(error / R),
         l_max_used=l_max,
         m_max_used=int(last.rows[3].max()),

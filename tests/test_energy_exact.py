@@ -241,9 +241,9 @@ def test_energy_explicit_truncation_too_small_raises(monkeypatch):
     rules = []
     real = energy_exact._quadrature_pass
 
-    def recording(n_kappa, d, prev, mode_args):
+    def recording(n_kappa, d, prev, mode_args, **kwargs):
         rules.append(mode_args[3])
-        return real(n_kappa, d, prev, mode_args)
+        return real(n_kappa, d, prev, mode_args, **kwargs)
 
     monkeypatch.setattr(energy_exact, "_quadrature_pass", recording)
     with pytest.raises(NumericsError, match="energy not converged"):
@@ -393,6 +393,29 @@ def test_weak_node_needs_no_block(monkeypatch):
     assert 0.0 < out[2, 0] <= m_tol * abs(out[0, 0])
 
 
+@pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
+def test_record_carries_each_node_trace(omega):
+    # row 4 of the record is T = sum_m (2 - delta_m0) tr M_m over every m,
+    # node by node, against the block-by-block oracle; so is the l probe
+    # of row 1, over the top degrees.  The nodes of a trace-only mask take
+    # T alone: no block, m used -1 and F = -T.  The other nodes keep their
+    # columns, bit for bit those of a call without them
+    d = 0.3
+    sphere, plane = SphereSheet(1.0, omega), PlaneSheet(omega, 1.0 + d)
+    l_max, theta_rule, m_tol = _pass_args(d)
+    kappa = energy_exact._kappa_rule(32)[0] / (2.0 * d)
+    trace_only = np.zeros(kappa.size, dtype=bool)
+    trace_only[::2] = True
+    rows = energy_exact._mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol, trace_only)
+    table = KappaTable.build(kappa, sphere, plane, l_max, rapidity_rule(*theta_rule))
+    want, want_top = m_summed_trace(table, l_max - max(4, l_max // 8))
+    assert rows[4] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert rows[1] == pytest.approx(want_top, rel=1e-12, abs=0.0)
+    assert np.all(rows[3, ::2] == -1) and np.array_equal(rows[0, ::2], -rows[4, ::2])
+    alone = energy_exact._mode_sums(kappa[1::2], sphere, plane, l_max, theta_rule, m_tol)
+    assert np.array_equal(rows[:, 1::2], alone) and alone[3].max() > 0
+
+
 def test_tail_bound_of_synthetic_traces():
     # U = R lam / (2 (1 - lam)) with lam = R / weight, infinite once lam >= 1
     rest = np.array([0.0, 0.1, 1.0, 2.0, 3.0])
@@ -504,32 +527,43 @@ def test_l_probe_is_a_floor_under_the_sub_block_sums(monkeypatch, d, omega_s):
 def test_pc_tenth_block_count_and_m_max_used(monkeypatch):
     # no kappa node is evaluated twice, and each m sum stops once the trace
     # still to come bounds the rest of it: 1474 node-blocks with neither,
-    # 117 with both (the far nodes need no block); a stacked block of K
-    # nodes counts K.  m_max_used is the largest m a node needed (5), not
-    # l_max (70).
+    # 117 with both (the far nodes need no block), and 60 once blocks run
+    # only on the nodes of F's level 16, T alone on those of 32; a stacked
+    # block of K nodes counts K.  m_max_used is the largest m a node needed
+    # (5), not l_max (70).
     calls = _counting_blocks(monkeypatch)
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
                          NumericsSpec(rel_tol=1e-3))
-    assert len(calls) <= 125
+    assert len(calls) <= 64
     assert 4 <= res.m_max_used < res.l_max_used
 
 
 @pytest.mark.parametrize("d, truncation, energy", [
-    (0.1, (70, 5, 32), -3.8187510696907165),
-    (0.05, (130, 8, 32), -16.141414130742127)])
+    (0.1, (70, 5, 16), -3.8187649381333215),
+    (0.05, (130, 8, 16), -16.141450465459826)])
 def test_pc_exact_pair_truncations_are_pinned(d, truncation, energy):
     # the criterion-5 pair: (l_max_used, m_max_used, kappa_nodes_used) and E
-    # must not move.  With the trace still to come taken off F, E sits
-    # 3.2e-5 and 1.4e-4 short of the m sum run to l_max at the same l_max,
-    # kappa level and rapidity rule (-3.8187834, -16.1415549), against m
-    # estimates of 3.5e-4 and 3.0e-3.  d/R = 0.1 runs on 4 rapidity panels
-    # (it ran on the old floor of 5, at -3.8187622463952327): E moved by
-    # 1.1e-5, 2.9e-6 of |E|, the rule error against 12 panels
-    # (-3.8187619), well inside the theta estimate of 2.3e-4
+    # must not move.  E is the control-variate sum, F + T on kappa level 16
+    # and T alone on level 32.  The plain F sum on level 32 gave
+    # -3.8187510696907165 and -16.141414130742127: E moved by 1.4e-5 and
+    # 3.6e-5, 0.020 and 0.009 of that run's estimates (6.9e-4, 4.2e-3).
+    # Against the plain F sum on level 128 at the same l_max and rapidity
+    # rule, E misses by 1.4e-5 and 4.0e-5, inside the kappa estimates of
+    # 2.1e-4 and 2.4e-3.  With the trace still to come taken off F, E sits
+    # 3.1e-5 and 1.4e-4 short of the m sum run to l_max, against m
+    # estimates of 3.3e-4 and 3.0e-3
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR),
                          PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), NumericsSpec(rel_tol=1e-3))
     assert (res.l_max_used, res.m_max_used, res.kappa_nodes_used) == truncation
     assert res.energy == pytest.approx(energy, rel=1e-10, abs=0.0)
+
+
+def _control_variate(level, d, args):
+    """casimir_energy's E from a plain pass ``level`` over its F level n: the
+    integral of F + T there, less that of T on level 2n, from a pass whose
+    new nodes take T alone."""
+    fine = energy_exact._quadrature_pass(2 * (level.x.size + 1), d, None, args, trace_only=True)
+    return level.energy + level.trace - fine.trace
 
 
 @pytest.mark.parametrize("d, omega_s, omega_p", [
@@ -537,22 +571,24 @@ def test_pc_exact_pair_truncations_are_pinned(d, truncation, energy):
     (0.2916677455724206, 2.2969562477180534, 14.374812270822432)])
 def test_m_error_covers_the_m_sum_run_to_l_max(monkeypatch, d, omega_s, omega_p):
     # PC d/R = 0.1 and an exact-wide benchmark point: E against the m sum
-    # run to l_max with the same l_max, kappa level and rapidity rule.  The
-    # miss lies within err_m (0.09 and 0.30 of it), err_m within the m share
-    # rel_tol/4 of |E|, and at every node within row 2 of the record (at
-    # most 0.11 and 0.31 of it where the miss passes 1e-14).  The run to
-    # l_max takes ln det of a block with tr M <= 1e-6 from its trace series:
-    # the Cholesky value there is round-off, and the node miss beyond row 2
-    # read 9.4e-14 at x = 17.5 of the first point (F = -1.3e-7) and 7.2e-14
-    # at x = 13.4 of the second, which 1e-14 per node does not cover
+    # run to l_max with the same l_max, kappa levels and rapidity rule.  T
+    # has no m error, so the miss is that of the plain F sums on the F
+    # level.  It lies within err_m (0.09 and 0.30 of it), err_m within the
+    # m share rel_tol/4 of |E|, and at every node within row 2 of the
+    # record (at most 0.11 and 0.31 of it where the miss passes 1e-14).
+    # The run to l_max takes ln det of a block with tr M <= 1e-6 from its
+    # trace series: the Cholesky value there is round-off, and the node
+    # miss beyond row 2 read 9.4e-14 at x = 17.5 of the first point
+    # (F = -1.3e-7) and 7.2e-14 at x = 13.4 of the second (kappa level 32),
+    # which 1e-14 per node does not cover
     rel_tol = 1e-3
     sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d)
     res = casimir_energy(sphere, plane, NumericsSpec(rel_tol=rel_tol))
     m_tol = 0.25 * rel_tol
     args = (sphere, plane, res.l_max_used, energy_exact._theta_rule(res.l_max_used), m_tol)
     level = energy_exact._quadrature_pass(res.kappa_nodes_used, d, None, args)
-    assert level.energy == pytest.approx(res.energy, rel=1e-12, abs=0.0)
-    assert 0.0 < level.err_m <= m_tol * abs(level.energy)
+    assert _control_variate(level, d, args) == pytest.approx(res.energy, rel=1e-12, abs=0.0)
+    assert 0.0 < level.err_m <= m_tol * abs(res.energy)
     _m_sum_to_l_max(monkeypatch)
     args = (*args[:-1], _NO_M_STOP)
     whole = energy_exact._quadrature_pass(res.kappa_nodes_used, d, None, args)
@@ -569,14 +605,15 @@ def test_l_estimate_is_above_the_trace_past_l_max(d, omega_s, omega_p):
     # of the degrees l_max < l <= L' over every m off F, so the integral of
     # that trace is a floor under the l error, and any honest l estimate
     # lies above it.  L' = floor(1.6 l_max), the trace on the rapidity rule
-    # of L', at the nodes of the driver's last kappa level.  err_l read
+    # of L', at the nodes of the last F level of the run: the l truncation of
+    # T cancels between the two sums of the control variate.  err_l read
     # 3.3 and 6.3 times the floor
     sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d)
     res = casimir_energy(sphere, plane)
     l_max, n_kappa = res.l_max_used, res.kappa_nodes_used
     args = (sphere, plane, l_max, energy_exact._theta_rule(l_max), 0.25 * NumericsSpec().rel_tol)
     level = energy_exact._quadrature_pass(n_kappa, d, None, args)
-    assert level.energy == pytest.approx(res.energy, rel=1e-12, abs=0.0)
+    assert _control_variate(level, d, args) == pytest.approx(res.energy, rel=1e-12, abs=0.0)
     top_l = int(1.6 * l_max)
     x, w = energy_exact._kappa_rule(n_kappa)
     table = KappaTable.build(x / (2.0 * d), sphere, plane, top_l,
@@ -615,25 +652,35 @@ def test_kappa_rule_integrates_decaying_functions():
 
 
 def test_each_kappa_node_evaluated_once(monkeypatch):
-    # the first two levels are one call over every node of the second
-    calls, sizes = [], []
-    real = energy_exact._mode_sums
+    # the first pass is one call over the 2n - 1 nodes of level 2n, whose
+    # n new nodes take T alone: blocks run only on the n - 1 nodes of the
+    # F level n.  Then the theta probe runs at the smallest of those
+    calls, sizes, blocked = [], [], set()
+    real, real_block = energy_exact._mode_sums, energy_exact.assemble_block
 
     def counting(kappa, *args):
         calls.extend(kappa.tolist())
         sizes.append(kappa.size)
         return real(kappa, *args)
 
+    def recording(m, table):
+        block = real_block(m, table)
+        if len(sizes) == 1:
+            blocked.update(np.atleast_1d(block.kappa).tolist())
+        return block
+
     monkeypatch.setattr(energy_exact, "_mode_sums", counting)
+    monkeypatch.setattr(energy_exact, "assemble_block", recording)
     d = 0.3
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d),
                          NumericsSpec(rel_tol=1e-3))
     assert res.l_max_used == energy_exact._auto_l_max(d)  # no l_max growth
-    assert res.kappa_nodes_used > NumericsSpec().kappa_nodes  # at least one refinement
-    # every node of the last level once, then the theta probe at one of them
-    assert len(calls) == (res.kappa_nodes_used - 1) + 1
-    assert len(set(calls[:-1])) == len(calls) - 1 and calls[-1] in calls[:-1]
-    assert sizes[0] == 2 * NumericsSpec().kappa_nodes - 1 and sizes[-1] == 1
+    n = res.kappa_nodes_used
+    assert n == 2 * NumericsSpec().kappa_nodes  # no miss
+    assert sizes == [2 * n - 1, 1]
+    assert len(set(calls)) == len(calls) - 1
+    f_nodes = calls[1:2 * n - 1:2]
+    assert 0 < len(blocked) and blocked <= set(f_nodes) and calls[-1] == min(f_nodes)
 
 
 def test_refined_level_reuses_rows_by_index():
@@ -651,30 +698,54 @@ def test_refined_level_reuses_rows_by_index():
     assert np.array_equal(fine.rows[:, 1::2], coarse.rows)
 
 
+def _run_estimate(first, plain, d):
+    """The last F level of a run, its E and its kappa estimate, from the
+    records of its first pass and of the plain levels after it."""
+    n = (first.x.size + 1) // 2
+    fine = energy_exact._level(*energy_exact._kappa_rule(n), d,
+                               np.ascontiguousarray(first.rows[:, 1::2]))
+    if plain:
+        levels = [fine, *plain]
+        return levels[-1], levels[-1].energy, abs(levels[-1].energy - levels[-2].energy)
+    coarse = energy_exact._level(*energy_exact._kappa_rule(n // 2), d,
+                                 np.ascontiguousarray(fine.rows[:, 1::2]))
+    return (fine, fine.energy + fine.trace - first.trace,
+            abs(fine.energy + fine.trace - coarse.energy - coarse.trace)
+            + abs(first.trace - fine.trace))
+
+
 @pytest.mark.parametrize("rel_tol", [1e-3, 1e-5])
 def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
-    # an Omega R = 1.7 sphere before a PC plane at d/R = 0.3: every level
-    # of one call is recorded, run by run, a run being one (l_max, panels).
-    # A run's first two levels are one pass over level 32, and level 16's
-    # record is its odd columns, bit for bit a pass of level 16 alone.  The
-    # kappa, l, m and theta estimates formed from the records of the last
-    # run and from its theta probe add up to error_estimate, bit for bit,
-    # and the records show each stop: a level refines until two agree
-    # within rel_tol/4, l_max grows until the l estimate is within
-    # rel_tol/4, and a run that misses rel_tol with the theta estimate past
-    # rel_tol/4 re-runs on one more panel.  At rel_tol 1e-5 l_max grows
-    # once, then the rule gains a panel once
+    # an Omega R = 1.7 sphere before a PC plane at d/R = 0.3: every pass of
+    # one call is recorded, run by run, a run being one (l_max, panels).
+    # A run's first pass covers kappa level 32 with blocks on level 16
+    # alone: its odd columns are bit for bit a pass of level 16, and level
+    # 8's record is theirs in turn.  E is the control-variate sum, F + T on
+    # level 16 less T on level 32, and the kappa estimate the change of the
+    # F + T sum from level 8 plus that of T's sum from level 16.  A run
+    # whose kappa estimate misses rel_tol/4 takes F on the other nodes of
+    # level 32 and refines plain F sums from there.  The kappa, l, m and
+    # theta estimates formed from the records of the last run and from its
+    # theta probe add up to error_estimate, bit for bit, and the records
+    # show each stop: the levels refine until the kappa estimate is within
+    # rel_tol/4, l_max grows until the l estimate is, and a run that misses
+    # rel_tol with the theta estimate past rel_tol/4 re-runs on one more
+    # panel.  At rel_tol 1e-5 l_max grows once, then the rule gains a panel
+    # once, and every run refines past the control variate
     tries = {1e-3: [(30, 4)], 1e-5: [(30, 4), (40, 4), (40, 5)]}[rel_tol]  # (l_max, panels)
-    runs, probes = [], []
+    runs, probes, gaps = [], [], []
     real_pass, real_sums = energy_exact._quadrature_pass, energy_exact._mode_sums
 
-    def recording_pass(n_kappa, d, prev, mode_args):
-        level = real_pass(n_kappa, d, prev, mode_args)
-        if prev is None:  # the first two levels of a run
-            coarse = real_pass(n_kappa // 2, d, None, mode_args)
-            assert np.array_equal(level.rows[:, 1::2], coarse.rows)
-            runs.append((mode_args, [coarse]))
-        runs[-1][1].append(level)
+    def recording_pass(n_kappa, d, prev, mode_args, **kwargs):
+        level = real_pass(n_kappa, d, prev, mode_args, **kwargs)
+        gaps.append(d)
+        if prev is None:  # the first pass of a run
+            assert kwargs == {"trace_only": True}
+            plain = real_pass(n_kappa // 2, d, None, mode_args)
+            assert np.array_equal(level.rows[:, 1::2], plain.rows)
+            runs.append((mode_args, level, []))
+        else:
+            runs[-1][2].append(level)
         return level
 
     def recording_sums(kappa, *args):
@@ -687,34 +758,40 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
     monkeypatch.setattr(energy_exact, "_mode_sums", recording_sums)
     res = casimir_energy(SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.3),
                          NumericsSpec(rel_tol=rel_tol))
-    share = 0.25 * rel_tol
-    assert [(args[2], args[3][0]) for args, _ in runs] == tries
+    share, d = 0.25 * rel_tol, gaps[0]
+    assert [(args[2], args[3][0]) for args, _, _ in runs] == tries
     # a probe follows each run at the last l_max, on twice its panels and 1.25 v_max
     assert len(probes) == sum(1 for l_max, _ in tries if l_max == tries[-1][0])
-    for (args, _), (rule, _) in zip(runs[-len(probes):], probes):
+    for (args, _, _), (rule, _) in zip(runs[-len(probes):], probes):
         assert rule == (2 * args[3][0], 1.25 * args[3][1])
-    levels = runs[-1][1]
-    last = levels[-1]
-    assert [lv.x.size + 1 for lv in levels] == [16 * 2 ** k for k in range(len(levels))]
+    estimates = [_run_estimate(first, plain, d) for _, first, plain in runs]
+    last, energy, err_k = estimates[-1]
+    first, plain = runs[-1][1:]
+    assert first.x.size + 1 == 32
+    assert all(bool(run[2]) == (rel_tol == 1e-5) for run in runs)
+    assert [lv.x.size + 1 for lv in plain] == [32 * 2 ** k for k in range(len(plain))]
     assert last.x.size + 1 == res.kappa_nodes_used
-    assert last.energy == res.energy and last.rows[3].max() == res.m_max_used
+    assert energy == res.energy and last.rows[3].max() == res.m_max_used
 
-    def theta_estimate(level, probe):
+    def theta_estimate(level, energy, probe):
         f_min = level.rows[0, np.argmin(level.x)]
-        return abs(probe[0, 0] - f_min) / max(abs(f_min), 1e-300) * abs(level.energy)
+        return abs(probe[0, 0] - f_min) / max(abs(f_min), 1e-300) * abs(energy)
 
-    err_k = abs(last.energy - levels[-2].energy)
-    err_theta = theta_estimate(last, probes[-1][1])
+    err_theta = theta_estimate(last, energy, probes[-1][1])
     assert err_k + last.err_l + last.err_m + err_theta == res.error_estimate
-    for coarse, fine in zip(levels[:-2], levels[1:-1]):
-        assert abs(fine.energy - coarse.energy) > share * abs(fine.energy)
-    assert err_k <= share * abs(last.energy) and last.err_l <= share * abs(last.energy)
-    for (l_max, _), (_, run) in zip(tries, runs):
+    assert err_k <= share * abs(energy) and last.err_l <= share * abs(energy)
+    # each level before the last missed rel_tol/4: the control variate, then the plain sums
+    if plain:
+        cv = _run_estimate(first, [], d)
+        assert cv[2] > share * abs(cv[1])
+        for coarse, fine in zip(plain[:-2], plain[1:-1]):
+            assert abs(fine.energy - coarse.energy) > share * abs(fine.energy)
+    for (l_max, _), (level, e, _) in zip(tries, estimates):
         if l_max < tries[-1][0]:
-            assert run[-1].err_l > share * abs(run[-1].energy)
+            assert level.err_l > share * abs(e)
     # the run before the panel was added missed rel_tol on its theta estimate
-    for (_, run), (_, probe) in zip(runs[-len(probes):-1], probes[:-1]):
-        assert theta_estimate(run[-1], probe) > share * abs(run[-1].energy)
+    for (level, e, _), (_, probe) in zip(estimates[-len(probes):-1], probes[:-1]):
+        assert theta_estimate(level, e, probe) > share * abs(e)
 
 
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
@@ -814,8 +891,8 @@ def test_stacked_errors_name_the_node(monkeypatch):
 
 
 def test_far_kappa_nodes_stay_finite(monkeypatch):
-    # the far nodes of a refined level reach kappa R ~ 5e4 at d/R = 0.05;
-    # every node must give a finite F <= 0
+    # the far nodes of T's level reach kappa R ~ 2e5 at d/R = 0.05; every
+    # node must give a finite F <= 0 and T >= 0
     values = []
     real = energy_exact._mode_sums
 
@@ -828,21 +905,25 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
     d = 0.05
     sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     res = casimir_energy(sphere, plane, NumericsSpec(kappa_nodes=32, rel_tol=1e-3))
-    assert len(values) == res.kappa_nodes_used
-    assert max(k for k, _ in values) > 1e4
-    for kappa, (f, top, m_err, _) in values:
-        assert math.isfinite(f) and math.isfinite(top) and math.isfinite(m_err)
-        assert f <= 0.0 and top >= 0.0
-    # the edges of the stated range, kappa R = 1e6 (level 128 at d/R ~ 0.02),
-    # where every block underflows to 0 and so does the trace, and 1e-4
-    # (level 128 at d/R ~ 2)
-    assert np.array_equal(real(np.array([1e6]), sphere, plane, *_pass_args(d)),
-                          [[0.0], [0.0], [0.0], [-1]])
+    # level 128 in one pass, then the theta probe
+    assert res.kappa_nodes_used == 64 and len(values) == 128
+    assert max(k for k, _ in values) > 1e5
+    for i, (kappa, (f, top, m_err, _, t)) in enumerate(values):
+        assert math.isfinite(f) and math.isfinite(top) and math.isfinite(t)
+        assert f <= 0.0 and 0.0 <= top <= t and m_err >= 0.0
+        # a node of the pass's odd k takes T alone, F = -T with the bound U
+        # on the whole m sum, infinite where T >= 1
+        assert math.isfinite(m_err) or (i < 127 and i % 2 == 0 and t >= 1.0)
+    # the edges of the stated range, kappa R = 4e6 (T's level 256, from
+    # kappa_nodes 64, at d/R = 0.01), where every block underflows to 0 and
+    # so does the trace, and 1e-4 (level 128 at d/R ~ 2)
+    assert np.array_equal(real(np.array([4e6]), sphere, plane, *_pass_args(d)),
+                          [[0.0], [0.0], [0.0], [-1], [0.0]])
     for om in (PERFECT_CONDUCTOR, 0.5):
         d_wide = 2.0
-        [f], [top], [m_err], _ = real(np.array([1e-4]), SphereSheet(1.0, om),
-                                      PlaneSheet(om, 1.0 + d_wide), *_pass_args(d_wide))
-        assert math.isfinite(f) and f < 0.0 and 0.0 <= top <= -f and m_err >= 0.0
+        [f], [top], [m_err], _, [t] = real(np.array([1e-4]), SphereSheet(1.0, om),
+                                           PlaneSheet(om, 1.0 + d_wide), *_pass_args(d_wide))
+        assert math.isfinite(f) and f < 0.0 and 0.0 <= top <= t and m_err >= 0.0
 
 
 # ---------------------------------------------------------------- rapidity rule
@@ -916,9 +997,9 @@ def test_tight_rel_tol_grows_the_rapidity_rule(monkeypatch, d, omega_s):
     panels = []
     real = energy_exact._mode_sums
 
-    def recording(kappa, sphere, plane, l_max, rule, m_tol):
+    def recording(kappa, sphere, plane, l_max, rule, *rest):
         panels.append(rule[0])
-        return real(kappa, sphere, plane, l_max, rule, m_tol)
+        return real(kappa, sphere, plane, l_max, rule, *rest)
 
     monkeypatch.setattr(energy_exact, "_mode_sums", recording)
     tight = casimir_energy(sphere, plane, NumericsSpec(rel_tol=1e-5))
@@ -928,43 +1009,112 @@ def test_tight_rel_tol_grows_the_rapidity_rule(monkeypatch, d, omega_s):
     assert panels[-2] > panels[0]  # the last run's level pass; the probe doubles it
 
 
-def test_bench_points_run_once_at_the_default_rel_tol(monkeypatch):
-    # at the benchmark's points and rel_tol 1e-3 the starting rule passes
-    # its probe: one run per l_max, each kappa node evaluated once, and one
-    # probe
+def _bench_points():
     with open(os.path.join(os.path.dirname(__file__), "..", "bench", "points.json"),
               encoding="utf-8") as f:
-        bench = json.load(f)
-    points = bench["exact-narrow"] + bench["exact-wide"]
-    assert len(points) == 12
+        return json.load(f)
 
+
+def _sheets(p):
+    """The sphere and plane of a ``bench/points.json`` point at R = 1."""
     def omega(value):
         return PERFECT_CONDUCTOR if value == "pc" else value
 
-    calls, runs = [], []
-    real_sums, real_pass = energy_exact._mode_sums, energy_exact._quadrature_pass
+    return (SphereSheet(1.0, omega(p["omega_R_sphere"])),
+            PlaneSheet(omega(p["omega_R_plane"]), 1.0 + p["d_over_R"]))
+
+
+def test_bench_points_run_once_at_the_default_rel_tol(monkeypatch):
+    # at the benchmark's points and rel_tol 1e-3 the starting rule passes
+    # its probe: one run per point, at the auto l_max.  Its first pass takes
+    # each node of kappa level 32 once, in one call, with blocks on the 15
+    # nodes of level 16 alone, and the control variate stops there at no
+    # fewer than 10 of the 12 points (11 today).  A miss takes F on the
+    # other 16 nodes of level 32 in one more call.  Then one theta probe,
+    # at the smallest F node
+    bench = _bench_points()
+    points = bench["exact-narrow"] + bench["exact-wide"]
+    assert len(points) == 12
+    calls, sizes, runs, blocked = [], [], [], set()
+    real_sums, real_pass, real_block = (energy_exact._mode_sums, energy_exact._quadrature_pass,
+                                        energy_exact.assemble_block)
 
     def counting_sums(kappa, *args):
         calls.extend(kappa.tolist())
+        sizes.append(kappa.size)
         return real_sums(kappa, *args)
 
-    def counting_pass(n_kappa, d, prev, mode_args):
+    def counting_pass(n_kappa, d, prev, mode_args, **kwargs):
         if prev is None:
             runs.append(mode_args[2])
-        return real_pass(n_kappa, d, prev, mode_args)
+        return real_pass(n_kappa, d, prev, mode_args, **kwargs)
+
+    def recording(m, table):
+        block = real_block(m, table)
+        if len(sizes) == 1:  # the first pass
+            blocked.update(np.atleast_1d(block.kappa).tolist())
+        return block
 
     monkeypatch.setattr(energy_exact, "_mode_sums", counting_sums)
     monkeypatch.setattr(energy_exact, "_quadrature_pass", counting_pass)
+    monkeypatch.setattr(energy_exact, "assemble_block", recording)
+    stops = 0
     for p in points:
-        calls.clear()
-        runs.clear()
-        d = p["d_over_R"]
-        res = casimir_energy(SphereSheet(1.0, omega(p["omega_R_sphere"])),
-                             PlaneSheet(omega(p["omega_R_plane"]), 1.0 + d),
-                             NumericsSpec(rel_tol=1e-3))
-        assert runs == [res.l_max_used] == [energy_exact._auto_l_max(d)]
-        assert len(calls) == (res.kappa_nodes_used - 1) + 1
-        assert len(set(calls[:-1])) == len(calls) - 1 and calls[-1] in calls[:-1]
+        for record in (calls, sizes, runs, blocked):
+            record.clear()
+        res = casimir_energy(*_sheets(p), NumericsSpec(rel_tol=1e-3))
+        assert runs == [res.l_max_used] == [energy_exact._auto_l_max(p["d_over_R"])]
+        level, f_nodes = calls[:31], calls[1:31:2]
+        assert len(set(level)) == 31 and blocked and blocked <= set(f_nodes)
+        if res.kappa_nodes_used == 16:
+            stops += 1
+            assert sizes == [31, 1]
+        else:
+            assert res.kappa_nodes_used == 32 and sizes == [31, 16, 1]
+            assert calls[31:47] == level[::2]
+            f_nodes = level
+        assert calls[-1] == min(f_nodes)
+    assert stops >= 10
+
+
+@pytest.mark.parametrize("d, omega_s, omega_p", [
+    (0.1, PERFECT_CONDUCTOR, PERFECT_CONDUCTOR),
+    (0.2916677455724206, 2.2969562477180534, 14.374812270822432)])
+def test_kappa_estimate_covers_the_plain_sum_on_level_128(monkeypatch, d, omega_s, omega_p):
+    # E, the control-variate sum, against the plain F sum on kappa level
+    # 128 at the same l_max and rapidity rule: the miss lies within the
+    # kappa estimate, at 0.065 and 0.080 of it
+    passes = []
+    real = energy_exact._quadrature_pass
+
+    def recording(n_kappa, d, prev, mode_args, **kwargs):
+        level = real(n_kappa, d, prev, mode_args, **kwargs)
+        passes.append((level, d, mode_args))
+        return level
+
+    monkeypatch.setattr(energy_exact, "_quadrature_pass", recording)
+    res = casimir_energy(SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d))
+    (first, gap, mode_args), *plain = passes
+    _, energy, err_k = _run_estimate(first, [level for level, _, _ in plain], gap)
+    assert energy == res.energy and res.kappa_nodes_used == 16
+    reference = real(128, gap, None, mode_args)
+    assert abs(res.energy - reference.energy) <= err_k
+
+
+def test_a_control_variate_miss_is_the_plain_level_32_sum():
+    # exact-wide[2] (d/R 0.2554, Omega R 1.75 and 3.98): F + T on level 8
+    # is 2.9e-4 of |E| off level 16, past rel_tol/4, so the control
+    # variate misses.  F is then evaluated on the other 16 nodes of level
+    # 32, where T is known and cancels: E is the plain F sum on level 32,
+    # bit for bit that of one pass over its 31 nodes
+    p = _bench_points()["exact-wide"][2]
+    sphere, plane = _sheets(p)
+    res = casimir_energy(sphere, plane)
+    assert res.kappa_nodes_used == 32
+    d = plane.distance_L - 1.0
+    args = (sphere, plane, res.l_max_used, energy_exact._theta_rule(res.l_max_used),
+            0.25 * NumericsSpec().rel_tol)
+    assert energy_exact._quadrature_pass(32, d, None, args).energy == res.energy
 
 
 def test_gap_below_the_domain_raises_up_front(monkeypatch):

@@ -1,6 +1,7 @@
 """The scripts under ``tools/`` that changes to the library are measured with."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -80,7 +81,17 @@ def test_ab_time_runs_one_round_of_a_checkout_against_itself():
                           "--rounds", "1"],
                          env=env, capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
-    assert len(lines) == 3
+    with open(os.path.join(REPO, "bench", "points.json"), encoding="utf-8") as f:
+        n_points = len(json.load(f)["exact-wide"])
+    assert len(lines) == 3 + n_points
     assert lines[0].startswith("A ") and lines[1].startswith("B ")
     assert "over 1 passes of exact-wide" in lines[0]
     assert float(lines[2].split("median ")[1].split()[0]) > 0.0
+    # then each point's median per checkout, in the order of bench/points.json
+    for i, line in enumerate(lines[3:]):
+        label, rest = line.split(": ")
+        a, b, ratio = rest.split(", ")
+        assert label == f"exact-wide[{i}]"
+        assert a.startswith("A median ") and b.startswith("B median ")
+        assert ratio.startswith("B/A ")
+        assert min(float(a.split()[2]), float(b.split()[2]), float(ratio.split()[1])) > 0.0

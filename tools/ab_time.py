@@ -6,7 +6,9 @@ side by side.  Whole passes over one exact workload of
 ``bench/points.json`` (read, never written; R = 1, the benchmark's rel_tol
 1e-3) then alternate between the two, A B in even rounds and B A in odd
 ones, so a drift of the machine falls on both.  It prints each checkout's
-median and min pass time and the median of the per-round ratios B/A:
+median and min pass time and the median of the per-round ratios B/A, then
+one line per point with each checkout's median time for that point, since
+one slow point can move the benchmark's tail on its own:
 
     python3 tools/ab_time.py <checkout A> <checkout B> [--workload exact-wide] [--rounds 20]
 
@@ -52,13 +54,15 @@ def load_checkout(root: str):
     def omega(value):
         return PERFECT_CONDUCTOR if value == "pc" else float(value)
 
-    def run_pass(points) -> float:
+    def run_pass(points) -> tuple:
+        """The pass time and the time of each point."""
         spec = NumericsSpec(rel_tol=REL_TOL)
-        start = time.perf_counter()
+        ticks = [time.perf_counter()]
         for p in points:
             casimir_energy(SphereSheet(1.0, omega(p["omega_R_sphere"])),
                            PlaneSheet(omega(p["omega_R_plane"]), 1.0 + p["d_over_R"]), spec)
-        return time.perf_counter() - start
+            ticks.append(time.perf_counter())
+        return ticks[-1] - ticks[0], [b - a for a, b in zip(ticks, ticks[1:])]
 
     return run_pass
 
@@ -76,10 +80,12 @@ def main(argv: list[str]) -> int:
     passes = [load_checkout(args.checkout_a), load_checkout(args.checkout_b)]
     for run_pass in passes:  # warm-up: imports, caches, first allocations
         run_pass(points)
-    times = ([], [])
+    times, point_times = ([], []), ([], [])
     for r in range(args.rounds):
         for k in ((0, 1) if r % 2 == 0 else (1, 0)):
-            times[k].append(passes[k](points))
+            total, per_point = passes[k](points)
+            times[k].append(total)
+            point_times[k].append(per_point)
 
     for label, root, t in (("A", args.checkout_a, times[0]), ("B", args.checkout_b, times[1])):
         print(f"{label} {root}: median {statistics.median(t):.4f} s, min {min(t):.4f} s "
@@ -87,6 +93,9 @@ def main(argv: list[str]) -> int:
     ratios = [b / a for a, b in zip(*times)]
     print(f"B/A per-pass ratio: median {statistics.median(ratios):.3f} "
           f"(min {min(ratios):.3f}, max {max(ratios):.3f})")
+    for i in range(len(points)):
+        a, b = (statistics.median(run[i] for run in side) for side in point_times)
+        print(f"{args.workload}[{i}]: A median {a:.4f} s, B median {b:.4f} s, B/A {b / a:.3f}")
     return 0
 
 
