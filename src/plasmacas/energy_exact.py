@@ -26,7 +26,7 @@ _KAPPA_NODE_CEILING = 128  # finest kappa level n (n - 1 nodes) of F; that of T 
 _KAPPA_MAP_SCALE = 3.0  # x = a (1 + s)/(1 - s): half of every level lies below x = a
 _THETA_PANEL_FLOOR = 4  # 8-point panels, so at least 32 rapidity nodes
 _THETA_PANEL_STEPS = 4  # panels the theta probe may add, one per re-run
-_L_MAX_GROWTHS = 3  # l_max raises the l probe may ask for
+_L_MAX_GROWTHS = 3  # raises of the start degree the l probe may ask for
 _LOGDET_POSITIVE_TOL = 1e-12
 _STACK_BYTES = 4 << 20  # m = 0 factors H of one stack of kappa nodes (see _mode_sums)
 
@@ -40,14 +40,17 @@ def _is_count(v) -> bool:
 class NumericsSpec:
     """The truncation knobs a caller sets.
 
-    l_max (at least 2, so the l probe has a degree to drop) may be "auto";
-    kappa_nodes, in 8 .. 64, is the first kappa level of F, the one the
-    control variate's estimate starts from (see :func:`casimir_energy`);
-    rel_tol, in (0, 1), applies to the dimensionless core value
-    E R / (hbar c).  The rapidity rule follows l_max (see
-    :func:`_theta_rule`), and each kappa node's m cutoff follows rel_tol
-    (see :func:`_chunk_mode_sums`).  The counts may be any integer type but
-    bool, and are kept as Python ints.
+    l_max is "auto", where the driver traces every node of the first pass
+    at a start degree set by the gap and picks the smallest l_max below it
+    whose l estimate fits rel_tol, or an integer of at least 2 (so the l
+    probe has a degree to drop), where the run traces and sums at that
+    degree with no pick (see :func:`casimir_energy`); kappa_nodes, in
+    8 .. 64, is the first kappa level of F, the one the control variate's
+    estimate starts from; rel_tol, in (0, 1), applies to the dimensionless
+    core value E R / (hbar c).  The rapidity rule follows the start degree
+    or the explicit l_max (see :func:`_theta_rule`), and each kappa node's
+    m cutoff follows rel_tol (see :func:`_chunk_mode_sums`).  The counts
+    may be any integer type but bool, and are kept as Python ints.
     """
 
     l_max: int | str = "auto"
@@ -148,7 +151,7 @@ def _factorises(f) -> bool:
     return True
 
 
-def _mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol, trace_only=None):
+def _mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol):
     """The (5, K) record of the K kappa nodes ``kappa`` (1-D): rows F, l probe, m error, m used, T.
 
     F(kappa) = sum_m ln det(I - M_m) with the m <-> -m doubling, the trace
@@ -157,66 +160,116 @@ def _mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol, trace_only=None):
     probe), the bound on the rest of the m tail (the m error) and the last
     m summed, -1 where no block was needed, and T, the m-summed trace of
     every degree.  A node's m sum stops once its m error is at most
-    ``m_tol`` |F|.  The nodes that ``trace_only`` (a (K,) bool mask, or
-    None for none) marks stop before block 0 whatever their m error: their
-    column is that of a weak node, F = -T with m error U (see
-    :func:`_chunk_mode_sums`), and only T and the l probe are theirs.  The
-    rapidity rule is that of ``theta_rule`` = (panels, v_max).  The nodes
+    ``m_tol`` |F|.  The rapidity rule is that of ``theta_rule`` =
+    (panels, v_max).  The nodes
     are evaluated level-major:
     in chunks, each one :class:`KappaTable` with a leading node axis and
     one stacked block per m (:func:`_chunk_mode_sums`), so the per-call
-    cost of numpy is paid once per chunk instead of once per node.  The
-    nodes go into the fewest chunks whose m = 0 factors H fit within
+    cost of numpy is paid once per chunk instead of once per node.  They
+    run in two phases: the trace step of every chunk first
+    (:func:`_trace_step`), then the blocks of every chunk
+    (:func:`_block_step`).  Between the two, :func:`casimir_energy` picks
+    l_max from the traces of all the nodes, and the blocks run at that
+    l_max, at or below the trace step's degree; here both run at
+    ``l_max``.  The nodes go into the fewest chunks whose trace-step
+    factors, the size of block 0's H at the trace step's degree, fit within
     _STACK_BYTES, 4 MiB, each, split as evenly as those allow.  A
     trace-only node counts as a whole node: the trace step holds an
-    m-summed factor the size of block 0's H for every node of the chunk.
+    m-summed factor for every node of the chunk.
     The first pass of PC d/R = 0.05, the 31 nodes of kappa level 32 at
     166 kB each (blocks on 15 of them), runs as 16 + 15 nodes, not 25 + 6,
-    which keeps the peak RSS of a d/R = 0.1 and 0.05 pass 3.2 MB lower
-    (38.2 against 41.3-41.5 MB, 3 rounds).  The budget bounds the largest
-    array of a chunk, not its working
+    which kept the peak RSS of a d/R = 0.1 and 0.05 pass 3.2 MB lower
+    (38.2 against 41.3-41.5 MB, 3 rounds, measured with the blocks at the
+    trace step's degree).  The budget bounds the largest array of a chunk,
+    not its working
     set: while block m is assembled, block m-1's H is still held, and the
     new H comes with its two angular log arrays, one exponent buffer and up
-    to three Legendre ladders, each a quarter of H.  The trace step before
-    block 0 holds the m-summed factor, the size of block 0's H, with its
-    exponent buffer and two log arrays of a quarter each, and lets them
-    go before block 0.  Dropping block m-1 first
+    to three Legendre ladders, each a quarter of H.  The trace step of a
+    chunk holds half of the m-summed factor, one polarization at a time,
+    with its exponent buffer and two log arrays, each a quarter of the
+    whole factor, and lets them go before the next chunk's; what stays for
+    the blocks is each chunk's table and its (K, L, 2) row norms.
+    Dropping block m-1 first
     was no faster and saved 0.1 of 39.4 MB (PC d/R = 0.1 and 0.05, one
     process per round, the median of 5 passes each, medians of 20
     alternating rounds: 0.141 s held, 0.147 s dropped; measured when every
     node of the pass had blocks).  The numpy peak of one PC d/R = 0.02
-    point (tracemalloc, H of 555 kB per node, at most 7 nodes per chunk)
-    is 9.2 MB, 2.2 times the budget; its trace step peaks at 7.0 MB above
-    what the chunk held before it.  Measured on a 2-core Xeon (AVX-512)
-    with one BLAS thread, each size in its own process, medians of 5
-    interleaved rounds: a pass over PC d/R = 0.1 and 0.05 (H of 72 and
-    166 kB per node; the median of 5 passes per process) took 0.094 s at
-    1 MiB, 0.085 s at 2 MiB, 0.060 s at 4 MiB and 0.061 s at 8 MiB, its
-    rounds spreading over 0.056-0.104 s, with a peak RSS of 34.7, 37.0,
-    38.2 and 44.1 MB.  PC d/R = 0.02 (3 rounds) took 0.91, 0.59, 0.52 and
-    0.55 s and peaked at 36.8, 38.0, 41.4 and 46.4 MB; PC d/R = 0.01
-    (1.4 MB per node: 1, 2 and 5 nodes per chunk; 3 rounds) took 4.07,
-    3.83 and 4.18 s at 2, 4 and 8 MiB and peaked at 42.6, 42.6 and
-    50.5 MB.  4 MiB stays: no size is faster on the d/R = 0.1 and 0.05
-    pass or at d/R = 0.02 and 0.01, and 2 MiB, 3.4 MB smaller at
-    d/R = 0.02, is 12% slower there and 6% slower at d/R = 0.01.
+    point (tracemalloc, H of 555 kB per node at the trace step's degree
+    310, at most 7 nodes per chunk) is 5.6 MB, 1.3 times the budget.
+    Measured on a 2-core Xeon (AVX-512) with one BLAS thread, each size in
+    its own process, medians of 5 interleaved rounds: a pass over PC
+    d/R = 0.1 and 0.05 (H of 72 and 166 kB per node; the median of 5
+    passes per process) took 0.057 s at 1 MiB, 0.051 s at 2 MiB, 0.052 s
+    at 4 MiB and 0.047 s at 8 MiB, its rounds spreading over
+    0.044-0.079 s, with a peak RSS of 34.3, 35.6, 37.7 and 39.9 MB.  PC
+    d/R = 0.02 (3 rounds) took 0.51, 0.49, 0.44 and 0.39 s and peaked at
+    36.7, 36.9, 37.7 and 43.2 MB; PC d/R = 0.01 (1.4 MB per node: 1, 2
+    and 5 nodes per chunk; 3 rounds) took 3.09, 3.11 and 3.02 s at 2, 4
+    and 8 MiB and peaked at 42.3, 42.2 and 47.4 MB.  4 MiB stays: 8 MiB is
+    9% faster on the pass and 13% faster at d/R = 0.02, but peaks 2.2 and
+    5.5 MB higher, and the budget is there to bound memory; at 4 MiB the
+    pass peaks below the 38.6 MB it reached with the blocks at the trace
+    step's degree.
+    """
+    return _block_step(_trace_step(kappa, sphere, plane, l_max, theta_rule), l_max, m_tol)
+
+
+def _trace_step(kappa, sphere, plane, l_top, theta_rule):
+    """Phase one of :func:`_mode_sums`: the nodes ``kappa`` as chunks (table, norms).
+
+    Each chunk is a :class:`KappaTable` of the degrees 1 .. ``l_top`` on
+    the rapidity rule ``theta_rule`` = (panels, v_max), with its m-summed
+    row norms (:meth:`KappaTable.m_summed_traces`), and the chunks hold the
+    nodes in order.  Only the trace step's factor, the size of block 0's H
+    at ``l_top``, sizes the chunks (see :func:`_mode_sums`).
     """
     rule = rapidity_rule(*theta_rule)
-    per_node = 8 * (2 * l_max) * (2 * rule[0].size)
+    per_node = 8 * (2 * l_top) * (2 * rule[0].size)
     chunks = -(-len(kappa) // max(1, _STACK_BYTES // per_node))
+    tables = (KappaTable.build(part, sphere, plane, l_top, rule)
+              for part in np.array_split(kappa, chunks))
+    return [(table, table.m_summed_traces()) for table in tables]
+
+
+def _block_step(traced, l_max, m_tol, trace_only=None):
+    """Phase two of :func:`_mode_sums`: the (5, K) record of the K nodes of ``traced``.
+
+    Each chunk of ``traced`` (:func:`_trace_step`) is cut at ``l_max``, no
+    more than its degrees, and its blocks run there
+    (:func:`_chunk_mode_sums`).  The nodes that ``trace_only`` (a (K,)
+    bool mask, or None for none) marks stop before block 0 whatever their
+    m error: their column is that of a weak node, F = -T with m error U,
+    and only T and the l probe are theirs.
+    """
     if trace_only is None:
-        trace_only = np.zeros(kappa.size, dtype=bool)
-    parts = zip(np.array_split(kappa, chunks), np.array_split(trace_only, chunks))
-    return np.hstack([_chunk_mode_sums(KappaTable.build(part, sphere, plane, l_max, rule),
-                                       m_tol, mask) for part, mask in parts])
+        trace_only = np.zeros(sum(len(norms) for _, norms in traced), dtype=bool)
+    return np.hstack([_chunk_mode_sums(table.cut(l_max), norms[:, :l_max], m_tol, mask)
+                      for (table, norms), mask in zip(traced, _by_chunk(traced, trace_only))])
 
 
-def _chunk_mode_sums(table, m_tol, trace_only):
+def _by_chunk(traced, mask):
+    """The node mask ``mask`` split as the chunks of ``traced`` split the nodes."""
+    return np.split(mask, np.cumsum([len(norms) for _, norms in traced])[:-1])
+
+
+def _take(traced, keep):
+    """The chunks of ``traced`` cut to the nodes the mask ``keep`` marks; empty chunks go."""
+    return [(table.take(part), norms[part])
+            for (table, norms), part in zip(traced, _by_chunk(traced, keep)) if part.any()]
+
+
+def _l_keep(l_max):
+    """The degrees the l probe keeps: l_max - l_drop, l_drop = max(4, l_max // 8), at least 1."""
+    return np.maximum(1, l_max - np.maximum(4, l_max // 8))
+
+
+def _chunk_mode_sums(table, norms, m_tol, trace_only):
     """The (5, K) record of :func:`_mode_sums` for the K nodes of ``table``.
 
-    The m tail is the trace still to come.  The table gives each node
-    T = sum_m (2 - delta_m0) tr M_m over every block m = 0 .. l_max
-    (:meth:`KappaTable.m_summed_traces`); after block m the blocks not yet
+    The m tail is the trace still to come.  ``norms``, the table's
+    m-summed row norms (:meth:`KappaTable.m_summed_traces`) of its degrees
+    1 .. l_max, give each node T = sum_m (2 - delta_m0) tr M_m over every
+    block m = 0 .. l_max; after block m the blocks not yet
     summed have the trace R = T - sum_{m' <= m} (2 - delta_m'0) ||H_m'||_F^2.
     Since -ln det(I - M) = tr M + sum_{k >= 2} tr M^k / k, they add
     -R - V to the sum, 0 <= V <= U (:func:`_tail_bound`).  The node takes
@@ -247,14 +300,14 @@ def _chunk_mode_sums(table, m_tol, trace_only):
     ladders hold only the nodes still summing.  A node's column is written
     when it stops, bit-identical to that of the node alone.
     """
-    l_max = table.l_max
-    l_keep = max(1, l_max - max(4, l_max // 8))
     nodes = len(table.c)
     rows = np.empty((5, nodes))
     active = np.arange(nodes)
     total = np.zeros(nodes)
-    rest, top = table.m_summed_traces(l_keep)
+    by_row = norms.reshape(nodes, -1)
+    rest, top = by_row.sum(axis=1), by_row[:, 2 * _l_keep(table.l_max):].sum(axis=1)
     rows[4] = rest
+    l_max = table.l_max
     for m in range(-1, l_max + 1):
         if m >= 0:
             block = assemble_block(m, table)
@@ -296,12 +349,22 @@ def _tail_bound(rest, weight):
 
 
 def _auto_l_max(d):
-    """Starting l_max for the gap d (in units of R)."""
+    """The start degree L for the gap d (in units of R).
+
+    In auto mode the first pass's trace step runs at degree L, every node
+    uses L's rapidity rule (:func:`_theta_rule`), and l_max is picked at
+    or below L from that step's traces (:func:`casimir_energy`).  L is an
+    upper bound, not a guess at l_max: at the 12 benchmark points the pick
+    is 0.67-0.84 of it.
+    """
     return int(math.ceil(6.0 / d)) + 10
 
 
 def _theta_rule(l_max):
-    """(panels, v_max) of the rapidity rule every kappa node uses at this l_max.
+    """(panels, v_max) of the rapidity rule every kappa node uses at this degree.
+
+    The degree is the start degree of an auto run, whose blocks run at a
+    picked l_max at or below it, or an explicit l_max.
 
     The rule is composite 8-point Gauss-Legendre in v = sqrt(u) on
     [0, v_max] (``_quadrature.rapidity_rule``).  Row l of H carries
@@ -319,7 +382,8 @@ def _theta_rule(l_max):
     (:func:`casimir_energy`).  Gauss-Legendre panels converge geometrically
     in the panel count for an analytic integrand (Trefethen, SIAM Rev. 50,
     67 (2008)), so one panel more is the step.  At the 12 benchmark points
-    (rel_tol 1e-3, kappa level 32), against 12 panels, 4 panels miss E by
+    (rel_tol 1e-3, kappa level 32, with the blocks at the start degree
+    itself), against 12 panels, 4 panels miss E by
     5.6e-8 to 2.8e-6 of |E|, and the probe reads 3.0e-6 to 6.0e-5, under
     its rel_tol/4 share of 2.5e-4, so no point re-runs (PC d/R = 0.05
     starts on 5, by the width rule, and reads 2.3e-5).  3 panels miss by
@@ -372,28 +436,54 @@ def _level(x, w, d, rows):
     return _Level(pref * (w @ f), pref * (w @ top), pref * (w @ m_err), pref * (w @ t), x, rows)
 
 
-def _quadrature_pass(n_kappa, d, prev, mode_args, trace_only=False):
+def _quadrature_pass(n_kappa, d, prev, mode_args, traced=None, trace_only=False):
     """Level n_kappa of the kappa rule, with kappa = x / (2 d), as a :class:`_Level`.
 
-    ``prev`` is the record of level n_kappa / 2, or None: node k of this
-    level is node k / 2 of that one for every even k, so only the odd k are
-    evaluated then, all in one ``_mode_sums`` call.  With ``trace_only``
-    (and no ``prev``), the odd k take T alone and leave the stack before
-    block 0, so blocks run only on the even k, level n_kappa / 2: the
-    first pass of :func:`casimir_energy`.  Such a level's ``trace`` is its
-    own, but its ``energy`` and ``err_m`` count each odd k as a node with
-    no block, F = -T with m error U.
+    ``mode_args`` is (sphere, plane, l_top, theta_rule, l_max, m_tol): the
+    trace step runs at degree l_top and the blocks at l_max <= l_top, both
+    on the rapidity rule theta_rule, each node's m sum stopping at m_tol
+    (:func:`_block_step`).  ``prev`` is the record of level n_kappa / 2, or
+    None: node k of this level is node k / 2 of that one for every even k,
+    so only the odd k are evaluated then, all in one block step.
+    ``traced`` is the trace step of every node of this level
+    (:func:`_trace_step`) where the caller holds it, as after the first
+    pass of :func:`casimir_energy`; otherwise the nodes evaluated are traced
+    here.  With ``trace_only`` (and no ``prev``), the odd k take T alone and
+    leave the stack before block 0, so blocks run only on the even k, level
+    n_kappa / 2: the first pass of :func:`casimir_energy`.  Such a level's
+    ``trace`` is its own, but its ``energy`` and ``err_m`` count each odd k
+    as a node with no block, F = -T with m error U.
     """
+    sphere, plane, l_top, theta_rule, l_max, m_tol = mode_args
     x, w = _kappa_rule(n_kappa)
+    odd_k = np.arange(x.size) % 2 == 0  # node i is k = i + 1
     if prev is None:
-        mask = np.zeros(x.size, dtype=bool)
-        mask[::2] = trace_only
-        rows = _mode_sums(x / (2.0 * d), *mode_args, mask)
+        if traced is None:
+            traced = _trace_step(x / (2.0 * d), sphere, plane, l_top, theta_rule)
+        return _level(x, w, d, _block_step(traced, l_max, m_tol, odd_k if trace_only else None))
+    if traced is None:
+        traced = _trace_step(x[odd_k] / (2.0 * d), sphere, plane, l_top, theta_rule)
     else:
-        rows = np.empty((5, x.size))
-        rows[:, ::2] = _mode_sums(x[::2] / (2.0 * d), *mode_args)
-        rows[:, 1::2] = prev
+        traced = _take(traced, odd_k)
+    rows = np.empty((5, x.size))
+    rows[:, odd_k] = _block_step(traced, l_max, m_tol)
+    rows[:, ~odd_k] = prev
     return _level(x, w, d, rows)
+
+
+def _pick_l_max(degree_traces, share):
+    """The smallest l_max >= 2 whose l estimate is at most ``share`` of T, or None if none.
+
+    ``degree_traces`` holds, for each degree l = 1 .. L, the integral of
+    its m-summed trace over the nodes of F.  The l estimate at l_max sums
+    it over the degrees the l probe drops, l_keep < l <= l_max
+    (:func:`_l_keep`), and T over the degrees up to l_max.  The integral of
+    T is a floor under |E|, since |F| >= T at every node.
+    """
+    total = np.cumsum(degree_traces)  # total[l - 1]: T up to degree l
+    l_max = np.arange(2, len(degree_traces) + 1)
+    fits = total[l_max - 1] - total[_l_keep(l_max) - 1] <= share * total[l_max - 1]
+    return int(l_max[np.argmax(fits)]) if fits.any() else None
 
 
 def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
@@ -418,16 +508,34 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     If the estimate is past rel_tol/4, F is evaluated on the other nodes
     of level 2n, where T then cancels: the energy is the plain F sum on
     level 2n, and the level doubles, up to 128, until two plain sums agree
-    within rel_tol/4, their difference being the kappa estimate.  So a
-    miss costs one more table on those n nodes, and gives the energy a
-    pass over all of level 2n would, bit for bit.  ``kappa_nodes_used`` is
-    the last level of F.  At rel_tol 1e-3, 11 of the 12 benchmark points
-    stop at level 16, with blocks on 15 nodes instead of 31.  The l and m
-    estimates integrate over the nodes of F alone: T has no m error, and
-    its l truncation cancels between the two sums.  The l estimate
-    is the integral of the trace of the top l_drop degrees over every m, a
-    floor under what dropping them changes (:func:`_chunk_mode_sums`);
-    l_max grows until it is below rel_tol/4.
+    within rel_tol/4, their difference being the kappa estimate.  A miss
+    takes those n nodes' tables and traces from the first pass, which held
+    them as trace-only nodes, so it runs blocks on them and no second trace
+    step, and it gives the energy and the record a pass over all of level
+    2n would, bit for bit.  ``kappa_nodes_used`` is the last level of F.
+    At rel_tol 1e-3, 11 of the 12 benchmark points stop at level 16, with
+    blocks on 15 nodes instead of 31.  The l and m estimates integrate over
+    the nodes of F alone: T has no m error, and its l truncation cancels
+    between the two sums.  The l estimate at l_max is the integral of the
+    trace of the degrees l_max - l_drop < l <= l_max over every m,
+    l_drop = max(4, l_max // 8), a floor under what dropping them changes
+    (:func:`_chunk_mode_sums`).
+    In auto mode l_max is picked from the first pass's trace step.  That
+    step runs once, at the start degree L (:func:`_auto_l_max`) and on
+    L's rapidity rule, and gives each degree's m-summed trace at every
+    node (:meth:`KappaTable.m_summed_traces`).  l_max is the smallest
+    l <= L whose l estimate is at most rel_tol/4 of the integral of T up
+    to l over the same nodes (:func:`_pick_l_max`), which is a floor under
+    |E| since |F| >= T at each node.  The blocks, T, the l probe and the
+    theta probe then all run at l_max on L's rule, the first three on the
+    trace step's own tables cut at l_max (:meth:`KappaTable.cut`), so a
+    pass builds and traces each node once.  At the 12 benchmark points
+    (rel_tol 1e-3) the pick is 55 of 70 and 109 of 130 on exact-narrow,
+    and 0.67-0.74 of L on exact-wide; E moved by at most 0.49 of the
+    estimate of a run at L, and err_l is 1.98 to 35.7 times what raising
+    l_max to 1.6 l_max changes in E, all m summed, on one rule.  Where no
+    l <= L fits, l_max is L, and an explicit ``l_max`` runs at its own
+    degree with no pick.
     At each node the Legendre addition theorem gives
     T = sum_m (2 - delta_m0) tr M_m over every m in closed form, so after
     block m the trace R of the blocks still to come is known.  They add
@@ -438,27 +546,30 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     node's value.  A weak node (T below about rel_tol/2) thus needs no
     block at all.  ``m_max_used`` is the largest m any node of the last
     level of F reached (-1 if none needed a block), and the m estimate is
-    the integral of the nodes' U.  The rapidity rule starts from l_max
+    the integral of the nodes' U.  The rapidity rule starts from L
     (:func:`_theta_rule`) and is checked at the smallest kappa node of F,
     where it is weakest: F there is recomputed on twice the panels and
     1.25 v_max, and the relative change, times |E|, is the theta estimate.
     The kappa, l, m and theta estimates add up to error_estimate, which
     must be at most rel_tol |E|.  One loop grows whichever truncation is
-    short: l_max while the l estimate is past rel_tol/4 (at most three
-    times), and, once it is not, the rule by one panel on the same v_max
+    short: the start degree L, by max(10, L // 3), while the l estimate is
+    past rel_tol/4 (at most three times; each run picks l_max afresh),
+    and, once it is not, the rule by one panel on the same v_max
     while error_estimate is past rel_tol |E| and the theta estimate past
     rel_tol/4 (at most ``_THETA_PANEL_STEPS`` times); each step re-runs the
     levels, and past either bound the call raises.  A run that fits
     rel_tol on its first rule never re-runs, as at every benchmark point at
     rel_tol 1e-3.  So rel_tol 1e-5 is within reach at ordinary gaps: PC
     d/R = 0.1 and 0.2, and an Omega R = 1.7 sphere before a PC plane at
-    d/R = 0.1, converge in 0.34, 0.09 and 0.30 s, two panels past the
-    start.  Gaps below d/R = 0.01 are outside the supported domain and
-    raise :class:`NumericsError` before any block is built.  The limit is
-    one of cost, not of convergence: at the default rel_tol, PC d/R =
-    0.0075 and 0.005 converge (error 3.4e-4 and 3.3e-4 of |E|, l_max 810
-    and 1211) in about 9 s and 25 s (8.6-8.8 s and 24.1-24.6 s), at a peak
-    RSS of 46 and 57 MB, with one BLAS thread on a 2-core Intel Xeon.
+    d/R = 0.1, converge in 0.34, 0.09 and 0.28 s, two panels past the
+    start; each grows its start degree once (70 to 93, 41 to 54) and
+    picks l_max 85, 44 and 83 there.  Gaps below d/R = 0.01 are outside
+    the supported domain and raise :class:`NumericsError` before any block
+    is built.  The limit is one of cost, not of convergence: at the
+    default rel_tol, PC d/R = 0.0075 and 0.005 converge (error 5.0e-4 and
+    6.5e-4 of |E|, l_max 715 and 1070 below the start degrees 810 and
+    1211) in about 7.5 s and 12 s, at a peak RSS of 46 and 57 MB, with one
+    BLAS thread on a 2-core Intel Xeon.
 
     Returns energy in units hbar c per unit length of the inputs, alongside
     the dimensionless E d^2/(hbar c R).  A transparent sheet needs no block:
@@ -479,29 +590,39 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
                             f"d/R = {_D_MIN} of the multipole path")
 
     auto_l = numerics.l_max == "auto"
-    l_max = _auto_l_max(d) if auto_l else numerics.l_max
+    l_top = _auto_l_max(d) if auto_l else numerics.l_max
     share = 0.25 * numerics.rel_tol  # of |E|, for each of the four estimates
-    added = l_steps = 0  # panels the theta probe added; l_max growths
+    added = l_steps = 0  # panels the theta probe added; l_top growths
 
     while True:
-        panels, v_max = _theta_rule(l_max)
+        panels, v_max = _theta_rule(l_top)
         panels += added
-        mode_args = (s1, p1, l_max, (panels, v_max), share)
 
-        # one pass over level 2n: F on levels n and n / 2, T on every node;
-        # copied contiguous, each level sums as a pass of its own would
+        # one pass over level 2n: the trace step at l_top on every node,
+        # l_max picked from the traces at F's nodes, then F on levels n and
+        # n / 2, T on every node; copied contiguous, each level sums as a
+        # pass of its own would
         n = 2 * numerics.kappa_nodes
-        first = _quadrature_pass(2 * n, d, None, mode_args, trace_only=True)
-        last = _level(*_kappa_rule(n), d, np.ascontiguousarray(first.rows[:, 1::2]))
+        x_f, w_f = _kappa_rule(n)
+        traced = _trace_step(_kappa_rule(2 * n)[0] / (2.0 * d), s1, p1, l_top, (panels, v_max))
+        l_max = l_top
+        if auto_l:
+            f_norms = np.concatenate([norms for _, norms in traced])[1::2]
+            l_max = _pick_l_max(w_f @ f_norms.sum(axis=2), share) or l_top
+        mode_args = (s1, p1, l_top, (panels, v_max), l_max, share)
+        first = _quadrature_pass(2 * n, d, None, mode_args, traced=traced, trace_only=True)
+        last = _level(x_f, w_f, d, np.ascontiguousarray(first.rows[:, 1::2]))
         prev = _level(*_kappa_rule(n // 2), d, np.ascontiguousarray(last.rows[:, 1::2]))
         energy = last.energy + last.trace - first.trace
         err_k = (abs(last.energy + last.trace - prev.energy - prev.trace)
                  + abs(first.trace - last.trace))
-        # a miss: F on the other nodes of level 2n, where the control variate
-        # cancels, and plain levels from there on
+        # a miss: F on the other nodes of level 2n, from the first pass's
+        # tables and traces, where the control variate cancels; then plain
+        # levels, each traced afresh
         while err_k > share * abs(energy) and 2 * n <= _KAPPA_NODE_CEILING:
             n *= 2
-            prev, last = last, _quadrature_pass(n, d, last.rows, mode_args)
+            reuse = traced if n == first.x.size + 1 else None
+            prev, last = last, _quadrature_pass(n, d, last.rows, mode_args, traced=reuse)
             energy, err_k = last.energy, abs(last.energy - prev.energy)
 
         if auto_l and last.err_l > share * abs(energy):
@@ -509,7 +630,7 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
                 raise NumericsError(
                     f"l_max growth did not converge; last increment estimate {last.err_l} "
                     f"vs target {share * abs(energy)}", error_estimate=last.err_l)
-            l_max += max(10, l_max // 3)
+            l_top += max(10, l_top // 3)
             l_steps += 1
             continue
 

@@ -40,9 +40,11 @@ Numerical organisation, fixed once here and relied on everywhere:
 * the trace of every block, summed over m, needs no block: the Legendre
   addition theorem sums the squared angular functions over m in closed
   form, and H filled with the square roots of those sums in place of tau
-  and pi is an m-summed factor whose squared norm is that trace
-  (:meth:`KappaTable.m_summed_traces`).  One function,
-  :func:`_fill_factor`, fills that factor and every block's H;
+  and pi is an m-summed factor whose squared row norms give that trace
+  degree by degree (:meth:`KappaTable.m_summed_traces`).  One function,
+  :func:`_fill_factor`, fills that factor and every block's H, and a
+  table cut at fewer degrees (:meth:`KappaTable.cut`) gives the blocks
+  of those degrees alone;
 * ln tau is formed from ln pi and the bounded ratio tau/pi - c, with one
   exp and one log and no log-sum (see :func:`_angular_logs`); at m = 0,
   where pi = 0, only the TE/TE and TM/TM quarters of H are computed and
@@ -168,7 +170,8 @@ class KappaTable:
     each ladder of order 1 .. l_max once; block 0 needs only the order-1
     ladder, so order 0 on these nodes is never computed.  That cache makes a table a
     one-thread object.  :meth:`take` keeps some of the nodes, cached
-    ladders included, so nodes that need no more m can leave the stack.
+    ladders included, so nodes that need no more m can leave the stack;
+    :meth:`cut` keeps the lowest degrees.
     """
 
     kappa: float | np.ndarray
@@ -222,14 +225,18 @@ class KappaTable:
                 del self._ladders[next(iter(self._ladders))]
         return lad
 
-    def m_summed_traces(self, l_keep: int):
-        """Per node, T = sum_m (2 - delta_m0) tr M_m over every block m = 0 .. l_max, and T_top.
+    def m_summed_traces(self) -> np.ndarray:
+        """Per node and degree, the squared norms of the m-summed factor's TE and TM rows.
 
-        T_top is the same sum over the degrees l > ``l_keep`` alone.  Both
-        are (K,) arrays.  tr M_m = ||H_m||_F^2, and each entry of H is a
-        row weight times a column weight times tau_lm or pi_lm (see
-        :func:`assemble_block`).  The addition theorem sums the angular
-        functions over m in closed form.  With X = cosh(2 theta) = 2c^2 - 1,
+        The result is (K, l_max, 2): entry [k, l - 1] holds the two rows of
+        degree l at node k.  Summed over its last two axes it is
+        T = sum_m (2 - delta_m0) tr M_m over every block m = 0 .. l_max, and
+        over the degrees l_keep < l <= l' alone it is the trace of those
+        degrees in every block of a table cut at l' (:meth:`cut`).
+        tr M_m = ||H_m||_F^2, and each entry of H is a row weight times a
+        column weight times tau_lm or pi_lm (see :func:`assemble_block`).
+        The addition theorem sums the angular functions over m in closed
+        form.  With X = cosh(2 theta) = 2c^2 - 1,
 
             sum_m (2 - delta_m0) pi_lm^2 = P_l'(X),
             sum_m (2 - delta_m0) tau_lm^2 = l(l+1) P_l(X) - X P_l'(X),
@@ -237,18 +244,19 @@ class KappaTable:
         so T is the squared norm of an m-summed factor: the block
         assembler's fill (:func:`_fill_factor`) with the halves of the logs
         of these two sums in place of ln tau and ln pi, and degrees from
-        l = 1.  That factor is the size of block 0's H, and T_top is its
-        norm over the rows past the first l_keep degrees
-        (:func:`_squared_norms`), summed from those rows themselves: T -
-        T_keep would leave the round-off of T where the top degrees hold
-        nothing.
+        l = 1.  That factor is the size of block 0's H; it is filled one
+        polarization at a time, half of it, which took the numpy peak of a
+        PC d/R = 0.05 point from 4.8 to 3.5 MB and of d/R = 0.02 from 7.0
+        to 5.6 MB (tracemalloc) with the same norms, bit for bit.  A sum
+        over some degrees is taken from their own rows: T - T_keep would
+        leave the round-off of T where the top degrees hold nothing.
         ln P_l(X) is the order-0 ladder at X.  ln P_l'(X) is the order-1
         ladder without its seed, since Pbar_l^1 / Pbar_1^1 = P_l'(X)
         sqrt(2/(l(l+1))); so the rounding of X - 1 near X = 1 does not
         enter.  The tau sum is P_l (l(l+1) - q), q = X P_l'/P_l in
         [l, l(l+1)/2], so nothing cancels there.  Each node's norms sum
-        the entries of its own factor, row by row and then over the rows,
-        so they are bit-identical stacked or alone.
+        the entries of its own factor row by row, so they are
+        bit-identical stacked or alone.
         """
         l_max = self.l_max
         c = self.c.ravel()
@@ -272,7 +280,22 @@ class KappaTable:
         # the square roots of both sums, the factor's angular entries
         l_tau *= 0.5
         l_dp *= 0.5
-        return _squared_norms(_fill_factor(self, l_tau, l_dp, 1), l_keep)
+        norms = np.empty((len(self.c), l_max, 2))
+        for pol in (0, 1):
+            norms[:, :, pol] = _row_norms(_fill_factor(self, l_tau, l_dp, 1, pol))
+        return norms
+
+    def cut(self, l_max: int) -> "KappaTable":
+        """The table of the degrees l = 1 .. ``l_max`` alone, on the same nodes and rule.
+
+        Its row half-logs are those of this table's first ``l_max`` degrees,
+        so its blocks are this table's blocks without their rows past
+        ``l_max``.  The cut starts with an empty ladder cache.
+        """
+        if not 1 <= l_max <= self.l_max:
+            raise ValueError(f"cannot cut degrees 1 .. {self.l_max} at {l_max}")
+        return KappaTable(kappa=self.kappa, c=self.c, col_te=self.col_te, col_tm=self.col_tm,
+                          row_te=self.row_te[:, :l_max], row_tm=self.row_tm[:, :l_max])
 
     def take(self, keep) -> "KappaTable":
         """The table of the nodes ``keep`` selects (a mask or indices on the node axis)."""
@@ -313,7 +336,7 @@ def assemble_block(m: int, table: KappaTable) -> RoundTripBlock:
                           factor=h if np.ndim(table.kappa) else h[0])
 
 
-def _fill_factor(table: KappaTable, ltau, lpi, l0: int) -> np.ndarray:
+def _fill_factor(table: KappaTable, ltau, lpi, l0: int, pol: int | None = None) -> np.ndarray:
     """The factor H, (K, 2 n_l, 2 n_theta), on the table's nodes from its angular logs.
 
     ``ltau`` and ``lpi`` hold the logs of the tau and pi entries, (n_l, K
@@ -321,7 +344,10 @@ def _fill_factor(table: KappaTable, ltau, lpi, l0: int) -> np.ndarray:
     (m = 0), and then only the TE/TE and TM/TM quarters are filled and the
     other two stay zero.  Each entry is exp(angular + row half-log +
     column half-log), its exponent summed in one scratch buffer that exp
-    writes straight into H.  Rows carry no sign.
+    writes straight into H.  Rows carry no sign.  With ``pol`` (TE = 0,
+    TM = 1) only the rows of that polarization are filled, as a
+    (K, n_l, 2 n_theta) array: the rows of H from ``pol`` on in steps of
+    two, bit for bit.
     """
     nodes, n = table.c.shape
     nl = ltau.shape[0]
@@ -334,24 +360,27 @@ def _fill_factor(table: KappaTable, ltau, lpi, l0: int) -> np.ndarray:
     if lpi is not None:
         quarters += [(lpi, row_te, col_tm, 0, slice(n, None)),
                      (lpi, row_tm, col_te, 1, slice(None, n))]
+    # H interleaves the two polarizations row by row; one alone fills every row
+    step = 2 if pol is None else 1
+    if pol is not None:
+        quarters = [quarter for quarter in quarters if quarter[3] == pol]
     # the exponent buffer goes before H: allocated after it, it raised the
     # measured peak RSS of a d/R = 0.1 and 0.05 pass by 0.8 MB
     arg = np.empty((nodes, nl, n))
-    h = (np.zeros if lpi is None else np.empty)((nodes, 2 * nl, 2 * n))
-    for angular, row, col, pol, cols in quarters:
+    h = (np.zeros if lpi is None else np.empty)((nodes, step * nl, 2 * n))
+    for angular, row, col, p, cols in quarters:
         # (n_l, K n_theta) -> (K, n_l, n_theta), as a view
         np.add(angular.reshape(nl, nodes, n).swapaxes(0, 1), row, out=arg)
         arg += col
-        np.exp(arg, out=h[:, pol::2, cols])
+        np.exp(arg, out=h[:, (p if pol is None else 0)::step, cols])
     return h
 
 
-def _squared_norms(h: np.ndarray, k: int | None = None) -> np.ndarray:
-    """The (K,) squared norms of a stack of factors H; with ``k``, (2, K), also past degree k.
+def _row_norms(h: np.ndarray) -> np.ndarray:
+    """The (K, rows) squared norms of the rows of a stack of factors H."""
+    return np.einsum("kij,kij->ki", h, h)
 
-    H has two rows per degree, so the degrees past the first k are its rows
-    from 2k on.
-    """
-    rows = np.einsum("kij,kij->ki", h, h)
-    whole = rows.sum(axis=1)
-    return whole if k is None else np.array([whole, rows[:, 2 * k:].sum(axis=1)])
+
+def _squared_norms(h: np.ndarray) -> np.ndarray:
+    """The (K,) squared norms of a stack of factors H, summed from its rows."""
+    return _row_norms(h).sum(axis=1)

@@ -367,10 +367,19 @@ def _m_sum_to_l_max(monkeypatch):
 
 
 def _pass_args(d):
-    """(l_max, theta_rule, m_tol) of the first auto pass at gap d; the m
-    sum's share m_tol of |F| is a quarter of the default rel_tol."""
+    """(l_max, theta_rule, m_tol) of a pass at gap d at the start degree
+    and on its rule; the m sum's share m_tol of |F| is a quarter of the
+    default rel_tol."""
     l_max = energy_exact._auto_l_max(d)
     return l_max, energy_exact._theta_rule(l_max), 0.25 * NumericsSpec().rel_tol
+
+
+def _run_args(sphere, plane, l_max, m_tol=0.25 * NumericsSpec().rel_tol):
+    """The ``mode_args`` of an auto run that picked ``l_max`` from its first
+    pass: the trace step at the start degree, the blocks at l_max, both on
+    the start degree's rule."""
+    l_top, rule, _ = _pass_args(plane.distance_L - 1.0)
+    return sphere, plane, l_top, rule, l_max, m_tol
 
 
 def test_weak_node_needs_no_block(monkeypatch):
@@ -406,7 +415,8 @@ def test_record_carries_each_node_trace(omega):
     kappa = energy_exact._kappa_rule(32)[0] / (2.0 * d)
     trace_only = np.zeros(kappa.size, dtype=bool)
     trace_only[::2] = True
-    rows = energy_exact._mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol, trace_only)
+    traced = energy_exact._trace_step(kappa, sphere, plane, l_max, theta_rule)
+    rows = energy_exact._block_step(traced, l_max, m_tol, trace_only)
     table = KappaTable.build(kappa, sphere, plane, l_max, rapidity_rule(*theta_rule))
     want, want_top = m_summed_trace(table, l_max - max(4, l_max // 8))
     assert rows[4] == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -539,23 +549,38 @@ def test_pc_tenth_block_count_and_m_max_used(monkeypatch):
 
 
 @pytest.mark.parametrize("d, truncation, energy", [
-    (0.1, (70, 5, 16), -3.8187649381333215),
-    (0.05, (130, 8, 16), -16.141450465459826)])
+    (0.1, (55, 5, 16), -3.8183875341277664),
+    (0.05, (109, 7, 16), -16.140136424623215)])
 def test_pc_exact_pair_truncations_are_pinned(d, truncation, energy):
     # the criterion-5 pair: (l_max_used, m_max_used, kappa_nodes_used) and E
-    # must not move.  E is the control-variate sum, F + T on kappa level 16
-    # and T alone on level 32.  The plain F sum on level 32 gave
-    # -3.8187510696907165 and -16.141414130742127: E moved by 1.4e-5 and
-    # 3.6e-5, 0.020 and 0.009 of that run's estimates (6.9e-4, 4.2e-3).
-    # Against the plain F sum on level 128 at the same l_max and rapidity
-    # rule, E misses by 1.4e-5 and 4.0e-5, inside the kappa estimates of
-    # 2.1e-4 and 2.4e-3.  With the trace still to come taken off F, E sits
-    # 3.1e-5 and 1.4e-4 short of the m sum run to l_max, against m
-    # estimates of 3.3e-4 and 3.0e-3
+    # must not move.  l_max is the one the traces of the start degree (70
+    # and 130) pick, and E is the control-variate sum at it.  At the start
+    # degree E was -3.8187649381333215 and -16.141450465459826, with
+    # estimates 7.8e-4 and 6.3e-3: E moved by 3.8e-4 and 1.3e-3, 0.49 and
+    # 0.21 of them, most of it the l truncation (raising l_max from 55 to
+    # 88 on the same rule moves E at d/R = 0.1 by 4.0e-4, and err_l is 1.98
+    # times that).  The estimates are now 1.5e-3 and 9.6e-3 (3.9e-4 and
+    # 6.0e-4 of |E|).  E lies 2.8e-4 and 1.2e-3 from the rel_tol 1e-4
+    # references of bench/points.json, 0.17 and 0.12 of the summed estimates
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR),
                          PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), NumericsSpec(rel_tol=1e-3))
     assert (res.l_max_used, res.m_max_used, res.kappa_nodes_used) == truncation
     assert res.energy == pytest.approx(energy, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("d, omega_s, omega_p, spec, want", [
+    (0.1, PERFECT_CONDUCTOR, PERFECT_CONDUCTOR, NumericsSpec(l_max=70),
+     ("-0x1.e8cd4a1c32713p+1", "0x1.95a570a201b5dp-11", 70, 5, 16)),
+    (0.25, 2.0, 5.0, NumericsSpec(l_max=40, rel_tol=1e-4),
+     ("-0x1.d5e8f008ad23fp-3", "0x1.7abf0180bc9d9p-18", 40, 3, 32))])
+def test_explicit_l_max_keeps_its_run_bit_for_bit(d, omega_s, omega_p, spec, want):
+    # an explicit l_max traces and runs its blocks at that degree, with no
+    # pick: E, the estimate and the truncations are those the driver gave
+    # before the pick existed, in float.hex (the second case misses the
+    # control variate and refines to level 32)
+    res = casimir_energy(SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d), spec)
+    assert (res.energy.hex(), res.error_estimate.hex(), res.l_max_used, res.m_max_used,
+            res.kappa_nodes_used) == want
 
 
 def _control_variate(level, d, args):
@@ -571,7 +596,8 @@ def _control_variate(level, d, args):
     (0.2916677455724206, 2.2969562477180534, 14.374812270822432)])
 def test_m_error_covers_the_m_sum_run_to_l_max(monkeypatch, d, omega_s, omega_p):
     # PC d/R = 0.1 and an exact-wide benchmark point: E against the m sum
-    # run to l_max with the same l_max, kappa levels and rapidity rule.  T
+    # run to l_max with the same l_max, kappa levels, rapidity rule and
+    # trace step.  T
     # has no m error, so the miss is that of the plain F sums on the F
     # level.  It lies within err_m (0.09 and 0.30 of it), err_m within the
     # m share rel_tol/4 of |E|, and at every node within row 2 of the
@@ -585,7 +611,7 @@ def test_m_error_covers_the_m_sum_run_to_l_max(monkeypatch, d, omega_s, omega_p)
     sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d)
     res = casimir_energy(sphere, plane, NumericsSpec(rel_tol=rel_tol))
     m_tol = 0.25 * rel_tol
-    args = (sphere, plane, res.l_max_used, energy_exact._theta_rule(res.l_max_used), m_tol)
+    args = _run_args(sphere, plane, res.l_max_used, m_tol)
     level = energy_exact._quadrature_pass(res.kappa_nodes_used, d, None, args)
     assert _control_variate(level, d, args) == pytest.approx(res.energy, rel=1e-12, abs=0.0)
     assert 0.0 < level.err_m <= m_tol * abs(res.energy)
@@ -604,22 +630,48 @@ def test_l_estimate_is_above_the_trace_past_l_max(d, omega_s, omega_p):
     # by Fischer's inequality, raising l_max to L' takes at least the trace
     # of the degrees l_max < l <= L' over every m off F, so the integral of
     # that trace is a floor under the l error, and any honest l estimate
-    # lies above it.  L' = floor(1.6 l_max), the trace on the rapidity rule
-    # of L', at the nodes of the last F level of the run: the l truncation of
-    # T cancels between the two sums of the control variate.  err_l read
-    # 3.3 and 6.3 times the floor
+    # lies above it.  L' = floor(1.6 l_max), the trace on the rule the run
+    # used, that of its start degree, at the nodes of the last F level of
+    # the run: the l truncation of T cancels between the two sums of the
+    # control variate.  err_l read 1.98 and 6.19 times the floor
     sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d)
     res = casimir_energy(sphere, plane)
     l_max, n_kappa = res.l_max_used, res.kappa_nodes_used
-    args = (sphere, plane, l_max, energy_exact._theta_rule(l_max), 0.25 * NumericsSpec().rel_tol)
+    args = _run_args(sphere, plane, l_max)
     level = energy_exact._quadrature_pass(n_kappa, d, None, args)
     assert _control_variate(level, d, args) == pytest.approx(res.energy, rel=1e-12, abs=0.0)
-    top_l = int(1.6 * l_max)
     x, w = energy_exact._kappa_rule(n_kappa)
-    table = KappaTable.build(x / (2.0 * d), sphere, plane, top_l,
-                             rapidity_rule(*energy_exact._theta_rule(top_l)))
-    floor = (w @ table.m_summed_traces(l_max)[1]) / (2.0 * math.pi) / (2.0 * d)
+    table = KappaTable.build(x / (2.0 * d), sphere, plane, int(1.6 * l_max),
+                             rapidity_rule(*args[3]))
+    floor = (w @ table.m_summed_traces()[:, l_max:].sum(axis=(1, 2))) / (2.0 * math.pi) / (2.0 * d)
     assert 0.0 < floor <= level.err_l
+
+
+@pytest.mark.parametrize("d, omega_s, omega_p", [
+    (0.1, PERFECT_CONDUCTOR, PERFECT_CONDUCTOR),
+    (0.2916677455724206, 2.2969562477180534, 14.374812270822432)])
+def test_l_estimate_covers_the_l_error(monkeypatch, d, omega_s, omega_p):
+    # the l component of the error ledger: err_l against what raising l_max
+    # to floor(1.6 l_max) changes in E, with every m summed and on one
+    # rapidity rule, the one the run used.  T's l truncation cancels
+    # between the two sums of the control variate, so the change is that of
+    # the plain F sum on the run's last F level.  err_l read 1.98 and 6.19
+    # times it; the floor of the test above is within 1e-5 of the change
+    sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d)
+    res = casimir_energy(sphere, plane)
+    args = _run_args(sphere, plane, res.l_max_used)
+    level = energy_exact._quadrature_pass(res.kappa_nodes_used, d, None, args)
+    assert _control_variate(level, d, args) == pytest.approx(res.energy, rel=1e-12, abs=0.0)
+    _m_sum_to_l_max(monkeypatch)
+    x, w = energy_exact._kappa_rule(res.kappa_nodes_used)
+
+    def f_sum(l_max):
+        rows = energy_exact._mode_sums(x / (2.0 * d), sphere, plane, l_max, args[3], _NO_M_STOP)
+        assert rows[3].max() == l_max
+        return (w @ rows[0]) / (2.0 * math.pi) / (2.0 * d)
+
+    l_error = abs(f_sum(res.l_max_used) - f_sum(int(1.6 * res.l_max_used)))
+    assert 0.0 < l_error <= level.err_l
 
 
 # ---------------------------------------------------------------- kappa rule
@@ -652,32 +704,37 @@ def test_kappa_rule_integrates_decaying_functions():
 
 
 def test_each_kappa_node_evaluated_once(monkeypatch):
-    # the first pass is one call over the 2n - 1 nodes of level 2n, whose
-    # n new nodes take T alone: blocks run only on the n - 1 nodes of the
-    # F level n.  Then the theta probe runs at the smallest of those
-    calls, sizes, blocked = [], [], set()
-    real, real_block = energy_exact._mode_sums, energy_exact.assemble_block
+    # the first pass is one trace step over the 2n - 1 nodes of level 2n,
+    # at the start degree, and one block step whose n new nodes take T
+    # alone: blocks run only on the n - 1 nodes of the F level n, at the
+    # picked l_max.  Then the theta probe runs at the smallest of those
+    calls, sizes, degrees, blocked = [], [], [], set()
+    real, real_block = energy_exact._trace_step, energy_exact.assemble_block
 
-    def counting(kappa, *args):
+    def counting(kappa, sphere, plane, l_top, theta_rule):
         calls.extend(kappa.tolist())
         sizes.append(kappa.size)
-        return real(kappa, *args)
+        degrees.append(l_top)
+        return real(kappa, sphere, plane, l_top, theta_rule)
 
     def recording(m, table):
         block = real_block(m, table)
         if len(sizes) == 1:
             blocked.update(np.atleast_1d(block.kappa).tolist())
+            degrees.append(table.l_max)
         return block
 
-    monkeypatch.setattr(energy_exact, "_mode_sums", counting)
+    monkeypatch.setattr(energy_exact, "_trace_step", counting)
     monkeypatch.setattr(energy_exact, "assemble_block", recording)
     d = 0.3
     res = casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d),
                          NumericsSpec(rel_tol=1e-3))
-    assert res.l_max_used == energy_exact._auto_l_max(d)  # no l_max growth
     n = res.kappa_nodes_used
     assert n == 2 * NumericsSpec().kappa_nodes  # no miss
     assert sizes == [2 * n - 1, 1]
+    # the trace step at the start degree, every block at l_max, and so the probe
+    l_top = energy_exact._auto_l_max(d)
+    assert degrees[0] == l_top > res.l_max_used and set(degrees[1:]) == {res.l_max_used}
     assert len(set(calls)) == len(calls) - 1
     f_nodes = calls[1:2 * n - 1:2]
     assert 0 < len(blocked) and blocked <= set(f_nodes) and calls[-1] == min(f_nodes)
@@ -687,7 +744,9 @@ def test_refined_level_reuses_rows_by_index():
     # level 2n takes its even nodes from level n's record and evaluates only
     # the odd ones; the result is bit-identical to evaluating every node
     d = 0.3
-    mode_args = (SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d), *_pass_args(d))
+    sphere, plane = SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
+    l_max, rule, m_tol = _pass_args(d)
+    mode_args = (sphere, plane, l_max, rule, l_max, m_tol)
     coarse = energy_exact._quadrature_pass(8, d, None, mode_args)
     fine = energy_exact._quadrature_pass(16, d, coarse.rows, mode_args)
     fresh = energy_exact._quadrature_pass(16, d, None, mode_args)
@@ -696,6 +755,41 @@ def test_refined_level_reuses_rows_by_index():
     assert np.array_equal(fine.x, fresh.x) and np.array_equal(fine.x[1::2], coarse.x)
     assert np.array_equal(fine.rows, fresh.rows)
     assert np.array_equal(fine.rows[:, 1::2], coarse.rows)
+
+
+def test_a_miss_refines_on_the_first_pass_tables(monkeypatch):
+    # a first pass holds every node of level 2n traced at the start degree,
+    # with blocks at a lower l_max on level n alone.  Refining to level 2n
+    # takes the other n nodes' tables and traces from it, where they were
+    # trace-only: no trace step runs, and the record is bit for bit that of
+    # a pass that traces and evaluates all of level 2n afresh, here split
+    # over three chunks
+    d = 0.3
+    sphere, plane = SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
+    mode_args = _run_args(sphere, plane, 20)
+    l_top, rule = mode_args[2:4]
+    monkeypatch.setattr(energy_exact, "_STACK_BYTES",
+                        12 * 8 * (2 * l_top) * (2 * rapidity_rule(*rule)[0].size))
+    traced = energy_exact._trace_step(energy_exact._kappa_rule(32)[0] / (2.0 * d), sphere, plane,
+                                      l_top, rule)
+    assert [len(norms) for _, norms in traced] == [11, 10, 10]
+    first = energy_exact._quadrature_pass(32, d, None, mode_args, traced=traced, trace_only=True)
+    level = energy_exact._level(*energy_exact._kappa_rule(16), d,
+                                np.ascontiguousarray(first.rows[:, 1::2]))
+    steps = []
+    real = energy_exact._trace_step
+
+    def counting(*args):
+        steps.append(args[0].size)
+        return real(*args)
+
+    monkeypatch.setattr(energy_exact, "_trace_step", counting)
+    refined = energy_exact._quadrature_pass(32, d, level.rows, mode_args, traced=traced)
+    assert steps == []
+    fresh = energy_exact._quadrature_pass(32, d, None, mode_args)
+    assert steps == [31] and np.array_equal(refined.rows, fresh.rows)
+    assert np.array_equal(refined.rows[[1, 4], ::2], first.rows[[1, 4], ::2])
+    assert np.all(first.rows[3, ::2] == -1) and refined.rows[3, ::2].max() > 0
 
 
 def _run_estimate(first, plain, d):
@@ -728,11 +822,15 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
     # theta estimates formed from the records of the last run and from its
     # theta probe add up to error_estimate, bit for bit, and the records
     # show each stop: the levels refine until the kappa estimate is within
-    # rel_tol/4, l_max grows until the l estimate is, and a run that misses
-    # rel_tol with the theta estimate past rel_tol/4 re-runs on one more
-    # panel.  At rel_tol 1e-5 l_max grows once, then the rule gains a panel
-    # once, and every run refines past the control variate
-    tries = {1e-3: [(30, 4)], 1e-5: [(30, 4), (40, 4), (40, 5)]}[rel_tol]  # (l_max, panels)
+    # rel_tol/4, the start degree grows until the l estimate is, and a run
+    # that misses rel_tol with the theta estimate past rel_tol/4 re-runs on
+    # one more panel.  Each run's l_max is the one its first pass's traces
+    # pick, or its start degree where none fits.  At rel_tol 1e-5 none fits
+    # at the start degree 30, whose l estimate then misses too, so it grows
+    # once, to 40, where the pick is 31; then the rule gains a panel once,
+    # and every run refines past the control variate
+    tries = {1e-3: [(30, 22, 4)],  # (start degree, l_max, panels)
+             1e-5: [(30, 30, 4), (40, 31, 4), (40, 31, 5)]}[rel_tol]
     runs, probes, gaps = [], [], []
     real_pass, real_sums = energy_exact._quadrature_pass, energy_exact._mode_sums
 
@@ -740,7 +838,7 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
         level = real_pass(n_kappa, d, prev, mode_args, **kwargs)
         gaps.append(d)
         if prev is None:  # the first pass of a run
-            assert kwargs == {"trace_only": True}
+            assert kwargs["trace_only"] and len(kwargs["traced"]) > 0
             plain = real_pass(n_kappa // 2, d, None, mode_args)
             assert np.array_equal(level.rows[:, 1::2], plain.rows)
             runs.append((mode_args, level, []))
@@ -748,10 +846,10 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
             runs[-1][2].append(level)
         return level
 
-    def recording_sums(kappa, *args):
-        out = real_sums(kappa, *args)
+    def recording_sums(kappa, sphere, plane, l_max, theta_rule, *rest):
+        out = real_sums(kappa, sphere, plane, l_max, theta_rule, *rest)
         if kappa.size == 1:  # a theta probe
-            probes.append((args[3], out))
+            probes.append(((l_max, theta_rule), out))
         return out
 
     monkeypatch.setattr(energy_exact, "_quadrature_pass", recording_pass)
@@ -759,11 +857,12 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
     res = casimir_energy(SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.3),
                          NumericsSpec(rel_tol=rel_tol))
     share, d = 0.25 * rel_tol, gaps[0]
-    assert [(args[2], args[3][0]) for args, _, _ in runs] == tries
-    # a probe follows each run at the last l_max, on twice its panels and 1.25 v_max
-    assert len(probes) == sum(1 for l_max, _ in tries if l_max == tries[-1][0])
+    assert [(args[2], args[4], args[3][0]) for args, _, _ in runs] == tries
+    # a probe follows each run at the last start degree, at the run's l_max
+    # on twice its panels and 1.25 v_max
+    assert len(probes) == sum(1 for l_top, _, _ in tries if l_top == tries[-1][0])
     for (args, _, _), (rule, _) in zip(runs[-len(probes):], probes):
-        assert rule == (2 * args[3][0], 1.25 * args[3][1])
+        assert rule == (args[4], (2 * args[3][0], 1.25 * args[3][1]))
     estimates = [_run_estimate(first, plain, d) for _, first, plain in runs]
     last, energy, err_k = estimates[-1]
     first, plain = runs[-1][1:]
@@ -786,8 +885,8 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
         assert cv[2] > share * abs(cv[1])
         for coarse, fine in zip(plain[:-2], plain[1:-1]):
             assert abs(fine.energy - coarse.energy) > share * abs(fine.energy)
-    for (l_max, _), (level, e, _) in zip(tries, estimates):
-        if l_max < tries[-1][0]:
+    for (l_top, _, _), (level, e, _) in zip(tries, estimates):
+        if l_top < tries[-1][0]:
             assert level.err_l > share * abs(e)
     # the run before the panel was added missed rel_tol on its theta estimate
     for (level, e, _), (_, probe) in zip(estimates[-len(probes):-1], probes[:-1]):
@@ -835,9 +934,9 @@ def test_chunks_join_in_order(monkeypatch):
     chunks = []
     real = KappaTable.m_summed_traces
 
-    def recording(table, l_keep):
+    def recording(table):
         chunks.append(np.size(table.kappa))
-        return real(table, l_keep)
+        return real(table)
 
     monkeypatch.setattr(KappaTable, "m_summed_traces", recording)
     whole = energy_exact._mode_sums(kappa, sphere, plane, *args)
@@ -894,14 +993,15 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
     # the far nodes of T's level reach kappa R ~ 2e5 at d/R = 0.05; every
     # node must give a finite F <= 0 and T >= 0
     values = []
-    real = energy_exact._mode_sums
+    real, real_step = energy_exact._mode_sums, energy_exact._block_step
 
-    def recording(kappa, *args):
-        out = real(kappa, *args)
+    def recording(traced, *args):
+        out = real_step(traced, *args)
+        kappa = np.concatenate([np.atleast_1d(table.kappa) for table, _ in traced])
         values.extend(zip(kappa.tolist(), out.T.tolist()))
         return out
 
-    monkeypatch.setattr(energy_exact, "_mode_sums", recording)
+    monkeypatch.setattr(energy_exact, "_block_step", recording)
     d = 0.05
     sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     res = casimir_energy(sphere, plane, NumericsSpec(kappa_nodes=32, rel_tol=1e-3))
@@ -929,9 +1029,10 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
 # ---------------------------------------------------------------- rapidity rule
 
 def test_rapidity_log_weights_finite_up_to_the_domain_limit():
-    # the largest l_max the driver reaches is the fourth pass at the
-    # smallest gap; the rule and its probe stay finite there with no
-    # ceiling, although their last weights underflow as plain doubles
+    # the largest degree the driver traces is the start degree of the
+    # fourth run at the smallest gap; the rule and its probe stay finite
+    # there with no ceiling, although their last weights underflow as plain
+    # doubles
     l_top = energy_exact._auto_l_max(energy_exact._D_MIN)
     for _ in range(3):
         l_top += max(10, l_top // 3)
@@ -995,18 +1096,18 @@ def test_tight_rel_tol_grows_the_rapidity_rule(monkeypatch, d, omega_s):
     sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     loose = casimir_energy(sphere, plane, NumericsSpec(rel_tol=1e-3))
     panels = []
-    real = energy_exact._mode_sums
+    real = energy_exact._trace_step
 
-    def recording(kappa, sphere, plane, l_max, rule, *rest):
+    def recording(kappa, sphere, plane, l_top, rule):
         panels.append(rule[0])
-        return real(kappa, sphere, plane, l_max, rule, *rest)
+        return real(kappa, sphere, plane, l_top, rule)
 
-    monkeypatch.setattr(energy_exact, "_mode_sums", recording)
+    monkeypatch.setattr(energy_exact, "_trace_step", recording)
     tight = casimir_energy(sphere, plane, NumericsSpec(rel_tol=1e-5))
     assert tight.error_estimate <= 1e-5 * abs(tight.energy)
     assert abs(tight.energy - loose.energy) <= tight.error_estimate + loose.error_estimate
     assert panels[0] == energy_exact._THETA_PANEL_FLOOR
-    assert panels[-2] > panels[0]  # the last run's level pass; the probe doubles it
+    assert panels[-2] > panels[0]  # the last run's last level; the probe doubles it
 
 
 def _bench_points():
@@ -1024,25 +1125,53 @@ def _sheets(p):
             PlaneSheet(omega(p["omega_R_plane"]), 1.0 + p["d_over_R"]))
 
 
+def _scanned_l_max(norms, w, share):
+    """The smallest l in 2 .. L whose l estimate, the integral with weights
+    ``w`` of the trace of the degrees l_keep < l' <= l over the nodes of
+    ``norms`` ((K, L, 2) m-summed row norms), is at most ``share`` times that
+    of the trace of every degree up to l; None if none is."""
+    for l_max in range(2, norms.shape[1] + 1):
+        l_keep = max(1, l_max - max(4, l_max // 8))
+        dropped = w @ norms[:, l_keep:l_max].sum(axis=(1, 2))
+        if dropped <= share * (w @ norms[:, :l_max].sum(axis=(1, 2))):
+            return l_max
+    return None
+
+
+def test_pick_is_the_first_l_max_a_scan_fits():
+    # per-degree traces falling as 0.7^l over one node: the pick is the
+    # first l_max of a scan, and a start degree one below it picks none
+    w = np.array([1.0])
+    norms = (0.7 ** np.arange(1, 61))[None, :, None] * np.array([0.25, 0.75])
+    want = _scanned_l_max(norms, w, 2.5e-4)
+    degree_traces = w @ norms.sum(axis=2)
+    assert 2 < want < 60 and energy_exact._pick_l_max(degree_traces, 2.5e-4) == want
+    assert energy_exact._pick_l_max(degree_traces[:want - 1], 2.5e-4) is None
+
+
 def test_bench_points_run_once_at_the_default_rel_tol(monkeypatch):
     # at the benchmark's points and rel_tol 1e-3 the starting rule passes
-    # its probe: one run per point, at the auto l_max.  Its first pass takes
-    # each node of kappa level 32 once, in one call, with blocks on the 15
-    # nodes of level 16 alone, and the control variate stops there at no
-    # fewer than 10 of the 12 points (11 today).  A miss takes F on the
-    # other 16 nodes of level 32 in one more call.  Then one theta probe,
-    # at the smallest F node
+    # its probe and the start degree its l check: one run per point.  Its
+    # first pass traces each node of kappa level 32 once, in one trace step
+    # at the start degree, and l_max is the one a scan of the traces at
+    # the 15 nodes of level 16 picks, below the start degree at every
+    # point (55 of 70 and 109 of 130 on exact-narrow, 29 of 39 down to 14
+    # of 21 on exact-wide).  Blocks run at that l_max on the nodes of level
+    # 16 alone, and the control variate stops there at no fewer than 10 of
+    # the 12 points (11 today).  A miss takes F on the other 16 nodes of
+    # level 32 from the first pass's tables and traces, with no trace step
+    # of its own.  Then one theta probe, at the smallest F node
     bench = _bench_points()
     points = bench["exact-narrow"] + bench["exact-wide"]
     assert len(points) == 12
-    calls, sizes, runs, blocked = [], [], [], set()
-    real_sums, real_pass, real_block = (energy_exact._mode_sums, energy_exact._quadrature_pass,
+    calls, traced, runs, blocked = [], [], [], set()
+    real_step, real_pass, real_block = (energy_exact._trace_step, energy_exact._quadrature_pass,
                                         energy_exact.assemble_block)
 
-    def counting_sums(kappa, *args):
+    def counting_step(kappa, *args):
         calls.extend(kappa.tolist())
-        sizes.append(kappa.size)
-        return real_sums(kappa, *args)
+        traced.append(real_step(kappa, *args))
+        return traced[-1]
 
     def counting_pass(n_kappa, d, prev, mode_args, **kwargs):
         if prev is None:
@@ -1051,29 +1180,33 @@ def test_bench_points_run_once_at_the_default_rel_tol(monkeypatch):
 
     def recording(m, table):
         block = real_block(m, table)
-        if len(sizes) == 1:  # the first pass
+        if len(traced) == 1:  # before the theta probe
             blocked.update(np.atleast_1d(block.kappa).tolist())
         return block
 
-    monkeypatch.setattr(energy_exact, "_mode_sums", counting_sums)
+    monkeypatch.setattr(energy_exact, "_trace_step", counting_step)
     monkeypatch.setattr(energy_exact, "_quadrature_pass", counting_pass)
     monkeypatch.setattr(energy_exact, "assemble_block", recording)
-    stops = 0
+    stops, picks = 0, []
     for p in points:
-        for record in (calls, sizes, runs, blocked):
+        for record in (calls, traced, runs, blocked):
             record.clear()
         res = casimir_energy(*_sheets(p), NumericsSpec(rel_tol=1e-3))
-        assert runs == [res.l_max_used] == [energy_exact._auto_l_max(p["d_over_R"])]
+        assert runs == [energy_exact._auto_l_max(p["d_over_R"])]
+        assert len(traced) == 2 and len(calls) == 32
         level, f_nodes = calls[:31], calls[1:31:2]
-        assert len(set(level)) == 31 and blocked and blocked <= set(f_nodes)
+        assert len(set(level)) == 31 and blocked
+        norms = np.concatenate([n for _, n in traced[0]])[1::2]
+        picks.append(res.l_max_used)
+        assert picks[-1] == _scanned_l_max(norms, energy_exact._kappa_rule(16)[1], 2.5e-4)
         if res.kappa_nodes_used == 16:
             stops += 1
-            assert sizes == [31, 1]
+            assert blocked <= set(f_nodes)
         else:
-            assert res.kappa_nodes_used == 32 and sizes == [31, 16, 1]
-            assert calls[31:47] == level[::2]
+            assert res.kappa_nodes_used == 32 and blocked <= set(level)
             f_nodes = level
         assert calls[-1] == min(f_nodes)
+    assert picks == [55, 109, 29, 26, 24, 22, 20, 19, 19, 17, 15, 14]
     assert stops >= 10
 
 
@@ -1083,7 +1216,7 @@ def test_bench_points_run_once_at_the_default_rel_tol(monkeypatch):
 def test_kappa_estimate_covers_the_plain_sum_on_level_128(monkeypatch, d, omega_s, omega_p):
     # E, the control-variate sum, against the plain F sum on kappa level
     # 128 at the same l_max and rapidity rule: the miss lies within the
-    # kappa estimate, at 0.065 and 0.080 of it
+    # kappa estimate, at 0.070 and 0.080 of it
     passes = []
     real = energy_exact._quadrature_pass
 
@@ -1101,20 +1234,34 @@ def test_kappa_estimate_covers_the_plain_sum_on_level_128(monkeypatch, d, omega_
     assert abs(res.energy - reference.energy) <= err_k
 
 
-def test_a_control_variate_miss_is_the_plain_level_32_sum():
-    # exact-wide[2] (d/R 0.2554, Omega R 1.75 and 3.98): F + T on level 8
-    # is 2.9e-4 of |E| off level 16, past rel_tol/4, so the control
-    # variate misses.  F is then evaluated on the other 16 nodes of level
-    # 32, where T is known and cancels: E is the plain F sum on level 32,
-    # bit for bit that of one pass over its 31 nodes
+def test_a_control_variate_miss_is_the_plain_level_32_sum(monkeypatch):
+    # exact-wide[2] (d/R 0.2554, Omega R 1.75 and 3.98): the kappa estimate
+    # of the control variate reads 3.0e-4 of |E|, past rel_tol/4, so it
+    # misses.  F is then evaluated on the other 16 nodes of level 32, where
+    # T is known and cancels, on the first pass's tables and traces: E is
+    # the plain F sum on level 32, and its record is bit for bit that of one
+    # pass over its 31 nodes.  The only other trace step is the theta probe's
     p = _bench_points()["exact-wide"][2]
     sphere, plane = _sheets(p)
+    levels, steps = [], []
+    real_pass, real_step = energy_exact._quadrature_pass, energy_exact._trace_step
+
+    def recording(*args, **kwargs):
+        levels.append(real_pass(*args, **kwargs))
+        return levels[-1]
+
+    def counting(kappa, *args):
+        steps.append(kappa.size)
+        return real_step(kappa, *args)
+
+    monkeypatch.setattr(energy_exact, "_quadrature_pass", recording)
+    monkeypatch.setattr(energy_exact, "_trace_step", counting)
     res = casimir_energy(sphere, plane)
-    assert res.kappa_nodes_used == 32
+    assert res.kappa_nodes_used == 32 and steps == [31, 1] and len(levels) == 2
+    monkeypatch.undo()
     d = plane.distance_L - 1.0
-    args = (sphere, plane, res.l_max_used, energy_exact._theta_rule(res.l_max_used),
-            0.25 * NumericsSpec().rel_tol)
-    assert energy_exact._quadrature_pass(32, d, None, args).energy == res.energy
+    fresh = energy_exact._quadrature_pass(32, d, None, _run_args(sphere, plane, res.l_max_used))
+    assert fresh.energy == res.energy and np.array_equal(fresh.rows, levels[-1].rows)
 
 
 def test_gap_below_the_domain_raises_up_front(monkeypatch):
@@ -1180,7 +1327,7 @@ def test_plasma_sphere_far_field_meets_the_dipole_limit(distance_L, omega_s):
 
 
 def _l_max_tries(monkeypatch, start):
-    """Start the auto l_max at ``start`` and record every l_max tried."""
+    """Start the auto trace degree at ``start`` and record every one tried."""
     tried = []
     rule = energy_exact._theta_rule
 
@@ -1194,20 +1341,25 @@ def _l_max_tries(monkeypatch, start):
 
 
 def test_l_max_growth_reaches_the_auto_value(monkeypatch):
-    # PC d/R = 0.1 starts at l_max 70 on its own; from 40 the l probe grows
-    # it by max(10, l_max // 3) twice and lands on the same run, bit for bit
+    # PC d/R = 0.1 starts its trace step at degree 70 on its own, and its
+    # traces pick l_max 55.  From 40 no l_max up to the start fits, so the
+    # run takes l_max 40, whose l estimate misses; the start degree grows
+    # by max(10, l // 3) twice, to 70, where the pick lands on the same
+    # run, bit for bit
     args = (SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
             NumericsSpec(rel_tol=1e-3))
     auto = casimir_energy(*args)
     tried = _l_max_tries(monkeypatch, 40)
     res = casimir_energy(*args)
     assert tried == [40, 53, 70]
-    assert res.l_max_used == auto.l_max_used == 70
+    assert res.l_max_used == auto.l_max_used == 55
     assert res.energy == auto.energy and res.error_estimate == auto.error_estimate
 
 
 def test_l_max_growth_that_does_not_converge_raises(monkeypatch):
-    # from 20 the four tries 20, 30, 40, 53 all miss rel_tol/4 of |E|
+    # from 20 the traces pick no l_max at any of the four start degrees 20,
+    # 30, 40, 53, and the l estimate of each run at its start degree misses
+    # rel_tol/4 of |E|
     tried = _l_max_tries(monkeypatch, 20)
     with pytest.raises(NumericsError, match="l_max growth did not converge") as info:
         casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),

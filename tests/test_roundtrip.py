@@ -233,6 +233,29 @@ def test_shared_kappa_table_gives_standalone_blocks(omega, monkeypatch):
         assemble_block(13, table)  # block m = 13 needs l >= 13 > l_max = 12
 
 
+@pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
+def test_cut_table_gives_the_top_free_rows_of_every_block(omega):
+    # a table of degrees up to 20 cut at 12 gives, at every m <= 12, the
+    # blocks of the uncut table without their rows past degree 12, bit for
+    # bit, and its m-summed norms are the uncut ones of those degrees.
+    # Against a table built at 12 they agree to round-off: the Bessel I
+    # ladder behind the sphere's T runs downward from the top degree
+    sphere, plane = SphereSheet(1.0, omega), PlaneSheet(omega, 1.3)
+    kappa, rule = np.array([0.4, 0.9, 3.0]), rapidity_rule(*_theta_rule(20))
+    table = KappaTable.build(kappa, sphere, plane, 20, rule)
+    cut, built = table.cut(12), KappaTable.build(kappa, sphere, plane, 12, rule)
+    assert cut.l_max == 12 and table.l_max == 20
+    assert np.array_equal(cut.m_summed_traces(), table.m_summed_traces()[:, :12])
+    for m in range(13):
+        rows = 2 * (12 - max(1, m) + 1)
+        got = assemble_block(m, cut).factor
+        assert np.array_equal(got, assemble_block(m, table).factor[:, :rows])
+        assert got == pytest.approx(assemble_block(m, built).factor, rel=1e-12, abs=1e-300)
+    for l_max in (0, 21):
+        with pytest.raises(ValueError, match="cannot cut"):
+            table.cut(l_max)
+
+
 def test_kappa_table_takes_the_sphere_t_logs_of_all_nodes_in_one_call(monkeypatch):
     calls = []
 
@@ -288,9 +311,10 @@ def test_m_summed_traces_match_the_block_by_block_sum(d, l_max, omega_s, omega_p
     # edge of kappa level 128, at ``xs`` and on the far edge.  X =
     # cosh(2 theta) runs from 1 + 1.6e-8 to 8e9 over the rapidity nodes,
     # and P_l(X) up to 1e5750; on the far edge every block and the trace
-    # underflow to 0.  T_top, the sum over the degrees past l_keep, is
-    # checked at the probe's cutoff and at both ends, l_keep = 1 and
-    # l_keep = l_max, where it is exactly 0.  Each entry of H is exp of a
+    # underflow to 0.  The per-degree norms sum to T over every degree and
+    # to T_top over the degrees past l_keep, checked at the probe's cutoff
+    # and at both ends, l_keep = 1 and l_keep = l_max, where it is exactly
+    # 0.  Each entry of H is exp of a
     # sum of logs as large as ln P_l(X) <= l ln(2X) (1.4e4 at the near
     # node of d/R = 0.01), and exp turns the absolute round-off of that
     # sum, about eps times it on each side, into a relative one.  The top
@@ -302,8 +326,10 @@ def test_m_summed_traces_match_the_block_by_block_sum(d, l_max, omega_s, omega_p
                              rapidity_rule(*_theta_rule(l_max)))
     big_log = l_max * math.log(2.0 * (2.0 * table.c.max() ** 2 - 1.0))
     top_tol = max(1e-12, 4.0 * np.finfo(float).eps * big_log)
+    norms = table.m_summed_traces()
+    assert norms.shape == (kappa.size, l_max, 2) and np.all(norms >= 0.0)
     for l_keep in (1, l_max - max(4, l_max // 8), l_max):
-        got, got_top = table.m_summed_traces(l_keep)
+        got, got_top = norms.sum(axis=(1, 2)), norms[:, l_keep:].sum(axis=(1, 2))
         want, want_top = m_summed_trace(table, l_keep)
         if far:
             assert want[-1] == got[-1] == want_top[-1] == got_top[-1] == 0.0

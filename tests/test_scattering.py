@@ -130,7 +130,7 @@ def test_sphere_t_logs_match_scalar():
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 2.3, 0.0])
 @pytest.mark.parametrize("d", [0.5, 0.1, 0.05])
 def test_sphere_t_logs_array_kappa_equals_scalar_calls(d, omega):
-    # the level-128 kappa nodes at d/R = d, at the first auto l_max
+    # the level-128 kappa nodes at d/R = d, at the start degree of an auto run
     kappa, l_max = energy_exact._kappa_rule(128)[0] / (2.0 * d), energy_exact._auto_l_max(d)
     s = SphereSheet(1.0, omega)
     log_te, log_tm = sphere_t_logs(l_max, kappa, s)

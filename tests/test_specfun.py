@@ -110,7 +110,7 @@ def test_bessel_against_mpmath_at_domain_orders(l_max, z):
 
 @pytest.mark.parametrize("d", [0.5, 0.1, 0.05])
 def test_bessel_array_argument_equals_scalar_calls(d):
-    # kappa R of the level-128 nodes at d/R = d, at the first auto l_max
+    # kappa R of the level-128 nodes at d/R = d, at the start degree of an auto run
     z, l_max = energy_exact._kappa_rule(128)[0] / (2.0 * d), energy_exact._auto_l_max(d)
     log_i, log_k = bessel_ik_log(l_max + 1, z)
     assert log_i.shape == (l_max + 3, z.size) and log_k.shape == (l_max + 2, z.size)
