@@ -10,6 +10,7 @@ together with the dimensionless combination E d^2 / (hbar c R).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -161,34 +162,31 @@ def _mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol):
     m summed, -1 where no block was needed, and T, the m-summed trace of
     every degree.  A node's m sum stops once its m error is at most
     ``m_tol`` |F|.  The rapidity rule is that of ``theta_rule`` =
-    (panels, v_max).  The nodes
-    are evaluated level-major:
-    in chunks, each one :class:`KappaTable` with a leading node axis and
-    one stacked block per m (:func:`_chunk_mode_sums`), so the per-call
-    cost of numpy is paid once per chunk instead of once per node.  They
-    run in two phases: the trace step of every chunk first
-    (:func:`_trace_step`), then the blocks of every chunk
-    (:func:`_block_step`).  Between the two, :func:`casimir_energy` picks
-    l_max from the traces of all the nodes, and the blocks run at that
-    l_max, at or below the trace step's degree; here both run at
-    ``l_max``.  The nodes go into the fewest chunks whose trace-step
-    factors, the size of block 0's H at the trace step's degree, fit within
-    _STACK_BYTES, 4 MiB, each, split as evenly as those allow.  A
-    trace-only node counts as a whole node: the trace step holds an
-    m-summed factor for every node of the chunk.
-    The first pass of PC d/R = 0.05, the 31 nodes of kappa level 32 at
-    166 kB each (blocks on 15 of them), runs as 16 + 15 nodes, not 25 + 6,
-    which kept the peak RSS of a d/R = 0.1 and 0.05 pass 3.2 MB lower
-    (38.2 against 41.3-41.5 MB, 3 rounds, measured with the blocks at the
-    trace step's degree).  The budget bounds the largest array of a chunk,
-    not its working
-    set: while block m is assembled, block m-1's H is still held, and the
-    new H comes with its two angular log arrays, one exponent buffer and up
-    to three Legendre ladders, each a quarter of H.  The trace step of a
-    chunk holds half of the m-summed factor, one polarization at a time,
-    with its exponent buffer and two log arrays, each a quarter of the
-    whole factor, and lets them go before the next chunk's; what stays for
-    the blocks is each chunk's table and its (K, L, 2) row norms.
+    (panels, v_max).  The nodes are evaluated level-major: in chunks, each
+    one :class:`KappaTable` with a leading node axis and one stacked block
+    per m (:func:`_chunk_mode_sums`), so the per-call cost of numpy is paid
+    once per chunk instead of once per node.  They run in two phases: the
+    trace step of every chunk (:func:`_trace_step`), then the blocks of
+    every chunk, here both at ``l_max`` on every node.  A run of
+    :func:`casimir_energy` keeps its chunks between the two
+    (:class:`_Run`), picks l_max at or below the trace step's degree, and
+    runs a chunk's blocks on the nodes of a level that have no F yet
+    (:func:`_quadrature_pass`).  The nodes go into the fewest chunks whose
+    trace-step factors, the size of block 0's H at the trace step's degree,
+    fit within _STACK_BYTES, 4 MiB, each, split as evenly as those allow.
+    A node traced for T alone counts as a whole node.  The first pass of
+    PC d/R = 0.05, the 31 nodes of kappa level 32 at 166 kB each (blocks on
+    15 of them), runs as 16 + 15 nodes, not 25 + 6, which kept the peak RSS
+    of a d/R = 0.1 and 0.05 pass 3.2 MB lower (38.2 against 41.3-41.5 MB, 3
+    rounds, measured with the blocks at the trace step's degree).  The
+    budget bounds the largest array of a chunk, not its working set: while
+    block m is assembled, block m-1's H is still held, and the new H comes
+    with its two angular log arrays, one exponent buffer and up to three
+    Legendre ladders, each a quarter of H.  The trace step of a chunk holds
+    half of the m-summed factor, one polarization at a time, with its
+    exponent buffer and two log arrays, each a quarter of the whole factor,
+    and lets them go before the next chunk's; what stays is each chunk's
+    table and its (K, L, 2) row norms, until every node of it has F.
     Dropping block m-1 first
     was no faster and saved 0.1 of 39.4 MB (PC d/R = 0.1 and 0.05, one
     process per round, the median of 5 passes each, medians of 20
@@ -211,7 +209,8 @@ def _mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol):
     pass peaks below the 38.6 MB it reached with the blocks at the trace
     step's degree.
     """
-    return _block_step(_trace_step(kappa, sphere, plane, l_max, theta_rule), l_max, m_tol)
+    return np.hstack([_chunk_mode_sums(table, norms, m_tol)
+                      for table, norms in _trace_step(kappa, sphere, plane, l_max, theta_rule)])
 
 
 def _trace_step(kappa, sphere, plane, l_top, theta_rule):
@@ -231,46 +230,19 @@ def _trace_step(kappa, sphere, plane, l_top, theta_rule):
     return [(table, table.m_summed_traces()) for table in tables]
 
 
-def _block_step(traced, l_max, m_tol, trace_only=None):
-    """Phase two of :func:`_mode_sums`: the (5, K) record of the K nodes of ``traced``.
-
-    Each chunk of ``traced`` (:func:`_trace_step`) is cut at ``l_max``, no
-    more than its degrees, and its blocks run there
-    (:func:`_chunk_mode_sums`).  The nodes that ``trace_only`` (a (K,)
-    bool mask, or None for none) marks stop before block 0 whatever their
-    m error: their column is that of a weak node, F = -T with m error U,
-    and only T and the l probe are theirs.
-    """
-    if trace_only is None:
-        trace_only = np.zeros(sum(len(norms) for _, norms in traced), dtype=bool)
-    return np.hstack([_chunk_mode_sums(table.cut(l_max), norms[:, :l_max], m_tol, mask)
-                      for (table, norms), mask in zip(traced, _by_chunk(traced, trace_only))])
-
-
-def _by_chunk(traced, mask):
-    """The node mask ``mask`` split as the chunks of ``traced`` split the nodes."""
-    return np.split(mask, np.cumsum([len(norms) for _, norms in traced])[:-1])
-
-
-def _take(traced, keep):
-    """The chunks of ``traced`` cut to the nodes the mask ``keep`` marks; empty chunks go."""
-    return [(table.take(part), norms[part])
-            for (table, norms), part in zip(traced, _by_chunk(traced, keep)) if part.any()]
-
-
 def _l_keep(l_max):
     """The degrees the l probe keeps: l_max - l_drop, l_drop = max(4, l_max // 8), at least 1."""
     return np.maximum(1, l_max - np.maximum(4, l_max // 8))
 
 
-def _chunk_mode_sums(table, norms, m_tol, trace_only):
+def _chunk_mode_sums(table, norms, m_tol):
     """The (5, K) record of :func:`_mode_sums` for the K nodes of ``table``.
 
-    The m tail is the trace still to come.  ``norms``, the table's
-    m-summed row norms (:meth:`KappaTable.m_summed_traces`) of its degrees
-    1 .. l_max, give each node T = sum_m (2 - delta_m0) tr M_m over every
-    block m = 0 .. l_max; after block m the blocks not yet
-    summed have the trace R = T - sum_{m' <= m} (2 - delta_m'0) ||H_m'||_F^2.
+    The m tail is the trace still to come.  ``norms``, the m-summed row
+    norms (:meth:`KappaTable.m_summed_traces`) of the table's degrees
+    1 .. l_max at its nodes, give each node T = sum_m (2 - delta_m0) tr M_m
+    over every block m = 0 .. l_max; after block m the blocks not yet summed
+    have the trace R = T - sum_{m' <= m} (2 - delta_m'0) ||H_m'||_F^2.
     Since -ln det(I - M) = tr M + sum_{k >= 2} tr M^k / k, they add
     -R - V to the sum, 0 <= V <= U (:func:`_tail_bound`).  The node takes
     the upper end, F = partial - R, with m error U, not the midpoint: U
@@ -278,11 +250,9 @@ def _chunk_mode_sums(table, norms, m_tol, trace_only):
     single block reaches, and against the m sum run to l_max the miss was
     at most 0.5 U at every node of the 12 benchmark points.  The m sum
     stops per node at the first m, or before any block, where
-    U <= m_tol |F|; a weak node thus takes F = -T with no block, and
-    its m used is -1.  So does every node ``trace_only`` marks, whatever
-    its U.  A sum that runs to m = l_max is complete, and its R, round-off
-    then, is dropped, so its U is 0.  Row T is the table's T, at every
-    node.
+    U <= m_tol |F|; a weak node thus takes F = -T with no block, and its m
+    used is -1.  A sum that runs to m = l_max is complete, and its R,
+    round-off then, is dropped, so its U is 0.  Row T is the table's T.
 
     The l probe is T_top, the trace of the degrees
     l_keep < l <= l_max, l_keep = l_max - l_drop (l_drop = max(4,
@@ -320,11 +290,8 @@ def _chunk_mode_sums(table, norms, m_tol, trace_only):
         err = _tail_bound(rest, 1.0 if m < 0 else 2.0)
         f = total - rest
         done = (err <= m_tol * np.abs(f)) | (m == l_max)
-        if m < 0:
-            done |= trace_only
         if done.any():
-            record = np.vstack([f, top, err, np.full_like(err, m)])
-            rows[:4, active[done]] = record[:, done]
+            rows[:4, active[done]] = np.vstack([f, top, err, np.full_like(err, m)])[:, done]
             if done.all():
                 break
             keep = ~done
@@ -407,68 +374,105 @@ def _kappa_rule(n):
     level n (k -> 2k) and adds n new ones.  The far nodes reach
     x ~ 4 a n^2 / pi^2.
     """
-    k = np.arange(1, n)
-    t = k * math.pi / n
+    t = np.arange(1, n) * math.pi / n
     j = np.arange(1, n // 2 + 1)
     w_s = 4.0 / n * np.sin(t) * (np.sin(np.outer(t, 2 * j - 1)) / (2 * j - 1)).sum(axis=1)
     x = _KAPPA_MAP_SCALE / np.tan(0.5 * t) ** 2
     return x, w_s * _KAPPA_MAP_SCALE / (2.0 * np.sin(0.5 * t) ** 4)
 
 
+def _columns(n_kappa):
+    """The record columns of the nodes k = 1 .. n_kappa - 1 of kappa level n_kappa.
+
+    A run's record (:class:`_Run`) has a column for each node of the
+    finest level N = 2 _KAPPA_NODE_CEILING, T's.  Node k of level n is
+    node k N / n of level N, at t = k pi / n bit for bit (a power of two
+    scales exactly), so it is column k N / n - 1.
+    """
+    return np.arange(1, n_kappa) * (2 * _KAPPA_NODE_CEILING // n_kappa) - 1
+
+
+class _Run:
+    """One run of the kappa levels on one rule: its truncations and the record of its nodes.
+
+    The trace step runs at degree ``l_top`` and the blocks at ``l_max`` <=
+    l_top, both on the rapidity rule ``theta_rule``, each m sum stopping at
+    ``m_tol`` (:func:`_chunk_mode_sums`), with kappa = x / (2 ``d``).
+    ``record`` holds the rows F, l probe, m error, m used and T of
+    :func:`_mode_sums` at every node of the finest level (:func:`_columns`),
+    each NaN until that node is evaluated; ``traced`` the chunks traced so
+    far, as (columns, table, norms), that still have a node with no F; and
+    ``rule(n)`` is level n's rule, built once per run.
+    """
+
+    def __init__(self, d, sphere, plane, l_top, theta_rule, l_max, m_tol):
+        self.d, self.sphere, self.plane, self.l_top = d, sphere, plane, l_top
+        self.theta_rule, self.l_max, self.m_tol = theta_rule, l_max, m_tol
+        self.record, self.traced = np.full((5, 2 * _KAPPA_NODE_CEILING - 1), np.nan), []
+        self.rule = functools.cache(_kappa_rule)
+
+
 @dataclass(frozen=True)
 class _Level:
     """One level of the kappa rule: the integral of F, its l and m
-    estimates, the integral of T, the nodes x and the (5, K) record, rows
-    F, l probe, m error, m used, T."""
+    estimates, the integral of T and the (5, K) record of its K nodes,
+    rows F, l probe, m error, m used, T."""
 
     energy: float
     err_l: float
     err_m: float
     trace: float
-    x: np.ndarray
     rows: np.ndarray
 
 
-def _level(x, w, d, rows):
-    """The :class:`_Level` of the kappa rule (x, w), with kappa = x / (2 d), from its record."""
-    f, top, m_err, _, t = rows
-    pref = 1.0 / (2.0 * math.pi) / (2.0 * d)
-    return _Level(pref * (w @ f), pref * (w @ top), pref * (w @ m_err), pref * (w @ t), x, rows)
+def _level(run, n_kappa):
+    """The :class:`_Level` of kappa level n_kappa from the record of ``run``.
 
-
-def _quadrature_pass(n_kappa, d, prev, mode_args, traced=None, trace_only=False):
-    """Level n_kappa of the kappa rule, with kappa = x / (2 d), as a :class:`_Level`.
-
-    ``mode_args`` is (sphere, plane, l_top, theta_rule, l_max, m_tol): the
-    trace step runs at degree l_top and the blocks at l_max <= l_top, both
-    on the rapidity rule theta_rule, each node's m sum stopping at m_tol
-    (:func:`_block_step`).  ``prev`` is the record of level n_kappa / 2, or
-    None: node k of this level is node k / 2 of that one for every even k,
-    so only the odd k are evaluated then, all in one block step.
-    ``traced`` is the trace step of every node of this level
-    (:func:`_trace_step`) where the caller holds it, as after the first
-    pass of :func:`casimir_energy`; otherwise the nodes evaluated are traced
-    here.  With ``trace_only`` (and no ``prev``), the odd k take T alone and
-    leave the stack before block 0, so blocks run only on the even k, level
-    n_kappa / 2: the first pass of :func:`casimir_energy`.  Such a level's
-    ``trace`` is its own, but its ``energy`` and ``err_m`` count each odd k
-    as a node with no block, F = -T with m error U.
+    Its columns are copied contiguous: summed on the strided rows that
+    indexing gives, E moved by 1-2 ulp.
     """
-    sphere, plane, l_top, theta_rule, l_max, m_tol = mode_args
-    x, w = _kappa_rule(n_kappa)
-    odd_k = np.arange(x.size) % 2 == 0  # node i is k = i + 1
-    if prev is None:
-        if traced is None:
-            traced = _trace_step(x / (2.0 * d), sphere, plane, l_top, theta_rule)
-        return _level(x, w, d, _block_step(traced, l_max, m_tol, odd_k if trace_only else None))
-    if traced is None:
-        traced = _trace_step(x[odd_k] / (2.0 * d), sphere, plane, l_top, theta_rule)
-    else:
-        traced = _take(traced, odd_k)
-    rows = np.empty((5, x.size))
-    rows[:, odd_k] = _block_step(traced, l_max, m_tol)
-    rows[:, ~odd_k] = prev
-    return _level(x, w, d, rows)
+    rows = np.ascontiguousarray(run.record[:, _columns(n_kappa)])
+    w, pref = run.rule(n_kappa)[1], 1.0 / (2.0 * math.pi) / (2.0 * run.d)
+    return _Level(*(pref * (w @ rows[i]) for i in (0, 1, 2, 4)), rows)
+
+
+def _trace(run, n_kappa):
+    """Trace the nodes of kappa level n_kappa with no T yet into new chunks of ``run``.
+
+    A chunk's columns are its nodes': :func:`_trace_step` keeps them in order.
+    """
+    cols = _columns(n_kappa)
+    new = np.isnan(run.record[4, cols])
+    if new.any():
+        chunks = _trace_step(run.rule(n_kappa)[0][new] / (2.0 * run.d), run.sphere, run.plane,
+                             run.l_top, run.theta_rule)
+        run.traced += [(c, *ch) for c, ch in zip(np.array_split(cols[new], len(chunks)), chunks)]
+
+
+def _quadrature_pass(n_kappa, run):
+    """Level n_kappa of the kappa rule, as a :class:`_Level`, on the record of ``run``.
+
+    The pass writes T at l_max for every node of the chunks ``run`` holds
+    (the first pass of :func:`casimir_energy` traces before it picks
+    l_max), traces the nodes of the level that have no T yet
+    (:func:`_trace`), runs the blocks of each chunk on its nodes of the
+    level that have no F yet, the chunk cut to them and at l_max
+    (:func:`_chunk_mode_sums`), and returns the level's sums.  A column is
+    bit for bit that of the node alone, so the sums are those of the level
+    evaluated afresh, and each node is traced once per run and its blocks
+    run at most once.  A chunk whose nodes all have F is dropped.
+    """
+    for c, _, norms in run.traced:
+        run.record[4, c] = norms[:, :run.l_max].reshape(len(c), -1).sum(axis=1)
+    _trace(run, n_kappa)
+    for c, table, norms in run.traced:
+        # a column of level n has an index + 1 that N / n divides (see _columns)
+        need = np.isnan(run.record[0, c]) & ((c + 1) % (2 * _KAPPA_NODE_CEILING // n_kappa) == 0)
+        if need.any():
+            run.record[:, c[need]] = _chunk_mode_sums(table.cut(run.l_max).take(need),
+                                                      norms[need, :run.l_max], run.m_tol)
+    run.traced = [chunk for chunk in run.traced if np.isnan(run.record[0, chunk[0]]).any()]
+    return _level(run, n_kappa)
 
 
 def _pick_l_max(degree_traces, share):
@@ -498,21 +502,22 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     T = sum_m (2 - delta_m0) tr M_m, is known at every node before any
     block (see below).  So T is a control variate: the energy is the
     integral of F + T on level n less that of T on level 2n, where n is
-    twice ``kappa_nodes``.  One pass evaluates every node of level 2n,
-    with blocks only on the nodes of level n; the n others take T alone
-    (:func:`_quadrature_pass`).  The kappa estimate is the change of the
-    F + T sum from level n/2 to n plus that of the T sum from level n to
-    2n.  At the 12 benchmark points F + T is 1.5-6% of F on level 16, and
-    the control-variate sum missed the plain F sum on level 128 by
-    0.002-0.17 times that estimate.
+    twice ``kappa_nodes``.  A run keeps one record over every node
+    (:class:`_Run`): its first pass traces every node of level 2n and
+    runs blocks only on the nodes of level n, so the n others take T
+    alone, and each level sums from the record.  The kappa estimate is the
+    change of the F + T sum from level n/2 to n plus that of the T sum
+    from level n to 2n.  At the 12 benchmark points F + T is 1.5-6% of F
+    on level 16, and the control-variate sum missed the plain F sum on
+    level 128 by 0.002-0.17 times that estimate.
     If the estimate is past rel_tol/4, F is evaluated on the other nodes
     of level 2n, where T then cancels: the energy is the plain F sum on
     level 2n, and the level doubles, up to 128, until two plain sums agree
-    within rel_tol/4, their difference being the kappa estimate.  A miss
-    takes those n nodes' tables and traces from the first pass, which held
-    them as trace-only nodes, so it runs blocks on them and no second trace
-    step, and it gives the energy and the record a pass over all of level
-    2n would, bit for bit.  ``kappa_nodes_used`` is the last level of F.
+    within rel_tol/4, their difference being the kappa estimate.  Each
+    level is one :func:`_quadrature_pass`, which traces only the nodes
+    with no T and runs blocks only on those with no F, so a miss runs the
+    n new nodes' blocks on the first pass's tables with no second trace
+    step.  ``kappa_nodes_used`` is the last level of F.
     At rel_tol 1e-3, 11 of the 12 benchmark points stop at level 16, with
     blocks on 15 nodes instead of 31.  The l and m estimates integrate over
     the nodes of F alone: T has no m error, and its l truncation cancels
@@ -529,7 +534,7 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     |E| since |F| >= T at each node.  The blocks, T, the l probe and the
     theta probe then all run at l_max on L's rule, the first three on the
     trace step's own tables cut at l_max (:meth:`KappaTable.cut`), so a
-    pass builds and traces each node once.  At the 12 benchmark points
+    run builds and traces each node once.  At the 12 benchmark points
     (rel_tol 1e-3) the pick is 55 of 70 and 109 of 130 on exact-narrow,
     and 0.67-0.74 of L on exact-wide; E moved by at most 0.49 of the
     estimate of a run at L, and err_l is 1.98 to 35.7 times what raising
@@ -598,31 +603,25 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
         panels, v_max = _theta_rule(l_top)
         panels += added
 
-        # one pass over level 2n: the trace step at l_top on every node,
-        # l_max picked from the traces at F's nodes, then F on levels n and
-        # n / 2, T on every node; copied contiguous, each level sums as a
-        # pass of its own would
+        # the first pass: the trace step at l_top on every node of level
+        # 2n, l_max picked from the traces at F's nodes, then T at l_max on
+        # every node and F on level n; levels 2n and n / 2 sum from the record
         n = 2 * numerics.kappa_nodes
-        x_f, w_f = _kappa_rule(n)
-        traced = _trace_step(_kappa_rule(2 * n)[0] / (2.0 * d), s1, p1, l_top, (panels, v_max))
-        l_max = l_top
+        run = _Run(d, s1, p1, l_top, (panels, v_max), l_top, share)
+        _trace(run, 2 * n)
         if auto_l:
-            f_norms = np.concatenate([norms for _, norms in traced])[1::2]
-            l_max = _pick_l_max(w_f @ f_norms.sum(axis=2), share) or l_top
-        mode_args = (s1, p1, l_top, (panels, v_max), l_max, share)
-        first = _quadrature_pass(2 * n, d, None, mode_args, traced=traced, trace_only=True)
-        last = _level(x_f, w_f, d, np.ascontiguousarray(first.rows[:, 1::2]))
-        prev = _level(*_kappa_rule(n // 2), d, np.ascontiguousarray(last.rows[:, 1::2]))
-        energy = last.energy + last.trace - first.trace
+            f_traces = np.concatenate([norms for _, _, norms in run.traced])[1::2].sum(axis=2)
+            run.l_max = _pick_l_max(run.rule(n)[1] @ f_traces, share) or l_top
+        last = _quadrature_pass(n, run)
+        fine, prev = _level(run, 2 * n), _level(run, n // 2)
+        energy = last.energy + last.trace - fine.trace
         err_k = (abs(last.energy + last.trace - prev.energy - prev.trace)
-                 + abs(first.trace - last.trace))
-        # a miss: F on the other nodes of level 2n, from the first pass's
-        # tables and traces, where the control variate cancels; then plain
-        # levels, each traced afresh
+                 + abs(fine.trace - last.trace))
+        # a miss: F on the other nodes of level 2n, on the first pass's
+        # tables, where the control variate cancels; then plain levels
         while err_k > share * abs(energy) and 2 * n <= _KAPPA_NODE_CEILING:
             n *= 2
-            reuse = traced if n == first.x.size + 1 else None
-            prev, last = last, _quadrature_pass(n, d, last.rows, mode_args, traced=reuse)
+            prev, last = last, _quadrature_pass(n, run)
             energy, err_k = last.energy, abs(last.energy - prev.energy)
 
         if auto_l and last.err_l > share * abs(energy):
@@ -634,10 +633,10 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
             l_steps += 1
             continue
 
-        # rapidity-rule check at the smallest kappa node, where the rule is weakest
-        i_min = int(np.argmin(last.x))
-        f_min = last.rows[0, i_min]
-        f2 = _mode_sums(last.x[i_min:i_min + 1] / (2.0 * d), s1, p1, l_max,
+        # rapidity-rule check at the smallest kappa node, the last of the
+        # level, where the rule is weakest
+        f_min = last.rows[0, -1]
+        f2 = _mode_sums(run.rule(n)[0][-1:] / (2.0 * d), s1, p1, run.l_max,
                         (2 * panels, 1.25 * v_max), share)[0, 0]
         err_theta = abs(f2 - f_min) / max(abs(f_min), 1e-300) * abs(energy)
 
@@ -660,7 +659,7 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
         energy=float(energy / R),
         energy_dimensionless=float(energy * d * d),
         error_estimate=float(error / R),
-        l_max_used=l_max,
+        l_max_used=run.l_max,
         m_max_used=int(last.rows[3].max()),
         kappa_nodes_used=n,
     )

@@ -238,19 +238,12 @@ def test_energy_truncation_convergence_within_estimate(monkeypatch):
 def test_energy_explicit_truncation_too_small_raises(monkeypatch):
     # the miss is the l truncation's, not the rapidity rule's, so the run
     # raises without a re-run on more panels
-    rules = []
-    real = energy_exact._quadrature_pass
-
-    def recording(n_kappa, d, prev, mode_args, **kwargs):
-        rules.append(mode_args[3])
-        return real(n_kappa, d, prev, mode_args, **kwargs)
-
-    monkeypatch.setattr(energy_exact, "_quadrature_pass", recording)
+    passes = _recording_passes(monkeypatch)
     with pytest.raises(NumericsError, match="energy not converged"):
         casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR),
                        PlaneSheet(PERFECT_CONDUCTOR, 1.05),
                        NumericsSpec(l_max=6, rel_tol=1e-4))
-    assert len(set(rules)) == 1
+    assert len({run.theta_rule for _, run, _, _ in passes}) == 1
 
 
 def test_smallest_l_max_reports_its_truncation():
@@ -374,12 +367,42 @@ def _pass_args(d):
     return l_max, energy_exact._theta_rule(l_max), 0.25 * NumericsSpec().rel_tol
 
 
-def _run_args(sphere, plane, l_max, m_tol=0.25 * NumericsSpec().rel_tol):
-    """The ``mode_args`` of an auto run that picked ``l_max`` from its first
+def _run(sphere, plane, l_max, m_tol=0.25 * NumericsSpec().rel_tol):
+    """A fresh run of an auto call that picked ``l_max`` from its first
     pass: the trace step at the start degree, the blocks at l_max, both on
     the start degree's rule."""
-    l_top, rule, _ = _pass_args(plane.distance_L - 1.0)
-    return sphere, plane, l_top, rule, l_max, m_tol
+    d = plane.distance_L - 1.0
+    l_top, rule, _ = _pass_args(d)
+    return energy_exact._Run(d, sphere, plane, l_top, rule, l_max, m_tol)
+
+
+def _fresh(run):
+    """A run with the truncations of ``run`` and an empty record."""
+    return energy_exact._Run(run.d, run.sphere, run.plane, run.l_top, run.theta_rule, run.l_max,
+                             run.m_tol)
+
+
+def _first_pass(run, n):
+    """The first pass of ``run`` as :func:`casimir_energy` makes it at the
+    run's l_max: the trace step over kappa level 2n, then the pass of level
+    n, which writes T at every node and F on its own."""
+    energy_exact._trace(run, 2 * n)
+    return energy_exact._quadrature_pass(n, run)
+
+
+def _recording_passes(monkeypatch):
+    """Record (n_kappa, run, level, record) of every kappa pass, the record
+    copied as the pass left it."""
+    passes = []
+    real = energy_exact._quadrature_pass
+
+    def recording(n_kappa, run):
+        level = real(n_kappa, run)
+        passes.append((n_kappa, run, level, run.record.copy()))
+        return level
+
+    monkeypatch.setattr(energy_exact, "_quadrature_pass", recording)
+    return passes
 
 
 def test_weak_node_needs_no_block(monkeypatch):
@@ -403,25 +426,28 @@ def test_weak_node_needs_no_block(monkeypatch):
 
 
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
-def test_record_carries_each_node_trace(omega):
-    # row 4 of the record is T = sum_m (2 - delta_m0) tr M_m over every m,
-    # node by node, against the block-by-block oracle; so is the l probe
-    # of row 1, over the top degrees.  The nodes of a trace-only mask take
-    # T alone: no block, m used -1 and F = -T.  The other nodes keep their
-    # columns, bit for bit those of a call without them
+def test_record_carries_each_node_trace(monkeypatch, omega):
+    # the record a run's first pass leaves, at an explicit l_max (the start
+    # degree, so the trace step and the blocks share one degree): row 4 is
+    # T = sum_m (2 - delta_m0) tr M_m over every m at each node of kappa
+    # level 32, against the block-by-block oracle, and row 1 the l probe
+    # over the top degrees at each node of level 16.  The other 16 nodes
+    # take T alone: their other rows stay NaN.  The nodes of level 16 have
+    # the columns of a call without those, bit for bit
     d = 0.3
     sphere, plane = SphereSheet(1.0, omega), PlaneSheet(omega, 1.0 + d)
     l_max, theta_rule, m_tol = _pass_args(d)
-    kappa = energy_exact._kappa_rule(32)[0] / (2.0 * d)
-    trace_only = np.zeros(kappa.size, dtype=bool)
-    trace_only[::2] = True
-    traced = energy_exact._trace_step(kappa, sphere, plane, l_max, theta_rule)
-    rows = energy_exact._block_step(traced, l_max, m_tol, trace_only)
+    passes = _recording_passes(monkeypatch)
+    casimir_energy(sphere, plane, NumericsSpec(l_max=l_max))
+    n_kappa, run, _, record = passes[0]
+    assert n_kappa == 16 and (run.l_top, run.l_max, run.theta_rule) == (l_max, l_max, theta_rule)
+    kappa = energy_exact._kappa_rule(32)[0] / (2.0 * run.d)  # d = L/R - 1, as the run has it
+    rows = record[:, energy_exact._columns(32)]
     table = KappaTable.build(kappa, sphere, plane, l_max, rapidity_rule(*theta_rule))
     want, want_top = m_summed_trace(table, l_max - max(4, l_max // 8))
     assert rows[4] == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert rows[1] == pytest.approx(want_top, rel=1e-12, abs=0.0)
-    assert np.all(rows[3, ::2] == -1) and np.array_equal(rows[0, ::2], -rows[4, ::2])
+    assert rows[1, 1::2] == pytest.approx(want_top[1::2], rel=1e-12, abs=0.0)
+    assert np.all(np.isnan(rows[:4, ::2]))
     alone = energy_exact._mode_sums(kappa[1::2], sphere, plane, l_max, theta_rule, m_tol)
     assert np.array_equal(rows[:, 1::2], alone) and alone[3].max() > 0
 
@@ -583,12 +609,15 @@ def test_explicit_l_max_keeps_its_run_bit_for_bit(d, omega_s, omega_p, spec, wan
             res.kappa_nodes_used) == want
 
 
-def _control_variate(level, d, args):
-    """casimir_energy's E from a plain pass ``level`` over its F level n: the
-    integral of F + T there, less that of T on level 2n, from a pass whose
-    new nodes take T alone."""
-    fine = energy_exact._quadrature_pass(2 * (level.x.size + 1), d, None, args, trace_only=True)
-    return level.energy + level.trace - fine.trace
+def _control_variate(level, run):
+    """casimir_energy's E from a plain pass ``level`` of ``run`` over its F
+    level n: the integral of F + T there, less that of T on level 2n, from
+    a trace step of its own on the run's rule, cut at the run's l_max."""
+    x, w = energy_exact._kappa_rule(2 * (level.rows.shape[1] + 1))
+    traced = energy_exact._trace_step(x / (2.0 * run.d), run.sphere, run.plane, run.l_top,
+                                      run.theta_rule)
+    t = np.concatenate([norms[:, :run.l_max].sum(axis=(1, 2)) for _, norms in traced])
+    return level.energy + level.trace - (w @ t) / (2.0 * math.pi) / (2.0 * run.d)
 
 
 @pytest.mark.parametrize("d, omega_s, omega_p", [
@@ -611,13 +640,13 @@ def test_m_error_covers_the_m_sum_run_to_l_max(monkeypatch, d, omega_s, omega_p)
     sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d)
     res = casimir_energy(sphere, plane, NumericsSpec(rel_tol=rel_tol))
     m_tol = 0.25 * rel_tol
-    args = _run_args(sphere, plane, res.l_max_used, m_tol)
-    level = energy_exact._quadrature_pass(res.kappa_nodes_used, d, None, args)
-    assert _control_variate(level, d, args) == pytest.approx(res.energy, rel=1e-12, abs=0.0)
+    run = _run(sphere, plane, res.l_max_used, m_tol)
+    level = energy_exact._quadrature_pass(res.kappa_nodes_used, run)
+    assert _control_variate(level, run) == pytest.approx(res.energy, rel=1e-12, abs=0.0)
     assert 0.0 < level.err_m <= m_tol * abs(res.energy)
     _m_sum_to_l_max(monkeypatch)
-    args = (*args[:-1], _NO_M_STOP)
-    whole = energy_exact._quadrature_pass(res.kappa_nodes_used, d, None, args)
+    whole = energy_exact._quadrature_pass(res.kappa_nodes_used,
+                                          _run(sphere, plane, res.l_max_used, _NO_M_STOP))
     assert whole.err_m == 0.0 and whole.rows[3].max() == res.l_max_used
     assert abs(level.energy - whole.energy) <= level.err_m
     assert np.all(np.abs(level.rows[0] - whole.rows[0]) <= level.rows[2] + 1e-14)
@@ -637,12 +666,12 @@ def test_l_estimate_is_above_the_trace_past_l_max(d, omega_s, omega_p):
     sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d)
     res = casimir_energy(sphere, plane)
     l_max, n_kappa = res.l_max_used, res.kappa_nodes_used
-    args = _run_args(sphere, plane, l_max)
-    level = energy_exact._quadrature_pass(n_kappa, d, None, args)
-    assert _control_variate(level, d, args) == pytest.approx(res.energy, rel=1e-12, abs=0.0)
+    run = _run(sphere, plane, l_max)
+    level = energy_exact._quadrature_pass(n_kappa, run)
+    assert _control_variate(level, run) == pytest.approx(res.energy, rel=1e-12, abs=0.0)
     x, w = energy_exact._kappa_rule(n_kappa)
     table = KappaTable.build(x / (2.0 * d), sphere, plane, int(1.6 * l_max),
-                             rapidity_rule(*args[3]))
+                             rapidity_rule(*run.theta_rule))
     floor = (w @ table.m_summed_traces()[:, l_max:].sum(axis=(1, 2))) / (2.0 * math.pi) / (2.0 * d)
     assert 0.0 < floor <= level.err_l
 
@@ -659,14 +688,15 @@ def test_l_estimate_covers_the_l_error(monkeypatch, d, omega_s, omega_p):
     # times it; the floor of the test above is within 1e-5 of the change
     sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d)
     res = casimir_energy(sphere, plane)
-    args = _run_args(sphere, plane, res.l_max_used)
-    level = energy_exact._quadrature_pass(res.kappa_nodes_used, d, None, args)
-    assert _control_variate(level, d, args) == pytest.approx(res.energy, rel=1e-12, abs=0.0)
+    run = _run(sphere, plane, res.l_max_used)
+    level = energy_exact._quadrature_pass(res.kappa_nodes_used, run)
+    assert _control_variate(level, run) == pytest.approx(res.energy, rel=1e-12, abs=0.0)
     _m_sum_to_l_max(monkeypatch)
     x, w = energy_exact._kappa_rule(res.kappa_nodes_used)
 
     def f_sum(l_max):
-        rows = energy_exact._mode_sums(x / (2.0 * d), sphere, plane, l_max, args[3], _NO_M_STOP)
+        rows = energy_exact._mode_sums(x / (2.0 * d), sphere, plane, l_max, run.theta_rule,
+                                       _NO_M_STOP)
         assert rows[3].max() == l_max
         return (w @ rows[0]) / (2.0 * math.pi) / (2.0 * d)
 
@@ -677,12 +707,24 @@ def test_l_estimate_covers_the_l_error(monkeypatch, d, omega_s, omega_p):
 # ---------------------------------------------------------------- kappa rule
 
 def test_kappa_rule_is_nested():
-    for n in (8, 11, 16, 64):
+    for n in (8, 11, 16, 64, 128):
         x, w = energy_exact._kappa_rule(n)
         x2, _ = energy_exact._kappa_rule(2 * n)
         assert x.size == n - 1 and x2.size == 2 * n - 1
         assert np.array_equal(x2[1::2], x)  # bit-identical, so a node is looked up, not redone
         assert np.all(np.diff(x) < 0.0) and np.all(w > 0.0)
+    # a run's record has a column for each node of the finest level, T's;
+    # the columns of level n are every other column of level 2n, and its
+    # nodes are the finest level's nodes at those columns, bit for bit
+    finest = 2 * energy_exact._KAPPA_NODE_CEILING
+    assert np.array_equal(energy_exact._columns(finest), np.arange(finest - 1))
+    x_finest = energy_exact._kappa_rule(finest)[0]
+    for n in (8, 16, 32, 64, 128, 256):
+        cols = energy_exact._columns(n)
+        assert cols.size == n - 1
+        assert np.array_equal(energy_exact._kappa_rule(n)[0], x_finest[cols])
+        if n < finest:
+            assert np.array_equal(energy_exact._columns(2 * n)[1::2], cols)
 
 
 def test_kappa_rule_integrates_decaying_functions():
@@ -705,9 +747,9 @@ def test_kappa_rule_integrates_decaying_functions():
 
 def test_each_kappa_node_evaluated_once(monkeypatch):
     # the first pass is one trace step over the 2n - 1 nodes of level 2n,
-    # at the start degree, and one block step whose n new nodes take T
-    # alone: blocks run only on the n - 1 nodes of the F level n, at the
-    # picked l_max.  Then the theta probe runs at the smallest of those
+    # at the start degree, whose n nodes outside level n take T alone:
+    # blocks run only on the n - 1 nodes of the F level n, at the picked
+    # l_max.  Then the theta probe runs at the smallest of those
     calls, sizes, degrees, blocked = [], [], [], set()
     real, real_block = energy_exact._trace_step, energy_exact.assemble_block
 
@@ -740,42 +782,69 @@ def test_each_kappa_node_evaluated_once(monkeypatch):
     assert 0 < len(blocked) and blocked <= set(f_nodes) and calls[-1] == min(f_nodes)
 
 
-def test_refined_level_reuses_rows_by_index():
-    # level 2n takes its even nodes from level n's record and evaluates only
-    # the odd ones; the result is bit-identical to evaluating every node
+@pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
+def test_level_sums_of_the_record_equal_those_of_the_level_alone(omega):
+    # a level summed from a run's record, with its columns among those of
+    # other levels, gives bit for bit the sums of the same level from a
+    # fresh _mode_sums over its nodes: kappa level 16 after a first pass
+    # that traced level 32, and level 32 after the refine
+    d = 0.3
+    sphere, plane = SphereSheet(1.0, omega), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
+    l_max, rule, m_tol = _pass_args(d)
+    run = energy_exact._Run(d, sphere, plane, l_max, rule, l_max, m_tol)
+    levels = [_first_pass(run, 16), energy_exact._quadrature_pass(32, run)]
+    for level, n in zip(levels, (16, 32)):
+        x, w = energy_exact._kappa_rule(n)
+        alone = energy_exact._mode_sums(x / (2.0 * d), sphere, plane, l_max, rule, m_tol)
+        pref = 1.0 / (2.0 * math.pi) / (2.0 * d)
+        want = [pref * (w @ alone[i]) for i in (0, 1, 2, 4)]
+        assert [level.energy, level.err_l, level.err_m, level.trace] == want
+        assert np.array_equal(level.rows, alone)
+
+
+def test_refined_level_reuses_rows_by_index(monkeypatch):
+    # on one run's record, level 2n takes its even nodes from level n's
+    # columns and traces and evaluates only the odd ones; the result is
+    # bit-identical to evaluating every node on a fresh run
     d = 0.3
     sphere, plane = SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     l_max, rule, m_tol = _pass_args(d)
-    mode_args = (sphere, plane, l_max, rule, l_max, m_tol)
-    coarse = energy_exact._quadrature_pass(8, d, None, mode_args)
-    fine = energy_exact._quadrature_pass(16, d, coarse.rows, mode_args)
-    fresh = energy_exact._quadrature_pass(16, d, None, mode_args)
-    assert (fine.energy, fine.err_l, fine.err_m) == (fresh.energy, fresh.err_l, fresh.err_m)
+    run = energy_exact._Run(d, sphere, plane, l_max, rule, l_max, m_tol)
+    steps = []
+    real = energy_exact._trace_step
+
+    def counting(kappa, *args):
+        steps.append(kappa.size)
+        return real(kappa, *args)
+
+    monkeypatch.setattr(energy_exact, "_trace_step", counting)
+    coarse = energy_exact._quadrature_pass(8, run)
+    fine = energy_exact._quadrature_pass(16, run)
+    fresh = energy_exact._quadrature_pass(16, _fresh(run))
+    assert steps == [7, 8, 15]
+    assert (fine.energy, fine.err_l, fine.err_m, fine.trace) == (fresh.energy, fresh.err_l,
+                                                                 fresh.err_m, fresh.trace)
     assert fine.rows[3].max() == fresh.rows[3].max()
-    assert np.array_equal(fine.x, fresh.x) and np.array_equal(fine.x[1::2], coarse.x)
     assert np.array_equal(fine.rows, fresh.rows)
     assert np.array_equal(fine.rows[:, 1::2], coarse.rows)
 
 
 def test_a_miss_refines_on_the_first_pass_tables(monkeypatch):
     # a first pass holds every node of level 2n traced at the start degree,
-    # with blocks at a lower l_max on level n alone.  Refining to level 2n
-    # takes the other n nodes' tables and traces from it, where they were
-    # trace-only: no trace step runs, and the record is bit for bit that of
-    # a pass that traces and evaluates all of level 2n afresh, here split
-    # over three chunks
+    # with blocks at a lower l_max on level n alone, here over three
+    # chunks, which it keeps.  Refining to level 2n runs the blocks of the
+    # other n nodes on those chunks, where they took T alone: no trace step
+    # runs, every chunk is dropped once all its nodes have F, and the
+    # record is bit for bit that of a pass that traces and evaluates all
+    # of level 2n afresh
     d = 0.3
     sphere, plane = SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
-    mode_args = _run_args(sphere, plane, 20)
-    l_top, rule = mode_args[2:4]
+    run = _run(sphere, plane, 20)
     monkeypatch.setattr(energy_exact, "_STACK_BYTES",
-                        12 * 8 * (2 * l_top) * (2 * rapidity_rule(*rule)[0].size))
-    traced = energy_exact._trace_step(energy_exact._kappa_rule(32)[0] / (2.0 * d), sphere, plane,
-                                      l_top, rule)
-    assert [len(norms) for _, norms in traced] == [11, 10, 10]
-    first = energy_exact._quadrature_pass(32, d, None, mode_args, traced=traced, trace_only=True)
-    level = energy_exact._level(*energy_exact._kappa_rule(16), d,
-                                np.ascontiguousarray(first.rows[:, 1::2]))
+                        12 * 8 * (2 * run.l_top) * (2 * rapidity_rule(*run.theta_rule)[0].size))
+    _first_pass(run, 16)
+    assert [len(part) for part, _, _ in run.traced] == [11, 10, 10]
+    first = run.record.copy()
     steps = []
     real = energy_exact._trace_step
 
@@ -784,41 +853,41 @@ def test_a_miss_refines_on_the_first_pass_tables(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(energy_exact, "_trace_step", counting)
-    refined = energy_exact._quadrature_pass(32, d, level.rows, mode_args, traced=traced)
-    assert steps == []
-    fresh = energy_exact._quadrature_pass(32, d, None, mode_args)
+    refined = energy_exact._quadrature_pass(32, run)
+    assert steps == [] and len(run.traced) == 0
+    fresh = energy_exact._quadrature_pass(32, _fresh(run))
     assert steps == [31] and np.array_equal(refined.rows, fresh.rows)
-    assert np.array_equal(refined.rows[[1, 4], ::2], first.rows[[1, 4], ::2])
-    assert np.all(first.rows[3, ::2] == -1) and refined.rows[3, ::2].max() > 0
+    t_alone = energy_exact._columns(32)[::2]
+    assert np.array_equal(refined.rows[4, ::2], first[4, t_alone])
+    assert np.all(np.isnan(first[:4, t_alone])) and refined.rows[3, ::2].max() > 0
 
 
-def _run_estimate(first, plain, d):
+def _run_estimate(run, levels):
     """The last F level of a run, its E and its kappa estimate, from the
-    records of its first pass and of the plain levels after it."""
-    n = (first.x.size + 1) // 2
-    fine = energy_exact._level(*energy_exact._kappa_rule(n), d,
-                               np.ascontiguousarray(first.rows[:, 1::2]))
-    if plain:
-        levels = [fine, *plain]
-        return levels[-1], levels[-1].energy, abs(levels[-1].energy - levels[-2].energy)
-    coarse = energy_exact._level(*energy_exact._kappa_rule(n // 2), d,
-                                 np.ascontiguousarray(fine.rows[:, 1::2]))
-    return (fine, fine.energy + fine.trace - first.trace,
-            abs(fine.energy + fine.trace - coarse.energy - coarse.trace)
-            + abs(first.trace - fine.trace))
+    levels its passes returned and its record: with one level n, the
+    control variate against T on level 2n, with more, the plain sums."""
+    last = levels[-1]
+    if len(levels) > 1:
+        return last, last.energy, abs(last.energy - levels[-2].energy)
+    n = last.rows.shape[1] + 1
+    fine, coarse = energy_exact._level(run, 2 * n), energy_exact._level(run, n // 2)
+    return (last, last.energy + last.trace - fine.trace,
+            abs(last.energy + last.trace - coarse.energy - coarse.trace)
+            + abs(fine.trace - last.trace))
 
 
 @pytest.mark.parametrize("rel_tol", [1e-3, 1e-5])
 def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
     # an Omega R = 1.7 sphere before a PC plane at d/R = 0.3: every pass of
     # one call is recorded, run by run, a run being one (l_max, panels).
-    # A run's first pass covers kappa level 32 with blocks on level 16
-    # alone: its odd columns are bit for bit a pass of level 16, and level
-    # 8's record is theirs in turn.  E is the control-variate sum, F + T on
-    # level 16 less T on level 32, and the kappa estimate the change of the
-    # F + T sum from level 8 plus that of T's sum from level 16.  A run
-    # whose kappa estimate misses rel_tol/4 takes F on the other nodes of
-    # level 32 and refines plain F sums from there.  The kappa, l, m and
+    # A run's first pass traces kappa level 32 for T and runs blocks on
+    # level 16 alone: that level is bit for bit a pass of level 16 on a
+    # fresh run, and level 8 sums from its record in turn.  E is the
+    # control-variate sum, F + T on level 16 less T on level 32, and the
+    # kappa estimate the change of the F + T sum from level 8 plus that of
+    # T's sum from level 16.  A run whose kappa estimate misses rel_tol/4
+    # takes F on the other nodes of level 32 and refines plain F sums from
+    # there.  The kappa, l, m and
     # theta estimates formed from the records of the last run and from its
     # theta probe add up to error_estimate, bit for bit, and the records
     # show each stop: the levels refine until the kappa estimate is within
@@ -831,19 +900,17 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
     # and every run refines past the control variate
     tries = {1e-3: [(30, 22, 4)],  # (start degree, l_max, panels)
              1e-5: [(30, 30, 4), (40, 31, 4), (40, 31, 5)]}[rel_tol]
-    runs, probes, gaps = [], [], []
+    runs, probes = [], []
     real_pass, real_sums = energy_exact._quadrature_pass, energy_exact._mode_sums
 
-    def recording_pass(n_kappa, d, prev, mode_args, **kwargs):
-        level = real_pass(n_kappa, d, prev, mode_args, **kwargs)
-        gaps.append(d)
-        if prev is None:  # the first pass of a run
-            assert kwargs["trace_only"] and len(kwargs["traced"]) > 0
-            plain = real_pass(n_kappa // 2, d, None, mode_args)
-            assert np.array_equal(level.rows[:, 1::2], plain.rows)
-            runs.append((mode_args, level, []))
-        else:
-            runs[-1][2].append(level)
+    def recording_pass(n_kappa, run):
+        level = real_pass(n_kappa, run)
+        if not runs or runs[-1][0] is not run:  # the first pass of a run
+            assert n_kappa == 16 and not np.isnan(run.record[4, energy_exact._columns(32)]).any()
+            plain = real_pass(n_kappa, _fresh(run))
+            assert np.array_equal(level.rows, plain.rows)
+            runs.append((run, []))
+        runs[-1][1].append(level)
         return level
 
     def recording_sums(kappa, sphere, plane, l_max, theta_rule, *rest):
@@ -856,24 +923,24 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
     monkeypatch.setattr(energy_exact, "_mode_sums", recording_sums)
     res = casimir_energy(SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.3),
                          NumericsSpec(rel_tol=rel_tol))
-    share, d = 0.25 * rel_tol, gaps[0]
-    assert [(args[2], args[4], args[3][0]) for args, _, _ in runs] == tries
+    share = 0.25 * rel_tol
+    assert [(run.l_top, run.l_max, run.theta_rule[0]) for run, _ in runs] == tries
     # a probe follows each run at the last start degree, at the run's l_max
     # on twice its panels and 1.25 v_max
     assert len(probes) == sum(1 for l_top, _, _ in tries if l_top == tries[-1][0])
-    for (args, _, _), (rule, _) in zip(runs[-len(probes):], probes):
-        assert rule == (args[4], (2 * args[3][0], 1.25 * args[3][1]))
-    estimates = [_run_estimate(first, plain, d) for _, first, plain in runs]
+    for (run, _), (rule, _) in zip(runs[-len(probes):], probes):
+        assert rule == (run.l_max, (2 * run.theta_rule[0], 1.25 * run.theta_rule[1]))
+    estimates = [_run_estimate(run, levels) for run, levels in runs]
     last, energy, err_k = estimates[-1]
-    first, plain = runs[-1][1:]
-    assert first.x.size + 1 == 32
-    assert all(bool(run[2]) == (rel_tol == 1e-5) for run in runs)
-    assert [lv.x.size + 1 for lv in plain] == [32 * 2 ** k for k in range(len(plain))]
-    assert last.x.size + 1 == res.kappa_nodes_used
+    run, levels = runs[-1]
+    plain = levels[1:]
+    assert all((len(lv) > 1) == (rel_tol == 1e-5) for _, lv in runs)
+    assert [lv.rows.shape[1] + 1 for lv in levels] == [16 * 2 ** k for k in range(len(levels))]
+    assert last.rows.shape[1] + 1 == res.kappa_nodes_used
     assert energy == res.energy and last.rows[3].max() == res.m_max_used
 
     def theta_estimate(level, energy, probe):
-        f_min = level.rows[0, np.argmin(level.x)]
+        f_min = level.rows[0, -1]  # the smallest node is the last of its level
         return abs(probe[0, 0] - f_min) / max(abs(f_min), 1e-300) * abs(energy)
 
     err_theta = theta_estimate(last, energy, probes[-1][1])
@@ -881,7 +948,7 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
     assert err_k <= share * abs(energy) and last.err_l <= share * abs(energy)
     # each level before the last missed rel_tol/4: the control variate, then the plain sums
     if plain:
-        cv = _run_estimate(first, [], d)
+        cv = _run_estimate(run, levels[:1])
         assert cv[2] > share * abs(cv[1])
         for coarse, fine in zip(plain[:-2], plain[1:-1]):
             assert abs(fine.energy - coarse.energy) > share * abs(fine.energy)
@@ -993,27 +1060,28 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
     # the far nodes of T's level reach kappa R ~ 2e5 at d/R = 0.05; every
     # node must give a finite F <= 0 and T >= 0
     values = []
-    real, real_step = energy_exact._mode_sums, energy_exact._block_step
+    real, real_sums = energy_exact._mode_sums, energy_exact._chunk_mode_sums
 
-    def recording(traced, *args):
-        out = real_step(traced, *args)
-        kappa = np.concatenate([np.atleast_1d(table.kappa) for table, _ in traced])
-        values.extend(zip(kappa.tolist(), out.T.tolist()))
+    def recording(table, *args):
+        out = real_sums(table, *args)
+        values.extend(zip(np.atleast_1d(table.kappa).tolist(), out.T.tolist()))
         return out
 
-    monkeypatch.setattr(energy_exact, "_block_step", recording)
+    monkeypatch.setattr(energy_exact, "_chunk_mode_sums", recording)
+    passes = _recording_passes(monkeypatch)
     d = 0.05
     sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     res = casimir_energy(sphere, plane, NumericsSpec(kappa_nodes=32, rel_tol=1e-3))
-    # level 128 in one pass, then the theta probe
-    assert res.kappa_nodes_used == 64 and len(values) == 128
-    assert max(k for k, _ in values) > 1e5
-    for i, (kappa, (f, top, m_err, _, t)) in enumerate(values):
+    # level 128 traced in one pass, with blocks on the 63 nodes of level
+    # 64, then the theta probe; the other 64 nodes take T alone
+    assert res.kappa_nodes_used == 64 and len(passes) == 1 and len(values) == 64
+    x = energy_exact._kappa_rule(128)[0]
+    t_alone = passes[0][3][:, energy_exact._columns(128)[::2]]
+    assert x[0] / (2.0 * passes[0][1].d) > 1e5
+    assert np.all(np.isfinite(t_alone[4])) and np.all(t_alone[4] >= 0.0)
+    for kappa, (f, top, m_err, _, t) in values:
         assert math.isfinite(f) and math.isfinite(top) and math.isfinite(t)
-        assert f <= 0.0 and 0.0 <= top <= t and m_err >= 0.0
-        # a node of the pass's odd k takes T alone, F = -T with the bound U
-        # on the whole m sum, infinite where T >= 1
-        assert math.isfinite(m_err) or (i < 127 and i % 2 == 0 and t >= 1.0)
+        assert f <= 0.0 and 0.0 <= top <= t and 0.0 <= m_err < math.inf
     # the edges of the stated range, kappa R = 4e6 (T's level 256, from
     # kappa_nodes 64, at d/R = 0.01), where every block underflows to 0 and
     # so does the trace, and 1e-4 (level 128 at d/R ~ 2)
@@ -1160,23 +1228,29 @@ def test_bench_points_run_once_at_the_default_rel_tol(monkeypatch):
     # 16 alone, and the control variate stops there at no fewer than 10 of
     # the 12 points (11 today).  A miss takes F on the other 16 nodes of
     # level 32 from the first pass's tables and traces, with no trace step
-    # of its own.  Then one theta probe, at the smallest F node
+    # of its own.  Then one theta probe, at the smallest F node.  The run
+    # builds the rule of each of the levels 8, 16 and 32 once
     bench = _bench_points()
     points = bench["exact-narrow"] + bench["exact-wide"]
     assert len(points) == 12
-    calls, traced, runs, blocked = [], [], [], set()
-    real_step, real_pass, real_block = (energy_exact._trace_step, energy_exact._quadrature_pass,
-                                        energy_exact.assemble_block)
+    calls, traced, runs, blocked, rules = [], [], [], set(), []
+    real_step, real_pass, real_block, real_rule = (
+        energy_exact._trace_step, energy_exact._quadrature_pass, energy_exact.assemble_block,
+        energy_exact._kappa_rule)
 
     def counting_step(kappa, *args):
         calls.extend(kappa.tolist())
         traced.append(real_step(kappa, *args))
         return traced[-1]
 
-    def counting_pass(n_kappa, d, prev, mode_args, **kwargs):
-        if prev is None:
-            runs.append(mode_args[2])
-        return real_pass(n_kappa, d, prev, mode_args, **kwargs)
+    def counting_pass(n_kappa, run):
+        if run not in runs:
+            runs.append(run)
+        return real_pass(n_kappa, run)
+
+    def counting_rule(n):
+        rules.append(n)
+        return real_rule(n)
 
     def recording(m, table):
         block = real_block(m, table)
@@ -1187,12 +1261,14 @@ def test_bench_points_run_once_at_the_default_rel_tol(monkeypatch):
     monkeypatch.setattr(energy_exact, "_trace_step", counting_step)
     monkeypatch.setattr(energy_exact, "_quadrature_pass", counting_pass)
     monkeypatch.setattr(energy_exact, "assemble_block", recording)
+    monkeypatch.setattr(energy_exact, "_kappa_rule", counting_rule)
     stops, picks = 0, []
     for p in points:
-        for record in (calls, traced, runs, blocked):
+        for record in (calls, traced, runs, blocked, rules):
             record.clear()
         res = casimir_energy(*_sheets(p), NumericsSpec(rel_tol=1e-3))
-        assert runs == [energy_exact._auto_l_max(p["d_over_R"])]
+        assert [run.l_top for run in runs] == [energy_exact._auto_l_max(p["d_over_R"])]
+        assert sorted(rules) == [8, 16, 32]
         assert len(traced) == 2 and len(calls) == 32
         level, f_nodes = calls[:31], calls[1:31:2]
         assert len(set(level)) == 31 and blocked
@@ -1217,20 +1293,14 @@ def test_kappa_estimate_covers_the_plain_sum_on_level_128(monkeypatch, d, omega_
     # E, the control-variate sum, against the plain F sum on kappa level
     # 128 at the same l_max and rapidity rule: the miss lies within the
     # kappa estimate, at 0.070 and 0.080 of it
-    passes = []
     real = energy_exact._quadrature_pass
-
-    def recording(n_kappa, d, prev, mode_args, **kwargs):
-        level = real(n_kappa, d, prev, mode_args, **kwargs)
-        passes.append((level, d, mode_args))
-        return level
-
-    monkeypatch.setattr(energy_exact, "_quadrature_pass", recording)
+    passes = _recording_passes(monkeypatch)
     res = casimir_energy(SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d))
-    (first, gap, mode_args), *plain = passes
-    _, energy, err_k = _run_estimate(first, [level for level, _, _ in plain], gap)
+    run = passes[0][1]
+    assert all(r is run for _, r, _, _ in passes)
+    _, energy, err_k = _run_estimate(run, [level for _, _, level, _ in passes])
     assert energy == res.energy and res.kappa_nodes_used == 16
-    reference = real(128, gap, None, mode_args)
+    reference = real(128, _fresh(run))
     assert abs(res.energy - reference.energy) <= err_k
 
 
@@ -1260,7 +1330,7 @@ def test_a_control_variate_miss_is_the_plain_level_32_sum(monkeypatch):
     assert res.kappa_nodes_used == 32 and steps == [31, 1] and len(levels) == 2
     monkeypatch.undo()
     d = plane.distance_L - 1.0
-    fresh = energy_exact._quadrature_pass(32, d, None, _run_args(sphere, plane, res.l_max_used))
+    fresh = energy_exact._quadrature_pass(32, _run(sphere, plane, res.l_max_used))
     assert fresh.energy == res.energy and np.array_equal(fresh.rows, levels[-1].rows)
 
 
