@@ -161,53 +161,49 @@ def _mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol):
     probe), the bound on the rest of the m tail (the m error) and the last
     m summed, -1 where no block was needed, and T, the m-summed trace of
     every degree.  A node's m sum stops once its m error is at most
-    ``m_tol`` |F|.  The rapidity rule is that of ``theta_rule`` =
-    (panels, v_max).  The nodes are evaluated level-major: in chunks, each
-    one :class:`KappaTable` with a leading node axis and one stacked block
-    per m (:func:`_chunk_mode_sums`), so the per-call cost of numpy is paid
-    once per chunk instead of once per node.  They run in two phases: the
-    trace step of every chunk (:func:`_trace_step`), then the blocks of
-    every chunk, here both at ``l_max`` on every node.  A run of
-    :func:`casimir_energy` keeps its chunks between the two
-    (:class:`_Run`), picks l_max at or below the trace step's degree, and
-    runs a chunk's blocks on the nodes of a level that have no F yet
-    (:func:`_quadrature_pass`).  The nodes go into the fewest chunks whose
-    trace-step factors, the size of block 0's H at the trace step's degree,
-    fit within _STACK_BYTES, 4 MiB, each, split as evenly as those allow.
-    A node traced for T alone counts as a whole node.  The first pass of
-    PC d/R = 0.05, the 31 nodes of kappa level 32 at 166 kB each (blocks on
-    15 of them), runs as 16 + 15 nodes, not 25 + 6, which kept the peak RSS
-    of a d/R = 0.1 and 0.05 pass 3.2 MB lower (38.2 against 41.3-41.5 MB, 3
-    rounds, measured with the blocks at the trace step's degree).  The
-    budget bounds the largest array of a chunk, not its working set: while
-    block m is assembled, block m-1's H is still held, and the new H comes
-    with its two angular log arrays, one exponent buffer and up to three
-    Legendre ladders, each a quarter of H.  The trace step of a chunk holds
-    half of the m-summed factor, one polarization at a time, with its
-    exponent buffer and two log arrays, each a quarter of the whole factor,
-    and lets them go before the next chunk's; what stays is each chunk's
-    table and its (K, L, 2) row norms, until every node of it has F.
-    Dropping block m-1 first
-    was no faster and saved 0.1 of 39.4 MB (PC d/R = 0.1 and 0.05, one
-    process per round, the median of 5 passes each, medians of 20
-    alternating rounds: 0.141 s held, 0.147 s dropped; measured when every
-    node of the pass had blocks).  The numpy peak of one PC d/R = 0.02
-    point (tracemalloc, H of 555 kB per node at the trace step's degree
-    310, at most 7 nodes per chunk) is 5.6 MB, 1.3 times the budget.
-    Measured on a 2-core Xeon (AVX-512) with one BLAS thread, each size in
-    its own process, medians of 5 interleaved rounds: a pass over PC
-    d/R = 0.1 and 0.05 (H of 72 and 166 kB per node; the median of 5
-    passes per process) took 0.057 s at 1 MiB, 0.051 s at 2 MiB, 0.052 s
-    at 4 MiB and 0.047 s at 8 MiB, its rounds spreading over
-    0.044-0.079 s, with a peak RSS of 34.3, 35.6, 37.7 and 39.9 MB.  PC
-    d/R = 0.02 (3 rounds) took 0.51, 0.49, 0.44 and 0.39 s and peaked at
-    36.7, 36.9, 37.7 and 43.2 MB; PC d/R = 0.01 (1.4 MB per node: 1, 2
-    and 5 nodes per chunk; 3 rounds) took 3.09, 3.11 and 3.02 s at 2, 4
-    and 8 MiB and peaked at 42.3, 42.2 and 47.4 MB.  4 MiB stays: 8 MiB is
-    9% faster on the pass and 13% faster at d/R = 0.02, but peaks 2.2 and
-    5.5 MB higher, and the budget is there to bound memory; at 4 MiB the
-    pass peaks below the 38.6 MB it reached with the blocks at the trace
-    step's degree.
+    ``m_tol`` |F|.  The rapidity rule is that of ``theta_rule`` = (panels,
+    v_max).  The nodes are evaluated level-major: in chunks, each one
+    :class:`KappaTable` with a leading node axis and one stacked block per m
+    (:func:`_chunk_mode_sums`), so the per-call cost of numpy is paid once
+    per chunk instead of once per node.  They run in two phases: the trace
+    step of every chunk (:func:`_trace_step`), then the blocks of every
+    chunk, here both at ``l_max`` on every node.  A run of
+    :func:`casimir_energy` keeps its chunks between the two (:class:`_Run`)
+    and picks l_max at or below the trace step's degree.  The nodes go into
+    the fewest chunks whose trace-step factors, the size of block 0's H at
+    the trace step's degree, fit within _STACK_BYTES, 4 MiB, each, split as
+    evenly as those allow.  A node traced for T alone counts as a whole
+    node.  The first pass of PC d/R = 0.05, the 31 nodes of kappa level 32
+    at 166 kB each (blocks on 15 of them), runs as 16 + 15 nodes, not
+    25 + 6, which kept the peak RSS of a d/R = 0.1 and 0.05 pass 3.2 MB lower
+    (38.2 against 41.3-41.5 MB, 3 rounds, measured with the blocks at the
+    trace step's degree).  The budget bounds the largest array of a chunk,
+    not its working set: while block m is assembled, block m-1's H is still
+    held, and the new H comes with its two angular log arrays, one exponent
+    buffer and up to three Legendre ladders, each a quarter of H.  The trace
+    step of a chunk holds half of the m-summed factor, one polarization at a
+    time, with its exponent buffer and two log arrays, each a quarter of the
+    whole factor, and lets them go before the next chunk's; what stays is
+    each chunk's table and its (K, L, 2) row norms, until every node of it
+    has F.  Dropping block m-1 first was no faster and saved 0.1 of 39.4 MB
+    (PC d/R = 0.1 and 0.05, one process per round, the median of 5 passes
+    each, medians of 20 alternating rounds: 0.141 s held, 0.147 s dropped;
+    measured when every node of the pass had blocks).  The numpy peak of one
+    PC d/R = 0.02 point (tracemalloc, H of 555 kB per node at the trace
+    step's degree 310, at most 7 nodes per chunk) is 5.6 MB, 1.3 times the
+    budget.  Measured on a 2-core Xeon (AVX-512) with one BLAS thread, each
+    size in its own process, medians of 5 interleaved rounds: a pass over PC
+    d/R = 0.1 and 0.05 (H of 72 and 166 kB per node; the median of 5 passes
+    per process) took 0.057 s at 1 MiB, 0.051 s at 2 MiB, 0.052 s at 4 MiB
+    and 0.047 s at 8 MiB, its rounds spreading over 0.044-0.079 s, with a
+    peak RSS of 34.3, 35.6, 37.7 and 39.9 MB.  PC d/R = 0.02 (3 rounds) took
+    0.51, 0.49, 0.44 and 0.39 s and peaked at 36.7, 36.9, 37.7 and 43.2 MB;
+    PC d/R = 0.01 (1.4 MB per node: 1, 2 and 5 nodes per chunk; 3 rounds)
+    took 3.09, 3.11 and 3.02 s at 2, 4 and 8 MiB and peaked at 42.3, 42.2
+    and 47.4 MB.  4 MiB stays: 8 MiB is 9% faster on the pass and 13% faster
+    at d/R = 0.02, but peaks 2.2 and 5.5 MB higher, and the budget is there
+    to bound memory; at 4 MiB the pass peaks below the 38.6 MB it reached
+    with the blocks at the trace step's degree.
     """
     return np.hstack([_chunk_mode_sums(table, norms, m_tol)
                       for table, norms in _trace_step(kappa, sphere, plane, l_max, theta_rule)])
@@ -381,35 +377,36 @@ def _kappa_rule(n):
     return x, w_s * _KAPPA_MAP_SCALE / (2.0 * np.sin(0.5 * t) ** 4)
 
 
-def _columns(n_kappa):
-    """The record columns of the nodes k = 1 .. n_kappa - 1 of kappa level n_kappa.
-
-    A run's record (:class:`_Run`) has a column for each node of the
-    finest level N = 2 _KAPPA_NODE_CEILING, T's.  Node k of level n is
-    node k N / n of level N, at t = k pi / n bit for bit (a power of two
-    scales exactly), so it is column k N / n - 1.
-    """
-    return np.arange(1, n_kappa) * (2 * _KAPPA_NODE_CEILING // n_kappa) - 1
-
-
 class _Run:
     """One run of the kappa levels on one rule: its truncations and the record of its nodes.
 
     The trace step runs at degree ``l_top`` and the blocks at ``l_max`` <=
-    l_top, both on the rapidity rule ``theta_rule``, each m sum stopping at
-    ``m_tol`` (:func:`_chunk_mode_sums`), with kappa = x / (2 ``d``).
+    l_top ("auto" until :func:`_first_pass` picks it), both on the rapidity
+    rule ``theta_rule``, each m sum stopping at ``m_tol``
+    (:func:`_chunk_mode_sums`), with kappa = x / (2 ``d``).  The levels are
+    ``kappa_nodes`` times powers of two up to 2 _KAPPA_NODE_CEILING, and
     ``record`` holds the rows F, l probe, m error, m used and T of
-    :func:`_mode_sums` at every node of the finest level (:func:`_columns`),
-    each NaN until that node is evaluated; ``traced`` the chunks traced so
-    far, as (columns, table, norms), that still have a node with no F; and
-    ``rule(n)`` is level n's rule, built once per run.
+    :func:`_mode_sums` at every node of the finest, ``finest``
+    (:meth:`columns`), each NaN until evaluated; ``traced`` the chunks
+    traced so far that still have a node with no F, as (columns, table,
+    norms); and ``rule(n)`` is level n's rule, built once per run.
     """
 
-    def __init__(self, d, sphere, plane, l_top, theta_rule, l_max, m_tol):
+    def __init__(self, d, sphere, plane, l_top, theta_rule, l_max, m_tol, kappa_nodes):
         self.d, self.sphere, self.plane, self.l_top = d, sphere, plane, l_top
         self.theta_rule, self.l_max, self.m_tol = theta_rule, l_max, m_tol
-        self.record, self.traced = np.full((5, 2 * _KAPPA_NODE_CEILING - 1), np.nan), []
+        self.finest = kappa_nodes << (2 * _KAPPA_NODE_CEILING // kappa_nodes).bit_length() - 1
+        self.record, self.traced = np.full((5, self.finest - 1), np.nan), []
         self.rule = functools.cache(_kappa_rule)
+
+    def columns(self, n_kappa):
+        """The record columns of the nodes k = 1 .. n_kappa - 1 of kappa level n_kappa.
+
+        Column j is node j + 1 of the finest level N, so node k of level n
+        is column k N / n - 1, at t = k pi / n bit for bit (N / n is a power
+        of two); a level that does not divide N gets n or more columns.
+        """
+        return np.arange(self.finest // n_kappa - 1, self.finest - 1, self.finest // n_kappa)
 
 
 @dataclass(frozen=True)
@@ -428,51 +425,71 @@ class _Level:
 def _level(run, n_kappa):
     """The :class:`_Level` of kappa level n_kappa from the record of ``run``.
 
-    Its columns are copied contiguous: summed on the strided rows that
+    A node of the level with no F raises, rather than make the sums NaN.
+    The columns are copied contiguous: summed on the strided rows that
     indexing gives, E moved by 1-2 ulp.
     """
-    rows = np.ascontiguousarray(run.record[:, _columns(n_kappa)])
-    w, pref = run.rule(n_kappa)[1], 1.0 / (2.0 * math.pi) / (2.0 * run.d)
-    return _Level(*(pref * (w @ rows[i]) for i in (0, 1, 2, 4)), rows)
+    rows = np.ascontiguousarray(run.record[:, run.columns(n_kappa)])
+    if np.isnan(rows).any():
+        raise RuntimeError(f"kappa level {n_kappa} has nodes the run has not evaluated")
+    return _Level(*(_integral(run, n_kappa, rows[i]) for i in (0, 1, 2, 4)), rows)
+
+
+def _integral(run, n_kappa, values):
+    """1/(2 pi) times the kappa integral of ``values``, a contiguous row over level n_kappa."""
+    return 1.0 / (2.0 * math.pi) / (2.0 * run.d) * (run.rule(n_kappa)[1] @ values)
 
 
 def _trace(run, n_kappa):
     """Trace the nodes of kappa level n_kappa with no T yet into new chunks of ``run``.
 
-    A chunk's columns are its nodes': :func:`_trace_step` keeps them in order.
+    A chunk's columns are its nodes', split by the chunks' own sizes:
+    :func:`_trace_step` keeps the nodes in order.
     """
-    cols = _columns(n_kappa)
+    cols = run.columns(n_kappa)
     new = np.isnan(run.record[4, cols])
     if new.any():
         chunks = _trace_step(run.rule(n_kappa)[0][new] / (2.0 * run.d), run.sphere, run.plane,
                              run.l_top, run.theta_rule)
-        run.traced += [(c, *ch) for c, ch in zip(np.array_split(cols[new], len(chunks)), chunks)]
+        ends = np.cumsum([len(norms) for _, norms in chunks])[:-1]
+        run.traced += [(c, *ch) for c, ch in zip(np.split(cols[new], ends), chunks)]
 
 
 def _quadrature_pass(n_kappa, run):
     """Level n_kappa of the kappa rule, as a :class:`_Level`, on the record of ``run``.
 
-    The pass writes T at l_max for every node of the chunks ``run`` holds
-    (the first pass of :func:`casimir_energy` traces before it picks
-    l_max), traces the nodes of the level that have no T yet
-    (:func:`_trace`), runs the blocks of each chunk on its nodes of the
-    level that have no F yet, the chunk cut to them and at l_max
-    (:func:`_chunk_mode_sums`), and returns the level's sums.  A column is
-    bit for bit that of the node alone, so the sums are those of the level
-    evaluated afresh, and each node is traced once per run and its blocks
-    run at most once.  A chunk whose nodes all have F is dropped.
+    It traces the level's nodes with no T (:func:`_trace`), runs each
+    chunk's blocks at l_max on its nodes of the level with no F, the chunk
+    cut to them (:func:`_chunk_mode_sums`, which writes their T too), drops
+    a chunk once all its nodes have F, and sums the level.  A column is bit
+    for bit that of the node alone, so the sums are the level's afresh;
+    each node is traced once per run and its blocks run at most once.
     """
-    for c, _, norms in run.traced:
-        run.record[4, c] = norms[:, :run.l_max].reshape(len(c), -1).sum(axis=1)
     _trace(run, n_kappa)
+    in_level = np.bincount(run.columns(n_kappa), minlength=run.finest - 1) > 0  # as a mask
     for c, table, norms in run.traced:
-        # a column of level n has an index + 1 that N / n divides (see _columns)
-        need = np.isnan(run.record[0, c]) & ((c + 1) % (2 * _KAPPA_NODE_CEILING // n_kappa) == 0)
+        need = np.isnan(run.record[0, c]) & in_level[c]
         if need.any():
             run.record[:, c[need]] = _chunk_mode_sums(table.cut(run.l_max).take(need),
                                                       norms[need, :run.l_max], run.m_tol)
     run.traced = [chunk for chunk in run.traced if np.isnan(run.record[0, chunk[0]]).any()]
     return _level(run, n_kappa)
+
+
+def _first_pass(run, n_kappa, share):
+    """The first pass of ``run``: level n_kappa of F, as a :class:`_Level`.
+
+    It traces level 2n (:func:`_trace`), picks an "auto" l_max from the
+    traces at level n's nodes, to ``share`` (:func:`_pick_l_max`), writes T
+    at l_max at every traced node and passes level n (:func:`_quadrature_pass`).
+    """
+    _trace(run, 2 * n_kappa)
+    if run.l_max == "auto":
+        f_traces = np.concatenate([norms for _, _, norms in run.traced])[1::2].sum(axis=2)
+        run.l_max = _pick_l_max(run.rule(n_kappa)[1] @ f_traces, share) or run.l_top
+    for c, _, norms in run.traced:
+        run.record[4, c] = norms[:, :run.l_max].reshape(len(c), -1).sum(axis=1)
+    return _quadrature_pass(n_kappa, run)
 
 
 def _pick_l_max(degree_traces, share):
@@ -502,10 +519,9 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     T = sum_m (2 - delta_m0) tr M_m, is known at every node before any
     block (see below).  So T is a control variate: the energy is the
     integral of F + T on level n less that of T on level 2n, where n is
-    twice ``kappa_nodes``.  A run keeps one record over every node
-    (:class:`_Run`): its first pass traces every node of level 2n and
-    runs blocks only on the nodes of level n, so the n others take T
-    alone, and each level sums from the record.  The kappa estimate is the
+    twice ``kappa_nodes``.  Each level sums from one record of a run's
+    nodes (:class:`_Run`), whose first pass traces level 2n and runs
+    blocks on level n alone (:func:`_first_pass`).  The kappa estimate is the
     change of the F + T sum from level n/2 to n plus that of the T sum
     from level n to 2n.  At the 12 benchmark points F + T is 1.5-6% of F
     on level 16, and the control-variate sum missed the plain F sum on
@@ -514,10 +530,9 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     of level 2n, where T then cancels: the energy is the plain F sum on
     level 2n, and the level doubles, up to 128, until two plain sums agree
     within rel_tol/4, their difference being the kappa estimate.  Each
-    level is one :func:`_quadrature_pass`, which traces only the nodes
-    with no T and runs blocks only on those with no F, so a miss runs the
-    n new nodes' blocks on the first pass's tables with no second trace
-    step.  ``kappa_nodes_used`` is the last level of F.
+    level is one :func:`_quadrature_pass`, so a miss runs the n new nodes'
+    blocks on the first pass's tables, with no second trace step.
+    ``kappa_nodes_used`` is the last level of F.
     At rel_tol 1e-3, 11 of the 12 benchmark points stop at level 16, with
     blocks on 15 nodes instead of 31.  The l and m estimates integrate over
     the nodes of F alone: T has no m error, and its l truncation cancels
@@ -603,20 +618,13 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
         panels, v_max = _theta_rule(l_top)
         panels += added
 
-        # the first pass: the trace step at l_top on every node of level
-        # 2n, l_max picked from the traces at F's nodes, then T at l_max on
-        # every node and F on level n; levels 2n and n / 2 sum from the record
+        # F on level n, T on level 2n; levels 2n and n / 2 sum from the record
         n = 2 * numerics.kappa_nodes
-        run = _Run(d, s1, p1, l_top, (panels, v_max), l_top, share)
-        _trace(run, 2 * n)
-        if auto_l:
-            f_traces = np.concatenate([norms for _, _, norms in run.traced])[1::2].sum(axis=2)
-            run.l_max = _pick_l_max(run.rule(n)[1] @ f_traces, share) or l_top
-        last = _quadrature_pass(n, run)
-        fine, prev = _level(run, 2 * n), _level(run, n // 2)
-        energy = last.energy + last.trace - fine.trace
-        err_k = (abs(last.energy + last.trace - prev.energy - prev.trace)
-                 + abs(fine.trace - last.trace))
+        run = _Run(d, s1, p1, l_top, (panels, v_max), numerics.l_max, share, numerics.kappa_nodes)
+        last = _first_pass(run, n, share)
+        fine, prev = _integral(run, 2 * n, run.record[4, run.columns(2 * n)]), _level(run, n // 2)
+        energy = last.energy + last.trace - fine
+        err_k = abs(last.energy + last.trace - prev.energy - prev.trace) + abs(fine - last.trace)
         # a miss: F on the other nodes of level 2n, on the first pass's
         # tables, where the control variate cancels; then plain levels
         while err_k > share * abs(energy) and 2 * n <= _KAPPA_NODE_CEILING:

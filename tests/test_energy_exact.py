@@ -367,27 +367,22 @@ def _pass_args(d):
     return l_max, energy_exact._theta_rule(l_max), 0.25 * NumericsSpec().rel_tol
 
 
-def _run(sphere, plane, l_max, m_tol=0.25 * NumericsSpec().rel_tol):
+def _run(sphere, plane, l_max, m_tol=0.25 * NumericsSpec().rel_tol,
+         kappa_nodes=NumericsSpec().kappa_nodes):
     """A fresh run of an auto call that picked ``l_max`` from its first
     pass: the trace step at the start degree, the blocks at l_max, both on
     the start degree's rule."""
     d = plane.distance_L - 1.0
     l_top, rule, _ = _pass_args(d)
-    return energy_exact._Run(d, sphere, plane, l_top, rule, l_max, m_tol)
+    return energy_exact._Run(d, sphere, plane, l_top, rule, l_max, m_tol, kappa_nodes)
 
 
 def _fresh(run):
-    """A run with the truncations of ``run`` and an empty record."""
+    """A run with the truncations and finest level of ``run`` and an empty
+    record: the finest level of a run from kappa_nodes = finest is finest
+    itself."""
     return energy_exact._Run(run.d, run.sphere, run.plane, run.l_top, run.theta_rule, run.l_max,
-                             run.m_tol)
-
-
-def _first_pass(run, n):
-    """The first pass of ``run`` as :func:`casimir_energy` makes it at the
-    run's l_max: the trace step over kappa level 2n, then the pass of level
-    n, which writes T at every node and F on its own."""
-    energy_exact._trace(run, 2 * n)
-    return energy_exact._quadrature_pass(n, run)
+                             run.m_tol, run.finest)
 
 
 def _recording_passes(monkeypatch):
@@ -442,7 +437,7 @@ def test_record_carries_each_node_trace(monkeypatch, omega):
     n_kappa, run, _, record = passes[0]
     assert n_kappa == 16 and (run.l_top, run.l_max, run.theta_rule) == (l_max, l_max, theta_rule)
     kappa = energy_exact._kappa_rule(32)[0] / (2.0 * run.d)  # d = L/R - 1, as the run has it
-    rows = record[:, energy_exact._columns(32)]
+    rows = record[:, run.columns(32)]
     table = KappaTable.build(kappa, sphere, plane, l_max, rapidity_rule(*theta_rule))
     want, want_top = m_summed_trace(table, l_max - max(4, l_max // 8))
     assert rows[4] == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -713,18 +708,36 @@ def test_kappa_rule_is_nested():
         assert x.size == n - 1 and x2.size == 2 * n - 1
         assert np.array_equal(x2[1::2], x)  # bit-identical, so a node is looked up, not redone
         assert np.all(np.diff(x) < 0.0) and np.all(w > 0.0)
-    # a run's record has a column for each node of the finest level, T's;
-    # the columns of level n are every other column of level 2n, and its
-    # nodes are the finest level's nodes at those columns, bit for bit
-    finest = 2 * energy_exact._KAPPA_NODE_CEILING
-    assert np.array_equal(energy_exact._columns(finest), np.arange(finest - 1))
-    x_finest = energy_exact._kappa_rule(finest)[0]
-    for n in (8, 16, 32, 64, 128, 256):
-        cols = energy_exact._columns(n)
-        assert cols.size == n - 1
-        assert np.array_equal(energy_exact._kappa_rule(n)[0], x_finest[cols])
-        if n < finest:
-            assert np.array_equal(energy_exact._columns(2 * n)[1::2], cols)
+    # a run's record has a column for each node of the finest level it can
+    # reach, kappa_nodes times the largest power of two that keeps it within
+    # 2 _KAPPA_NODE_CEILING = 256; its levels are kappa_nodes times powers
+    # of two.  The columns of level n are every other column of level 2n,
+    # and its nodes are the finest level's nodes at those columns, bit for
+    # bit, for a first level off the powers of two too
+    d = 0.3
+    sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
+    for kappa_nodes, finest in ((8, 256), (11, 176), (12, 192), (33, 132), (64, 256)):
+        run = _run(sphere, plane, 20, kappa_nodes=kappa_nodes)
+        assert run.finest == finest and run.record.shape == (5, finest - 1)
+        assert np.array_equal(run.columns(finest), np.arange(finest - 1))
+        x_finest = energy_exact._kappa_rule(finest)[0]
+        n = kappa_nodes
+        while n <= finest:
+            cols = run.columns(n)
+            assert cols.size == n - 1
+            assert np.array_equal(energy_exact._kappa_rule(n)[0], x_finest[cols])
+            if n < finest:
+                assert np.array_equal(run.columns(2 * n)[1::2], cols)
+            n *= 2
+    # a level that does not divide the finest one has more columns than
+    # nodes, so it can be neither traced nor summed on the record
+    run = _run(sphere, plane, 20, kappa_nodes=11)
+    assert run.columns(24).size == 25
+    with pytest.raises(IndexError):
+        energy_exact._trace(run, 24)
+    run.record[:] = 0.0
+    with pytest.raises(ValueError):
+        energy_exact._level(run, 24)
 
 
 def test_kappa_rule_integrates_decaying_functions():
@@ -782,24 +795,76 @@ def test_each_kappa_node_evaluated_once(monkeypatch):
     assert 0 < len(blocked) and blocked <= set(f_nodes) and calls[-1] == min(f_nodes)
 
 
+@pytest.mark.parametrize("kappa_nodes", [8, 11, 12])
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
-def test_level_sums_of_the_record_equal_those_of_the_level_alone(omega):
+def test_level_sums_of_the_record_equal_those_of_the_level_alone(omega, kappa_nodes):
     # a level summed from a run's record, with its columns among those of
     # other levels, gives bit for bit the sums of the same level from a
-    # fresh _mode_sums over its nodes: kappa level 16 after a first pass
-    # that traced level 32, and level 32 after the refine
+    # fresh _mode_sums over its nodes: with n = 2 kappa_nodes, level n after
+    # a first pass that traced level 2n, level n / 2 from that record, T on
+    # level 2n, then level 2n after the refine and level 4n, which traces
+    # its new nodes.  A first level off the powers of two (11, 12) gives a
+    # record over the finest level 176 or 192, whose levels map as exactly
     d = 0.3
     sphere, plane = SphereSheet(1.0, omega), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     l_max, rule, m_tol = _pass_args(d)
-    run = energy_exact._Run(d, sphere, plane, l_max, rule, l_max, m_tol)
-    levels = [_first_pass(run, 16), energy_exact._quadrature_pass(32, run)]
-    for level, n in zip(levels, (16, 32)):
-        x, w = energy_exact._kappa_rule(n)
+    run = energy_exact._Run(d, sphere, plane, l_max, rule, l_max, m_tol, kappa_nodes)
+    n = 2 * kappa_nodes
+    first = energy_exact._first_pass(run, n, m_tol)
+    t_fine = energy_exact._integral(run, 2 * n, run.record[4, run.columns(2 * n)])
+    levels = [first, energy_exact._level(run, n // 2), energy_exact._quadrature_pass(2 * n, run),
+              energy_exact._quadrature_pass(4 * n, run)]
+    pref = 1.0 / (2.0 * math.pi) / (2.0 * d)
+    for level, n_kappa in zip(levels, (n, n // 2, 2 * n, 4 * n)):
+        x, w = energy_exact._kappa_rule(n_kappa)
         alone = energy_exact._mode_sums(x / (2.0 * d), sphere, plane, l_max, rule, m_tol)
-        pref = 1.0 / (2.0 * math.pi) / (2.0 * d)
         want = [pref * (w @ alone[i]) for i in (0, 1, 2, 4)]
         assert [level.energy, level.err_l, level.err_m, level.trace] == want
         assert np.array_equal(level.rows, alone)
+        if n_kappa == 2 * n:
+            assert t_fine == want[3]
+    assert not np.isnan(run.record[:, run.columns(4 * n)]).any()
+
+
+@pytest.mark.parametrize("kappa_nodes", [11, 12])
+def test_a_first_level_off_the_powers_of_two(monkeypatch, kappa_nodes):
+    # kappa_nodes need not be a power of two: a run's levels are kappa_nodes
+    # times powers of two, and its record spans the finest of them (level
+    # 176 or 192).  The call converges with a finite error estimate and
+    # agrees with a run from kappa_nodes = 8 within the two estimates; each
+    # level it passes is bit for bit a fresh _mode_sums over its nodes, and
+    # E and the kappa estimate are those of the fresh sums of levels n / 2,
+    # n and 2n (n = 2 kappa_nodes), so no level reads another's columns.
+    # l_max is explicit, the start degree, so the fresh sums share the
+    # run's degree
+    d = 0.3
+    sphere, plane = SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
+    l_max = energy_exact._auto_l_max(d)
+    base = casimir_energy(sphere, plane, NumericsSpec(l_max=l_max))
+    passes = _recording_passes(monkeypatch)
+    res = casimir_energy(sphere, plane, NumericsSpec(l_max=l_max, kappa_nodes=kappa_nodes))
+    assert math.isfinite(res.error_estimate)
+    assert 0.0 < res.error_estimate <= NumericsSpec().rel_tol * abs(res.energy)
+    assert abs(res.energy - base.energy) <= res.error_estimate + base.error_estimate
+    n, run = 2 * kappa_nodes, passes[-1][1]
+    assert run.finest == {11: 176, 12: 192}[kappa_nodes]
+    assert [p[0] for p in passes if p[1] is run] == [n] and res.kappa_nodes_used == n
+    pref = 1.0 / (2.0 * math.pi) / (2.0 * run.d)  # d = L/R - 1, as the run has it
+
+    def fresh(n_kappa):
+        x, w = energy_exact._kappa_rule(n_kappa)
+        alone = energy_exact._mode_sums(x / (2.0 * run.d), run.sphere, run.plane, l_max,
+                                        run.theta_rule, run.m_tol)
+        return [pref * (w @ alone[i]) for i in (0, 1, 2, 4)], alone
+
+    last = passes[-1][2]
+    want, alone = fresh(n)
+    assert [last.energy, last.err_l, last.err_m, last.trace] == want
+    assert np.array_equal(last.rows, alone)
+    (f_c, _, _, t_c), (_, _, _, t_f) = fresh(n // 2)[0], fresh(2 * n)[0]
+    assert res.energy == last.energy + last.trace - t_f
+    err_k = abs(last.energy + last.trace - f_c - t_c) + abs(t_f - last.trace)
+    assert err_k + last.err_l + last.err_m <= res.error_estimate
 
 
 def test_refined_level_reuses_rows_by_index(monkeypatch):
@@ -809,7 +874,7 @@ def test_refined_level_reuses_rows_by_index(monkeypatch):
     d = 0.3
     sphere, plane = SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     l_max, rule, m_tol = _pass_args(d)
-    run = energy_exact._Run(d, sphere, plane, l_max, rule, l_max, m_tol)
+    run = energy_exact._Run(d, sphere, plane, l_max, rule, l_max, m_tol, 8)
     steps = []
     real = energy_exact._trace_step
 
@@ -842,7 +907,7 @@ def test_a_miss_refines_on_the_first_pass_tables(monkeypatch):
     run = _run(sphere, plane, 20)
     monkeypatch.setattr(energy_exact, "_STACK_BYTES",
                         12 * 8 * (2 * run.l_top) * (2 * rapidity_rule(*run.theta_rule)[0].size))
-    _first_pass(run, 16)
+    energy_exact._first_pass(run, 16, run.m_tol)
     assert [len(part) for part, _, _ in run.traced] == [11, 10, 10]
     first = run.record.copy()
     steps = []
@@ -857,7 +922,7 @@ def test_a_miss_refines_on_the_first_pass_tables(monkeypatch):
     assert steps == [] and len(run.traced) == 0
     fresh = energy_exact._quadrature_pass(32, _fresh(run))
     assert steps == [31] and np.array_equal(refined.rows, fresh.rows)
-    t_alone = energy_exact._columns(32)[::2]
+    t_alone = run.columns(32)[::2]
     assert np.array_equal(refined.rows[4, ::2], first[4, t_alone])
     assert np.all(np.isnan(first[:4, t_alone])) and refined.rows[3, ::2].max() > 0
 
@@ -870,10 +935,10 @@ def _run_estimate(run, levels):
     if len(levels) > 1:
         return last, last.energy, abs(last.energy - levels[-2].energy)
     n = last.rows.shape[1] + 1
-    fine, coarse = energy_exact._level(run, 2 * n), energy_exact._level(run, n // 2)
-    return (last, last.energy + last.trace - fine.trace,
-            abs(last.energy + last.trace - coarse.energy - coarse.trace)
-            + abs(fine.trace - last.trace))
+    fine = energy_exact._integral(run, 2 * n, run.record[4, run.columns(2 * n)])
+    coarse = energy_exact._level(run, n // 2)
+    return (last, last.energy + last.trace - fine,
+            abs(last.energy + last.trace - coarse.energy - coarse.trace) + abs(fine - last.trace))
 
 
 @pytest.mark.parametrize("rel_tol", [1e-3, 1e-5])
@@ -906,7 +971,7 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
     def recording_pass(n_kappa, run):
         level = real_pass(n_kappa, run)
         if not runs or runs[-1][0] is not run:  # the first pass of a run
-            assert n_kappa == 16 and not np.isnan(run.record[4, energy_exact._columns(32)]).any()
+            assert n_kappa == 16 and not np.isnan(run.record[4, run.columns(32)]).any()
             plain = real_pass(n_kappa, _fresh(run))
             assert np.array_equal(level.rows, plain.rows)
             runs.append((run, []))
@@ -1076,7 +1141,7 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
     # 64, then the theta probe; the other 64 nodes take T alone
     assert res.kappa_nodes_used == 64 and len(passes) == 1 and len(values) == 64
     x = energy_exact._kappa_rule(128)[0]
-    t_alone = passes[0][3][:, energy_exact._columns(128)[::2]]
+    t_alone = passes[0][3][:, passes[0][1].columns(128)[::2]]
     assert x[0] / (2.0 * passes[0][1].d) > 1e5
     assert np.all(np.isfinite(t_alone[4])) and np.all(t_alone[4] >= 0.0)
     for kappa, (f, top, m_err, _, t) in values:
