@@ -26,8 +26,8 @@ _D_MIN = 0.01  # smallest d/R of the multipole path
 _KAPPA_NODE_CEILING = 128  # finest kappa level n (n - 1 nodes) of F; that of T is at most 2n
 _KAPPA_MAP_SCALE = 3.0  # x = a (1 + s)/(1 - s): half of every level lies below x = a
 _THETA_PANEL_FLOOR = 4  # 8-point panels, so at least 32 rapidity nodes
-_THETA_PANEL_STEPS = 4  # panels the theta probe may add, one per re-run
-_L_MAX_GROWTHS = 3  # raises of the start degree the l probe may ask for
+_THETA_PANEL_STEPS = 4  # panels the theta probe may add, one per settle step
+_L_MAX_GROWTHS = 3  # raises of the start degree the l_max pick may ask for
 _LOGDET_POSITIVE_TOL = 1e-12
 _STACK_BYTES = 4 << 20  # m = 0 factors H of one stack of kappa nodes (see _mode_sums)
 
@@ -41,9 +41,9 @@ def _is_count(v) -> bool:
 class NumericsSpec:
     """The truncation knobs a caller sets.
 
-    l_max is "auto", where the driver traces every node of the first pass
-    at a start degree set by the gap and picks the smallest l_max below it
-    whose l estimate fits rel_tol, or an integer of at least 2 (so the l
+    l_max is "auto", where the driver traces every node of the first kappa
+    levels at a start degree set by the gap and picks the smallest l_max
+    below it whose l estimate fits rel_tol, or an integer of at least 2 (so the l
     probe has a degree to drop), where the run traces and sums at that
     degree with no pick (see :func:`casimir_energy`); kappa_nodes, in
     8 .. 64, is the first kappa level of F, the one the control variate's
@@ -173,7 +173,7 @@ def _mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol):
     the fewest chunks whose trace-step factors, the size of block 0's H at
     the trace step's degree, fit within _STACK_BYTES, 4 MiB, each, split as
     evenly as those allow.  A node traced for T alone counts as a whole
-    node.  The first pass of PC d/R = 0.05, the 31 nodes of kappa level 32
+    node.  The trace step of PC d/R = 0.05, the 31 nodes of kappa level 32
     at 166 kB each (blocks on 15 of them), runs as 16 + 15 nodes, not
     25 + 6, which kept the peak RSS of a d/R = 0.1 and 0.05 pass 3.2 MB lower
     (38.2 against 41.3-41.5 MB, 3 rounds, measured with the blocks at the
@@ -184,13 +184,13 @@ def _mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol):
     step of a chunk holds half of the m-summed factor, one polarization at a
     time, with its exponent buffer and two log arrays, each a quarter of the
     whole factor, and lets them go before the next chunk's; what stays is
-    each chunk's table and its (K, L, 2) row norms, until every node of it
-    has F.  Dropping block m-1 first was no faster and saved 0.1 of 39.4 MB
-    (PC d/R = 0.1 and 0.05, one process per round, the median of 5 passes
-    each, medians of 20 alternating rounds: 0.141 s held, 0.147 s dropped;
+    each chunk's table and its (K, L, 2) row norms, until the run ends.
+    Dropping block m-1 first was no faster and saved 0.1 of 39.4 MB (PC
+    d/R = 0.1 and 0.05, one process per round, the median of 5 passes each,
+    medians of 20 alternating rounds: 0.141 s held, 0.147 s dropped;
     measured when every node of the pass had blocks).  The numpy peak of one
     PC d/R = 0.02 point (tracemalloc, H of 555 kB per node at the trace
-    step's degree 310, at most 7 nodes per chunk) is 5.6 MB, 1.3 times the
+    step's degree 310, at most 7 nodes per chunk) is 5.2 MB, 1.25 times the
     budget.  Measured on a 2-core Xeon (AVX-512) with one BLAS thread, each
     size in its own process, medians of 5 interleaved rounds: a pass over PC
     d/R = 0.1 and 0.05 (H of 72 and 166 kB per node; the median of 5 passes
@@ -314,9 +314,9 @@ def _tail_bound(rest, weight):
 def _auto_l_max(d):
     """The start degree L for the gap d (in units of R).
 
-    In auto mode the first pass's trace step runs at degree L, every node
-    uses L's rapidity rule (:func:`_theta_rule`), and l_max is picked at
-    or below L from that step's traces (:func:`casimir_energy`).  L is an
+    In auto mode the trace step runs at degree L, every node uses L's
+    rapidity rule (:func:`_theta_rule`), and l_max is picked at or below L
+    from that step's traces (:func:`casimir_energy`).  L is an
     upper bound, not a guess at l_max: at the 12 benchmark points the pick
     is 0.67-0.84 of it.
     """
@@ -342,19 +342,21 @@ def _theta_rule(l_max):
     the polynomial prefactors that move the peak by O(1/v*).  The panel
     width of at most 5 is measured, not derived, and the 4 panels are where
     the rule starts, not a floor: the driver adds panels on its theta probe
-    (:func:`casimir_energy`).  Gauss-Legendre panels converge geometrically
-    in the panel count for an analytic integrand (Trefethen, SIAM Rev. 50,
-    67 (2008)), so one panel more is the step.  At the 12 benchmark points
+    before the kappa levels refine (:func:`casimir_energy`).  Gauss-Legendre
+    panels converge geometrically in the panel count for an analytic
+    integrand (Trefethen, SIAM Rev. 50, 67 (2008)), so one panel more is the
+    step.  At the 12 benchmark points
     (rel_tol 1e-3, kappa level 32, with the blocks at the start degree
     itself), against 12 panels, 4 panels miss E by
     5.6e-8 to 2.8e-6 of |E|, and the probe reads 3.0e-6 to 6.0e-5, under
-    its rel_tol/4 share of 2.5e-4, so no point re-runs (PC d/R = 0.05
+    its rel_tol/4 share of 2.5e-4, so no point adds a panel (PC d/R = 0.05
     starts on 5, by the width rule, and reads 2.3e-5).  3 panels miss by
     1.7e-5 to 9.1e-5, and the probe reads 1.1e-4 to 1.0e-3, past the share
-    at 6 of the 12, which would re-run.  The probe over-reports the miss of
+    at 6 of the 12, which would add one.  The probe over-reports the miss of
     the level 6-54 times at 4 panels, and 3-33 times at 5.  Since every
     row's peak is narrowest at small kappa, the rule is weakest at the
-    smallest kappa node, and the probe runs there.  The node count grows
+    smallest kappa node, and the probe runs at the smallest node of F's
+    first level.  The node count grows
     like sqrt(l_max), not like l_max.
     """
     v_max = math.sqrt(2.0 * l_max) + 6.0
@@ -381,15 +383,15 @@ class _Run:
     """One run of the kappa levels on one rule: its truncations and the record of its nodes.
 
     The trace step runs at degree ``l_top`` and the blocks at ``l_max`` <=
-    l_top ("auto" until :func:`_first_pass` picks it), both on the rapidity
-    rule ``theta_rule``, each m sum stopping at ``m_tol``
-    (:func:`_chunk_mode_sums`), with kappa = x / (2 ``d``).  The levels are
-    ``kappa_nodes`` times powers of two up to 2 _KAPPA_NODE_CEILING, and
-    ``record`` holds the rows F, l probe, m error, m used and T of
-    :func:`_mode_sums` at every node of the finest, ``finest``
-    (:meth:`columns`), each NaN until evaluated; ``traced`` the chunks
-    traced so far that still have a node with no F, as (columns, table,
-    norms); and ``rule(n)`` is level n's rule, built once per run.
+    l_top (:func:`_set_l_max`), both on the rapidity rule ``theta_rule``,
+    each m sum stopping at ``m_tol`` (:func:`_chunk_mode_sums`), with
+    kappa = x / (2 ``d``).  The levels are ``kappa_nodes`` times powers of
+    two up to 2 _KAPPA_NODE_CEILING, and ``record`` holds the rows F, l
+    probe, m error, m used and T of :func:`_mode_sums` at every node of the
+    finest, ``finest`` (:meth:`columns`), each NaN until evaluated;
+    ``traced`` the chunks traced so far, as (columns, table, norms), held
+    until the run ends, since a rise of l_max runs blocks again on their
+    tables; and ``rule(n)`` is level n's rule, built once per run.
     """
 
     def __init__(self, d, sphere, plane, l_top, theta_rule, l_max, m_tol, kappa_nodes):
@@ -443,8 +445,9 @@ def _integral(run, n_kappa, values):
 def _trace(run, n_kappa):
     """Trace the nodes of kappa level n_kappa with no T yet into new chunks of ``run``.
 
-    A chunk's columns are its nodes', split by the chunks' own sizes:
-    :func:`_trace_step` keeps the nodes in order.
+    Their T is written at the run's l_max (:func:`_set_l_max`), so a node
+    is traced once per run.  A chunk's columns are its nodes', split by the
+    chunks' own sizes: :func:`_trace_step` keeps the nodes in order.
     """
     cols = run.columns(n_kappa)
     new = np.isnan(run.record[4, cols])
@@ -453,6 +456,7 @@ def _trace(run, n_kappa):
                              run.l_top, run.theta_rule)
         ends = np.cumsum([len(norms) for _, norms in chunks])[:-1]
         run.traced += [(c, *ch) for c, ch in zip(np.split(cols[new], ends), chunks)]
+        _set_l_max(run, run.l_max)  # T at every traced node, the new ones among them
 
 
 def _quadrature_pass(n_kappa, run):
@@ -460,10 +464,10 @@ def _quadrature_pass(n_kappa, run):
 
     It traces the level's nodes with no T (:func:`_trace`), runs each
     chunk's blocks at l_max on its nodes of the level with no F, the chunk
-    cut to them (:func:`_chunk_mode_sums`, which writes their T too), drops
-    a chunk once all its nodes have F, and sums the level.  A column is bit
-    for bit that of the node alone, so the sums are the level's afresh;
-    each node is traced once per run and its blocks run at most once.
+    cut to them (:func:`_chunk_mode_sums`, which writes their T too), and
+    sums the level.  A column is bit for bit that of the node alone, so the
+    sums are the level's afresh; each node is traced once per run, and its
+    blocks run once per l_max.
     """
     _trace(run, n_kappa)
     in_level = np.bincount(run.columns(n_kappa), minlength=run.finest - 1) > 0  # as a mask
@@ -472,24 +476,31 @@ def _quadrature_pass(n_kappa, run):
         if need.any():
             run.record[:, c[need]] = _chunk_mode_sums(table.cut(run.l_max).take(need),
                                                       norms[need, :run.l_max], run.m_tol)
-    run.traced = [chunk for chunk in run.traced if np.isnan(run.record[0, chunk[0]]).any()]
     return _level(run, n_kappa)
 
 
-def _first_pass(run, n_kappa, share):
-    """The first pass of ``run``: level n_kappa of F, as a :class:`_Level`.
+def _traces(run, n_kappa):
+    """Each degree's m-summed trace, l = 1 .. l_top, at each node of kappa level n_kappa: (K, L).
 
-    It traces level 2n (:func:`_trace`), picks an "auto" l_max from the
-    traces at level n's nodes, to ``share`` (:func:`_pick_l_max`), writes T
-    at l_max at every traced node and passes level n (:func:`_quadrature_pass`).
+    The level's nodes with no trace yet are traced first (:func:`_trace`).
+    The levels are nested, and a run traces them coarse to fine, so the
+    nodes it holds are those of the finest level it has traced: n_kappa
+    must be that level, or a finer one.  The rows are in the level's order.
     """
-    _trace(run, 2 * n_kappa)
-    if run.l_max == "auto":
-        f_traces = np.concatenate([norms for _, _, norms in run.traced])[1::2].sum(axis=2)
-        run.l_max = _pick_l_max(run.rule(n_kappa)[1] @ f_traces, share) or run.l_top
+    _trace(run, n_kappa)
+    order = np.argsort(np.concatenate([c for c, _, _ in run.traced]))
+    return np.concatenate([norms for _, _, norms in run.traced])[order].sum(axis=2)
+
+
+def _set_l_max(run, l_max):
+    """Run the blocks of ``run`` at ``l_max`` from now on, and write T at it at every traced node.
+
+    T is the m-summed trace of the degrees up to l_max, as
+    :func:`_chunk_mode_sums` writes it.  F's rows are left as they are.
+    """
+    run.l_max = l_max
     for c, _, norms in run.traced:
-        run.record[4, c] = norms[:, :run.l_max].reshape(len(c), -1).sum(axis=1)
-    return _quadrature_pass(n_kappa, run)
+        run.record[4, c] = norms[:, :l_max].reshape(len(c), -1).sum(axis=1)
 
 
 def _pick_l_max(degree_traces, share):
@@ -520,18 +531,18 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     block (see below).  So T is a control variate: the energy is the
     integral of F + T on level n less that of T on level 2n, where n is
     twice ``kappa_nodes``.  Each level sums from one record of a run's
-    nodes (:class:`_Run`), whose first pass traces level 2n and runs
-    blocks on level n alone (:func:`_first_pass`).  The kappa estimate is the
-    change of the F + T sum from level n/2 to n plus that of the T sum
-    from level n to 2n.  At the 12 benchmark points F + T is 1.5-6% of F
-    on level 16, and the control-variate sum missed the plain F sum on
-    level 128 by 0.002-0.17 times that estimate.
+    nodes (:class:`_Run`), which traces level 2n and runs blocks on level
+    n alone first.  The kappa estimate is the change of the F + T sum from
+    level n/2 to n plus that of the T sum from level n to 2n.  At the 12
+    benchmark points F + T is 1.5-6% of F on level 16, and the
+    control-variate sum missed the plain F sum on level 128 by 0.002-0.17
+    times that estimate.
     If the estimate is past rel_tol/4, F is evaluated on the other nodes
     of level 2n, where T then cancels: the energy is the plain F sum on
     level 2n, and the level doubles, up to 128, until two plain sums agree
     within rel_tol/4, their difference being the kappa estimate.  Each
     level is one :func:`_quadrature_pass`, so a miss runs the n new nodes'
-    blocks on the first pass's tables, with no second trace step.
+    blocks on the run's tables, with no second trace step.
     ``kappa_nodes_used`` is the last level of F.
     At rel_tol 1e-3, 11 of the 12 benchmark points stop at level 16, with
     blocks on 15 nodes instead of 31.  The l and m estimates integrate over
@@ -540,13 +551,13 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     trace of the degrees l_max - l_drop < l <= l_max over every m,
     l_drop = max(4, l_max // 8), a floor under what dropping them changes
     (:func:`_chunk_mode_sums`).
-    In auto mode l_max is picked from the first pass's trace step.  That
-    step runs once, at the start degree L (:func:`_auto_l_max`) and on
-    L's rapidity rule, and gives each degree's m-summed trace at every
-    node (:meth:`KappaTable.m_summed_traces`).  l_max is the smallest
-    l <= L whose l estimate is at most rel_tol/4 of the integral of T up
-    to l over the same nodes (:func:`_pick_l_max`), which is a floor under
-    |E| since |F| >= T at each node.  The blocks, T, the l probe and the
+    In auto mode l_max is picked from the trace step of level 2n.  That
+    step runs at the start degree L (:func:`_auto_l_max`) and on L's
+    rapidity rule, and gives each degree's m-summed trace at every node
+    (:meth:`KappaTable.m_summed_traces`).  l_max is the smallest l <= L
+    whose l estimate over the nodes of level n is at most rel_tol/4 of the
+    integral of T up to l over them (:func:`_pick_l_max`), which is a
+    floor under |E| since |F| >= T at each node.  The blocks, T, the l probe and the
     theta probe then all run at l_max on L's rule, the first three on the
     trace step's own tables cut at l_max (:meth:`KappaTable.cut`), so a
     run builds and traces each node once.  At the 12 benchmark points
@@ -554,8 +565,14 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     and 0.67-0.74 of L on exact-wide; E moved by at most 0.49 of the
     estimate of a run at L, and err_l is 1.98 to 35.7 times what raising
     l_max to 1.6 l_max changes in E, all m summed, on one rule.  Where no
-    l <= L fits, l_max is L, and an explicit ``l_max`` runs at its own
-    degree with no pick.
+    l <= L fits, L grows by max(10, L // 3) and the trace step runs again,
+    before any block, at most three times; past that the call raises.
+    After a kappa miss each new level is traced at L before its blocks
+    run, and l_max is picked again over its nodes (L where none fits).  If
+    the pick rises, T is written at the new l_max, and the level before is
+    summed again at it, on the run's tables, before the new level is, so
+    the pick holds on the level that is reported.  An explicit ``l_max`` runs at
+    its own degree with no pick.
     At each node the Legendre addition theorem gives
     T = sum_m (2 - delta_m0) tr M_m over every m in closed form, so after
     block m the trace R of the blocks still to come is known.  They add
@@ -567,23 +584,26 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     block at all.  ``m_max_used`` is the largest m any node of the last
     level of F reached (-1 if none needed a block), and the m estimate is
     the integral of the nodes' U.  The rapidity rule starts from L
-    (:func:`_theta_rule`) and is checked at the smallest kappa node of F,
-    where it is weakest: F there is recomputed on twice the panels and
-    1.25 v_max, and the relative change, times |E|, is the theta estimate.
-    The kappa, l, m and theta estimates add up to error_estimate, which
-    must be at most rel_tol |E|.  One loop grows whichever truncation is
-    short: the start degree L, by max(10, L // 3), while the l estimate is
-    past rel_tol/4 (at most three times; each run picks l_max afresh),
-    and, once it is not, the rule by one panel on the same v_max
-    while error_estimate is past rel_tol |E| and the theta estimate past
-    rel_tol/4 (at most ``_THETA_PANEL_STEPS`` times); each step re-runs the
-    levels, and past either bound the call raises.  A run that fits
-    rel_tol on its first rule never re-runs, as at every benchmark point at
-    rel_tol 1e-3.  So rel_tol 1e-5 is within reach at ordinary gaps: PC
-    d/R = 0.1 and 0.2, and an Omega R = 1.7 sphere before a PC plane at
-    d/R = 0.1, converge in 0.34, 0.09 and 0.28 s, two panels past the
-    start; each grows its start degree once (70 to 93, 41 to 54) and
-    picks l_max 85, 44 and 83 there.  Gaps below d/R = 0.01 are outside
+    (:func:`_theta_rule`) and is checked at the smallest kappa node of
+    level n, where it is weakest: F there is recomputed on twice the
+    panels and 1.25 v_max, and the relative change, times |E|, is the
+    theta estimate.
+    The start degree and the rule are settled before the levels refine,
+    with one run per (L, panels) pair: a run traces level 2n and picks
+    l_max, or ends in a raise of L as above; then it passes level n and
+    runs the theta probe, and while the probe's relative change is past
+    rel_tol/4 the rule gains one panel on the same v_max and a new run
+    starts (at most ``_THETA_PANEL_STEPS`` times).  So a raise of L costs
+    one trace step and a panel one pass of level n; the control variate
+    and the refined levels run once, on the last run.  At every benchmark
+    point at rel_tol 1e-3 the first run is the last.  The kappa, l, m and
+    theta estimates add up to error_estimate, which must be at most
+    rel_tol |E|, or the call raises.  So rel_tol 1e-5 is within reach at
+    ordinary gaps: PC d/R = 0.1 and 0.2, and an Omega R = 1.7 sphere
+    before a PC plane at d/R = 0.1, converge in about 0.2, 0.07 and
+    0.23 s, two, two and three panels past the start; each raises its
+    start degree once (70 to 93, 41 to 54) and picks l_max 85, 44 and 83
+    there.  Gaps below d/R = 0.01 are outside
     the supported domain and raise :class:`NumericsError` before any block
     is built.  The limit is one of cost, not of convergence: at the
     default rel_tol, PC d/R = 0.0075 and 0.005 converge (error 5.0e-4 and
@@ -612,48 +632,56 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     auto_l = numerics.l_max == "auto"
     l_top = _auto_l_max(d) if auto_l else numerics.l_max
     share = 0.25 * numerics.rel_tol  # of |E|, for each of the four estimates
+    n = 2 * numerics.kappa_nodes  # F's first level; T's is 2n
     added = l_steps = 0  # panels the theta probe added; l_top growths
 
+    # settle l_max and the rapidity rule on the trace step and level n alone
     while True:
         panels, v_max = _theta_rule(l_top)
-        panels += added
-
-        # F on level n, T on level 2n; levels 2n and n / 2 sum from the record
-        n = 2 * numerics.kappa_nodes
-        run = _Run(d, s1, p1, l_top, (panels, v_max), numerics.l_max, share, numerics.kappa_nodes)
-        last = _first_pass(run, n, share)
-        fine, prev = _integral(run, 2 * n, run.record[4, run.columns(2 * n)]), _level(run, n // 2)
-        energy = last.energy + last.trace - fine
-        err_k = abs(last.energy + last.trace - prev.energy - prev.trace) + abs(fine - last.trace)
-        # a miss: F on the other nodes of level 2n, on the first pass's
-        # tables, where the control variate cancels; then plain levels
-        while err_k > share * abs(energy) and 2 * n <= _KAPPA_NODE_CEILING:
-            n *= 2
-            prev, last = last, _quadrature_pass(n, run)
-            energy, err_k = last.energy, abs(last.energy - prev.energy)
-
-        if auto_l and last.err_l > share * abs(energy):
+        run = _Run(d, s1, p1, l_top, (panels + added, v_max), l_top, share, numerics.kappa_nodes)
+        # trace level 2n, whose nodes outside level n take T alone, and pick
+        # l_max on level n
+        degree_traces = run.rule(n)[1] @ _traces(run, 2 * n)[1::2]
+        l_max = _pick_l_max(degree_traces, share) if auto_l else l_top
+        if l_max is None:
             if l_steps == _L_MAX_GROWTHS:
-                raise NumericsError(
-                    f"l_max growth did not converge; last increment estimate {last.err_l} "
-                    f"vs target {share * abs(energy)}", error_estimate=last.err_l)
+                err_l = _integral(run, n, _traces(run, 2 * n)[1::2, _l_keep(l_top):].sum(axis=1))
+                raise NumericsError(f"l_max growth did not converge: l estimate {err_l:.3e} at "
+                                    f"the start degree {l_top}", error_estimate=err_l)
             l_top += max(10, l_top // 3)
             l_steps += 1
             continue
-
+        _set_l_max(run, l_max)
+        last = _quadrature_pass(n, run)
         # rapidity-rule check at the smallest kappa node, the last of the
         # level, where the rule is weakest
         f_min = last.rows[0, -1]
         f2 = _mode_sums(run.rule(n)[0][-1:] / (2.0 * d), s1, p1, run.l_max,
-                        (2 * panels, 1.25 * v_max), share)[0, 0]
-        err_theta = abs(f2 - f_min) / max(abs(f_min), 1e-300) * abs(energy)
-
-        error = err_k + last.err_l + last.err_m + err_theta
-        if (error <= numerics.rel_tol * abs(energy) or err_theta <= share * abs(energy)
-                or added == _THETA_PANEL_STEPS):
+                        (2 * run.theta_rule[0], 1.25 * v_max), share)[0, 0]
+        theta = abs(f2 - f_min) / max(abs(f_min), 1e-300)
+        if theta <= share or added == _THETA_PANEL_STEPS:
             break
         added += 1
 
+    fine, prev = _integral(run, 2 * n, run.record[4, run.columns(2 * n)]), _level(run, n // 2)
+    energy = last.energy + last.trace - fine
+    err_k = abs(last.energy + last.trace - prev.energy - prev.trace) + abs(fine - last.trace)
+    # a miss: F on the other nodes of level 2n, on the run's tables, where
+    # the control variate cancels; then plain levels.  Each level is traced
+    # before its blocks, and where the pick on it rises, the level before
+    # is summed again at the new l_max first
+    while err_k > share * abs(energy) and 2 * n <= _KAPPA_NODE_CEILING:
+        n *= 2
+        l_max = _pick_l_max(run.rule(n)[1] @ _traces(run, n), share) or l_top
+        if auto_l and l_max > run.l_max:  # an explicit l_max stays
+            run.record[:4] = np.nan
+            _set_l_max(run, l_max)
+            last = _quadrature_pass(n // 2, run)
+        prev, last = last, _quadrature_pass(n, run)
+        energy, err_k = last.energy, abs(last.energy - prev.energy)
+
+    err_theta = theta * abs(energy)
+    error = err_k + last.err_l + last.err_m + err_theta
     if energy >= 0.0:
         raise SpectralAnomalyError(f"non-negative energy {energy} from valid inputs")
     if error > numerics.rel_tol * abs(energy):

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -237,7 +239,7 @@ def test_energy_truncation_convergence_within_estimate(monkeypatch):
 
 def test_energy_explicit_truncation_too_small_raises(monkeypatch):
     # the miss is the l truncation's, not the rapidity rule's, so the run
-    # raises without a re-run on more panels
+    # raises without a panel step
     passes = _recording_passes(monkeypatch)
     with pytest.raises(NumericsError, match="energy not converged"):
         casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR),
@@ -589,19 +591,49 @@ def test_pc_exact_pair_truncations_are_pinned(d, truncation, energy):
     assert res.energy == pytest.approx(energy, rel=1e-10, abs=0.0)
 
 
+_ONE_THREAD_RESULT = """
+import sys
+from plasmacas.energy_exact import NumericsSpec, casimir_energy
+from plasmacas.scattering import PlaneSheet, SphereSheet
+d, omega_s, omega_p, l_max, kappa_nodes, rel_tol = (float(v) for v in sys.argv[1:])
+res = casimir_energy(SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d),
+                     NumericsSpec(l_max=int(l_max), kappa_nodes=int(kappa_nodes), rel_tol=rel_tol))
+print(res.energy.hex(), res.error_estimate.hex(), res.l_max_used, res.m_max_used,
+      res.kappa_nodes_used)
+"""
+
+
+def _one_thread_result(d, omega_s, omega_p, spec):
+    """casimir_energy's E and estimate in float.hex and its three truncations,
+    from a fresh interpreter with BLAS and OpenMP on one thread.  The last
+    bits of a stacked Cholesky or matrix product depend on the thread count,
+    so a float.hex pin holds only with that count fixed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(energy_exact.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    args = [repr(float(v)) for v in (d, omega_s, omega_p, spec.l_max, spec.kappa_nodes,
+                                     spec.rel_tol)]
+    out = subprocess.run([sys.executable, "-c", _ONE_THREAD_RESULT, *args], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    energy, error, *counts = out.stdout.split()
+    return (energy, error, *(int(c) for c in counts))
+
+
 @pytest.mark.parametrize("d, omega_s, omega_p, spec, want", [
     (0.1, PERFECT_CONDUCTOR, PERFECT_CONDUCTOR, NumericsSpec(l_max=70),
      ("-0x1.e8cd4a1c32713p+1", "0x1.95a570a201b5dp-11", 70, 5, 16)),
     (0.25, 2.0, 5.0, NumericsSpec(l_max=40, rel_tol=1e-4),
-     ("-0x1.d5e8f008ad23fp-3", "0x1.7abf0180bc9d9p-18", 40, 3, 32))])
+     ("-0x1.d5e8f008ad23fp-3", "0x1.664d55d87812cp-18", 40, 3, 32))])
 def test_explicit_l_max_keeps_its_run_bit_for_bit(d, omega_s, omega_p, spec, want):
     # an explicit l_max traces and runs its blocks at that degree, with no
     # pick: E, the estimate and the truncations are those the driver gave
-    # before the pick existed, in float.hex (the second case misses the
-    # control variate and refines to level 32)
-    res = casimir_energy(SphereSheet(1.0, omega_s), PlaneSheet(omega_p, 1.0 + d), spec)
-    assert (res.energy.hex(), res.error_estimate.hex(), res.l_max_used, res.m_max_used,
-            res.kappa_nodes_used) == want
+    # before the pick existed, in float.hex, on one BLAS thread.  The second
+    # case misses the control variate and refines to level 32; its theta
+    # probe sits at the smallest node of level 16, where the rule is
+    # settled, so its estimate is 0.95 of the one probed on level 32
+    # (0x1.7abf0180bc9d9p-18), with E unchanged
+    assert _one_thread_result(d, omega_s, omega_p, spec) == want
 
 
 def _control_variate(level, run):
@@ -801,16 +833,18 @@ def test_level_sums_of_the_record_equal_those_of_the_level_alone(omega, kappa_no
     # a level summed from a run's record, with its columns among those of
     # other levels, gives bit for bit the sums of the same level from a
     # fresh _mode_sums over its nodes: with n = 2 kappa_nodes, level n after
-    # a first pass that traced level 2n, level n / 2 from that record, T on
-    # level 2n, then level 2n after the refine and level 4n, which traces
-    # its new nodes.  A first level off the powers of two (11, 12) gives a
-    # record over the finest level 176 or 192, whose levels map as exactly
+    # a trace of level 2n, as a run's settle step makes them, level n / 2
+    # from that record, T on level 2n, then level 2n after the refine and
+    # level 4n, which traces its new nodes.  A first level off the powers
+    # of two (11, 12) gives a record over the finest level 176 or 192,
+    # whose levels map as exactly
     d = 0.3
     sphere, plane = SphereSheet(1.0, omega), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     l_max, rule, m_tol = _pass_args(d)
     run = energy_exact._Run(d, sphere, plane, l_max, rule, l_max, m_tol, kappa_nodes)
     n = 2 * kappa_nodes
-    first = energy_exact._first_pass(run, n, m_tol)
+    energy_exact._trace(run, 2 * n)
+    first = energy_exact._quadrature_pass(n, run)
     t_fine = energy_exact._integral(run, 2 * n, run.record[4, run.columns(2 * n)])
     levels = [first, energy_exact._level(run, n // 2), energy_exact._quadrature_pass(2 * n, run),
               energy_exact._quadrature_pass(4 * n, run)]
@@ -895,19 +929,20 @@ def test_refined_level_reuses_rows_by_index(monkeypatch):
 
 
 def test_a_miss_refines_on_the_first_pass_tables(monkeypatch):
-    # a first pass holds every node of level 2n traced at the start degree,
-    # with blocks at a lower l_max on level n alone, here over three
-    # chunks, which it keeps.  Refining to level 2n runs the blocks of the
-    # other n nodes on those chunks, where they took T alone: no trace step
-    # runs, every chunk is dropped once all its nodes have F, and the
-    # record is bit for bit that of a pass that traces and evaluates all
-    # of level 2n afresh
+    # a run's first pass holds every node of level 2n traced at the start
+    # degree, with blocks at a lower l_max on level n alone, here over three
+    # chunks.  Refining to level 2n runs the blocks of the other n nodes on
+    # those chunks, where they took T alone: no trace step runs, and the
+    # record is bit for bit that of a pass that traces and evaluates all of
+    # level 2n afresh.  The run keeps every chunk, since a rise of the
+    # l_max pick on a later level runs its blocks again on their tables
     d = 0.3
     sphere, plane = SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     run = _run(sphere, plane, 20)
     monkeypatch.setattr(energy_exact, "_STACK_BYTES",
                         12 * 8 * (2 * run.l_top) * (2 * rapidity_rule(*run.theta_rule)[0].size))
-    energy_exact._first_pass(run, 16, run.m_tol)
+    energy_exact._trace(run, 32)
+    energy_exact._quadrature_pass(16, run)
     assert [len(part) for part, _, _ in run.traced] == [11, 10, 10]
     first = run.record.copy()
     steps = []
@@ -919,7 +954,7 @@ def test_a_miss_refines_on_the_first_pass_tables(monkeypatch):
 
     monkeypatch.setattr(energy_exact, "_trace_step", counting)
     refined = energy_exact._quadrature_pass(32, run)
-    assert steps == [] and len(run.traced) == 0
+    assert steps == [] and [len(part) for part, _, _ in run.traced] == [11, 10, 10]
     fresh = energy_exact._quadrature_pass(32, _fresh(run))
     assert steps == [31] and np.array_equal(refined.rows, fresh.rows)
     t_alone = run.columns(32)[::2]
@@ -944,27 +979,27 @@ def _run_estimate(run, levels):
 @pytest.mark.parametrize("rel_tol", [1e-3, 1e-5])
 def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
     # an Omega R = 1.7 sphere before a PC plane at d/R = 0.3: every pass of
-    # one call is recorded, run by run, a run being one (l_max, panels).
-    # A run's first pass traces kappa level 32 for T and runs blocks on
-    # level 16 alone: that level is bit for bit a pass of level 16 on a
-    # fresh run, and level 8 sums from its record in turn.  E is the
-    # control-variate sum, F + T on level 16 less T on level 32, and the
-    # kappa estimate the change of the F + T sum from level 8 plus that of
-    # T's sum from level 16.  A run whose kappa estimate misses rel_tol/4
+    # one call is recorded, run by run, a run being one (start degree,
+    # panels).  A run traces kappa level 32 for T and runs blocks on level
+    # 16 alone: that level is bit for bit a pass of level 16 on a fresh
+    # run, and level 8 sums from its record in turn.  A theta probe follows
+    # at the smallest node of level 16.  E is the control-variate sum, F + T
+    # on level 16 less T on level 32, and the kappa estimate the change of
+    # the F + T sum from level 8 plus that of T's sum from level 16.  Only
+    # the last run goes on: where its kappa estimate misses rel_tol/4, it
     # takes F on the other nodes of level 32 and refines plain F sums from
-    # there.  The kappa, l, m and
-    # theta estimates formed from the records of the last run and from its
-    # theta probe add up to error_estimate, bit for bit, and the records
-    # show each stop: the levels refine until the kappa estimate is within
-    # rel_tol/4, the start degree grows until the l estimate is, and a run
-    # that misses rel_tol with the theta estimate past rel_tol/4 re-runs on
-    # one more panel.  Each run's l_max is the one its first pass's traces
-    # pick, or its start degree where none fits.  At rel_tol 1e-5 none fits
-    # at the start degree 30, whose l estimate then misses too, so it grows
-    # once, to 40, where the pick is 31; then the rule gains a panel once,
-    # and every run refines past the control variate
+    # there.  The kappa, l, m and theta estimates formed from the records
+    # of the last run and from its probe add up to error_estimate, bit for
+    # bit, and the records show each stop: the levels refine until the
+    # kappa estimate is within rel_tol/4, and a run whose probe is past
+    # rel_tol/4 of F is followed by one on one more panel.  Each run's
+    # l_max is the one the traces of level 16 pick.  At rel_tol 1e-5 none
+    # fits at the start degree 30, so that run ends after its trace step
+    # and the start degree grows to 40, where the pick is 31; then the rule
+    # gains a panel twice, and the last run refines past the control
+    # variate
     tries = {1e-3: [(30, 22, 4)],  # (start degree, l_max, panels)
-             1e-5: [(30, 30, 4), (40, 31, 4), (40, 31, 5)]}[rel_tol]
+             1e-5: [(40, 31, 4), (40, 31, 5), (40, 31, 6)]}[rel_tol]
     runs, probes = [], []
     real_pass, real_sums = energy_exact._quadrature_pass, energy_exact._mode_sums
 
@@ -990,39 +1025,44 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
                          NumericsSpec(rel_tol=rel_tol))
     share = 0.25 * rel_tol
     assert [(run.l_top, run.l_max, run.theta_rule[0]) for run, _ in runs] == tries
-    # a probe follows each run at the last start degree, at the run's l_max
-    # on twice its panels and 1.25 v_max
-    assert len(probes) == sum(1 for l_top, _, _ in tries if l_top == tries[-1][0])
-    for (run, _), (rule, _) in zip(runs[-len(probes):], probes):
+    # a probe follows each run's first pass, at its l_max on twice its
+    # panels and 1.25 v_max
+    assert len(probes) == len(runs)
+    for (run, _), (rule, _) in zip(runs, probes):
         assert rule == (run.l_max, (2 * run.theta_rule[0], 1.25 * run.theta_rule[1]))
-    estimates = [_run_estimate(run, levels) for run, levels in runs]
-    last, energy, err_k = estimates[-1]
     run, levels = runs[-1]
+    last, energy, err_k = _run_estimate(run, levels)
     plain = levels[1:]
-    assert all((len(lv) > 1) == (rel_tol == 1e-5) for _, lv in runs)
+    assert [len(lv) > 1 for _, lv in runs] == [False] * (len(runs) - 1) + [rel_tol == 1e-5]
     assert [lv.rows.shape[1] + 1 for lv in levels] == [16 * 2 ** k for k in range(len(levels))]
     assert last.rows.shape[1] + 1 == res.kappa_nodes_used
     assert energy == res.energy and last.rows[3].max() == res.m_max_used
 
-    def theta_estimate(level, energy, probe):
-        f_min = level.rows[0, -1]  # the smallest node is the last of its level
-        return abs(probe[0, 0] - f_min) / max(abs(f_min), 1e-300) * abs(energy)
+    def theta(first, probe):
+        f_min = first.rows[0, -1]  # the smallest node is the last of its level
+        return abs(probe[0, 0] - f_min) / max(abs(f_min), 1e-300)
 
-    err_theta = theta_estimate(last, energy, probes[-1][1])
+    err_theta = theta(levels[0], probes[-1][1]) * abs(energy)
     assert err_k + last.err_l + last.err_m + err_theta == res.error_estimate
     assert err_k <= share * abs(energy) and last.err_l <= share * abs(energy)
+    assert err_theta <= share * abs(energy)
     # each level before the last missed rel_tol/4: the control variate, then the plain sums
     if plain:
         cv = _run_estimate(run, levels[:1])
         assert cv[2] > share * abs(cv[1])
         for coarse, fine in zip(plain[:-2], plain[1:-1]):
             assert abs(fine.energy - coarse.energy) > share * abs(fine.energy)
-    for (l_top, _, _), (level, e, _) in zip(tries, estimates):
-        if l_top < tries[-1][0]:
-            assert level.err_l > share * abs(e)
-    # the run before the panel was added missed rel_tol on its theta estimate
-    for (level, e, _), (_, probe) in zip(estimates[-len(probes):-1], probes[:-1]):
-        assert theta_estimate(level, e, probe) > share * abs(e)
+    # each run before the last missed rel_tol/4 on its probe
+    for (_, lv), (_, probe) in zip(runs[:-1], probes[:-1]):
+        assert theta(lv[0], probe) > share
+
+    # the start degree 30 picks on its own traces; at rel_tol 1e-5 nothing fits
+    monkeypatch.undo()
+    first = energy_exact._Run(run.d, run.sphere, run.plane, 30, energy_exact._theta_rule(30), 30,
+                              run.m_tol, 8)
+    traces = energy_exact._traces(first, 32)[1::2]
+    assert energy_exact._pick_l_max(first.rule(16)[1] @ traces, share) == {1e-3: 22,
+                                                                          1e-5: None}[rel_tol]
 
 
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
@@ -1225,22 +1265,44 @@ def test_tight_rel_tol_grows_the_rapidity_rule(monkeypatch, d, omega_s):
     # on the old fixed rule these raised at rel_tol 1e-5 on the theta
     # estimate; the probe now adds panels until it fits.  Each result lies
     # within the summed estimates of the rel_tol 1e-3 one, and the rule it
-    # ends on has more panels than it started with
+    # ends on has more panels than it started with.  The truncations settle
+    # before the kappa levels refine: each run, one (start degree, panels)
+    # pair, that is not the last ends either in a start-degree raise, after
+    # its trace step and with no pass, or in a panel step, after its one
+    # pass of level n = 2 kappa_nodes; every pass above level n runs on the
+    # last run, each level once
     sphere, plane = SphereSheet(1.0, omega_s), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     loose = casimir_energy(sphere, plane, NumericsSpec(rel_tol=1e-3))
-    panels = []
-    real = energy_exact._trace_step
+    runs, passes = [], []
+    real_run, real_pass = energy_exact._Run, energy_exact._quadrature_pass
 
-    def recording(kappa, sphere, plane, l_top, rule):
-        panels.append(rule[0])
-        return real(kappa, sphere, plane, l_top, rule)
+    class RecordingRun(real_run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
 
-    monkeypatch.setattr(energy_exact, "_trace_step", recording)
+    def recording(n_kappa, run):
+        passes.append((n_kappa, run))
+        return real_pass(n_kappa, run)
+
+    monkeypatch.setattr(energy_exact, "_Run", RecordingRun)
+    monkeypatch.setattr(energy_exact, "_quadrature_pass", recording)
     tight = casimir_energy(sphere, plane, NumericsSpec(rel_tol=1e-5))
     assert tight.error_estimate <= 1e-5 * abs(tight.energy)
     assert abs(tight.energy - loose.energy) <= tight.error_estimate + loose.error_estimate
-    assert panels[0] == energy_exact._THETA_PANEL_FLOOR
-    assert panels[-2] > panels[0]  # the last run's last level; the probe doubles it
+    assert runs[0].theta_rule[0] == energy_exact._THETA_PANEL_FLOOR < runs[-1].theta_rule[0]
+    n = 2 * NumericsSpec().kappa_nodes
+    assert all(run is runs[-1] for n_kappa, run in passes if n_kappa > n)
+    levels = [n_kappa for n_kappa, run in passes if run is runs[-1]]
+    assert levels == [n * 2 ** k for k in range(len(levels))]
+    assert levels[-1] == tight.kappa_nodes_used
+    for run, after in zip(runs, runs[1:]):
+        own = [n_kappa for n_kappa, r in passes if r is run]
+        if after.l_top > run.l_top:  # a start-degree raise
+            assert own == []
+        else:  # a panel step
+            assert own == [n] and after.l_top == run.l_top
+            assert after.theta_rule == (run.theta_rule[0] + 1, run.theta_rule[1])
 
 
 def _bench_points():
@@ -1290,11 +1352,12 @@ def test_bench_points_run_once_at_the_default_rel_tol(monkeypatch):
     # the 15 nodes of level 16 picks, below the start degree at every
     # point (55 of 70 and 109 of 130 on exact-narrow, 29 of 39 down to 14
     # of 21 on exact-wide).  Blocks run at that l_max on the nodes of level
-    # 16 alone, and the control variate stops there at no fewer than 10 of
-    # the 12 points (11 today).  A miss takes F on the other 16 nodes of
-    # level 32 from the first pass's tables and traces, with no trace step
-    # of its own.  Then one theta probe, at the smallest F node.  The run
-    # builds the rule of each of the levels 8, 16 and 32 once
+    # 16 alone, then one theta probe, at the smallest node of level 16, and
+    # the control variate stops there at no fewer than 10 of the 12 points
+    # (11 today).  A miss takes F on the other 16 nodes of level 32 from
+    # the first pass's tables and traces, with no trace step of its own,
+    # and no second probe.  The run builds the rule of each of the levels
+    # 8, 16 and 32 once
     bench = _bench_points()
     points = bench["exact-narrow"] + bench["exact-wide"]
     assert len(points) == 12
@@ -1319,8 +1382,7 @@ def test_bench_points_run_once_at_the_default_rel_tol(monkeypatch):
 
     def recording(m, table):
         block = real_block(m, table)
-        if len(traced) == 1:  # before the theta probe
-            blocked.update(np.atleast_1d(block.kappa).tolist())
+        blocked.update(np.atleast_1d(block.kappa).tolist())
         return block
 
     monkeypatch.setattr(energy_exact, "_trace_step", counting_step)
@@ -1345,8 +1407,7 @@ def test_bench_points_run_once_at_the_default_rel_tol(monkeypatch):
             assert blocked <= set(f_nodes)
         else:
             assert res.kappa_nodes_used == 32 and blocked <= set(level)
-            f_nodes = level
-        assert calls[-1] == min(f_nodes)
+        assert calls[-1] == min(calls[1:31:2])
     assert picks == [55, 109, 29, 26, 24, 22, 20, 19, 19, 17, 15, 14]
     assert stops >= 10
 
@@ -1461,6 +1522,39 @@ def test_plasma_sphere_far_field_meets_the_dipole_limit(distance_L, omega_s):
     assert abs(res.energy - want) <= res.error_estimate + 2.0 * abs(want) / distance_L ** 2
 
 
+def test_a_pick_that_misses_on_a_refined_level_rises_there(monkeypatch):
+    # with the kappa map scale at 0.1, PC d/R = 0.02 picks l_max 265 on the
+    # traces of level 16 and misses the control variate.  Level 32 is
+    # traced at the start degree before its blocks run, and its traces pick
+    # 269: the pick rises, and levels 16 and 32 are summed again at 269 on
+    # the run's own tables, level 32 bit for bit a fresh pass at 269; level
+    # 64 keeps it.  On the
+    # level it reports, err_l is within rel_tol/4 of |E| (2.3e-4 of it), and
+    # E agrees with the run at the default scale within the two estimates
+    # (0.007 of them).  A pick held on level 16 re-picked 265 after each
+    # raise of the start degree and refused after three
+    rel_tol = 1e-3
+    sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.02)
+    base = casimir_energy(sphere, plane, NumericsSpec(rel_tol=rel_tol))
+    monkeypatch.setattr(energy_exact, "_KAPPA_MAP_SCALE", 0.1)
+    picks, levels = [], []
+    real_pass = energy_exact._quadrature_pass
+
+    def recording(n_kappa, run):
+        levels.append(real_pass(n_kappa, run))
+        picks.append((n_kappa, run.l_max))
+        return levels[-1]
+
+    monkeypatch.setattr(energy_exact, "_quadrature_pass", recording)
+    res = casimir_energy(sphere, plane, NumericsSpec(rel_tol=rel_tol))
+    assert picks == [(16, 265), (16, 269), (32, 269), (64, 269)] and res.l_max_used == 269
+    assert res.kappa_nodes_used == 64 and levels[-1].rows.shape[1] == 63
+    assert levels[-1].err_l <= 0.25 * rel_tol * abs(res.energy)
+    assert abs(res.energy - base.energy) <= res.error_estimate + base.error_estimate
+    fresh = real_pass(32, _run(sphere, plane, 269))
+    assert fresh.energy == levels[2].energy and np.array_equal(fresh.rows, levels[2].rows)
+
+
 def _l_max_tries(monkeypatch, start):
     """Start the auto trace degree at ``start`` and record every one tried."""
     tried = []
@@ -1478,9 +1572,8 @@ def _l_max_tries(monkeypatch, start):
 def test_l_max_growth_reaches_the_auto_value(monkeypatch):
     # PC d/R = 0.1 starts its trace step at degree 70 on its own, and its
     # traces pick l_max 55.  From 40 no l_max up to the start fits, so the
-    # run takes l_max 40, whose l estimate misses; the start degree grows
-    # by max(10, l // 3) twice, to 70, where the pick lands on the same
-    # run, bit for bit
+    # start degree grows by max(10, l // 3) twice, each time after its trace
+    # step alone, to 70, where the pick lands on the same run, bit for bit
     args = (SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
             NumericsSpec(rel_tol=1e-3))
     auto = casimir_energy(*args)
@@ -1493,11 +1586,14 @@ def test_l_max_growth_reaches_the_auto_value(monkeypatch):
 
 def test_l_max_growth_that_does_not_converge_raises(monkeypatch):
     # from 20 the traces pick no l_max at any of the four start degrees 20,
-    # 30, 40, 53, and the l estimate of each run at its start degree misses
-    # rel_tol/4 of |E|
+    # 30, 40, 53.  Each raise and the refusal are decided on the trace step
+    # alone, so no block is built.  The error estimate is the l estimate at
+    # the last start degree, from its traces at the nodes of level 16
     tried = _l_max_tries(monkeypatch, 20)
+    calls = _counting_blocks(monkeypatch)
     with pytest.raises(NumericsError, match="l_max growth did not converge") as info:
         casimir_energy(SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.1),
                        NumericsSpec(rel_tol=1e-3))
     assert tried == [20, 30, 40, 53]
+    assert calls == []
     assert math.isfinite(info.value.error_estimate) and info.value.error_estimate > 0.0

@@ -6,7 +6,7 @@ and ``kappa_nodes_used``.  The points are the exact workloads of
 ``bench/points.json`` (read, never written) at the benchmark's rel_tol
 1e-3, perfect conductors at L/R = 11, 31, 101 and 301, PC d/R = 0.1 at
 rel_tol 1e-4, PC d/R = 0.3 at rel_tol 1e-5, where the start degree grows
-once, and PC d/R = 0.02 at rel_tol 1e-3, which takes about 0.5 s.
+once, and PC d/R = 0.02 at rel_tol 1e-3, which takes about 0.4 s.
 
 Then one line per small-gap point: a label starting ``small-gap``, then
 ``float.hex`` of ``pfa_energy``, E0, E1 and theta.  The points are the
@@ -21,6 +21,11 @@ by running this once per checkout, each in its own process, and comparing:
     PYTHONPATH=<parent checkout>/src python3 tools/exact_points.py > a.txt
     PYTHONPATH=<changed checkout>/src python3 tools/exact_points.py > b.txt
     diff a.txt b.txt
+
+BLAS and OpenMP run on one thread unless the environment says otherwise;
+the variables are set before numpy is imported.  The last bits of a
+stacked Cholesky or matrix product depend on the thread count, so a
+byte-for-byte comparison holds only with that count fixed.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ from __future__ import annotations
 import json
 import os
 import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from plasmacas.asymptotics import small_gap_expansion
 from plasmacas.energy_exact import NumericsSpec, casimir_energy
