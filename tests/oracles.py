@@ -47,7 +47,10 @@ its own way:
   five-term tail-corrected total settles;
 * :func:`laguerre_theta` integrates each small-gap s-term in t by
   Gauss-Laguerre on x = 2 t (s+1); the production terms use a trapezoid on
-  ln t.
+  ln t;
+* :func:`fitted_tail` sums the fitted tail of an s-series by solving for
+  the fit's coefficients; the production sum dots the last terms with
+  weights ``_quadrature.tail_weights`` solves for once per s.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ from plasmacas.pfa import _t0
 from plasmacas.roundtrip import KappaTable, _angular_logs, assemble_block
 from plasmacas.scattering import Polarization, plane_r, sphere_t_logs
 from plasmacas.specfun import legendre_pbar_log
-from plasmacas._quadrature import (_log_t_nodes, _pick_nodes, gauss_laguerre, rapidity_rule,
-                                   tau_rule)
+from plasmacas._quadrature import (_log_t_nodes, _pick_nodes, _power_tail, gauss_laguerre,
+                                   rapidity_rule, tau_rule)
 
 
 def block_at(m, kappa, sphere, plane, l_max, rule=None):
@@ -412,3 +415,14 @@ def laguerre_theta(varpi_s, varpi_p, rel_tol, n=96):
     q0, _ = _tail_corrected_sum(series_term(_e0_times_t), 4, rel_tol, "E0")
     q1, _ = _tail_corrected_sum(series_term(_braces_times_t), 2, rel_tol, "E1", abs(q0))
     return q1 / q0
+
+
+def fitted_tail(last_terms, s_last, p0):
+    """Sum over s > s_last of the fit of the terms at s_last - k + 1 .. s_last
+    (k of them) to (s+1)^(-p0) .. (s+1)^(-p0-k+1), from the fit's
+    coefficients."""
+    sig = np.arange(s_last - len(last_terms) + 2, s_last + 2, dtype=float)
+    powers = np.arange(p0, p0 + len(last_terms), dtype=float)
+    # columns scaled to 1 at the last node keep the solve well conditioned
+    coef = np.linalg.solve((sig[-1] / sig[:, None]) ** powers, last_terms)
+    return float(coef @ (sig[-1] ** powers * _power_tail(powers, s_last + 2.0)))

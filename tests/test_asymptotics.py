@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
-from scipy.special import roots_genlaguerre, zeta
+from scipy.special import roots_genlaguerre
 
 import plasmacas.asymptotics as asy
 from plasmacas.asymptotics import (NtlCoefficients, ntl_coefficients, ntl_integrand,
@@ -13,7 +13,7 @@ from plasmacas.errors import NumericsError
 from plasmacas.pfa import lifshitz_plane_plane, pfa_energy
 from plasmacas.scattering import PERFECT_CONDUCTOR as PC, varpi
 import plasmacas._quadrature as quadrature
-from plasmacas._quadrature import tau_rule
+from plasmacas._quadrature import _log_t_nodes, tau_rule
 
 from oracles import (e0_s_series, full_sum_theta, hom_power_sums, laguerre_theta,
                      script_b_divided_difference)
@@ -301,21 +301,39 @@ def test_pc_terms_on_the_shared_grid():
 
 
 def test_one_e1_table_per_probed_tau_rule(monkeypatch):
-    # a row builds the E1 table once per tau rule the probe tries, never per s
+    # a row builds the E1 table once per tau rule the probe tries, never per
+    # s; w = 0.095 probes 24, 48 and 96 nodes and takes 48
     rules, terms = [], []
 
-    def table(t, tau, *args, _orig=asy._ntl_table, **kwargs):
+    def table(t, tau, *args, _orig=asy._e1_table, **kwargs):
         rules.append(np.size(tau))
         return _orig(t, tau, *args, **kwargs)
 
     def counted(term, *args, _orig=asy._tail_corrected_sum):
         return _orig(lambda s: terms.append(s) or term(s), *args)
 
-    monkeypatch.setattr(asy, "_ntl_table", table)
+    monkeypatch.setattr(asy, "_e1_table", table)
     monkeypatch.setattr(asy, "_tail_corrected_sum", counted)
     small_gap_expansion(1.0, 0.01, 0.095, 0.095)
-    assert len(rules) <= 3 and len(set(rules)) == len(rules), rules
+    assert 2 <= len(rules) <= 3 and len(set(rules)) == len(rules), rules
     assert len(terms) >= 14, terms
+
+
+@pytest.mark.parametrize("ws, wp", [(0.095, 0.095), (PC, 0.2407), (0.2407, PC), (4.0, 2.0),
+                                    (PC, PC)])
+def test_series_terms_are_the_grid_sums_of_the_braces(ws, wp):
+    # the series sums TE over tau before the loop over s, contracts the TM
+    # polynomial with the powers of sig and carries B's tau sums from one s
+    # to the next; the braces summed on the same grid, term by term, give
+    # the same terms (measured: within 2.2e-15, relative)
+    t, wt = _log_t_nodes(1.0, min(ws, wp), asy._E1_STEP)
+    tau, wtau = tau_rule(48)
+    series = asy._e1_grid_terms(t, wt, tau, wtau, ws, wp)
+    for s in range(31):
+        sig = s + 1.0
+        g = asy._braces_times_t(s, t[:, None], tau[None, :], ws, wp)
+        want = float((wt * np.exp(-2.0 * sig * t)) @ g @ wtau) / sig ** 2
+        assert next(series) == pytest.approx(want, rel=1e-13, abs=0.0), (ws, wp, s)
 
 
 @pytest.mark.parametrize("w", [0.5, 3.39])
@@ -396,11 +414,3 @@ def test_ntl_coefficients_domain():
         ntl_coefficients(0, 0.0, 0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         ntl_coefficients(0, 1.0, 1.0, 1.0, 1.0)
-
-
-def test_power_tail_against_hurwitz_zeta():
-    powers = np.arange(2.0, 7.0)
-    for s0 in range(2, 203):
-        want = zeta(powers, float(s0))
-        got = asy._power_tail(powers, float(s0))
-        assert np.all(np.abs(got - want) <= 2e-15 * want), (s0, got / want - 1.0)

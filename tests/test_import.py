@@ -15,7 +15,7 @@ REMOVED = {
                 "_LN_RESCALE"),
     "asymptotics": ("script_b_divided_difference", "e1", "e0", "_e0_times_t", "_e0_series",
                     "_e0_prefactor", "_e1_series", "_series_term_factory", "_hom_power_sums",
-                    "_ntl_kernel"),
+                    "_ntl_kernel", "_lin", "_e1_braces", "_fitted_tail", "_power_tail"),
     "pfa": ("PfaParams", "_r_product"),
 }
 

@@ -95,3 +95,21 @@ def test_ab_time_runs_one_round_of_a_checkout_against_itself():
         assert a.startswith("A median ") and b.startswith("B median ")
         assert ratio.startswith("B/A ")
         assert min(float(a.split()[2]), float(b.split()[2]), float(ratio.split()[1])) > 0.0
+
+
+def test_ab_time_times_the_asympt_sweep_rows():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, os.path.join(REPO, "tools", "ab_time.py"), REPO, REPO,
+                          "--workload", "asympt-sweep", "--rounds", "1"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    with open(os.path.join(REPO, "bench", "points.json"), encoding="utf-8") as f:
+        n_gaps = len(json.load(f)["asympt-sweep"]["gaps_m"])
+    assert len(lines) == 3 + n_gaps
+    assert "over 1 passes of asympt-sweep" in lines[0]
+    # one line per gap, each side's median time of its pfa and asympt rows
+    for i, line in enumerate(lines[3:]):
+        label, rest = line.split(": ")
+        a, b, ratio = rest.split(", ")
+        assert label == f"asympt-sweep[{i}]"
+        assert min(float(a.split()[2]), float(b.split()[2]), float(ratio.split()[1])) > 0.0

@@ -1,14 +1,18 @@
-"""Time two checkouts of the exact path against each other in one process.
+"""Time two checkouts of one benchmark workload against each other in one process.
 
 Each checkout's ``src`` is imported in turn, its ``plasmacas`` modules
 purged from ``sys.modules`` before the next import, so both libraries live
-side by side.  Whole passes over one exact workload of
-``bench/points.json`` (read, never written; R = 1, the benchmark's rel_tol
-1e-3) then alternate between the two, A B in even rounds and B A in odd
-ones, so a drift of the machine falls on both.  It prints each checkout's
-median and min pass time and the median of the per-round ratios B/A, then
-one line per point with each checkout's median time for that point, since
-one slow point can move the benchmark's tail on its own:
+side by side.  Whole passes over one workload of ``bench/points.json``
+(read, never written) then alternate between the two, A B in even rounds
+and B A in odd ones, so a drift of the machine falls on both.  An exact
+workload runs ``casimir_energy`` at R = 1 and the benchmark's rel_tol 1e-3;
+``asympt-sweep`` runs the pfa and then the asympt ``cli._compute_row`` row
+of each of its gaps at R = 1e-3 m and its Omega on both sheets.  Every pass
+starts from empty ``_quadrature`` rule caches, as the benchmark's passes
+do.  It prints each checkout's median and min pass time and the median of
+the per-round ratios B/A, then one line per point with each checkout's
+median time for that point, since one slow point can move the benchmark's
+tail on its own:
 
     python3 tools/ab_time.py <checkout A> <checkout B> [--workload exact-wide] [--rounds 20]
 
@@ -32,6 +36,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 POINTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench", "points.json")
 REL_TOL = 1e-3
+RADIUS_M = 1e-3  # asympt-sweep: the sphere radius, in m
+WORKLOADS = ("exact-narrow", "exact-wide", "asympt-sweep")
 
 
 def _purge() -> None:
@@ -39,45 +45,66 @@ def _purge() -> None:
         del sys.modules[name]
 
 
-def load_checkout(root: str):
-    """A function running one pass of the exact path of ``root``/src."""
+def load_checkout(root: str, workload: str):
+    """A function running one pass of ``workload`` with the library of ``root``/src."""
     src = os.path.join(os.path.abspath(root), "src")
     _purge()
     sys.path.insert(0, src)
     try:
+        from plasmacas import _quadrature, cli
         from plasmacas.energy_exact import NumericsSpec, casimir_energy
         from plasmacas.scattering import PERFECT_CONDUCTOR, PlaneSheet, SphereSheet
     finally:
         sys.path.remove(src)
         _purge()
+    rules = [fn for fn in vars(_quadrature).values() if hasattr(fn, "cache_clear")]
 
     def omega(value):
         return PERFECT_CONDUCTOR if value == "pc" else float(value)
 
+    def exact_point(p, spec=NumericsSpec(rel_tol=REL_TOL)):
+        casimir_energy(SphereSheet(1.0, omega(p["omega_R_sphere"])),
+                       PlaneSheet(omega(p["omega_R_plane"]), 1.0 + p["d_over_R"]), spec)
+
+    def asympt_point(gap, om):
+        for method in ("pfa", "asympt"):
+            cli._compute_row((method, RADIUS_M, gap, om, om))
+
     def run_pass(points) -> tuple:
         """The pass time and the time of each point."""
-        spec = NumericsSpec(rel_tol=REL_TOL)
+        for rule in rules:
+            rule.cache_clear()
         ticks = [time.perf_counter()]
         for p in points:
-            casimir_energy(SphereSheet(1.0, omega(p["omega_R_sphere"])),
-                           PlaneSheet(omega(p["omega_R_plane"]), 1.0 + p["d_over_R"]), spec)
+            if workload == "asympt-sweep":
+                asympt_point(*p)
+            else:
+                exact_point(p)
             ticks.append(time.perf_counter())
         return ticks[-1] - ticks[0], [b - a for a, b in zip(ticks, ticks[1:])]
 
     return run_pass
 
 
+def load_points(workload: str) -> list:
+    """The points of ``workload``; an asympt-sweep point is a (gap, Omega) pair."""
+    with open(POINTS, encoding="utf-8") as f:
+        spec = json.load(f)[workload]
+    if workload == "asympt-sweep":
+        return [(gap, spec["omega_per_m"]) for gap in spec["gaps_m"]]
+    return spec
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout_a")
     parser.add_argument("checkout_b")
-    parser.add_argument("--workload", default="exact-wide", choices=("exact-narrow", "exact-wide"))
+    parser.add_argument("--workload", default="exact-wide", choices=WORKLOADS)
     parser.add_argument("--rounds", type=int, default=20)
     args = parser.parse_args(argv)
-    with open(POINTS, encoding="utf-8") as f:
-        points = json.load(f)[args.workload]
+    points = load_points(args.workload)
 
-    passes = [load_checkout(args.checkout_a), load_checkout(args.checkout_b)]
+    passes = [load_checkout(root, args.workload) for root in (args.checkout_a, args.checkout_b)]
     for run_pass in passes:  # warm-up: imports, caches, first allocations
         run_pass(points)
     times, point_times = ([], []), ([], [])
