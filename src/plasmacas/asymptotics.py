@@ -65,14 +65,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError
 from .pfa import _pfa_prefactor, _polylog_integral, _t0
-from .scattering import PERFECT_CONDUCTOR, check_sheets
+from .scattering import PERFECT_CONDUCTOR, _is_count, check_sheets
 from ._quadrature import _log_t_nodes, _pick_nodes, tail_weights, tau_rule
 
 _S_MAX = 200
@@ -271,9 +270,9 @@ def _ntl_table(t, tau, ws, wp):
 
 def _check_s(s) -> int:
     """s as an int; ValueError unless it is one >= 0, where the sig polynomials hold."""
-    if not hasattr(s, "__index__") or operator.index(s) < 0:
+    if not (_is_count(s) and s >= 0):
         raise ValueError(f"s must be an integer >= 0, got {s!r}")
-    return operator.index(s)
+    return int(s)
 
 
 def ntl_coefficients(s: int, t: float, tau: float, varpi_s, varpi_p) -> NtlCoefficients:

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError, SpectralAnomalyError
 from .roundtrip import KappaTable, RoundTripBlock, _squared_norms, assemble_block
-from .scattering import PlaneSheet, SphereSheet, varpi
+from .scattering import PlaneSheet, SphereSheet, _is_count, varpi
 from ._quadrature import rapidity_rule
 
 _D_MIN = 0.01  # smallest d/R of the multipole path
@@ -30,11 +29,6 @@ _THETA_PANEL_STEPS = 4  # panels the theta probe may add, one per settle step
 _L_MAX_GROWTHS = 3  # raises of the start degree the l_max pick may ask for
 _LOGDET_POSITIVE_TOL = 1e-12
 _STACK_BYTES = 4 << 20  # m = 0 factors H of one stack of kappa nodes (see _mode_sums)
-
-
-def _is_count(v) -> bool:
-    """An integer of any type, numpy's included; a bool is not a count."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -153,57 +147,31 @@ def _factorises(f) -> bool:
 
 
 def _mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol):
-    """The (5, K) record of the K kappa nodes ``kappa`` (1-D): rows F, l probe, m error, m used, T.
+    """The (3, K) record of the K kappa nodes ``kappa`` (1-D): rows F, m error, m used.
 
     F(kappa) = sum_m ln det(I - M_m) with the m <-> -m doubling, the trace
-    of the blocks not summed taken off it.  Also returned: the m-summed
-    trace of the top l_drop = max(4, l_max // 8) degrees (the l-truncation
-    probe), the bound on the rest of the m tail (the m error) and the last
-    m summed, -1 where no block was needed, and T, the m-summed trace of
-    every degree.  A node's m sum stops once its m error is at most
-    ``m_tol`` |F|.  The rapidity rule is that of ``theta_rule`` = (panels,
-    v_max).  The nodes are evaluated level-major: in chunks, each one
-    :class:`KappaTable` with a leading node axis and one stacked block per m
-    (:func:`_chunk_mode_sums`), so the per-call cost of numpy is paid once
-    per chunk instead of once per node.  They run in two phases: the trace
-    step of every chunk (:func:`_trace_step`), then the blocks of every
-    chunk, here both at ``l_max`` on every node.  A run of
-    :func:`casimir_energy` keeps its chunks between the two (:class:`_Run`)
-    and picks l_max at or below the trace step's degree.  The nodes go into
-    the fewest chunks whose trace-step factors, the size of block 0's H at
-    the trace step's degree, fit within _STACK_BYTES, 4 MiB, each, split as
-    evenly as those allow.  A node traced for T alone counts as a whole
-    node.  The trace step of PC d/R = 0.05, the 31 nodes of kappa level 32
-    at 166 kB each (blocks on 15 of them), runs as 16 + 15 nodes, not
-    25 + 6, which kept the peak RSS of a d/R = 0.1 and 0.05 pass 3.2 MB lower
-    (38.2 against 41.3-41.5 MB, 3 rounds, measured with the blocks at the
-    trace step's degree).  The budget bounds the largest array of a chunk,
-    not its working set: while block m is assembled, block m-1's H is still
-    held, and the new H comes with its two angular log arrays, one exponent
-    buffer and up to three Legendre ladders, each a quarter of H.  The trace
-    step of a chunk holds half of the m-summed factor, one polarization at a
-    time, with its exponent buffer and two log arrays, each a quarter of the
-    whole factor, and lets them go before the next chunk's; what stays is
-    each chunk's table and its (K, L, 2) row norms, until the run ends.
-    Dropping block m-1 first was no faster and saved 0.1 of 39.4 MB (PC
-    d/R = 0.1 and 0.05, one process per round, the median of 5 passes each,
-    medians of 20 alternating rounds: 0.141 s held, 0.147 s dropped;
-    measured when every node of the pass had blocks).  The numpy peak of one
-    PC d/R = 0.02 point (tracemalloc, H of 555 kB per node at the trace
-    step's degree 310, at most 7 nodes per chunk) is 5.2 MB, 1.25 times the
-    budget.  Measured on a 2-core Xeon (AVX-512) with one BLAS thread, each
-    size in its own process, medians of 5 interleaved rounds: a pass over PC
-    d/R = 0.1 and 0.05 (H of 72 and 166 kB per node; the median of 5 passes
-    per process) took 0.057 s at 1 MiB, 0.051 s at 2 MiB, 0.052 s at 4 MiB
-    and 0.047 s at 8 MiB, its rounds spreading over 0.044-0.079 s, with a
-    peak RSS of 34.3, 35.6, 37.7 and 39.9 MB.  PC d/R = 0.02 (3 rounds) took
-    0.51, 0.49, 0.44 and 0.39 s and peaked at 36.7, 36.9, 37.7 and 43.2 MB;
-    PC d/R = 0.01 (1.4 MB per node: 1, 2 and 5 nodes per chunk; 3 rounds)
-    took 3.09, 3.11 and 3.02 s at 2, 4 and 8 MiB and peaked at 42.3, 42.2
-    and 47.4 MB.  4 MiB stays: 8 MiB is 9% faster on the pass and 13% faster
-    at d/R = 0.02, but peaks 2.2 and 5.5 MB higher, and the budget is there
-    to bound memory; at 4 MiB the pass peaks below the 38.6 MB it reached
-    with the blocks at the trace step's degree.
+    of the blocks not summed taken off it; the m error bounds the rest of
+    the m tail, and m used is the last m summed, -1 where no block was
+    needed.  A node's m sum stops once its m error is at most ``m_tol``
+    |F|.  The rapidity rule is that of ``theta_rule`` = (panels, v_max).
+    The nodes' T and l probe are not rows of the record: they come from the
+    trace step's row norms (:func:`_trace_sums`).  The nodes are evaluated
+    level-major: in chunks, each one :class:`KappaTable` with a leading
+    node axis and one stacked block per m (:func:`_chunk_mode_sums`), so
+    the per-call cost of numpy is paid once per chunk instead of once per
+    node.  They run in two phases: the trace step of every chunk
+    (:func:`_trace_step`), then the blocks of every chunk, here both at
+    ``l_max`` on every node.  A run of :func:`casimir_energy` keeps its
+    chunks between the two (:class:`_Run`) and picks l_max at or below the
+    trace step's degree.  The nodes go into the fewest chunks whose
+    trace-step factors, the size of block 0's H at the trace step's degree,
+    fit within _STACK_BYTES each, split as evenly as those allow; a node
+    traced for T alone counts as a whole node.  The budget bounds the
+    largest array of a chunk, not its working set: while block m is
+    assembled, block m-1's H is still held, and the new H comes with its
+    two angular log arrays, one exponent buffer and up to three Legendre
+    ladders, each a quarter of H.  _STACK_BYTES is set by the chunk-budget
+    timings and peaks of README's "Numerical notes".
     """
     return np.hstack([_chunk_mode_sums(table, norms, m_tol)
                       for table, norms in _trace_step(kappa, sphere, plane, l_max, theta_rule)])
@@ -231,14 +199,36 @@ def _l_keep(l_max):
     return np.maximum(1, l_max - np.maximum(4, l_max // 8))
 
 
+def _trace_sums(norms, l_max):
+    """(T, l probe) of each node at ``l_max`` from its m-summed row norms, (K, >= l_max, 2).
+
+    T = sum_m (2 - delta_m0) tr M_m over every block m = 0 .. l_max is the
+    sum of the node's row norms of the degrees 1 .. l_max
+    (:meth:`KappaTable.m_summed_traces`).  The l probe is T_top, the trace
+    of the degrees l_keep < l <= l_max, l_keep = l_max - l_drop (l_drop =
+    max(4, l_max // 8), at least one degree kept), over every m, summed from
+    the top rows of the m-summed factor, so it is never below 0.  It is a
+    floor under what dropping those degrees changes in F: per block,
+    Fischer's inequality gives ln det(I - M_kk) - ln det(I - M)
+    >= -ln det(I - M_dd) >= tr M_dd for the kept (k) and dropped (d)
+    degrees, and the blocks not summed carry their whole trace in F.  At
+    the 12 benchmark points, with every m summed, it fell short of that
+    change by at most 5.6e-6 of itself at each node of kappa level 32, and
+    by 1.2e-6 to 3.9e-6 in the integral.  Each sum runs over the node's
+    flattened row, so a node's values are the same in any set of nodes.
+    """
+    by_row = norms[:, :l_max].reshape(len(norms), -1)
+    return by_row.sum(axis=1), by_row[:, 2 * _l_keep(l_max):].sum(axis=1)
+
+
 def _chunk_mode_sums(table, norms, m_tol):
-    """The (5, K) record of :func:`_mode_sums` for the K nodes of ``table``.
+    """The (3, K) record of :func:`_mode_sums` for the K nodes of ``table``.
 
     The m tail is the trace still to come.  ``norms``, the m-summed row
     norms (:meth:`KappaTable.m_summed_traces`) of the table's degrees
-    1 .. l_max at its nodes, give each node T = sum_m (2 - delta_m0) tr M_m
-    over every block m = 0 .. l_max; after block m the blocks not yet summed
-    have the trace R = T - sum_{m' <= m} (2 - delta_m'0) ||H_m'||_F^2.
+    1 .. l_max or more at its nodes, give each node T over every block
+    m = 0 .. l_max (:func:`_trace_sums`); after block m the blocks not yet
+    summed have the trace R = T - sum_{m' <= m} (2 - delta_m'0) ||H_m'||_F^2.
     Since -ln det(I - M) = tr M + sum_{k >= 2} tr M^k / k, they add
     -R - V to the sum, 0 <= V <= U (:func:`_tail_bound`).  The node takes
     the upper end, F = partial - R, with m error U, not the midpoint: U
@@ -248,31 +238,17 @@ def _chunk_mode_sums(table, norms, m_tol):
     stops per node at the first m, or before any block, where
     U <= m_tol |F|; a weak node thus takes F = -T with no block, and its m
     used is -1.  A sum that runs to m = l_max is complete, and its R,
-    round-off then, is dropped, so its U is 0.  Row T is the table's T.
-
-    The l probe is T_top, the trace of the degrees
-    l_keep < l <= l_max, l_keep = l_max - l_drop (l_drop = max(4,
-    l_max // 8), at least one degree kept), over every m, summed from the
-    top rows of the m-summed factor, so it is never below 0.  It is a floor
-    under what dropping those degrees changes in F: per block, Fischer's
-    inequality gives ln det(I - M_kk) - ln det(I - M)
-    >= -ln det(I - M_dd) >= tr M_dd for the kept (k) and dropped (d)
-    degrees, and the blocks not summed carry their whole trace in F.  At
-    the 12 benchmark points, with every m summed, it fell short of that
-    change by at most 5.6e-6 of itself at each node of kappa level 32, and
-    by 1.2e-6 to 3.9e-6 in the integral.
+    round-off then, is dropped, so its U is 0.
 
     A node that stops leaves the stack, and later blocks and the cached
     ladders hold only the nodes still summing.  A node's column is written
     when it stops, bit-identical to that of the node alone.
     """
     nodes = len(table.c)
-    rows = np.empty((5, nodes))
+    rows = np.empty((3, nodes))
     active = np.arange(nodes)
     total = np.zeros(nodes)
-    by_row = norms.reshape(nodes, -1)
-    rest, top = by_row.sum(axis=1), by_row[:, 2 * _l_keep(table.l_max):].sum(axis=1)
-    rows[4] = rest
+    rest = _trace_sums(norms, table.l_max)[0]
     l_max = table.l_max
     for m in range(-1, l_max + 1):
         if m >= 0:
@@ -287,12 +263,12 @@ def _chunk_mode_sums(table, norms, m_tol):
         f = total - rest
         done = (err <= m_tol * np.abs(f)) | (m == l_max)
         if done.any():
-            rows[:4, active[done]] = np.vstack([f, top, err, np.full_like(err, m)])[:, done]
+            rows[:, active[done]] = np.vstack([f, err, np.full_like(err, m)])[:, done]
             if done.all():
                 break
             keep = ~done
             table, active = table.take(keep), active[keep]
-            total, rest, top = total[keep], rest[keep], top[keep]
+            total, rest = total[keep], rest[keep]
     return rows
 
 
@@ -380,25 +356,34 @@ def _kappa_rule(n):
 
 
 class _Run:
-    """One run of the kappa levels on one rule: its truncations and the record of its nodes.
+    """One run of the kappa levels on one rule: its truncations, node record and traces.
 
     The trace step runs at degree ``l_top`` and the blocks at ``l_max`` <=
-    l_top (:func:`_set_l_max`), both on the rapidity rule ``theta_rule``,
-    each m sum stopping at ``m_tol`` (:func:`_chunk_mode_sums`), with
-    kappa = x / (2 ``d``).  The levels are ``kappa_nodes`` times powers of
-    two up to 2 _KAPPA_NODE_CEILING, and ``record`` holds the rows F, l
-    probe, m error, m used and T of :func:`_mode_sums` at every node of the
-    finest, ``finest`` (:meth:`columns`), each NaN until evaluated;
-    ``traced`` the chunks traced so far, as (columns, table, norms), held
-    until the run ends, since a rise of l_max runs blocks again on their
-    tables; and ``rule(n)`` is level n's rule, built once per run.
+    l_top, both on the rapidity rule ``theta_rule``, each m sum stopping at
+    ``m_tol`` (:func:`_chunk_mode_sums`), with kappa = x / (2 ``d``).
+    l_max starts at l_top; the caller sets it, and clears the record first
+    where it rises after blocks ran.  The levels are ``kappa_nodes`` times
+    powers of two up to 2 _KAPPA_NODE_CEILING, and a node's column is its
+    index in the finest, ``finest`` (:meth:`columns`).  ``record`` holds
+    the rows F, m error and m used of :func:`_mode_sums` at every column,
+    each NaN until evaluated.  ``norms`` holds the m-summed row norms
+    (K, l_top, 2) of the nodes traced so far, in the order they were
+    traced, and ``slot`` each column's row of them, -1 until traced
+    (:func:`_norms` reads them by level): the store grows with the nodes
+    traced, usually level 2n's, not with the finest level's columns.  T and
+    the l probe at any l_max are read off it (:func:`_trace_sums`) and
+    never stored.  ``tables`` holds the chunks
+    traced so far, as (columns, table), until the run ends, since a rise of
+    l_max runs blocks again on their tables; and ``rule(n)`` is level n's
+    rule, built once per run.
     """
 
-    def __init__(self, d, sphere, plane, l_top, theta_rule, l_max, m_tol, kappa_nodes):
+    def __init__(self, d, sphere, plane, l_top, theta_rule, m_tol, kappa_nodes):
         self.d, self.sphere, self.plane, self.l_top = d, sphere, plane, l_top
-        self.theta_rule, self.l_max, self.m_tol = theta_rule, l_max, m_tol
+        self.theta_rule, self.l_max, self.m_tol = theta_rule, l_top, m_tol
         self.finest = kappa_nodes << (2 * _KAPPA_NODE_CEILING // kappa_nodes).bit_length() - 1
-        self.record, self.traced = np.full((5, self.finest - 1), np.nan), []
+        self.record = np.full((3, self.finest - 1), np.nan)
+        self.norms, self.slot, self.tables = np.empty((0, l_top, 2)), np.full(self.finest - 1, -1), []
         self.rule = functools.cache(_kappa_rule)
 
     def columns(self, n_kappa):
@@ -414,8 +399,8 @@ class _Run:
 @dataclass(frozen=True)
 class _Level:
     """One level of the kappa rule: the integral of F, its l and m
-    estimates, the integral of T and the (5, K) record of its K nodes,
-    rows F, l probe, m error, m used, T."""
+    estimates, the integral of T and the (3, K) record of its K nodes,
+    rows F, m error, m used."""
 
     energy: float
     err_l: float
@@ -425,8 +410,9 @@ class _Level:
 
 
 def _level(run, n_kappa):
-    """The :class:`_Level` of kappa level n_kappa from the record of ``run``.
+    """The :class:`_Level` of kappa level n_kappa from the record and the traces of ``run``.
 
+    T and the l probe are those of the run's l_max (:func:`_trace_sums`).
     A node of the level with no F raises, rather than make the sums NaN.
     The columns are copied contiguous: summed on the strided rows that
     indexing gives, E moved by 1-2 ulp.
@@ -434,7 +420,8 @@ def _level(run, n_kappa):
     rows = np.ascontiguousarray(run.record[:, run.columns(n_kappa)])
     if np.isnan(rows).any():
         raise RuntimeError(f"kappa level {n_kappa} has nodes the run has not evaluated")
-    return _Level(*(_integral(run, n_kappa, rows[i]) for i in (0, 1, 2, 4)), rows)
+    trace, probe = _trace_sums(_norms(run, n_kappa), run.l_max)
+    return _Level(*(_integral(run, n_kappa, v) for v in (rows[0], probe, rows[1], trace)), rows)
 
 
 def _integral(run, n_kappa, values):
@@ -442,65 +429,54 @@ def _integral(run, n_kappa, values):
     return 1.0 / (2.0 * math.pi) / (2.0 * run.d) * (run.rule(n_kappa)[1] @ values)
 
 
-def _trace(run, n_kappa):
-    """Trace the nodes of kappa level n_kappa with no T yet into new chunks of ``run``.
+def _norms(run, n_kappa):
+    """The m-summed row norms (K, l_top, 2) of the K nodes of kappa level n_kappa, in level order.
 
-    Their T is written at the run's l_max (:func:`_set_l_max`), so a node
-    is traced once per run.  A chunk's columns are its nodes', split by the
-    chunks' own sizes: :func:`_trace_step` keeps the nodes in order.
+    A node of the level the run has not traced raises, rather than read
+    what the store does not hold.
+    """
+    slot = run.slot[run.columns(n_kappa)]
+    if (slot < 0).any():
+        raise RuntimeError(f"kappa level {n_kappa} has nodes the run has not traced")
+    return run.norms[slot]
+
+
+def _trace(run, n_kappa):
+    """Trace the nodes of kappa level n_kappa not yet traced by ``run`` into new chunks.
+
+    Their row norms join the run's store, so a node is traced once per
+    run.  A chunk's columns are its nodes', split by the chunks' own sizes:
+    :func:`_trace_step` keeps the nodes in order.
     """
     cols = run.columns(n_kappa)
-    new = np.isnan(run.record[4, cols])
+    new = run.slot[cols] < 0
     if new.any():
         chunks = _trace_step(run.rule(n_kappa)[0][new] / (2.0 * run.d), run.sphere, run.plane,
                              run.l_top, run.theta_rule)
+        run.slot[cols[new]] = len(run.norms) + np.arange(new.sum())
+        run.norms = np.concatenate([run.norms, *(norms for _, norms in chunks)])
         ends = np.cumsum([len(norms) for _, norms in chunks])[:-1]
-        run.traced += [(c, *ch) for c, ch in zip(np.split(cols[new], ends), chunks)]
-        _set_l_max(run, run.l_max)  # T at every traced node, the new ones among them
+        run.tables += zip(np.split(cols[new], ends), (table for table, _ in chunks))
 
 
 def _quadrature_pass(n_kappa, run):
     """Level n_kappa of the kappa rule, as a :class:`_Level`, on the record of ``run``.
 
-    It traces the level's nodes with no T (:func:`_trace`), runs each
+    It traces the level's nodes not yet traced (:func:`_trace`), runs each
     chunk's blocks at l_max on its nodes of the level with no F, the chunk
-    cut to them (:func:`_chunk_mode_sums`, which writes their T too), and
-    sums the level.  A column is bit for bit that of the node alone, so the
-    sums are the level's afresh; each node is traced once per run, and its
-    blocks run once per l_max.
+    cut to them (:func:`_chunk_mode_sums`), and sums the level.  A column
+    is bit for bit that of the node alone, so the sums are the level's
+    afresh; each node is traced once per run, and its blocks run once per
+    l_max.
     """
     _trace(run, n_kappa)
     in_level = np.bincount(run.columns(n_kappa), minlength=run.finest - 1) > 0  # as a mask
-    for c, table, norms in run.traced:
+    for c, table in run.tables:
         need = np.isnan(run.record[0, c]) & in_level[c]
         if need.any():
             run.record[:, c[need]] = _chunk_mode_sums(table.cut(run.l_max).take(need),
-                                                      norms[need, :run.l_max], run.m_tol)
+                                                      run.norms[run.slot[c[need]]], run.m_tol)
     return _level(run, n_kappa)
-
-
-def _traces(run, n_kappa):
-    """Each degree's m-summed trace, l = 1 .. l_top, at each node of kappa level n_kappa: (K, L).
-
-    The level's nodes with no trace yet are traced first (:func:`_trace`).
-    The levels are nested, and a run traces them coarse to fine, so the
-    nodes it holds are those of the finest level it has traced: n_kappa
-    must be that level, or a finer one.  The rows are in the level's order.
-    """
-    _trace(run, n_kappa)
-    order = np.argsort(np.concatenate([c for c, _, _ in run.traced]))
-    return np.concatenate([norms for _, _, norms in run.traced])[order].sum(axis=2)
-
-
-def _set_l_max(run, l_max):
-    """Run the blocks of ``run`` at ``l_max`` from now on, and write T at it at every traced node.
-
-    T is the m-summed trace of the degrees up to l_max, as
-    :func:`_chunk_mode_sums` writes it.  F's rows are left as they are.
-    """
-    run.l_max = l_max
-    for c, _, norms in run.traced:
-        run.record[4, c] = norms[:, :l_max].reshape(len(c), -1).sum(axis=1)
 
 
 def _pick_l_max(degree_traces, share):
@@ -530,9 +506,11 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     T = sum_m (2 - delta_m0) tr M_m, is known at every node before any
     block (see below).  So T is a control variate: the energy is the
     integral of F + T on level n less that of T on level 2n, where n is
-    twice ``kappa_nodes``.  Each level sums from one record of a run's
-    nodes (:class:`_Run`), which traces level 2n and runs blocks on level
-    n alone first.  The kappa estimate is the change of the F + T sum from
+    twice ``kappa_nodes``.  Each level sums from one run's record of its
+    nodes' F, m error and m used, and from the run's store of their trace
+    step's row norms, which give T and the l probe at the run's l_max
+    (:class:`_Run`); the run traces level 2n and runs blocks on level n
+    alone first.  The kappa estimate is the change of the F + T sum from
     level n/2 to n plus that of the T sum from level n to 2n.  At the 12
     benchmark points F + T is 1.5-6% of F on level 16, and the
     control-variate sum missed the plain F sum on level 128 by 0.002-0.17
@@ -557,10 +535,11 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     (:meth:`KappaTable.m_summed_traces`).  l_max is the smallest l <= L
     whose l estimate over the nodes of level n is at most rel_tol/4 of the
     integral of T up to l over them (:func:`_pick_l_max`), which is a
-    floor under |E| since |F| >= T at each node.  The blocks, T, the l probe and the
-    theta probe then all run at l_max on L's rule, the first three on the
-    trace step's own tables cut at l_max (:meth:`KappaTable.cut`), so a
-    run builds and traces each node once.  At the 12 benchmark points
+    floor under |E| since |F| >= T at each node.  The blocks, T, the l
+    probe and the theta probe then all run at l_max on L's rule: the blocks
+    on the trace step's own tables cut at l_max (:meth:`KappaTable.cut`),
+    and T and the l probe summed from its row norms up to l_max, so a run
+    builds and traces each node once.  At the 12 benchmark points
     (rel_tol 1e-3) the pick is 55 of 70 and 109 of 130 on exact-narrow,
     and 0.67-0.74 of L on exact-wide; E moved by at most 0.49 of the
     estimate of a run at L, and err_l is 1.98 to 35.7 times what raising
@@ -569,9 +548,9 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     before any block, at most three times; past that the call raises.
     After a kappa miss each new level is traced at L before its blocks
     run, and l_max is picked again over its nodes (L where none fits).  If
-    the pick rises, T is written at the new l_max, and the level before is
-    summed again at it, on the run's tables, before the new level is, so
-    the pick holds on the level that is reported.  An explicit ``l_max`` runs at
+    the pick rises, the record is cleared, and the level before is summed
+    again at the new l_max, on the run's tables and traces, before the new
+    level is, so the pick holds on the level that is reported.  An explicit ``l_max`` runs at
     its own degree with no pick.
     At each node the Legendre addition theorem gives
     T = sum_m (2 - delta_m0) tr M_m over every m in closed form, so after
@@ -638,20 +617,20 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     # settle l_max and the rapidity rule on the trace step and level n alone
     while True:
         panels, v_max = _theta_rule(l_top)
-        run = _Run(d, s1, p1, l_top, (panels + added, v_max), l_top, share, numerics.kappa_nodes)
+        run = _Run(d, s1, p1, l_top, (panels + added, v_max), share, numerics.kappa_nodes)
         # trace level 2n, whose nodes outside level n take T alone, and pick
         # l_max on level n
-        degree_traces = run.rule(n)[1] @ _traces(run, 2 * n)[1::2]
-        l_max = _pick_l_max(degree_traces, share) if auto_l else l_top
+        _trace(run, 2 * n)
+        l_max = _pick_l_max(run.rule(n)[1] @ _norms(run, n).sum(axis=2), share) if auto_l else l_top
         if l_max is None:
             if l_steps == _L_MAX_GROWTHS:
-                err_l = _integral(run, n, _traces(run, 2 * n)[1::2, _l_keep(l_top):].sum(axis=1))
+                err_l = _integral(run, n, _trace_sums(_norms(run, n), l_top)[1])
                 raise NumericsError(f"l_max growth did not converge: l estimate {err_l:.3e} at "
                                     f"the start degree {l_top}", error_estimate=err_l)
             l_top += max(10, l_top // 3)
             l_steps += 1
             continue
-        _set_l_max(run, l_max)
+        run.l_max = l_max
         last = _quadrature_pass(n, run)
         # rapidity-rule check at the smallest kappa node, the last of the
         # level, where the rule is weakest
@@ -663,7 +642,8 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
             break
         added += 1
 
-    fine, prev = _integral(run, 2 * n, run.record[4, run.columns(2 * n)]), _level(run, n // 2)
+    fine = _integral(run, 2 * n, _trace_sums(_norms(run, 2 * n), run.l_max)[0])
+    prev = _level(run, n // 2)
     energy = last.energy + last.trace - fine
     err_k = abs(last.energy + last.trace - prev.energy - prev.trace) + abs(fine - last.trace)
     # a miss: F on the other nodes of level 2n, on the run's tables, where
@@ -672,10 +652,11 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
     # is summed again at the new l_max first
     while err_k > share * abs(energy) and 2 * n <= _KAPPA_NODE_CEILING:
         n *= 2
-        l_max = _pick_l_max(run.rule(n)[1] @ _traces(run, n), share) or l_top
+        _trace(run, n)
+        l_max = _pick_l_max(run.rule(n)[1] @ _norms(run, n).sum(axis=2), share) or l_top
         if auto_l and l_max > run.l_max:  # an explicit l_max stays
-            run.record[:4] = np.nan
-            _set_l_max(run, l_max)
+            run.l_max = l_max
+            run.record[:] = np.nan
             last = _quadrature_pass(n // 2, run)
         prev, last = last, _quadrature_pass(n, run)
         energy, err_k = last.energy, abs(last.energy - prev.energy)
@@ -696,6 +677,6 @@ def casimir_energy(sphere: SphereSheet, plane: PlaneSheet,
         energy_dimensionless=float(energy * d * d),
         error_estimate=float(error / R),
         l_max_used=run.l_max,
-        m_max_used=int(last.rows[3].max()),
+        m_max_used=int(last.rows[2].max()),
         kappa_nodes_used=n,
     )

@@ -10,6 +10,7 @@ instead of a huge float.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +25,11 @@ PERFECT_CONDUCTOR = math.inf
 class Polarization(Enum):
     TE = "TE"
     TM = "TM"
+
+
+def _is_count(v) -> bool:
+    """An integer of any type, numpy's included; a bool is not a count."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def check_omega(omega, name):

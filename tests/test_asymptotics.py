@@ -403,8 +403,8 @@ def test_ntl_coefficients_domain():
     with pytest.raises(ValueError):
         ntl_coefficients(-1, 1.0, 0.5, 1.0, 1.0)
     # s must be a non-negative integer: the sig polynomials mean nothing
-    # between the integers
-    for bad in (-1, 2.5, np.float64(1.0), "1"):
+    # between the integers; a bool is not one
+    for bad in (-1, 2.5, np.float64(1.0), "1", True, False):
         with pytest.raises(ValueError, match="integer"):
             ntl_coefficients(bad, 1.0, 0.5, 1.0, 1.0)
         with pytest.raises(ValueError, match="integer"):

@@ -376,15 +376,29 @@ def _run(sphere, plane, l_max, m_tol=0.25 * NumericsSpec().rel_tol,
     the start degree's rule."""
     d = plane.distance_L - 1.0
     l_top, rule, _ = _pass_args(d)
-    return energy_exact._Run(d, sphere, plane, l_top, rule, l_max, m_tol, kappa_nodes)
+    run = energy_exact._Run(d, sphere, plane, l_top, rule, m_tol, kappa_nodes)
+    run.l_max = l_max
+    return run
 
 
 def _fresh(run):
     """A run with the truncations and finest level of ``run`` and an empty
-    record: the finest level of a run from kappa_nodes = finest is finest
-    itself."""
-    return energy_exact._Run(run.d, run.sphere, run.plane, run.l_top, run.theta_rule, run.l_max,
-                             run.m_tol, run.finest)
+    record and store: the finest level of a run from kappa_nodes = finest
+    is finest itself."""
+    fresh = energy_exact._Run(run.d, run.sphere, run.plane, run.l_top, run.theta_rule, run.m_tol,
+                              run.finest)
+    fresh.l_max = run.l_max
+    return fresh
+
+
+def _fresh_sums(kappa, sphere, plane, l_max, theta_rule, m_tol):
+    """(record, T, l probe) of the nodes ``kappa`` afresh: the three rows of
+    _mode_sums, and T and the l probe of a trace step of their own at
+    l_max (_trace_sums)."""
+    norms = np.concatenate([n for _, n in energy_exact._trace_step(kappa, sphere, plane, l_max,
+                                                                   theta_rule)])
+    return (energy_exact._mode_sums(kappa, sphere, plane, l_max, theta_rule, m_tol),
+            *energy_exact._trace_sums(norms, l_max))
 
 
 def _recording_passes(monkeypatch):
@@ -409,28 +423,29 @@ def test_weak_node_needs_no_block(monkeypatch):
     d = 0.1
     sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     calls = _counting_blocks(monkeypatch)
-    out = energy_exact._mode_sums(np.array([300.0]), sphere, plane, *_pass_args(d))
-    assert calls == [] and out[3].tolist() == [-1]
+    out, trace, top = _fresh_sums(np.array([300.0]), sphere, plane, *_pass_args(d))
+    assert calls == [] and out[2].tolist() == [-1]
     l_max, theta_rule, m_tol = _pass_args(d)
     table = KappaTable.build(np.array([300.0]), sphere, plane, l_max, rapidity_rule(*theta_rule))
     want, want_top = m_summed_trace(table, l_max - max(4, l_max // 8))
-    assert 0.0 < want[0] < 1e-25
+    assert 0.0 < want[0] < 1e-25 and -out[0, 0] == trace[0]
     assert -out[0, 0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
-    assert out[1, 0] == pytest.approx(want_top[0], rel=1e-12, abs=0.0)
+    assert top[0] == pytest.approx(want_top[0], rel=1e-12, abs=0.0)
     # before block 0 the next block has weight 1, so lam = T and U = T^2/2
-    assert out[2, 0] == pytest.approx(0.5 * want[0] ** 2, rel=1e-12, abs=0.0)
-    assert 0.0 < out[2, 0] <= m_tol * abs(out[0, 0])
+    assert out[1, 0] == pytest.approx(0.5 * want[0] ** 2, rel=1e-12, abs=0.0)
+    assert 0.0 < out[1, 0] <= m_tol * abs(out[0, 0])
 
 
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
 def test_record_carries_each_node_trace(monkeypatch, omega):
-    # the record a run's first pass leaves, at an explicit l_max (the start
-    # degree, so the trace step and the blocks share one degree): row 4 is
-    # T = sum_m (2 - delta_m0) tr M_m over every m at each node of kappa
-    # level 32, against the block-by-block oracle, and row 1 the l probe
-    # over the top degrees at each node of level 16.  The other 16 nodes
-    # take T alone: their other rows stay NaN.  The nodes of level 16 have
-    # the columns of a call without those, bit for bit
+    # the record and the store of traces a run's first pass leaves, at an
+    # explicit l_max (the start degree, so the trace step and the blocks
+    # share one degree): the store gives T = sum_m (2 - delta_m0) tr M_m
+    # over every m at each node of kappa level 32, against the
+    # block-by-block oracle, and the l probe over the top degrees.  The 16
+    # nodes outside level 16 take T alone: their record columns stay NaN.
+    # The nodes of level 16 have the columns of a call without those, bit
+    # for bit
     d = 0.3
     sphere, plane = SphereSheet(1.0, omega), PlaneSheet(omega, 1.0 + d)
     l_max, theta_rule, m_tol = _pass_args(d)
@@ -440,13 +455,14 @@ def test_record_carries_each_node_trace(monkeypatch, omega):
     assert n_kappa == 16 and (run.l_top, run.l_max, run.theta_rule) == (l_max, l_max, theta_rule)
     kappa = energy_exact._kappa_rule(32)[0] / (2.0 * run.d)  # d = L/R - 1, as the run has it
     rows = record[:, run.columns(32)]
+    trace, top = energy_exact._trace_sums(energy_exact._norms(run, 32), run.l_max)
     table = KappaTable.build(kappa, sphere, plane, l_max, rapidity_rule(*theta_rule))
     want, want_top = m_summed_trace(table, l_max - max(4, l_max // 8))
-    assert rows[4] == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert rows[1, 1::2] == pytest.approx(want_top[1::2], rel=1e-12, abs=0.0)
-    assert np.all(np.isnan(rows[:4, ::2]))
+    assert trace == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert top == pytest.approx(want_top, rel=1e-12, abs=0.0)
+    assert np.all(np.isnan(rows[:, ::2]))
     alone = energy_exact._mode_sums(kappa[1::2], sphere, plane, l_max, theta_rule, m_tol)
-    assert np.array_equal(rows[:, 1::2], alone) and alone[3].max() > 0
+    assert np.array_equal(rows[:, 1::2], alone) and alone[2].max() > 0
 
 
 def test_tail_bound_of_synthetic_traces():
@@ -481,9 +497,9 @@ def test_m_sum_to_l_max_has_no_tail_and_a_cap_has_one(monkeypatch):
     kappa, sphere, plane = np.array([0.5, 6.0]), SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR,
                                                                                    1.0 + d)
     rule = energy_exact._theta_rule(l_max)
-    stopped = energy_exact._mode_sums(kappa, sphere, plane, l_max, rule, 1e-8)
-    m_used = stopped[3].astype(int)
-    assert m_used.tolist() == [6, 5] and np.all(stopped[2] > 0.0)
+    stopped, _, probe = _fresh_sums(kappa, sphere, plane, l_max, rule, 1e-8)
+    m_used = stopped[2].astype(int)
+    assert m_used.tolist() == [6, 5] and np.all(stopped[1] > 0.0)
     # the partial sums and the trace of the blocks after each node's stop,
     # block by block
     table = KappaTable.build(kappa, sphere, plane, l_max, rapidity_rule(*rule))
@@ -496,12 +512,12 @@ def test_m_sum_to_l_max_has_no_tail_and_a_cap_has_one(monkeypatch):
         trace -= summed * np.sum(block.factor ** 2, axis=(1, 2))
     assert np.all(trace > 0.0) and np.all(top > 0.0)
     assert stopped[0] == pytest.approx(partial - trace, rel=1e-12, abs=0.0)
-    assert stopped[1] == pytest.approx(top, rel=1e-12, abs=0.0)
+    assert probe == pytest.approx(top, rel=1e-12, abs=0.0)
     _m_sum_to_l_max(monkeypatch)
-    whole = energy_exact._mode_sums(kappa, sphere, plane, l_max, rule, _NO_M_STOP)
-    assert whole[3].tolist() == [l_max, l_max] and whole[2].tolist() == [0.0, 0.0]
-    assert np.array_equal(whole[1], stopped[1])
-    assert np.all(np.abs(stopped[0] - whole[0]) <= stopped[2])
+    whole, _, whole_probe = _fresh_sums(kappa, sphere, plane, l_max, rule, _NO_M_STOP)
+    assert whole[2].tolist() == [l_max, l_max] and whole[1].tolist() == [0.0, 0.0]
+    assert np.array_equal(whole_probe, probe)
+    assert np.all(np.abs(stopped[0] - whole[0]) <= stopped[1])
     # the tail adds attraction beyond -R, so F = partial - R lies above the whole sum
     assert np.all(whole[0] < stopped[0])
 
@@ -546,10 +562,10 @@ def test_l_probe_is_a_floor_under_the_sub_block_sums(monkeypatch, d, omega_s):
     l_keep = l_max - max(4, l_max // 8)
     kappa = energy_exact._kappa_rule(32)[0] / (2.0 * d)
     pivots = _factorised_pivots(monkeypatch)
-    whole = energy_exact._mode_sums(kappa, sphere, plane, l_max, rule, _NO_M_STOP)
+    whole, _, top = _fresh_sums(kappa, sphere, plane, l_max, rule, _NO_M_STOP)
     kept = energy_exact._mode_sums(kappa, sphere, plane, l_keep, rule, _NO_M_STOP)
-    assert whole[3].max() == l_max and kept[3].max() == l_keep
-    change, top = kept[0] - whole[0], whole[1]
+    assert whole[2].max() == l_max and kept[2].max() == l_keep
+    change = kept[0] - whole[0]
     eps = np.finfo(float).eps
     roundoff = 1e-14 * np.abs(whole[0]) + eps * np.array([pivots.get(k, 0.0) for k in kappa])
     assert np.all(top >= 0.0) and np.sum(top > 1e-6) >= 10
@@ -643,7 +659,7 @@ def _control_variate(level, run):
     x, w = energy_exact._kappa_rule(2 * (level.rows.shape[1] + 1))
     traced = energy_exact._trace_step(x / (2.0 * run.d), run.sphere, run.plane, run.l_top,
                                       run.theta_rule)
-    t = np.concatenate([norms[:, :run.l_max].sum(axis=(1, 2)) for _, norms in traced])
+    t = energy_exact._trace_sums(np.concatenate([norms for _, norms in traced]), run.l_max)[0]
     return level.energy + level.trace - (w @ t) / (2.0 * math.pi) / (2.0 * run.d)
 
 
@@ -656,11 +672,12 @@ def test_m_error_covers_the_m_sum_run_to_l_max(monkeypatch, d, omega_s, omega_p)
     # trace step.  T
     # has no m error, so the miss is that of the plain F sums on the F
     # level.  It lies within err_m (0.09 and 0.30 of it), err_m within the
-    # m share rel_tol/4 of |E|, and at every node within row 2 of the
-    # record (at most 0.11 and 0.31 of it where the miss passes 1e-14).
+    # m share rel_tol/4 of |E|, and at every node within row 1 of the
+    # record, the m error (at most 0.11 and 0.31 of it where the miss
+    # passes 1e-14).
     # The run to l_max takes ln det of a block with tr M <= 1e-6 from its
     # trace series: the Cholesky value there is round-off, and the node
-    # miss beyond row 2 read 9.4e-14 at x = 17.5 of the first point
+    # miss beyond row 1 read 9.4e-14 at x = 17.5 of the first point
     # (F = -1.3e-7) and 7.2e-14 at x = 13.4 of the second (kappa level 32),
     # which 1e-14 per node does not cover
     rel_tol = 1e-3
@@ -674,9 +691,9 @@ def test_m_error_covers_the_m_sum_run_to_l_max(monkeypatch, d, omega_s, omega_p)
     _m_sum_to_l_max(monkeypatch)
     whole = energy_exact._quadrature_pass(res.kappa_nodes_used,
                                           _run(sphere, plane, res.l_max_used, _NO_M_STOP))
-    assert whole.err_m == 0.0 and whole.rows[3].max() == res.l_max_used
+    assert whole.err_m == 0.0 and whole.rows[2].max() == res.l_max_used
     assert abs(level.energy - whole.energy) <= level.err_m
-    assert np.all(np.abs(level.rows[0] - whole.rows[0]) <= level.rows[2] + 1e-14)
+    assert np.all(np.abs(level.rows[0] - whole.rows[0]) <= level.rows[1] + 1e-14)
 
 
 @pytest.mark.parametrize("d, omega_s, omega_p", [
@@ -724,7 +741,7 @@ def test_l_estimate_covers_the_l_error(monkeypatch, d, omega_s, omega_p):
     def f_sum(l_max):
         rows = energy_exact._mode_sums(x / (2.0 * d), sphere, plane, l_max, run.theta_rule,
                                        _NO_M_STOP)
-        assert rows[3].max() == l_max
+        assert rows[2].max() == l_max
         return (w @ rows[0]) / (2.0 * math.pi) / (2.0 * d)
 
     l_error = abs(f_sum(res.l_max_used) - f_sum(int(1.6 * res.l_max_used)))
@@ -750,7 +767,8 @@ def test_kappa_rule_is_nested():
     sphere, plane = SphereSheet(1.0, PERFECT_CONDUCTOR), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     for kappa_nodes, finest in ((8, 256), (11, 176), (12, 192), (33, 132), (64, 256)):
         run = _run(sphere, plane, 20, kappa_nodes=kappa_nodes)
-        assert run.finest == finest and run.record.shape == (5, finest - 1)
+        assert run.finest == finest and run.record.shape == (3, finest - 1)
+        assert run.slot.shape == (finest - 1,) and run.norms.shape == (0, run.l_top, 2)
         assert np.array_equal(run.columns(finest), np.arange(finest - 1))
         x_finest = energy_exact._kappa_rule(finest)[0]
         n = kappa_nodes
@@ -762,12 +780,12 @@ def test_kappa_rule_is_nested():
                 assert np.array_equal(run.columns(2 * n)[1::2], cols)
             n *= 2
     # a level that does not divide the finest one has more columns than
-    # nodes, so it can be neither traced nor summed on the record
+    # nodes, so it can be neither traced nor summed on the record and store
     run = _run(sphere, plane, 20, kappa_nodes=11)
     assert run.columns(24).size == 25
     with pytest.raises(IndexError):
         energy_exact._trace(run, 24)
-    run.record[:] = 0.0
+    run.record[:], run.slot[:], run.norms = 0.0, 0, np.zeros((1, run.l_top, 2))
     with pytest.raises(ValueError):
         energy_exact._level(run, 24)
 
@@ -830,9 +848,10 @@ def test_each_kappa_node_evaluated_once(monkeypatch):
 @pytest.mark.parametrize("kappa_nodes", [8, 11, 12])
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
 def test_level_sums_of_the_record_equal_those_of_the_level_alone(omega, kappa_nodes):
-    # a level summed from a run's record, with its columns among those of
-    # other levels, gives bit for bit the sums of the same level from a
-    # fresh _mode_sums over its nodes: with n = 2 kappa_nodes, level n after
+    # a level summed from a run's record and store, with its columns among
+    # those of other levels, gives bit for bit the sums of the same level
+    # from a fresh _mode_sums and trace step over its nodes
+    # (_fresh_sums): with n = 2 kappa_nodes, level n after
     # a trace of level 2n, as a run's settle step makes them, level n / 2
     # from that record, T on level 2n, then level 2n after the refine and
     # level 4n, which traces its new nodes.  A first level off the powers
@@ -841,18 +860,19 @@ def test_level_sums_of_the_record_equal_those_of_the_level_alone(omega, kappa_no
     d = 0.3
     sphere, plane = SphereSheet(1.0, omega), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     l_max, rule, m_tol = _pass_args(d)
-    run = energy_exact._Run(d, sphere, plane, l_max, rule, l_max, m_tol, kappa_nodes)
+    run = energy_exact._Run(d, sphere, plane, l_max, rule, m_tol, kappa_nodes)
     n = 2 * kappa_nodes
     energy_exact._trace(run, 2 * n)
     first = energy_exact._quadrature_pass(n, run)
-    t_fine = energy_exact._integral(run, 2 * n, run.record[4, run.columns(2 * n)])
+    t_fine = energy_exact._integral(
+        run, 2 * n, energy_exact._trace_sums(energy_exact._norms(run, 2 * n), l_max)[0])
     levels = [first, energy_exact._level(run, n // 2), energy_exact._quadrature_pass(2 * n, run),
               energy_exact._quadrature_pass(4 * n, run)]
     pref = 1.0 / (2.0 * math.pi) / (2.0 * d)
     for level, n_kappa in zip(levels, (n, n // 2, 2 * n, 4 * n)):
         x, w = energy_exact._kappa_rule(n_kappa)
-        alone = energy_exact._mode_sums(x / (2.0 * d), sphere, plane, l_max, rule, m_tol)
-        want = [pref * (w @ alone[i]) for i in (0, 1, 2, 4)]
+        alone, trace, top = _fresh_sums(x / (2.0 * d), sphere, plane, l_max, rule, m_tol)
+        want = [pref * (w @ v) for v in (alone[0], top, alone[1], trace)]
         assert [level.energy, level.err_l, level.err_m, level.trace] == want
         assert np.array_equal(level.rows, alone)
         if n_kappa == 2 * n:
@@ -866,7 +886,8 @@ def test_a_first_level_off_the_powers_of_two(monkeypatch, kappa_nodes):
     # times powers of two, and its record spans the finest of them (level
     # 176 or 192).  The call converges with a finite error estimate and
     # agrees with a run from kappa_nodes = 8 within the two estimates; each
-    # level it passes is bit for bit a fresh _mode_sums over its nodes, and
+    # level it passes is bit for bit a fresh _mode_sums and trace step over
+    # its nodes, and
     # E and the kappa estimate are those of the fresh sums of levels n / 2,
     # n and 2n (n = 2 kappa_nodes), so no level reads another's columns.
     # l_max is explicit, the start degree, so the fresh sums share the
@@ -887,9 +908,9 @@ def test_a_first_level_off_the_powers_of_two(monkeypatch, kappa_nodes):
 
     def fresh(n_kappa):
         x, w = energy_exact._kappa_rule(n_kappa)
-        alone = energy_exact._mode_sums(x / (2.0 * run.d), run.sphere, run.plane, l_max,
+        alone, trace, top = _fresh_sums(x / (2.0 * run.d), run.sphere, run.plane, l_max,
                                         run.theta_rule, run.m_tol)
-        return [pref * (w @ alone[i]) for i in (0, 1, 2, 4)], alone
+        return [pref * (w @ v) for v in (alone[0], top, alone[1], trace)], alone
 
     last = passes[-1][2]
     want, alone = fresh(n)
@@ -908,7 +929,7 @@ def test_refined_level_reuses_rows_by_index(monkeypatch):
     d = 0.3
     sphere, plane = SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     l_max, rule, m_tol = _pass_args(d)
-    run = energy_exact._Run(d, sphere, plane, l_max, rule, l_max, m_tol, 8)
+    run = energy_exact._Run(d, sphere, plane, l_max, rule, m_tol, 8)
     steps = []
     real = energy_exact._trace_step
 
@@ -923,7 +944,7 @@ def test_refined_level_reuses_rows_by_index(monkeypatch):
     assert steps == [7, 8, 15]
     assert (fine.energy, fine.err_l, fine.err_m, fine.trace) == (fresh.energy, fresh.err_l,
                                                                  fresh.err_m, fresh.trace)
-    assert fine.rows[3].max() == fresh.rows[3].max()
+    assert fine.rows[2].max() == fresh.rows[2].max()
     assert np.array_equal(fine.rows, fresh.rows)
     assert np.array_equal(fine.rows[:, 1::2], coarse.rows)
 
@@ -933,9 +954,10 @@ def test_a_miss_refines_on_the_first_pass_tables(monkeypatch):
     # degree, with blocks at a lower l_max on level n alone, here over three
     # chunks.  Refining to level 2n runs the blocks of the other n nodes on
     # those chunks, where they took T alone: no trace step runs, and the
-    # record is bit for bit that of a pass that traces and evaluates all of
-    # level 2n afresh.  The run keeps every chunk, since a rise of the
-    # l_max pick on a later level runs its blocks again on their tables
+    # record and store are bit for bit those of a pass that traces and
+    # evaluates all of level 2n afresh.  The run keeps every chunk, since a
+    # rise of the l_max pick on a later level runs its blocks again on
+    # their tables
     d = 0.3
     sphere, plane = SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
     run = _run(sphere, plane, 20)
@@ -943,7 +965,7 @@ def test_a_miss_refines_on_the_first_pass_tables(monkeypatch):
                         12 * 8 * (2 * run.l_top) * (2 * rapidity_rule(*run.theta_rule)[0].size))
     energy_exact._trace(run, 32)
     energy_exact._quadrature_pass(16, run)
-    assert [len(part) for part, _, _ in run.traced] == [11, 10, 10]
+    assert [len(part) for part, _ in run.tables] == [11, 10, 10]
     first = run.record.copy()
     steps = []
     real = energy_exact._trace_step
@@ -954,23 +976,69 @@ def test_a_miss_refines_on_the_first_pass_tables(monkeypatch):
 
     monkeypatch.setattr(energy_exact, "_trace_step", counting)
     refined = energy_exact._quadrature_pass(32, run)
-    assert steps == [] and [len(part) for part, _, _ in run.traced] == [11, 10, 10]
-    fresh = energy_exact._quadrature_pass(32, _fresh(run))
+    assert steps == [] and [len(part) for part, _ in run.tables] == [11, 10, 10]
+    fresh_run = _fresh(run)
+    fresh = energy_exact._quadrature_pass(32, fresh_run)
     assert steps == [31] and np.array_equal(refined.rows, fresh.rows)
+    assert refined.trace == fresh.trace and refined.err_l == fresh.err_l
+    assert np.array_equal(energy_exact._norms(run, 32), energy_exact._norms(fresh_run, 32))
     t_alone = run.columns(32)[::2]
-    assert np.array_equal(refined.rows[4, ::2], first[4, t_alone])
-    assert np.all(np.isnan(first[:4, t_alone])) and refined.rows[3, ::2].max() > 0
+    assert np.all(np.isnan(first[:, t_alone])) and refined.rows[2, ::2].max() > 0
+
+
+def test_store_of_traces_holds_each_node_once(monkeypatch):
+    # a run keeps one store of trace-step norms: a level whose nodes it has
+    # not traced raises when read, even where its record columns are set;
+    # tracing a level twice, or a coarser level inside it, traces no new
+    # node; and after a rise of l_max (the record cleared, as the driver
+    # does), the level's T and l-probe integrals are bit for bit those of a
+    # fresh trace step over its nodes, on the run's degree and rule, summed
+    # at the new l_max, and its F is that of a fresh run at that l_max
+    d = 0.3
+    sphere, plane = SphereSheet(1.0, 1.7), PlaneSheet(PERFECT_CONDUCTOR, 1.0 + d)
+    run = _run(sphere, plane, 20)
+    with pytest.raises(RuntimeError, match="not traced"):
+        energy_exact._norms(run, 16)
+    run.record[:] = 0.0
+    with pytest.raises(RuntimeError, match="not traced"):
+        energy_exact._level(run, 16)
+    run.record[:] = np.nan
+    steps = []
+    real = energy_exact._trace_step
+
+    def counting(kappa, *args):
+        steps.append(kappa.size)
+        return real(kappa, *args)
+
+    monkeypatch.setattr(energy_exact, "_trace_step", counting)
+    for n_kappa in (32, 32, 16):
+        energy_exact._trace(run, n_kappa)
+    assert steps == [31] and run.norms.shape == (31, run.l_top, 2)
+    low = energy_exact._quadrature_pass(16, run)
+    run.l_max = 24
+    run.record[:] = np.nan
+    risen = energy_exact._quadrature_pass(16, run)
+    assert steps == [31] and risen.trace > low.trace
+    x, w = energy_exact._kappa_rule(16)
+    norms = np.concatenate([n for _, n in real(x / (2.0 * run.d), sphere, plane, run.l_top,
+                                               run.theta_rule)])
+    trace, top = energy_exact._trace_sums(norms, 24)
+    pref = 1.0 / (2.0 * math.pi) / (2.0 * run.d)  # d = L/R - 1, as the run has it
+    assert (risen.trace, risen.err_l) == (pref * (w @ trace), pref * (w @ top))
+    fresh = energy_exact._quadrature_pass(16, _run(sphere, plane, 24))
+    assert risen.energy == fresh.energy and np.array_equal(risen.rows, fresh.rows)
 
 
 def _run_estimate(run, levels):
     """The last F level of a run, its E and its kappa estimate, from the
-    levels its passes returned and its record: with one level n, the
+    levels its passes returned and its store: with one level n, the
     control variate against T on level 2n, with more, the plain sums."""
     last = levels[-1]
     if len(levels) > 1:
         return last, last.energy, abs(last.energy - levels[-2].energy)
     n = last.rows.shape[1] + 1
-    fine = energy_exact._integral(run, 2 * n, run.record[4, run.columns(2 * n)])
+    fine = energy_exact._integral(
+        run, 2 * n, energy_exact._trace_sums(energy_exact._norms(run, 2 * n), run.l_max)[0])
     coarse = energy_exact._level(run, n // 2)
     return (last, last.energy + last.trace - fine,
             abs(last.energy + last.trace - coarse.energy - coarse.trace) + abs(fine - last.trace))
@@ -1006,7 +1074,7 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
     def recording_pass(n_kappa, run):
         level = real_pass(n_kappa, run)
         if not runs or runs[-1][0] is not run:  # the first pass of a run
-            assert n_kappa == 16 and not np.isnan(run.record[4, run.columns(32)]).any()
+            assert n_kappa == 16 and np.all(run.slot[run.columns(32)] >= 0)
             plain = real_pass(n_kappa, _fresh(run))
             assert np.array_equal(level.rows, plain.rows)
             runs.append((run, []))
@@ -1036,7 +1104,7 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
     assert [len(lv) > 1 for _, lv in runs] == [False] * (len(runs) - 1) + [rel_tol == 1e-5]
     assert [lv.rows.shape[1] + 1 for lv in levels] == [16 * 2 ** k for k in range(len(levels))]
     assert last.rows.shape[1] + 1 == res.kappa_nodes_used
-    assert energy == res.energy and last.rows[3].max() == res.m_max_used
+    assert energy == res.energy and last.rows[2].max() == res.m_max_used
 
     def theta(first, probe):
         f_min = first.rows[0, -1]  # the smallest node is the last of its level
@@ -1058,9 +1126,10 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
 
     # the start degree 30 picks on its own traces; at rel_tol 1e-5 nothing fits
     monkeypatch.undo()
-    first = energy_exact._Run(run.d, run.sphere, run.plane, 30, energy_exact._theta_rule(30), 30,
+    first = energy_exact._Run(run.d, run.sphere, run.plane, 30, energy_exact._theta_rule(30),
                               run.m_tol, 8)
-    traces = energy_exact._traces(first, 32)[1::2]
+    energy_exact._trace(first, 32)
+    traces = energy_exact._norms(first, 16).sum(axis=2)
     assert energy_exact._pick_l_max(first.rule(16)[1] @ traces, share) == {1e-3: 22,
                                                                           1e-5: None}[rel_tol]
 
@@ -1068,7 +1137,7 @@ def test_error_estimate_adds_up_from_the_level_records(monkeypatch, rel_tol):
 @pytest.mark.parametrize("omega", [PERFECT_CONDUCTOR, 1.7])
 def test_level_major_rows_equal_per_node_rows(monkeypatch, omega):
     # one kappa level evaluated as one stack gives, for every node, the column
-    # (F, l probe, m error, m used) of that node evaluated alone, bit for bit;
+    # (F, m error, m used) of that node evaluated alone, bit for bit;
     # the far nodes take their value from the trace and leave the stack
     # before block 0, and the others leave it one by one
     d = 0.3
@@ -1088,7 +1157,7 @@ def test_level_major_rows_equal_per_node_rows(monkeypatch, omega):
     alone = np.hstack([energy_exact._mode_sums(kappa[i:i + 1], sphere, plane, *_pass_args(d))
                        for i in range(kappa.size)])
     assert np.array_equal(stacked, alone)
-    m_used = stacked[3]
+    m_used = stacked[2]
     # every node that needed a block was in the first one
     assert stacks[0] == (0, np.sum(m_used >= 0))
     assert m_used[0] == -1 and m_used.max() > 1
@@ -1165,11 +1234,13 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
     # the far nodes of T's level reach kappa R ~ 2e5 at d/R = 0.05; every
     # node must give a finite F <= 0 and T >= 0
     values = []
-    real, real_sums = energy_exact._mode_sums, energy_exact._chunk_mode_sums
+    real_sums = energy_exact._chunk_mode_sums
 
-    def recording(table, *args):
-        out = real_sums(table, *args)
-        values.extend(zip(np.atleast_1d(table.kappa).tolist(), out.T.tolist()))
+    def recording(table, norms, m_tol):
+        out = real_sums(table, norms, m_tol)
+        trace, top = energy_exact._trace_sums(norms, table.l_max)
+        values.extend(zip(np.atleast_1d(table.kappa).tolist(),
+                          np.vstack([out, trace, top]).T.tolist()))
         return out
 
     monkeypatch.setattr(energy_exact, "_chunk_mode_sums", recording)
@@ -1181,21 +1252,23 @@ def test_far_kappa_nodes_stay_finite(monkeypatch):
     # 64, then the theta probe; the other 64 nodes take T alone
     assert res.kappa_nodes_used == 64 and len(passes) == 1 and len(values) == 64
     x = energy_exact._kappa_rule(128)[0]
-    t_alone = passes[0][3][:, passes[0][1].columns(128)[::2]]
-    assert x[0] / (2.0 * passes[0][1].d) > 1e5
-    assert np.all(np.isfinite(t_alone[4])) and np.all(t_alone[4] >= 0.0)
-    for kappa, (f, top, m_err, _, t) in values:
+    run = passes[0][1]
+    t_alone = energy_exact._trace_sums(energy_exact._norms(run, 128), run.l_max)[0][::2]
+    assert x[0] / (2.0 * run.d) > 1e5
+    assert np.all(np.isfinite(t_alone)) and np.all(t_alone >= 0.0)
+    for kappa, (f, m_err, _, t, top) in values:
         assert math.isfinite(f) and math.isfinite(top) and math.isfinite(t)
         assert f <= 0.0 and 0.0 <= top <= t and 0.0 <= m_err < math.inf
     # the edges of the stated range, kappa R = 4e6 (T's level 256, from
     # kappa_nodes 64, at d/R = 0.01), where every block underflows to 0 and
     # so does the trace, and 1e-4 (level 128 at d/R ~ 2)
-    assert np.array_equal(real(np.array([4e6]), sphere, plane, *_pass_args(d)),
-                          [[0.0], [0.0], [0.0], [-1], [0.0]])
+    out, trace, top = _fresh_sums(np.array([4e6]), sphere, plane, *_pass_args(d))
+    assert np.array_equal(out, [[0.0], [0.0], [-1]]) and trace.tolist() == top.tolist() == [0.0]
     for om in (PERFECT_CONDUCTOR, 0.5):
         d_wide = 2.0
-        [f], [top], [m_err], _, [t] = real(np.array([1e-4]), SphereSheet(1.0, om),
-                                           PlaneSheet(om, 1.0 + d_wide), *_pass_args(d_wide))
+        ([f], [m_err], _), [t], [top] = _fresh_sums(np.array([1e-4]), SphereSheet(1.0, om),
+                                                    PlaneSheet(om, 1.0 + d_wide),
+                                                    *_pass_args(d_wide))
         assert math.isfinite(f) and f < 0.0 and 0.0 <= top <= t and m_err >= 0.0
 
 

@@ -17,6 +17,7 @@ REMOVED = {
                     "_e0_prefactor", "_e1_series", "_series_term_factory", "_hom_power_sums",
                     "_ntl_kernel", "_lin", "_e1_braces", "_fitted_tail", "_power_tail"),
     "pfa": ("PfaParams", "_r_product"),
+    "energy_exact": ("_traces", "_set_l_max"),
 }
 
 

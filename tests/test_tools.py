@@ -57,8 +57,8 @@ def test_exact_points_prints_one_parsable_line_per_point():
     out = subprocess.run([sys.executable, os.path.join(REPO, "tools", "exact_points.py")],
                          env=env, capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
-    assert len(lines) == 32
-    exact, small_gap = lines[:19], lines[19:]
+    assert len(lines) == 33
+    exact, small_gap = lines[:20], lines[20:]
     labels = []
     for line in exact:
         words = line.split()
@@ -72,7 +72,7 @@ def test_exact_points_prints_one_parsable_line_per_point():
         pfa, e0, e1, theta = (float.fromhex(v) for v in words[-4:])
         # E0 is the PFA bit for bit; E1 has the opposite sign at these sheets
         assert labels[-1].startswith("small-gap ") and pfa == e0 < 0.0 < e1 and theta < 0.0
-    assert all(labels) and len(set(labels)) == 32
+    assert all(labels) and len(set(labels)) == 33
 
 
 def test_ab_time_runs_one_round_of_a_checkout_against_itself():

@@ -6,7 +6,9 @@ and ``kappa_nodes_used``.  The points are the exact workloads of
 ``bench/points.json`` (read, never written) at the benchmark's rel_tol
 1e-3, perfect conductors at L/R = 11, 31, 101 and 301, PC d/R = 0.1 at
 rel_tol 1e-4, PC d/R = 0.3 at rel_tol 1e-5, where the start degree grows
-once, and PC d/R = 0.02 at rel_tol 1e-3, which takes about 0.4 s.
+once, PC d/R = 0.02 at rel_tol 1e-3, which takes about 0.4 s, and
+Omega R = 1 on both sheets at d/R = 0.03 and rel_tol 1e-3, where the l_max
+pick rises after a kappa miss.
 
 Then one line per small-gap point: a label starting ``small-gap``, then
 ``float.hex`` of ``pfa_energy``, E0, E1 and theta.  The points are the
@@ -59,7 +61,8 @@ def points() -> list:
     out += [(f"pc L/R={q}", q - 1.0, PC, PC, 1e-3) for q in (11, 31, 101, 301)]
     out += [("pc d/R=0.1 rel_tol=1e-4", 0.1, PC, PC, 1e-4),
             ("pc d/R=0.3 rel_tol=1e-5", 0.3, PC, PC, 1e-5),
-            ("pc d/R=0.02", 0.02, PC, PC, 1e-3)]
+            ("pc d/R=0.02", 0.02, PC, PC, 1e-3),
+            ("omega R=1 d/R=0.03", 0.03, 1.0, 1.0, 1e-3)]
     return out
 
 
